@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from .errors import InvalidInputError, InvalidParameterError
 from .spectral import FieldSlice, TimeTrace
@@ -125,6 +124,10 @@ def detect_extrema(
     endpoints are never reported. Events come back sorted by time.
     The conventional threshold is a small fraction (1e-3) of the slab mass.
     """
+    # Imported here: scipy.signal is slow to import and only this function
+    # needs it, so the CLI starts without it.
+    from scipy.signal import find_peaks
+
     if v_min_cutoff < 0:
         raise InvalidInputError(f"v_min_cutoff must be >= 0, got {v_min_cutoff!r}")
     times, values = _smoothed(trace)

@@ -15,6 +15,13 @@ The first telegraph step uses n1 = n0 + dv^2/(2*eps) * Lap(n0), which
 follows from the zero initial rate together with the equation itself at
 v = 0 and keeps the scheme second-order accurate from the start.
 
+The solvers do not march step by step. The mirror Laplacian is diagonal in
+the DCT-II basis, with eigenvalues -4 sin^2(pi k / 2 nu) (G. Strang, "The
+Discrete Cosine Transform", SIAM Review 41(1), 1999), so each snapshot is
+the exact j-step result of the same explicit scheme, evaluated per mode in
+O(nu log nu + nu log j). The stability bounds above are still enforced:
+they keep the scheme, and hence its exact result, a faithful oracle.
+
 Requested snapshot times are snapped to the nearest step boundary; the
 actually recorded time j*dv is reported so comparisons use matching times.
 """
@@ -30,13 +37,6 @@ from .core import Grid1D, TimeGrid
 from .errors import InvalidParameterError, StabilityError
 from .profiles import InitialProfile, evaluate_profile
 from .spectral import FieldSlice
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dependency, but the
-    HAS_NUMBA = False  # pure-numpy path keeps the solvers usable without it.
 
 #: Safety factor applied to the stability bounds when choosing a step.
 DEFAULT_SAFETY = 0.9
@@ -134,115 +134,65 @@ class FdConfig:
 
 
 # ---------------------------------------------------------------------------
-# Stepping kernels. The index-0 and index-(nu-1) updates inline the mirror
-# ghost cells n[-1] = n[0] and n[nu] = n[nu-1].
+# Mode-space evaluation. With mirror ghost cells the cell-centered Laplacian
+# is diagonal in the orthonormal DCT-II basis, so each scheme advances every
+# mode independently and j steps collapse to one closed-form factor per mode.
 # ---------------------------------------------------------------------------
 
-def _heat_steps_numpy(cur: np.ndarray, r: float, steps: int) -> np.ndarray:
-    new = np.empty_like(cur)
-    for _ in range(steps):
-        new[1:-1] = cur[1:-1] + r * (cur[2:] - 2.0 * cur[1:-1] + cur[:-2])
-        new[0] = cur[0] + r * (cur[1] - cur[0])
-        new[-1] = cur[-1] + r * (cur[-2] - cur[-1])
-        cur, new = new, cur
-    return cur
-
-
-def _telegraph_steps_numpy(prev, cur, p_lap, p_prev, steps):
-    new = np.empty_like(cur)
-    for _ in range(steps):
-        new[1:-1] = (
-            cur[1:-1]
-            + p_lap * (cur[2:] - 2.0 * cur[1:-1] + cur[:-2])
-            + p_prev * (cur[1:-1] - prev[1:-1])
-        )
-        new[0] = cur[0] + p_lap * (cur[1] - cur[0]) + p_prev * (cur[0] - prev[0])
-        new[-1] = cur[-1] + p_lap * (cur[-2] - cur[-1]) + p_prev * (cur[-1] - prev[-1])
-        prev, cur, new = cur, new, prev
-    return prev, cur
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _heat_steps_numba(cur, scratch, r, steps):  # pragma: no cover - compiled
-        nu = cur.size
-        a, b = cur, scratch
-        for _ in range(steps):
-            b[0] = a[0] + r * (a[1] - a[0])
-            for i in range(1, nu - 1):
-                b[i] = a[i] + r * (a[i + 1] - 2.0 * a[i] + a[i - 1])
-            b[nu - 1] = a[nu - 1] + r * (a[nu - 2] - a[nu - 1])
-            a, b = b, a
-        return a
-
-    @njit(cache=True)
-    def _telegraph_steps_numba(
-        prev, cur, scratch, p_lap, p_prev, steps
-    ):  # pragma: no cover - compiled
-        nu = cur.size
-        a, b, c = prev, cur, scratch
-        for _ in range(steps):
-            c[0] = b[0] + p_lap * (b[1] - b[0]) + p_prev * (b[0] - a[0])
-            for i in range(1, nu - 1):
-                c[i] = (
-                    b[i]
-                    + p_lap * (b[i + 1] - 2.0 * b[i] + b[i - 1])
-                    + p_prev * (b[i] - a[i])
-                )
-            c[nu - 1] = (
-                b[nu - 1]
-                + p_lap * (b[nu - 2] - b[nu - 1])
-                + p_prev * (b[nu - 1] - a[nu - 1])
-            )
-            a, b, c = b, c, a
-        return a, b
-
-
-def _heat_advance(cur: np.ndarray, r: float, steps: int) -> np.ndarray:
-    if steps == 0:
-        return cur
-    if HAS_NUMBA:
-        out = _heat_steps_numba(cur, np.empty_like(cur), r, steps)
-        return out.copy() if out is not cur else out
-    return _heat_steps_numpy(cur, r, steps)
-
-
-def _mirror_laplacian(n: np.ndarray) -> np.ndarray:
-    lap = np.empty_like(n)
-    lap[1:-1] = n[2:] - 2.0 * n[1:-1] + n[:-2]
-    lap[0] = n[1] - n[0]
-    lap[-1] = n[-2] - n[-1]
-    return lap
+def _laplacian_eigenvalues(nu: int) -> np.ndarray:
+    """lambda_k = 4 sin^2(pi k / 2 nu): the mirror Laplacian is -lambda_k on mode k."""
+    return 4.0 * np.sin(np.pi * np.arange(nu) / (2.0 * nu)) ** 2
 
 
 def _snapshot_steps(cfg: FdConfig) -> list[int]:
     return [int(round(t / cfg.dv)) for t in cfg.snapshot_times.points]
 
 
+def _solve(profile: InitialProfile, cfg: FdConfig, delta) -> list[FieldSlice]:
+    """One slice per snapshot step j: n0 + idct(delta(j) * dct(n0)).
+
+    delta(j) is the per-mode change after j steps. It is exactly 0 for
+    k = 0, so the discrete mass does not drift and uniform data stays fixed.
+    """
+    from scipy.fft import dct, idct
+
+    u = cell_centers(cfg.nu)
+    grid = Grid1D(points=u, uniform=True, spacing=cfg.du)
+    n0 = np.asarray(evaluate_profile(profile, u), dtype=float)
+    c0 = dct(n0, type=2, norm="ortho")
+    return [
+        FieldSlice(
+            grid=grid,
+            v=j * cfg.dv,
+            values=n0 + idct(delta(j) * c0, type=2, norm="ortho"),
+            model_tag="fd",
+        )
+        for j in _snapshot_steps(cfg)
+    ]
+
+
 def fd_solve_heat(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
     """Forward-Euler solution of dn/dv = d2n/du2 with zero-flux walls.
 
-    Returns one slice per requested snapshot time, tagged "fd", with the
-    snapped time recorded in each slice.
+    Each step multiplies mode k by 1 - r*lambda_k (r = dv/du^2). Returns
+    one slice per requested snapshot time, tagged "fd", with the snapped
+    time recorded in each slice.
     """
     if cfg.eps != 0.0:
         raise InvalidParameterError(
             f"fd_solve_heat requires a heat-mode config (eps == 0), got eps={cfg.eps!r}"
         )
-    u = cell_centers(cfg.nu)
-    grid = Grid1D(points=u, uniform=True, spacing=cfg.du)
-    r = cfg.dv / cfg.du**2
-    cur = np.asarray(evaluate_profile(profile, u), dtype=float).copy()
-    slices: list[FieldSlice] = []
-    step = 0
-    for target in _snapshot_steps(cfg):
-        cur = _heat_advance(cur, r, target - step)
-        step = target
-        slices.append(
-            FieldSlice(grid=grid, v=step * cfg.dv, values=cur.copy(), model_tag="fd")
-        )
-    return slices
+    x = -(cfg.dv / cfg.du**2) * _laplacian_eigenvalues(cfg.nu)
+    # log1p keeps slow modes accurate; high modes can have 1 + x <= 0,
+    # where the plain power is used instead.
+    smooth = x > -1.0
+
+    def delta(j: int) -> np.ndarray:
+        out = np.power(1.0 + x, j) - 1.0
+        out[smooth] = np.expm1(j * np.log1p(x[smooth]))
+        return out
+
+    return _solve(profile, cfg, delta)
 
 
 def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
@@ -256,43 +206,38 @@ def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlic
         raise InvalidParameterError(
             f"fd_solve_telegraph requires eps > 0, got eps={cfg.eps!r}"
         )
-    u = cell_centers(cfg.nu)
-    grid = Grid1D(points=u, uniform=True, spacing=cfg.du)
     eps, dv, du = cfg.eps, cfg.dv, cfg.du
-    # Update in increment form, new = cur + p_lap*lap + p_prev*(cur - prev),
-    # algebraically identical to the centered three-level scheme but with
-    # the mass-conservation telescoping exact in floating point as well
-    # (the equivalent p_cur = 1 + p_prev never needs to round).
+    # Coefficients of the centered three-level scheme in increment form,
+    # new = cur + p_lap*Lap(cur) + p_prev*(cur - prev).
     denom = eps + 0.5 * dv
     p_lap = dv * dv / (du * du) / denom
     p_prev = (eps - 0.5 * dv) / denom
+    lam = _laplacian_eigenvalues(cfg.nu)
+    # Per unit of mode amplitude, the first step leaves value 1 + d1 and
+    # increment d1; each later step maps (value, increment) through the
+    # matrix [[1 + a, p_prev], [a, p_prev]] with a = -p_lap*lambda_k,
+    # applied j - 1 times by repeated squaring. This also covers p_prev < 0
+    # (dv > 2*eps), where closed forms through the matrix roots break down.
+    d1 = -(dv * dv / (2.0 * eps)) / (du * du) * lam
+    a = -p_lap * lam
 
-    prev = np.asarray(evaluate_profile(profile, u), dtype=float).copy()
-    slices: list[FieldSlice] = []
-    targets = _snapshot_steps(cfg)
-    idx = 0
-    while idx < len(targets) and targets[idx] == 0:
-        slices.append(FieldSlice(grid=grid, v=0.0, values=prev.copy(), model_tag="fd"))
-        idx += 1
-    if idx == len(targets):
-        return slices
-
-    # First step from the equation at v = 0 with zero initial rate.
-    cur = prev + (dv * dv / (2.0 * eps)) / (du * du) * _mirror_laplacian(prev)
-    step = 1
-    for target in targets[idx:]:
-        missing = target - step
-        if missing > 0:
-            if HAS_NUMBA:
-                a, b = _telegraph_steps_numba(
-                    prev, cur, np.empty_like(cur), p_lap, p_prev, missing
+    def delta(j: int) -> np.ndarray:
+        if j == 0:
+            return np.zeros_like(lam)
+        value, incr = 1.0 + d1, d1
+        m00, m01, m10, m11 = 1.0 + a, p_prev, a, p_prev
+        n = j - 1
+        while n:
+            if n & 1:
+                value, incr = m00 * value + m01 * incr, m10 * value + m11 * incr
+            n >>= 1
+            if n:
+                m00, m01, m10, m11 = (
+                    m00 * m00 + m01 * m10,
+                    m00 * m01 + m01 * m11,
+                    m10 * m00 + m11 * m10,
+                    m10 * m01 + m11 * m11,
                 )
-                prev, cur = a.copy(), b.copy()
-            else:
-                prev, cur = _telegraph_steps_numpy(prev, cur, p_lap, p_prev, missing)
-                prev, cur = prev.copy(), cur.copy()
-            step = target
-        slices.append(
-            FieldSlice(grid=grid, v=step * cfg.dv, values=cur.copy(), model_tag="fd")
-        )
-    return slices
+        return value - 1.0
+
+    return _solve(profile, cfg, delta)

@@ -82,13 +82,14 @@ def _echo_source(s: Scenario) -> str | None:
 
 def _ladder_for(s: Scenario, u: float) -> EchoLadder | None:
     source = _echo_source(s)
+    # Both walls (u = +-0.5) see the same ladder: the echo sources are even.
+    u = abs(u)
     if source is None or not (s.eps > 0) or u not in (0.0, 0.5):
         return None
     v_max = float(s.time_grid().points[-1])
     v1 = 0.5 * math.sqrt(s.eps)
     count = max(1, int(v_max / v1) + 2)
-    ladder = predict_echo_ladder(source, u, s.eps, count)
-    return ladder
+    return predict_echo_ladder(source, u, s.eps, count)
 
 
 def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[Path]:

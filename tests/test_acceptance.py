@@ -2,8 +2,9 @@
 
 Each test exercises one gate criterion at its pinned tolerance and prints a
 PASS line on success (run with -s to see them alongside the pytest dots).
-The heavy finite-difference cross-validations (nu=2000, ~9e6 steps) are
-computed once via module-scoped fixtures.
+The finite-difference cross-validations (nu=2000, the exact result of
+~9e6 explicit steps, evaluated in DCT mode space) are computed once via
+module-scoped fixtures.
 """
 
 import math

@@ -187,19 +187,85 @@ def test_heat_grid_convergence_is_second_order():
     assert errors[0] / errors[1] >= 3.0
 
 
-def test_numpy_fallback_matches_numba_path(monkeypatch):
-    import slabdiff.fd as fd_mod
+# ---------------------------------------------------------------------------
+# exactness against step-by-step marching
+# ---------------------------------------------------------------------------
+# The solvers evaluate the schemes in DCT mode space. These plain-numpy
+# kernels march the same schemes one step at a time, with the mirror ghost
+# cells n[-1] = n[0] and n[nu] = n[nu-1] inlined, and serve as the reference.
 
+
+def mirror_laplacian(n):
+    lap = np.empty_like(n)
+    lap[1:-1] = n[2:] - 2.0 * n[1:-1] + n[:-2]
+    lap[0] = n[1] - n[0]
+    lap[-1] = n[-2] - n[-1]
+    return lap
+
+
+def step_heat(n0, cfg, steps):
+    r = cfg.dv / cfg.du**2
+    cur = n0.copy()
+    for _ in range(steps):
+        cur = cur + r * mirror_laplacian(cur)
+    return cur
+
+
+def step_telegraph(n0, cfg, steps):
+    eps, dv, du = cfg.eps, cfg.dv, cfg.du
+    if steps == 0:
+        return n0.copy()
+    denom = eps + 0.5 * dv
+    p_lap = dv * dv / (du * du) / denom
+    p_prev = (eps - 0.5 * dv) / denom
+    prev = n0.copy()
+    cur = prev + (dv * dv / (2.0 * eps)) / (du * du) * mirror_laplacian(prev)
+    for _ in range(steps - 1):
+        prev, cur = cur, cur + p_lap * mirror_laplacian(cur) + p_prev * (cur - prev)
+    return cur
+
+
+def assert_matches_stepping(prof, cfg, atol=1e-10):
+    solver, stepper = (
+        (fd_solve_heat, step_heat) if cfg.eps == 0.0 else (fd_solve_telegraph, step_telegraph)
+    )
+    n0 = np.asarray(evaluate_profile(prof, cell_centers(cfg.nu)), dtype=float)
+    for sl, requested in zip(solver(prof, cfg), cfg.snapshot_times.points):
+        steps = round(requested / cfg.dv)
+        assert sl.v == steps * cfg.dv
+        np.testing.assert_allclose(sl.values, stepper(n0, cfg, steps), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("nu", [16, 40, 128])
+@pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, EPS_REF, 3.0])
+def test_mode_space_solution_matches_stepping(nu, eps):
+    # eps = 1e-6 and 1e-4 give dv > 2*eps, so p_prev < 0 in the telegraph scheme
+    dv = FdConfig.auto(nu, eps, times(0.2)).dv
+    cfg = FdConfig(nu=nu, dv=dv, v_end=0.2, eps=eps,
+                   snapshot_times=times(0.0, dv, 0.02, 0.2))
+    assert_matches_stepping(GaussianProfile(100.0, 1.0), cfg)
+
+
+def test_heat_at_the_stability_bound_matches_stepping():
+    # at r = 0.5 the per-step factor 1 - r*lambda_k = cos(pi*k/nu) goes
+    # down to about -1; log1p is undefined where it is <= 0
+    nu = 16
+    dv = 0.5 / nu**2
+    cfg = FdConfig(nu=nu, dv=dv, v_end=0.1, eps=0.0, snapshot_times=times(dv, 0.01, 0.1))
+    assert_matches_stepping(GaussianProfile(100.0, 1.0), cfg)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-6])
+def test_telegraph_long_run_stays_finite_and_conservative(eps):
+    # nu = 400 to v = 2: 7.1e5 steps at eps = 1e-4 (diffusive bound) and
+    # 8.9e5 at eps = 1e-6 (wave bound, p_prev < 0)
     prof = GaussianProfile(100.0, 1.0)
-    snap = times(0.02)
-    cfg_h = FdConfig.auto(100, 0.0, snap)
-    cfg_t = FdConfig.auto(100, EPS_REF, snap)
-    with_numba = (fd_solve_heat(prof, cfg_h)[0], fd_solve_telegraph(prof, cfg_t)[0])
-    monkeypatch.setattr(fd_mod, "HAS_NUMBA", False)
-    without = (fd_solve_heat(prof, cfg_h)[0], fd_solve_telegraph(prof, cfg_t)[0])
-    for a, b in zip(with_numba, without):
-        assert a.v == b.v
-        np.testing.assert_allclose(a.values, b.values, rtol=0, atol=1e-13)
+    cfg = FdConfig.auto(400, eps, times(2.0))
+    assert round(2.0 / cfg.dv) > 700_000
+    m0 = discrete_mass(evaluate_profile(prof, cell_centers(400)), cfg.du)
+    sl = fd_solve_telegraph(prof, cfg)[0]
+    assert np.all(np.isfinite(sl.values))
+    assert abs(discrete_mass(sl.values, cfg.du) - m0) / m0 < 1e-9
 
 
 def test_telegraph_tracks_heat_in_stiff_limit():

@@ -118,6 +118,20 @@ def test_traces_and_events_outputs(tmp_path):
     assert not [r for r in rows if r[0] == "parabolic"]
 
 
+def test_both_walls_get_the_echo_ladder(tmp_path):
+    s = Scenario(
+        name="walls", eps=0.13, profile=GaussianProfile(100.0, 1.0),
+        truncation=64, v_range=(0.0, 1.0, 501), trace_u=(0.5, -0.5),
+        models=("hyperbolic",), outputs=("csv", "events"),
+    )
+    run_scenario(s, tmp_path)
+    _, _, rows = read_csv(tmp_path / "walls_events.csv")
+    by_wall = {u: [r[:1] + r[2:] for r in rows if r[1] == u] for u in ("0.5", "-0.5")}
+    assert by_wall["0.5"], "expected detected echoes"
+    assert all(r[5] for r in by_wall["0.5"] if r[1] == "maximum")
+    assert by_wall["-0.5"] == by_wall["0.5"]
+
+
 def test_fd_rows_use_recorded_times(tmp_path):
     s = Scenario(
         name="fdrun", eps=0.0, profile=GaussianProfile(100.0, 1.0),
@@ -240,3 +254,12 @@ def test_cli_figure_preset_as_subprocess(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "figure1_field_4.csv").exists()
+
+
+def test_cli_import_leaves_slow_scipy_modules_unloaded():
+    # scipy.signal and scipy.fft are imported where they are used, so
+    # validate and coeffs start without paying for them
+    code = "import sys, slabdiff.cli; print(sorted({'scipy.signal', 'scipy.fft'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
