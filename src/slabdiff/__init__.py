@@ -38,11 +38,8 @@ from .profiles import (
 )
 from .spectral import (
     FieldSlice,
-    ModeEvolution,
     TimeTrace,
     WkbCoefficients,
-    build_mode_evolutions,
-    classify_mode,
     field_slice,
     free_space_reference,
     hyperbolic_density,
@@ -81,8 +78,7 @@ __all__ = [
     "evaluate_profile", "compute_coefficients", "equilibrium_density",
     "surface_cosh_mode_closed_form",
     # spectral
-    "ModeEvolution", "WkbCoefficients", "FieldSlice", "TimeTrace",
-    "parabolic_density", "build_mode_evolutions", "classify_mode",
+    "WkbCoefficients", "FieldSlice", "TimeTrace", "parabolic_density",
     "hyperbolic_mode_factor", "hyperbolic_density", "wkb_coefficients",
     "wkb_density", "free_space_reference", "field_slice", "time_trace",
     # fd

@@ -265,14 +265,6 @@ class SpectralCoefficients:
         """|k_M| of the last retained mode, a truncation diagnostic."""
         return float(abs(self.modes[-1]))
 
-    def reconstruct(self, u) -> np.ndarray:
-        """Evaluate the truncated series k0 + sum k_m cos(2*m*pi*u)."""
-        u_arr = np.asarray(u, dtype=float)
-        total = np.full_like(u_arr, self.mean)
-        for m in range(self.truncation, 0, -1):
-            total = total + self.modes[m - 1] * np.cos(2.0 * math.pi * m * u_arr)
-        return total
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpectralCoefficients):
             return NotImplemented

@@ -25,13 +25,7 @@ from .profiles import (
     compute_coefficients,
 )
 from .scenario import MODEL_ORDER, Scenario, scenario_hash
-from .spectral import (
-    SPECTRAL_MODELS,
-    FieldSlice,
-    TimeTrace,
-    field_slice,
-    time_trace,
-)
+from .spectral import SPECTRAL_MODELS, FieldSlice, TimeTrace, family_density
 from .svgplot import line_chart
 
 #: Fraction of the slab mass used as the default extremum prominence.
@@ -105,6 +99,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     grid = s.spatial_grid()
     times = s.time_grid()
     models = _ordered_models(s)
+    series_models = [m for m in models if m in SPECTRAL_MODELS]
     written: list[Path] = []
 
     base_comments = [
@@ -131,13 +126,18 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
         fd_slices = solver(s.profile, cfg)
 
-    # Field CSVs, one per requested snapshot time.
+    # Field CSVs, one per requested snapshot time. Each family is evaluated
+    # once, as a (time x grid) table.
     if s.v_list is not None:
+        v_column = np.array(s.v_list, dtype=float)[:, None]
+        field_tables = [
+            family_density(m, coeffs, s.eps, grid.points[None, :], v_column)
+            for m in series_models
+        ]
         for index, v in enumerate(s.v_list):
             slices = [
-                field_slice(m, coeffs, s.eps, grid, v)
-                for m in models
-                if m in SPECTRAL_MODELS
+                FieldSlice(grid=grid, v=float(v), values=table[index], model_tag=m)
+                for m, table in zip(series_models, field_tables)
             ]
             if "fd" in models:
                 slices.append(fd_slices[index])
@@ -167,13 +167,18 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                 )
                 written.append(_write_text(directory / f"{s.name}_field_{index}.svg", chart))
 
-    # Traces, one CSV per requested position.
+    # Traces, one CSV per requested position. Each family is evaluated once,
+    # as a (time x position) table.
     traces_by_u: dict[float, list[TimeTrace]] = {}
+    u_row = np.array(s.trace_u, dtype=float)[None, :]
+    trace_tables = [
+        family_density(m, coeffs, s.eps, u_row, times.points[:, None])
+        for m in series_models
+    ] if s.trace_u else []
     for j, u in enumerate(s.trace_u):
         traces = [
-            time_trace(m, coeffs, s.eps, u, times)
-            for m in models
-            if m in SPECTRAL_MODELS
+            TimeTrace(u=float(u), times=times, values=table[:, j], model_tag=m)
+            for m, table in zip(series_models, trace_tables)
         ]
         if "fd" in models:
             traces.append(_fd_trace(fd_slices, u))

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .analysis import MIN_TRACE_SAMPLES
 from .core import HALF_WIDTH, Grid1D, TimeGrid
 from .errors import ScenarioParseError, ScenarioValidationError
 from .profiles import (
@@ -39,9 +40,6 @@ from .profiles import (
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
-
-#: Traces need at least this many samples for the extrema analysis.
-MIN_EVENT_SAMPLES = 200
 
 DEFAULT_TRUNCATION = 500
 DEFAULT_U_POINTS = 1001
@@ -105,9 +103,9 @@ class Scenario:
         if "events" in self.outputs:
             if not self.trace_u:
                 raise ScenarioValidationError("events output requires trace_u")
-            if len(self.time_grid()) < MIN_EVENT_SAMPLES:
+            if len(self.time_grid()) < MIN_TRACE_SAMPLES:
                 raise ScenarioValidationError(
-                    f"events output requires a time grid of >= {MIN_EVENT_SAMPLES} samples"
+                    f"events output requires a time grid of >= {MIN_TRACE_SAMPLES} samples"
                 )
         if not (self.fd_nu >= 3):
             raise ScenarioValidationError(f"fd nu must be >= 3, got {self.fd_nu!r}")

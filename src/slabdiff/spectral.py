@@ -9,16 +9,20 @@ Three families share the cosine-series coefficients of the initial profile:
 * two-timescale (WKB-type): a fast boundary-layer decay exp(-v/eps)
   superposed on the parabolic relaxation.
 
-Series are summed over descending mode index with compensated (Kahan)
-summation so the small high-m contributions are not absorbed into the
-dominant low-m terms.
+The families differ only in each mode's time factor, and one blocked
+evaluator sums all three. It walks the modes in blocks of BLOCK, highest
+block first, and contracts each block's time factors with its
+cos(2*m*pi*u) rows over the mode axis (one matrix product when u and v
+form an outer table). The cosines of a block are built by angle addition
+from cos/sin(2*pi*m0*u) of the block's first mode and a shared table of
+cos/sin(2*pi*j*u), j < BLOCK.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
@@ -42,15 +46,15 @@ RESONANCE_TOL = 1e-9
 #: from the walls: 1/sqrt(sharpness) + sqrt(4*v) <= WALL_CLEARANCE.
 WALL_CLEARANCE = 0.25
 
-DampingClass = Literal["overdamped", "critical", "underdamped"]
-ModelTag = Literal["parabolic", "hyperbolic", "wkb", "fd"]
+#: Modes per block of the series evaluator. It bounds the (modes x points)
+#: temporaries, so peak memory does not grow with the truncation.
+BLOCK = 16
+
+#: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
+#: the subnormal range that starts at x = -708.4) are taken as 0.
+EXP_FLOOR = -708.0
 
 SPECTRAL_MODELS = ("parabolic", "hyperbolic", "wkb")
-
-
-def decay_rate(m: int) -> float:
-    """Parabolic decay rate (2*m*pi)^2 of mode m."""
-    return (2.0 * math.pi * m) ** 2
 
 
 def _check_u(u):
@@ -67,16 +71,9 @@ def _check_v(v):
     return v_arr
 
 
-def _sum_modes(k0: float, truncation: int, term: Callable[[int], np.ndarray], shape):
-    """k0 + sum of term(m) for m = truncation..1, Kahan-compensated."""
-    total = np.zeros(shape)
-    comp = np.zeros(shape)
-    for m in range(truncation, 0, -1):
-        y = term(m) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return k0 + total
+def _check_telegraph_eps(eps: float):
+    if not (eps > 0):
+        raise InvalidParameterError(f"eps must be > 0 for the telegraph model, got {eps!r}")
 
 
 def _scalarize(value, *inputs) -> float | np.ndarray:
@@ -85,133 +82,135 @@ def _scalarize(value, *inputs) -> float | np.ndarray:
     return value
 
 
+def _exp(x):
+    """exp(x), flushed to 0 for x <= EXP_FLOOR; NaN stays NaN.
+
+    numpy's exp takes about nine times longer per element on arguments
+    whose result is subnormal or underflows, and most decay factors of the
+    high modes land there.
+    """
+    return np.exp(x, out=np.zeros_like(x), where=~(x <= EXP_FLOOR))
+
+
 # ---------------------------------------------------------------------------
-# Parabolic family
+# Series evaluator
 # ---------------------------------------------------------------------------
+
+def _telegraph_factor(eps: float, m, v, decay):
+    """V_m(v)/k_m of the telegraph modes in column m at the times in v.
+
+    m has shape (R, 1); v and decay = exp(-v/(2*eps)) have one row, or R
+    rows (one time per mode). The damping class of each row follows from the
+    sign of 1 - (4*m*pi)^2*eps: overdamped (two real decay exponents
+    mu2 < mu1 < 0), critical, or underdamped (decay 1/(2*eps), angular
+    frequency omega).
+    """
+    v = np.broadcast_to(v, (len(m), v.shape[1]))
+    decay = np.broadcast_to(decay, v.shape)
+    disc = 1.0 - (4.0 * np.pi * m) ** 2 * eps
+    out = np.empty(v.shape)
+    over = disc[:, 0] > CRITICAL_DISC_TOL
+    under = disc[:, 0] < -CRITICAL_DISC_TOL
+    crit = ~(over | under)
+    if over.any():
+        sq = np.sqrt(disc[over])
+        # 1 - sq cancels for small eps; the rate is formed from the
+        # equivalent product form instead.
+        mu1 = -((4.0 * np.pi * m[over]) ** 2) / (2.0 * (1.0 + sq))
+        mu2 = -(1.0 + sq) / (2.0 * eps)
+        vo = v[over]
+        out[over] = (mu2 * _exp(mu1 * vo) - mu1 * _exp(mu2 * vo)) / (mu2 - mu1)
+    if under.any():
+        omega = np.sqrt(-disc[under]) / (2.0 * eps)
+        phase = omega * v[under]
+        out[under] = decay[under] * (
+            np.cos(phase) + (1.0 / (2.0 * eps * omega)) * np.sin(phase)
+        )
+    if crit.any():
+        out[crit] = decay[crit] * (1.0 + v[crit] / (2.0 * eps))
+    return out
+
+
+def hyperbolic_mode_factor(eps: float, m, v):
+    """Normalized time factor V_m(v)/k_m of telegraph mode m, eps > 0.
+
+    Equals 1 at v = 0 with zero slope; m and v broadcast together. All three
+    damping classes are evaluated through real closed forms, so the result
+    is real for every v >= 0.
+    """
+    _check_telegraph_eps(eps)
+    m_arr, v_arr = np.broadcast_arrays(np.asarray(m, dtype=float), _check_v(v))
+    m_col, v_col = m_arr.reshape(-1, 1), v_arr.reshape(-1, 1)
+    out = _telegraph_factor(eps, m_col, v_col, _exp((-1.0 / (2.0 * eps)) * v_col))
+    return _scalarize(out.reshape(m_arr.shape), m, v)
+
+
+def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
+    """k0 + sum_m k_m T_m(v) cos(2*m*pi*u) for one family; u and v broadcast.
+
+    T_m is the family's time factor. An outer table (u of shape (1, Nu), v
+    of shape (Nv, 1)) or a scalar u or v is contracted by matrix products;
+    any other broadcast is evaluated point by point.
+    """
+    if model == "hyperbolic":
+        _check_telegraph_eps(eps)
+    elif model == "wkb":
+        fast = wkb_coefficients(coefficients, eps).fast
+    # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
+    two_scale = model == "wkb" and eps > 0
+    u_arr = _check_u(u)
+    v_arr = _check_v(v)
+    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
+    outer = u_arr.size == 1 or v_arr.size == 1 or (
+        u_arr.shape == (1, u_arr.size) and v_arr.shape == (v_arr.size, 1)
+    )
+    if outer:
+        u_flat, v_flat = u_arr.ravel(), v_arr.ravel()
+    else:
+        u_flat = np.broadcast_to(u_arr, shape).ravel()
+        v_flat = np.broadcast_to(v_arr, shape).ravel()
+    v_row = v_flat[None, :]
+
+    # Time-only factors shared by every mode.
+    if model == "hyperbolic":
+        decay = _exp((-1.0 / (2.0 * eps)) * v_row)
+    if two_scale:
+        e_fast = _exp(-v_row / eps)
+    angle = (2.0 * np.pi * np.arange(BLOCK, dtype=float))[:, None] * u_flat
+    cos_j, sin_j = np.cos(angle), np.sin(angle)
+
+    k = coefficients.modes
+    total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
+    for first in range(BLOCK * ((coefficients.truncation - 1) // BLOCK) + 1, 0, -BLOCK):
+        block = slice(first - 1, min(first - 1 + BLOCK, coefficients.truncation))
+        m = np.arange(block.start + 1, block.stop + 1, dtype=float)[:, None]
+        if model == "hyperbolic":
+            t = k[block, None] * _telegraph_factor(eps, m, v_row, decay)
+        else:
+            e_slow = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
+            t = k[block, None] * e_slow
+            if two_scale:
+                # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
+                t -= fast[block, None] * (e_slow - e_fast)
+        rows = len(m)
+        base = (2.0 * math.pi * first) * u_flat
+        c = np.cos(base) * cos_j[:rows] - np.sin(base) * sin_j[:rows]
+        total += t.T @ c if outer else np.einsum("jn,jn->n", t, c)
+    return _scalarize((coefficients.mean + total).reshape(shape), u, v)
+
 
 def parabolic_density(coefficients: SpectralCoefficients, u, v):
     """Density of the instant-flux (parabolic) model at (u, v).
 
-    Either u or v may be an array; the truncated series
+    u and v broadcast together; the truncated series
     k0 + sum k_m exp(-(2*m*pi)^2 v) cos(2*m*pi*u) is returned.
     """
-    u_arr = _check_u(u)
-    v_arr = _check_v(v)
-    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
-    k = coefficients.modes
-
-    def term(m: int):
-        return (k[m - 1] * np.exp(-decay_rate(m) * v_arr)) * np.cos(
-            2.0 * math.pi * m * u_arr
-        )
-
-    out = _sum_modes(coefficients.mean, coefficients.truncation, term, shape)
-    return _scalarize(out, u, v)
+    return _series("parabolic", coefficients, 0.0, u, v)
 
 
-# ---------------------------------------------------------------------------
-# Hyperbolic (telegraph) family
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModeEvolution:
-    """Damped-oscillator parameters of one telegraph mode.
-
-    The per-mode amplitude V_m(v) solves eps*V'' + V' + (2*m*pi)^2 V = 0 with
-    V(0) = k_m and V'(0) = 0. Depending on the sign of the discriminant
-    1 - (4*m*pi)^2*eps the mode is overdamped (two real decay exponents
-    mu2 < mu1 < 0 with amplitudes c1, c2), critically damped, or underdamped
-    (decay sigma = -1/(2*eps) with angular frequency omega).
-    """
-
-    index: int
-    damping: DampingClass
-    mu1: float | None = None
-    mu2: float | None = None
-    c1: float | None = None
-    c2: float | None = None
-    sigma: float | None = None
-    omega: float | None = None
-
-
-def classify_mode(eps: float, m: int) -> ModeEvolution:
-    """Build the evolution parameters of mode m without amplitude weights."""
-    return _build_mode(eps, m, k_m=1.0)
-
-
-def _build_mode(eps: float, m: int, k_m: float) -> ModeEvolution:
-    disc = 1.0 - (4.0 * math.pi * m) ** 2 * eps
-    if disc > CRITICAL_DISC_TOL:
-        sq = math.sqrt(disc)
-        # 1 - sq cancels for small eps; the rate is formed from the
-        # equivalent product form instead.
-        mu1 = -((4.0 * math.pi * m) ** 2) / (2.0 * (1.0 + sq))
-        mu2 = -(1.0 + sq) / (2.0 * eps)
-        c1 = mu2 / (mu2 - mu1) * k_m
-        c2 = -mu1 / (mu2 - mu1) * k_m
-        return ModeEvolution(index=m, damping="overdamped", mu1=mu1, mu2=mu2, c1=c1, c2=c2)
-    if disc < -CRITICAL_DISC_TOL:
-        omega = math.sqrt(-disc) / (2.0 * eps)
-        return ModeEvolution(
-            index=m, damping="underdamped", sigma=-1.0 / (2.0 * eps), omega=omega
-        )
-    return ModeEvolution(index=m, damping="critical", sigma=-1.0 / (2.0 * eps))
-
-
-def build_mode_evolutions(
-    eps: float, coefficients: SpectralCoefficients
-) -> list[ModeEvolution]:
-    """Classify and parameterize every retained mode for a given eps > 0."""
-    if not (eps > 0):
-        raise InvalidParameterError(f"eps must be > 0 for the telegraph model, got {eps!r}")
-    return [
-        _build_mode(eps, m, float(coefficients.modes[m - 1]))
-        for m in range(1, coefficients.truncation + 1)
-    ]
-
-
-def hyperbolic_mode_factor(mode: ModeEvolution, eps: float, v):
-    """Normalized time factor V_m(v)/k_m; equals 1 at v = 0 with zero slope.
-
-    All three damping classes are evaluated through real closed forms, so the
-    result is real for every v >= 0.
-    """
-    v_arr = _check_v(v)
-    if mode.damping == "overdamped":
-        mu1, mu2 = mode.mu1, mode.mu2
-        out = (mu2 * np.exp(mu1 * v_arr) - mu1 * np.exp(mu2 * v_arr)) / (mu2 - mu1)
-    elif mode.damping == "underdamped":
-        sigma, omega = mode.sigma, mode.omega
-        out = np.exp(sigma * v_arr) * (
-            np.cos(omega * v_arr) + (1.0 / (2.0 * eps * omega)) * np.sin(omega * v_arr)
-        )
-    else:
-        sigma = mode.sigma
-        out = np.exp(sigma * v_arr) * (1.0 - sigma * v_arr)
-    return _scalarize(out, v)
-
-
-def hyperbolic_density(
-    coefficients: SpectralCoefficients,
-    eps: float,
-    u,
-    v,
-    modes: list[ModeEvolution] | None = None,
-):
+def hyperbolic_density(coefficients: SpectralCoefficients, eps: float, u, v):
     """Density of the finite-speed (telegraph) model at (u, v), eps > 0."""
-    if modes is None:
-        modes = build_mode_evolutions(eps, coefficients)
-    u_arr = _check_u(u)
-    v_arr = _check_v(v)
-    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
-    k = coefficients.modes
-
-    def term(m: int):
-        factor = hyperbolic_mode_factor(modes[m - 1], eps, v_arr)
-        return (k[m - 1] * factor) * np.cos(2.0 * math.pi * m * u_arr)
-
-    out = _sum_modes(coefficients.mean, coefficients.truncation, term, shape)
-    return _scalarize(out, u, v)
+    return _series("hyperbolic", coefficients, eps, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -252,47 +251,38 @@ def wkb_coefficients(coefficients: SpectralCoefficients, eps: float) -> WkbCoeff
     """
     if not (eps >= 0):
         raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
-    M = coefficients.truncation
-    fast = np.empty(M)
-    slow = np.empty(M)
-    for m in range(1, M + 1):
-        q = eps * decay_rate(m)
-        if abs(1.0 - q) < RESONANCE_TOL:
-            raise ResonantModeError(m, eps)
-        fast[m - 1] = -q / (1.0 - q) * coefficients.modes[m - 1]
-        slow[m - 1] = coefficients.modes[m - 1] / (1.0 - q)
-    return WkbCoefficients(fast=fast, slow=slow)
+    m = np.arange(1, coefficients.truncation + 1, dtype=float)
+    q = eps * (2.0 * math.pi * m) ** 2
+    resonant = np.flatnonzero(np.abs(1.0 - q) < RESONANCE_TOL)
+    if resonant.size:
+        raise ResonantModeError(int(resonant[0]) + 1, eps)
+    k = coefficients.modes
+    return WkbCoefficients(fast=-q / (1.0 - q) * k, slow=k / (1.0 - q))
 
 
-def wkb_density(
-    coefficients: SpectralCoefficients,
-    eps: float,
-    u,
-    v,
-    weights: WkbCoefficients | None = None,
-):
+def wkb_density(coefficients: SpectralCoefficients, eps: float, u, v):
     """Density of the two-timescale approximation at (u, v).
 
-    For eps = 0 the fast weights vanish and the result coincides with
-    parabolic_density exactly.
+    Each mode contributes k_m*e_s - fast_m*(e_s - e_f) with
+    e_s = exp(-(2*m*pi)^2 v) and e_f = exp(-v/eps), which equals k_m at
+    v = 0. For eps = 0 the fast weights vanish, e_f is never formed and the
+    result coincides with parabolic_density exactly.
     """
-    if weights is None:
-        weights = wkb_coefficients(coefficients, eps)
-    u_arr = _check_u(u)
-    v_arr = _check_v(v)
-    shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
-    # exp(-v/eps) is never formed for eps = 0; the fast weights are all zero
-    # there so the factor value is irrelevant.
-    fast_factor = np.exp(-v_arr / eps) if eps > 0 else np.zeros_like(v_arr)
+    return _series("wkb", coefficients, eps, u, v)
 
-    def term(m: int):
-        amplitude = weights.fast[m - 1] * fast_factor + weights.slow[m - 1] * np.exp(
-            -decay_rate(m) * v_arr
-        )
-        return amplitude * np.cos(2.0 * math.pi * m * u_arr)
 
-    out = _sum_modes(coefficients.mean, coefficients.truncation, term, shape)
-    return _scalarize(out, u, v)
+def family_density(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
+    """Density of the named spectral family at (u, v); u and v broadcast.
+
+    eps is ignored by the parabolic family.
+    """
+    if model == "parabolic":
+        return parabolic_density(coefficients, u, v)
+    if model == "hyperbolic":
+        return hyperbolic_density(coefficients, eps, u, v)
+    if model == "wkb":
+        return wkb_density(coefficients, eps, u, v)
+    raise InvalidParameterError(f"unknown spectral model {model!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -377,18 +367,6 @@ class TimeTrace:
             raise InvalidParameterError("values must be finite")
 
 
-def _family_evaluator(model: str, coefficients: SpectralCoefficients, eps: float):
-    if model == "parabolic":
-        return lambda u, v: parabolic_density(coefficients, u, v)
-    if model == "hyperbolic":
-        modes = build_mode_evolutions(eps, coefficients)
-        return lambda u, v: hyperbolic_density(coefficients, eps, u, v, modes=modes)
-    if model == "wkb":
-        weights = wkb_coefficients(coefficients, eps)
-        return lambda u, v: wkb_density(coefficients, eps, u, v, weights=weights)
-    raise InvalidParameterError(f"unknown spectral model {model!r}")
-
-
 def field_slice(
     model: str,
     coefficients: SpectralCoefficients,
@@ -397,8 +375,8 @@ def field_slice(
     v: float,
 ) -> FieldSlice:
     """Sample one spectral family over a grid at time v."""
-    evaluate = _family_evaluator(model, coefficients, eps)
-    return FieldSlice(grid=grid, v=float(v), values=evaluate(grid.points, v), model_tag=model)
+    values = family_density(model, coefficients, eps, grid.points, v)
+    return FieldSlice(grid=grid, v=float(v), values=values, model_tag=model)
 
 
 def time_trace(
@@ -409,5 +387,5 @@ def time_trace(
     times: TimeGrid,
 ) -> TimeTrace:
     """Sample one spectral family over a time grid at position u."""
-    evaluate = _family_evaluator(model, coefficients, eps)
-    return TimeTrace(u=float(u), times=times, values=evaluate(u, times.points), model_tag=model)
+    values = family_density(model, coefficients, eps, u, times.points)
+    return TimeTrace(u=float(u), times=times, values=values, model_tag=model)

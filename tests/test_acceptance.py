@@ -19,7 +19,6 @@ from slabdiff import (
     FdConfig,
     Grid1D,
     TimeGrid,
-    build_mode_evolutions,
     classify_monotone,
     compute_coefficients,
     detect_extrema,
@@ -125,10 +124,9 @@ def test_criterion_04_heat_solver_vs_parabolic_series(gaussian_coeffs, heat_slic
 def test_criterion_05_telegraph_solver_vs_hyperbolic_series(
     gaussian_coeffs, telegraph_slices
 ):
-    modes = build_mode_evolutions(EPS_REF, gaussian_coeffs)
     worst = 0.0
     for sl in telegraph_slices:
-        ref = hyperbolic_density(gaussian_coeffs, EPS_REF, sl.grid.points, sl.v, modes=modes)
+        ref = hyperbolic_density(gaussian_coeffs, EPS_REF, sl.grid.points, sl.v)
         worst = max(worst, float(np.max(np.abs(sl.values - ref))))
     assert worst <= 2e-3
     report(5, f"hyperbolic series vs explicit telegraph solver at nu=2000 (L_inf {worst:.2e})")
@@ -139,10 +137,9 @@ def test_criterion_06_hyperbolic_collapses_onto_parabolic(gaussian_coeffs):
     vv = np.linspace(0.01, 1.0, 100)
     linf = []
     for eps in (1e-2, 1e-4, 1e-6):
-        modes = build_mode_evolutions(eps, gaussian_coeffs)
         worst = max(
             float(np.max(np.abs(
-                hyperbolic_density(gaussian_coeffs, eps, u, v, modes=modes)
+                hyperbolic_density(gaussian_coeffs, eps, u, v)
                 - parabolic_density(gaussian_coeffs, u, v)
             )))
             for v in vv
@@ -215,10 +212,9 @@ def test_criterion_10_short_time_wall_free_reference(gaussian_profile, gaussian_
 
 def test_criterion_11_zero_initial_rate(gaussian_coeffs):
     u = np.linspace(-0.5, 0.5, 101)
-    modes = build_mode_evolutions(EPS_REF, gaussian_coeffs)
     drift = np.max(np.abs(
-        hyperbolic_density(gaussian_coeffs, EPS_REF, u, 1e-6, modes=modes)
-        - hyperbolic_density(gaussian_coeffs, EPS_REF, u, 0.0, modes=modes)
+        hyperbolic_density(gaussian_coeffs, EPS_REF, u, 1e-6)
+        - hyperbolic_density(gaussian_coeffs, EPS_REF, u, 0.0)
     ))
     assert drift <= 1e-8 * gaussian_coeffs.mean
     report(11, f"|n(u,1e-6) - n(u,0)| = {drift:.2e} <= 1e-8*k0")

@@ -16,6 +16,7 @@ from slabdiff import (
     compute_coefficients,
     equilibrium_density,
     evaluate_profile,
+    parabolic_density,
     surface_cosh_mode_closed_form,
 )
 
@@ -172,18 +173,18 @@ def test_reconstruction_is_even(gaussian_coeffs, surface_coeffs):
     rng = np.random.default_rng(11)
     u = rng.uniform(0.0, 0.5, size=40)
     for c in (gaussian_coeffs, surface_coeffs):
-        delta = np.abs(c.reconstruct(u) - c.reconstruct(-u))
+        delta = np.abs(parabolic_density(c, u, 0.0) - parabolic_density(c, -u, 0.0))
         assert np.max(delta) < 1e-12
 
 
 def test_gaussian_reconstruction_converges(gaussian_coeffs):
     u = np.linspace(-0.5, 0.5, 2001)
     profile = GaussianProfile(sharpness=100.0, amplitude=1.0)
-    err = np.abs(gaussian_coeffs.reconstruct(u) - evaluate_profile(profile, u))
+    err = np.abs(parabolic_density(gaussian_coeffs, u, 0.0) - evaluate_profile(profile, u))
     assert np.max(err) < 1e-6
     wide = GaussianProfile(sharpness=1000.0, amplitude=1.0)
     cw = compute_coefficients(wide, 500)
-    err = np.abs(cw.reconstruct(u) - evaluate_profile(wide, u))
+    err = np.abs(parabolic_density(cw, u, 0.0) - evaluate_profile(wide, u))
     assert np.max(err) < 1e-6
 
 
@@ -196,7 +197,7 @@ def test_surface_reconstruction_bounded_by_coefficient_tail(surface_profile, sur
         4 * math.pi**2 * M
     )
     u = np.linspace(-0.5, 0.5, 2001)
-    err = np.abs(surface_coeffs.reconstruct(u) - evaluate_profile(surface_profile, u))
+    err = np.abs(parabolic_density(surface_coeffs, u, 0.0) - evaluate_profile(surface_profile, u))
     assert np.max(err) <= tail_sum
     # away from the walls the alternating tail nearly cancels
     interior = np.abs(u) <= 0.4

@@ -6,14 +6,20 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from slabdiff import (
     Scenario,
     UniformProfile,
     GaussianProfile,
+    preset,
     run_scenario,
     scenario_hash,
 )
 from slabdiff.cli import main
+
+#: Figure values recorded by bench/record_reference.py.
+FIGURE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "presets.json"
 
 CONFIG_SMALL = """
 [scenario]
@@ -116,6 +122,27 @@ def test_traces_and_events_outputs(tmp_path):
     assert float(first[7]) < 0.2
     # parabolic traces are monotone: no parabolic events
     assert not [r for r in rows if r[0] == "parabolic"]
+
+
+@pytest.mark.parametrize("name", ["figure1", "figure2", "figure3", "figure4"])
+def test_figure_values_match_recorded_reference(tmp_path, name):
+    # Every 10th density of every curve, and each curve's sum, within 1e-13
+    # of the curve's peak, as the benchmark checks them.
+    ref = json.loads(FIGURE_REFERENCE.read_text(encoding="utf-8"))[name]
+    written = run_scenario(preset(name), tmp_path)
+    assert sorted(p.name for p in written) == ref["files"]
+    for file_name, models in ref["curves"].items():
+        _, _, rows = read_csv(tmp_path / file_name)
+        curves = {}
+        for _, _, model, n in rows:
+            curves.setdefault(model, []).append(float(n))
+        assert sorted(curves) == sorted(models)
+        for model, r in models.items():
+            values = curves[model]
+            tol = 1e-13 * r["scale"]
+            assert len(values) == r["n"]
+            np.testing.assert_allclose(values[:: r["stride"]], r["samples"], rtol=0, atol=tol)
+            assert abs(math.fsum(values) - r["sum"]) <= tol * r["n"]
 
 
 def test_both_walls_get_the_echo_ladder(tmp_path):

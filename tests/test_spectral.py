@@ -12,8 +12,6 @@ from slabdiff import (
     ReferenceInvalidError,
     ResonantModeError,
     SpectralCoefficients,
-    build_mode_evolutions,
-    classify_mode,
     field_slice,
     free_space_reference,
     hyperbolic_density,
@@ -24,6 +22,7 @@ from slabdiff import (
     wkb_density,
 )
 from slabdiff.core import TimeGrid
+from slabdiff.spectral import CRITICAL_DISC_TOL
 
 EPS_REF = 0.13
 
@@ -64,6 +63,12 @@ def test_parabolic_domain_checks(gaussian_coeffs):
         parabolic_density(gaussian_coeffs, 0.6, 0.1)
     with pytest.raises(DomainError):
         parabolic_density(gaussian_coeffs, 0.0, -0.1)
+    for family in (
+        lambda v: parabolic_density(gaussian_coeffs, 0.0, v),
+        lambda v: hyperbolic_density(gaussian_coeffs, EPS_REF, 0.0, v),
+        lambda v: wkb_density(gaussian_coeffs, EPS_REF, 0.0, v),
+    ):
+        assert math.isnan(family(math.nan))
 
 
 # ---------------------------------------------------------------------------
@@ -71,41 +76,57 @@ def test_parabolic_domain_checks(gaussian_coeffs):
 # ---------------------------------------------------------------------------
 
 
-def test_mode_classification_reference_case():
-    me = classify_mode(EPS_REF, 1)
-    assert me.damping == "underdamped"
-    assert me.omega == pytest.approx(
-        math.sqrt((4 * math.pi) ** 2 * EPS_REF - 1.0) / (2 * EPS_REF), rel=1e-14
+def underdamped_factor(eps, omega, v):
+    return math.exp(-v / (2 * eps)) * (
+        math.cos(omega * v) + math.sin(omega * v) / (2 * eps * omega)
     )
-    assert me.omega == pytest.approx(16.99668308846906, rel=1e-13)
-    assert me.sigma == pytest.approx(-1.0 / (2 * EPS_REF), rel=1e-15)
+
+
+def test_mode_classification_reference_case():
+    # Mode 1 at the reference eps is underdamped: decay 1/(2 eps), angular
+    # frequency omega.
+    omega = math.sqrt((4 * math.pi) ** 2 * EPS_REF - 1.0) / (2 * EPS_REF)
+    assert omega == pytest.approx(16.99668308846906, rel=1e-13)
+    for v in (0.05, 0.3, 1.1):
+        assert hyperbolic_mode_factor(EPS_REF, 1, v) == pytest.approx(
+            underdamped_factor(EPS_REF, 16.99668308846906, v), rel=1e-13
+        )
 
 
 def test_mode_classification_critical():
     eps_c = 1.0 / (4.0 * (2.0 * math.pi) ** 2)
-    me = classify_mode(eps_c, 1)
-    assert me.damping == "critical"
-    assert me.sigma == pytest.approx(-1.0 / (2 * eps_c), rel=1e-15)
+    for v in (0.01, 0.1):
+        assert hyperbolic_mode_factor(eps_c, 1, v) == pytest.approx(
+            math.exp(-v / (2 * eps_c)) * (1 + v / (2 * eps_c)), rel=1e-14
+        )
 
 
 def test_mode_classification_overdamped_limit():
-    me = classify_mode(1e-8, 1)
-    assert me.damping == "overdamped"
-    assert me.mu1 == pytest.approx(-((2 * math.pi) ** 2), rel=1e-3)
-    assert me.mu2 < me.mu1 < 0
+    # Overdamped: no oscillation, and the slow exponent mu1 tends to the
+    # parabolic rate -(2 pi)^2, so V decays like exp(mu1 v) once the fast
+    # exponent mu2 = -1/eps has died out.
+    v = np.linspace(0.0, 1.0, 201)
+    vals = hyperbolic_mode_factor(1e-8, 1, v)
+    assert np.all(np.diff(vals) < 0) and np.all(vals > 0)
+    mu1 = math.log(vals[-1] / vals[-2]) / (v[-1] - v[-2])
+    assert mu1 == pytest.approx(-((2 * math.pi) ** 2), rel=1e-3)
 
 
 def test_mode_evolutions_amplitudes(gaussian_coeffs):
     eps = 1e-3  # modes 1..2 overdamped for this eps
-    modes = build_mode_evolutions(eps, gaussian_coeffs)
-    assert len(modes) == gaussian_coeffs.truncation
-    for me in modes[:2]:
-        k = gaussian_coeffs.modes[me.index - 1]
-        assert me.damping == "overdamped"
-        assert me.c1 + me.c2 == pytest.approx(k, rel=1e-13)
-        assert me.mu1 * me.c1 + me.mu2 * me.c2 == pytest.approx(0.0, abs=1e-10)
+    m = np.arange(1, gaussian_coeffs.truncation + 1)
+    # Broadcast over every mode: V_m(0) = k_m for each damping class.
+    np.testing.assert_array_equal(hyperbolic_mode_factor(eps, m, 0.0), 1.0)
+    # V_m'(0) = 0 for the overdamped modes, from a (mode x time) table
+    h = 1e-6
+    f = hyperbolic_mode_factor(eps, m[:2, None], h * np.arange(4)[None, :])
+    assert f.shape == (2, 4)
+    slope = (-11 * f[:, 0] + 18 * f[:, 1] - 9 * f[:, 2] + 2 * f[:, 3]) / (6 * h)
+    assert np.all(np.abs(slope) < 1e-6)
     with pytest.raises(InvalidParameterError):
-        build_mode_evolutions(0.0, gaussian_coeffs)
+        hyperbolic_mode_factor(0.0, 1, 0.1)
+    with pytest.raises(InvalidParameterError):
+        hyperbolic_density(gaussian_coeffs, 0.0, 0.0, 0.1)
 
 
 @pytest.mark.parametrize(
@@ -117,29 +138,26 @@ def test_mode_evolutions_amplitudes(gaussian_coeffs):
     ],
 )
 def test_mode_factor_initial_conditions(eps, m):
-    me = classify_mode(eps, m)
-    assert hyperbolic_mode_factor(me, eps, 0.0) == 1.0
+    assert hyperbolic_mode_factor(eps, m, 0.0) == 1.0
     # 3rd-order one-sided stencil for the initial slope
     h = 1e-6
-    f = [hyperbolic_mode_factor(me, eps, k * h) for k in range(4)]
+    f = hyperbolic_mode_factor(eps, m, h * np.arange(4))
     slope = (-11 * f[0] + 18 * f[1] - 9 * f[2] + 2 * f[3]) / (6 * h)
     assert abs(slope) < 1e-6
 
 
 def test_mode_factor_critical_closed_form():
     eps_c = 1.0 / (4.0 * (2.0 * math.pi) ** 2)
-    me = classify_mode(eps_c, 1)
-    assert hyperbolic_mode_factor(me, eps_c, 2 * eps_c) == pytest.approx(
+    assert hyperbolic_mode_factor(eps_c, 1, 2 * eps_c) == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-14
     )
-    assert hyperbolic_mode_factor(me, eps_c, 2 * eps_c) == pytest.approx(
+    assert hyperbolic_mode_factor(eps_c, 1, 2 * eps_c) == pytest.approx(
         0.7357588823428847, rel=1e-13
     )
 
 
 def test_mode_factor_matches_parabolic_for_tiny_eps():
-    me = classify_mode(1e-8, 1)
-    factor = hyperbolic_mode_factor(me, 1e-8, 0.1)
+    factor = hyperbolic_mode_factor(1e-8, 1, 0.1)
     assert factor == pytest.approx(math.exp(-4 * math.pi**2 * 0.1), rel=1e-4)
 
 
@@ -162,16 +180,14 @@ def test_mode_factor_against_ode_integration(eps, m, v):
         return [y[1], -(y[1] + lam * y[0]) / eps]
 
     sol = solve_ivp(rhs, [0.0, v], [1.0, 0.0], rtol=1e-11, atol=1e-13, method="DOP853")
-    me = classify_mode(eps, m)
-    assert hyperbolic_mode_factor(me, eps, v) == pytest.approx(
+    assert hyperbolic_mode_factor(eps, m, v) == pytest.approx(
         float(sol.y[0, -1]), abs=5e-11
     )
 
 
 def test_mode_factor_real_and_finite_for_large_arguments():
-    me = classify_mode(EPS_REF, 500)
     v = np.linspace(0.0, 5.0, 101)
-    vals = hyperbolic_mode_factor(me, EPS_REF, v)
+    vals = hyperbolic_mode_factor(EPS_REF, 500, v)
     assert np.all(np.isfinite(vals))
     assert vals.dtype == np.float64
 
@@ -245,12 +261,11 @@ def test_hyperbolic_collapses_to_parabolic(gaussian_coeffs):
     vv = np.linspace(0.01, 1.0, 34)
     linf = []
     for eps in (1e-2, 1e-4, 1e-6):
-        modes = build_mode_evolutions(eps, gaussian_coeffs)
         worst = max(
             float(
                 np.max(
                     np.abs(
-                        hyperbolic_density(gaussian_coeffs, eps, u, v, modes=modes)
+                        hyperbolic_density(gaussian_coeffs, eps, u, v)
                         - parabolic_density(gaussian_coeffs, u, v)
                     )
                 )
@@ -298,6 +313,7 @@ def test_wkb_resonant_mode_is_an_error(gaussian_coeffs):
         wkb_coefficients(gaussian_coeffs, -0.1)
 
 
+@pytest.mark.filterwarnings("error")  # exp(-v/eps) must not be formed at eps = 0
 def test_wkb_zero_eps_equals_parabolic_exactly(gaussian_coeffs):
     u = np.linspace(-0.5, 0.5, 101)
     for v in (0.0, 0.05, 0.37, 2.0):
@@ -305,6 +321,18 @@ def test_wkb_zero_eps_equals_parabolic_exactly(gaussian_coeffs):
             wkb_density(gaussian_coeffs, 0.0, u, v),
             parabolic_density(gaussian_coeffs, u, v),
         )
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+@pytest.mark.parametrize("m", [1, 2])
+def test_wkb_initial_state_near_a_resonance(gaussian_coeffs, surface_coeffs, m, offset):
+    # Near eps = 1/(2 m pi)^2 the fast and slow weights of mode m are large
+    # and of opposite sign; the v = 0 state must still be k_m exactly.
+    eps = 1.0 / (2 * math.pi * m) ** 2 + offset
+    u = np.linspace(-0.5, 0.5, 201)
+    for c in (gaussian_coeffs, surface_coeffs):
+        dev = np.max(np.abs(wkb_density(c, eps, u, 0.0) - parabolic_density(c, u, 0.0)))
+        assert dev <= 1e-14 * c.mean
 
 
 def test_wkb_approaches_hyperbolic_as_eps_shrinks(gaussian_coeffs):
@@ -400,3 +428,85 @@ def test_zero_flux_walls_wkb(gaussian_coeffs, surface_coeffs):
         f = lambda uu: wkb_density(surface_coeffs, EPS_REF, uu, v)
         for side in (+1, -1):
             assert abs(_wall_derivative(f, side)) < bound * surface_coeffs.mean
+
+
+# ---------------------------------------------------------------------------
+# blocked evaluator against the per-mode reference
+# ---------------------------------------------------------------------------
+# The reference sums one mode at a time, highest m first, with compensated
+# (Kahan) summation, and evaluates each telegraph mode through the closed
+# form of its own damping class.
+
+
+def reference_telegraph_factor(eps, m, v):
+    disc = 1.0 - (4.0 * math.pi * m) ** 2 * eps
+    sigma = -1.0 / (2.0 * eps)
+    if disc > CRITICAL_DISC_TOL:
+        sq = math.sqrt(disc)
+        mu1 = -((4.0 * math.pi * m) ** 2) / (2.0 * (1.0 + sq))
+        mu2 = -(1.0 + sq) / (2.0 * eps)
+        return (mu2 * np.exp(mu1 * v) - mu1 * np.exp(mu2 * v)) / (mu2 - mu1)
+    if disc < -CRITICAL_DISC_TOL:
+        omega = math.sqrt(-disc) / (2.0 * eps)
+        return np.exp(sigma * v) * (
+            np.cos(omega * v) + (1.0 / (2.0 * eps * omega)) * np.sin(omega * v)
+        )
+    return np.exp(sigma * v) * (1.0 - sigma * v)
+
+
+def reference_density(model, c, eps, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if model == "wkb":
+        w = wkb_coefficients(c, eps)
+        fast_factor = np.exp(-v / eps) if eps > 0 else np.zeros_like(v)
+    total = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    comp = np.zeros_like(total)
+    for m in range(c.truncation, 0, -1):
+        slow = np.exp(-((2.0 * math.pi * m) ** 2) * v)
+        if model == "parabolic":
+            amplitude = c.modes[m - 1] * slow
+        elif model == "hyperbolic":
+            amplitude = c.modes[m - 1] * reference_telegraph_factor(eps, m, v)
+        else:
+            amplitude = w.fast[m - 1] * fast_factor + w.slow[m - 1] * slow
+        y = amplitude * np.cos(2.0 * math.pi * m * u) - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+    return c.mean + total
+
+
+EPS_CRITICAL_M3 = 1.0 / (12.0 * math.pi) ** 2  # critical telegraph mode 3, resonant wkb mode 6
+REFERENCE_U = np.linspace(-0.5, 0.5, 41)
+TRACE_U = (0.0, 0.3, 0.5)
+SLICE_V = (0.0, 1e-4, 1e-2, 1.0)
+TRACE_V = np.linspace(0.0, 1.2, 61)
+
+
+@pytest.mark.parametrize("eps", [1e-4, EPS_CRITICAL_M3, 3e-3, EPS_REF, 1.0])
+@pytest.mark.parametrize("profile", ["gaussian_coeffs", "surface_coeffs"])
+def test_blocked_evaluator_matches_per_mode_reference(request, profile, eps):
+    c = request.getfixturevalue(profile)
+    tol = 1e-14 * (c.mean + np.sum(np.abs(c.modes)))
+    families = {
+        "parabolic": lambda u, v: parabolic_density(c, u, v),
+        "hyperbolic": lambda u, v: hyperbolic_density(c, eps, u, v),
+    }
+    if eps != EPS_CRITICAL_M3:
+        families["wkb"] = lambda u, v: wkb_density(c, eps, u, v)
+    u_all = np.concatenate([REFERENCE_U, TRACE_U])
+    v_all = np.concatenate([SLICE_V, TRACE_V])
+    n_u, n_v = len(REFERENCE_U), len(SLICE_V)
+    for model, density in families.items():
+        ref = reference_density(model, c, eps, u_all[None, :], v_all[:, None])
+        for i, v in enumerate(SLICE_V):
+            np.testing.assert_allclose(density(REFERENCE_U, v), ref[i, :n_u], rtol=0, atol=tol)
+        for j, u in enumerate(TRACE_U):
+            np.testing.assert_allclose(density(u, TRACE_V), ref[n_v:, n_u + j], rtol=0, atol=tol)
+        table = density(REFERENCE_U[None, :], TRACE_V[:, None])
+        np.testing.assert_allclose(table, ref[n_v:, :n_u], rtol=0, atol=tol)
+        # (u, v) pairs rather than an outer table
+        pairs = density(REFERENCE_U, TRACE_V[:n_u])
+        np.testing.assert_allclose(pairs, ref[n_v + np.arange(n_u), np.arange(n_u)],
+                                   rtol=0, atol=tol)
