@@ -10,13 +10,17 @@ zero-flux eigenbasis {1, cos(2*m*pi*u)}:
 Coefficients are always produced by adaptive quadrature; the closed forms
 available for particular profiles are used as cross-checks in the tests,
 not as the production path.
+
+Each profile class is a frozen dataclass whose `kind` names it in the
+scenario `[profile]` section; its dataclass fields are that section's keys
+and, for the closed-form kinds, the arguments of its provenance tag.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,10 +40,20 @@ COEFFICIENT_ABS_TOL = 1e-12
 
 
 class InitialProfile:
-    """Base class for even, non-negative initial distributions."""
+    """Base class for even, non-negative initial distributions.
+
+    Subclasses set `kind`, the name of the profile in a scenario config,
+    and `echo_source`, the wavefront echo ladder the profile launches
+    ("center", "surface" or None).
+    """
+
+    kind = ""
+    echo_source = None
 
     def tag(self) -> str:
-        raise NotImplementedError
+        """Provenance string: kind(field=value,...) over the dataclass fields."""
+        args = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
+        return f"{self.kind}({args})"
 
     def _density(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -50,12 +64,8 @@ class InitialProfile:
 
 
 @dataclass(frozen=True)
-class GaussianProfile(InitialProfile):
-    """Mass concentrated at the slab center.
-
-    n0(u) = amplitude * sqrt(sharpness/pi) * exp(-sharpness * u^2); the
-    bulk of the mass sits within |u| ~ 1/sqrt(sharpness).
-    """
+class _SharpProfile(InitialProfile):
+    """Closed-form profile whose width `sharpness` sets, refused beyond `sharpness_limit`."""
 
     sharpness: float
     amplitude: float
@@ -63,17 +73,29 @@ class GaussianProfile(InitialProfile):
     def __post_init__(self):
         if not (self.sharpness > 0):
             raise InvalidParameterError(f"sharpness must be > 0, got {self.sharpness!r}")
-        if not (self.amplitude > 0):
-            raise InvalidParameterError(f"amplitude must be > 0, got {self.amplitude!r}")
-        if self.sharpness > GAUSSIAN_SHARPNESS_LIMIT:
+        if not (0 < self.amplitude < math.inf):
             raise InvalidParameterError(
-                f"sharpness={self.sharpness!r} is delta-like (> {GAUSSIAN_SHARPNESS_LIMIT:g}); "
+                f"amplitude must be finite and > 0, got {self.amplitude!r}"
+            )
+        if self.sharpness > self.sharpness_limit:
+            raise InvalidParameterError(
+                f"sharpness={self.sharpness!r} is delta-like (> {self.sharpness_limit:g}); "
                 "a truncated cosine series cannot represent it faithfully, "
                 "use a TabulatedProfile instead"
             )
 
-    def tag(self) -> str:
-        return f"gaussian(sharpness={self.sharpness!r},amplitude={self.amplitude!r})"
+
+@dataclass(frozen=True)
+class GaussianProfile(_SharpProfile):
+    """Mass concentrated at the slab center.
+
+    n0(u) = amplitude * sqrt(sharpness/pi) * exp(-sharpness * u^2); the
+    bulk of the mass sits within |u| ~ 1/sqrt(sharpness).
+    """
+
+    kind = "gaussian"
+    echo_source = "center"
+    sharpness_limit = GAUSSIAN_SHARPNESS_LIMIT
 
     def _density(self, u):
         return self.amplitude * math.sqrt(self.sharpness / math.pi) * np.exp(
@@ -85,7 +107,7 @@ class GaussianProfile(InitialProfile):
 
 
 @dataclass(frozen=True)
-class SurfaceCoshProfile(InitialProfile):
+class SurfaceCoshProfile(_SharpProfile):
     """Mass localized near both walls.
 
     n0(u) = (amplitude * sharpness / 2) * cosh(sharpness*u) / sinh(sharpness/2);
@@ -93,23 +115,9 @@ class SurfaceCoshProfile(InitialProfile):
     exactly `amplitude`.
     """
 
-    sharpness: float
-    amplitude: float
-
-    def __post_init__(self):
-        if not (self.sharpness > 0):
-            raise InvalidParameterError(f"sharpness must be > 0, got {self.sharpness!r}")
-        if not (self.amplitude > 0):
-            raise InvalidParameterError(f"amplitude must be > 0, got {self.amplitude!r}")
-        if self.sharpness > SURFACE_SHARPNESS_LIMIT:
-            raise InvalidParameterError(
-                f"sharpness={self.sharpness!r} is delta-like (> {SURFACE_SHARPNESS_LIMIT:g}); "
-                "a truncated cosine series cannot represent it faithfully, "
-                "use a TabulatedProfile instead"
-            )
-
-    def tag(self) -> str:
-        return f"surface_cosh(sharpness={self.sharpness!r},amplitude={self.amplitude!r})"
+    kind = "surface_cosh"
+    echo_source = "surface"
+    sharpness_limit = SURFACE_SHARPNESS_LIMIT
 
     def _density(self, u):
         s = self.sharpness
@@ -132,12 +140,11 @@ class UniformProfile(InitialProfile):
 
     level: float
 
-    def __post_init__(self):
-        if not (self.level >= 0):
-            raise InvalidParameterError(f"level must be >= 0, got {self.level!r}")
+    kind = "uniform"
 
-    def tag(self) -> str:
-        return f"uniform(level={self.level!r})"
+    def __post_init__(self):
+        if not (0 <= self.level < math.inf):
+            raise InvalidParameterError(f"level must be finite and >= 0, got {self.level!r}")
 
     def _density(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.level)
@@ -154,22 +161,18 @@ class CosineModeProfile(InitialProfile):
     offset: float
     amplitude: float
 
+    kind = "cosine_mode"
+
     def __post_init__(self):
         if not (isinstance(self.mode, int) and self.mode >= 1):
             raise InvalidParameterError(f"mode must be a positive integer, got {self.mode!r}")
-        if not (self.offset >= 0):
-            raise InvalidParameterError(f"offset must be >= 0, got {self.offset!r}")
+        if not (0 <= self.offset < math.inf):
+            raise InvalidParameterError(f"offset must be finite and >= 0, got {self.offset!r}")
         if not (self.offset >= abs(self.amplitude)):
             raise InvalidParameterError(
                 f"offset must be >= |amplitude| to keep the density non-negative, "
                 f"got offset={self.offset!r}, amplitude={self.amplitude!r}"
             )
-
-    def tag(self) -> str:
-        return (
-            f"cosine_mode(mode={self.mode!r},offset={self.offset!r},"
-            f"amplitude={self.amplitude!r})"
-        )
 
     def _density(self, u):
         return self.offset + self.amplitude * np.cos(2.0 * math.pi * self.mode * u)
@@ -195,26 +198,33 @@ class TabulatedProfile(InitialProfile):
     grid: Grid1D
     values: np.ndarray
 
+    kind = "tabulated"
+
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size != len(self.grid):
             raise InvalidParameterError(
                 f"values must match the grid: {vals.shape} vs {len(self.grid)} points"
             )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError("values must be finite")
         if np.any(vals < 0):
             raise InvalidParameterError("values must be >= 0")
         pts = self.grid.points
-        mirrored = np.union1d(pts, -pts)
-        sym = 0.5 * (
-            np.interp(mirrored, pts, vals) + np.interp(-mirrored, pts, vals)
-        )
-        if not np.allclose(np.interp(mirrored, pts, vals), sym, rtol=0, atol=1e-12):
+        # + 0.0 stores a node at 0 as 0.0, not the -0.0 of -pts; the clamp
+        # drops the rounding below 0 that interpolating across nearly
+        # coincident nodes can leave.
+        mirrored = np.union1d(pts, -pts) + 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            direct = np.interp(mirrored, pts, vals)
+            sym = np.maximum(0.5 * (direct + np.interp(-mirrored, pts, vals)), 0.0)
+        if not np.all(np.isfinite(sym)):
+            raise InvalidParameterError(
+                "values must be finite, and interpolating between them must not overflow"
+            )
+        if not np.allclose(direct, sym, rtol=0, atol=1e-12):
             logger.info(
                 "tabulated profile was not even; symmetrized by averaging "
                 "n0(u) and n0(-u) (max adjustment %.3e)",
-                float(np.max(np.abs(np.interp(mirrored, pts, vals) - sym))),
+                float(np.max(np.abs(direct - sym))),
             )
         object.__setattr__(self, "grid", Grid1D(points=mirrored))
         object.__setattr__(self, "values", sym)
@@ -233,6 +243,14 @@ class TabulatedProfile(InitialProfile):
         if not isinstance(other, TabulatedProfile):
             return NotImplemented
         return self.grid == other.grid and bool(np.all(self.values == other.values))
+
+
+#: The profile classes by the `kind` that names them in a scenario config.
+PROFILE_KINDS = {
+    cls.kind: cls
+    for cls in (GaussianProfile, SurfaceCoshProfile, UniformProfile, CosineModeProfile,
+                TabulatedProfile)
+}
 
 
 @dataclass(frozen=True)

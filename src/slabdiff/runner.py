@@ -18,12 +18,8 @@ import numpy as np
 from . import __version__
 from .analysis import DEFAULT_V_CUTOFF, EchoLadder, detect_extrema, predict_echo_ladder
 from .core import TimeGrid
-from .fd import FdConfig, fd_solve_heat, fd_solve_telegraph
-from .profiles import (
-    GaussianProfile,
-    SurfaceCoshProfile,
-    compute_coefficients,
-)
+from .fd import fd_solve_heat, fd_solve_telegraph
+from .profiles import compute_coefficients
 from .scenario import MODEL_ORDER, Scenario, scenario_hash
 from .spectral import SPECTRAL_MODELS, FieldSlice, TimeTrace, family_density
 from .svgplot import line_chart
@@ -66,16 +62,8 @@ def _ordered_models(s: Scenario) -> list[str]:
     return [m for m in MODEL_ORDER if m in s.models]
 
 
-def _echo_source(s: Scenario) -> str | None:
-    if isinstance(s.profile, GaussianProfile):
-        return "center"
-    if isinstance(s.profile, SurfaceCoshProfile):
-        return "surface"
-    return None
-
-
 def _ladder_for(s: Scenario, u: float) -> EchoLadder | None:
-    source = _echo_source(s)
+    source = s.profile.echo_source
     # Both walls (u = +-0.5) see the same ladder: the echo sources are even.
     u = abs(u)
     if source is None or not (s.eps > 0) or u not in (0.0, 0.5):
@@ -112,17 +100,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     # Finite-difference results are computed once for all requested times.
     fd_slices: list[FieldSlice] = []
     if "fd" in models:
-        cfg = (
-            FdConfig(
-                nu=s.fd_nu,
-                dv=s.fd_dv,
-                v_end=float(times.points[-1]),
-                eps=s.eps,
-                snapshot_times=times,
-            )
-            if s.fd_dv is not None
-            else FdConfig.auto(s.fd_nu, s.eps, times)
-        )
+        cfg = s.fd_config()
         solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
         fd_slices = solver(s.profile, cfg)
 
@@ -272,7 +250,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     if "fd" in models:
         meta["fd"] = {
             "nu": s.fd_nu,
-            "dv": s.fd_dv if s.fd_dv is not None else FdConfig.auto(s.fd_nu, s.eps, times).dv,
+            "dv": cfg.dv,
             "recorded_times": [sl.v for sl in fd_slices],
         }
     path = directory / f"{s.name}_run.json"

@@ -14,29 +14,34 @@ The format is deliberately trivial to parse and diff:
     amplitude = 1
 
 Sections are scenario, profile, fd and output; arrays are comma-separated.
-Unknown sections or keys are hard errors, reported with their line number.
-serialize_scenario produces a canonical document that parses back to an
-equal Scenario, and its hash is embedded in every output file.
+The format is defined once, by the key table `_KEYS` and, for [profile],
+by the dataclass fields of the profile class that `kind` names; parsing,
+serialization and the unknown-key checks all read that definition.
+Unknown sections or keys and non-finite numbers are hard errors, reported
+with their line number. serialize_scenario produces a canonical document
+that parses back to an equal Scenario, and its hash is embedded in every
+output file.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+import math
+import re
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .analysis import MIN_TRACE_SAMPLES
 from .core import HALF_WIDTH, Grid1D, TimeGrid
-from .errors import ScenarioParseError, ScenarioValidationError
-from .profiles import (
-    CosineModeProfile,
-    GaussianProfile,
-    InitialProfile,
-    SurfaceCoshProfile,
-    TabulatedProfile,
-    UniformProfile,
+from .errors import (
+    InvalidParameterError,
+    ScenarioParseError,
+    ScenarioValidationError,
+    StabilityError,
 )
+from .fd import FdConfig
+from .profiles import PROFILE_KINDS, GaussianProfile, InitialProfile, SurfaceCoshProfile
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
@@ -44,6 +49,9 @@ OUTPUT_KINDS = ("csv", "svg", "events")
 DEFAULT_TRUNCATION = 500
 DEFAULT_U_POINTS = 1001
 DEFAULT_FD_CELLS = 400
+
+#: Scenario names become file name prefixes, so they may not hold a path.
+_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
@@ -71,10 +79,13 @@ class Scenario:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not self.name:
-            raise ScenarioValidationError("name must not be empty")
-        if not (self.eps >= 0):
-            raise ScenarioValidationError(f"eps must be >= 0, got {self.eps!r}")
+        if not _NAME.fullmatch(self.name):
+            raise ScenarioValidationError(
+                f"name must be non-empty and use only letters, digits, '_', '.' "
+                f"and '-', got {self.name!r}"
+            )
+        if not (0 <= self.eps < math.inf):
+            raise ScenarioValidationError(f"eps must be finite and >= 0, got {self.eps!r}")
         if not (self.truncation >= 1):
             raise ScenarioValidationError(f"terms must be >= 1, got {self.truncation!r}")
         if not (self.u_points >= 2):
@@ -100,19 +111,27 @@ class Scenario:
         for u in self.trace_u:
             if not (-HALF_WIDTH <= u <= HALF_WIDTH):
                 raise ScenarioValidationError(f"trace_u must lie in [-1/2, 1/2], got {u!r}")
+        if not (self.fd_nu >= 3):
+            raise ScenarioValidationError(f"fd nu must be >= 3, got {self.fd_nu!r}")
+        if self.fd_dv is not None and not (0 < self.fd_dv < math.inf):
+            raise ScenarioValidationError(f"fd dv must be finite and > 0, got {self.fd_dv!r}")
+        try:
+            # Constructing the grid validates ordering/positivity of the times.
+            times = self.time_grid()
+        except InvalidParameterError as exc:
+            raise ScenarioValidationError(str(exc)) from exc
+        if "fd" in self.models:
+            try:
+                self.fd_config()  # checks the step's stability and the step count
+            except (InvalidParameterError, StabilityError) as exc:
+                raise ScenarioValidationError(f"[fd] {exc}") from exc
         if "events" in self.outputs:
             if not self.trace_u:
                 raise ScenarioValidationError("events output requires trace_u")
-            if len(self.time_grid()) < MIN_TRACE_SAMPLES:
+            if len(times) < MIN_TRACE_SAMPLES:
                 raise ScenarioValidationError(
                     f"events output requires a time grid of >= {MIN_TRACE_SAMPLES} samples"
                 )
-        if not (self.fd_nu >= 3):
-            raise ScenarioValidationError(f"fd nu must be >= 3, got {self.fd_nu!r}")
-        if self.fd_dv is not None and not (self.fd_dv > 0):
-            raise ScenarioValidationError(f"fd dv must be > 0, got {self.fd_dv!r}")
-        # Constructing the grid validates ordering/positivity of the times.
-        self.time_grid()
 
     def time_grid(self) -> TimeGrid:
         if self.v_list is not None:
@@ -123,38 +142,40 @@ class Scenario:
     def spatial_grid(self) -> Grid1D:
         return Grid1D.uniform_grid(self.u_points)
 
+    def fd_config(self) -> FdConfig:
+        """The FD oracle's grid and step: [fd] dv if given, else the largest stable one."""
+        times = self.time_grid()
+        if self.fd_dv is None:
+            return FdConfig.auto(self.fd_nu, self.eps, times)
+        return FdConfig(
+            nu=self.fd_nu,
+            dv=self.fd_dv,
+            v_end=float(times.points[-1]),
+            eps=self.eps,
+            snapshot_times=times,
+        )
+
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Value codecs: parse(raw, line, key) -> value and format(value) -> str
 # ---------------------------------------------------------------------------
-
-_SECTIONS = ("scenario", "profile", "fd", "output")
-_SCENARIO_KEYS = (
-    "name", "eps", "terms", "u_points", "v", "v_range", "trace_u", "models",
-)
-_PROFILE_KEYS = (
-    "kind", "sharpness", "amplitude", "level", "mode", "offset", "grid", "values",
-)
-_FD_KEYS = ("nu", "dv")
-_OUTPUT_KEYS = ("formats", "dir")
-
-_KEYS_BY_SECTION = {
-    "scenario": _SCENARIO_KEYS,
-    "profile": _PROFILE_KEYS,
-    "fd": _FD_KEYS,
-    "output": _OUTPUT_KEYS,
-}
-
 
 def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+def _parse_text(raw: str, line: int, key: str) -> str:
+    return raw
+
+
 def _parse_float(raw: str, line: int, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ScenarioParseError(f"{key} must be a number, got {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise ScenarioParseError(f"{key} must be finite, got {raw!r}", line)
+    return value
 
 
 def _parse_int(raw: str, line: int, key: str) -> int:
@@ -168,6 +189,107 @@ def _parse_floats(raw: str, line: int, key: str) -> tuple[float, ...]:
     return tuple(_parse_float(item, line, key) for item in _split_list(raw))
 
 
+def _parse_names(raw: str, line: int, key: str) -> tuple[str, ...]:
+    names = tuple(_split_list(raw))
+    if not names:
+        raise ScenarioParseError(f"{key} must not be empty", line)
+    return names
+
+
+def _parse_v_range(raw: str, line: int, key: str) -> tuple[float, float, int]:
+    parts = _parse_floats(raw, line, key)
+    if len(parts) != 3:
+        raise ScenarioParseError("v_range must be start, stop, count", line)
+    if parts[2] != int(parts[2]):
+        raise ScenarioParseError("v_range count must be an integer", line)
+    return (parts[0], parts[1], int(parts[2]))
+
+
+def _format_float(x) -> str:
+    return repr(float(x))
+
+
+def _format_floats(values) -> str:
+    return ", ".join(_format_float(x) for x in values)
+
+
+def _format_v_range(r) -> str:
+    return f"{_format_floats(r[:2])}, {r[2]}"
+
+
+#: Codecs of the [profile] keys, by the type of the profile dataclass field.
+_FIELD_CODECS = {
+    "float": (_parse_float, _format_float),
+    "int": (_parse_int, str),
+    "Grid1D": (
+        lambda raw, line, key: Grid1D(points=np.asarray(_parse_floats(raw, line, key))),
+        lambda grid: _format_floats(grid.points),
+    ),
+    "np.ndarray": (
+        lambda raw, line, key: np.asarray(_parse_floats(raw, line, key)),
+        _format_floats,
+    ),
+}
+
+
+def _parse_profile(entries: dict[str, tuple[str, int]]) -> InitialProfile:
+    """The profile class that `kind` names, built from its dataclass fields."""
+    if "kind" not in entries:
+        raise ScenarioParseError("missing required key 'kind' in [profile]")
+    kind, kind_line = entries["kind"]
+    cls = PROFILE_KINDS.get(kind)
+    if cls is None:
+        raise ScenarioParseError(f"unknown profile kind {kind!r}", kind_line)
+    names = [f.name for f in fields(cls)]
+    for key, (_, line) in entries.items():
+        if key != "kind" and key not in names:
+            raise ScenarioParseError(
+                f"key {key!r} does not apply to profile kind {kind!r}", line
+            )
+    for name in names:
+        if name not in entries:
+            raise ScenarioParseError(f"profile kind {kind!r} requires key {name!r}", kind_line)
+    try:
+        return cls(**{
+            f.name: _FIELD_CODECS[f.type][0](*entries[f.name], f.name) for f in fields(cls)
+        })
+    except InvalidParameterError as exc:
+        raise ScenarioValidationError(f"[profile] {exc}") from exc
+
+
+def _format_profile(p: InitialProfile) -> list[str]:
+    return [f"kind = {p.kind}"] + [
+        f"{f.name} = {_FIELD_CODECS[f.type][1](getattr(p, f.name))}" for f in fields(p)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The format: one row per key, in document order
+# ---------------------------------------------------------------------------
+
+#: (section, key, Scenario field, parse, format). The [profile] row stands
+#: for the whole section: it parses the section and formats to its lines.
+_KEYS = (
+    ("scenario", "name", "name", _parse_text, str),
+    ("scenario", "eps", "eps", _parse_float, _format_float),
+    ("scenario", "terms", "truncation", _parse_int, str),
+    ("scenario", "u_points", "u_points", _parse_int, str),
+    ("scenario", "v", "v_list", _parse_floats, _format_floats),
+    ("scenario", "v_range", "v_range", _parse_v_range, _format_v_range),
+    ("scenario", "trace_u", "trace_u", _parse_floats, _format_floats),
+    ("scenario", "models", "models", _parse_names, ", ".join),
+    ("profile", "kind", "profile", _parse_profile, _format_profile),
+    ("fd", "nu", "fd_nu", _parse_int, str),
+    ("fd", "dv", "fd_dv", _parse_float, _format_float),
+    ("output", "formats", "outputs", _parse_names, ", ".join),
+    ("output", "dir", "out_dir", _parse_text, str),
+)
+_REQUIRED = ("eps", "models")
+
+_KNOWN_KEYS = {section: {k for s, k, *_ in _KEYS if s == section} for section, *_ in _KEYS}
+_KNOWN_KEYS["profile"] |= {f.name for cls in PROFILE_KINDS.values() for f in fields(cls)}
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse a config document into a validated Scenario.
 
@@ -175,7 +297,7 @@ def parse_scenario(text: str) -> Scenario:
         ScenarioParseError: schema violations, with the offending line.
         ScenarioValidationError: cross-field invariant violations.
     """
-    sections: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _SECTIONS}
+    sections: dict[str, dict[str, tuple[str, int]]] = {s: {} for s in _KNOWN_KEYS}
     current: str | None = None
     for lineno, rawline in enumerate(text.splitlines(), start=1):
         stripped = rawline.strip()
@@ -183,7 +305,7 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             name = stripped[1:-1].strip()
-            if name not in _SECTIONS:
+            if name not in sections:
                 raise ScenarioParseError(f"unknown section [{name}]", lineno)
             current = name
             continue
@@ -193,180 +315,36 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioParseError("key outside of any [section]", lineno)
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _KEYS_BY_SECTION[current]:
+        if key not in _KNOWN_KEYS[current]:
             raise ScenarioParseError(f"unknown key {key!r} in [{current}]", lineno)
         if key in sections[current]:
             raise ScenarioParseError(f"duplicate key {key!r} in [{current}]", lineno)
-        sections[current][key] = (value, lineno)
+        sections[current][key] = (value.strip(), lineno)
 
-    scen = sections["scenario"]
-    prof = sections["profile"]
-
-    def require(section: dict, key: str, section_name: str) -> tuple[str, int]:
-        if key not in section:
-            raise ScenarioParseError(f"missing required key {key!r} in [{section_name}]")
-        return section[key]
-
-    eps_raw, eps_line = require(scen, "eps", "scenario")
-    eps = _parse_float(eps_raw, eps_line, "eps")
-
-    profile = _parse_profile(prof)
-
-    name = scen.get("name", ("scenario", 0))[0]
-    truncation = (
-        _parse_int(*scen["terms"], "terms") if "terms" in scen else DEFAULT_TRUNCATION
-    )
-    u_points = (
-        _parse_int(*scen["u_points"], "u_points") if "u_points" in scen else DEFAULT_U_POINTS
-    )
-    v_list = _parse_floats(*scen["v"], "v") if "v" in scen else None
-    v_range = None
-    if "v_range" in scen:
-        raw, line = scen["v_range"]
-        parts = _parse_floats(raw, line, "v_range")
-        if len(parts) != 3:
-            raise ScenarioParseError("v_range must be start, stop, count", line)
-        if parts[2] != int(parts[2]):
-            raise ScenarioParseError("v_range count must be an integer", line)
-        v_range = (parts[0], parts[1], int(parts[2]))
-    trace_u = _parse_floats(*scen["trace_u"], "trace_u") if "trace_u" in scen else ()
-    models_raw, models_line = require(scen, "models", "scenario")
-    models = tuple(_split_list(models_raw))
-    if not models:
-        raise ScenarioParseError("models must not be empty", models_line)
-
-    fd = sections["fd"]
-    fd_nu = _parse_int(*fd["nu"], "nu") if "nu" in fd else DEFAULT_FD_CELLS
-    fd_dv = _parse_float(*fd["dv"], "dv") if "dv" in fd else None
-
-    out = sections["output"]
-    outputs = tuple(_split_list(out["formats"][0])) if "formats" in out else ("csv",)
-    out_dir = out.get("dir", (None, 0))[0]
-
-    return Scenario(
-        name=name,
-        eps=eps,
-        profile=profile,
-        truncation=truncation,
-        u_points=u_points,
-        v_list=v_list,
-        v_range=v_range,
-        trace_u=trace_u,
-        models=models,
-        fd_nu=fd_nu,
-        fd_dv=fd_dv,
-        outputs=outputs,
-        out_dir=out_dir,
-    )
-
-
-def _parse_profile(prof: dict[str, tuple[str, int]]) -> InitialProfile:
-    if "kind" not in prof:
-        raise ScenarioParseError("missing required key 'kind' in [profile]")
-    kind, kind_line = prof["kind"]
-
-    def need(key: str) -> tuple[str, int]:
-        if key not in prof:
-            raise ScenarioParseError(
-                f"profile kind {kind!r} requires key {key!r}", kind_line
-            )
-        return prof[key]
-
-    def forbid_except(*allowed: str):
-        for key in prof:
-            if key != "kind" and key not in allowed:
-                raise ScenarioParseError(
-                    f"key {key!r} does not apply to profile kind {kind!r}", prof[key][1]
-                )
-
-    if kind == "gaussian":
-        forbid_except("sharpness", "amplitude")
-        return GaussianProfile(
-            sharpness=_parse_float(*need("sharpness"), "sharpness"),
-            amplitude=_parse_float(*need("amplitude"), "amplitude"),
-        )
-    if kind == "surface_cosh":
-        forbid_except("sharpness", "amplitude")
-        return SurfaceCoshProfile(
-            sharpness=_parse_float(*need("sharpness"), "sharpness"),
-            amplitude=_parse_float(*need("amplitude"), "amplitude"),
-        )
-    if kind == "uniform":
-        forbid_except("level")
-        return UniformProfile(level=_parse_float(*need("level"), "level"))
-    if kind == "cosine_mode":
-        forbid_except("mode", "offset", "amplitude")
-        return CosineModeProfile(
-            mode=_parse_int(*need("mode"), "mode"),
-            offset=_parse_float(*need("offset"), "offset"),
-            amplitude=_parse_float(*need("amplitude"), "amplitude"),
-        )
-    if kind == "tabulated":
-        forbid_except("grid", "values")
-        grid = _parse_floats(*need("grid"), "grid")
-        values = _parse_floats(*need("values"), "values")
-        return TabulatedProfile(
-            grid=Grid1D(points=np.asarray(grid)), values=np.asarray(values)
-        )
-    raise ScenarioParseError(f"unknown profile kind {kind!r}", kind_line)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def _format_floats(values) -> str:
-    return ", ".join(repr(float(x)) for x in values)
+    kwargs = {"name": "scenario"}  # Scenario.name itself has no default
+    for section, key, field, parse, _ in _KEYS:
+        entries = sections[section]
+        if section == "profile":
+            kwargs[field] = parse(entries)
+        elif key in entries:
+            kwargs[field] = parse(*entries[key], key)
+        elif key in _REQUIRED:
+            raise ScenarioParseError(f"missing required key {key!r} in [{section}]")
+    return Scenario(**kwargs)
 
 
 def serialize_scenario(s: Scenario) -> str:
     """Canonical config document; parse_scenario(serialize_scenario(s)) == s."""
-    lines = ["[scenario]", f"name = {s.name}", f"eps = {float(s.eps)!r}"]
-    lines.append(f"terms = {s.truncation}")
-    lines.append(f"u_points = {s.u_points}")
-    if s.v_list is not None:
-        lines.append(f"v = {_format_floats(s.v_list)}")
-    if s.v_range is not None:
-        lines.append(
-            f"v_range = {float(s.v_range[0])!r}, {float(s.v_range[1])!r}, {s.v_range[2]}"
-        )
-    if s.trace_u:
-        lines.append(f"trace_u = {_format_floats(s.trace_u)}")
-    lines.append(f"models = {', '.join(s.models)}")
-
-    lines.append("")
-    lines.append("[profile]")
-    p = s.profile
-    if isinstance(p, GaussianProfile):
-        lines += ["kind = gaussian", f"sharpness = {p.sharpness!r}",
-                  f"amplitude = {p.amplitude!r}"]
-    elif isinstance(p, SurfaceCoshProfile):
-        lines += ["kind = surface_cosh", f"sharpness = {p.sharpness!r}",
-                  f"amplitude = {p.amplitude!r}"]
-    elif isinstance(p, UniformProfile):
-        lines += ["kind = uniform", f"level = {p.level!r}"]
-    elif isinstance(p, CosineModeProfile):
-        lines += ["kind = cosine_mode", f"mode = {p.mode}",
-                  f"offset = {p.offset!r}", f"amplitude = {p.amplitude!r}"]
-    elif isinstance(p, TabulatedProfile):
-        lines += ["kind = tabulated", f"grid = {_format_floats(p.grid.points)}",
-                  f"values = {_format_floats(p.values)}"]
-    else:  # pragma: no cover - all variants handled above
-        raise ScenarioValidationError(f"cannot serialize profile {p!r}")
-
-    lines.append("")
-    lines.append("[fd]")
-    lines.append(f"nu = {s.fd_nu}")
-    if s.fd_dv is not None:
-        lines.append(f"dv = {s.fd_dv!r}")
-
-    lines.append("")
-    lines.append("[output]")
-    lines.append(f"formats = {', '.join(s.outputs)}")
-    if s.out_dir is not None:
-        lines.append(f"dir = {s.out_dir}")
-    return "\n".join(lines) + "\n"
+    blocks: dict[str, list[str]] = {}
+    for section, key, field, _, fmt in _KEYS:
+        lines = blocks.setdefault(section, [f"[{section}]"])
+        value = getattr(s, field)
+        if section == "profile":
+            lines += fmt(value)
+        elif value is not None and (value or not isinstance(value, tuple)):
+            # None and the empty tuple (no trace_u) leave the key out
+            lines.append(f"{key} = {fmt(value)}")
+    return "\n\n".join("\n".join(lines) for lines in blocks.values()) + "\n"
 
 
 def scenario_hash(s: Scenario) -> str:
@@ -378,10 +356,16 @@ def scenario_hash(s: Scenario) -> str:
 # Built-in presets reproducing the four reference plots
 # ---------------------------------------------------------------------------
 
-_CENTER_PROFILE = dict(sharpness=100.0, amplitude=1.0)
-_SURFACE_PROFILE = dict(sharpness=10.0, amplitude=1.0)
-_SNAPSHOT_TIMES = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-_TRACE_RANGE = (0.0, 1.2, 1201)
+_CENTER_PROFILE = GaussianProfile(sharpness=100.0, amplitude=1.0)
+_SURFACE_PROFILE = SurfaceCoshProfile(sharpness=10.0, amplitude=1.0)
+_SNAPSHOTS = dict(v_list=(1e-4, 1e-3, 1e-2, 1e-1, 1.0), outputs=("csv", "svg"))
+_TRACES = dict(v_range=(0.0, 1.2, 1201), trace_u=(0.5, 0.0), outputs=("csv", "svg", "events"))
+_PRESETS = {
+    "figure1": (_CENTER_PROFILE, _SNAPSHOTS),
+    "figure2": (_CENTER_PROFILE, _TRACES),
+    "figure3": (_SURFACE_PROFILE, _SNAPSHOTS),
+    "figure4": (_SURFACE_PROFILE, _TRACES),
+}
 
 
 def preset(name: str) -> Scenario:
@@ -392,52 +376,15 @@ def preset(name: str) -> Scenario:
     figure2/figure4: time traces at the wall (u = 0.5) and center (u = 0)
     with extrema detection.
     """
-    if name == "figure1":
-        return Scenario(
-            name="figure1",
-            eps=0.13,
-            profile=GaussianProfile(**_CENTER_PROFILE),
-            v_list=_SNAPSHOT_TIMES,
-            models=("parabolic", "hyperbolic"),
-            outputs=("csv", "svg"),
-        )
-    if name == "figure2":
-        return Scenario(
-            name="figure2",
-            eps=0.13,
-            profile=GaussianProfile(**_CENTER_PROFILE),
-            v_range=_TRACE_RANGE,
-            trace_u=(0.5, 0.0),
-            models=("parabolic", "hyperbolic"),
-            outputs=("csv", "svg", "events"),
-        )
-    if name == "figure3":
-        return Scenario(
-            name="figure3",
-            eps=0.13,
-            profile=SurfaceCoshProfile(**_SURFACE_PROFILE),
-            v_list=_SNAPSHOT_TIMES,
-            models=("parabolic", "hyperbolic"),
-            outputs=("csv", "svg"),
-        )
-    if name == "figure4":
-        return Scenario(
-            name="figure4",
-            eps=0.13,
-            profile=SurfaceCoshProfile(**_SURFACE_PROFILE),
-            v_range=_TRACE_RANGE,
-            trace_u=(0.5, 0.0),
-            models=("parabolic", "hyperbolic"),
-            outputs=("csv", "svg", "events"),
-        )
-    raise ScenarioValidationError(f"unknown preset {name!r}")
+    if name not in _PRESETS:
+        raise ScenarioValidationError(f"unknown preset {name!r}")
+    profile, times = _PRESETS[name]
+    return Scenario(
+        name=name, eps=0.13, profile=profile, models=("parabolic", "hyperbolic"), **times
+    )
 
 
 def override(s: Scenario, truncation: int | None = None, eps: float | None = None) -> Scenario:
     """Apply CLI-level overrides, revalidating the result."""
-    changes = {}
-    if truncation is not None:
-        changes["truncation"] = truncation
-    if eps is not None:
-        changes["eps"] = eps
+    changes = {k: v for k, v in (("truncation", truncation), ("eps", eps)) if v is not None}
     return replace(s, **changes) if changes else s

@@ -250,6 +250,55 @@ def test_cli_parse_error_exit_code(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.cfg")]) == 2
 
 
+#: Config errors that once passed validate or exited 1, each as edits of
+#: CONFIG_SMALL.
+CONFIG_ERRORS = {
+    "v_nan": [("v = 0.01, 0.1", "v = nan")],
+    "sharpness_delta_like": [("sharpness = 100", "sharpness = 1e7")],
+    "sharpness_negative": [("sharpness = 100", "sharpness = -5")],
+    "eps_inf_hyperbolic": [("eps = 0.13", "eps = inf")],
+    "eps_inf_parabolic": [("eps = 0.13", "eps = inf"), (", hyperbolic", "")],
+    "name_escapes_out_dir": [("name = demo", "name = ../escaped")],
+    "fd_step_unstable": [("hyperbolic", "fd"),
+                         ("amplitude = 1", "amplitude = 1\n[fd]\nnu = 64\ndv = 0.01")],
+    "fd_at_time_zero": [("v = 0.01, 0.1", "v = 0"), ("hyperbolic", "fd")],
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("case", sorted(CONFIG_ERRORS))
+def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
+    text = CONFIG_SMALL
+    for old, new in CONFIG_ERRORS[case]:
+        assert old in text
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out" / "sub"
+    argv = [command, str(cfg)] + (["--out-dir", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
+
+
+def test_cli_eps_override_must_be_finite(tmp_path, capsys):
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(CONFIG_SMALL)
+    assert main(["run", str(cfg), "--eps", "inf", "--out-dir", str(tmp_path / "out")]) == 2
+    assert "eps must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_json_records_the_validated_fd_step(tmp_path):
+    s = Scenario(
+        name="fdstep", eps=0.13, profile=GaussianProfile(100.0, 1.0),
+        truncation=16, u_points=11, v_list=(0.01,), models=("fd",), fd_nu=40,
+    )
+    run_scenario(s, tmp_path)
+    meta = json.loads((tmp_path / "fdstep_run.json").read_text())
+    assert meta["fd"]["dv"] == s.fd_config().dv
+
+
 def test_cli_resonant_wkb_is_runtime_error(tmp_path, capsys):
     # eps*(2 pi m)^2 = 1 exactly for m=1: the fast/slow split is singular
     eps = 1.0 / (2.0 * math.pi) ** 2

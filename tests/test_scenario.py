@@ -1,9 +1,18 @@
+import math
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from slabdiff import (
+    CosineModeProfile,
+    FdConfig,
     GaussianProfile,
     Grid1D,
+    InvalidParameterError,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
@@ -15,6 +24,9 @@ from slabdiff import (
     scenario_hash,
     serialize_scenario,
 )
+from slabdiff.analysis import MIN_TRACE_SAMPLES
+from slabdiff.profiles import GAUSSIAN_SHARPNESS_LIMIT, SURFACE_SHARPNESS_LIMIT
+from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS
 
 MINIMAL = """
 [scenario]
@@ -202,3 +214,246 @@ def test_hash_distinguishes_scenarios():
 def test_comments_and_blank_lines_ignored():
     doc = "# header comment\n\n" + MINIMAL + "\n# trailing comment\n"
     assert parse_scenario(doc) == parse_scenario(MINIMAL)
+
+
+# ---------------------------------------------------------------------------
+# Pinned canonical text: the hash of a scenario is part of every output file
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("figure1", "37ac71dd1faff7b3"),
+    ("figure2", "fc7ff6050fb970ab"),
+    ("figure3", "8f5ea88471eebab7"),
+    ("figure4", "13c987d062d55132"),
+])
+def test_preset_hashes_are_pinned(name, digest):
+    assert scenario_hash(preset(name)) == digest
+
+
+def test_canonical_text_is_pinned():
+    assert serialize_scenario(preset("figure2")) == (
+        "[scenario]\n"
+        "name = figure2\n"
+        "eps = 0.13\n"
+        "terms = 500\n"
+        "u_points = 1001\n"
+        "v_range = 0.0, 1.2, 1201\n"
+        "trace_u = 0.5, 0.0\n"
+        "models = parabolic, hyperbolic\n"
+        "\n"
+        "[profile]\n"
+        "kind = gaussian\n"
+        "sharpness = 100.0\n"
+        "amplitude = 1.0\n"
+        "\n"
+        "[fd]\n"
+        "nu = 400\n"
+        "\n"
+        "[output]\n"
+        "formats = csv, svg, events\n"
+    )
+
+
+@pytest.mark.parametrize("profile, tag", [
+    (GaussianProfile(sharpness=100.0, amplitude=1.0), "gaussian(sharpness=100.0,amplitude=1.0)"),
+    (SurfaceCoshProfile(sharpness=10.0, amplitude=2.5),
+     "surface_cosh(sharpness=10.0,amplitude=2.5)"),
+    (UniformProfile(level=2.0), "uniform(level=2.0)"),
+    (CosineModeProfile(mode=3, offset=1.5, amplitude=-0.5),
+     "cosine_mode(mode=3,offset=1.5,amplitude=-0.5)"),
+    (TabulatedProfile(grid=Grid1D(points=np.array([0.0, 0.25, 0.5])),
+                      values=np.array([2.0, 1.0, 1.0])), "tabulated(n=5)"),
+])
+def test_profile_tags_are_pinned(profile, tag):
+    assert profile.tag() == tag
+
+
+# ---------------------------------------------------------------------------
+# Round trip: serialize -> parse gives the scenario back, and its text
+# ---------------------------------------------------------------------------
+
+finite = partial(st.floats, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def cosine_profiles(draw):
+    offset = draw(finite(min_value=0.0))
+    return CosineModeProfile(
+        mode=draw(st.integers(1, 10**6)),
+        offset=offset,
+        amplitude=draw(finite(min_value=-offset, max_value=offset)),
+    )
+
+
+@st.composite
+def tabulated_profiles(draw):
+    points = sorted(draw(st.lists(
+        finite(min_value=-0.5, max_value=0.5), min_size=1, max_size=6, unique=True
+    )))
+    values = draw(st.lists(finite(min_value=0.0), min_size=len(points), max_size=len(points)))
+    try:
+        return TabulatedProfile(grid=Grid1D(points=np.array(points)), values=np.array(values))
+    except InvalidParameterError:  # interpolating between the values overflows
+        assume(False)
+
+
+positive = finite(min_value=0.0, exclude_min=True)
+profiles = st.one_of(
+    st.builds(GaussianProfile, finite(min_value=0.0, max_value=GAUSSIAN_SHARPNESS_LIMIT,
+                                      exclude_min=True), positive),
+    st.builds(SurfaceCoshProfile, finite(min_value=0.0, max_value=SURFACE_SHARPNESS_LIMIT,
+                                         exclude_min=True), positive),
+    st.builds(UniformProfile, finite(min_value=0.0)),
+    cosine_profiles(),
+    tabulated_profiles(),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """Any valid Scenario: every field drawn, all five profile kinds."""
+    models = tuple(draw(st.lists(st.sampled_from(MODEL_ORDER), min_size=1, unique=True)))
+    # eps >= 1e-6 keeps the FD step count under its cap
+    eps_values = finite(min_value=1e-6 if "fd" in models else 0.0, max_value=10.0,
+                        exclude_min=True)
+    if "hyperbolic" not in models:
+        eps_values |= st.just(0.0)
+    trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=3)))
+    times = {}
+    if trace_u and draw(st.booleans()):
+        start = draw(finite(min_value=0.0, max_value=5.0))
+        stop = start + draw(finite(min_value=1e-3, max_value=5.0))
+        times["v_range"] = (start, stop, draw(st.integers(2, 2000)))
+        samples = times["v_range"][2]
+    else:
+        times["v_list"] = tuple(sorted(draw(st.lists(
+            finite(min_value=0.0, max_value=10.0), min_size=1, max_size=5, unique=True
+        ))))
+        if "fd" in models and times["v_list"][-1] == 0.0:
+            times["v_list"] += (1.0,)
+        samples = len(times["v_list"])
+    events_ok = bool(trace_u) and samples >= MIN_TRACE_SAMPLES
+    kinds = [k for k in OUTPUT_KINDS if k != "events" or events_ok]
+    s = Scenario(
+        name=draw(st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True)),
+        eps=draw(eps_values),
+        profile=draw(profiles),
+        truncation=draw(st.integers(1, 10**6)),
+        u_points=draw(st.integers(2, 10**6)),
+        trace_u=trace_u,
+        models=models,
+        fd_nu=draw(st.integers(3, 256)),
+        outputs=tuple(draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))),
+        out_dir=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
+        **times,
+    )
+    if draw(st.booleans()):
+        # with fd, a fraction of the stable step so that the FD config validates
+        fd_dv = (s.fd_config().dv * draw(finite(min_value=0.5, max_value=1.0))
+                 if "fd" in models else draw(positive))
+        s = replace(s, fd_dv=fd_dv)
+    return s
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_serialize_parse_round_trip(s):
+    text = serialize_scenario(s)
+    back = parse_scenario(text)
+    assert back == s
+    assert serialize_scenario(back) == text
+
+
+@pytest.mark.parametrize("points, values", [
+    # a node at 0 came back from the mirror as -0.0, which the text kept
+    ([-0.5, 0.0, 0.5], [0.0, 0.0, 0.0]),
+    # interpolating between nodes 1e-308 apart left values of -1.1e-16
+    ([-0.171875, 1.1125369292536007e-308], [1.841796875, 0.0]),
+])
+def test_tabulated_profile_round_trips(points, values):
+    p = TabulatedProfile(grid=Grid1D(points=np.array(points)), values=np.array(values))
+    assert not np.any(np.signbit(p.grid.points[p.grid.points == 0.0]))
+    assert np.all(p.values >= 0.0)
+    s = Scenario(name="tab", eps=0.0, profile=p, v_list=(0.1,))
+    text = serialize_scenario(s)
+    assert parse_scenario(text) == s
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
+def test_numpy_scalars_serialize_as_plain_numbers():
+    s = Scenario(
+        name="np", eps=np.float64(0.13), profile=GaussianProfile(np.float64(100.0), 1.0),
+        v_list=(np.float64(0.1),), models=("parabolic", "fd"), fd_dv=np.float64(1e-6),
+    )
+    text = serialize_scenario(s)
+    assert "np." not in text
+    assert parse_scenario(text) == s
+
+
+# ---------------------------------------------------------------------------
+# Every config error is a ScenarioParseError or ScenarioValidationError
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("old, new, line, key", [
+    ("eps = 0.13", "eps = inf", 3, "eps"),
+    ("v = 0.01", "v = 0.01, nan", 4, "v"),
+    ("models = parabolic", "models = parabolic\ntrace_u = -inf", 6, "trace_u"),
+    ("models = parabolic", "models = parabolic\nv_range = 0, inf, 300", 6, "v_range"),
+    ("sharpness = 100", "sharpness = nan", 9, "sharpness"),
+    ("amplitude = 1", "amplitude = 1e999", 10, "amplitude"),
+])
+def test_non_finite_numbers_rejected_with_line(old, new, line, key):
+    with pytest.raises(ScenarioParseError, match=rf"line {line}: {key} must be finite"):
+        parse_scenario(MINIMAL.replace(old, new))
+
+
+def test_non_finite_fd_step_rejected_with_line():
+    with pytest.raises(ScenarioParseError, match=r"line 13: dv must be finite"):
+        parse_scenario(MINIMAL + "\n[fd]\ndv = inf\n")
+
+
+def test_scenario_requires_finite_eps():
+    with pytest.raises(ScenarioValidationError, match="eps must be finite"):
+        Scenario(name="x", eps=math.inf, profile=UniformProfile(1.0), v_list=(0.1,))
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "my run", "", "a\\b"])
+def test_scenario_name_must_be_a_file_prefix(name):
+    with pytest.raises(ScenarioValidationError, match="name must"):
+        Scenario(name=name, eps=0.1, profile=UniformProfile(1.0), v_list=(0.1,))
+
+
+def test_profile_constructor_errors_become_validation_errors():
+    for old, new in [("sharpness = 100", "sharpness = 1e7"),
+                     ("sharpness = 100", "sharpness = -5")]:
+        with pytest.raises(ScenarioValidationError, match="sharpness") as info:
+            parse_scenario(MINIMAL.replace(old, new))
+        assert isinstance(info.value.__cause__, InvalidParameterError)
+    tabulated = MINIMAL.replace("kind = gaussian", "kind = tabulated").replace(
+        "sharpness = 100\namplitude = 1", "grid = 0.5, 0.1\nvalues = 1, 2")
+    with pytest.raises(ScenarioValidationError, match="increasing"):
+        parse_scenario(tabulated)
+
+
+def test_time_grid_errors_become_validation_errors():
+    with pytest.raises(ScenarioValidationError, match="increasing") as info:
+        Scenario(name="x", eps=0.1, profile=UniformProfile(1.0), v_list=(0.2, 0.1))
+    assert isinstance(info.value.__cause__, InvalidParameterError)
+    with pytest.raises(ScenarioValidationError, match="finite"):
+        Scenario(name="x", eps=0.1, profile=UniformProfile(1.0), v_list=(math.nan,))
+
+
+def test_fd_config_is_checked_at_validation():
+    fd_doc = MINIMAL.replace("models = parabolic", "models = parabolic, fd")
+    s = parse_scenario(fd_doc)
+    auto = FdConfig.auto(400, 0.13, s.time_grid())
+    assert s.fd_config() == auto
+    assert parse_scenario(fd_doc + "\n[fd]\ndv = 1e-6\n").fd_config().dv == 1e-6
+    with pytest.raises(ScenarioValidationError, match=r"\[fd\] telegraph mode requires"):
+        parse_scenario(fd_doc + "\n[fd]\nnu = 64\ndv = 0.01\n")
+    with pytest.raises(ScenarioValidationError, match=r"\[fd\] v_end must be > 0"):
+        parse_scenario(fd_doc.replace("v = 0.01", "v = 0"))
+    # without fd the same step is not checked
+    parse_scenario(MINIMAL + "\n[fd]\nnu = 64\ndv = 0.01\n")
