@@ -4,13 +4,7 @@ echo analysis, and a scenario-driven CLI."""
 
 __version__ = "0.1.0"
 
-from .core import (
-    DimensionlessParams,
-    Grid1D,
-    PhysicalParams,
-    TimeGrid,
-    nondimensionalize,
-)
+from .core import Grid1D, TimeGrid
 from .errors import (
     DomainError,
     InvalidInputError,
@@ -32,7 +26,6 @@ from .profiles import (
     TabulatedProfile,
     UniformProfile,
     compute_coefficients,
-    equilibrium_density,
     evaluate_profile,
     surface_cosh_mode_closed_form,
 )
@@ -71,12 +64,11 @@ from .runner import run_scenario
 __all__ = [
     "__version__",
     # core
-    "PhysicalParams", "DimensionlessParams", "Grid1D", "TimeGrid", "nondimensionalize",
+    "Grid1D", "TimeGrid",
     # profiles
     "InitialProfile", "GaussianProfile", "SurfaceCoshProfile", "UniformProfile",
     "CosineModeProfile", "TabulatedProfile", "SpectralCoefficients",
-    "evaluate_profile", "compute_coefficients", "equilibrium_density",
-    "surface_cosh_mode_closed_form",
+    "evaluate_profile", "compute_coefficients", "surface_cosh_mode_closed_form",
     # spectral
     "WkbCoefficients", "FieldSlice", "TimeTrace", "parabolic_density",
     "hyperbolic_mode_factor", "hyperbolic_density", "wkb_coefficients",

@@ -1,4 +1,4 @@
-"""Extrema detection, wavefront-echo predictions and error norms.
+"""Extrema detection, wavefront-echo predictions and the slice error norm.
 
 With a finite wavefront speed c = 1/sqrt(eps), density pulses bounce
 between the walls and show up as non-monotonic structure in time traces.
@@ -27,6 +27,10 @@ SMOOTHING_WINDOW = 5
 #: Minimum number of samples a trace must have.
 MIN_TRACE_SAMPLES = 200
 
+#: Fraction of a smoothed trace's range that successive differences may
+#: oppose its overall direction by and still count as monotone.
+MONOTONE_SLACK = 1e-3
+
 MONOTONE_INCREASING = "monotone_increasing"
 MONOTONE_DECREASING = "monotone_decreasing"
 NON_MONOTONE = "non_monotone"
@@ -44,27 +48,30 @@ class ExtremumEvent:
 
 @dataclass(frozen=True)
 class EchoLadder:
-    """Predicted wavefront arrival times at an observation point.
+    """Successive predicted arrival times of the reflected density wave.
 
-    source names where the initial mass sits ("center" or "surface"),
-    observation_u is the probed position (0 or 0.5), and times are the
-    successive predicted arrival times of the reflected density wave.
+    The k-th arrival (k >= 1) is unit * (2k - 1) on an odd ladder and
+    unit * k otherwise. The ladder is unbounded and never materialized: for
+    small eps its rungs are far denser than any time grid.
     """
 
-    source: str
-    observation_u: float
-    times: np.ndarray
-    wave_speed: float
+    unit: float
+    odd: bool
+
+    def time(self, k: int) -> float:
+        """The k-th arrival time, k >= 1."""
+        return self.unit * (2.0 * k - 1.0 if self.odd else float(k))
 
     def nearest(self, v: float) -> float:
-        """Ladder time closest to v."""
-        return float(self.times[np.argmin(np.abs(self.times - v))])
+        """Ladder time closest to v, the earlier one on a tie."""
+        # Rung k is at or below v, or (by rounding, or below the first rung)
+        # the nearest one above it; either way rung k or k + 1 is nearest.
+        k = max(1, math.floor((v / self.unit + 1.0) / 2.0 if self.odd else v / self.unit))
+        return min(self.time(k), self.time(k + 1), key=lambda t: abs(t - v))
 
 
-def predict_echo_ladder(
-    source: str, observation_u: float, eps: float, count: int
-) -> EchoLadder:
-    """Arrival-time ladder for a source/observation pair.
+def predict_echo_ladder(source: str, u: float, eps: float) -> EchoLadder:
+    """Arrival-time ladder of a source observed at position u (0 or 0.5).
 
     With v1 = 0.5*sqrt(eps) and v2 = sqrt(eps):
 
@@ -76,27 +83,12 @@ def predict_echo_ladder(
     """
     if not (eps > 0):
         raise InvalidParameterError(f"eps must be > 0, got {eps!r}")
-    if not (isinstance(count, int) and count >= 1):
-        raise InvalidParameterError(f"count must be a positive integer, got {count!r}")
     if source not in ("center", "surface"):
         raise InvalidParameterError(f"source must be 'center' or 'surface', got {source!r}")
-    if observation_u not in (0.0, 0.5):
-        raise InvalidParameterError(
-            f"observation_u must be 0 or 0.5, got {observation_u!r}"
-        )
-    v1 = 0.5 * math.sqrt(eps)
-    v2 = math.sqrt(eps)
-    odd = (source == "center") == (observation_u == 0.5)
-    if odd:
-        times = v1 * (2.0 * np.arange(1, count + 1) - 1.0)
-    else:
-        times = v2 * np.arange(1, count + 1)
-    return EchoLadder(
-        source=source,
-        observation_u=float(observation_u),
-        times=times,
-        wave_speed=1.0 / math.sqrt(eps),
-    )
+    if u not in (0.0, 0.5):
+        raise InvalidParameterError(f"u must be 0 or 0.5, got {u!r}")
+    odd = (source == "center") == (u == 0.5)
+    return EchoLadder(unit=0.5 * math.sqrt(eps) if odd else math.sqrt(eps), odd=odd)
 
 
 def _smoothed(trace: TimeTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -148,16 +140,12 @@ def detect_extrema(
     return events
 
 
-def classify_monotone(
-    trace: TimeTrace,
-    v_min_cutoff: float = DEFAULT_V_CUTOFF,
-    slack: float = 1e-3,
-) -> str:
+def classify_monotone(trace: TimeTrace, v_min_cutoff: float = DEFAULT_V_CUTOFF) -> str:
     """Classify a smoothed trace as monotone or not for v >= v_min_cutoff.
 
     Successive differences may oppose the overall direction by at most
-    slack * (range of the smoothed trace) before the trace counts as
-    non-monotone.
+    MONOTONE_SLACK * (range of the smoothed trace) before the trace counts
+    as non-monotone.
     """
     times, values = _smoothed(trace)
     keep = times >= v_min_cutoff
@@ -165,7 +153,7 @@ def classify_monotone(
     if values.size < 2:
         raise InvalidInputError("no samples at or above v_min_cutoff")
     diffs = np.diff(values)
-    allowance = slack * float(np.ptp(values))
+    allowance = MONOTONE_SLACK * float(np.ptp(values))
     can_increase = bool(np.all(diffs >= -allowance))
     can_decrease = bool(np.all(diffs <= allowance))
     if can_increase and can_decrease:
@@ -180,15 +168,13 @@ def classify_monotone(
 
 @dataclass(frozen=True)
 class ErrorNorms:
-    """Pointwise and integral differences between two slices."""
+    """Pointwise difference between two slices."""
 
     l_inf: float
-    l2: float
-    mass_diff: float
 
 
 def error_norms(a: FieldSlice, b: FieldSlice) -> ErrorNorms:
-    """Max-abs, RMS and trapezoid-mass differences of two matching slices.
+    """Max-abs difference of two matching slices.
 
     The slices must share the grid exactly and their times must agree to
     1e-12.
@@ -197,9 +183,4 @@ def error_norms(a: FieldSlice, b: FieldSlice) -> ErrorNorms:
         raise InvalidInputError("slices are on different grids")
     if abs(a.v - b.v) > 1e-12:
         raise InvalidInputError(f"slice times differ: {a.v!r} vs {b.v!r}")
-    diff = a.values - b.values
-    return ErrorNorms(
-        l_inf=float(np.max(np.abs(diff))),
-        l2=float(np.sqrt(np.mean(diff**2))),
-        mass_diff=abs(a.mass() - b.mass()),
-    )
+    return ErrorNorms(l_inf=float(np.max(np.abs(a.values - b.values))))

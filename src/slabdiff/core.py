@@ -1,94 +1,29 @@
-"""Problem definition in dimensionless form, plus the shared grid types.
+"""The dimensionless slab and its space and time grids.
 
-Lengths are measured in units of the slab thickness and times in units of
-the diffusion time (thickness^2 / diffusivity), so the slab always occupies
-u in [-1/2, 1/2] and relaxation enters through the single number eps.
+Lengths are measured in units of the slab thickness d and times in units of
+the diffusion time tau_D = d^2 / D, so the slab always occupies
+u in [-1/2, 1/2] and relaxation enters through the single number
+eps = tau_r / tau_D.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DomainError, InvalidParameterError
 
 #: Half-width of the dimensionless slab.
 HALF_WIDTH = 0.5
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
-    """Dimensional description of the slab and the transport model.
-
-    Attributes:
-        thickness_d: slab thickness (length), > 0.
-        diffusion_D: diffusion coefficient (length^2/time), > 0.
-        relaxation_tau_r: flux relaxation time (time), >= 0. Zero selects
-            the purely parabolic (instant-flux) model.
-    """
-
-    thickness_d: float
-    diffusion_D: float
-    relaxation_tau_r: float
-
-    def __post_init__(self):
-        if not (self.thickness_d > 0):
-            raise InvalidParameterError(f"thickness_d must be > 0, got {self.thickness_d!r}")
-        if not (self.diffusion_D > 0):
-            raise InvalidParameterError(f"diffusion_D must be > 0, got {self.diffusion_D!r}")
-        if not (self.relaxation_tau_r >= 0):
-            raise InvalidParameterError(
-                f"relaxation_tau_r must be >= 0, got {self.relaxation_tau_r!r}"
-            )
-
-    @property
-    def diffusion_time(self) -> float:
-        """Equilibration timescale of the slab, thickness^2 / diffusivity."""
-        return self.thickness_d**2 / self.diffusion_D
-
-
-@dataclass(frozen=True)
-class DimensionlessParams:
-    """Relaxation-to-diffusion time ratio and the derived wavefront speed.
-
-    wave_speed_c is 1/sqrt(eps) and only defined for eps > 0; the eps = 0
-    (parabolic) case is represented explicitly with wave_speed_c = None
-    instead of a huge float, because the hyperbolic formulas are singular
-    there and must not be evaluated.
-    """
-
-    epsilon: float
-    wave_speed_c: float | None = None
-
-    def __post_init__(self):
-        if not (self.epsilon >= 0):
-            raise InvalidParameterError(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if self.epsilon > 0:
-            if self.wave_speed_c is None:
-                raise InvalidParameterError("wave_speed_c is required when epsilon > 0")
-            if not math.isclose(
-                self.wave_speed_c**2 * self.epsilon, 1.0, rel_tol=1e-12, abs_tol=0.0
-            ):
-                raise InvalidParameterError(
-                    f"wave_speed_c={self.wave_speed_c!r} is inconsistent with "
-                    f"epsilon={self.epsilon!r} (expected 1/sqrt(epsilon))"
-                )
-        elif self.wave_speed_c is not None:
-            raise InvalidParameterError("wave_speed_c must be None when epsilon == 0")
-
-
-def nondimensionalize(p: PhysicalParams) -> DimensionlessParams:
-    """Reduce dimensional parameters to the single ratio eps = tau_r / tau_D.
-
-    tau_D = d^2 / D is the diffusion time; for eps > 0 the dimensionless
-    wavefront speed 1/sqrt(eps) is attached as well.
-    """
-    eps = p.relaxation_tau_r * p.diffusion_D / p.thickness_d**2
-    if eps == 0.0:
-        return DimensionlessParams(epsilon=0.0, wave_speed_c=None)
-    return DimensionlessParams(epsilon=eps, wave_speed_c=1.0 / math.sqrt(eps))
+def slab_positions(u) -> np.ndarray:
+    """u (scalar or array) as a float array; every value must lie in [-1/2, 1/2]."""
+    u_arr = np.asarray(u, dtype=float)
+    if np.any(u_arr < -HALF_WIDTH) or np.any(u_arr > HALF_WIDTH):
+        raise DomainError(f"u must lie in [-1/2, 1/2], got {u!r}")
+    return u_arr
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -100,18 +35,30 @@ def _as_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class _Points:
+    """Ordered sample points; two grids of one type are equal when their points are."""
+
+    points: np.ndarray
+
+    def __len__(self) -> int:
+        return self.points.size
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.points.shape == other.points.shape and bool(
+            np.all(self.points == other.points)
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class Grid1D(_Points):
     """Ordered spatial sample points inside the slab.
 
     points must be strictly increasing and contained in [-1/2, 1/2].
-    For uniform grids the spacing is recorded so writers and stencil code
-    do not have to rediscover it.
     """
 
     points: np.ndarray
-    uniform: bool = False
-    spacing: float | None = None
 
     def __post_init__(self):
         arr = _as_float_array(self.points, "grid points")
@@ -123,32 +70,17 @@ class Grid1D:
                 f"grid points must lie in [-1/2, 1/2], got range "
                 f"[{arr[0]!r}, {arr[-1]!r}]"
             )
-        if self.uniform and self.spacing is None and arr.size > 1:
-            object.__setattr__(self, "spacing", float(arr[1] - arr[0]))
 
     @classmethod
     def uniform_grid(cls, n_points: int) -> "Grid1D":
         """Uniform grid of n_points including both walls."""
         if n_points < 2:
             raise InvalidParameterError(f"need at least 2 points, got {n_points}")
-        pts = np.linspace(-HALF_WIDTH, HALF_WIDTH, n_points)
-        return cls(points=pts, uniform=True, spacing=1.0 / (n_points - 1))
-
-    def __len__(self) -> int:
-        return self.points.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Grid1D):
-            return NotImplemented
-        return (
-            self.uniform == other.uniform
-            and self.points.shape == other.points.shape
-            and bool(np.all(self.points == other.points))
-        )
+        return cls(points=np.linspace(-HALF_WIDTH, HALF_WIDTH, n_points))
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+@dataclass(frozen=True, eq=False)
+class TimeGrid(_Points):
     """Ordered sample times v >= 0 (in units of the diffusion time)."""
 
     points: np.ndarray = field(default_factory=lambda: np.zeros(1))
@@ -170,13 +102,3 @@ class TimeGrid:
         if count < 2:
             raise InvalidParameterError(f"need at least 2 time points, got {count}")
         return cls(points=np.linspace(start, stop, count))
-
-    def __len__(self) -> int:
-        return self.points.size
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TimeGrid):
-            return NotImplemented
-        return self.points.shape == other.points.shape and bool(
-            np.all(self.points == other.points)
-        )

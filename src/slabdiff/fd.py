@@ -39,7 +39,7 @@ from .profiles import InitialProfile, evaluate_profile
 from .spectral import FieldSlice
 
 #: Safety factor applied to the stability bounds when choosing a step.
-DEFAULT_SAFETY = 0.9
+SAFETY = 0.9
 
 #: Refuse configurations needing more steps than this.
 MAX_STEPS = 50_000_000
@@ -59,7 +59,6 @@ class FdConfig:
         nu: number of spatial cells (du = 1/nu).
         dv: time step; must satisfy the stability bound of the selected
             equation (eps == 0 selects heat, eps > 0 telegraph).
-        v_end: final time; all snapshot times must not exceed it.
         eps: relaxation ratio of the telegraph equation, >= 0.
         snapshot_times: times at which slices are recorded (snapped to the
             nearest step boundary).
@@ -67,7 +66,6 @@ class FdConfig:
 
     nu: int
     dv: float
-    v_end: float
     eps: float
     snapshot_times: TimeGrid
 
@@ -80,10 +78,6 @@ class FdConfig:
             raise InvalidParameterError(f"eps must be >= 0, got {self.eps!r}")
         if not (self.v_end > 0):
             raise InvalidParameterError(f"v_end must be > 0, got {self.v_end!r}")
-        if self.snapshot_times.points[-1] > self.v_end * (1 + 1e-12):
-            raise InvalidParameterError(
-                f"snapshot times exceed v_end={self.v_end!r}"
-            )
         du = self.du
         slack = 1 + 1e-12
         if self.eps == 0.0:
@@ -115,22 +109,20 @@ class FdConfig:
     def du(self) -> float:
         return 1.0 / self.nu
 
+    @property
+    def v_end(self) -> float:
+        """Final time: the last snapshot time."""
+        return float(self.snapshot_times.points[-1])
+
     @classmethod
-    def auto(
-        cls,
-        nu: int,
-        eps: float,
-        snapshot_times: TimeGrid,
-        safety: float = DEFAULT_SAFETY,
-    ) -> "FdConfig":
-        """Pick the largest stable dv (with a safety factor) for the grid."""
+    def auto(cls, nu: int, eps: float, snapshot_times: TimeGrid) -> "FdConfig":
+        """Pick the largest stable dv (with the SAFETY factor) for the grid."""
         du = 1.0 / nu
         if eps == 0.0:
-            dv = safety * 0.5 * du * du
+            dv = SAFETY * 0.5 * du * du
         else:
-            dv = min(safety * math.sqrt(eps) * du, 0.45 * du * du)
-        v_end = float(snapshot_times.points[-1])
-        return cls(nu=nu, dv=dv, v_end=v_end, eps=eps, snapshot_times=snapshot_times)
+            dv = min(SAFETY * math.sqrt(eps) * du, 0.45 * du * du)
+        return cls(nu=nu, dv=dv, eps=eps, snapshot_times=snapshot_times)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +136,8 @@ def _laplacian_eigenvalues(nu: int) -> np.ndarray:
     return 4.0 * np.sin(np.pi * np.arange(nu) / (2.0 * nu)) ** 2
 
 
-def _snapshot_steps(cfg: FdConfig) -> list[int]:
+def snapshot_steps(cfg: FdConfig) -> list[int]:
+    """Step index j of each snapshot time: the nearest step boundary j*dv."""
     return [int(round(t / cfg.dv)) for t in cfg.snapshot_times.points]
 
 
@@ -157,7 +150,7 @@ def _solve(profile: InitialProfile, cfg: FdConfig, delta) -> list[FieldSlice]:
     from scipy.fft import dct, idct
 
     u = cell_centers(cfg.nu)
-    grid = Grid1D(points=u, uniform=True, spacing=cfg.du)
+    grid = Grid1D(points=u)
     n0 = np.asarray(evaluate_profile(profile, u), dtype=float)
     c0 = dct(n0, type=2, norm="ortho")
     return [
@@ -167,7 +160,7 @@ def _solve(profile: InitialProfile, cfg: FdConfig, delta) -> list[FieldSlice]:
             values=n0 + idct(delta(j) * c0, type=2, norm="ortho"),
             model_tag="fd",
         )
-        for j in _snapshot_steps(cfg)
+        for j in snapshot_steps(cfg)
     ]
 
 

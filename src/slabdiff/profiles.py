@@ -24,17 +24,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import HALF_WIDTH, Grid1D
-from .errors import DomainError, InvalidParameterError
+from .core import HALF_WIDTH, Grid1D, slab_positions
+from .errors import InvalidParameterError
 from .quadrature import integrate_adaptive, min_panels_for_oscillations
 
 logger = logging.getLogger(__name__)
-
-#: Width parameters beyond these are numerically delta-like: a 500-term
-#: cosine series cannot represent them without ringing, so constructing the
-#: closed-form variants is refused and a Tabulated profile suggested.
-GAUSSIAN_SHARPNESS_LIMIT = 1e6
-SURFACE_SHARPNESS_LIMIT = 1e4
 
 COEFFICIENT_ABS_TOL = 1e-12
 
@@ -65,7 +59,12 @@ class InitialProfile:
 
 @dataclass(frozen=True)
 class _SharpProfile(InitialProfile):
-    """Closed-form profile whose width `sharpness` sets, refused beyond `sharpness_limit`."""
+    """Closed-form profile whose width `sharpness` sets, refused beyond `sharpness_limit`.
+
+    Sharpness beyond a subclass's `sharpness_limit` is numerically
+    delta-like: a 500-term cosine series cannot represent it without
+    ringing, so construction is refused and a TabulatedProfile suggested.
+    """
 
     sharpness: float
     amplitude: float
@@ -95,7 +94,7 @@ class GaussianProfile(_SharpProfile):
 
     kind = "gaussian"
     echo_source = "center"
-    sharpness_limit = GAUSSIAN_SHARPNESS_LIMIT
+    sharpness_limit = 1e6
 
     def _density(self, u):
         return self.amplitude * math.sqrt(self.sharpness / math.pi) * np.exp(
@@ -117,7 +116,7 @@ class SurfaceCoshProfile(_SharpProfile):
 
     kind = "surface_cosh"
     echo_source = "surface"
-    sharpness_limit = SURFACE_SHARPNESS_LIMIT
+    sharpness_limit = 1e4
 
     def _density(self, u):
         s = self.sharpness
@@ -260,23 +259,21 @@ class SpectralCoefficients:
     Attributes:
         mean: coefficient of the constant mode; equals the slab mass and
             hence the equilibrium density.
-        modes: coefficients of cos(2*m*pi*u) for m = 1..truncation.
-        truncation: number of retained modes M.
+        modes: coefficients of cos(2*m*pi*u) for m = 1..M.
         profile_tag: provenance string of the source profile.
     """
 
     mean: float
     modes: np.ndarray
-    truncation: int
     profile_tag: str = ""
 
     def __post_init__(self):
-        arr = np.asarray(self.modes, dtype=float)
-        object.__setattr__(self, "modes", arr)
-        if arr.ndim != 1 or arr.size != self.truncation:
-            raise InvalidParameterError(
-                f"modes must have length truncation={self.truncation}, got {arr.shape}"
-            )
+        object.__setattr__(self, "modes", np.asarray(self.modes, dtype=float))
+
+    @property
+    def truncation(self) -> int:
+        """Number of retained modes M."""
+        return len(self.modes)
 
     @property
     def tail(self) -> float:
@@ -288,7 +285,7 @@ class SpectralCoefficients:
             return NotImplemented
         return (
             self.mean == other.mean
-            and self.truncation == other.truncation
+            and self.modes.shape == other.modes.shape
             and self.profile_tag == other.profile_tag
             and bool(np.all(self.modes == other.modes))
         )
@@ -296,9 +293,7 @@ class SpectralCoefficients:
 
 def evaluate_profile(profile: InitialProfile, u):
     """Evaluate n0 at u (scalar or array); u must lie in [-1/2, 1/2]."""
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < -HALF_WIDTH) or np.any(u_arr > HALF_WIDTH):
-        raise DomainError(f"u must lie in [-1/2, 1/2], got {u!r}")
+    u_arr = slab_positions(u)
     out = profile._density(u_arr)
     if np.isscalar(u) or u_arr.ndim == 0:
         return float(out)
@@ -339,14 +334,7 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
             abs_tol=COEFFICIENT_ABS_TOL,
             min_panels=max(base_hint, min_panels_for_oscillations(m)),
         )
-    return SpectralCoefficients(
-        mean=mean, modes=modes, truncation=truncation, profile_tag=profile.tag()
-    )
-
-
-def equilibrium_density(coefficients: SpectralCoefficients) -> float:
-    """Long-time limit of the density: the conserved slab mass k0."""
-    return coefficients.mean
+    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
 
 
 def surface_cosh_mode_closed_form(profile: SurfaceCoshProfile, m: int) -> float:

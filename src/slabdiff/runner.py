@@ -20,16 +20,12 @@ from .analysis import DEFAULT_V_CUTOFF, EchoLadder, detect_extrema, predict_echo
 from .core import TimeGrid
 from .fd import fd_solve_heat, fd_solve_telegraph
 from .profiles import compute_coefficients
-from .scenario import MODEL_ORDER, Scenario, scenario_hash
+from .scenario import MODEL_ORDER, Scenario, format_float, scenario_hash
 from .spectral import SPECTRAL_MODELS, FieldSlice, TimeTrace, family_density
 from .svgplot import line_chart
 
 #: Fraction of the slab mass used as the default extremum prominence.
 PROMINENCE_FRACTION = 1e-3
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def resolve_out_dir(explicit: str | os.PathLike | None, s: Scenario) -> Path:
@@ -68,18 +64,16 @@ def _ladder_for(s: Scenario, u: float) -> EchoLadder | None:
     u = abs(u)
     if source is None or not (s.eps > 0) or u not in (0.0, 0.5):
         return None
-    v_max = float(s.time_grid().points[-1])
-    v1 = 0.5 * math.sqrt(s.eps)
-    count = max(1, int(v_max / v1) + 2)
-    return predict_echo_ladder(source, u, s.eps, count)
+    return predict_echo_ladder(source, u, s.eps)
 
 
 def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[Path]:
     """Execute a scenario and write its artifact set.
 
-    Writes one field CSV per time in v_list, one trace CSV per position in
-    trace_u, an events CSV when requested, optional SVG charts, and a run
-    metadata JSON. Returns the written paths.
+    Writes one field file per time in v_list and one trace file per
+    position in trace_u, as CSV and as an SVG chart for each of csv and svg
+    in the outputs, an events CSV when requested, and a run metadata JSON.
+    Returns the written paths.
     """
     directory = resolve_out_dir(out_dir, s)
     run_hash = scenario_hash(s)
@@ -97,6 +91,25 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         ("truncation", str(s.truncation)),
     ]
 
+    def write_curves(stem: str, comments, title: str, x_name: str, curves):
+        """Write (model, u, v, n) curves as <stem>.csv and <stem>.svg, per the outputs.
+
+        u and v broadcast against n; the chart plots n over x_name ("u" or "v").
+        """
+        curves = [(model, *np.broadcast_arrays(u, v, n)) for model, u, v, n in curves]
+        if "csv" in s.outputs:
+            rows = (
+                [format_float(a), format_float(b), model, format_float(c)]
+                for model, u, v, n in curves
+                for a, b, c in zip(u, v, n)
+            )
+            text = _csv_text(comments, "u,v,model,n", rows)
+            written.append(_write_text(directory / f"{stem}.csv", text))
+        if "svg" in s.outputs:
+            series = [(model, u if x_name == "u" else v, n) for model, u, v, n in curves]
+            chart = line_chart(title, x_name, "n", series, metadata=dict(base_comments))
+            written.append(_write_text(directory / f"{stem}.svg", chart))
+
     # Finite-difference results are computed once for all requested times.
     fd_slices: list[FieldSlice] = []
     if "fd" in models:
@@ -104,7 +117,12 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
         fd_slices = solver(s.profile, cfg)
 
-    # Field CSVs, one per requested snapshot time. Each family is evaluated
+    # Position of the wavefront launched from each wall, per snapshot time.
+    wavefront = {}
+    if s.eps > 0 and s.v_list is not None:
+        wavefront = {v: 0.5 - v / math.sqrt(s.eps) for v in s.v_list}
+
+    # Field files, one per requested snapshot time. Each family is evaluated
     # once, as a (time x grid) table.
     if s.v_list is not None:
         v_column = np.array(s.v_list, dtype=float)[:, None]
@@ -121,31 +139,16 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                 slices.append(fd_slices[index])
             comments = base_comments + [
                 ("u_points", str(s.u_points)),
-                ("v_requested", _fmt(v)),
+                ("v_requested", format_float(v)),
             ]
-            if s.eps > 0:
-                u1 = 0.5 - v / math.sqrt(s.eps)
-                comments.append(("wavefront_u1", _fmt(u1)))
-            rows = (
-                [_fmt(u), _fmt(sl.v), sl.model_tag, _fmt(n)]
-                for sl in slices
-                for u, n in zip(sl.grid.points, sl.values)
+            if wavefront:
+                comments.append(("wavefront_u1", format_float(wavefront[v])))
+            write_curves(
+                f"{s.name}_field_{index}", comments, f"{s.name}: density at v = {format_float(v)}",
+                "u", [(sl.model_tag, sl.grid.points, sl.v, sl.values) for sl in slices],
             )
-            path = directory / f"{s.name}_field_{index}.csv"
-            written.append(
-                _write_text(path, _csv_text(comments, "u,v,model,n", rows))
-            )
-            if "svg" in s.outputs:
-                chart = line_chart(
-                    f"{s.name}: density at v = {_fmt(v)}",
-                    "u",
-                    "n",
-                    [(sl.model_tag, sl.grid.points, sl.values) for sl in slices],
-                    metadata=dict(base_comments),
-                )
-                written.append(_write_text(directory / f"{s.name}_field_{index}.svg", chart))
 
-    # Traces, one CSV per requested position. Each family is evaluated once,
+    # Trace files, one per requested position. Each family is evaluated once,
     # as a (time x position) table.
     traces_by_u: dict[float, list[TimeTrace]] = {}
     u_row = np.array(s.trace_u, dtype=float)[None, :]
@@ -162,25 +165,13 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             traces.append(_fd_trace(fd_slices, u))
         traces_by_u[u] = traces
         comments = base_comments + [
-            ("u", _fmt(u)),
+            ("u", format_float(u)),
             ("time_points", str(len(times))),
         ]
-        rows = (
-            [_fmt(tr.u), _fmt(v), tr.model_tag, _fmt(n)]
-            for tr in traces
-            for v, n in zip(tr.times.points, tr.values)
+        write_curves(
+            f"{s.name}_trace_{j}", comments, f"{s.name}: density at u = {format_float(u)}",
+            "v", [(tr.model_tag, tr.u, tr.times.points, tr.values) for tr in traces],
         )
-        path = directory / f"{s.name}_trace_{j}.csv"
-        written.append(_write_text(path, _csv_text(comments, "u,v,model,n", rows)))
-        if "svg" in s.outputs:
-            chart = line_chart(
-                f"{s.name}: density at u = {_fmt(u)}",
-                "v",
-                "n",
-                [(tr.model_tag, tr.times.points, tr.values) for tr in traces],
-                metadata=dict(base_comments),
-            )
-            written.append(_write_text(directory / f"{s.name}_trace_{j}.svg", chart))
 
     # Extrema events over all traces.
     if "events" in s.outputs:
@@ -196,23 +187,23 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                     rel_error = ""
                     if ladder is not None and event.kind == "maximum":
                         p = ladder.nearest(event.v)
-                        predicted = _fmt(p)
-                        rel_error = _fmt(abs(event.v - p) / p)
+                        predicted = format_float(p)
+                        rel_error = format_float(abs(event.v - p) / p)
                     rows.append(
                         [
                             tr.model_tag,
-                            _fmt(u),
+                            format_float(u),
                             event.kind,
-                            _fmt(event.v),
-                            _fmt(event.value),
-                            _fmt(event.prominence),
+                            format_float(event.v),
+                            format_float(event.value),
+                            format_float(event.prominence),
                             predicted,
                             rel_error,
                         ]
                     )
         comments = base_comments + [
-            ("v_min_cutoff", _fmt(DEFAULT_V_CUTOFF)),
-            ("prominence_threshold", _fmt(PROMINENCE_FRACTION * coeffs.mean)),
+            ("v_min_cutoff", format_float(DEFAULT_V_CUTOFF)),
+            ("prominence_threshold", format_float(threshold)),
         ]
         path = directory / f"{s.name}_events.csv"
         written.append(
@@ -243,10 +234,8 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         "trace_u": list(s.trace_u),
         "files": sorted(p.name for p in written),
     }
-    if s.eps > 0 and s.v_list is not None:
-        meta["wavefront_u1"] = {
-            _fmt(v): 0.5 - v / math.sqrt(s.eps) for v in s.v_list
-        }
+    if wavefront:
+        meta["wavefront_u1"] = {format_float(v): u1 for v, u1 in wavefront.items()}
     if "fd" in models:
         meta["fd"] = {
             "nu": s.fd_nu,

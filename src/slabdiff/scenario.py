@@ -28,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -36,12 +37,14 @@ from .analysis import MIN_TRACE_SAMPLES
 from .core import HALF_WIDTH, Grid1D, TimeGrid
 from .errors import (
     InvalidParameterError,
+    ResonantModeError,
     ScenarioParseError,
     ScenarioValidationError,
     StabilityError,
 )
-from .fd import FdConfig
+from .fd import FdConfig, snapshot_steps
 from .profiles import PROFILE_KINDS, GaussianProfile, InitialProfile, SurfaceCoshProfile
+from .spectral import wkb_mode_ratios
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
@@ -101,8 +104,17 @@ class Scenario:
                 raise ScenarioValidationError(f"unknown model {m!r}")
         if len(set(self.models)) != len(self.models):
             raise ScenarioValidationError("models must be unique")
-        if "hyperbolic" in self.models and not (self.eps > 0):
-            raise ScenarioValidationError("the hyperbolic model requires eps > 0")
+        # 1/(2*eps) overflows for a subnormal eps.
+        if "hyperbolic" in self.models and not (self.eps >= sys.float_info.min):
+            raise ScenarioValidationError(
+                f"the hyperbolic model requires eps > 0 and not subnormal "
+                f"(>= {sys.float_info.min!r}), got {self.eps!r}"
+            )
+        if "wkb" in self.models:
+            try:
+                wkb_mode_ratios(self.eps, self.truncation)
+            except ResonantModeError as exc:
+                raise ScenarioValidationError(f"wkb: {exc}") from exc
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ScenarioValidationError(f"unknown output kind {kind!r}")
@@ -122,7 +134,7 @@ class Scenario:
             raise ScenarioValidationError(str(exc)) from exc
         if "fd" in self.models:
             try:
-                self.fd_config()  # checks the step's stability and the step count
+                fd_cfg = self.fd_config()  # checks the step's stability and the step count
             except (InvalidParameterError, StabilityError) as exc:
                 raise ScenarioValidationError(f"[fd] {exc}") from exc
         if "events" in self.outputs:
@@ -132,6 +144,14 @@ class Scenario:
                 raise ScenarioValidationError(
                     f"events output requires a time grid of >= {MIN_TRACE_SAMPLES} samples"
                 )
+            # The FD trace keeps one sample per distinct step the times snap to.
+            if "fd" in self.models:
+                steps = len(set(snapshot_steps(fd_cfg)))
+                if steps < MIN_TRACE_SAMPLES:
+                    raise ScenarioValidationError(
+                        f"[fd] events output requires >= {MIN_TRACE_SAMPLES} distinct "
+                        f"FD steps, but the times snap to {steps}; lower dv or raise nu"
+                    )
 
     def time_grid(self) -> TimeGrid:
         if self.v_list is not None:
@@ -147,13 +167,7 @@ class Scenario:
         times = self.time_grid()
         if self.fd_dv is None:
             return FdConfig.auto(self.fd_nu, self.eps, times)
-        return FdConfig(
-            nu=self.fd_nu,
-            dv=self.fd_dv,
-            v_end=float(times.points[-1]),
-            eps=self.eps,
-            snapshot_times=times,
-        )
+        return FdConfig(nu=self.fd_nu, dv=self.fd_dv, eps=self.eps, snapshot_times=times)
 
 
 # ---------------------------------------------------------------------------
@@ -205,12 +219,13 @@ def _parse_v_range(raw: str, line: int, key: str) -> tuple[float, float, int]:
     return (parts[0], parts[1], int(parts[2]))
 
 
-def _format_float(x) -> str:
+def format_float(x) -> str:
+    """Shortest decimal that reads back as the same float (no numpy reprs)."""
     return repr(float(x))
 
 
 def _format_floats(values) -> str:
-    return ", ".join(_format_float(x) for x in values)
+    return ", ".join(format_float(x) for x in values)
 
 
 def _format_v_range(r) -> str:
@@ -219,7 +234,7 @@ def _format_v_range(r) -> str:
 
 #: Codecs of the [profile] keys, by the type of the profile dataclass field.
 _FIELD_CODECS = {
-    "float": (_parse_float, _format_float),
+    "float": (_parse_float, format_float),
     "int": (_parse_int, str),
     "Grid1D": (
         lambda raw, line, key: Grid1D(points=np.asarray(_parse_floats(raw, line, key))),
@@ -271,7 +286,7 @@ def _format_profile(p: InitialProfile) -> list[str]:
 #: for the whole section: it parses the section and formats to its lines.
 _KEYS = (
     ("scenario", "name", "name", _parse_text, str),
-    ("scenario", "eps", "eps", _parse_float, _format_float),
+    ("scenario", "eps", "eps", _parse_float, format_float),
     ("scenario", "terms", "truncation", _parse_int, str),
     ("scenario", "u_points", "u_points", _parse_int, str),
     ("scenario", "v", "v_list", _parse_floats, _format_floats),
@@ -280,7 +295,7 @@ _KEYS = (
     ("scenario", "models", "models", _parse_names, ", ".join),
     ("profile", "kind", "profile", _parse_profile, _format_profile),
     ("fd", "nu", "fd_nu", _parse_int, str),
-    ("fd", "dv", "fd_dv", _parse_float, _format_float),
+    ("fd", "dv", "fd_dv", _parse_float, format_float),
     ("output", "formats", "outputs", _parse_names, ", ".join),
     ("output", "dir", "out_dir", _parse_text, str),
 )

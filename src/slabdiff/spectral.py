@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import HALF_WIDTH, Grid1D, TimeGrid
+from .core import Grid1D, TimeGrid, slab_positions
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -55,13 +55,6 @@ BLOCK = 16
 EXP_FLOOR = -708.0
 
 SPECTRAL_MODELS = ("parabolic", "hyperbolic", "wkb")
-
-
-def _check_u(u):
-    u_arr = np.asarray(u, dtype=float)
-    if np.any(u_arr < -HALF_WIDTH) or np.any(u_arr > HALF_WIDTH):
-        raise DomainError(f"u must lie in [-1/2, 1/2], got {u!r}")
-    return u_arr
 
 
 def _check_v(v):
@@ -158,7 +151,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         fast = wkb_coefficients(coefficients, eps).fast
     # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
     two_scale = model == "wkb" and eps > 0
-    u_arr = _check_u(u)
+    u_arr = slab_positions(u)
     v_arr = _check_v(v)
     shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
     outer = u_arr.size == 1 or v_arr.size == 1 or (
@@ -175,7 +168,9 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     if model == "hyperbolic":
         decay = _exp((-1.0 / (2.0 * eps)) * v_row)
     if two_scale:
-        e_fast = _exp(-v_row / eps)
+        # -v/eps overflows to -inf for a subnormal eps; exp(-inf) = 0 is the limit.
+        with np.errstate(over="ignore"):
+            e_fast = _exp(-v_row / eps)
     angle = (2.0 * np.pi * np.arange(BLOCK, dtype=float))[:, None] * u_flat
     cos_j, sin_j = np.cos(angle), np.sin(angle)
 
@@ -238,6 +233,20 @@ class WkbCoefficients:
         object.__setattr__(self, "slow", slow)
 
 
+def wkb_mode_ratios(eps: float, terms: int) -> np.ndarray:
+    """q_m = eps*(2*m*pi)^2 for m = 1..terms.
+
+    Raises:
+        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m, where the
+            two-timescale closed form is singular.
+    """
+    q = eps * (2.0 * math.pi * np.arange(1, terms + 1, dtype=float)) ** 2
+    resonant = np.flatnonzero(np.abs(1.0 - q) < RESONANCE_TOL)
+    if resonant.size:
+        raise ResonantModeError(int(resonant[0]) + 1, eps)
+    return q
+
+
 def wkb_coefficients(coefficients: SpectralCoefficients, eps: float) -> WkbCoefficients:
     """Split k_m into fast/slow weights:
 
@@ -251,11 +260,7 @@ def wkb_coefficients(coefficients: SpectralCoefficients, eps: float) -> WkbCoeff
     """
     if not (eps >= 0):
         raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
-    m = np.arange(1, coefficients.truncation + 1, dtype=float)
-    q = eps * (2.0 * math.pi * m) ** 2
-    resonant = np.flatnonzero(np.abs(1.0 - q) < RESONANCE_TOL)
-    if resonant.size:
-        raise ResonantModeError(int(resonant[0]) + 1, eps)
+    q = wkb_mode_ratios(eps, coefficients.truncation)
     k = coefficients.modes
     return WkbCoefficients(fast=-q / (1.0 - q) * k, slow=k / (1.0 - q))
 
@@ -323,6 +328,16 @@ def free_space_reference(profile: GaussianProfile, v: float) -> Callable[[np.nda
 # Sampled results
 # ---------------------------------------------------------------------------
 
+def _check_samples(sampled, count: int, axis: str):
+    """Store sampled.values as a finite float array of `count` samples along `axis`."""
+    vals = np.asarray(sampled.values, dtype=float)
+    object.__setattr__(sampled, "values", vals)
+    if vals.shape != (count,):
+        raise InvalidParameterError(f"values shape {vals.shape} does not match {axis}")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParameterError("values must be finite")
+
+
 @dataclass(frozen=True)
 class FieldSlice:
     """Density sampled over a spatial grid at one time."""
@@ -333,14 +348,7 @@ class FieldSlice:
     model_tag: str
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (len(self.grid),):
-            raise InvalidParameterError(
-                f"values shape {vals.shape} does not match grid of {len(self.grid)} points"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError("values must be finite")
+        _check_samples(self, len(self.grid), f"grid of {len(self.grid)} points")
 
     def mass(self) -> float:
         """Trapezoid integral of the slice over its grid."""
@@ -357,14 +365,7 @@ class TimeTrace:
     model_tag: str
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (len(self.times),):
-            raise InvalidParameterError(
-                f"values shape {vals.shape} does not match {len(self.times)} times"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise InvalidParameterError("values must be finite")
+        _check_samples(self, len(self.times), f"{len(self.times)} times")
 
 
 def field_slice(

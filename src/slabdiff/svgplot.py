@@ -22,6 +22,13 @@ def _ticks(lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * i / (N_TICKS - 1) for i in range(N_TICKS)]
 
 
+def _widened(lo: float, hi: float) -> tuple[float, float]:
+    """The range [lo, hi], padded by 1 on each side when it has (nearly) no width."""
+    if math.isclose(lo, hi, rel_tol=0, abs_tol=1e-300):
+        return lo - 1.0, hi + 1.0
+    return lo, hi
+
+
 def _fmt(x: float) -> str:
     if x == 0:
         return "0"
@@ -39,10 +46,8 @@ def line_chart(title: str, xlabel: str, ylabel: str, series, metadata: dict | No
     series = [(label, np.asarray(x, float), np.asarray(y, float)) for label, x, y in series]
     xs = np.concatenate([x for _, x, _ in series])
     ys = np.concatenate([y for _, _, y in series])
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    y_lo, y_hi = float(ys.min()), float(ys.max())
-    if math.isclose(y_lo, y_hi, rel_tol=0, abs_tol=1e-300):
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    x_lo, x_hi = _widened(float(xs.min()), float(xs.max()))
+    y_lo, y_hi = _widened(float(ys.min()), float(ys.max()))
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT

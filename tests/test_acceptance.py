@@ -99,8 +99,7 @@ def test_criterion_03b_fd_mass_conserved_per_step(gaussian_profile):
     for eps in (0.0, EPS_REF):
         dv = FdConfig.auto(256, eps, TimeGrid.from_values([1.0])).dv
         snap = TimeGrid.from_values(np.arange(1, 151) * dv)
-        cfg = FdConfig(nu=256, dv=dv, v_end=float(snap.points[-1]), eps=eps,
-                       snapshot_times=snap)
+        cfg = FdConfig(nu=256, dv=dv, eps=eps, snapshot_times=snap)
         solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
         slices = solver(gaussian_profile, cfg)
         masses = np.array(

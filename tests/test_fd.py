@@ -37,9 +37,9 @@ def discrete_mass(values, du):
 
 def test_heat_stability_bound_enforced():
     du = 1.0 / 100
-    FdConfig(nu=100, dv=0.49 * du * du, v_end=0.1, eps=0.0, snapshot_times=times(0.1))
+    FdConfig(nu=100, dv=0.49 * du * du, eps=0.0, snapshot_times=times(0.1))
     with pytest.raises(StabilityError, match="0.5"):
-        FdConfig(nu=100, dv=0.51 * du * du, v_end=0.1, eps=0.0, snapshot_times=times(0.1))
+        FdConfig(nu=100, dv=0.51 * du * du, eps=0.0, snapshot_times=times(0.1))
 
 
 def test_telegraph_stability_bounds_enforced():
@@ -47,24 +47,21 @@ def test_telegraph_stability_bounds_enforced():
     # bound is the binding one, then violate it.
     du = 1.0 / 10
     with pytest.raises(StabilityError, match="sqrt"):
-        FdConfig(nu=10, dv=1.1 * math.sqrt(4e-4) * du, v_end=1.0, eps=4e-4,
-                 snapshot_times=times(1.0))
+        FdConfig(nu=10, dv=1.1 * math.sqrt(4e-4) * du, eps=4e-4, snapshot_times=times(1.0))
     # diffusive-term bound: dv <= 0.45*du^2
     with pytest.raises(StabilityError, match="0.45"):
-        FdConfig(nu=10, dv=0.46 * du * du, v_end=1.0, eps=0.5, snapshot_times=times(1.0))
+        FdConfig(nu=10, dv=0.46 * du * du, eps=0.5, snapshot_times=times(1.0))
 
 
 def test_config_parameter_validation():
     with pytest.raises(InvalidParameterError):
-        FdConfig(nu=2, dv=1e-5, v_end=0.1, eps=0.0, snapshot_times=times(0.1))
+        FdConfig(nu=2, dv=1e-5, eps=0.0, snapshot_times=times(0.1))
     with pytest.raises(InvalidParameterError):
-        FdConfig(nu=100, dv=-1e-5, v_end=0.1, eps=0.0, snapshot_times=times(0.1))
+        FdConfig(nu=100, dv=-1e-5, eps=0.0, snapshot_times=times(0.1))
     with pytest.raises(InvalidParameterError):
-        FdConfig(nu=100, dv=1e-5, v_end=0.1, eps=-0.1, snapshot_times=times(0.1))
-    with pytest.raises(InvalidParameterError, match="exceed"):
-        FdConfig(nu=100, dv=1e-5, v_end=0.1, eps=0.0, snapshot_times=times(0.2))
+        FdConfig(nu=100, dv=1e-5, eps=-0.1, snapshot_times=times(0.1))
     with pytest.raises(InvalidParameterError, match="steps"):
-        FdConfig(nu=100, dv=1e-9, v_end=1.0, eps=0.0, snapshot_times=times(1.0))
+        FdConfig(nu=100, dv=1e-9, eps=0.0, snapshot_times=times(1.0))
 
 
 def test_solver_mode_guards():
@@ -123,8 +120,7 @@ def test_mass_conserved_every_step():
     for eps in (0.0, EPS_REF):
         dv = FdConfig.auto(128, eps, times(1.0)).dv
         snap = TimeGrid.from_values(np.arange(1, 101) * dv)
-        cfg = FdConfig(nu=128, dv=dv, v_end=float(snap.points[-1]), eps=eps,
-                       snapshot_times=snap)
+        cfg = FdConfig(nu=128, dv=dv, eps=eps, snapshot_times=snap)
         solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
         slices = solver(prof, cfg)
         masses = [discrete_mass(sl.values, cfg.du) for sl in slices]
@@ -239,8 +235,7 @@ def assert_matches_stepping(prof, cfg, atol=1e-10):
 def test_mode_space_solution_matches_stepping(nu, eps):
     # eps = 1e-6 and 1e-4 give dv > 2*eps, so p_prev < 0 in the telegraph scheme
     dv = FdConfig.auto(nu, eps, times(0.2)).dv
-    cfg = FdConfig(nu=nu, dv=dv, v_end=0.2, eps=eps,
-                   snapshot_times=times(0.0, dv, 0.02, 0.2))
+    cfg = FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=times(0.0, dv, 0.02, 0.2))
     assert_matches_stepping(GaussianProfile(100.0, 1.0), cfg)
 
 
@@ -249,7 +244,7 @@ def test_heat_at_the_stability_bound_matches_stepping():
     # down to about -1; log1p is undefined where it is <= 0
     nu = 16
     dv = 0.5 / nu**2
-    cfg = FdConfig(nu=nu, dv=dv, v_end=0.1, eps=0.0, snapshot_times=times(dv, 0.01, 0.1))
+    cfg = FdConfig(nu=nu, dv=dv, eps=0.0, snapshot_times=times(dv, 0.01, 0.1))
     assert_matches_stepping(GaussianProfile(100.0, 1.0), cfg)
 
 

@@ -9,12 +9,10 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
-    SpectralCoefficients,
     SurfaceCoshProfile,
     TabulatedProfile,
     UniformProfile,
     compute_coefficients,
-    equilibrium_density,
     evaluate_profile,
     parabolic_density,
     surface_cosh_mode_closed_form,
@@ -111,7 +109,6 @@ def test_uniform_coefficients():
     c = compute_coefficients(UniformProfile(level=1.0), 10)
     assert c.mean == pytest.approx(1.0, abs=1e-13)
     assert np.max(np.abs(c.modes)) < 1e-13
-    assert equilibrium_density(c) == c.mean
 
 
 def test_single_mode_orthogonality():
@@ -217,5 +214,3 @@ def test_tail_diagnostic_reported(gaussian_coeffs, surface_coeffs):
 def test_coefficients_validation():
     with pytest.raises(InvalidParameterError):
         compute_coefficients(UniformProfile(1.0), 0)
-    with pytest.raises(InvalidParameterError):
-        SpectralCoefficients(mean=1.0, modes=np.zeros(3), truncation=4)

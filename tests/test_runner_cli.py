@@ -188,6 +188,29 @@ def test_svg_written_when_requested(tmp_path):
     assert f"hash: {scenario_hash(s)}" in text
 
 
+def test_svg_only_writes_no_field_or_trace_csv(tmp_path):
+    s = Scenario(
+        name="pic", eps=0.13, profile=GaussianProfile(100.0, 1.0),
+        truncation=16, u_points=21, v_list=(0.01, 0.1), trace_u=(0.5,),
+        models=("parabolic",), outputs=("svg",),
+    )
+    names = sorted(p.name for p in run_scenario(s, tmp_path))
+    assert names == ["pic_field_0.svg", "pic_field_1.svg", "pic_run.json", "pic_trace_0.svg"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_one_sample_trace_charts(tmp_path):
+    s = Scenario(
+        name="dot", eps=0.13, profile=GaussianProfile(100.0, 1.0),
+        truncation=16, u_points=21, v_list=(0.1,), trace_u=(0.5,),
+        models=("parabolic", "hyperbolic"), outputs=("csv", "svg"),
+    )
+    run_scenario(s, tmp_path)
+    _, _, rows = read_csv(tmp_path / "dot_trace_0.csv")
+    assert [r[1] for r in rows] == ["0.1", "0.1"]
+    assert "polyline" in (tmp_path / "dot_trace_0.svg").read_text()
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     s = Scenario(
         name="det", eps=0.13, profile=GaussianProfile(100.0, 1.0),
@@ -262,6 +285,16 @@ CONFIG_ERRORS = {
     "fd_step_unstable": [("hyperbolic", "fd"),
                          ("amplitude = 1", "amplitude = 1\n[fd]\nnu = 64\ndv = 0.01")],
     "fd_at_time_zero": [("v = 0.01, 0.1", "v = 0"), ("hyperbolic", "fd")],
+    # eps*(2 pi m)^2 = 1 for m = 1: the fast/slow split is singular
+    "wkb_resonant": [("eps = 0.13", f"eps = {1.0 / (2.0 * math.pi) ** 2!r}"),
+                     ("parabolic, hyperbolic", "wkb")],
+    "eps_subnormal_hyperbolic": [("eps = 0.13", "eps = 1e-310")],
+    # nu = 3 gives dv = 0.05, so the 200 times snap to 21 distinct FD steps
+    "fd_events_coarse_steps": [("eps = 0.13", "eps = 0"),
+                               ("v = 0.01, 0.1", "v_range = 0, 1, 200\ntrace_u = 0"),
+                               ("parabolic, hyperbolic", "fd"),
+                               ("amplitude = 1", "amplitude = 1\n[fd]\nnu = 3\n"
+                                                 "[output]\nformats = csv, events")],
 }
 
 
@@ -297,19 +330,6 @@ def test_run_json_records_the_validated_fd_step(tmp_path):
     run_scenario(s, tmp_path)
     meta = json.loads((tmp_path / "fdstep_run.json").read_text())
     assert meta["fd"]["dv"] == s.fd_config().dv
-
-
-def test_cli_resonant_wkb_is_runtime_error(tmp_path, capsys):
-    # eps*(2 pi m)^2 = 1 exactly for m=1: the fast/slow split is singular
-    eps = 1.0 / (2.0 * math.pi) ** 2
-    cfg = tmp_path / "resonant.cfg"
-    cfg.write_text(
-        CONFIG_SMALL.replace("eps = 0.13", f"eps = {eps!r}").replace(
-            "models = parabolic, hyperbolic", "models = wkb"
-        )
-    )
-    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 1
-    assert "resonant" in capsys.readouterr().err
 
 
 def test_cli_env_var_out_dir(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import math
+import sys
+import tempfile
 from dataclasses import replace
 from functools import partial
 
@@ -13,6 +15,7 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
+    ResonantModeError,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
@@ -21,12 +24,14 @@ from slabdiff import (
     UniformProfile,
     parse_scenario,
     preset,
+    run_scenario,
     scenario_hash,
     serialize_scenario,
 )
 from slabdiff.analysis import MIN_TRACE_SAMPLES
-from slabdiff.profiles import GAUSSIAN_SHARPNESS_LIMIT, SURFACE_SHARPNESS_LIMIT
-from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS
+from slabdiff.fd import snapshot_steps
+from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS, override
+from slabdiff.spectral import wkb_mode_ratios
 
 MINIMAL = """
 [scenario]
@@ -300,9 +305,10 @@ def tabulated_profiles(draw):
 
 positive = finite(min_value=0.0, exclude_min=True)
 profiles = st.one_of(
-    st.builds(GaussianProfile, finite(min_value=0.0, max_value=GAUSSIAN_SHARPNESS_LIMIT,
+    st.builds(GaussianProfile, finite(min_value=0.0, max_value=GaussianProfile.sharpness_limit,
                                       exclude_min=True), positive),
-    st.builds(SurfaceCoshProfile, finite(min_value=0.0, max_value=SURFACE_SHARPNESS_LIMIT,
+    st.builds(SurfaceCoshProfile, finite(min_value=0.0,
+                                         max_value=SurfaceCoshProfile.sharpness_limit,
                                          exclude_min=True), positive),
     st.builds(UniformProfile, finite(min_value=0.0)),
     cosine_profiles(),
@@ -317,8 +323,17 @@ def scenarios(draw):
     # eps >= 1e-6 keeps the FD step count under its cap
     eps_values = finite(min_value=1e-6 if "fd" in models else 0.0, max_value=10.0,
                         exclude_min=True)
-    if "hyperbolic" not in models:
+    if "hyperbolic" in models:
+        eps_values = eps_values.filter(lambda eps: eps >= sys.float_info.min)
+    else:
         eps_values |= st.just(0.0)
+    eps = draw(eps_values)
+    truncation = draw(st.integers(1, 10**6))
+    if "wkb" in models:
+        try:
+            wkb_mode_ratios(eps, truncation)
+        except ResonantModeError:
+            assume(False)
     trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=3)))
     times = {}
     if trace_u and draw(st.booleans()):
@@ -333,18 +348,17 @@ def scenarios(draw):
         if "fd" in models and times["v_list"][-1] == 0.0:
             times["v_list"] += (1.0,)
         samples = len(times["v_list"])
-    events_ok = bool(trace_u) and samples >= MIN_TRACE_SAMPLES
-    kinds = [k for k in OUTPUT_KINDS if k != "events" or events_ok]
+    outputs = tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1, unique=True)))
     s = Scenario(
         name=draw(st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True)),
-        eps=draw(eps_values),
+        eps=eps,
         profile=draw(profiles),
-        truncation=draw(st.integers(1, 10**6)),
+        truncation=truncation,
         u_points=draw(st.integers(2, 10**6)),
         trace_u=trace_u,
         models=models,
         fd_nu=draw(st.integers(3, 256)),
-        outputs=tuple(draw(st.lists(st.sampled_from(kinds), min_size=1, unique=True))),
+        outputs=tuple(k for k in outputs if k != "events") or ("csv",),
         out_dir=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
         **times,
     )
@@ -353,6 +367,11 @@ def scenarios(draw):
         fd_dv = (s.fd_config().dv * draw(finite(min_value=0.5, max_value=1.0))
                  if "fd" in models else draw(positive))
         s = replace(s, fd_dv=fd_dv)
+    # events need trace_u and enough samples, counting the distinct FD steps
+    if "fd" in models:
+        samples = min(samples, len(set(snapshot_steps(s.fd_config()))))
+    if "events" in outputs and trace_u and samples >= MIN_TRACE_SAMPLES:
+        s = replace(s, outputs=outputs)
     return s
 
 
@@ -363,6 +382,57 @@ def test_serialize_parse_round_trip(s):
     back = parse_scenario(text)
     assert back == s
     assert serialize_scenario(back) == text
+
+
+@st.composite
+def scenario_drafts(draw):
+    """Scenario keyword arguments over the ranges where validation has to decide."""
+    terms = draw(st.integers(1, 64))
+    eps = draw(st.one_of(
+        st.just(0.0),
+        st.integers(1, terms).map(lambda m: 1.0 / (2.0 * math.pi * m) ** 2),
+        finite(min_value=0.0, max_value=sys.float_info.min, exclude_min=True,
+               exclude_max=True),
+        finite(min_value=0.0, max_value=10.0, exclude_min=True),
+    ))
+    trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=2)))
+    if trace_u and draw(st.booleans()):
+        start = draw(finite(min_value=0.0, max_value=1.0))
+        stop = start + draw(finite(min_value=0.0, max_value=1.0))
+        times = {"v_range": (start, stop, draw(st.integers(2, 400)))}
+    else:
+        times = {"v_list": tuple(sorted(draw(st.lists(
+            finite(min_value=0.0, max_value=2.0), min_size=1, max_size=4, unique=True
+        ))))}
+    return dict(
+        name="draft",
+        eps=eps,
+        profile=draw(st.sampled_from([preset("figure1").profile, preset("figure3").profile])),
+        truncation=terms,
+        u_points=draw(st.integers(2, 41)),
+        trace_u=trace_u,
+        models=tuple(draw(st.lists(st.sampled_from(MODEL_ORDER), min_size=1, unique=True))),
+        fd_nu=draw(st.integers(3, 48)),
+        outputs=tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1, unique=True))),
+        **times,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenario_drafts())
+def test_validated_scenario_runs(draft):
+    """A scenario either fails validation or runs to the end.
+
+    The profiles are held at the presets' values on purpose: the
+    coefficient quadrature's tolerance is absolute, so scaling a profile up
+    far enough fails in run, a defect of its own not covered here.
+    """
+    try:
+        s = Scenario(**draft)
+    except ScenarioValidationError:
+        return
+    with tempfile.TemporaryDirectory() as out:
+        run_scenario(s, out)
 
 
 @pytest.mark.parametrize("points, values", [
@@ -443,6 +513,19 @@ def test_time_grid_errors_become_validation_errors():
     assert isinstance(info.value.__cause__, InvalidParameterError)
     with pytest.raises(ScenarioValidationError, match="finite"):
         Scenario(name="x", eps=0.1, profile=UniformProfile(1.0), v_list=(math.nan,))
+
+
+def test_resonant_wkb_is_rejected_at_validation():
+    eps = 1.0 / (6.0 * math.pi) ** 2  # eps*(2*m*pi)^2 = 1 for m = 3
+    s = Scenario(name="x", eps=eps, profile=UniformProfile(1.0), truncation=2,
+                 v_list=(0.1,), models=("parabolic", "wkb"))
+    with pytest.raises(ScenarioValidationError, match="m=3") as info:
+        override(s, truncation=3)
+    assert isinstance(info.value.__cause__, ResonantModeError)
+    with pytest.raises(ScenarioValidationError, match="m=1"):
+        override(s, eps=9.0 * eps)
+    # without wkb the same eps is not checked
+    replace(s, truncation=3, models=("parabolic",))
 
 
 def test_fd_config_is_checked_at_validation():

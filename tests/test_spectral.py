@@ -28,7 +28,7 @@ EPS_REF = 0.13
 
 
 def single_mode_coeffs(k0=1.0, k1=1.0):
-    return SpectralCoefficients(mean=k0, modes=np.array([k1]), truncation=1)
+    return SpectralCoefficients(mean=k0, modes=np.array([k1]))
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def single_mode_coeffs(k0=1.0, k1=1.0):
 
 
 def test_parabolic_constant_state():
-    c = SpectralCoefficients(mean=1.0, modes=np.zeros(5), truncation=5)
+    c = SpectralCoefficients(mean=1.0, modes=np.zeros(5))
     rng = np.random.default_rng(0)
     for u, v in zip(rng.uniform(-0.5, 0.5, 8), rng.uniform(0, 2, 8)):
         assert parabolic_density(c, float(u), float(v)) == 1.0
@@ -198,7 +198,7 @@ def test_mode_factor_real_and_finite_for_large_arguments():
 
 
 def test_hyperbolic_constant_state():
-    c = SpectralCoefficients(mean=2.0, modes=np.zeros(3), truncation=3)
+    c = SpectralCoefficients(mean=2.0, modes=np.zeros(3))
     u = np.linspace(-0.5, 0.5, 7)
     np.testing.assert_array_equal(hyperbolic_density(c, EPS_REF, u, 0.37), 2.0)
 
@@ -320,6 +320,17 @@ def test_wkb_zero_eps_equals_parabolic_exactly(gaussian_coeffs):
         np.testing.assert_array_equal(
             wkb_density(gaussian_coeffs, 0.0, u, v),
             parabolic_density(gaussian_coeffs, u, v),
+        )
+
+
+@pytest.mark.filterwarnings("error")  # -v/eps overflows to -inf at a subnormal eps
+def test_wkb_subnormal_eps_is_parabolic_without_warnings(gaussian_coeffs):
+    u = np.linspace(-0.5, 0.5, 101)
+    for v in (0.0, 0.05, 2.0):
+        np.testing.assert_allclose(
+            wkb_density(gaussian_coeffs, 5e-324, u, v),
+            parabolic_density(gaussian_coeffs, u, v),
+            rtol=1e-15, atol=0.0,
         )
 
 
