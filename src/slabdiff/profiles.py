@@ -7,9 +7,10 @@ zero-flux eigenbasis {1, cos(2*m*pi*u)}:
     k0  = integral of n0 over the slab (the equilibrium density),
     k_m = 2 * integral of n0(u) * cos(2*m*pi*u).
 
-Coefficients are always produced by adaptive quadrature; the closed forms
-available for particular profiles are used as cross-checks in the tests,
-not as the production path.
+A tabulated profile is piecewise linear, and its coefficients have an exact
+closed form. The analytic kinds are integrated by adaptive quadrature; the
+closed forms available for some of them are cross-checks in the tests, not
+the production path.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
@@ -30,7 +31,14 @@ from .quadrature import integrate_adaptive, min_panels_for_oscillations
 
 logger = logging.getLogger(__name__)
 
+#: Quadrature tolerance of the coefficients, in units of max(1, |k0|): the
+#: rounding noise of a coefficient integral scales with the slab mass k0.
 COEFFICIENT_ABS_TOL = 1e-12
+
+#: Largest peak density a scenario accepts. The series and the FD oracle
+#: multiply the density by mode counts, two-timescale weights and telegraph
+#: factors; this bound keeps every such product far inside the float range.
+MAX_DENSITY = 1e100
 
 
 class InitialProfile:
@@ -50,6 +58,10 @@ class InitialProfile:
         return f"{self.kind}({args})"
 
     def _density(self, u: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def peak(self) -> float:
+        """Largest value of n0 on the slab."""
         raise NotImplementedError
 
     def quadrature_panels_hint(self) -> int:
@@ -101,6 +113,9 @@ class GaussianProfile(_SharpProfile):
             -self.sharpness * u**2
         )
 
+    def peak(self) -> float:
+        return self.amplitude * math.sqrt(self.sharpness / math.pi)
+
     def quadrature_panels_hint(self) -> int:
         return max(2, math.ceil(math.sqrt(self.sharpness)))
 
@@ -126,8 +141,11 @@ class SurfaceCoshProfile(_SharpProfile):
         scale = 0.5 * self.amplitude * s
         au = np.abs(u)
         num = np.exp(s * (au - HALF_WIDTH)) + np.exp(-s * (au + HALF_WIDTH))
-        den = 1.0 - math.exp(-s)
+        den = -math.expm1(-s)  # 1 - exp(-s), which rounds to 0 for s < 1.1e-16
         return scale * num / den
+
+    def peak(self) -> float:
+        return float(self._density(np.array(HALF_WIDTH)))
 
     def quadrature_panels_hint(self) -> int:
         return max(2, math.ceil(self.sharpness / 8.0))
@@ -147,6 +165,9 @@ class UniformProfile(InitialProfile):
 
     def _density(self, u):
         return np.full_like(np.asarray(u, dtype=float), self.level)
+
+    def peak(self) -> float:
+        return self.level
 
 
 @dataclass(frozen=True)
@@ -176,12 +197,17 @@ class CosineModeProfile(InitialProfile):
     def _density(self, u):
         return self.offset + self.amplitude * np.cos(2.0 * math.pi * self.mode * u)
 
+    def peak(self) -> float:
+        return self.offset + abs(self.amplitude)
+
     def quadrature_panels_hint(self) -> int:
         return min_panels_for_oscillations(self.mode)
 
 
-#: A tabulated profile with N nodes is resolved by roughly N/4 panels.
-PANEL_FRACTION = 4
+#: Table nodes whose distances from the center differ by at most this many
+#: ulps of the half-width are stored as one node; a linspace node and its
+#: mirror image differ by up to 8 ulps of their own.
+SNAP_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -190,8 +216,10 @@ class TabulatedProfile(InitialProfile):
 
     The stored table is symmetrized at construction onto the union of the
     grid and its mirror image, averaging n0(u) and n0(-u); evaluation also
-    averages the two lookups so evenness holds exactly. Points outside the
-    tabulated range take the nearest endpoint value.
+    averages the two lookups so evenness holds exactly. A node and a mirror
+    image a few ulps away from it (as -0.45 and 0.45000000000000007 of an
+    11-node linspace) are one node, the one nearer the center. Points
+    outside the tabulated range take the nearest endpoint value.
     """
 
     grid: Grid1D
@@ -208,10 +236,12 @@ class TabulatedProfile(InitialProfile):
         if np.any(vals < 0):
             raise InvalidParameterError("values must be >= 0")
         pts = self.grid.points
-        # + 0.0 stores a node at 0 as 0.0, not the -0.0 of -pts; the clamp
-        # drops the rounding below 0 that interpolating across nearly
-        # coincident nodes can leave.
-        mirrored = np.union1d(pts, -pts) + 0.0
+        half = np.unique(np.abs(pts))
+        half = half[np.concatenate(([True], np.diff(half) > SNAP_ULPS * np.spacing(HALF_WIDTH)))]
+        # + 0.0 stores a node at 0 as 0.0, not -0.0; the clamp drops the
+        # rounding below 0 that interpolating across nearly coincident nodes
+        # can leave.
+        mirrored = np.union1d(-half, half) + 0.0
         with np.errstate(over="ignore", invalid="ignore"):
             direct = np.interp(mirrored, pts, vals)
             sym = np.maximum(0.5 * (direct + np.interp(-mirrored, pts, vals)), 0.0)
@@ -235,8 +265,29 @@ class TabulatedProfile(InitialProfile):
         pts = self.grid.points
         return 0.5 * (np.interp(u, pts, self.values) + np.interp(-u, pts, self.values))
 
-    def quadrature_panels_hint(self) -> int:
-        return max(2, math.ceil(len(self.grid) / PANEL_FRACTION))
+    def peak(self) -> float:
+        return float(np.max(self.values))
+
+    def exact_coefficients(self, truncation: int) -> tuple[float, np.ndarray]:
+        """k0 and k_1..k_M of the interpolant, in closed form.
+
+        k0 is the trapezoid sum over the nodes and the walls. Integrating
+        k_m = 2 * integral of n0(u) cos(a*u), a = 2*m*pi, by parts twice
+        leaves boundary terms, which vanish at the walls, and the kinks'
+        sum -(2/a^2) * sum_i jump_i(n0') cos(a*u_i). Summed segment by
+        segment (rise dn_j, width h_j, midpoint c_j) that is
+        -(2/a) * sum_j dn_j sin(a*c_j) sinc(m*h_j), which never divides by
+        a width, however close two nodes are.
+        """
+        knots = np.union1d(self.grid.points, [-HALF_WIDTH, HALF_WIDTH])
+        n0 = self._density(knots)
+        rise, width = np.diff(n0), np.diff(knots)
+        mid = 0.5 * (knots[1:] + knots[:-1])
+        mean = float(np.sum(0.5 * (n0[1:] + n0[:-1]) * width))
+        m = np.arange(1, truncation + 1, dtype=float)[:, None]
+        a = 2.0 * math.pi * m
+        modes = (-2.0 / a[:, 0]) * ((np.sin(a * mid) * np.sinc(m * width)) @ rise)
+        return mean, modes
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TabulatedProfile):
@@ -301,8 +352,9 @@ def evaluate_profile(profile: InitialProfile, u):
 
 
 def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCoefficients:
-    """Compute k0 and k_1..k_M by adaptive quadrature (abs tol 1e-12).
+    """Compute k0 and k_1..k_M: exactly for a tabulated profile, else by quadrature.
 
+    The adaptive quadrature's tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|).
     The integrand of k_m oscillates m times across the slab, so the initial
     panel count scales with m as well as with the profile's own sharpest
     feature.
@@ -312,14 +364,19 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     """
     if not (isinstance(truncation, int) and truncation >= 1):
         raise InvalidParameterError(f"truncation must be >= 1, got {truncation!r}")
+    if isinstance(profile, TabulatedProfile):
+        mean, modes = profile.exact_coefficients(truncation)
+        return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
     base_hint = profile.quadrature_panels_hint()
     mean = integrate_adaptive(
         profile._density,
         -HALF_WIDTH,
         HALF_WIDTH,
         abs_tol=COEFFICIENT_ABS_TOL,
+        rel_tol=COEFFICIENT_ABS_TOL,
         min_panels=base_hint,
     )
+    tol = COEFFICIENT_ABS_TOL * max(1.0, abs(mean))
     modes = np.empty(truncation)
     for m in range(1, truncation + 1):
         w = 2.0 * math.pi * m
@@ -331,7 +388,7 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
             integrand,
             -HALF_WIDTH,
             HALF_WIDTH,
-            abs_tol=COEFFICIENT_ABS_TOL,
+            abs_tol=tol,
             min_panels=max(base_hint, min_panels_for_oscillations(m)),
         )
     return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())

@@ -65,13 +65,15 @@ def integrate_adaptive(
     abs_tol: float = 1e-12,
     min_panels: int = 2,
     max_evaluations: int = MAX_EVALUATIONS,
+    rel_tol: float = 0.0,
 ) -> float:
-    """Integrate f over [a, b] to the requested absolute tolerance.
+    """Integrate f over [a, b] to the requested tolerance.
 
     f must accept a 1D numpy array and return values elementwise.
     Refinement doubles the panel count; convergence is declared when two
-    successive composite estimates differ by at most abs_tol, and the
-    finer estimate is returned.
+    successive composite estimates differ by at most
+    max(abs_tol, rel_tol * |finer estimate|), and the finer estimate is
+    returned.
 
     Raises:
         QuadratureError: the evaluation cap was hit before two successive
@@ -93,6 +95,6 @@ def integrate_adaptive(
             )
         current = _composite_estimate(f, a, b, panels)
         last_delta = abs(current - previous)
-        if last_delta <= abs_tol:
+        if last_delta <= max(abs_tol, rel_tol * abs(current)):
             return current
         previous = current

@@ -43,7 +43,13 @@ from .errors import (
     StabilityError,
 )
 from .fd import FdConfig, snapshot_steps
-from .profiles import PROFILE_KINDS, GaussianProfile, InitialProfile, SurfaceCoshProfile
+from .profiles import (
+    MAX_DENSITY,
+    PROFILE_KINDS,
+    GaussianProfile,
+    InitialProfile,
+    SurfaceCoshProfile,
+)
 from .spectral import wkb_mode_ratios
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
@@ -91,6 +97,11 @@ class Scenario:
             raise ScenarioValidationError(f"eps must be finite and >= 0, got {self.eps!r}")
         if not (self.truncation >= 1):
             raise ScenarioValidationError(f"terms must be >= 1, got {self.truncation!r}")
+        peak = self.profile.peak()
+        if not (peak <= MAX_DENSITY):
+            raise ScenarioValidationError(
+                f"[profile] peak density {peak!r} exceeds {MAX_DENSITY:g}"
+            )
         if not (self.u_points >= 2):
             raise ScenarioValidationError(f"u_points must be >= 2, got {self.u_points!r}")
         if (self.v_list is None) == (self.v_range is None):

@@ -16,13 +16,24 @@ cos(2*m*pi*u) rows over the mode axis (one matrix product when u and v
 form an outer table). The cosines of a block are built by angle addition
 from cos/sin(2*pi*m0*u) of the block's first mode and a shared table of
 cos/sin(2*pi*j*u), j < BLOCK.
+
+Angle addition also runs along time, for the telegraph modes' oscillation
+cos/sin(omega*v), which dominates the cost of a long trace. The time row is
+cut into blocks of BLOCK samples; each time is its block's first time (the
+anchor) plus an offset, and the trig is formed once per anchor and once per
+distinct offset instead of once per time. A uniform trace of 1201 times has
+76 anchors and about 105 distinct offsets. Blocks whose shared decay
+exp(-v/(2*eps)) is 0 at every sample get no trig at all. The split is taken
+when anchors plus distinct offsets number at most half the samples, so rows
+of a few times (field tables, one-time slices), rows whose offsets do not
+repeat and rows holding a non-finite time keep the direct formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,8 +57,9 @@ RESONANCE_TOL = 1e-9
 #: from the walls: 1/sqrt(sharpness) + sqrt(4*v) <= WALL_CLEARANCE.
 WALL_CLEARANCE = 0.25
 
-#: Modes per block of the series evaluator. It bounds the (modes x points)
-#: temporaries, so peak memory does not grow with the truncation.
+#: Modes per block of the series evaluator, and times per block of the
+#: telegraph time split. It bounds the (modes x points) temporaries, so peak
+#: memory does not grow with the truncation.
 BLOCK = 16
 
 #: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
@@ -89,17 +101,92 @@ def _exp(x):
 # Series evaluator
 # ---------------------------------------------------------------------------
 
-def _telegraph_factor(eps: float, m, v, decay):
+class _TimeSplit(NamedTuple):
+    """A time row cut into blocks, each time written as anchor + offset.
+
+    anchors (1 or R, B, 1) holds the first time of each kept block, offsets
+    the distinct in-block offsets v - anchor, and inv (B, block length) the
+    index into offsets of every sample. Blocks whose shared decay is 0
+    throughout are not kept; columns places the kept samples in the row
+    padded to whole blocks, and is None when every block is kept.
+    """
+
+    anchors: np.ndarray
+    offsets: np.ndarray
+    inv: np.ndarray
+    columns: np.ndarray | None
+    size: int
+
+    def place(self, blocks):
+        """Values over the kept blocks, (R, B, block length), as rows over the time row."""
+        rows = blocks.reshape(len(blocks), -1)
+        if self.columns is not None:
+            rows, kept = np.zeros((len(blocks), -(-self.size // BLOCK) * BLOCK)), rows
+            rows[:, self.columns] = kept
+        return rows[:, : self.size]
+
+
+def _split_times(v, decay):
+    """The anchor/offset split of the time row v, in blocks of BLOCK, or None.
+
+    None, for the direct formula, unless the kept anchors and the distinct
+    offsets number at most half the samples. A row of fewer than BLOCK
+    times never qualifies, and a non-finite time takes the direct formula so
+    that it stays in its own sample. A block is dropped when decay == 0 at
+    all its samples.
+    """
+    n = v.size
+    if n < BLOCK or not np.all(np.isfinite(v)):
+        return None
+    pad = -n % BLOCK
+    blocks = np.pad(v, (0, pad), mode="edge").reshape(-1, BLOCK)
+    live = np.any(np.pad(decay, (0, pad), mode="edge").reshape(-1, BLOCK) != 0, axis=1)
+    kept = blocks[live]
+    offsets, inv = np.unique((kept - kept[:, :1]).ravel(), return_inverse=True)
+    if len(kept) + offsets.size > n / 2:
+        return None
+    columns = None if live.all() else (
+        np.flatnonzero(live)[:, None] * BLOCK + np.arange(BLOCK)
+    ).ravel()
+    return _TimeSplit(kept[None, :, :1], offsets, inv.reshape(kept.shape), columns, n)
+
+
+def _unsplit(v):
+    """The direct formula as a split: every time is its own anchor, at offset 0."""
+    return _TimeSplit(v[:, :, None], np.zeros(1), np.zeros((1, 1), dtype=np.intp), None,
+                      v.shape[1])
+
+
+def _oscillation(omega, r, split: _TimeSplit):
+    """cos(omega*v) + r*sin(omega*v) over the split's time row, by angle addition.
+
+    omega and r have shape (R, 1). With v = a + d (anchor a, offset d) the
+    sum is cos(omega*a)*P + sin(omega*a)*Q, where P = cos(omega*d) +
+    r*sin(omega*d) and Q = r*cos(omega*d) - sin(omega*d) are formed once per
+    distinct d. At d = 0, P = 1 and Q = r exactly: the direct formula.
+    """
+    phase = omega * split.offsets
+    cos_d, sin_d = np.cos(phase), np.sin(phase)
+    phase = omega[:, :, None] * split.anchors
+    # take, unlike [:, inv], returns a C-ordered array, which the products
+    # below stream through several times faster.
+    osc = np.cos(phase) * np.take(cos_d + r * sin_d, split.inv, axis=1)
+    osc += np.sin(phase) * np.take(r * cos_d - sin_d, split.inv, axis=1)
+    return split.place(osc)
+
+
+def _telegraph_factor(eps: float, m, v, decay, split: _TimeSplit | None = None):
     """V_m(v)/k_m of the telegraph modes in column m at the times in v.
 
     m has shape (R, 1); v and decay = exp(-v/(2*eps)) have one row, or R
     rows (one time per mode). The damping class of each row follows from the
     sign of 1 - (4*m*pi)^2*eps: overdamped (two real decay exponents
     mu2 < mu1 < 0), critical, or underdamped (decay 1/(2*eps), angular
-    frequency omega).
+    frequency omega). split, the anchor/offset split of a single time row,
+    evaluates the underdamped modes by angle addition along time; without
+    one, each time is its own anchor.
     """
     v = np.broadcast_to(v, (len(m), v.shape[1]))
-    decay = np.broadcast_to(decay, v.shape)
     disc = 1.0 - (4.0 * np.pi * m) ** 2 * eps
     out = np.empty(v.shape)
     over = disc[:, 0] > CRITICAL_DISC_TOL
@@ -115,12 +202,12 @@ def _telegraph_factor(eps: float, m, v, decay):
         out[over] = (mu2 * _exp(mu1 * vo) - mu1 * _exp(mu2 * vo)) / (mu2 - mu1)
     if under.any():
         omega = np.sqrt(-disc[under]) / (2.0 * eps)
-        phase = omega * v[under]
-        out[under] = decay[under] * (
-            np.cos(phase) + (1.0 / (2.0 * eps * omega)) * np.sin(phase)
-        )
+        osc = _oscillation(omega, 1.0 / (2.0 * eps * omega), split or _unsplit(v[under]))
+        # A decay row shared by every mode is not copied once per mode.
+        osc *= decay if len(decay) == 1 else decay[under]
+        out[under] = osc
     if crit.any():
-        out[crit] = decay[crit] * (1.0 + v[crit] / (2.0 * eps))
+        out[crit] = (decay if len(decay) == 1 else decay[crit]) * (1.0 + v[crit] / (2.0 * eps))
     return out
 
 
@@ -167,6 +254,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     # Time-only factors shared by every mode.
     if model == "hyperbolic":
         decay = _exp((-1.0 / (2.0 * eps)) * v_row)
+        split = _split_times(v_flat, decay[0]) or _unsplit(v_row)
     if two_scale:
         # -v/eps overflows to -inf for a subnormal eps; exp(-inf) = 0 is the limit.
         with np.errstate(over="ignore"):
@@ -180,7 +268,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         block = slice(first - 1, min(first - 1 + BLOCK, coefficients.truncation))
         m = np.arange(block.start + 1, block.stop + 1, dtype=float)[:, None]
         if model == "hyperbolic":
-            t = k[block, None] * _telegraph_factor(eps, m, v_row, decay)
+            t = k[block, None] * _telegraph_factor(eps, m, v_row, decay, split)
         else:
             e_slow = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
             t = k[block, None] * e_slow

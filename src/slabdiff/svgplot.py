@@ -23,9 +23,12 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def _widened(lo: float, hi: float) -> tuple[float, float]:
-    """The range [lo, hi], padded by 1 on each side when it has (nearly) no width."""
+    """The range [lo, hi], padded on each side by max(1, |lo|, |hi|) when it
+    has (nearly) no width; a pad of 1 would vanish in the rounding of values
+    above 2**53."""
     if math.isclose(lo, hi, rel_tol=0, abs_tol=1e-300):
-        return lo - 1.0, hi + 1.0
+        pad = max(1.0, abs(lo), abs(hi))
+        return lo - pad, hi + pad
     return lo, hi
 
 

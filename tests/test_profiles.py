@@ -17,6 +17,7 @@ from slabdiff import (
     parabolic_density,
     surface_cosh_mode_closed_form,
 )
+from slabdiff.quadrature import integrate_adaptive
 
 # ---------------------------------------------------------------------------
 # evaluate_profile
@@ -211,6 +212,74 @@ def test_tail_diagnostic_reported(gaussian_coeffs, surface_coeffs):
     )
 
 
+@pytest.mark.parametrize("profile, unit", [
+    (UniformProfile(level=1e4), UniformProfile(level=1.0)),
+    (GaussianProfile(sharpness=100.0, amplitude=1e5), GaussianProfile(100.0, 1.0)),
+    (SurfaceCoshProfile(sharpness=10.0, amplitude=1e4), SurfaceCoshProfile(10.0, 1.0)),
+])
+def test_coefficients_scale_with_the_profile(profile, unit):
+    """The quadrature tolerance grows with k0, so a scaled profile converges."""
+    scale = profile.peak() / unit.peak()
+    c, c_unit = compute_coefficients(profile, 500), compute_coefficients(unit, 500)
+    assert c.mean == pytest.approx(scale * c_unit.mean, rel=1e-12)
+    np.testing.assert_allclose(c.modes, scale * c_unit.modes, rtol=0,
+                               atol=2e-12 * scale * c_unit.mean)
+
+
 def test_coefficients_validation():
     with pytest.raises(InvalidParameterError):
         compute_coefficients(UniformProfile(1.0), 0)
+
+
+# ---------------------------------------------------------------------------
+# tabulated profiles: exact coefficients
+# ---------------------------------------------------------------------------
+
+
+def segment_reference(profile, m):
+    """2 * integral of n0(u) cos(2*m*pi*u), by quadrature over each linear piece."""
+    knots = np.union1d(profile.grid.points, [-0.5, 0.5])
+
+    def integrand(u):
+        return evaluate_profile(profile, u) * np.cos(2.0 * math.pi * m * u)
+
+    return 2.0 * math.fsum(
+        integrate_adaptive(integrand, a, b, min_panels=m + 2) for a, b in zip(knots, knots[1:])
+    )
+
+
+TABLE_U = np.linspace(-0.5, 0.5, 21)
+TABLES = {
+    "gaussian_21": (TABLE_U, np.exp(-100.0 * TABLE_U**2)),
+    "tent_on_constant": (TABLE_U, 1.0 + np.maximum(0.0, 1.0 - 3.0 * np.abs(TABLE_U))),
+    "half_grid_irregular": (np.array([0.0, 0.013, 0.2, 0.31, 0.45]),
+                            np.array([2.0, 1.5, 0.25, 0.0, 3.0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tabulated_coefficients_are_exact(name):
+    points, values = TABLES[name]
+    p = TabulatedProfile(grid=Grid1D(points=points), values=values)
+    c = compute_coefficients(p, 500)
+    assert c.mean == pytest.approx(segment_reference(p, 0) / 2.0, abs=1e-14)
+    for m in (1, 2, 17, 250, 500):
+        assert c.modes[m - 1] == pytest.approx(segment_reference(p, m), abs=1e-14)
+
+
+def test_tabulated_constant_has_no_modes():
+    p = TabulatedProfile(grid=Grid1D(points=TABLE_U), values=np.full(TABLE_U.size, 3.0))
+    c = compute_coefficients(p, 50)
+    assert c.mean == 3.0
+    assert np.all(c.modes == 0.0)
+
+
+def test_tabulated_nodes_a_few_ulps_apart_are_one_node():
+    p = TabulatedProfile(grid=Grid1D(points=np.linspace(-0.5, 0.5, 11)),
+                         values=np.arange(11.0))
+    assert len(p.grid) == 11
+    np.testing.assert_array_equal(p.grid.points, -p.grid.points[::-1])
+    # nodes far apart on their own scale stay distinct, however close to 0
+    tiny = TabulatedProfile(grid=Grid1D(points=np.array([-0.25, 1e-300])),
+                            values=np.array([1.0, 2.0]))
+    assert tiny.grid.points.tolist() == [-0.25, -1e-300, 1e-300, 0.25]

@@ -289,6 +289,7 @@ CONFIG_ERRORS = {
     "wkb_resonant": [("eps = 0.13", f"eps = {1.0 / (2.0 * math.pi) ** 2!r}"),
                      ("parabolic, hyperbolic", "wkb")],
     "eps_subnormal_hyperbolic": [("eps = 0.13", "eps = 1e-310")],
+    "peak_density_too_large": [("amplitude = 1", "amplitude = 1e299")],
     # nu = 3 gives dv = 0.05, so the 200 times snap to 21 distinct FD steps
     "fd_events_coarse_steps": [("eps = 0.13", "eps = 0"),
                                ("v = 0.01, 0.1", "v_range = 0, 1, 200\ntrace_u = 0"),
@@ -312,6 +313,34 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
+
+
+_TABLE_U = np.linspace(-0.5, 0.5, 21)
+
+#: Profiles that once passed validate and then failed in run, each as the
+#: [profile] section replacing CONFIG_SMALL's: scaled far above the presets,
+#: and 21-node tables that adaptive quadrature could not integrate.
+SCALED_PROFILES = {
+    "uniform_level_1e4": "kind = uniform\nlevel = 10000",
+    "gaussian_amplitude_1e5": "kind = gaussian\nsharpness = 100\namplitude = 1e5",
+    "surface_amplitude_1e4": "kind = surface_cosh\nsharpness = 10\namplitude = 1e4",
+    "table_gaussian": "kind = tabulated\ngrid = {}\nvalues = {}".format(
+        ", ".join(map(repr, _TABLE_U.tolist())),
+        ", ".join(map(repr, np.exp(-100.0 * _TABLE_U**2).tolist()))),
+    "table_tent": "kind = tabulated\ngrid = {}\nvalues = {}".format(
+        ", ".join(map(repr, _TABLE_U.tolist())),
+        ", ".join(map(repr, (1.0 + np.maximum(0.0, 1.0 - 3.0 * np.abs(_TABLE_U))).tolist()))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALED_PROFILES))
+def test_cli_runs_scaled_and_tabulated_profiles(tmp_path, capsys, case):
+    text = CONFIG_SMALL.replace("terms = 50", "terms = 500")
+    text = text.replace("kind = gaussian\nsharpness = 100\namplitude = 1", SCALED_PROFILES[case])
+    cfg = tmp_path / "scaled.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
 
 
 def test_cli_eps_override_must_be_finite(tmp_path, capsys):

@@ -30,6 +30,7 @@ from slabdiff import (
 )
 from slabdiff.analysis import MIN_TRACE_SAMPLES
 from slabdiff.fd import snapshot_steps
+from slabdiff.profiles import MAX_DENSITY, PROFILE_KINDS
 from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS, override
 from slabdiff.spectral import wkb_mode_ratios
 
@@ -279,11 +280,13 @@ def test_profile_tags_are_pinned(profile, tag):
 # ---------------------------------------------------------------------------
 
 finite = partial(st.floats, allow_nan=False, allow_infinity=False)
+# A density scale that keeps every profile's peak within MAX_DENSITY.
+scale = partial(finite, min_value=0.0, max_value=MAX_DENSITY / 1e4)
 
 
 @st.composite
 def cosine_profiles(draw):
-    offset = draw(finite(min_value=0.0))
+    offset = draw(scale())
     return CosineModeProfile(
         mode=draw(st.integers(1, 10**6)),
         offset=offset,
@@ -296,7 +299,7 @@ def tabulated_profiles(draw):
     points = sorted(draw(st.lists(
         finite(min_value=-0.5, max_value=0.5), min_size=1, max_size=6, unique=True
     )))
-    values = draw(st.lists(finite(min_value=0.0), min_size=len(points), max_size=len(points)))
+    values = draw(st.lists(scale(), min_size=len(points), max_size=len(points)))
     try:
         return TabulatedProfile(grid=Grid1D(points=np.array(points)), values=np.array(values))
     except InvalidParameterError:  # interpolating between the values overflows
@@ -306,11 +309,11 @@ def tabulated_profiles(draw):
 positive = finite(min_value=0.0, exclude_min=True)
 profiles = st.one_of(
     st.builds(GaussianProfile, finite(min_value=0.0, max_value=GaussianProfile.sharpness_limit,
-                                      exclude_min=True), positive),
+                                      exclude_min=True), scale(exclude_min=True)),
     st.builds(SurfaceCoshProfile, finite(min_value=0.0,
                                          max_value=SurfaceCoshProfile.sharpness_limit,
-                                         exclude_min=True), positive),
-    st.builds(UniformProfile, finite(min_value=0.0)),
+                                         exclude_min=True), scale(exclude_min=True)),
+    st.builds(UniformProfile, scale()),
     cosine_profiles(),
     tabulated_profiles(),
 )
@@ -385,6 +388,34 @@ def test_serialize_parse_round_trip(s):
 
 
 @st.composite
+def scaled_profiles(draw):
+    """A profile of any kind, at a density scale anywhere in 1e-300..1e308."""
+    level = 10.0 ** draw(finite(min_value=-300.0, max_value=308.0))
+    kind = draw(st.sampled_from(sorted(PROFILE_KINDS)))
+    if kind == "gaussian":
+        return GaussianProfile(10.0 ** draw(finite(min_value=-2.0, max_value=6.0)), level)
+    if kind == "surface_cosh":
+        return SurfaceCoshProfile(10.0 ** draw(finite(min_value=-2.0, max_value=4.0)), level)
+    if kind == "uniform":
+        return UniformProfile(draw(st.sampled_from([0.0, level])))
+    if kind == "cosine_mode":
+        return CosineModeProfile(draw(st.integers(1, 80)), level,
+                                 level * draw(finite(min_value=-1.0, max_value=1.0)))
+    n = draw(st.integers(2, 41))
+    points = draw(st.sampled_from([
+        np.linspace(-0.5, 0.5, n),
+        np.linspace(0.0, 0.5, n),
+        np.sort(np.random.default_rng(n).uniform(-0.5, 0.5, n)),
+    ]))
+    values = level * np.array(draw(st.lists(
+        finite(min_value=0.0, max_value=1.0), min_size=n, max_size=n)))
+    try:
+        return TabulatedProfile(grid=Grid1D(points=points), values=values)
+    except InvalidParameterError:  # interpolating between the values overflows
+        assume(False)
+
+
+@st.composite
 def scenario_drafts(draw):
     """Scenario keyword arguments over the ranges where validation has to decide."""
     terms = draw(st.integers(1, 64))
@@ -407,7 +438,7 @@ def scenario_drafts(draw):
     return dict(
         name="draft",
         eps=eps,
-        profile=draw(st.sampled_from([preset("figure1").profile, preset("figure3").profile])),
+        profile=draw(scaled_profiles()),
         truncation=terms,
         u_points=draw(st.integers(2, 41)),
         trace_u=trace_u,
@@ -421,12 +452,8 @@ def scenario_drafts(draw):
 @settings(max_examples=300, deadline=None)
 @given(scenario_drafts())
 def test_validated_scenario_runs(draft):
-    """A scenario either fails validation or runs to the end.
-
-    The profiles are held at the presets' values on purpose: the
-    coefficient quadrature's tolerance is absolute, so scaling a profile up
-    far enough fails in run, a defect of its own not covered here.
-    """
+    """A scenario either fails validation or runs to the end, for every
+    profile kind at any density scale."""
     try:
         s = Scenario(**draft)
     except ScenarioValidationError:

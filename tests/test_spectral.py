@@ -22,7 +22,7 @@ from slabdiff import (
     wkb_density,
 )
 from slabdiff.core import TimeGrid
-from slabdiff.spectral import CRITICAL_DISC_TOL
+from slabdiff.spectral import BLOCK, CRITICAL_DISC_TOL, _split_times
 
 EPS_REF = 0.13
 
@@ -493,6 +493,58 @@ REFERENCE_U = np.linspace(-0.5, 0.5, 41)
 TRACE_U = (0.0, 0.3, 0.5)
 SLICE_V = (0.0, 1e-4, 1e-2, 1.0)
 TRACE_V = np.linspace(0.0, 1.2, 61)
+# Time rows long enough for the telegraph family's anchor/offset split: the
+# presets' trace grid; an irregular grid of steps 1..3 / 1024, whose in-block
+# offsets repeat exactly; and a row that interleaves times of unit decay with
+# times of zero decay (at eps = 1e-4) inside every block.
+SPLIT_V = {
+    "linspace": TimeGrid.linspace(0.0, 1.2, 1201).points,
+    "irregular": TimeGrid.from_values(
+        np.cumsum(np.random.default_rng(6).integers(1, 4, 600)) / 1024.0
+    ).points,
+    "interleaved": np.tile([0.0, 1e-3, 0.3, 1.0], 150),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_V))
+def test_long_time_rows_take_the_split(name):
+    v = SPLIT_V[name]
+    split = _split_times(v, np.ones_like(v))
+    assert split is not None
+    assert split.anchors.size + split.offsets.size <= v.size / 2
+    np.testing.assert_array_equal(
+        split.anchors[0, :, 0][:, None] + split.offsets[split.inv],
+        np.pad(v, (0, -v.size % BLOCK), mode="edge").reshape(-1, BLOCK),
+    )
+
+
+def test_short_or_unrepeating_time_rows_keep_the_direct_formula():
+    five = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    ragged = np.sort(np.random.default_rng(6).random(400))
+    with_nan = SPLIT_V["linspace"].copy()
+    with_nan[500] = math.nan
+    for v in (five, ragged, with_nan):
+        assert _split_times(v, np.ones_like(v)) is None
+
+
+def test_blocks_of_zero_decay_are_dropped():
+    v = SPLIT_V["linspace"]
+    decay = np.exp(-v / 2e-4)
+    decay[decay < 1e-300] = 0.0
+    split = _split_times(v, decay)
+    live = np.flatnonzero(decay)
+    assert split.anchors.shape[1] == -(-live.size // BLOCK) < v.size // BLOCK
+    assert _split_times(v, np.zeros_like(v)).anchors.size == 0
+
+
+def test_a_nan_time_stays_in_its_own_sample(surface_coeffs):
+    v = SPLIT_V["linspace"].copy()
+    clean = hyperbolic_density(surface_coeffs, EPS_REF, 0.5, v)
+    v[500] = math.nan
+    values = hyperbolic_density(surface_coeffs, EPS_REF, 0.5, v)
+    assert math.isnan(values[500])
+    keep = np.arange(v.size) != 500
+    np.testing.assert_allclose(values[keep], clean[keep], rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("eps", [1e-4, EPS_CRITICAL_M3, 3e-3, EPS_REF, 1.0])
@@ -521,3 +573,10 @@ def test_blocked_evaluator_matches_per_mode_reference(request, profile, eps):
         pairs = density(REFERENCE_U, TRACE_V[:n_u])
         np.testing.assert_allclose(pairs, ref[n_v + np.arange(n_u), np.arange(n_u)],
                                    rtol=0, atol=tol)
+    # Long time rows, on which the telegraph family works by angle addition.
+    for v in SPLIT_V.values():
+        ref = reference_density("hyperbolic", c, eps, np.array(TRACE_U)[None, :], v[:, None])
+        for j, u in enumerate(TRACE_U):
+            np.testing.assert_allclose(families["hyperbolic"](u, v), ref[:, j], rtol=0, atol=tol)
+        table = families["hyperbolic"](np.array(TRACE_U)[None, :], v[:, None])
+        np.testing.assert_allclose(table, ref, rtol=0, atol=tol)
