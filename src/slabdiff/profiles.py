@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -108,13 +109,18 @@ class GaussianProfile(_SharpProfile):
     echo_source = "center"
     sharpness_limit = 1e6
 
+    def _norm(self) -> float:
+        """sqrt(sharpness/pi); the quotient underflows for a sharpness below 7e-308."""
+        quotient = self.sharpness / math.pi
+        if quotient >= sys.float_info.min:
+            return math.sqrt(quotient)
+        return math.sqrt(self.sharpness) / math.sqrt(math.pi)
+
     def _density(self, u):
-        return self.amplitude * math.sqrt(self.sharpness / math.pi) * np.exp(
-            -self.sharpness * u**2
-        )
+        return self.amplitude * self._norm() * np.exp(-self.sharpness * u**2)
 
     def peak(self) -> float:
-        return self.amplitude * math.sqrt(self.sharpness / math.pi)
+        return self.amplitude * self._norm()
 
     def quadrature_panels_hint(self) -> int:
         return max(2, math.ceil(math.sqrt(self.sharpness)))
@@ -142,6 +148,10 @@ class SurfaceCoshProfile(_SharpProfile):
         au = np.abs(u)
         num = np.exp(s * (au - HALF_WIDTH)) + np.exp(-s * (au + HALF_WIDTH))
         den = -math.expm1(-s)  # 1 - exp(-s), which rounds to 0 for s < 1.1e-16
+        if scale < sys.float_info.min:
+            # The product underflows (a subnormal s, or a small amplitude);
+            # s/den, about 1 for small s, cannot.
+            return self.amplitude * (s / den) * 0.5 * num
         return scale * num / den
 
     def peak(self) -> float:

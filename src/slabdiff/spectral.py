@@ -10,23 +10,43 @@ Three families share the cosine-series coefficients of the initial profile:
   superposed on the parabolic relaxation.
 
 The families differ only in each mode's time factor, and one blocked
-evaluator sums all three. It walks the modes in blocks of BLOCK, highest
-block first, and contracts each block's time factors with its
-cos(2*m*pi*u) rows over the mode axis (one matrix product when u and v
-form an outer table). The cosines of a block are built by angle addition
+evaluator sums all three. It walks the modes in blocks, highest block
+first. The cosines cos(2*m*pi*u) of a block are built by angle addition
 from cos/sin(2*pi*m0*u) of the block's first mode and a shared table of
-cos/sin(2*pi*j*u), j < BLOCK.
+cos/sin(2*pi*j*u).
 
-Angle addition also runs along time, for the telegraph modes' oscillation
-cos/sin(omega*v), which dominates the cost of a long trace. The time row is
-cut into blocks of BLOCK samples; each time is its block's first time (the
-anchor) plus an offset, and the trig is formed once per anchor and once per
-distinct offset instead of once per time. A uniform trace of 1201 times has
-76 anchors and about 105 distinct offsets. Blocks whose shared decay
-exp(-v/(2*eps)) is 0 at every sample get no trig at all. The split is taken
-when anchors plus distinct offsets number at most half the samples, so rows
-of a few times (field tables, one-time slices), rows whose offsets do not
-repeat and rows holding a non-finite time keep the direct formula.
+On a long time row the mode sum is contracted before time is expanded. The
+row is cut into blocks of BLOCK samples; each time is its block's smallest
+time (the anchor a) plus an offset d, and a uniform trace of 1201 times has
+76 anchors and about 105 distinct offsets. Each mode's time factor at
+v = a + d is a sum of products of an anchor table and an offset table:
+
+* parabolic: exp(-lam*a) * exp(-lam*d), lam = (2*m*pi)^2;
+* telegraph, underdamped: cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
+  P = cos(omega*d) + r*sin(omega*d) and Q = r*cos(omega*d) - sin(omega*d),
+  r = 1/(2*eps*omega); the decay exp(-v/(2*eps)), shared by every mode,
+  multiplies the sum, and blocks where it is 0 throughout are dropped;
+* two-timescale, eps > 0: k*e_s(a)*e_s(d) - fast*(e_s(a)*D(d) + D(a)*e_f(d))
+  with D = e_s - e_f, which is k exactly at v = 0; e_f(d) is common to all
+  modes, so the last term is summed over the modes first.
+
+With k_m*cos(2*m*pi*u_j) folded into the anchor side, one matrix product
+per block of modes, G[d, (a, j)] += sum_m B[m, d]*A[m, (a, j)], replaces
+the (modes x times) table, and each sample reads G at its anchor and
+offset. The contraction is taken for an outer table whose anchors Q and
+distinct offsets D number at most half the N times and whose J positions
+give J*Q*D <= BLOCK*N, so G is no larger than one block of the direct path:
+a 1201-time trace at one or two positions qualifies, three positions do
+not. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + D)) modes, so peak
+memory does not grow with the truncation.
+
+Everything else is evaluated per sample in blocks of BLOCK modes, each
+block's time factors contracted with its cosine rows over the mode axis
+(one matrix product when u and v form an outer table): rows of a few times
+(field tables, one-time slices), rows whose offsets do not repeat, rows
+holding a non-finite time, (u, v) pairs, and the overdamped and critical
+telegraph modes (m < 1/(4*pi*sqrt(eps))). On either path the two-timescale
+family at eps = 0 is the parabolic evaluation, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,9 +77,9 @@ RESONANCE_TOL = 1e-9
 #: from the walls: 1/sqrt(sharpness) + sqrt(4*v) <= WALL_CLEARANCE.
 WALL_CLEARANCE = 0.25
 
-#: Modes per block of the series evaluator, and times per block of the
-#: telegraph time split. It bounds the (modes x points) temporaries, so peak
-#: memory does not grow with the truncation.
+#: Modes per block of the direct series evaluation, and times per block of
+#: the anchor/offset split of a long time row. It bounds the (modes x points)
+#: temporaries, so peak memory does not grow with the truncation.
 BLOCK = 16
 
 #: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
@@ -104,11 +124,11 @@ def _exp(x):
 class _TimeSplit(NamedTuple):
     """A time row cut into blocks, each time written as anchor + offset.
 
-    anchors (1 or R, B, 1) holds the first time of each kept block, offsets
-    the distinct in-block offsets v - anchor, and inv (B, block length) the
-    index into offsets of every sample. Blocks whose shared decay is 0
-    throughout are not kept; columns places the kept samples in the row
-    padded to whole blocks, and is None when every block is kept.
+    anchors (B,) holds the smallest time of each kept block, offsets the
+    distinct in-block offsets v - anchor, and inv (B, BLOCK) the index into
+    offsets of every sample. Blocks whose decay is 0 throughout are not
+    kept; columns places the kept samples in the row padded to whole blocks,
+    and is None when every block is kept.
     """
 
     anchors: np.ndarray
@@ -118,76 +138,66 @@ class _TimeSplit(NamedTuple):
     size: int
 
     def place(self, blocks):
-        """Values over the kept blocks, (R, B, block length), as rows over the time row."""
-        rows = blocks.reshape(len(blocks), -1)
+        """Values over the kept blocks, (B, BLOCK, J), as rows (N, J) over the time row."""
+        rows = blocks.reshape(-1, blocks.shape[-1])
         if self.columns is not None:
-            rows, kept = np.zeros((len(blocks), -(-self.size // BLOCK) * BLOCK)), rows
-            rows[:, self.columns] = kept
-        return rows[:, : self.size]
+            rows, kept = np.zeros((-(-self.size // BLOCK) * BLOCK, rows.shape[1])), rows
+            rows[self.columns] = kept
+        return rows[: self.size]
 
 
-def _split_times(v, decay):
+def _split_times(v, decay=None, positions: int = 1):
     """The anchor/offset split of the time row v, in blocks of BLOCK, or None.
 
-    None, for the direct formula, unless the kept anchors and the distinct
-    offsets number at most half the samples. A row of fewer than BLOCK
-    times never qualifies, and a non-finite time takes the direct formula so
-    that it stays in its own sample. A block is dropped when decay == 0 at
-    all its samples.
+    None, for the direct formula, unless the kept anchors Q and the distinct
+    offsets D number at most half the N samples and the contracted table of
+    positions * Q * D values is no larger than BLOCK * N. A row of fewer
+    than BLOCK times never qualifies, and a non-finite time takes the direct
+    formula so that it stays in its own sample. A block is dropped when
+    decay == 0 at all its samples.
     """
     n = v.size
     if n < BLOCK or not np.all(np.isfinite(v)):
         return None
     pad = -n % BLOCK
     blocks = np.pad(v, (0, pad), mode="edge").reshape(-1, BLOCK)
-    live = np.any(np.pad(decay, (0, pad), mode="edge").reshape(-1, BLOCK) != 0, axis=1)
+    live = np.ones(len(blocks), dtype=bool) if decay is None else np.any(
+        np.pad(decay, (0, pad), mode="edge").reshape(-1, BLOCK) != 0, axis=1)
     kept = blocks[live]
-    offsets, inv = np.unique((kept - kept[:, :1]).ravel(), return_inverse=True)
-    if len(kept) + offsets.size > n / 2:
+    # The smallest time of a block is its anchor, so that no offset is
+    # negative and no decay factor exp(-rate*d) exceeds 1.
+    anchors = kept.min(axis=1)
+    offsets, inv = np.unique((kept - anchors[:, None]).ravel(), return_inverse=True)
+    if len(kept) + offsets.size > n / 2 or positions * len(kept) * offsets.size > BLOCK * n:
         return None
     columns = None if live.all() else (
         np.flatnonzero(live)[:, None] * BLOCK + np.arange(BLOCK)
     ).ravel()
-    return _TimeSplit(kept[None, :, :1], offsets, inv.reshape(kept.shape), columns, n)
+    return _TimeSplit(anchors, offsets, inv.reshape(kept.shape), columns, n)
 
 
-def _unsplit(v):
-    """The direct formula as a split: every time is its own anchor, at offset 0."""
-    return _TimeSplit(v[:, :, None], np.zeros(1), np.zeros((1, 1), dtype=np.intp), None,
-                      v.shape[1])
+def _discriminant(eps: float, m):
+    """1 - (4*m*pi)^2*eps: > 0 overdamped, < 0 underdamped telegraph mode m."""
+    return 1.0 - (4.0 * np.pi * m) ** 2 * eps
 
 
-def _oscillation(omega, r, split: _TimeSplit):
-    """cos(omega*v) + r*sin(omega*v) over the split's time row, by angle addition.
-
-    omega and r have shape (R, 1). With v = a + d (anchor a, offset d) the
-    sum is cos(omega*a)*P + sin(omega*a)*Q, where P = cos(omega*d) +
-    r*sin(omega*d) and Q = r*cos(omega*d) - sin(omega*d) are formed once per
-    distinct d. At d = 0, P = 1 and Q = r exactly: the direct formula.
-    """
-    phase = omega * split.offsets
-    cos_d, sin_d = np.cos(phase), np.sin(phase)
-    phase = omega[:, :, None] * split.anchors
-    # take, unlike [:, inv], returns a C-ordered array, which the products
-    # below stream through several times faster.
-    osc = np.cos(phase) * np.take(cos_d + r * sin_d, split.inv, axis=1)
-    osc += np.sin(phase) * np.take(r * cos_d - sin_d, split.inv, axis=1)
-    return split.place(osc)
+def _frequency(eps: float, disc):
+    """Angular frequency omega of underdamped modes, and r = 1/(2*eps*omega)."""
+    omega = np.sqrt(-disc) / (2.0 * eps)
+    return omega, 1.0 / (2.0 * eps * omega)
 
 
-def _telegraph_factor(eps: float, m, v, decay, split: _TimeSplit | None = None):
+def _telegraph_factor(eps: float, m, v, decay):
     """V_m(v)/k_m of the telegraph modes in column m at the times in v.
 
     m has shape (R, 1); v and decay = exp(-v/(2*eps)) have one row, or R
     rows (one time per mode). The damping class of each row follows from the
     sign of 1 - (4*m*pi)^2*eps: overdamped (two real decay exponents
     mu2 < mu1 < 0), critical, or underdamped (decay 1/(2*eps), angular
-    frequency omega). split, the anchor/offset split of a single time row,
-    evaluates the underdamped modes by angle addition along time; without
-    one, each time is its own anchor.
+    frequency omega).
     """
     v = np.broadcast_to(v, (len(m), v.shape[1]))
-    disc = 1.0 - (4.0 * np.pi * m) ** 2 * eps
+    disc = _discriminant(eps, m)
     out = np.empty(v.shape)
     over = disc[:, 0] > CRITICAL_DISC_TOL
     under = disc[:, 0] < -CRITICAL_DISC_TOL
@@ -201,11 +211,11 @@ def _telegraph_factor(eps: float, m, v, decay, split: _TimeSplit | None = None):
         vo = v[over]
         out[over] = (mu2 * _exp(mu1 * vo) - mu1 * _exp(mu2 * vo)) / (mu2 - mu1)
     if under.any():
-        omega = np.sqrt(-disc[under]) / (2.0 * eps)
-        osc = _oscillation(omega, 1.0 / (2.0 * eps * omega), split or _unsplit(v[under]))
+        omega, r = _frequency(eps, disc[under])
+        phase = omega * v[under]
         # A decay row shared by every mode is not copied once per mode.
-        osc *= decay if len(decay) == 1 else decay[under]
-        out[under] = osc
+        out[under] = (decay if len(decay) == 1 else decay[under]) * (
+            np.cos(phase) + r * np.sin(phase))
     if crit.any():
         out[crit] = (decay if len(decay) == 1 else decay[crit]) * (1.0 + v[crit] / (2.0 * eps))
     return out
@@ -225,6 +235,74 @@ def hyperbolic_mode_factor(eps: float, m, v):
     return _scalarize(out.reshape(m_arr.shape), m, v)
 
 
+def _mode_cosines(u, rows: int):
+    """A function of (first, count) giving cos(2*pi*m*u), (count, J), m = first..first+count-1.
+
+    count <= rows. Built by angle addition from cos/sin(2*pi*first*u) and a
+    table of cos/sin(2*pi*j*u), j < rows.
+    """
+    angle = (2.0 * np.pi * np.arange(rows, dtype=float))[:, None] * u
+    cos_j, sin_j = np.cos(angle), np.sin(angle)
+
+    def block(first: int, count: int):
+        base = (2.0 * math.pi * first) * u
+        return np.cos(base) * cos_j[:count] - np.sin(base) * sin_j[:count]
+
+    return block
+
+
+def _contracted(model, coefficients, eps, fast, split: _TimeSplit, lo: int, u):
+    """sum_m k_m T_m(v) cos(2*m*pi*u) over modes lo..M, as (N, J) rows.
+
+    With v = a + d (anchor a, offset d) each mode's time factor is a sum of
+    products anchor table(a) * offset table(d). The anchor side, times
+    cos(2*m*pi*u), is contracted with the offset side over the modes of a
+    block, G[d, q, j] += sum_m A[m, q, j] * B[m, d], and each sample reads
+    G at its own offset: no (modes x times) table is formed. The telegraph
+    family leaves out the shared decay exp(-v/(2*eps)).
+    """
+    a, d = split.anchors[None, :], split.offsets[None, :]
+    g = np.zeros((d.size, a.size, u.size))
+    # A block's anchor-side table is no larger than a direct block.
+    rows = max(BLOCK, BLOCK * split.size // (g[0].size + d.size))
+    cosines = _mode_cosines(u, rows)
+    if fast is not None:
+        # e_f(a + d) = e_f(a)*e_f(d) is common to all modes: its term is
+        # summed over the modes first and meets e_f(d) once, at the end.
+        with np.errstate(over="ignore"):
+            fast_a, fast_d = _exp(-a / eps), _exp(-d / eps)
+        rank_one = np.zeros(g.shape[1:])
+    k = coefficients.modes
+    for stop in range(coefficients.truncation, lo - 1, -rows):
+        start = max(lo, stop - rows + 1)
+        m = np.arange(start, stop + 1, dtype=float)[:, None]
+        kb = k[start - 1 : stop, None]
+        c = cosines(start, len(m))
+        if model == "hyperbolic":
+            # cos(omega*(a + d)) + r*sin(omega*(a + d))
+            #   = cos(omega*a)*P(d) + sin(omega*a)*Q(d)
+            omega, r = _frequency(eps, _discriminant(eps, m))
+            cos_d, sin_d = np.cos(omega * d), np.sin(omega * d)
+            anchor = (kb * np.cos(omega * a), kb * np.sin(omega * a))
+            offset = (cos_d + r * sin_d, r * cos_d - sin_d)
+        else:
+            rate = -((2.0 * np.pi * m) ** 2)
+            slow_a, slow_d = _exp(rate * a), _exp(rate * d)
+            anchor, offset = (kb * slow_a,), (slow_d,)
+            if fast is not None:
+                # e_s(v) - e_f(v) = e_s(a)*D(d) + D(a)*e_f(d), D = e_s - e_f:
+                # both terms vanish at v = 0, which keeps k_m exact there.
+                fb = fast[start - 1 : stop, None]
+                anchor += (-fb * slow_a,)
+                offset += (slow_d - fast_d,)
+                rank_one -= (fb * (slow_a - fast_a)).T @ c
+        table = (np.stack(anchor)[..., None] * c[:, None, :]).reshape(-1, g[0].size)
+        g += (np.concatenate(offset).T @ table).reshape(g.shape)
+    if fast is not None:
+        g += fast_d[0][:, None, None] * rank_one
+    return split.place(g[split.inv, np.arange(a.size)[:, None]])
+
+
 def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     """k0 + sum_m k_m T_m(v) cos(2*m*pi*u) for one family; u and v broadcast.
 
@@ -232,12 +310,13 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     of shape (Nv, 1)) or a scalar u or v is contracted by matrix products;
     any other broadcast is evaluated point by point.
     """
+    fast = None
     if model == "hyperbolic":
         _check_telegraph_eps(eps)
     elif model == "wkb":
-        fast = wkb_coefficients(coefficients, eps).fast
-    # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
-    two_scale = model == "wkb" and eps > 0
+        weights = wkb_coefficients(coefficients, eps).fast
+        # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
+        fast = weights if eps > 0 else None
     u_arr = slab_positions(u)
     v_arr = _check_v(v)
     shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
@@ -252,32 +331,48 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     v_row = v_flat[None, :]
 
     # Time-only factors shared by every mode.
+    decay = None
     if model == "hyperbolic":
         decay = _exp((-1.0 / (2.0 * eps)) * v_row)
-        split = _split_times(v_flat, decay[0]) or _unsplit(v_row)
-    if two_scale:
+    if fast is not None:
         # -v/eps overflows to -inf for a subnormal eps; exp(-inf) = 0 is the limit.
         with np.errstate(over="ignore"):
             e_fast = _exp(-v_row / eps)
-    angle = (2.0 * np.pi * np.arange(BLOCK, dtype=float))[:, None] * u_flat
-    cos_j, sin_j = np.cos(angle), np.sin(angle)
+
+    # Modes lo..M are contracted over the anchor/offset split of a long time
+    # row; modes 1..lo-1 (all modes without a split, the overdamped and
+    # critical telegraph modes with one) are evaluated per sample.
+    terms = coefficients.truncation
+    split = _split_times(v_flat, None if decay is None else decay[0], u_flat.size) if outer else None
+    lo = terms + 1
+    if split is not None:
+        lo = 1
+        if model == "hyperbolic":
+            # The discriminant falls with m: the modes that are not
+            # underdamped are the lowest ones.
+            disc = _discriminant(eps, np.arange(1, terms + 1, dtype=float))
+            lo += int(np.count_nonzero(disc >= -CRITICAL_DISC_TOL))
 
     k = coefficients.modes
     total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
-    for first in range(BLOCK * ((coefficients.truncation - 1) // BLOCK) + 1, 0, -BLOCK):
-        block = slice(first - 1, min(first - 1 + BLOCK, coefficients.truncation))
+    # A split that keeps no block has zero decay at every time.
+    if lo <= terms and split.anchors.size:
+        total += _contracted(model, coefficients, eps, fast, split, lo, u_flat)
+        if decay is not None:
+            total *= decay[0][:, None]
+    cosines = _mode_cosines(u_flat, BLOCK)
+    for first in range(BLOCK * ((lo - 2) // BLOCK) + 1, 0, -BLOCK):
+        block = slice(first - 1, min(first - 1 + BLOCK, lo - 1))
         m = np.arange(block.start + 1, block.stop + 1, dtype=float)[:, None]
         if model == "hyperbolic":
-            t = k[block, None] * _telegraph_factor(eps, m, v_row, decay, split)
+            t = k[block, None] * _telegraph_factor(eps, m, v_row, decay)
         else:
             e_slow = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
             t = k[block, None] * e_slow
-            if two_scale:
+            if fast is not None:
                 # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
                 t -= fast[block, None] * (e_slow - e_fast)
-        rows = len(m)
-        base = (2.0 * math.pi * first) * u_flat
-        c = np.cos(base) * cos_j[:rows] - np.sin(base) * sin_j[:rows]
+        c = cosines(first, len(m))
         total += t.T @ c if outer else np.einsum("jn,jn->n", t, c)
     return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 

@@ -343,6 +343,28 @@ def test_cli_runs_scaled_and_tabulated_profiles(tmp_path, capsys, case):
     assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "surface_cosh"])
+@pytest.mark.parametrize("sharpness", [5e-324, 1e-310, 1e-300, 1e-20])
+def test_tiny_sharpness_keeps_the_mass(tmp_path, capsys, kind, sharpness):
+    # 0.5*amplitude*sharpness and sharpness/pi underflowed below 2.2e-308,
+    # which lost the mass of the profile.
+    text = CONFIG_SMALL.replace(
+        "kind = gaussian\nsharpness = 100", f"kind = {kind}\nsharpness = {sharpness!r}")
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(text)
+    if main(["validate", str(cfg)]) == 2:
+        return
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert main(["coeffs", str(cfg)]) == 0
+    k0 = float(next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("0,"))[2:])
+    # The slab holds all of the surface profile's mass, and the erf share
+    # of the Gaussian's.
+    expected = 1.0 if kind == "surface_cosh" else math.erf(math.sqrt(sharpness) / 2)
+    assert k0 == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_cli_eps_override_must_be_finite(tmp_path, capsys):
     cfg = tmp_path / "demo.cfg"
     cfg.write_text(CONFIG_SMALL)

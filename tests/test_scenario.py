@@ -389,13 +389,19 @@ def test_serialize_parse_round_trip(s):
 
 @st.composite
 def scaled_profiles(draw):
-    """A profile of any kind, at a density scale anywhere in 1e-300..1e308."""
+    """A profile of any kind, at a density scale anywhere in 1e-300..1e308
+    and, for the sharp kinds, any sharpness from 5e-324 to the kind's limit."""
     level = 10.0 ** draw(finite(min_value=-300.0, max_value=308.0))
     kind = draw(st.sampled_from(sorted(PROFILE_KINDS)))
-    if kind == "gaussian":
-        return GaussianProfile(10.0 ** draw(finite(min_value=-2.0, max_value=6.0)), level)
-    if kind == "surface_cosh":
-        return SurfaceCoshProfile(10.0 ** draw(finite(min_value=-2.0, max_value=4.0)), level)
+    if kind in ("gaussian", "surface_cosh"):
+        cls = GaussianProfile if kind == "gaussian" else SurfaceCoshProfile
+        # down to the smallest subnormal sharpness, where constants underflowed
+        sharpness = draw(st.one_of(
+            st.just(5e-324),
+            finite(min_value=-323.0, max_value=math.log10(cls.sharpness_limit)).map(
+                lambda x: 10.0**x),
+        ))
+        return cls(sharpness, level)
     if kind == "uniform":
         return UniformProfile(draw(st.sampled_from([0.0, level])))
     if kind == "cosine_mode":

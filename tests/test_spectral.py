@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from slabdiff import (
@@ -21,8 +24,9 @@ from slabdiff import (
     wkb_coefficients,
     wkb_density,
 )
+from slabdiff import spectral
 from slabdiff.core import TimeGrid
-from slabdiff.spectral import BLOCK, CRITICAL_DISC_TOL, _split_times
+from slabdiff.spectral import BLOCK, CRITICAL_DISC_TOL, _split_times, family_density
 
 EPS_REF = 0.13
 
@@ -513,7 +517,7 @@ def test_long_time_rows_take_the_split(name):
     assert split is not None
     assert split.anchors.size + split.offsets.size <= v.size / 2
     np.testing.assert_array_equal(
-        split.anchors[0, :, 0][:, None] + split.offsets[split.inv],
+        split.anchors[:, None] + split.offsets[split.inv],
         np.pad(v, (0, -v.size % BLOCK), mode="edge").reshape(-1, BLOCK),
     )
 
@@ -533,7 +537,7 @@ def test_blocks_of_zero_decay_are_dropped():
     decay[decay < 1e-300] = 0.0
     split = _split_times(v, decay)
     live = np.flatnonzero(decay)
-    assert split.anchors.shape[1] == -(-live.size // BLOCK) < v.size // BLOCK
+    assert split.anchors.size == -(-live.size // BLOCK) < v.size // BLOCK
     assert _split_times(v, np.zeros_like(v)).anchors.size == 0
 
 
@@ -573,10 +577,153 @@ def test_blocked_evaluator_matches_per_mode_reference(request, profile, eps):
         pairs = density(REFERENCE_U, TRACE_V[:n_u])
         np.testing.assert_allclose(pairs, ref[n_v + np.arange(n_u), np.arange(n_u)],
                                    rtol=0, atol=tol)
-    # Long time rows, on which the telegraph family works by angle addition.
+    # Long time rows: one position and tables of two positions are
+    # contracted over the modes on the anchor/offset split, tables of three
+    # positions (unless zero-decay blocks shrink the split) are not.
     for v in SPLIT_V.values():
-        ref = reference_density("hyperbolic", c, eps, np.array(TRACE_U)[None, :], v[:, None])
-        for j, u in enumerate(TRACE_U):
-            np.testing.assert_allclose(families["hyperbolic"](u, v), ref[:, j], rtol=0, atol=tol)
-        table = families["hyperbolic"](np.array(TRACE_U)[None, :], v[:, None])
-        np.testing.assert_allclose(table, ref, rtol=0, atol=tol)
+        for model, density in families.items():
+            ref = reference_density(model, c, eps, np.array(TRACE_U)[None, :], v[:, None])
+            for j, u in enumerate(TRACE_U):
+                np.testing.assert_allclose(density(u, v), ref[:, j], rtol=0, atol=tol)
+            for n_u in (2, 3):
+                table = density(np.array(TRACE_U[:n_u])[None, :], v[:, None])
+                np.testing.assert_allclose(table, ref[:, :n_u], rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# contraction over the modes on long time rows
+# ---------------------------------------------------------------------------
+FAMILIES = ("parabolic", "hyperbolic", "wkb")
+
+
+def pointwise(model, c, eps, u, v):
+    """The (time x position) table as (u, v) pairs, which never take the split."""
+    uu, vv = np.broadcast_arrays(np.atleast_1d(u)[None, :], v[:, None])
+    return family_density(model, c, eps, uu, vv)
+
+
+def contraction_tolerance(model, c, eps):
+    """1e-14 of k0 + sum|k_m|, plus sum|fast_m| for the two-timescale family."""
+    scale = c.mean + np.sum(np.abs(c.modes))
+    if model == "wkb":
+        scale += np.sum(np.abs(wkb_coefficients(c, eps).fast))
+    return 1e-14 * scale
+
+
+@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+@pytest.mark.parametrize("m", [1, 2])
+def test_wkb_long_rows_near_a_resonance(gaussian_coeffs, surface_coeffs, m, offset):
+    # The fast and slow weights of mode m are about 1e5 times k_m; the
+    # contracted row keeps v = 0 at k_m and the rest at per-sample accuracy.
+    eps = 1.0 / (2 * math.pi * m) ** 2 + offset
+    v = SPLIT_V["linspace"]
+    for c in (gaussian_coeffs, surface_coeffs):
+        tol = contraction_tolerance("wkb", c, eps)
+        for u in ([0.5], [0.5, 0.0]):
+            values = wkb_density(c, eps, np.array(u)[None, :], v[:, None])
+            start = parabolic_density(c, np.array(u), 0.0)
+            assert np.max(np.abs(values[0] - start)) <= 1e-14 * c.mean
+            np.testing.assert_allclose(values, pointwise("wkb", c, eps, u, v), rtol=0, atol=tol)
+
+
+def test_wkb_zero_eps_long_rows_equal_parabolic_exactly(gaussian_coeffs):
+    v = SPLIT_V["linspace"]
+    for u, times in ((0.5, v), (np.array([[0.5, 0.0]]), v[:, None])):
+        np.testing.assert_array_equal(
+            wkb_density(gaussian_coeffs, 0.0, u, times),
+            parabolic_density(gaussian_coeffs, u, times),
+        )
+
+
+@st.composite
+def long_time_rows(draw):
+    """Rows of 16..2000 times: linspaces, dyadic irregular steps, and a
+    short pattern of small and large times repeated, whose large times have
+    zero telegraph decay at small eps."""
+    kind = draw(st.sampled_from(["linspace", "dyadic", "pattern"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "linspace":
+        return np.linspace(0.0, draw(st.floats(1e-3, 2.0)), draw(st.integers(16, 2000)))
+    if kind == "dyadic":
+        steps = rng.integers(1, 5, draw(st.integers(16, 1000)))
+        return draw(st.sampled_from([0.0, 0.25])) + np.cumsum(steps) * 2.0 ** -draw(
+            st.integers(6, 12))
+    period = draw(st.sampled_from([2, 4, 8, 16]))
+    pattern = rng.choice([0.0, 1e-3, 0.05, 0.3, 1.0], period)
+    return np.tile(pattern, draw(st.integers(1, 120)) * (16 // period))
+
+
+CONTRACTION_EPS = st.one_of(
+    st.sampled_from([
+        EPS_CRITICAL_M3,
+        1.0 / (2 * math.pi) ** 2 - 1e-6,  # near-resonant two-timescale mode 1
+        1.0 / (4 * math.pi) ** 2 + 1e-6,  # near-resonant two-timescale mode 2
+    ]),
+    st.floats(-5.0, 0.3).map(lambda x: 10.0**x),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    row=long_time_rows(),
+    eps=CONTRACTION_EPS,
+    positions=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3),
+    terms=st.integers(1, 500),
+    surface=st.booleans(),
+)
+def test_contraction_matches_per_sample_evaluation(
+    gaussian_coeffs, surface_coeffs, row, eps, positions, terms, surface
+):
+    full = surface_coeffs if surface else gaussian_coeffs
+    c = SpectralCoefficients(mean=full.mean, modes=full.modes[:terms])
+    for model in FAMILIES:
+        try:
+            tol = contraction_tolerance(model, c, eps)
+        except ResonantModeError:
+            continue
+        u = positions[0] if len(positions) == 1 else np.array(positions)[None, :]
+        values = family_density(model, c, eps, u, row if np.ndim(u) == 0 else row[:, None])
+        expected = pointwise(model, c, eps, positions, row)
+        np.testing.assert_allclose(values.reshape(expected.shape), expected, rtol=0, atol=tol)
+
+
+def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
+    calls = []
+    contracted = spectral._contracted
+
+    def spy(*args):
+        calls.append(args)
+        return contracted(*args)
+
+    monkeypatch.setattr(spectral, "_contracted", spy)
+    v = SPLIT_V["linspace"]
+    five = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    cases = [
+        (0.5, v, True),
+        (np.array([[0.5, 0.0]]), v[:, None], True),
+        (np.array([[0.5, 0.0, 0.3]]), v[:, None], False),
+        (np.array([[0.5, 0.0]]), five[:, None], False),
+        (REFERENCE_U[None, :], five[:, None], False),
+    ]
+    for model in FAMILIES:
+        for u, times, taken in cases:
+            calls.clear()
+            family_density(model, surface_coeffs, EPS_REF, u, times)
+            assert bool(calls) == taken, (model, np.shape(u), times.shape)
+
+
+@pytest.mark.parametrize("model", FAMILIES)
+def test_trace_memory_does_not_grow_with_truncation(model):
+    v = SPLIT_V["linspace"]
+
+    def peak(terms):
+        m = np.arange(1, terms + 1)
+        c = SpectralCoefficients(mean=1.0, modes=200.0 * (-1.0) ** m / ((2 * np.pi * m) ** 2 + 100))
+        tracemalloc.start()
+        try:
+            family_density(model, c, EPS_REF, 0.5, v)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) <= 1.1 * peak(500)
