@@ -9,17 +9,30 @@ Three families share the cosine-series coefficients of the initial profile:
 * two-timescale (WKB-type): a fast boundary-layer decay exp(-v/eps)
   superposed on the parabolic relaxation.
 
-The families differ only in each mode's time factor, and one blocked
-evaluator sums all three. It walks the modes in blocks, highest block
-first. The cosines cos(2*m*pi*u) of a block are built by angle addition
-from cos/sin(2*pi*m0*u) of the block's first mode and a shared table of
-cos/sin(2*pi*j*u).
+The families differ only in each mode's time factor T_m, and one blocked
+evaluator sums all three, walking the modes in blocks, highest block first.
+It takes one of three paths, chosen from the input alone.
 
-On a long time row the mode sum is contracted before time is expanded. The
-row is cut into blocks of BLOCK samples; each time is its block's smallest
-time (the anchor a) plus an offset d, and a uniform trace of 1201 times has
-76 anchors and about 105 distinct offsets. Each mode's time factor at
-v = a + d is a sum of products of an anchor table and an offset table:
+Fold and FFT. When the positions of an outer table (positions x times)
+are J >= BLOCK points q_j/P of one uniform lattice, cos(2*m*pi*q_j/P)
+depends on m only through m mod P. The terms k_m*T_m(v) of the modes
+congruent mod P are summed into one row of a (P x times) fold table, and
+the real part of its rfft, read at bin min(r_j, P - r_j), r_j = q_j mod P,
+is the sum at every position: O(M*N + N*P*log P) work and no
+(modes x positions) table. The lattice has P = 2*round(1/h) for the mean
+spacing h, at most 4*J, and every position must lie within
+np.spacing(HALF_WIDTH) of its q/P; cell centers of nu cells have P = 2*nu,
+Grid1D.uniform_grid(n) has P = 2*(n - 1), a half-slab linspace of n points
+P = 4*(n - 1). Field tables, FD-comparison slices and the acceptance
+gate's slices take this path; every index is an integer, so no phase is
+rounded.
+
+Contraction over the modes. Otherwise, on a long time row the mode sum is
+contracted before time is expanded. The row is cut into blocks of BLOCK
+samples; each time is its block's smallest time (the anchor a) plus an
+offset d, and a uniform trace of 1201 times has 76 anchors and about 105
+distinct offsets. Each mode's time factor at v = a + d is a sum of products
+of an anchor table and an offset table:
 
 * parabolic: exp(-lam*a) * exp(-lam*d), lam = (2*m*pi)^2;
 * telegraph, underdamped: cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
@@ -36,17 +49,25 @@ the (modes x times) table, and each sample reads G at its anchor and
 offset. The contraction is taken for an outer table whose anchors Q and
 distinct offsets D number at most half the N times and whose J positions
 give J*Q*D <= BLOCK*N, so G is no larger than one block of the direct path:
-a 1201-time trace at one or two positions qualifies, three positions do
-not. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + D)) modes, so peak
+a 1201-time trace at one or two positions qualifies. The direct telegraph
+formula pays a cos and a sin per mode and sample where the others pay an
+exp, so for the telegraph family a table of fewer than BLOCK positions is
+judged as if it had one: a 1201-time table of 3..15 positions is contracted
+too. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + D)) modes, so peak
 memory does not grow with the truncation.
 
-Everything else is evaluated per sample in blocks of BLOCK modes, each
-block's time factors contracted with its cosine rows over the mode axis
-(one matrix product when u and v form an outer table): rows of a few times
-(field tables, one-time slices), rows whose offsets do not repeat, rows
+Direct. Everything else is evaluated per sample in blocks of BLOCK modes,
+each block's time factors contracted with its cosine rows over the mode
+axis (one matrix product when u and v form an outer table): rows of a few
+times at off-lattice positions, rows whose offsets do not repeat, rows
 holding a non-finite time, (u, v) pairs, and the overdamped and critical
-telegraph modes (m < 1/(4*pi*sqrt(eps))). On either path the two-timescale
-family at eps = 0 is the parabolic evaluation, bit for bit.
+telegraph modes (m < 1/(4*pi*sqrt(eps))) of a contracted row. The cosines
+cos(2*m*pi*u) of a block are built by angle addition from
+cos/sin(2*pi*m0*u) of the block's first mode and a shared table of
+cos/sin(2*pi*j*u).
+
+The time factors are the same code on every path, and on every path the
+two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
 """
 
 from __future__ import annotations
@@ -57,7 +78,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Grid1D, TimeGrid, slab_positions
+from .core import HALF_WIDTH, Grid1D, TimeGrid, slab_positions
 from .errors import (
     DomainError,
     InvalidParameterError,
@@ -213,9 +234,13 @@ def _telegraph_factor(eps: float, m, v, decay):
     if under.any():
         omega, r = _frequency(eps, disc[under])
         phase = omega * v[under]
+        # decay*(cos(phase) + r*sin(phase)), formed in place.
+        wave = np.sin(phase)
+        wave *= r
+        wave += np.cos(phase, out=phase)
         # A decay row shared by every mode is not copied once per mode.
-        out[under] = (decay if len(decay) == 1 else decay[under]) * (
-            np.cos(phase) + r * np.sin(phase))
+        wave *= decay if len(decay) == 1 else decay[under]
+        out[under] = wave
     if crit.any():
         out[crit] = (decay if len(decay) == 1 else decay[crit]) * (1.0 + v[crit] / (2.0 * eps))
     return out
@@ -303,12 +328,65 @@ def _contracted(model, coefficients, eps, fast, split: _TimeSplit, lo: int, u):
     return split.place(g[split.inv, np.arange(a.size)[:, None]])
 
 
+def _lattice(u):
+    """(P, index) when the positions are points q/P of one uniform lattice, else None.
+
+    P = 2*round(1/h) for the mean spacing h of the J >= BLOCK positions
+    must not exceed 4*J, and every position must lie within
+    np.spacing(HALF_WIDTH) of its q/P. Cell centers of nu cells have
+    P = 2*nu, Grid1D.uniform_grid(n) has P = 2*(n - 1). index holds
+    min(r, P - r), r = q mod P, the rfft bin of each position.
+    """
+    if u.size < BLOCK:
+        return None
+    span = float(u.max() - u.min())
+    cells = (u.size - 1) / span if span > 0 else math.inf
+    if not cells <= 2 * u.size + 1:  # also inf and NaN, which round() refuses
+        return None
+    period = 2 * round(cells)
+    if period > 4 * u.size:
+        return None
+    q = np.rint(u * period)
+    if np.any(np.abs(u - q / period) > np.spacing(HALF_WIDTH)):
+        return None
+    r = np.mod(q, period).astype(np.intp)
+    return period, np.minimum(r, period - r)
+
+
+def _folded(mode_terms, terms: int, period: int, index, size: int):
+    """sum_m b_m(v) cos(2*m*pi*q/P) over modes 1..terms, as (size, J) rows, by one real FFT.
+
+    cos(2*m*pi*q/P) depends on m only through m mod P, so the terms
+    b_m = mode_terms(first, last) of the modes congruent mod P are summed
+    into one row of a (P x times) fold table, highest modes first, and the
+    real part of its rfft over P is the sum at every lattice position. A
+    block holds max(BLOCK, min(32*BLOCK, BLOCK*P/size)) modes, so its terms
+    never exceed BLOCK*max(P, size) values and peak memory does not grow
+    with the truncation beyond 512 modes; a slice of up to 512 modes is one
+    block.
+    """
+    fold = np.zeros((period, size))
+    rows = max(BLOCK, min(32 * BLOCK, BLOCK * period // max(size, 1)))
+    for stop in range(terms, 0, -rows):
+        start = max(1, stop - rows + 1)
+        t = mode_terms(start, stop)
+        # The modes low..top between two multiples of P fill contiguous rows.
+        top = stop
+        while top >= start:
+            low = max(start, top - top % period)
+            fold[low % period : top % period + 1] += t[low - start : top - start + 1]
+            top = low - 1
+    return np.fft.rfft(fold, axis=0).real[index].T
+
+
 def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     """k0 + sum_m k_m T_m(v) cos(2*m*pi*u) for one family; u and v broadcast.
 
     T_m is the family's time factor. An outer table (u of shape (1, Nu), v
-    of shape (Nv, 1)) or a scalar u or v is contracted by matrix products;
-    any other broadcast is evaluated point by point.
+    of shape (Nv, 1)) or a scalar u or v is summed by one real FFT on a
+    lattice of positions, contracted over the modes on a long time row, or
+    contracted by matrix products; any other broadcast is evaluated point by
+    point.
     """
     fast = None
     if model == "hyperbolic":
@@ -339,11 +417,46 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         with np.errstate(over="ignore"):
             e_fast = _exp(-v_row / eps)
 
+    k = coefficients.modes
+
+    def mode_terms(first: int, last: int):
+        """k_m T_m(v) of modes first..last at every time, (count, N).
+
+        Formed in place where it can: each block-sized temporary is fresh
+        memory from the allocator, and its page faults cost as much as the
+        arithmetic on a long time row.
+        """
+        m = np.arange(first, last + 1, dtype=float)[:, None]
+        if model == "hyperbolic":
+            t = _telegraph_factor(eps, m, v_row, decay)
+            t *= k[first - 1 : last, None]
+            return t
+        t = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
+        if fast is None:
+            t *= k[first - 1 : last, None]
+            return t
+        # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
+        gap = t - e_fast
+        gap *= fast[first - 1 : last, None]
+        t *= k[first - 1 : last, None]
+        t -= gap
+        return t
+
+    terms = coefficients.truncation
+    lattice = _lattice(u_flat) if outer else None
+    if lattice is not None:
+        total = _folded(mode_terms, terms, *lattice, v_flat.size)
+        return _scalarize((coefficients.mean + total).reshape(shape), u, v)
+
     # Modes lo..M are contracted over the anchor/offset split of a long time
     # row; modes 1..lo-1 (all modes without a split, the overdamped and
-    # critical telegraph modes with one) are evaluated per sample.
-    terms = coefficients.truncation
-    split = _split_times(v_flat, None if decay is None else decay[0], u_flat.size) if outer else None
+    # critical telegraph modes with one) are evaluated per sample. The direct
+    # telegraph formula pays a cos and a sin per mode and sample, so tables
+    # of fewer than BLOCK positions are split as if they had one.
+    split = None
+    if outer:
+        positions = 1 if model == "hyperbolic" and u_flat.size < BLOCK else u_flat.size
+        split = _split_times(v_flat, None if decay is None else decay[0], positions)
     lo = terms + 1
     if split is not None:
         lo = 1
@@ -353,7 +466,6 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
             disc = _discriminant(eps, np.arange(1, terms + 1, dtype=float))
             lo += int(np.count_nonzero(disc >= -CRITICAL_DISC_TOL))
 
-    k = coefficients.modes
     total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
     # A split that keeps no block has zero decay at every time.
     if lo <= terms and split.anchors.size:
@@ -362,17 +474,9 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
             total *= decay[0][:, None]
     cosines = _mode_cosines(u_flat, BLOCK)
     for first in range(BLOCK * ((lo - 2) // BLOCK) + 1, 0, -BLOCK):
-        block = slice(first - 1, min(first - 1 + BLOCK, lo - 1))
-        m = np.arange(block.start + 1, block.stop + 1, dtype=float)[:, None]
-        if model == "hyperbolic":
-            t = k[block, None] * _telegraph_factor(eps, m, v_row, decay)
-        else:
-            e_slow = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
-            t = k[block, None] * e_slow
-            if fast is not None:
-                # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
-                t -= fast[block, None] * (e_slow - e_fast)
-        c = cosines(first, len(m))
+        last = min(first - 1 + BLOCK, lo - 1)
+        t = mode_terms(first, last)
+        c = cosines(first, len(t))
         total += t.T @ c if outer else np.einsum("jn,jn->n", t, c)
     return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 

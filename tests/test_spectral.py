@@ -26,7 +26,8 @@ from slabdiff import (
 )
 from slabdiff import spectral
 from slabdiff.core import TimeGrid
-from slabdiff.spectral import BLOCK, CRITICAL_DISC_TOL, _split_times, family_density
+from slabdiff.fd import cell_centers
+from slabdiff.spectral import BLOCK, CRITICAL_DISC_TOL, _lattice, _split_times, family_density
 
 EPS_REF = 0.13
 
@@ -698,32 +699,189 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
     monkeypatch.setattr(spectral, "_contracted", spy)
     v = SPLIT_V["linspace"]
     five = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    # The direct telegraph formula pays a cos and a sin per mode and sample,
+    # so the telegraph family contracts tables of up to BLOCK - 1 positions.
     cases = [
-        (0.5, v, True),
-        (np.array([[0.5, 0.0]]), v[:, None], True),
-        (np.array([[0.5, 0.0, 0.3]]), v[:, None], False),
-        (np.array([[0.5, 0.0]]), five[:, None], False),
-        (REFERENCE_U[None, :], five[:, None], False),
+        (0.5, v, FAMILIES),
+        (np.array([[0.5, 0.0]]), v[:, None], FAMILIES),
+        (np.array([[0.5, 0.0, 0.3]]), v[:, None], ("hyperbolic",)),
+        (np.linspace(0.0, 0.3, BLOCK - 1)[None, :], v[:, None], ("hyperbolic",)),
+        (np.linspace(0.0, 0.3, BLOCK)[None, :], v[:, None], ()),
+        (np.array([[0.5, 0.0]]), five[:, None], ()),
+        (np.array([[0.5, 0.0, 0.3]]), five[:, None], ()),
+        (REFERENCE_U[None, :], five[:, None], ()),
     ]
     for model in FAMILIES:
         for u, times, taken in cases:
             calls.clear()
             family_density(model, surface_coeffs, EPS_REF, u, times)
-            assert bool(calls) == taken, (model, np.shape(u), times.shape)
+            assert bool(calls) == (model in taken), (model, np.shape(u), times.shape)
+
+
+def decaying_coefficients(terms):
+    """k0 = 1 and k_m = 200*(-1)^m/((2*m*pi)^2 + 100), m = 1..terms."""
+    m = np.arange(1, terms + 1)
+    return SpectralCoefficients(mean=1.0, modes=200.0 * (-1.0) ** m / ((2 * np.pi * m) ** 2 + 100))
+
+
+def traced_peak(model, terms, u, v):
+    """tracemalloc peak, in bytes, of one evaluation at `terms` modes."""
+    c = decaying_coefficients(terms)
+    tracemalloc.start()
+    try:
+        family_density(model, c, EPS_REF, u, v)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("model", FAMILIES)
 def test_trace_memory_does_not_grow_with_truncation(model):
     v = SPLIT_V["linspace"]
+    assert traced_peak(model, 2000, 0.5, v) <= 1.1 * traced_peak(model, 500, 0.5, v)
 
-    def peak(terms):
-        m = np.arange(1, terms + 1)
-        c = SpectralCoefficients(mean=1.0, modes=200.0 * (-1.0) ** m / ((2 * np.pi * m) ** 2 + 100))
-        tracemalloc.start()
+
+def test_telegraph_tables_of_few_positions_are_contracted_in_bounded_memory():
+    u, v = np.linspace(0.0, 0.5, BLOCK - 1)[None, :], SPLIT_V["linspace"][:, None]
+    small, large = (traced_peak("hyperbolic", terms, u, v) for terms in (500, 2000))
+    assert large <= 3e6 and large <= 1.1 * small
+
+
+@pytest.mark.parametrize("eps", [EPS_CRITICAL_M3, EPS_REF])
+def test_telegraph_tables_of_few_positions_match_per_sample_evaluation(surface_coeffs, eps):
+    u = np.linspace(-0.5, 0.5, BLOCK - 1)
+    tol = contraction_tolerance("hyperbolic", surface_coeffs, eps)
+    for name in ("linspace", "interleaved"):
+        v = SPLIT_V[name]
+        np.testing.assert_allclose(
+            hyperbolic_density(surface_coeffs, eps, u[None, :], v[:, None]),
+            pointwise("hyperbolic", surface_coeffs, eps, u, v), rtol=0, atol=tol)
+
+
+# ---------------------------------------------------------------------------
+# fold and FFT on lattice positions
+# ---------------------------------------------------------------------------
+# Cell centers have P = 2*nu, the walls grid P = 2*(n - 1) and a half-slab
+# linspace P = 4*(n - 1); 500 modes wrap the fold of 16 cells (P = 32) 15 times.
+LATTICE_GRIDS = {
+    "cells16": cell_centers(16),
+    "cells17": cell_centers(17),
+    "cells400": cell_centers(400),
+    "cells2000": cell_centers(2000),
+    "walls16": Grid1D.uniform_grid(16).points,
+    "walls1001": Grid1D.uniform_grid(1001).points,
+    "half33": np.linspace(0.0, 0.5, 33),
+    "shuffled400": np.random.default_rng(8).permutation(cell_centers(400)),
+}
+FIVE_V = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+
+
+@pytest.mark.parametrize("eps", [1e-4, EPS_CRITICAL_M3, 3e-3, EPS_REF, 1.0])
+@pytest.mark.parametrize("profile", ["gaussian_coeffs", "surface_coeffs"])
+def test_lattice_tables_match_per_mode_reference(request, profile, eps):
+    c = request.getfixturevalue(profile)
+    tol = 1e-14 * (c.mean + np.sum(np.abs(c.modes)))
+    u_all = np.concatenate(list(LATTICE_GRIDS.values()))
+    edges = np.cumsum([0] + [u.size for u in LATTICE_GRIDS.values()])
+    v = np.array(SLICE_V)
+    for model in FAMILIES:
+        if model == "wkb" and eps == EPS_CRITICAL_M3:
+            continue  # wkb mode 6 is resonant there
+        ref = reference_density(model, c, eps, u_all[None, :], v[:, None])
+        for (name, u), lo, hi in zip(LATTICE_GRIDS.items(), edges, edges[1:]):
+            assert _lattice(u) is not None, name
+            table = family_density(model, c, eps, u[None, :], v[:, None])
+            np.testing.assert_allclose(table, ref[:, lo:hi], rtol=0, atol=tol, err_msg=name)
+            one_time = family_density(model, c, eps, u, v[2])
+            np.testing.assert_allclose(one_time, ref[2, lo:hi], rtol=0, atol=tol, err_msg=name)
+
+
+@st.composite
+def lattice_positions(draw):
+    """J >= BLOCK positions (offset + 2*j)/P, P = 2*n <= 4*J, in drawn order."""
+    n = draw(st.integers(BLOCK - 1, 1000))
+    count = draw(st.integers(max(BLOCK, -(-n // 2)), n + 1))
+    offset = draw(st.integers(-n, n - 2 * (count - 1)))
+    u = (offset + 2 * np.arange(count)) / (2 * n)
+    if draw(st.booleans()):
+        u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).permutation(u)
+    return u
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    u=lattice_positions(),
+    times=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=6),
+    eps=CONTRACTION_EPS,
+    terms=st.integers(1, 1000),
+)
+def test_lattice_fold_matches_per_sample_evaluation(u, times, eps, terms):
+    assert _lattice(u) is not None
+    c = decaying_coefficients(terms)
+    v = np.array(times)
+    for model in FAMILIES:
         try:
-            family_density(model, c, EPS_REF, 0.5, v)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            tol = contraction_tolerance(model, c, eps)
+        except ResonantModeError:
+            continue
+        values = family_density(model, c, eps, u[None, :], v[:, None])
+        np.testing.assert_allclose(values, pointwise(model, c, eps, u, v), rtol=0, atol=tol)
 
-    assert peak(2000) <= 1.1 * peak(500)
+
+def test_lattice_fold_keeps_the_exact_identities(gaussian_coeffs):
+    c = gaussian_coeffs
+    for u, v in ((cell_centers(400), 0.02), (LATTICE_GRIDS["walls1001"][None, :], FIVE_V[:, None])):
+        np.testing.assert_array_equal(wkb_density(c, 0.0, u, v), parabolic_density(c, u, v))
+        start = parabolic_density(c, u, 0.0)
+        for eps in (1e-4, EPS_REF):
+            np.testing.assert_array_equal(hyperbolic_density(c, eps, u, 0.0), start)
+            np.testing.assert_array_equal(wkb_density(c, eps, u, 0.0), start)
+        np.testing.assert_array_equal(hyperbolic_density(c, EPS_CRITICAL_M3, u, 0.0), start)
+
+
+def test_lattice_fold_sums_the_high_modes_first():
+    # Each tail mode is below half an ulp of the leading one: summed before
+    # it, the 312 tail modes that share its fold row add 3.1e-14; added to it
+    # one by one, they would be lost.
+    modes = np.full(10000, 1e-16)
+    modes[0] = 1.0
+    c = SpectralCoefficients(mean=0.0, modes=modes)
+    u = cell_centers(16)
+    expected = reference_density("parabolic", c, 0.0, u, 0.0)
+    np.testing.assert_allclose(parabolic_density(c, u, 0.0), expected, rtol=0, atol=1e-15)
+
+
+def test_lattice_positions_take_the_fold(monkeypatch, surface_coeffs):
+    calls = []
+    folded = spectral._folded
+
+    def spy(*args):
+        calls.append(args)
+        return folded(*args)
+
+    monkeypatch.setattr(spectral, "_folded", spy)
+    cases = [
+        (cell_centers(400), 0.02, True),
+        (LATTICE_GRIDS["walls1001"][None, :], FIVE_V[:, None], True),
+        (cell_centers(BLOCK - 1), 0.02, False),  # too few positions
+        (cell_centers(400) + 1e-9, 0.02, False),  # off the lattice by 1e-9
+        (np.linspace(0.0, 0.3, 20), 0.02, False),  # 1/h = 63 > 2*J
+        (np.linspace(-0.3, 0.5, 20), 0.02, False),  # P = 48 <= 4*J, not on it
+        (np.arange(BLOCK) / 100.0, 0.02, False),  # a lattice of P = 200 > 4*J
+        (cell_centers(400), np.full(400, 0.02), False),  # (u, v) pairs
+    ]
+    for model in FAMILIES:
+        for u, v, taken in cases:
+            calls.clear()
+            family_density(model, surface_coeffs, EPS_REF, u, v)
+            assert bool(calls) == taken, (model, u[..., :3], np.shape(v))
+
+
+@pytest.mark.parametrize("model", ["parabolic", "hyperbolic"])
+@pytest.mark.parametrize("grid", ["slice", "table"])
+def test_lattice_memory_does_not_grow_with_truncation(model, grid):
+    # The two-timescale family is left out: its fast weights, vectors of M
+    # values formed once per call, are what grows there.
+    u, v = (cell_centers(2000), 0.02) if grid == "slice" else (
+        LATTICE_GRIDS["walls1001"][None, :], FIVE_V[:, None])
+    assert traced_peak(model, 5000, u, v) <= 1.1 * traced_peak(model, 500, u, v)
