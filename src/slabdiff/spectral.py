@@ -28,11 +28,20 @@ gate's slices take this path; every index is an integer, so no phase is
 rounded.
 
 Contraction over the modes. Otherwise, on a long time row the mode sum is
-contracted before time is expanded. The row is cut into blocks of BLOCK
-samples; each time is its block's smallest time (the anchor a) plus an
-offset d, and a uniform trace of 1201 times has 76 anchors and about 105
-distinct offsets. Each mode's time factor at v = a + d is a sum of products
-of an anchor table and an offset table:
+contracted before time is expanded. The N times are cut into blocks of
+S = max(BLOCK, isqrt(N)) samples; each time is its block's smallest time
+(the anchor a) plus an offset. The distinct offsets of a uniform row are S
+multiples of the step and their rounding variants, a few ulps of the time
+apart, so offsets merge into groups: an offset joins the group before it
+unless it lies more than tau = MERGE_PHASE/R past the group's smallest
+member, its representative d, and keeps the residual e = offset - d,
+exact, with 0 <= e <= tau. R is the fastest rate an offset table sees:
+(2*M*pi)^2 for the parabolic family, also 1/eps for the two-timescale
+family, and the top frequency omega or 1/(2*eps), the larger, for the
+telegraph family. A uniform trace of 1201 times has 36 anchors and 34
+representatives (76 anchors and 105 distinct offsets in blocks of 16
+without merging). Each mode's time factor at v = a + d is a sum of
+products of an anchor table and an offset table:
 
 * parabolic: exp(-lam*a) * exp(-lam*d), lam = (2*m*pi)^2;
 * telegraph, underdamped: cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
@@ -45,16 +54,24 @@ of an anchor table and an offset table:
 
 With k_m*cos(2*m*pi*u_j) folded into the anchor side, one matrix product
 per block of modes, G[d, (a, j)] += sum_m B[m, d]*A[m, (a, j)], replaces
-the (modes x times) table, and each sample reads G at its anchor and
-offset. The contraction is taken for an outer table whose anchors Q and
-distinct offsets D number at most half the N times and whose J positions
-give J*Q*D <= BLOCK*N, so G is no larger than one block of the direct path:
-a 1201-time trace at one or two positions qualifies. The direct telegraph
-formula pays a cos and a sin per mode and sample where the others pay an
-exp, so for the telegraph family a table of fewer than BLOCK positions is
-judged as if it had one: a 1201-time table of 3..15 positions is contracted
-too. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + D)) modes, so peak
-memory does not grow with the truncation.
+the (modes x times) table. When some residual is not 0 the offset tables'
+closed-form derivatives (omega*Q and -omega*P; -lam*e_s; -lam*e_s + e_f/eps
+for D) are appended to B, so the same product also gives dG/dd, and each
+sample reads G + e*dG at its anchor and representative. The neglected
+second-order term of each mode is at most (R*tau)^2 = MERGE_PHASE^2 = 1e-16
+of |k_m| (of |k_m| + 2*|fast_m| for the two-timescale family). Rows whose
+residuals are all 0 (no offsets merge: dyadic steps, repeated patterns, or
+a subnormal two-timescale eps, where tau is 0) form no derivative columns.
+The contraction is taken for an outer table whose anchors Q and
+representatives D number at most half the N times and whose J positions
+give J*Q*W <= BLOCK*N, W = D, or 2*D with derivative columns, so G is no
+larger than one block of the direct path: a 1201-time table of up to 7
+positions qualifies. The direct telegraph formula pays a cos and a
+sin per mode and sample where the others pay an exp, so for the telegraph
+family a table of fewer than BLOCK positions is judged as if it had one: a
+1201-time table of up to 15 positions is contracted. A block of modes
+holds max(BLOCK, BLOCK*N/(Q*J + W)) modes, so peak memory does not grow
+with the truncation.
 
 Direct. Everything else is evaluated per sample in blocks of BLOCK modes,
 each block's time factors contracted with its cosine rows over the mode
@@ -103,6 +120,12 @@ WALL_CLEARANCE = 0.25
 #: temporaries, so peak memory does not grow with the truncation.
 BLOCK = 16
 
+#: In-block offsets within MERGE_PHASE/R of their group's first, R the
+#: fastest rate of the contracted modes, share one offset-table column; the
+#: first-order correction in the residual e <= MERGE_PHASE/R leaves out at
+#: most MERGE_PHASE**2 of each mode's weight.
+MERGE_PHASE = 1e-8
+
 #: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
 #: the subnormal range that starts at x = -708.4) are taken as 0.
 EXP_FLOOR = -708.0
@@ -143,58 +166,103 @@ def _exp(x):
 # ---------------------------------------------------------------------------
 
 class _TimeSplit(NamedTuple):
-    """A time row cut into blocks, each time written as anchor + offset.
+    """A time row cut into blocks, each time written as anchor + offset + residual.
 
-    anchors (B,) holds the smallest time of each kept block, offsets the
-    distinct in-block offsets v - anchor, and inv (B, BLOCK) the index into
-    offsets of every sample. Blocks whose decay is 0 throughout are not
-    kept; columns places the kept samples in the row padded to whole blocks,
-    and is None when every block is kept.
+    anchors (B,) holds the smallest time of each kept block. The distinct
+    in-block offsets v - anchor are merged into groups no wider than the
+    merge tolerance; offsets holds each group's smallest member, its
+    representative, inv (B, S) the group of every sample and residual
+    (B, S) the sample's offset minus its representative, so that
+    anchor + (representative + residual) is the time, bit for bit. Blocks
+    whose decay is 0 throughout are not kept; columns places the kept
+    samples in the row padded to whole blocks, and is None when every block
+    is kept.
     """
 
     anchors: np.ndarray
     offsets: np.ndarray
     inv: np.ndarray
+    residual: np.ndarray
     columns: np.ndarray | None
     size: int
 
     def place(self, blocks):
-        """Values over the kept blocks, (B, BLOCK, J), as rows (N, J) over the time row."""
+        """Values over the kept blocks, (B, S, J), as rows (N, J) over the time row."""
         rows = blocks.reshape(-1, blocks.shape[-1])
         if self.columns is not None:
-            rows, kept = np.zeros((-(-self.size // BLOCK) * BLOCK, rows.shape[1])), rows
+            span = self.inv.shape[1]
+            rows, kept = np.zeros((-(-self.size // span) * span, rows.shape[1])), rows
             rows[self.columns] = kept
         return rows[: self.size]
 
 
-def _split_times(v, decay=None, positions: int = 1):
-    """The anchor/offset split of the time row v, in blocks of BLOCK, or None.
+def _split_times(v, decay=None, positions: int = 1, tau: float = 0.0):
+    """The anchor/offset split of the time row v, or None.
 
-    None, for the direct formula, unless the kept anchors Q and the distinct
-    offsets D number at most half the N samples and the contracted table of
-    positions * Q * D values is no larger than BLOCK * N. A row of fewer
-    than BLOCK times never qualifies, and a non-finite time takes the direct
-    formula so that it stays in its own sample. A block is dropped when
-    decay == 0 at all its samples.
+    The N times are cut into blocks of S = max(BLOCK, isqrt(N)), which
+    about minimizes the anchors plus the distinct offsets of a uniform row.
+
+    Offsets merge from the smallest, 0, up: an offset joins the group before
+    it unless it lies more than tau past that group's first member, which
+    is the group's representative. Every group but the first, {0, ...},
+    starts above tau, so a representative is at least half of each member
+    and member - representative is exact.
+
+    None, for the direct formula, unless the kept anchors Q and the
+    representatives D number at most half the N samples and the contracted
+    table of positions * Q * D values, twice that when some residual is not
+    0, is no larger than BLOCK * N. A row of fewer than BLOCK times never
+    qualifies, and a non-finite time takes the direct formula so that it
+    stays in its own sample. A block is dropped when decay == 0 at all its
+    samples.
     """
     n = v.size
     if n < BLOCK or not np.all(np.isfinite(v)):
         return None
-    pad = -n % BLOCK
-    blocks = np.pad(v, (0, pad), mode="edge").reshape(-1, BLOCK)
+    span = max(BLOCK, math.isqrt(n))
+    pad = -n % span
+    blocks = np.pad(v, (0, pad), mode="edge").reshape(-1, span)
     live = np.ones(len(blocks), dtype=bool) if decay is None else np.any(
-        np.pad(decay, (0, pad), mode="edge").reshape(-1, BLOCK) != 0, axis=1)
+        np.pad(decay, (0, pad), mode="edge").reshape(-1, span) != 0, axis=1)
     kept = blocks[live]
     # The smallest time of a block is its anchor, so that no offset is
     # negative and no decay factor exp(-rate*d) exceeds 1.
     anchors = kept.min(axis=1)
-    offsets, inv = np.unique((kept - anchors[:, None]).ravel(), return_inverse=True)
-    if len(kept) + offsets.size > n / 2 or positions * len(kept) * offsets.size > BLOCK * n:
+    sample = kept - anchors[:, None]
+    distinct, inv = np.unique(sample, return_inverse=True)
+    # Start a group at each gap wider than tau, then, while some group is
+    # wider than tau, at its first member more than tau past the group's
+    # first: for rounding variants of a few nominal offsets one pass.
+    first = np.diff(distinct, prepend=-np.inf) > tau
+    while True:
+        group = np.cumsum(first) - 1
+        far = distinct - distinct[first][group] > tau
+        if not far.any():
+            break
+        first |= far & ~np.r_[False, far[:-1]]
+    offsets, inv = distinct[first], group[inv].reshape(kept.shape)
+    residual = sample - offsets[inv]
+    width = offsets.size * (2 if residual.any() else 1)
+    if len(kept) + offsets.size > n / 2 or positions * len(kept) * width > BLOCK * n:
         return None
     columns = None if live.all() else (
-        np.flatnonzero(live)[:, None] * BLOCK + np.arange(BLOCK)
+        np.flatnonzero(live)[:, None] * span + np.arange(span)
     ).ravel()
-    return _TimeSplit(anchors, offsets, inv.reshape(kept.shape), columns, n)
+    return _TimeSplit(anchors, offsets, inv, residual, columns, n)
+
+
+def _fastest_rate(model: str, eps: float, terms: int) -> float:
+    """The largest rate R an offset table of modes up to `terms` sees.
+
+    The parabolic decay (2*M*pi)^2; for the two-timescale family with
+    eps > 0 also 1/eps; for the telegraph family the top frequency omega
+    and 1/(2*eps), since r*sin(omega*d) with r = 1/(2*eps*omega) grows at
+    that rate near the critical modes.
+    """
+    if model == "hyperbolic":
+        return max(float(_frequency(eps, _discriminant(eps, terms))[0]), 0.5 / eps)
+    rate = (2.0 * math.pi * terms) ** 2
+    return max(rate, 1.0 / eps) if model == "wkb" and eps > 0 else rate
 
 
 def _discriminant(eps: float, m):
@@ -276,26 +344,33 @@ def _mode_cosines(u, rows: int):
     return block
 
 
-def _contracted(model, coefficients, eps, fast, split: _TimeSplit, lo: int, u):
+def _contracted(model, coefficients, eps, two_scale: bool, split: _TimeSplit, lo: int, u):
     """sum_m k_m T_m(v) cos(2*m*pi*u) over modes lo..M, as (N, J) rows.
 
-    With v = a + d (anchor a, offset d) each mode's time factor is a sum of
-    products anchor table(a) * offset table(d). The anchor side, times
-    cos(2*m*pi*u), is contracted with the offset side over the modes of a
-    block, G[d, q, j] += sum_m A[m, q, j] * B[m, d], and each sample reads
-    G at its own offset: no (modes x times) table is formed. The telegraph
+    With v = a + d + e (anchor a, representative offset d, residual e) each
+    mode's time factor is a sum of products anchor table(a) * offset
+    table(d + e), and offset table(d + e) = table(d) + e*table'(d) to first
+    order. The anchor side, times cos(2*m*pi*u), is contracted with the
+    offset tables and, when some e is not 0, their closed-form derivatives
+    over the modes of a block, G[d, q, j] += sum_m A[m, q, j] * B[m, d],
+    and each sample reads G at its own representative plus e times the
+    derivative rows: no (modes x times) table is formed. The telegraph
     family leaves out the shared decay exp(-v/(2*eps)).
     """
     a, d = split.anchors[None, :], split.offsets[None, :]
-    g = np.zeros((d.size, a.size, u.size))
+    slope = bool(split.residual.any())
+    g = np.zeros(((1 + slope) * d.size, a.size, u.size))
     # A block's anchor-side table is no larger than a direct block.
-    rows = max(BLOCK, BLOCK * split.size // (g[0].size + d.size))
+    rows = max(BLOCK, BLOCK * split.size // (a.size * u.size + len(g)))
     cosines = _mode_cosines(u, rows)
-    if fast is not None:
+    if two_scale:
         # e_f(a + d) = e_f(a)*e_f(d) is common to all modes: its term is
         # summed over the modes first and meets e_f(d) once, at the end.
         with np.errstate(over="ignore"):
             fast_a, fast_d = _exp(-a / eps), _exp(-d / eps)
+        # e_f'(d) = -e_f(d)/eps. Offsets merge only where the merge tolerance,
+        # at most MERGE_PHASE*eps, is not 0, so 1/eps is finite there.
+        fast_slope = fast_d / eps if slope else None
         rank_one = np.zeros(g.shape[1:])
     k = coefficients.modes
     for stop in range(coefficients.truncation, lo - 1, -rows):
@@ -305,27 +380,43 @@ def _contracted(model, coefficients, eps, fast, split: _TimeSplit, lo: int, u):
         c = cosines(start, len(m))
         if model == "hyperbolic":
             # cos(omega*(a + d)) + r*sin(omega*(a + d))
-            #   = cos(omega*a)*P(d) + sin(omega*a)*Q(d)
+            #   = cos(omega*a)*P(d) + sin(omega*a)*Q(d),
+            # with P' = omega*Q and Q' = -omega*P.
             omega, r = _frequency(eps, _discriminant(eps, m))
             cos_d, sin_d = np.cos(omega * d), np.sin(omega * d)
             anchor = (kb * np.cos(omega * a), kb * np.sin(omega * a))
             offset = (cos_d + r * sin_d, r * cos_d - sin_d)
+            if slope:
+                slopes = (omega * offset[1], -omega * offset[0])
         else:
             rate = -((2.0 * np.pi * m) ** 2)
             slow_a, slow_d = _exp(rate * a), _exp(rate * d)
             anchor, offset = (kb * slow_a,), (slow_d,)
-            if fast is not None:
+            if slope:
+                slopes = (rate * slow_d,)
+            if two_scale:
                 # e_s(v) - e_f(v) = e_s(a)*D(d) + D(a)*e_f(d), D = e_s - e_f:
                 # both terms vanish at v = 0, which keeps k_m exact there.
-                fb = fast[start - 1 : stop, None]
+                fb = _wkb_fast(eps, m, kb)
                 anchor += (-fb * slow_a,)
                 offset += (slow_d - fast_d,)
+                if slope:
+                    slopes += (rate * slow_d + fast_slope,)
                 rank_one -= (fb * (slow_a - fast_a)).T @ c
         table = (np.stack(anchor)[..., None] * c[:, None, :]).reshape(-1, g[0].size)
-        g += (np.concatenate(offset).T @ table).reshape(g.shape)
-    if fast is not None:
-        g += fast_d[0][:, None, None] * rank_one
-    return split.place(g[split.inv, np.arange(a.size)[:, None]])
+        b = np.concatenate(offset)
+        if slope:
+            b = np.concatenate((b, np.concatenate(slopes)), axis=1)
+        g += (b.T @ table).reshape(g.shape)
+    if two_scale:
+        g[: d.size] += fast_d[0][:, None, None] * rank_one
+        if slope:
+            g[d.size :] -= fast_slope[0][:, None, None] * rank_one
+    q = np.arange(a.size)[:, None]
+    values = g[split.inv, q]
+    if slope:
+        values += split.residual[..., None] * g[d.size + split.inv, q]
+    return split.place(values)
 
 
 def _lattice(u):
@@ -388,13 +479,13 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     contracted by matrix products; any other broadcast is evaluated point by
     point.
     """
-    fast = None
+    terms = coefficients.truncation
     if model == "hyperbolic":
         _check_telegraph_eps(eps)
     elif model == "wkb":
-        weights = wkb_coefficients(coefficients, eps).fast
-        # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
-        fast = weights if eps > 0 else None
+        _check_wkb_eps(eps, terms)
+    # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
+    two_scale = model == "wkb" and eps > 0
     u_arr = slab_positions(u)
     v_arr = _check_v(v)
     shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
@@ -412,7 +503,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     decay = None
     if model == "hyperbolic":
         decay = _exp((-1.0 / (2.0 * eps)) * v_row)
-    if fast is not None:
+    if two_scale:
         # -v/eps overflows to -inf for a subnormal eps; exp(-inf) = 0 is the limit.
         with np.errstate(over="ignore"):
             e_fast = _exp(-v_row / eps)
@@ -427,22 +518,22 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         arithmetic on a long time row.
         """
         m = np.arange(first, last + 1, dtype=float)[:, None]
+        kb = k[first - 1 : last, None]
         if model == "hyperbolic":
             t = _telegraph_factor(eps, m, v_row, decay)
-            t *= k[first - 1 : last, None]
+            t *= kb
             return t
         t = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
-        if fast is None:
-            t *= k[first - 1 : last, None]
+        if not two_scale:
+            t *= kb
             return t
         # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
         gap = t - e_fast
-        gap *= fast[first - 1 : last, None]
-        t *= k[first - 1 : last, None]
+        gap *= _wkb_fast(eps, m, kb)
+        t *= kb
         t -= gap
         return t
 
-    terms = coefficients.truncation
     lattice = _lattice(u_flat) if outer else None
     if lattice is not None:
         total = _folded(mode_terms, terms, *lattice, v_flat.size)
@@ -453,23 +544,24 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     # critical telegraph modes with one) are evaluated per sample. The direct
     # telegraph formula pays a cos and a sin per mode and sample, so tables
     # of fewer than BLOCK positions are split as if they had one.
+    lo = 1
+    if outer and model == "hyperbolic":
+        # The discriminant falls with m: the modes that are not underdamped
+        # are the lowest ones.
+        disc = _discriminant(eps, np.arange(1, terms + 1, dtype=float))
+        lo += int(np.count_nonzero(disc >= -CRITICAL_DISC_TOL))
     split = None
-    if outer:
+    if outer and lo <= terms:
         positions = 1 if model == "hyperbolic" and u_flat.size < BLOCK else u_flat.size
-        split = _split_times(v_flat, None if decay is None else decay[0], positions)
-    lo = terms + 1
-    if split is not None:
-        lo = 1
-        if model == "hyperbolic":
-            # The discriminant falls with m: the modes that are not
-            # underdamped are the lowest ones.
-            disc = _discriminant(eps, np.arange(1, terms + 1, dtype=float))
-            lo += int(np.count_nonzero(disc >= -CRITICAL_DISC_TOL))
+        split = _split_times(v_flat, None if decay is None else decay[0], positions,
+                             MERGE_PHASE / _fastest_rate(model, eps, terms))
+    if split is None:
+        lo = terms + 1
 
     total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
     # A split that keeps no block has zero decay at every time.
     if lo <= terms and split.anchors.size:
-        total += _contracted(model, coefficients, eps, fast, split, lo, u_flat)
+        total += _contracted(model, coefficients, eps, two_scale, split, lo, u_flat)
         if decay is not None:
             total *= decay[0][:, None]
     cosines = _mode_cosines(u_flat, BLOCK)
@@ -520,18 +612,49 @@ class WkbCoefficients:
         object.__setattr__(self, "slow", slow)
 
 
+def _mode_ratios(eps: float, m):
+    """q_m = eps*(2*m*pi)^2 of the modes m."""
+    return eps * (2.0 * math.pi * m) ** 2
+
+
+def _check_wkb_eps(eps: float, terms: int):
+    """Raise unless eps >= 0 and no mode m <= terms is resonant, in O(1).
+
+    q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
+    within RESONANCE_TOL of 1.
+
+    Raises:
+        InvalidParameterError: eps < 0 or NaN.
+        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
+            where the two-timescale closed form is singular.
+    """
+    if not (eps >= 0):
+        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
+    near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
+    if near > terms + 1:
+        return
+    m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
+    resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
+    if resonant.size:
+        raise ResonantModeError(int(m[resonant[0]]), eps)
+
+
 def wkb_mode_ratios(eps: float, terms: int) -> np.ndarray:
     """q_m = eps*(2*m*pi)^2 for m = 1..terms.
 
     Raises:
+        InvalidParameterError: eps < 0 or NaN.
         ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m, where the
             two-timescale closed form is singular.
     """
-    q = eps * (2.0 * math.pi * np.arange(1, terms + 1, dtype=float)) ** 2
-    resonant = np.flatnonzero(np.abs(1.0 - q) < RESONANCE_TOL)
-    if resonant.size:
-        raise ResonantModeError(int(resonant[0]) + 1, eps)
-    return q
+    _check_wkb_eps(eps, terms)
+    return _mode_ratios(eps, np.arange(1, terms + 1, dtype=float))
+
+
+def _wkb_fast(eps: float, m, k):
+    """Fast weights -q_m/(1 - q_m)*k_m of the modes m with coefficients k."""
+    q = _mode_ratios(eps, m)
+    return -q / (1.0 - q) * k
 
 
 def wkb_coefficients(coefficients: SpectralCoefficients, eps: float) -> WkbCoefficients:
@@ -541,15 +664,15 @@ def wkb_coefficients(coefficients: SpectralCoefficients, eps: float) -> WkbCoeff
         slow_m = k_m / (1 - eps*(2*m*pi)^2)
 
     Raises:
+        InvalidParameterError: eps < 0 or NaN.
         ResonantModeError: eps*(2*m*pi)^2 is within 1e-9 of 1 for some
             retained m; the closed form is singular there and silently
             dropping the mode would break the v = 0 reconstruction.
     """
-    if not (eps >= 0):
-        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
     q = wkb_mode_ratios(eps, coefficients.truncation)
     k = coefficients.modes
-    return WkbCoefficients(fast=-q / (1.0 - q) * k, slow=k / (1.0 - q))
+    return WkbCoefficients(
+        fast=_wkb_fast(eps, np.arange(1, q.size + 1, dtype=float), k), slow=k / (1.0 - q))
 
 
 def wkb_density(coefficients: SpectralCoefficients, eps: float, u, v):

@@ -27,7 +27,15 @@ from slabdiff import (
 from slabdiff import spectral
 from slabdiff.core import TimeGrid
 from slabdiff.fd import cell_centers
-from slabdiff.spectral import BLOCK, CRITICAL_DISC_TOL, _lattice, _split_times, family_density
+from slabdiff.spectral import (
+    BLOCK,
+    CRITICAL_DISC_TOL,
+    MERGE_PHASE,
+    _fastest_rate,
+    _lattice,
+    _split_times,
+    family_density,
+)
 
 EPS_REF = 0.13
 
@@ -511,16 +519,40 @@ SPLIT_V = {
 }
 
 
+def merge_tolerance(model, eps, terms):
+    return MERGE_PHASE / _fastest_rate(model, eps, terms)
+
+
 @pytest.mark.parametrize("name", sorted(SPLIT_V))
 def test_long_time_rows_take_the_split(name):
     v = SPLIT_V[name]
-    split = _split_times(v, np.ones_like(v))
+    tau = merge_tolerance("parabolic", 0.0, 500)
+    split = _split_times(v, np.ones_like(v), tau=tau)
     assert split is not None
+    span = split.inv.shape[1]
     assert split.anchors.size + split.offsets.size <= v.size / 2
+    # Each time is its anchor plus its representative plus its residual,
+    # bit for bit, and no residual exceeds the merge tolerance.
     np.testing.assert_array_equal(
-        split.anchors[:, None] + split.offsets[split.inv],
-        np.pad(v, (0, -v.size % BLOCK), mode="edge").reshape(-1, BLOCK),
+        split.anchors[:, None] + (split.offsets[split.inv] + split.residual),
+        np.pad(v, (0, -v.size % span), mode="edge").reshape(-1, span),
     )
+    assert np.all((split.residual >= 0) & (split.residual <= tau))
+    if name == "linspace":
+        # The rounding variants of the span nominal offsets merge.
+        assert split.offsets.size <= span == 34
+        assert split.residual.any()
+
+
+def test_offsets_merge_into_groups_no_wider_than_tau():
+    # Offsets tau apart chain across 0..3*tau, wider than tau: the groups
+    # are {0, tau}, {2*tau, 3*tau} and {5*tau}, each led by its smallest.
+    tau = 2.0**-50
+    v = np.tile(np.array([0.0, 1.0, 2.0, 3.0, 5.0]) * tau, 8)
+    split = _split_times(v, tau=tau)
+    np.testing.assert_array_equal(split.offsets, np.array([0.0, 2.0, 5.0]) * tau)
+    assert split.residual.max() == tau
+    assert _split_times(v, tau=0.5 * tau).offsets.size == 5
 
 
 def test_short_or_unrepeating_time_rows_keep_the_direct_formula():
@@ -537,8 +569,8 @@ def test_blocks_of_zero_decay_are_dropped():
     decay = np.exp(-v / 2e-4)
     decay[decay < 1e-300] = 0.0
     split = _split_times(v, decay)
-    live = np.flatnonzero(decay)
-    assert split.anchors.size == -(-live.size // BLOCK) < v.size // BLOCK
+    live, span = np.flatnonzero(decay), split.inv.shape[1]
+    assert split.anchors.size == -(-live.size // span) < v.size // span
     assert _split_times(v, np.zeros_like(v)).anchors.size == 0
 
 
@@ -578,9 +610,8 @@ def test_blocked_evaluator_matches_per_mode_reference(request, profile, eps):
         pairs = density(REFERENCE_U, TRACE_V[:n_u])
         np.testing.assert_allclose(pairs, ref[n_v + np.arange(n_u), np.arange(n_u)],
                                    rtol=0, atol=tol)
-    # Long time rows: one position and tables of two positions are
-    # contracted over the modes on the anchor/offset split, tables of three
-    # positions (unless zero-decay blocks shrink the split) are not.
+    # Long time rows: one position and tables of two and three positions
+    # are contracted over the modes on the anchor/offset split.
     for v in SPLIT_V.values():
         for model, density in families.items():
             ref = reference_density(model, c, eps, np.array(TRACE_U)[None, :], v[:, None])
@@ -704,7 +735,7 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
     cases = [
         (0.5, v, FAMILIES),
         (np.array([[0.5, 0.0]]), v[:, None], FAMILIES),
-        (np.array([[0.5, 0.0, 0.3]]), v[:, None], ("hyperbolic",)),
+        (np.array([[0.5, 0.0, 0.3]]), v[:, None], FAMILIES),
         (np.linspace(0.0, 0.3, BLOCK - 1)[None, :], v[:, None], ("hyperbolic",)),
         (np.linspace(0.0, 0.3, BLOCK)[None, :], v[:, None], ()),
         (np.array([[0.5, 0.0]]), five[:, None], ()),
@@ -716,6 +747,91 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
             calls.clear()
             family_density(model, surface_coeffs, EPS_REF, u, times)
             assert bool(calls) == (model in taken), (model, np.shape(u), times.shape)
+
+
+@st.composite
+def residual_rows(draw, tau):
+    """Long rows whose offsets carry residuals next to the merge tolerance tau:
+    linspaces shifted up by a few ulps; a period-4 row of 0, tau, x and
+    x + tau (rounded), or of the next floats above tau and x + tau, so that
+    every block's anchor is 0 and its offsets are these times; and
+    linspaces reaching 100, whose rounding variants are wider than tau for
+    the fast families."""
+    kind = draw(st.sampled_from(["shifted", "at_tau", "above_tau", "to_100"]))
+    n = draw(st.integers(BLOCK, 2000))
+    if kind in ("shifted", "to_100"):
+        v = np.linspace(0.0, 100.0 if kind == "to_100" else draw(st.floats(1e-3, 2.0)), n)
+        if kind == "shifted":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            v += rng.integers(0, 4, n) * np.spacing(v)
+        return v
+    x = 2.0 ** draw(st.integers(1, 40)) * tau
+    pair = np.array([tau, x + tau])
+    if kind == "above_tau":
+        pair = np.nextafter(pair, math.inf)
+    return np.tile([0.0, pair[0], x, pair[1]], -(-n // 4))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    eps=CONTRACTION_EPS,
+    positions=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3),
+    terms=st.integers(1, 500),
+    flat=st.booleans(),
+)
+def test_residual_rows_match_per_sample_evaluation(
+    surface_coeffs, data, eps, positions, terms, flat
+):
+    # k_m = 1 weights the fastest modes, where the neglected second-order
+    # term is largest, as much as the slow ones.
+    modes = np.ones(terms) if flat else surface_coeffs.modes[:terms]
+    c = SpectralCoefficients(mean=1.0, modes=modes)
+    u = np.array(positions)[None, :]
+    # A subnormal eps merges no offsets of the two-timescale family.
+    for model, e in [(model, eps) for model in FAMILIES] + [("wkb", 5e-324)]:
+        try:
+            tol = contraction_tolerance(model, c, e)
+        except ResonantModeError:
+            continue
+        # With no underdamped telegraph mode nothing is contracted or merged.
+        contracted = model != "hyperbolic" or (
+            spectral._discriminant(e, terms) < -CRITICAL_DISC_TOL)
+        row = data.draw(residual_rows(merge_tolerance(model, e, terms) if contracted else 0.0))
+        values = family_density(model, c, e, u, row[:, None])
+        np.testing.assert_allclose(values, pointwise(model, c, e, positions, row), rtol=0, atol=tol)
+
+
+def test_telegraph_trace_forms_trig_once_per_anchor_and_offset(monkeypatch, surface_coeffs):
+    # cos and sin are each formed once per contracted mode at every anchor
+    # and every representative, of which there are at most one per time of
+    # a block. 16-time blocks with unmerged offsets took 500 x (76 anchors +
+    # 105 distinct offsets).
+    formed = {"cos": 0, "sin": 0}
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def cos(self, x, *args, **kwargs):
+            formed["cos"] += np.size(x)
+            return np.cos(x, *args, **kwargs)
+
+        def sin(self, x, *args, **kwargs):
+            formed["sin"] += np.size(x)
+            return np.sin(x, *args, **kwargs)
+
+    v = SPLIT_V["linspace"]
+    terms = surface_coeffs.truncation
+    split = _split_times(v, None, 1, merge_tolerance("hyperbolic", EPS_REF, terms))
+    span = split.inv.shape[1]
+    assert split.offsets.size <= span
+    monkeypatch.setattr(spectral, "np", CountingNumpy())
+    hyperbolic_density(surface_coeffs, EPS_REF, 0.5, v)
+    # One more value per mode covers the cosines of the position itself.
+    bound = terms * (split.anchors.size + span + 1)
+    assert 0 < formed["cos"] <= bound and 0 < formed["sin"] <= bound, (formed, bound)
+    assert bound < terms * (76 + 105)
 
 
 def decaying_coefficients(terms):
@@ -877,11 +993,9 @@ def test_lattice_positions_take_the_fold(monkeypatch, surface_coeffs):
             assert bool(calls) == taken, (model, u[..., :3], np.shape(v))
 
 
-@pytest.mark.parametrize("model", ["parabolic", "hyperbolic"])
+@pytest.mark.parametrize("model", FAMILIES)
 @pytest.mark.parametrize("grid", ["slice", "table"])
 def test_lattice_memory_does_not_grow_with_truncation(model, grid):
-    # The two-timescale family is left out: its fast weights, vectors of M
-    # values formed once per call, are what grows there.
     u, v = (cell_centers(2000), 0.02) if grid == "slice" else (
         LATTICE_GRIDS["walls1001"][None, :], FIVE_V[:, None])
     assert traced_peak(model, 5000, u, v) <= 1.1 * traced_peak(model, 500, u, v)
