@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import math
 import re
-import sys
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -50,7 +49,7 @@ from .profiles import (
     InitialProfile,
     SurfaceCoshProfile,
 )
-from .spectral import wkb_mode_ratios
+from .spectral import check_telegraph_eps, wkb_mode_ratios
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
@@ -115,12 +114,11 @@ class Scenario:
                 raise ScenarioValidationError(f"unknown model {m!r}")
         if len(set(self.models)) != len(self.models):
             raise ScenarioValidationError("models must be unique")
-        # 1/(2*eps) overflows for a subnormal eps.
-        if "hyperbolic" in self.models and not (self.eps >= sys.float_info.min):
-            raise ScenarioValidationError(
-                f"the hyperbolic model requires eps > 0 and not subnormal "
-                f"(>= {sys.float_info.min!r}), got {self.eps!r}"
-            )
+        if "hyperbolic" in self.models:
+            try:
+                check_telegraph_eps(self.eps)
+            except InvalidParameterError as exc:
+                raise ScenarioValidationError(f"hyperbolic: {exc}") from exc
         if "wkb" in self.models:
             try:
                 wkb_mode_ratios(self.eps, self.truncation)

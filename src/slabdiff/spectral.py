@@ -10,8 +10,24 @@ Three families share the cosine-series coefficients of the initial profile:
   superposed on the parabolic relaxation.
 
 The families differ only in each mode's time factor T_m, and one blocked
-evaluator sums all three, walking the modes in blocks, highest block first.
-It takes one of three paths, chosen from the input alone.
+evaluator sums all three. It walks the modes in blocks, highest block
+first, and evaluates a block only at its live times: those where the
+slowest decay exp(-rate*v) of its modes, its first mode's, is not flushed
+to 0 at EXP_FLOOR. The rate is (2*m*pi)^2 for the parabolic modes and the
+slow part of the two-timescale modes, 1/(2*eps) for the underdamped and
+critical telegraph modes, whose decay is shared, and for an overdamped
+telegraph mode its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))). The
+underdamped telegraph modes are walked apart from the lower ones, so none
+is evaluated where the shared decay is 0, and at a huge or infinite time
+no mode is evaluated at all: the density there is k0. Where the slow decay
+of a two-timescale mode is 0 it still adds fast_m*exp(-v/eps), as one
+rank-one term per block, (sum_m fast_m*cos(2*m*pi*u))*exp(-v/eps). A
+block holds max(BLOCK, min(32*BLOCK, size/L)) modes, L the live times of
+its first mode and size BLOCK times the times per position, or BLOCK*P on
+a lattice: its terms never exceed max(BLOCK*L, size) values, so peak
+memory does not grow with the truncation, and the high modes, live at few
+times, take few blocks (a 1201-time trace at M = 500 takes 3). Two paths
+share the walk, chosen from the input alone.
 
 Fold and FFT. When the positions of an outer table (positions x times)
 are J >= BLOCK points q_j/P of one uniform lattice, cos(2*m*pi*q_j/P)
@@ -25,63 +41,48 @@ np.spacing(HALF_WIDTH) of its q/P; cell centers of nu cells have P = 2*nu,
 Grid1D.uniform_grid(n) has P = 2*(n - 1), a half-slab linspace of n points
 P = 4*(n - 1). Field tables, FD-comparison slices and the acceptance
 gate's slices take this path; every index is an integer, so no phase is
-rounded.
+rounded. Each fold row receives its modes highest first, however the
+modes are blocked.
 
-Contraction over the modes. Otherwise, on a long time row the mode sum is
-contracted before time is expanded. The N times are cut into blocks of
-S = max(BLOCK, isqrt(N)) samples; each time is its block's smallest time
-(the anchor a) plus an offset. The distinct offsets of a uniform row are S
-multiples of the step and their rounding variants, a few ulps of the time
-apart, so offsets merge into groups: an offset joins the group before it
-unless it lies more than tau = MERGE_PHASE/R past the group's smallest
-member, its representative d, and keeps the residual e = offset - d,
-exact, with 0 <= e <= tau. R is the fastest rate an offset table sees:
-(2*M*pi)^2 for the parabolic family, also 1/eps for the two-timescale
-family, and the top frequency omega or 1/(2*eps), the larger, for the
-telegraph family. A uniform trace of 1201 times has 36 anchors and 34
+Per sample. Everything else is evaluated per sample, each block's time
+factors contracted with its cosine rows over the mode axis (one matrix
+product when u and v form an outer table). The cosines cos(2*m*pi*u) of a
+block are built by angle addition from cos/sin(2*pi*m0*u) of the block's
+first mode and a shared table of cos/sin(2*pi*j*u).
+
+Telegraph contraction. The direct formula of an underdamped telegraph mode
+pays a cos and a sin per mode and sample, so on a long time row these
+modes are instead contracted over the modes before time is expanded, at
+the N times where their shared decay is not 0. The N times are cut into
+blocks of S = max(BLOCK, isqrt(N)) samples; each time is its block's
+smallest time (the anchor a) plus an offset. The distinct offsets of a
+uniform row are S multiples of the step and their rounding variants, a few
+ulps of the time apart, so offsets merge into groups: an offset joins the
+group before it unless it lies more than tau = MERGE_PHASE/R past the
+group's smallest member, its representative d, and keeps the residual
+e = offset - d, exact, with 0 <= e <= tau. R is the top frequency omega or
+1/(2*eps), the larger. A uniform trace of 1201 times has 36 anchors and 34
 representatives (76 anchors and 105 distinct offsets in blocks of 16
-without merging). Each mode's time factor at v = a + d is a sum of
-products of an anchor table and an offset table:
-
-* parabolic: exp(-lam*a) * exp(-lam*d), lam = (2*m*pi)^2;
-* telegraph, underdamped: cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
-  P = cos(omega*d) + r*sin(omega*d) and Q = r*cos(omega*d) - sin(omega*d),
-  r = 1/(2*eps*omega); the decay exp(-v/(2*eps)), shared by every mode,
-  multiplies the sum, and blocks where it is 0 throughout are dropped;
-* two-timescale, eps > 0: k*e_s(a)*e_s(d) - fast*(e_s(a)*D(d) + D(a)*e_f(d))
-  with D = e_s - e_f, which is k exactly at v = 0; e_f(d) is common to all
-  modes, so the last term is summed over the modes first.
-
-With k_m*cos(2*m*pi*u_j) folded into the anchor side, one matrix product
-per block of modes, G[d, (a, j)] += sum_m B[m, d]*A[m, (a, j)], replaces
-the (modes x times) table. When some residual is not 0 the offset tables'
-closed-form derivatives (omega*Q and -omega*P; -lam*e_s; -lam*e_s + e_f/eps
-for D) are appended to B, so the same product also gives dG/dd, and each
-sample reads G + e*dG at its anchor and representative. The neglected
-second-order term of each mode is at most (R*tau)^2 = MERGE_PHASE^2 = 1e-16
-of |k_m| (of |k_m| + 2*|fast_m| for the two-timescale family). Rows whose
-residuals are all 0 (no offsets merge: dyadic steps, repeated patterns, or
-a subnormal two-timescale eps, where tau is 0) form no derivative columns.
-The contraction is taken for an outer table whose anchors Q and
-representatives D number at most half the N times and whose J positions
-give J*Q*W <= BLOCK*N, W = D, or 2*D with derivative columns, so G is no
-larger than one block of the direct path: a 1201-time table of up to 7
-positions qualifies. The direct telegraph formula pays a cos and a
-sin per mode and sample where the others pay an exp, so for the telegraph
-family a table of fewer than BLOCK positions is judged as if it had one: a
-1201-time table of up to 15 positions is contracted. A block of modes
-holds max(BLOCK, BLOCK*N/(Q*J + W)) modes, so peak memory does not grow
-with the truncation.
-
-Direct. Everything else is evaluated per sample in blocks of BLOCK modes,
-each block's time factors contracted with its cosine rows over the mode
-axis (one matrix product when u and v form an outer table): rows of a few
-times at off-lattice positions, rows whose offsets do not repeat, rows
-holding a non-finite time, (u, v) pairs, and the overdamped and critical
-telegraph modes (m < 1/(4*pi*sqrt(eps))) of a contracted row. The cosines
-cos(2*m*pi*u) of a block are built by angle addition from
-cos/sin(2*pi*m0*u) of the block's first mode and a shared table of
-cos/sin(2*pi*j*u).
+without merging). Each mode's factor at v = a + d, divided by the shared
+decay, is cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
+P = cos(omega*d) + r*sin(omega*d), Q = r*cos(omega*d) - sin(omega*d) and
+r = 1/(2*eps*omega). With k_m*cos(2*m*pi*u) folded into the anchor side,
+one matrix product per block of modes, G[d, (a, j)] += sum_m
+B[m, d]*A[m, (a, j)], replaces the (modes x times) table. When some
+residual is not 0 the closed-form derivatives omega*Q and -omega*P are
+appended to B, so the same product also gives dG/dd, and each sample reads
+G + e*dG at its anchor and representative. The neglected second-order term
+of each mode is at most (R*tau)^2 = MERGE_PHASE^2 = 1e-16 of |k_m|. Rows
+whose residuals are all 0 (no offsets merge: dyadic steps, repeated
+patterns) form no derivative columns. The contraction is taken when the
+anchors Q and representatives D number at most half the N times and
+J*Q*W <= BLOCK*N, W = D, or 2*D with derivative columns, for J positions,
+where a table of fewer than BLOCK positions counts as one: a 1201-time
+table of up to 15 positions qualifies. A block of modes holds
+max(BLOCK, BLOCK*N/(Q*J + W)) modes, so peak memory does not grow with the
+truncation. Rows of few times, rows whose offsets do not repeat, rows
+holding a non-finite time and (u, v) pairs take the per-sample path, as do
+the overdamped and critical telegraph modes.
 
 The time factors are the same code on every path, and on every path the
 two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
@@ -90,6 +91,7 @@ two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -115,7 +117,7 @@ RESONANCE_TOL = 1e-9
 #: from the walls: 1/sqrt(sharpness) + sqrt(4*v) <= WALL_CLEARANCE.
 WALL_CLEARANCE = 0.25
 
-#: Modes per block of the direct series evaluation, and times per block of
+#: The fewest modes per block of the series walk, and times per block of
 #: the anchor/offset split of a long time row. It bounds the (modes x points)
 #: temporaries, so peak memory does not grow with the truncation.
 BLOCK = 16
@@ -140,9 +142,17 @@ def _check_v(v):
     return v_arr
 
 
-def _check_telegraph_eps(eps: float):
-    if not (eps > 0):
-        raise InvalidParameterError(f"eps must be > 0 for the telegraph model, got {eps!r}")
+def check_telegraph_eps(eps: float):
+    """Raise InvalidParameterError unless eps >= sys.float_info.min.
+
+    The telegraph closed forms divide by 2*eps, and 1/(2*eps) overflows
+    for a subnormal eps.
+    """
+    if not (eps >= sys.float_info.min):
+        raise InvalidParameterError(
+            f"the telegraph model requires eps > 0 and not subnormal "
+            f"(>= {sys.float_info.min!r}), got {eps!r}"
+        )
 
 
 def _scalarize(value, *inputs) -> float | np.ndarray:
@@ -168,35 +178,22 @@ def _exp(x):
 class _TimeSplit(NamedTuple):
     """A time row cut into blocks, each time written as anchor + offset + residual.
 
-    anchors (B,) holds the smallest time of each kept block. The distinct
+    anchors (B,) holds the smallest time of each block. The distinct
     in-block offsets v - anchor are merged into groups no wider than the
     merge tolerance; offsets holds each group's smallest member, its
     representative, inv (B, S) the group of every sample and residual
     (B, S) the sample's offset minus its representative, so that
-    anchor + (representative + residual) is the time, bit for bit. Blocks
-    whose decay is 0 throughout are not kept; columns places the kept
-    samples in the row padded to whole blocks, and is None when every block
-    is kept.
+    anchor + (representative + residual) is the time, bit for bit. The row
+    is padded to whole blocks with its last time.
     """
 
     anchors: np.ndarray
     offsets: np.ndarray
     inv: np.ndarray
     residual: np.ndarray
-    columns: np.ndarray | None
-    size: int
-
-    def place(self, blocks):
-        """Values over the kept blocks, (B, S, J), as rows (N, J) over the time row."""
-        rows = blocks.reshape(-1, blocks.shape[-1])
-        if self.columns is not None:
-            span = self.inv.shape[1]
-            rows, kept = np.zeros((-(-self.size // span) * span, rows.shape[1])), rows
-            rows[self.columns] = kept
-        return rows[: self.size]
 
 
-def _split_times(v, decay=None, positions: int = 1, tau: float = 0.0):
+def _split_times(v, positions: int = 1, tau: float = 0.0):
     """The anchor/offset split of the time row v, or None.
 
     The N times are cut into blocks of S = max(BLOCK, isqrt(N)), which
@@ -208,27 +205,22 @@ def _split_times(v, decay=None, positions: int = 1, tau: float = 0.0):
     starts above tau, so a representative is at least half of each member
     and member - representative is exact.
 
-    None, for the direct formula, unless the kept anchors Q and the
+    None, for the direct formula, unless the anchors Q and the
     representatives D number at most half the N samples and the contracted
     table of positions * Q * D values, twice that when some residual is not
     0, is no larger than BLOCK * N. A row of fewer than BLOCK times never
     qualifies, and a non-finite time takes the direct formula so that it
-    stays in its own sample. A block is dropped when decay == 0 at all its
-    samples.
+    stays in its own sample.
     """
     n = v.size
     if n < BLOCK or not np.all(np.isfinite(v)):
         return None
     span = max(BLOCK, math.isqrt(n))
-    pad = -n % span
-    blocks = np.pad(v, (0, pad), mode="edge").reshape(-1, span)
-    live = np.ones(len(blocks), dtype=bool) if decay is None else np.any(
-        np.pad(decay, (0, pad), mode="edge").reshape(-1, span) != 0, axis=1)
-    kept = blocks[live]
+    blocks = np.pad(v, (0, -n % span), mode="edge").reshape(-1, span)
     # The smallest time of a block is its anchor, so that no offset is
     # negative and no decay factor exp(-rate*d) exceeds 1.
-    anchors = kept.min(axis=1)
-    sample = kept - anchors[:, None]
+    anchors = blocks.min(axis=1)
+    sample = blocks - anchors[:, None]
     distinct, inv = np.unique(sample, return_inverse=True)
     # Start a group at each gap wider than tau, then, while some group is
     # wider than tau, at its first member more than tau past the group's
@@ -240,29 +232,21 @@ def _split_times(v, decay=None, positions: int = 1, tau: float = 0.0):
         if not far.any():
             break
         first |= far & ~np.r_[False, far[:-1]]
-    offsets, inv = distinct[first], group[inv].reshape(kept.shape)
+    offsets, inv = distinct[first], group[inv].reshape(blocks.shape)
     residual = sample - offsets[inv]
     width = offsets.size * (2 if residual.any() else 1)
-    if len(kept) + offsets.size > n / 2 or positions * len(kept) * width > BLOCK * n:
+    if len(blocks) + offsets.size > n / 2 or positions * len(blocks) * width > BLOCK * n:
         return None
-    columns = None if live.all() else (
-        np.flatnonzero(live)[:, None] * span + np.arange(span)
-    ).ravel()
-    return _TimeSplit(anchors, offsets, inv, residual, columns, n)
+    return _TimeSplit(anchors, offsets, inv, residual)
 
 
-def _fastest_rate(model: str, eps: float, terms: int) -> float:
-    """The largest rate R an offset table of modes up to `terms` sees.
+def _fastest_rate(eps: float, terms: int) -> float:
+    """The largest rate R an offset table of telegraph modes up to `terms` sees.
 
-    The parabolic decay (2*M*pi)^2; for the two-timescale family with
-    eps > 0 also 1/eps; for the telegraph family the top frequency omega
-    and 1/(2*eps), since r*sin(omega*d) with r = 1/(2*eps*omega) grows at
-    that rate near the critical modes.
+    The top frequency omega and 1/(2*eps), since r*sin(omega*d) with
+    r = 1/(2*eps*omega) grows at that rate near the critical modes.
     """
-    if model == "hyperbolic":
-        return max(float(_frequency(eps, _discriminant(eps, terms))[0]), 0.5 / eps)
-    rate = (2.0 * math.pi * terms) ** 2
-    return max(rate, 1.0 / eps) if model == "wkb" and eps > 0 else rate
+    return max(float(_frequency(eps, _discriminant(eps, terms))[0]), 0.5 / eps)
 
 
 def _discriminant(eps: float, m):
@@ -274,6 +258,25 @@ def _frequency(eps: float, disc):
     """Angular frequency omega of underdamped modes, and r = 1/(2*eps*omega)."""
     omega = np.sqrt(-disc) / (2.0 * eps)
     return omega, 1.0 / (2.0 * eps * omega)
+
+
+def _slow_rate(model: str, eps: float, m: int) -> float:
+    """The slowest decay rate of the time factors of the modes m and up.
+
+    (2*m*pi)^2 for the parabolic family and the slow part of the
+    two-timescale family; for the telegraph family 1/(2*eps), the shared
+    decay of the underdamped and critical modes, or, for an overdamped
+    mode m, its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))), which rises with
+    m to 1/(2*eps) at the critical mode.
+    """
+    if model != "hyperbolic":
+        return (2.0 * math.pi * m) ** 2
+    disc = _discriminant(eps, m)
+    if disc > CRITICAL_DISC_TOL:
+        # The product form of (1 - sqrt(disc))/(2*eps), which cancels to 0
+        # for small eps.
+        return (4.0 * math.pi * m) ** 2 / (2.0 * (1.0 + math.sqrt(disc)))
+    return 0.5 / eps
 
 
 def _telegraph_factor(eps: float, m, v, decay):
@@ -321,7 +324,7 @@ def hyperbolic_mode_factor(eps: float, m, v):
     damping classes are evaluated through real closed forms, so the result
     is real for every v >= 0.
     """
-    _check_telegraph_eps(eps)
+    check_telegraph_eps(eps)
     m_arr, v_arr = np.broadcast_arrays(np.asarray(m, dtype=float), _check_v(v))
     m_col, v_col = m_arr.reshape(-1, 1), v_arr.reshape(-1, 1)
     out = _telegraph_factor(eps, m_col, v_col, _exp((-1.0 / (2.0 * eps)) * v_col))
@@ -344,79 +347,45 @@ def _mode_cosines(u, rows: int):
     return block
 
 
-def _contracted(model, coefficients, eps, two_scale: bool, split: _TimeSplit, lo: int, u):
-    """sum_m k_m T_m(v) cos(2*m*pi*u) over modes lo..M, as (N, J) rows.
+def _contracted(coefficients, eps: float, split: _TimeSplit, lo: int, u):
+    """sum_m k_m V_m(v)/exp(-v/(2*eps)) cos(2*m*pi*u) over the underdamped modes lo..M.
 
-    With v = a + d + e (anchor a, representative offset d, residual e) each
-    mode's time factor is a sum of products anchor table(a) * offset
-    table(d + e), and offset table(d + e) = table(d) + e*table'(d) to first
-    order. The anchor side, times cos(2*m*pi*u), is contracted with the
-    offset tables and, when some e is not 0, their closed-form derivatives
-    over the modes of a block, G[d, q, j] += sum_m A[m, q, j] * B[m, d],
-    and each sample reads G at its own representative plus e times the
-    derivative rows: no (modes x times) table is formed. The telegraph
-    family leaves out the shared decay exp(-v/(2*eps)).
+    Returned as (B*S, J) rows over the split's padded row. With v = a + d + e
+    (anchor a, representative offset d, residual e),
+    cos(omega*v) + r*sin(omega*v) = cos(omega*a)*P(d + e) + sin(omega*a)*Q(d + e),
+    P = cos(omega*d) + r*sin(omega*d), Q = r*cos(omega*d) - sin(omega*d), and
+    to first order P(d + e) = P(d) + e*omega*Q(d), Q(d + e) = Q(d) - e*omega*P(d).
+    The anchor side, times k_m*cos(2*m*pi*u), is contracted with the offset
+    tables and, when some e is not 0, their derivatives over the modes of a
+    block, G[d, q, j] += sum_m A[m, q, j] * B[m, d], and each sample reads G
+    at its own representative plus e times the derivative rows: no
+    (modes x times) table is formed.
     """
     a, d = split.anchors[None, :], split.offsets[None, :]
     slope = bool(split.residual.any())
     g = np.zeros(((1 + slope) * d.size, a.size, u.size))
     # A block's anchor-side table is no larger than a direct block.
-    rows = max(BLOCK, BLOCK * split.size // (a.size * u.size + len(g)))
+    rows = max(BLOCK, BLOCK * split.inv.size // (a.size * u.size + len(g)))
     cosines = _mode_cosines(u, rows)
-    if two_scale:
-        # e_f(a + d) = e_f(a)*e_f(d) is common to all modes: its term is
-        # summed over the modes first and meets e_f(d) once, at the end.
-        with np.errstate(over="ignore"):
-            fast_a, fast_d = _exp(-a / eps), _exp(-d / eps)
-        # e_f'(d) = -e_f(d)/eps. Offsets merge only where the merge tolerance,
-        # at most MERGE_PHASE*eps, is not 0, so 1/eps is finite there.
-        fast_slope = fast_d / eps if slope else None
-        rank_one = np.zeros(g.shape[1:])
     k = coefficients.modes
     for stop in range(coefficients.truncation, lo - 1, -rows):
         start = max(lo, stop - rows + 1)
         m = np.arange(start, stop + 1, dtype=float)[:, None]
         kb = k[start - 1 : stop, None]
-        c = cosines(start, len(m))
-        if model == "hyperbolic":
-            # cos(omega*(a + d)) + r*sin(omega*(a + d))
-            #   = cos(omega*a)*P(d) + sin(omega*a)*Q(d),
-            # with P' = omega*Q and Q' = -omega*P.
-            omega, r = _frequency(eps, _discriminant(eps, m))
-            cos_d, sin_d = np.cos(omega * d), np.sin(omega * d)
-            anchor = (kb * np.cos(omega * a), kb * np.sin(omega * a))
-            offset = (cos_d + r * sin_d, r * cos_d - sin_d)
-            if slope:
-                slopes = (omega * offset[1], -omega * offset[0])
-        else:
-            rate = -((2.0 * np.pi * m) ** 2)
-            slow_a, slow_d = _exp(rate * a), _exp(rate * d)
-            anchor, offset = (kb * slow_a,), (slow_d,)
-            if slope:
-                slopes = (rate * slow_d,)
-            if two_scale:
-                # e_s(v) - e_f(v) = e_s(a)*D(d) + D(a)*e_f(d), D = e_s - e_f:
-                # both terms vanish at v = 0, which keeps k_m exact there.
-                fb = _wkb_fast(eps, m, kb)
-                anchor += (-fb * slow_a,)
-                offset += (slow_d - fast_d,)
-                if slope:
-                    slopes += (rate * slow_d + fast_slope,)
-                rank_one -= (fb * (slow_a - fast_a)).T @ c
-        table = (np.stack(anchor)[..., None] * c[:, None, :]).reshape(-1, g[0].size)
-        b = np.concatenate(offset)
+        omega, r = _frequency(eps, _discriminant(eps, m))
+        cos_d, sin_d = np.cos(omega * d), np.sin(omega * d)
+        p_d, q_d = cos_d + r * sin_d, r * cos_d - sin_d
+        b = np.concatenate((p_d, q_d))
         if slope:
-            b = np.concatenate((b, np.concatenate(slopes)), axis=1)
+            b = np.concatenate((b, np.concatenate((omega * q_d, -omega * p_d))), axis=1)
+        anchor = np.stack((kb * np.cos(omega * a), kb * np.sin(omega * a)))
+        table = (anchor[..., None] * cosines(start, len(m))[:, None, :]).reshape(-1, g[0].size)
         g += (b.T @ table).reshape(g.shape)
-    if two_scale:
-        g[: d.size] += fast_d[0][:, None, None] * rank_one
-        if slope:
-            g[d.size :] -= fast_slope[0][:, None, None] * rank_one
     q = np.arange(a.size)[:, None]
     values = g[split.inv, q]
     if slope:
         values += split.residual[..., None] * g[d.size + split.inv, q]
-    return split.place(values)
+    return values.reshape(-1, u.size)
 
 
 def _lattice(u):
@@ -444,44 +413,18 @@ def _lattice(u):
     return period, np.minimum(r, period - r)
 
 
-def _folded(mode_terms, terms: int, period: int, index, size: int):
-    """sum_m b_m(v) cos(2*m*pi*q/P) over modes 1..terms, as (size, J) rows, by one real FFT.
-
-    cos(2*m*pi*q/P) depends on m only through m mod P, so the terms
-    b_m = mode_terms(first, last) of the modes congruent mod P are summed
-    into one row of a (P x times) fold table, highest modes first, and the
-    real part of its rfft over P is the sum at every lattice position. A
-    block holds max(BLOCK, min(32*BLOCK, BLOCK*P/size)) modes, so its terms
-    never exceed BLOCK*max(P, size) values and peak memory does not grow
-    with the truncation beyond 512 modes; a slice of up to 512 modes is one
-    block.
-    """
-    fold = np.zeros((period, size))
-    rows = max(BLOCK, min(32 * BLOCK, BLOCK * period // max(size, 1)))
-    for stop in range(terms, 0, -rows):
-        start = max(1, stop - rows + 1)
-        t = mode_terms(start, stop)
-        # The modes low..top between two multiples of P fill contiguous rows.
-        top = stop
-        while top >= start:
-            low = max(start, top - top % period)
-            fold[low % period : top % period + 1] += t[low - start : top - start + 1]
-            top = low - 1
-    return np.fft.rfft(fold, axis=0).real[index].T
-
-
 def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     """k0 + sum_m k_m T_m(v) cos(2*m*pi*u) for one family; u and v broadcast.
 
     T_m is the family's time factor. An outer table (u of shape (1, Nu), v
     of shape (Nv, 1)) or a scalar u or v is summed by one real FFT on a
-    lattice of positions, contracted over the modes on a long time row, or
-    contracted by matrix products; any other broadcast is evaluated point by
-    point.
+    lattice of positions, else by matrix products, with the underdamped
+    telegraph modes of a long time row contracted over the modes; any other
+    broadcast is evaluated point by point.
     """
     terms = coefficients.truncation
     if model == "hyperbolic":
-        _check_telegraph_eps(eps)
+        check_telegraph_eps(eps)
     elif model == "wkb":
         _check_wkb_eps(eps, terms)
     # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
@@ -497,79 +440,134 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     else:
         u_flat = np.broadcast_to(u_arr, shape).ravel()
         v_flat = np.broadcast_to(v_arr, shape).ravel()
-    v_row = v_flat[None, :]
 
-    # Time-only factors shared by every mode.
-    decay = None
-    if model == "hyperbolic":
-        decay = _exp((-1.0 / (2.0 * eps)) * v_row)
-    if two_scale:
-        # -v/eps overflows to -inf for a subnormal eps; exp(-inf) = 0 is the limit.
+    # The time factor shared by every mode: exp(-v/(2*eps)) for the telegraph
+    # family, exp(-v/eps) for the two-timescale family. -v/eps overflows to
+    # -inf at a huge time or a subnormal eps; exp(-inf) = 0 is the limit.
+    if model == "hyperbolic" or two_scale:
         with np.errstate(over="ignore"):
-            e_fast = _exp(-v_row / eps)
+            shared = _exp((-1.0 / (2.0 * eps)) * v_flat if model == "hyperbolic" else -v_flat / eps)
 
     k = coefficients.modes
 
-    def mode_terms(first: int, last: int):
-        """k_m T_m(v) of modes first..last at every time, (count, N).
+    def live(first: int):
+        """Where exp(-rate*v), rate the slowest of the modes first and up, is not flushed.
+
+        NaN times stay live, so that NaN stays in its own sample.
+        """
+        return ~(v_flat >= -EXP_FLOOR / _slow_rate(model, eps, first))
+
+    def walk(low: int, last: int, size: int, add):
+        """Hand the blocks of modes low..last, highest first, to add(first, index, t, row).
+
+        A block is evaluated only at the live times v[index] of its first
+        mode: t holds k_m T_m(v) there, (count, times), and row is None. At
+        the other times a two-timescale mode still adds fast_m*exp(-v/eps):
+        t then holds the fast weights, (count, 1), and row exp(-v/eps) at
+        those times. A block holds max(BLOCK, min(32*BLOCK, size/L)) modes,
+        L the live times of its first mode, so its terms never exceed
+        max(BLOCK*L, size) values and peak memory does not grow with the
+        truncation, while the high modes, live at few times, take few blocks.
 
         Formed in place where it can: each block-sized temporary is fresh
         memory from the allocator, and its page faults cost as much as the
         arithmetic on a long time row.
         """
-        m = np.arange(first, last + 1, dtype=float)[:, None]
-        kb = k[first - 1 : last, None]
-        if model == "hyperbolic":
-            t = _telegraph_factor(eps, m, v_row, decay)
-            t *= kb
-            return t
-        t = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
-        if not two_scale:
-            t *= kb
-            return t
-        # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
-        gap = t - e_fast
-        gap *= _wkb_fast(eps, m, kb)
-        t *= kb
-        t -= gap
-        return t
+        blocks = []
+        while low <= last:
+            count = max(BLOCK, min(32 * BLOCK, size // max(1, np.count_nonzero(live(low)))))
+            blocks.append((low, min(last, low + count - 1)))
+            low += count
+        for first, stop in reversed(blocks):
+            m = np.arange(first, stop + 1, dtype=float)[:, None]
+            kb = k[first - 1 : stop, None]
+            mask = live(first)
+            index = slice(None) if mask.all() else np.flatnonzero(mask)
+            if two_scale:
+                fast = _wkb_fast(eps, m, kb)
+                dead = np.flatnonzero(~mask & (shared != 0))
+                if dead.size:
+                    add(first, dead, fast, shared[dead])
+            v_row = v_flat[None, index]
+            if not v_row.size:
+                continue
+            if model == "hyperbolic":
+                t = _telegraph_factor(eps, m, v_row, shared[None, index])
+            else:
+                t = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
+            if two_scale:
+                # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
+                gap = t - shared[None, index]
+                gap *= fast
+                t *= kb
+                t -= gap
+            else:
+                t *= kb
+            add(first, index, t, None)
+
+    # The telegraph modes under..M are underdamped and share the decay
+    # exp(-v/(2*eps)). The discriminant falls with m, so the other modes are
+    # the lowest ones; they decay more slowly and are walked apart, so that
+    # no underdamped mode is evaluated where the shared decay is 0.
+    under = 1
+    if model == "hyperbolic":
+        # Found in O(1): mode 1/(4*pi*sqrt(eps)) - 1 and those below it are
+        # overdamped.
+        under = min(terms + 1, max(1, math.floor(0.25 / (math.pi * math.sqrt(eps))) - 1))
+        while under <= terms and _discriminant(eps, under) >= -CRITICAL_DISC_TOL:
+            under += 1
+    walks = [(under, terms), (1, under - 1)]
 
     lattice = _lattice(u_flat) if outer else None
     if lattice is not None:
-        total = _folded(mode_terms, terms, *lattice, v_flat.size)
+        # cos(2*m*pi*q/P) depends on m only through m mod P: the terms of the
+        # modes congruent mod P are summed into one row of a (P x times)
+        # fold table, and the real part of its rfft over P is the sum at
+        # every lattice position, read at bin min(r, P - r), r = q mod P.
+        period, bins = lattice
+        fold = np.zeros((period, v_flat.size))
+
+        def fold_in(first: int, index, t, row):
+            # The modes low..top between two multiples of P fill contiguous rows.
+            top = first + len(t) - 1
+            while top >= first:
+                low = max(first, top - top % period)
+                part = t[low - first : top - first + 1]
+                fold[low % period : top % period + 1, index] += part if row is None else part * row
+                top = low - 1
+
+        for low, last in walks:
+            walk(low, last, BLOCK * period, fold_in)
+        total = np.fft.rfft(fold, axis=0).real[bins].T
         return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 
-    # Modes lo..M are contracted over the anchor/offset split of a long time
-    # row; modes 1..lo-1 (all modes without a split, the overdamped and
-    # critical telegraph modes with one) are evaluated per sample. The direct
-    # telegraph formula pays a cos and a sin per mode and sample, so tables
-    # of fewer than BLOCK positions are split as if they had one.
-    lo = 1
-    if outer and model == "hyperbolic":
-        # The discriminant falls with m: the modes that are not underdamped
-        # are the lowest ones.
-        disc = _discriminant(eps, np.arange(1, terms + 1, dtype=float))
-        lo += int(np.count_nonzero(disc >= -CRITICAL_DISC_TOL))
-    split = None
-    if outer and lo <= terms:
-        positions = 1 if model == "hyperbolic" and u_flat.size < BLOCK else u_flat.size
-        split = _split_times(v_flat, None if decay is None else decay[0], positions,
-                             MERGE_PHASE / _fastest_rate(model, eps, terms))
-    if split is None:
-        lo = terms + 1
-
     total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
-    # A split that keeps no block has zero decay at every time.
-    if lo <= terms and split.anchors.size:
-        total += _contracted(model, coefficients, eps, two_scale, split, lo, u_flat)
-        if decay is not None:
-            total *= decay[0][:, None]
-    cosines = _mode_cosines(u_flat, BLOCK)
-    for first in range(BLOCK * ((lo - 2) // BLOCK) + 1, 0, -BLOCK):
-        last = min(first - 1 + BLOCK, lo - 1)
-        t = mode_terms(first, last)
+    # The underdamped telegraph modes of a long time row are contracted over
+    # the anchor/offset split of the times where their shared decay is not
+    # 0; all other modes are evaluated per sample. The direct telegraph
+    # formula pays a cos and a sin per mode and sample, so tables of fewer
+    # than BLOCK positions are split as if they had one.
+    if outer and model == "hyperbolic" and under <= terms:
+        times = np.flatnonzero(shared)
+        positions = 1 if u_flat.size < BLOCK else u_flat.size
+        split = _split_times(v_flat[times], positions, MERGE_PHASE / _fastest_rate(eps, terms))
+        if split is not None:
+            values = _contracted(coefficients, eps, split, under, u_flat)[: times.size]
+            total[times] += values * shared[times, None]
+            del walks[0]
+    # A block's cosines, (count, positions), are no larger than its terms;
+    # the table holds as many rows as the largest block.
+    size = BLOCK * v_flat.size // u_flat.size
+    modes = sum(last - low + 1 for low, last in walks)
+    cosines = _mode_cosines(u_flat, max(BLOCK, min(32 * BLOCK, size, modes)))
+
+    def contract(first: int, index, t, row):
         c = cosines(first, len(t))
-        total += t.T @ c if outer else np.einsum("jn,jn->n", t, c)
+        s = t.T @ c if outer else np.einsum("jn,jn->n", t, c[:, index])
+        total[index] += s if row is None else (row[:, None] if outer else row) * s
+
+    for low, last in walks:
+        walk(low, last, size, contract)
     return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 
 

@@ -315,6 +315,17 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
 
 
+def test_cli_runs_a_validated_huge_time(tmp_path, capsys):
+    # Every mode's decay is 0 at v = 1e308, where the density is k0; its
+    # exponents and phases overflowed in run after validate passed.
+    text = CONFIG_SMALL.replace("v = 0.01, 0.1", "v = 0.1, 1e308").replace(
+        "models = parabolic, hyperbolic", "models = parabolic, hyperbolic, wkb")
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 0
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == 0
+
+
 _TABLE_U = np.linspace(-0.5, 0.5, 21)
 
 #: Profiles that once passed validate and then failed in run, each as the

@@ -30,6 +30,7 @@ from slabdiff.fd import cell_centers
 from slabdiff.spectral import (
     BLOCK,
     CRITICAL_DISC_TOL,
+    EXP_FLOOR,
     MERGE_PHASE,
     _fastest_rate,
     _lattice,
@@ -140,6 +141,12 @@ def test_mode_evolutions_amplitudes(gaussian_coeffs):
         hyperbolic_mode_factor(0.0, 1, 0.1)
     with pytest.raises(InvalidParameterError):
         hyperbolic_density(gaussian_coeffs, 0.0, 0.0, 0.1)
+    # 1/(2*eps) overflows for a subnormal eps.
+    for eps in (5e-324, 1e-310):
+        with pytest.raises(InvalidParameterError):
+            hyperbolic_mode_factor(eps, 1, 0.0)
+        with pytest.raises(InvalidParameterError):
+            hyperbolic_density(gaussian_coeffs, eps, 0.0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -519,15 +526,15 @@ SPLIT_V = {
 }
 
 
-def merge_tolerance(model, eps, terms):
-    return MERGE_PHASE / _fastest_rate(model, eps, terms)
+def merge_tolerance(eps, terms):
+    return MERGE_PHASE / _fastest_rate(eps, terms)
 
 
 @pytest.mark.parametrize("name", sorted(SPLIT_V))
 def test_long_time_rows_take_the_split(name):
     v = SPLIT_V[name]
-    tau = merge_tolerance("parabolic", 0.0, 500)
-    split = _split_times(v, np.ones_like(v), tau=tau)
+    tau = merge_tolerance(1e-4, 500)
+    split = _split_times(v, tau=tau)
     assert split is not None
     span = split.inv.shape[1]
     assert split.anchors.size + split.offsets.size <= v.size / 2
@@ -561,17 +568,7 @@ def test_short_or_unrepeating_time_rows_keep_the_direct_formula():
     with_nan = SPLIT_V["linspace"].copy()
     with_nan[500] = math.nan
     for v in (five, ragged, with_nan):
-        assert _split_times(v, np.ones_like(v)) is None
-
-
-def test_blocks_of_zero_decay_are_dropped():
-    v = SPLIT_V["linspace"]
-    decay = np.exp(-v / 2e-4)
-    decay[decay < 1e-300] = 0.0
-    split = _split_times(v, decay)
-    live, span = np.flatnonzero(decay), split.inv.shape[1]
-    assert split.anchors.size == -(-live.size // span) < v.size // span
-    assert _split_times(v, np.zeros_like(v)).anchors.size == 0
+        assert _split_times(v) is None
 
 
 def test_a_nan_time_stays_in_its_own_sample(surface_coeffs):
@@ -667,6 +664,56 @@ def test_wkb_zero_eps_long_rows_equal_parabolic_exactly(gaussian_coeffs):
         )
 
 
+HUGE_V = np.array([1e6, 1e300, 1.7e308, math.inf])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e-4, EPS_REF])
+def test_huge_times_give_the_mean(surface_coeffs, eps):
+    # No mode is evaluated at a time where its slowest decay is 0, so no
+    # exponent or phase overflows there: a scalar time, a short row, a table
+    # of two positions, a lattice table and a long row that ends in them.
+    c = surface_coeffs
+    long_row = np.concatenate([SPLIT_V["linspace"], HUGE_V])
+    for model in FAMILIES:
+        for v in HUGE_V:
+            assert family_density(model, c, eps, 0.5, v) == c.mean
+        for u, times in ((0.5, HUGE_V), (np.array([[0.5, 0.0]]), HUGE_V[:, None]),
+                         (cell_centers(400)[None, :], HUGE_V[:, None])):
+            values = family_density(model, c, eps, u, times)
+            np.testing.assert_array_equal(values, np.full(values.shape, c.mean))
+        values = family_density(model, c, eps, np.array([[0.5, 0.0]]), long_row[:, None])
+        np.testing.assert_array_equal(values[-HUGE_V.size :], c.mean)
+
+
+@pytest.mark.parametrize("eps", [1e-4, EPS_REF])
+def test_unsorted_time_rows_give_the_sorted_values(surface_coeffs, eps):
+    # Each block of modes is evaluated at a set of times, not at a prefix of
+    # the row: a reversed or shuffled row, or one holding a NaN time, gives
+    # the sorted row's values at the same times.
+    c, v = surface_coeffs, SPLIT_V["linspace"]
+    with_nan = v.copy()
+    with_nan[500] = math.nan
+    keep = np.arange(v.size) != 500
+    orders = {
+        "reversed": np.arange(v.size)[::-1],
+        "shuffled": np.random.default_rng(10).permutation(v.size),
+        "nan": np.arange(v.size),
+    }
+    for model in FAMILIES:
+        tol = contraction_tolerance(model, c, eps)
+        for u in (np.array([[0.5]]), np.array([[0.5, 0.0]])):
+            sorted_values = family_density(model, c, eps, u, v[:, None])
+            for name, order in orders.items():
+                times = with_nan if name == "nan" else v[order]
+                values = family_density(model, c, eps, u, times[:, None])
+                if name == "nan":
+                    assert np.all(np.isnan(values[500]))
+                    values, order = values[keep], order[keep]
+                np.testing.assert_allclose(values, sorted_values[order], rtol=0, atol=tol,
+                                           err_msg=f"{model} {name} {u.size}")
+
+
 @st.composite
 def long_time_rows(draw):
     """Rows of 16..2000 times: linspaces, dyadic irregular steps, and a
@@ -730,12 +777,13 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
     monkeypatch.setattr(spectral, "_contracted", spy)
     v = SPLIT_V["linspace"]
     five = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
-    # The direct telegraph formula pays a cos and a sin per mode and sample,
-    # so the telegraph family contracts tables of up to BLOCK - 1 positions.
+    # Only the underdamped telegraph modes are contracted; their direct
+    # formula pays a cos and a sin per mode and sample, so tables of up to
+    # BLOCK - 1 positions are contracted.
     cases = [
-        (0.5, v, FAMILIES),
-        (np.array([[0.5, 0.0]]), v[:, None], FAMILIES),
-        (np.array([[0.5, 0.0, 0.3]]), v[:, None], FAMILIES),
+        (0.5, v, ("hyperbolic",)),
+        (np.array([[0.5, 0.0]]), v[:, None], ("hyperbolic",)),
+        (np.array([[0.5, 0.0, 0.3]]), v[:, None], ("hyperbolic",)),
         (np.linspace(0.0, 0.3, BLOCK - 1)[None, :], v[:, None], ("hyperbolic",)),
         (np.linspace(0.0, 0.3, BLOCK)[None, :], v[:, None], ()),
         (np.array([[0.5, 0.0]]), five[:, None], ()),
@@ -788,18 +836,36 @@ def test_residual_rows_match_per_sample_evaluation(
     modes = np.ones(terms) if flat else surface_coeffs.modes[:terms]
     c = SpectralCoefficients(mean=1.0, modes=modes)
     u = np.array(positions)[None, :]
-    # A subnormal eps merges no offsets of the two-timescale family.
+    # Only the underdamped telegraph modes are contracted and merged; the
+    # other families, and the two-timescale family at a subnormal eps, take
+    # the same rows per sample.
+    contracted = spectral._discriminant(eps, terms) < -CRITICAL_DISC_TOL
     for model, e in [(model, eps) for model in FAMILIES] + [("wkb", 5e-324)]:
         try:
             tol = contraction_tolerance(model, c, e)
         except ResonantModeError:
             continue
-        # With no underdamped telegraph mode nothing is contracted or merged.
-        contracted = model != "hyperbolic" or (
-            spectral._discriminant(e, terms) < -CRITICAL_DISC_TOL)
-        row = data.draw(residual_rows(merge_tolerance(model, e, terms) if contracted else 0.0))
+        row = data.draw(residual_rows(merge_tolerance(eps, terms) if contracted else 0.0))
         values = family_density(model, c, e, u, row[:, None])
         np.testing.assert_allclose(values, pointwise(model, c, e, positions, row), rtol=0, atol=tol)
+
+
+class CountingNumpy:
+    """numpy, counting the values passed to cos and sin."""
+
+    def __init__(self):
+        self.formed = {"cos": 0, "sin": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x, *args, **kwargs):
+        self.formed["cos"] += np.size(x)
+        return np.cos(x, *args, **kwargs)
+
+    def sin(self, x, *args, **kwargs):
+        self.formed["sin"] += np.size(x)
+        return np.sin(x, *args, **kwargs)
 
 
 def test_telegraph_trace_forms_trig_once_per_anchor_and_offset(monkeypatch, surface_coeffs):
@@ -807,31 +873,42 @@ def test_telegraph_trace_forms_trig_once_per_anchor_and_offset(monkeypatch, surf
     # and every representative, of which there are at most one per time of
     # a block. 16-time blocks with unmerged offsets took 500 x (76 anchors +
     # 105 distinct offsets).
-    formed = {"cos": 0, "sin": 0}
-
-    class CountingNumpy:
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def cos(self, x, *args, **kwargs):
-            formed["cos"] += np.size(x)
-            return np.cos(x, *args, **kwargs)
-
-        def sin(self, x, *args, **kwargs):
-            formed["sin"] += np.size(x)
-            return np.sin(x, *args, **kwargs)
-
     v = SPLIT_V["linspace"]
     terms = surface_coeffs.truncation
-    split = _split_times(v, None, 1, merge_tolerance("hyperbolic", EPS_REF, terms))
+    split = _split_times(v, 1, merge_tolerance(EPS_REF, terms))
     span = split.inv.shape[1]
     assert split.offsets.size <= span
-    monkeypatch.setattr(spectral, "np", CountingNumpy())
+    counting = CountingNumpy()
+    monkeypatch.setattr(spectral, "np", counting)
     hyperbolic_density(surface_coeffs, EPS_REF, 0.5, v)
+    formed = counting.formed
     # One more value per mode covers the cosines of the position itself.
     bound = terms * (split.anchors.size + span + 1)
     assert 0 < formed["cos"] <= bound and 0 < formed["sin"] <= bound, (formed, bound)
     assert bound < terms * (76 + 105)
+
+
+def test_telegraph_times_whose_shared_decay_is_0_form_no_trig(monkeypatch, surface_coeffs):
+    # At eps = 2e-4 the shared decay exp(-v/(2*eps)) of the underdamped modes
+    # 6..500 is 0 past v = 0.283: 284 times of the 1201-time row and none of
+    # the row shifted by 0.5. A trace contracts the underdamped modes over
+    # those times alone, and a table of BLOCK positions evaluates them per
+    # sample at those times alone; the overdamped modes 1..5 form no trig.
+    eps, terms = 2e-4, surface_coeffs.truncation
+    cases = [(positions, v) for positions in (1, BLOCK)
+             for v in (SPLIT_V["linspace"], SPLIT_V["linspace"] + 0.5)]
+    for positions, v in cases:
+        u = np.linspace(0.0, 0.3, positions)[None, :]
+        live = np.count_nonzero((-0.5 / eps) * v > EXP_FLOOR)
+        counting = CountingNumpy()
+        monkeypatch.setattr(spectral, "np", counting)
+        hyperbolic_density(surface_coeffs, eps, u, v[:, None])
+        monkeypatch.undo()
+        # Two more values per mode and position cover the positions' cosines.
+        bound = terms * (live + 2 * positions)
+        assert counting.formed["cos"] <= bound and counting.formed["sin"] <= bound, (
+            counting.formed, bound)
+        assert bound < terms * v.size / 2
 
 
 def decaying_coefficients(terms):
@@ -968,14 +1045,24 @@ def test_lattice_fold_sums_the_high_modes_first():
 
 
 def test_lattice_positions_take_the_fold(monkeypatch, surface_coeffs):
+    # The fold is the one path that takes an FFT.
     calls = []
-    folded = spectral._folded
 
-    def spy(*args):
-        calls.append(args)
-        return folded(*args)
+    class FftSpy:
+        def __getattr__(self, name):
+            return getattr(np.fft, name)
 
-    monkeypatch.setattr(spectral, "_folded", spy)
+        def rfft(self, *args, **kwargs):
+            calls.append(args)
+            return np.fft.rfft(*args, **kwargs)
+
+    class SpyNumpy:
+        fft = FftSpy()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(spectral, "np", SpyNumpy())
     cases = [
         (cell_centers(400), 0.02, True),
         (LATTICE_GRIDS["walls1001"][None, :], FIVE_V[:, None], True),
