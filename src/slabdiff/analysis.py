@@ -103,6 +103,60 @@ def _smoothed(trace: TimeTrace) -> tuple[np.ndarray, np.ndarray]:
     return times, values
 
 
+def _higher_walls(position: list[int], height: list[float], none: int) -> list[int]:
+    """For each wall in turn that is not NaN, the nearest earlier one that is higher or NaN.
+
+    Its position, or none where there is none. One pass with a stack of the
+    walls not yet overtopped, so it takes time linear in the walls.
+    """
+    out: list[int] = []
+    stack: list[tuple[int, float]] = []
+    for p, h in zip(position, height):
+        while stack and stack[-1][1] <= h:
+            stack.pop()
+        if h == h:
+            out.append(stack[-1][0] if stack else none)
+        stack.append((p, h))
+    return out
+
+
+def _peaks(x: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and prominences of the peaks of x whose prominence is >= threshold.
+
+    The same peaks and prominences as scipy.signal.find_peaks(x,
+    prominence=threshold). A peak is a sample, or the middle sample
+    (left + right) // 2 of a run of equal samples, whose neighbours are both
+    lower; the ends of x are never peaks. Its prominence is its height above
+    the higher of its two bases: each the lowest sample between it and the
+    nearest sample on that side that is higher (or NaN), else the end of x.
+    Between two neighbouring peaks x falls and then rises, so that sample
+    lies just past the nearest peak or NaN ("wall") on that side that is
+    higher, and only the walls need to be compared.
+    """
+    change = np.flatnonzero(x[1:] != x[:-1])
+    after, before = x[change + 1], x[change]
+    first = (after[:-1] > before[:-1]) & (after[1:] < before[1:])
+    peaks = (change[:-1][first] + 1 + change[1:][first]) // 2
+    height = x[peaks]
+    if not len(peaks):
+        return peaks, height
+    walls = np.sort(np.concatenate((peaks, np.flatnonzero(np.isnan(x)))))
+    position, top = walls.tolist(), x[walls].tolist()
+    # Per peak: left wall + 1, the peak, right wall; the bases are the minima
+    # of x[left + 1:peak] and x[peak:right].
+    bounds = np.array((
+        _higher_walls(position, top, -1),
+        peaks,
+        _higher_walls(position[::-1], top[::-1], len(x))[::-1],
+    )).T
+    bounds[:, 0] += 1
+    # The appended sample makes len(x) a valid bound.
+    low = np.minimum.reduceat(np.append(x, 0.0), bounds.ravel())
+    prominence = height - np.maximum(low[0::3], low[1::3])
+    keep = threshold <= prominence
+    return peaks[keep], prominence[keep]
+
+
 def detect_extrema(
     trace: TimeTrace,
     v_min_cutoff: float = DEFAULT_V_CUTOFF,
@@ -116,17 +170,12 @@ def detect_extrema(
     endpoints are never reported. Events come back sorted by time.
     The conventional threshold is a small fraction (1e-3) of the slab mass.
     """
-    # Imported here: scipy.signal is slow to import and only this function
-    # needs it, so the CLI starts without it.
-    from scipy.signal import find_peaks
-
     if v_min_cutoff < 0:
         raise InvalidInputError(f"v_min_cutoff must be >= 0, got {v_min_cutoff!r}")
     times, values = _smoothed(trace)
     events: list[ExtremumEvent] = []
     for sign, kind in ((1.0, "maximum"), (-1.0, "minimum")):
-        idx, props = find_peaks(sign * values, prominence=prominence_threshold)
-        for i, prom in zip(idx, props["prominences"]):
+        for i, prom in zip(*_peaks(sign * values, prominence_threshold)):
             if times[i] >= v_min_cutoff:
                 events.append(
                     ExtremumEvent(

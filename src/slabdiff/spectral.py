@@ -134,6 +134,15 @@ EXP_FLOOR = -708.0
 
 SPECTRAL_MODELS = ("parabolic", "hyperbolic", "wkb")
 
+# glibc's malloc hands the free memory at the top of its heap back to the
+# system once it exceeds a trim threshold: 128 KiB at start, raised to twice
+# the largest block freed from mmap. A series call frees its block
+# temporaries, 0.4-0.9 MB for a 1201-time trace and about 10 times that for
+# 12001 times, so under a lower threshold every call faults them in again
+# (100-1600 minor faults, 15-60% of the call). Freeing one 4 MiB block here
+# lifts the threshold to 8 MiB; with another allocator it is one allocation.
+np.empty(1 << 19)
+
 
 def _check_v(v):
     v_arr = np.asarray(v, dtype=float)
@@ -322,12 +331,21 @@ def hyperbolic_mode_factor(eps: float, m, v):
 
     Equals 1 at v = 0 with zero slope; m and v broadcast together. All three
     damping classes are evaluated through real closed forms, so the result
-    is real for every v >= 0.
+    is real for every v >= 0. Past the time where the slowest decay of mode
+    m >= 1 is flushed to 0 (see EXP_FLOOR) the factor is its limit, 0.
     """
     check_telegraph_eps(eps)
     m_arr, v_arr = np.broadcast_arrays(np.asarray(m, dtype=float), _check_v(v))
     m_col, v_col = m_arr.reshape(-1, 1), v_arr.reshape(-1, 1)
-    out = _telegraph_factor(eps, m_col, v_col, _exp((-1.0 / (2.0 * eps)) * v_col))
+    modes, which = np.unique(m_col, return_inverse=True)
+    rate = np.array([_slow_rate("hyperbolic", eps, mode) for mode in modes])
+    # The time where the slowest decay reaches EXP_FLOOR; NaN for mode 0,
+    # which does not decay. NaN times and horizons stay live.
+    horizon = np.divide(-EXP_FLOOR, rate, out=np.full_like(rate, np.nan), where=rate > 0)
+    live = ~(v_col[:, 0] >= horizon[which.ravel()])
+    out = np.zeros(v_col.shape)
+    v_live = v_col[live]
+    out[live] = _telegraph_factor(eps, m_col[live], v_live, _exp((-1.0 / (2.0 * eps)) * v_live))
     return _scalarize(out.reshape(m_arr.shape), m, v)
 
 

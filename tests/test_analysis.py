@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slabdiff import (
     FieldSlice,
@@ -14,8 +16,10 @@ from slabdiff import (
     detect_extrema,
     error_norms,
     predict_echo_ladder,
+    preset,
     time_trace,
 )
+from slabdiff.analysis import _peaks, _smoothed
 
 EPS_REF = 0.13
 V1 = 0.5 * math.sqrt(EPS_REF)
@@ -159,6 +163,54 @@ def test_detection_invariant_under_shift_and_scale():
     np.testing.assert_allclose(
         [e.prominence for e in e_scale], [lam * e.prominence for e in e0], rtol=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# the numpy peak finder against scipy's
+# ---------------------------------------------------------------------------
+
+
+def assert_peaks_match_scipy(x, threshold):
+    find_peaks = pytest.importorskip("scipy.signal").find_peaks
+    for signed in (x, -x):
+        index, props = find_peaks(signed, prominence=threshold)
+        ours, prominence = _peaks(signed, threshold)
+        np.testing.assert_array_equal(ours, index)
+        # bit for bit: the same minima, subtracted the same way
+        np.testing.assert_array_equal(prominence, props["prominences"])
+
+
+@pytest.mark.parametrize("name", ["figure2", "figure4"])
+def test_peaks_match_scipy_on_preset_traces(name, gaussian_coeffs, surface_coeffs):
+    s = preset(name)
+    coeffs = {"figure2": gaussian_coeffs, "figure4": surface_coeffs}[name]
+    for model in s.models:
+        for u in s.trace_u:
+            _, values = _smoothed(time_trace(model, coeffs, s.eps, u, s.time_grid()))
+            for threshold in (0.0, 1e-3 * coeffs.mean):
+                assert_peaks_match_scipy(values, threshold)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 0.01, 0.13, 1.0])
+def test_peaks_match_scipy_across_eps(eps, gaussian_coeffs, surface_coeffs):
+    times = TimeGrid.linspace(0.0, 1.2, 1201)
+    for coeffs in (gaussian_coeffs, surface_coeffs):
+        for family in ("parabolic", "hyperbolic", "wkb"):
+            for u in (0.0, 0.5):
+                _, values = _smoothed(time_trace(family, coeffs, eps, u, times))
+                assert_peaks_match_scipy(values, 1e-3 * coeffs.mean)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    # half-integers from a small range repeat often, so plateaus of every
+    # kind are drawn; 4 stands for NaN, which stops a base like a higher sample
+    samples=st.lists(st.integers(-6, 4), max_size=60),
+    threshold=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+)
+def test_peaks_match_scipy_on_plateaus(samples, threshold):
+    x = np.array([math.nan if k == 4 else k / 2 for k in samples])
+    assert_peaks_match_scipy(x, threshold)
 
 
 def test_parabolic_center_trace_is_monotone_decreasing(gaussian_coeffs):

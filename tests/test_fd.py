@@ -270,3 +270,30 @@ def test_telegraph_tracks_heat_in_stiff_limit():
         # both runs snap independently; the times differ by <= one step
         assert abs(sl_h.v - sl_t.v) < 2e-5
         assert np.max(np.abs(sl_h.values - sl_t.values)) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# the numpy cosine transforms against scipy's
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("nu", [3, 4, 16, 17, 400, 401])
+def test_dct_matches_scipy(nu):
+    scipy_fft = pytest.importorskip("scipy.fft")
+    from slabdiff.fd import _dct, _idct
+
+    rng = np.random.default_rng(nu)
+    for x in (
+        rng.standard_normal(nu),
+        1e-300 * rng.standard_normal(nu),
+        np.asarray(evaluate_profile(GaussianProfile(100.0, 1.0), cell_centers(nu))),
+    ):
+        scale = np.max(np.abs(x))
+        np.testing.assert_allclose(
+            _dct(x), scipy_fft.dct(x, type=2, norm="ortho"), rtol=0, atol=1e-14 * scale
+        )
+        np.testing.assert_allclose(
+            _idct(x), scipy_fft.idct(x, type=2, norm="ortho"), rtol=0, atol=1e-14 * scale
+        )
+        np.testing.assert_allclose(_idct(_dct(x)), x, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(_dct(_idct(x)), x, rtol=0, atol=1e-14 * scale)

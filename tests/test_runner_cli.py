@@ -414,10 +414,46 @@ def test_cli_figure_preset_as_subprocess(tmp_path):
     assert (tmp_path / "figure1_field_4.csv").exists()
 
 
-def test_cli_import_leaves_slow_scipy_modules_unloaded():
-    # scipy.signal and scipy.fft are imported where they are used, so
-    # validate and coeffs start without paying for them
-    code = "import sys, slabdiff.cli; print(sorted({'scipy.signal', 'scipy.fft'} & set(sys.modules)))"
+#: Installed before slabdiff is imported: any import of scipy raises.
+NO_SCIPY = """
+import sys
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"slabdiff imported {name}")
+
+sys.meta_path.insert(0, NoScipy())
+from slabdiff.cli import main
+
+codes = [main(args) for args in COMMANDS]
+assert not any(name.startswith("scipy") for name in sys.modules)
+print(codes)
+"""
+
+
+def test_no_cli_command_imports_scipy(tmp_path):
+    # the package runs on numpy alone: validate, coeffs, a figure with
+    # events and a telegraph FD run with events never import scipy
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(CONFIG_SMALL)
+    fd_events = tmp_path / "fd_events.cfg"
+    fd_events.write_text(
+        CONFIG_SMALL.replace("v = 0.01, 0.1", "v_range = 0, 1, 200\ntrace_u = 0, 0.5")
+        .replace("parabolic, hyperbolic", "parabolic, fd")
+        .replace("amplitude = 1", "amplitude = 1\n[fd]\nnu = 16\n[output]\nformats = csv, events")
+    )
+    out = str(tmp_path / "out")
+    commands = [
+        ["validate", str(cfg)],
+        ["coeffs", str(cfg)],
+        ["figure", "2", "--terms", "64", "--out-dir", out],
+        ["run", str(fd_events), "--out-dir", out],
+    ]
+    code = f"COMMANDS = {commands!r}\n" + NO_SCIPY
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
+    assert (tmp_path / "out" / "figure2_events.csv").exists()
+    events = (tmp_path / "out" / "demo_events.csv").read_text()
+    assert "\nfd,0.5,maximum," in events

@@ -1,5 +1,9 @@
 import math
+import platform
+import subprocess
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +207,32 @@ def test_mode_factor_against_ode_integration(eps, m, v):
     assert hyperbolic_mode_factor(eps, m, v) == pytest.approx(
         float(sol.y[0, -1]), abs=5e-11
     )
+
+
+@pytest.mark.parametrize(
+    "eps,m",
+    [
+        (EPS_REF, 1),  # underdamped
+        (EPS_REF, 500),  # underdamped, fast
+        (1e-3, 1),  # overdamped
+        (1e-8, 1),  # overdamped, slow rate close to (2 pi)^2
+        (1.0 / (4.0 * (2.0 * math.pi) ** 2), 1),  # critical
+    ],
+)
+def test_mode_factor_at_huge_times_is_its_limit(eps, m):
+    huge = [1e6, 1e300, 1.7e308, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in huge:
+            assert hyperbolic_mode_factor(eps, m, v) == 0.0
+        # a row mixing live and huge times keeps the live values
+        row = hyperbolic_mode_factor(eps, m, np.array([0.0, 0.01] + huge))
+        np.testing.assert_array_equal(row[2:], 0.0)
+        assert row[0] == 1.0
+        assert row[1] == hyperbolic_mode_factor(eps, m, 0.01)
+        table = hyperbolic_mode_factor(eps, np.array([[m], [m + 1]]), np.array([0.0] + huge))
+        np.testing.assert_array_equal(table[:, 1:], 0.0)
+        assert np.isnan(hyperbolic_mode_factor(eps, m, math.nan))
 
 
 def test_mode_factor_real_and_finite_for_large_arguments():
@@ -932,6 +962,36 @@ def traced_peak(model, terms, u, v):
 def test_trace_memory_does_not_grow_with_truncation(model):
     v = SPLIT_V["linspace"]
     assert traced_peak(model, 2000, 0.5, v) <= 1.1 * traced_peak(model, 500, 0.5, v)
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="glibc malloc"
+)
+def test_repeated_traces_do_not_fault_their_temporaries_in_again():
+    # In a fresh interpreter, with only numpy and slabdiff imported, glibc
+    # would hand each call's freed temporaries back to the system and fault
+    # them in on the next call (100-1600 faults per call).
+    code = """
+import resource
+import numpy as np
+from slabdiff import SurfaceCoshProfile, compute_coefficients
+from slabdiff.spectral import family_density
+coeffs = compute_coefficients(SurfaceCoshProfile(10.0, 1.0), 500)
+calls = [
+    (model, eps, np.linspace(0.0, 1.2, n))
+    for model in ("parabolic", "hyperbolic", "wkb") for eps in (1e-3, 0.13) for n in (1201, 12001)
+]
+for model, eps, v in calls:
+    family_density(model, coeffs, eps, 0.5, v)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    for model, eps, v in calls:
+        family_density(model, coeffs, eps, 0.5, v)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 200
 
 
 def test_telegraph_tables_of_few_positions_are_contracted_in_bounded_memory():
