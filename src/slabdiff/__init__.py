@@ -10,7 +10,6 @@ from .errors import (
     InvalidInputError,
     InvalidParameterError,
     QuadratureError,
-    ReferenceInvalidError,
     ResonantModeError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -27,19 +26,14 @@ from .profiles import (
     UniformProfile,
     compute_coefficients,
     evaluate_profile,
-    surface_cosh_mode_closed_form,
 )
 from .spectral import (
     FieldSlice,
     TimeTrace,
-    WkbCoefficients,
     field_slice,
-    free_space_reference,
     hyperbolic_density,
-    hyperbolic_mode_factor,
     parabolic_density,
     time_trace,
-    wkb_coefficients,
     wkb_density,
 )
 from .fd import FdConfig, cell_centers, fd_solve_heat, fd_solve_telegraph
@@ -68,11 +62,10 @@ __all__ = [
     # profiles
     "InitialProfile", "GaussianProfile", "SurfaceCoshProfile", "UniformProfile",
     "CosineModeProfile", "TabulatedProfile", "SpectralCoefficients",
-    "evaluate_profile", "compute_coefficients", "surface_cosh_mode_closed_form",
+    "evaluate_profile", "compute_coefficients",
     # spectral
-    "WkbCoefficients", "FieldSlice", "TimeTrace", "parabolic_density",
-    "hyperbolic_mode_factor", "hyperbolic_density", "wkb_coefficients",
-    "wkb_density", "free_space_reference", "field_slice", "time_trace",
+    "FieldSlice", "TimeTrace", "parabolic_density", "hyperbolic_density",
+    "wkb_density", "field_slice", "time_trace",
     # fd
     "FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph",
     # analysis
@@ -83,6 +76,6 @@ __all__ = [
     "preset", "run_scenario",
     # errors
     "SlabDiffError", "InvalidParameterError", "DomainError", "QuadratureError",
-    "ResonantModeError", "StabilityError", "ReferenceInvalidError",
-    "InvalidInputError", "ScenarioParseError", "ScenarioValidationError",
+    "ResonantModeError", "StabilityError", "InvalidInputError", "ScenarioParseError",
+    "ScenarioValidationError",
 ]

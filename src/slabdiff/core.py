@@ -8,7 +8,7 @@ eps = tau_r / tau_D.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from .errors import DomainError, InvalidParameterError
 #: Half-width of the dimensionless slab.
 HALF_WIDTH = 0.5
 
+#: The most float64 samples numpy builds into one array: it refuses an array
+#: of more than np.iinfo(np.intp).max bytes before allocating anything.
+MAX_SAMPLES = np.iinfo(np.intp).max // 8
+
 
 def slab_positions(u) -> np.ndarray:
     """u (scalar or array) as a float array; every value must lie in [-1/2, 1/2]."""
@@ -24,6 +28,16 @@ def slab_positions(u) -> np.ndarray:
     if np.any(u_arr < -HALF_WIDTH) or np.any(u_arr > HALF_WIDTH):
         raise DomainError(f"u must lie in [-1/2, 1/2], got {u!r}")
     return u_arr
+
+
+def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
+    """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES."""
+    if count < 2:
+        raise InvalidParameterError(f"need at least 2 {name}, got {count}")
+    if count > MAX_SAMPLES:
+        raise InvalidParameterError(
+            f"{count} {name} exceed the {MAX_SAMPLES} floats one array can hold")
+    return np.linspace(start, stop, count)
 
 
 def _as_float_array(values, name: str) -> np.ndarray:
@@ -74,16 +88,14 @@ class Grid1D(_Points):
     @classmethod
     def uniform_grid(cls, n_points: int) -> "Grid1D":
         """Uniform grid of n_points including both walls."""
-        if n_points < 2:
-            raise InvalidParameterError(f"need at least 2 points, got {n_points}")
-        return cls(points=np.linspace(-HALF_WIDTH, HALF_WIDTH, n_points))
+        return cls(points=_linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "grid points"))
 
 
 @dataclass(frozen=True, eq=False)
 class TimeGrid(_Points):
     """Ordered sample times v >= 0 (in units of the diffusion time)."""
 
-    points: np.ndarray = field(default_factory=lambda: np.zeros(1))
+    points: np.ndarray
 
     def __post_init__(self):
         arr = _as_float_array(self.points, "time points")
@@ -99,6 +111,4 @@ class TimeGrid(_Points):
 
     @classmethod
     def linspace(cls, start: float, stop: float, count: int) -> "TimeGrid":
-        if count < 2:
-            raise InvalidParameterError(f"need at least 2 time points, got {count}")
-        return cls(points=np.linspace(start, stop, count))
+        return cls(points=_linspace(start, stop, count, "time points"))

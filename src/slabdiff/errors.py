@@ -42,10 +42,6 @@ class StabilityError(SlabDiffError, ValueError):
     """An explicit finite-difference configuration violates its stability bound."""
 
 
-class ReferenceInvalidError(SlabDiffError, ValueError):
-    """The wall-free reference solution is not applicable (wall influence)."""
-
-
 class InvalidInputError(SlabDiffError, ValueError):
     """Analysis input does not meet sampling or shape requirements."""
 

@@ -9,8 +9,8 @@ zero-flux eigenbasis {1, cos(2*m*pi*u)}:
 
 A tabulated profile is piecewise linear, and its coefficients have an exact
 closed form. The analytic kinds are integrated by adaptive quadrature; the
-closed forms available for some of them are cross-checks in the tests, not
-the production path.
+closed forms available for some of them are independent references in the
+tests, not part of the package.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
@@ -313,7 +313,7 @@ PROFILE_KINDS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralCoefficients:
     """Cosine-series coefficients shared by all solution families.
 
@@ -340,16 +340,6 @@ class SpectralCoefficients:
     def tail(self) -> float:
         """|k_M| of the last retained mode, a truncation diagnostic."""
         return float(abs(self.modes[-1]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpectralCoefficients):
-            return NotImplemented
-        return (
-            self.mean == other.mean
-            and self.modes.shape == other.modes.shape
-            and self.profile_tag == other.profile_tag
-            and bool(np.all(self.modes == other.modes))
-        )
 
 
 def evaluate_profile(profile: InitialProfile, u):
@@ -403,11 +393,3 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
         )
     return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
 
-
-def surface_cosh_mode_closed_form(profile: SurfaceCoshProfile, m: int) -> float:
-    """Exact k_m of the surface profile: 2*A*s^2*(-1)^m / ((2*m*pi)^2 + s^2).
-
-    Kept as an independent cross-check for the quadrature path.
-    """
-    s = profile.sharpness
-    return 2.0 * profile.amplitude * s**2 * (-1.0) ** m / ((2.0 * math.pi * m) ** 2 + s**2)

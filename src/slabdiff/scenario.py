@@ -49,7 +49,7 @@ from .profiles import (
     InitialProfile,
     SurfaceCoshProfile,
 )
-from .spectral import check_telegraph_eps, wkb_mode_ratios
+from .spectral import check_telegraph_eps, check_wkb_eps
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
@@ -121,7 +121,7 @@ class Scenario:
                 raise ScenarioValidationError(f"hyperbolic: {exc}") from exc
         if "wkb" in self.models:
             try:
-                wkb_mode_ratios(self.eps, self.truncation)
+                check_wkb_eps(self.eps, self.truncation)
             except ResonantModeError as exc:
                 raise ScenarioValidationError(f"wkb: {exc}") from exc
         for kind in self.outputs:
@@ -137,8 +137,10 @@ class Scenario:
         if self.fd_dv is not None and not (0 < self.fd_dv < math.inf):
             raise ScenarioValidationError(f"fd dv must be finite and > 0, got {self.fd_dv!r}")
         try:
-            # Constructing the grid validates ordering/positivity of the times.
+            # Constructing the grids validates ordering/positivity of the times
+            # and refuses a grid size numpy cannot build.
             times = self.time_grid()
+            self.spatial_grid()
         except InvalidParameterError as exc:
             raise ScenarioValidationError(str(exc)) from exc
         if "fd" in self.models:

@@ -93,18 +93,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import HALF_WIDTH, Grid1D, TimeGrid, slab_positions
-from .errors import (
-    DomainError,
-    InvalidParameterError,
-    ReferenceInvalidError,
-    ResonantModeError,
-)
-from .profiles import GaussianProfile, SpectralCoefficients
+from .errors import DomainError, InvalidParameterError, ResonantModeError
+from .profiles import SpectralCoefficients
 
 #: Discriminant tolerance below which a mode is treated as critically damped;
 #: the overdamped formula divides by mu2 - mu1 which vanishes there.
@@ -112,10 +107,6 @@ CRITICAL_DISC_TOL = 1e-12
 
 #: |1 - eps*(2*m*pi)^2| below this is a resonant two-timescale mode.
 RESONANCE_TOL = 1e-9
-
-#: The wall-free reference requires the Gaussian support to stay this far
-#: from the walls: 1/sqrt(sharpness) + sqrt(4*v) <= WALL_CLEARANCE.
-WALL_CLEARANCE = 0.25
 
 #: The fewest modes per block of the series walk, and times per block of
 #: the anchor/offset split of a long time row. It bounds the (modes x points)
@@ -162,6 +153,33 @@ def check_telegraph_eps(eps: float):
             f"the telegraph model requires eps > 0 and not subnormal "
             f"(>= {sys.float_info.min!r}), got {eps!r}"
         )
+
+
+def _mode_ratios(eps: float, m):
+    """q_m = eps*(2*m*pi)^2 of the modes m."""
+    return eps * (2.0 * math.pi * m) ** 2
+
+
+def check_wkb_eps(eps: float, terms: int):
+    """Raise unless eps >= 0 and no mode m <= terms is resonant, in O(1).
+
+    q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
+    within RESONANCE_TOL of 1.
+
+    Raises:
+        InvalidParameterError: eps < 0 or NaN.
+        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
+            where the two-timescale closed form is singular.
+    """
+    if not (eps >= 0):
+        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
+    near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
+    if near > terms + 1:
+        return
+    m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
+    resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
+    if resonant.size:
+        raise ResonantModeError(int(m[resonant[0]]), eps)
 
 
 def _scalarize(value, *inputs) -> float | np.ndarray:
@@ -291,15 +309,14 @@ def _slow_rate(model: str, eps: float, m: int) -> float:
 def _telegraph_factor(eps: float, m, v, decay):
     """V_m(v)/k_m of the telegraph modes in column m at the times in v.
 
-    m has shape (R, 1); v and decay = exp(-v/(2*eps)) have one row, or R
-    rows (one time per mode). The damping class of each row follows from the
+    m has shape (R, 1); v and decay = exp(-v/(2*eps)) are one row (1, N),
+    shared by every mode. The damping class of each mode follows from the
     sign of 1 - (4*m*pi)^2*eps: overdamped (two real decay exponents
     mu2 < mu1 < 0), critical, or underdamped (decay 1/(2*eps), angular
     frequency omega).
     """
-    v = np.broadcast_to(v, (len(m), v.shape[1]))
     disc = _discriminant(eps, m)
-    out = np.empty(v.shape)
+    out = np.empty((len(m), v.shape[1]))
     over = disc[:, 0] > CRITICAL_DISC_TOL
     under = disc[:, 0] < -CRITICAL_DISC_TOL
     crit = ~(over | under)
@@ -309,44 +326,19 @@ def _telegraph_factor(eps: float, m, v, decay):
         # equivalent product form instead.
         mu1 = -((4.0 * np.pi * m[over]) ** 2) / (2.0 * (1.0 + sq))
         mu2 = -(1.0 + sq) / (2.0 * eps)
-        vo = v[over]
-        out[over] = (mu2 * _exp(mu1 * vo) - mu1 * _exp(mu2 * vo)) / (mu2 - mu1)
+        out[over] = (mu2 * _exp(mu1 * v) - mu1 * _exp(mu2 * v)) / (mu2 - mu1)
     if under.any():
         omega, r = _frequency(eps, disc[under])
-        phase = omega * v[under]
+        phase = omega * v
         # decay*(cos(phase) + r*sin(phase)), formed in place.
         wave = np.sin(phase)
         wave *= r
         wave += np.cos(phase, out=phase)
-        # A decay row shared by every mode is not copied once per mode.
-        wave *= decay if len(decay) == 1 else decay[under]
+        wave *= decay
         out[under] = wave
     if crit.any():
-        out[crit] = (decay if len(decay) == 1 else decay[crit]) * (1.0 + v[crit] / (2.0 * eps))
+        out[crit] = decay * (1.0 + v / (2.0 * eps))
     return out
-
-
-def hyperbolic_mode_factor(eps: float, m, v):
-    """Normalized time factor V_m(v)/k_m of telegraph mode m, eps > 0.
-
-    Equals 1 at v = 0 with zero slope; m and v broadcast together. All three
-    damping classes are evaluated through real closed forms, so the result
-    is real for every v >= 0. Past the time where the slowest decay of mode
-    m >= 1 is flushed to 0 (see EXP_FLOOR) the factor is its limit, 0.
-    """
-    check_telegraph_eps(eps)
-    m_arr, v_arr = np.broadcast_arrays(np.asarray(m, dtype=float), _check_v(v))
-    m_col, v_col = m_arr.reshape(-1, 1), v_arr.reshape(-1, 1)
-    modes, which = np.unique(m_col, return_inverse=True)
-    rate = np.array([_slow_rate("hyperbolic", eps, mode) for mode in modes])
-    # The time where the slowest decay reaches EXP_FLOOR; NaN for mode 0,
-    # which does not decay. NaN times and horizons stay live.
-    horizon = np.divide(-EXP_FLOOR, rate, out=np.full_like(rate, np.nan), where=rate > 0)
-    live = ~(v_col[:, 0] >= horizon[which.ravel()])
-    out = np.zeros(v_col.shape)
-    v_live = v_col[live]
-    out[live] = _telegraph_factor(eps, m_col[live], v_live, _exp((-1.0 / (2.0 * eps)) * v_live))
-    return _scalarize(out.reshape(m_arr.shape), m, v)
 
 
 def _mode_cosines(u, rows: int):
@@ -444,7 +436,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     if model == "hyperbolic":
         check_telegraph_eps(eps)
     elif model == "wkb":
-        _check_wkb_eps(eps, terms)
+        check_wkb_eps(eps, terms)
     # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
     two_scale = model == "wkb" and eps > 0
     u_arr = slab_positions(u)
@@ -607,88 +599,10 @@ def hyperbolic_density(coefficients: SpectralCoefficients, eps: float, u, v):
 # Two-timescale (WKB-type) family
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WkbCoefficients:
-    """Mode weights of the two-timescale approximation.
-
-    fast[m-1] multiplies the boundary-layer decay exp(-v/eps) and slow[m-1]
-    the parabolic decay exp(-(2*m*pi)^2 v); their sum reproduces k_m, which
-    keeps the v = 0 reconstruction identical to the other families.
-    """
-
-    fast: np.ndarray
-    slow: np.ndarray
-
-    def __post_init__(self):
-        fast = np.asarray(self.fast, dtype=float)
-        slow = np.asarray(self.slow, dtype=float)
-        if fast.shape != slow.shape or fast.ndim != 1:
-            raise InvalidParameterError("fast and slow must be 1D arrays of equal length")
-        object.__setattr__(self, "fast", fast)
-        object.__setattr__(self, "slow", slow)
-
-
-def _mode_ratios(eps: float, m):
-    """q_m = eps*(2*m*pi)^2 of the modes m."""
-    return eps * (2.0 * math.pi * m) ** 2
-
-
-def _check_wkb_eps(eps: float, terms: int):
-    """Raise unless eps >= 0 and no mode m <= terms is resonant, in O(1).
-
-    q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
-    within RESONANCE_TOL of 1.
-
-    Raises:
-        InvalidParameterError: eps < 0 or NaN.
-        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
-            where the two-timescale closed form is singular.
-    """
-    if not (eps >= 0):
-        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
-    near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
-    if near > terms + 1:
-        return
-    m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
-    resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
-    if resonant.size:
-        raise ResonantModeError(int(m[resonant[0]]), eps)
-
-
-def wkb_mode_ratios(eps: float, terms: int) -> np.ndarray:
-    """q_m = eps*(2*m*pi)^2 for m = 1..terms.
-
-    Raises:
-        InvalidParameterError: eps < 0 or NaN.
-        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m, where the
-            two-timescale closed form is singular.
-    """
-    _check_wkb_eps(eps, terms)
-    return _mode_ratios(eps, np.arange(1, terms + 1, dtype=float))
-
-
 def _wkb_fast(eps: float, m, k):
     """Fast weights -q_m/(1 - q_m)*k_m of the modes m with coefficients k."""
     q = _mode_ratios(eps, m)
     return -q / (1.0 - q) * k
-
-
-def wkb_coefficients(coefficients: SpectralCoefficients, eps: float) -> WkbCoefficients:
-    """Split k_m into fast/slow weights:
-
-        fast_m = -eps*(2*m*pi)^2 / (1 - eps*(2*m*pi)^2) * k_m
-        slow_m = k_m / (1 - eps*(2*m*pi)^2)
-
-    Raises:
-        InvalidParameterError: eps < 0 or NaN.
-        ResonantModeError: eps*(2*m*pi)^2 is within 1e-9 of 1 for some
-            retained m; the closed form is singular there and silently
-            dropping the mode would break the v = 0 reconstruction.
-    """
-    q = wkb_mode_ratios(eps, coefficients.truncation)
-    k = coefficients.modes
-    return WkbCoefficients(
-        fast=_wkb_fast(eps, np.arange(1, q.size + 1, dtype=float), k), slow=k / (1.0 - q))
 
 
 def wkb_density(coefficients: SpectralCoefficients, eps: float, u, v):
@@ -717,40 +631,6 @@ def family_density(model: str, coefficients: SpectralCoefficients, eps: float, u
 
 
 # ---------------------------------------------------------------------------
-# Wall-free short-time reference
-# ---------------------------------------------------------------------------
-
-def free_space_reference(profile: GaussianProfile, v: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Exact evolution of the Gaussian profile with the walls removed.
-
-    Diffusing a Gaussian adds 4*v to the squared-width parameter:
-    1/b' = 1/b + 4*v. Valid only while the support stays clear of the walls
-    (1/sqrt(b) + sqrt(4*v) <= 1/4); used as a short-time oracle for the
-    parabolic series, never as a production solution.
-
-    Returns:
-        A closure mapping u to the reference density.
-    """
-    if not isinstance(profile, GaussianProfile):
-        raise InvalidParameterError("the wall-free reference is defined for Gaussian profiles")
-    if not (v > 0):
-        raise DomainError(f"v must be > 0, got {v!r}")
-    support = 1.0 / math.sqrt(profile.sharpness) + math.sqrt(4.0 * v)
-    if support > WALL_CLEARANCE:
-        raise ReferenceInvalidError(
-            f"wall influence is not negligible: 1/sqrt(b) + sqrt(4v) = {support:.4g} "
-            f"> {WALL_CLEARANCE}"
-        )
-    b_eff = 1.0 / (1.0 / profile.sharpness + 4.0 * v)
-    amp = profile.amplitude * math.sqrt(b_eff / math.pi)
-
-    def reference(u):
-        return amp * np.exp(-b_eff * np.asarray(u, dtype=float) ** 2)
-
-    return reference
-
-
-# ---------------------------------------------------------------------------
 # Sampled results
 # ---------------------------------------------------------------------------
 
@@ -775,10 +655,6 @@ class FieldSlice:
 
     def __post_init__(self):
         _check_samples(self, len(self.grid), f"grid of {len(self.grid)} points")
-
-    def mass(self) -> float:
-        """Trapezoid integral of the slice over its grid."""
-        return float(np.trapezoid(self.values, self.grid.points))
 
 
 @dataclass(frozen=True)

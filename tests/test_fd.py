@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import step_heat, step_telegraph
 
 from slabdiff import (
     CosineModeProfile,
@@ -184,39 +185,8 @@ def test_heat_grid_convergence_is_second_order():
 # ---------------------------------------------------------------------------
 # exactness against step-by-step marching
 # ---------------------------------------------------------------------------
-# The solvers evaluate the schemes in DCT mode space. These plain-numpy
-# kernels march the same schemes one step at a time, with the mirror ghost
-# cells n[-1] = n[0] and n[nu] = n[nu-1] inlined, and serve as the reference.
-
-
-def mirror_laplacian(n):
-    lap = np.empty_like(n)
-    lap[1:-1] = n[2:] - 2.0 * n[1:-1] + n[:-2]
-    lap[0] = n[1] - n[0]
-    lap[-1] = n[-2] - n[-1]
-    return lap
-
-
-def step_heat(n0, cfg, steps):
-    r = cfg.dv / cfg.du**2
-    cur = n0.copy()
-    for _ in range(steps):
-        cur = cur + r * mirror_laplacian(cur)
-    return cur
-
-
-def step_telegraph(n0, cfg, steps):
-    eps, dv, du = cfg.eps, cfg.dv, cfg.du
-    if steps == 0:
-        return n0.copy()
-    denom = eps + 0.5 * dv
-    p_lap = dv * dv / (du * du) / denom
-    p_prev = (eps - 0.5 * dv) / denom
-    prev = n0.copy()
-    cur = prev + (dv * dv / (2.0 * eps)) / (du * du) * mirror_laplacian(prev)
-    for _ in range(steps - 1):
-        prev, cur = cur, cur + p_lap * mirror_laplacian(cur) + p_prev * (cur - prev)
-    return cur
+# The solvers evaluate the schemes in DCT mode space; the oracles march the
+# same schemes one step at a time.
 
 
 def assert_matches_stepping(prof, cfg, atol=1e-10):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import surface_cosh_mode_closed_form
 
 from slabdiff import (
     CosineModeProfile,
@@ -15,7 +16,6 @@ from slabdiff import (
     compute_coefficients,
     evaluate_profile,
     parabolic_density,
-    surface_cosh_mode_closed_form,
 )
 from slabdiff.quadrature import integrate_adaptive
 

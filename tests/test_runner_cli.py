@@ -296,6 +296,11 @@ CONFIG_ERRORS = {
                                ("parabolic, hyperbolic", "fd"),
                                ("amplitude = 1", "amplitude = 1\n[fd]\nnu = 3\n"
                                                  "[output]\nformats = csv, events")],
+    # grids of more samples than numpy builds into one array
+    "v_range_count_too_large": [("v = 0.01, 0.1", "v_range = 0, 1, 1e20\ntrace_u = 0.5"),
+                                ("parabolic, hyperbolic", "parabolic")],
+    "u_points_too_large": [("u_points = 51", "u_points = 100000000000000000000"),
+                           ("parabolic, hyperbolic", "parabolic")],
 }
 
 

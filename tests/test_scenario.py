@@ -32,7 +32,7 @@ from slabdiff.analysis import MIN_TRACE_SAMPLES
 from slabdiff.fd import snapshot_steps
 from slabdiff.profiles import MAX_DENSITY, PROFILE_KINDS
 from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS, override
-from slabdiff.spectral import wkb_mode_ratios
+from slabdiff.spectral import check_wkb_eps
 
 MINIMAL = """
 [scenario]
@@ -334,7 +334,7 @@ def scenarios(draw):
     truncation = draw(st.integers(1, 10**6))
     if "wkb" in models:
         try:
-            wkb_mode_ratios(eps, truncation)
+            check_wkb_eps(eps, truncation)
         except ResonantModeError:
             assume(False)
     trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=3)))

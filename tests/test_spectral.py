@@ -9,23 +9,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import solve_ivp
+from oracles import (
+    ReferenceInvalidError,
+    free_space_reference,
+    ode_telegraph_factor,
+    reference_density,
+    wkb_coefficients,
+)
 
 from slabdiff import (
     DomainError,
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
-    ReferenceInvalidError,
     ResonantModeError,
     SpectralCoefficients,
     field_slice,
-    free_space_reference,
     hyperbolic_density,
-    hyperbolic_mode_factor,
     parabolic_density,
     time_trace,
-    wkb_coefficients,
     wkb_density,
 )
 from slabdiff import spectral
@@ -39,6 +41,7 @@ from slabdiff.spectral import (
     _fastest_rate,
     _lattice,
     _split_times,
+    check_wkb_eps,
     family_density,
 )
 
@@ -94,6 +97,21 @@ def test_parabolic_domain_checks(gaussian_coeffs):
 # ---------------------------------------------------------------------------
 
 
+def mode_factor(eps, m, v):
+    """V_m(v)/k_m of telegraph mode m, through the production series.
+
+    The hyperbolic density at u = 0 of the one-mode coefficients k0 = 0,
+    k_m = 1 and every other k_j = 0; m and v broadcast, and the times of
+    each mode form one time row.
+    """
+    m_arr, v_arr = np.broadcast_arrays(np.asarray(m), np.asarray(v, dtype=float))
+    out = np.empty(m_arr.shape)
+    for mode in np.unique(m_arr):
+        unit = SpectralCoefficients(mean=0.0, modes=np.eye(1, mode, mode - 1)[0])
+        out[m_arr == mode] = hyperbolic_density(unit, eps, 0.0, v_arr[m_arr == mode])
+    return float(out) if out.ndim == 0 else out
+
+
 def underdamped_factor(eps, omega, v):
     return math.exp(-v / (2 * eps)) * (
         math.cos(omega * v) + math.sin(omega * v) / (2 * eps * omega)
@@ -106,7 +124,7 @@ def test_mode_classification_reference_case():
     omega = math.sqrt((4 * math.pi) ** 2 * EPS_REF - 1.0) / (2 * EPS_REF)
     assert omega == pytest.approx(16.99668308846906, rel=1e-13)
     for v in (0.05, 0.3, 1.1):
-        assert hyperbolic_mode_factor(EPS_REF, 1, v) == pytest.approx(
+        assert mode_factor(EPS_REF, 1, v) == pytest.approx(
             underdamped_factor(EPS_REF, 16.99668308846906, v), rel=1e-13
         )
 
@@ -114,7 +132,7 @@ def test_mode_classification_reference_case():
 def test_mode_classification_critical():
     eps_c = 1.0 / (4.0 * (2.0 * math.pi) ** 2)
     for v in (0.01, 0.1):
-        assert hyperbolic_mode_factor(eps_c, 1, v) == pytest.approx(
+        assert mode_factor(eps_c, 1, v) == pytest.approx(
             math.exp(-v / (2 * eps_c)) * (1 + v / (2 * eps_c)), rel=1e-14
         )
 
@@ -124,7 +142,7 @@ def test_mode_classification_overdamped_limit():
     # parabolic rate -(2 pi)^2, so V decays like exp(mu1 v) once the fast
     # exponent mu2 = -1/eps has died out.
     v = np.linspace(0.0, 1.0, 201)
-    vals = hyperbolic_mode_factor(1e-8, 1, v)
+    vals = mode_factor(1e-8, 1, v)
     assert np.all(np.diff(vals) < 0) and np.all(vals > 0)
     mu1 = math.log(vals[-1] / vals[-2]) / (v[-1] - v[-2])
     assert mu1 == pytest.approx(-((2 * math.pi) ** 2), rel=1e-3)
@@ -134,21 +152,21 @@ def test_mode_evolutions_amplitudes(gaussian_coeffs):
     eps = 1e-3  # modes 1..2 overdamped for this eps
     m = np.arange(1, gaussian_coeffs.truncation + 1)
     # Broadcast over every mode: V_m(0) = k_m for each damping class.
-    np.testing.assert_array_equal(hyperbolic_mode_factor(eps, m, 0.0), 1.0)
+    np.testing.assert_array_equal(mode_factor(eps, m, 0.0), 1.0)
     # V_m'(0) = 0 for the overdamped modes, from a (mode x time) table
     h = 1e-6
-    f = hyperbolic_mode_factor(eps, m[:2, None], h * np.arange(4)[None, :])
+    f = mode_factor(eps, m[:2, None], h * np.arange(4)[None, :])
     assert f.shape == (2, 4)
     slope = (-11 * f[:, 0] + 18 * f[:, 1] - 9 * f[:, 2] + 2 * f[:, 3]) / (6 * h)
     assert np.all(np.abs(slope) < 1e-6)
     with pytest.raises(InvalidParameterError):
-        hyperbolic_mode_factor(0.0, 1, 0.1)
+        mode_factor(0.0, 1, 0.1)
     with pytest.raises(InvalidParameterError):
         hyperbolic_density(gaussian_coeffs, 0.0, 0.0, 0.1)
     # 1/(2*eps) overflows for a subnormal eps.
     for eps in (5e-324, 1e-310):
         with pytest.raises(InvalidParameterError):
-            hyperbolic_mode_factor(eps, 1, 0.0)
+            mode_factor(eps, 1, 0.0)
         with pytest.raises(InvalidParameterError):
             hyperbolic_density(gaussian_coeffs, eps, 0.0, 0.0)
 
@@ -162,26 +180,26 @@ def test_mode_evolutions_amplitudes(gaussian_coeffs):
     ],
 )
 def test_mode_factor_initial_conditions(eps, m):
-    assert hyperbolic_mode_factor(eps, m, 0.0) == 1.0
+    assert mode_factor(eps, m, 0.0) == 1.0
     # 3rd-order one-sided stencil for the initial slope
     h = 1e-6
-    f = hyperbolic_mode_factor(eps, m, h * np.arange(4))
+    f = mode_factor(eps, m, h * np.arange(4))
     slope = (-11 * f[0] + 18 * f[1] - 9 * f[2] + 2 * f[3]) / (6 * h)
     assert abs(slope) < 1e-6
 
 
 def test_mode_factor_critical_closed_form():
     eps_c = 1.0 / (4.0 * (2.0 * math.pi) ** 2)
-    assert hyperbolic_mode_factor(eps_c, 1, 2 * eps_c) == pytest.approx(
+    assert mode_factor(eps_c, 1, 2 * eps_c) == pytest.approx(
         2.0 * math.exp(-1.0), rel=1e-14
     )
-    assert hyperbolic_mode_factor(eps_c, 1, 2 * eps_c) == pytest.approx(
+    assert mode_factor(eps_c, 1, 2 * eps_c) == pytest.approx(
         0.7357588823428847, rel=1e-13
     )
 
 
 def test_mode_factor_matches_parabolic_for_tiny_eps():
-    factor = hyperbolic_mode_factor(1e-8, 1, 0.1)
+    factor = mode_factor(1e-8, 1, 0.1)
     assert factor == pytest.approx(math.exp(-4 * math.pi**2 * 0.1), rel=1e-4)
 
 
@@ -198,15 +216,7 @@ def test_mode_factor_matches_parabolic_for_tiny_eps():
 )
 def test_mode_factor_against_ode_integration(eps, m, v):
     # Independent oracle: integrate eps*V'' + V' + (2 m pi)^2 V = 0 directly.
-    lam = (2 * math.pi * m) ** 2
-
-    def rhs(t, y):
-        return [y[1], -(y[1] + lam * y[0]) / eps]
-
-    sol = solve_ivp(rhs, [0.0, v], [1.0, 0.0], rtol=1e-11, atol=1e-13, method="DOP853")
-    assert hyperbolic_mode_factor(eps, m, v) == pytest.approx(
-        float(sol.y[0, -1]), abs=5e-11
-    )
+    assert mode_factor(eps, m, v) == pytest.approx(ode_telegraph_factor(eps, m, v), abs=5e-11)
 
 
 @pytest.mark.parametrize(
@@ -224,20 +234,20 @@ def test_mode_factor_at_huge_times_is_its_limit(eps, m):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for v in huge:
-            assert hyperbolic_mode_factor(eps, m, v) == 0.0
+            assert mode_factor(eps, m, v) == 0.0
         # a row mixing live and huge times keeps the live values
-        row = hyperbolic_mode_factor(eps, m, np.array([0.0, 0.01] + huge))
+        row = mode_factor(eps, m, np.array([0.0, 0.01] + huge))
         np.testing.assert_array_equal(row[2:], 0.0)
         assert row[0] == 1.0
-        assert row[1] == hyperbolic_mode_factor(eps, m, 0.01)
-        table = hyperbolic_mode_factor(eps, np.array([[m], [m + 1]]), np.array([0.0] + huge))
+        assert row[1] == mode_factor(eps, m, 0.01)
+        table = mode_factor(eps, np.array([[m], [m + 1]]), np.array([0.0] + huge))
         np.testing.assert_array_equal(table[:, 1:], 0.0)
-        assert np.isnan(hyperbolic_mode_factor(eps, m, math.nan))
+        assert np.isnan(mode_factor(eps, m, math.nan))
 
 
 def test_mode_factor_real_and_finite_for_large_arguments():
     v = np.linspace(0.0, 5.0, 101)
-    vals = hyperbolic_mode_factor(EPS_REF, 500, v)
+    vals = mode_factor(EPS_REF, 500, v)
     assert np.all(np.isfinite(vals))
     assert vals.dtype == np.float64
 
@@ -292,7 +302,8 @@ def test_mass_conservation_all_families(gaussian_coeffs, surface_coeffs):
         for model in ("parabolic", "hyperbolic", "wkb"):
             for v in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
                 sl = field_slice(model, c, EPS_REF, grid, v)
-                assert sl.mass() == pytest.approx(c.mean, abs=1e-8)
+                mass = np.trapezoid(sl.values, sl.grid.points)
+                assert mass == pytest.approx(c.mean, abs=1e-8)
 
 
 def test_long_time_equilibrium(gaussian_coeffs, surface_coeffs):
@@ -358,9 +369,13 @@ def test_wkb_resonant_mode_is_an_error(gaussian_coeffs):
     m = 3
     eps = 1.0 / (2 * math.pi * m) ** 2
     with pytest.raises(ResonantModeError, match="m=3"):
-        wkb_coefficients(gaussian_coeffs, eps)
+        check_wkb_eps(eps, gaussian_coeffs.truncation)
+    with pytest.raises(ResonantModeError, match="m=3"):
+        wkb_density(gaussian_coeffs, eps, 0.0, 0.1)
     with pytest.raises(InvalidParameterError):
-        wkb_coefficients(gaussian_coeffs, -0.1)
+        check_wkb_eps(-0.1, gaussian_coeffs.truncation)
+    with pytest.raises(InvalidParameterError):
+        wkb_density(gaussian_coeffs, -0.1, 0.0, 0.1)
 
 
 @pytest.mark.filterwarnings("error")  # exp(-v/eps) must not be formed at eps = 0
@@ -494,48 +509,6 @@ def test_zero_flux_walls_wkb(gaussian_coeffs, surface_coeffs):
 # ---------------------------------------------------------------------------
 # blocked evaluator against the per-mode reference
 # ---------------------------------------------------------------------------
-# The reference sums one mode at a time, highest m first, with compensated
-# (Kahan) summation, and evaluates each telegraph mode through the closed
-# form of its own damping class.
-
-
-def reference_telegraph_factor(eps, m, v):
-    disc = 1.0 - (4.0 * math.pi * m) ** 2 * eps
-    sigma = -1.0 / (2.0 * eps)
-    if disc > CRITICAL_DISC_TOL:
-        sq = math.sqrt(disc)
-        mu1 = -((4.0 * math.pi * m) ** 2) / (2.0 * (1.0 + sq))
-        mu2 = -(1.0 + sq) / (2.0 * eps)
-        return (mu2 * np.exp(mu1 * v) - mu1 * np.exp(mu2 * v)) / (mu2 - mu1)
-    if disc < -CRITICAL_DISC_TOL:
-        omega = math.sqrt(-disc) / (2.0 * eps)
-        return np.exp(sigma * v) * (
-            np.cos(omega * v) + (1.0 / (2.0 * eps * omega)) * np.sin(omega * v)
-        )
-    return np.exp(sigma * v) * (1.0 - sigma * v)
-
-
-def reference_density(model, c, eps, u, v):
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if model == "wkb":
-        w = wkb_coefficients(c, eps)
-        fast_factor = np.exp(-v / eps) if eps > 0 else np.zeros_like(v)
-    total = np.zeros(np.broadcast_shapes(u.shape, v.shape))
-    comp = np.zeros_like(total)
-    for m in range(c.truncation, 0, -1):
-        slow = np.exp(-((2.0 * math.pi * m) ** 2) * v)
-        if model == "parabolic":
-            amplitude = c.modes[m - 1] * slow
-        elif model == "hyperbolic":
-            amplitude = c.modes[m - 1] * reference_telegraph_factor(eps, m, v)
-        else:
-            amplitude = w.fast[m - 1] * fast_factor + w.slow[m - 1] * slow
-        y = amplitude * np.cos(2.0 * math.pi * m * u) - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return c.mean + total
 
 
 EPS_CRITICAL_M3 = 1.0 / (12.0 * math.pi) ** 2  # critical telegraph mode 3, resonant wkb mode 6
