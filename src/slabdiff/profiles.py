@@ -8,9 +8,11 @@ zero-flux eigenbasis {1, cos(2*m*pi*u)}:
     k_m = 2 * integral of n0(u) * cos(2*m*pi*u).
 
 A tabulated profile is piecewise linear, and its coefficients have an exact
-closed form. The analytic kinds are integrated by adaptive quadrature; the
-closed forms available for some of them are independent references in the
-tests, not part of the package.
+closed form. For the analytic kinds, k0 is an adaptive integral and each k_m
+a composite Gauss-Legendre sum fine enough for its m oscillations; one FFT
+rule over all modes checks every sum, and a sum that misses it is refined.
+The closed forms available for some kinds are independent references in
+the tests, not part of the package.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
@@ -23,12 +25,21 @@ import logging
 import math
 import sys
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
 from .core import HALF_WIDTH, Grid1D, slab_positions
-from .errors import InvalidParameterError
-from .quadrature import integrate_adaptive, min_panels_for_oscillations
+from .errors import InvalidParameterError, QuadratureError
+from .quadrature import (
+    MAX_EVALUATIONS,
+    PANEL_ORDER,
+    gauss_rule,
+    integrate_adaptive,
+    min_panels_for_oscillations,
+    panel_grid,
+    panel_sum,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -351,45 +362,126 @@ def evaluate_profile(profile: InitialProfile, u):
     return out
 
 
+def _fft_modes(profile: InitialProfile, truncation: int, tol: float) -> tuple[np.ndarray, int]:
+    """k_1..k_M of the composite rule on [0, 1/2], by one FFT per node offset.
+
+    The profile is even, so k_m = 4 * integral over [0, 1/2]. Panel p of P
+    has width h = 1/L, L = 2P, and its nodes are panel 0's shifted by p*h,
+    so with f_pj = n0(node) * weight,
+
+        k_m = 4 * Re sum_j F_j(m mod L) * exp(-i*a_m*u_0j),  a_m = 2*m*pi,
+
+    where F_j is the length-L DFT of f_pj over the panels and u_0j are
+    panel 0's nodes (Dutt & Rokhlin 1993, with only the 16 in-panel
+    offsets off the lattice). P starts at max(hint, ceil(M/4)), 8 nodes
+    per period of the last mode, and doubles until two passes agree to tol.
+
+    Returns:
+        The finer pass's k_1..k_M and its panel count.
+
+    Raises:
+        QuadratureError: the evaluation cap was hit before two passes agreed.
+    """
+    m = np.arange(1, truncation + 1)
+    a = 2.0 * math.pi * m
+    nodes, weights = gauss_rule(PANEL_ORDER)
+
+    def estimate(panels):
+        # Nominal widths and offsets, not a linspace's: a panel width that
+        # is a difference of rounded edges is off by up to 1e-16/h relative.
+        half = 0.25 / panels
+        u0 = half * (1.0 + nodes)
+        u = (2.0 * half) * np.arange(panels)[:, None] + u0
+        f = profile._density(u.ravel()).reshape(u.shape) * (half * weights)
+        spectrum = np.fft.fft(f, n=2 * panels, axis=0)[m % (2 * panels)]
+        return 4.0 * np.sum(spectrum * np.exp(-1j * np.outer(a, u0)), axis=1).real
+
+    panels = max(profile.quadrature_panels_hint(), -(-truncation // 4))
+    evaluations = panels * PANEL_ORDER
+    previous = estimate(panels)
+    last_delta, worst = math.inf, 0
+    while True:
+        panels *= 2
+        evaluations += panels * PANEL_ORDER
+        if evaluations > MAX_EVALUATIONS:
+            raise QuadratureError(
+                f"FFT coefficient rule over {truncation} modes did not reach abs_tol={tol!r}",
+                best=float(previous[worst]),
+                last_delta=last_delta,
+                evaluations=evaluations - panels * PANEL_ORDER,
+            )
+        current = estimate(panels)
+        delta = np.abs(current - previous)
+        worst = int(np.argmax(delta))
+        last_delta = float(delta[worst])
+        if last_delta <= tol:
+            return current, panels
+        previous = current
+
+
 def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCoefficients:
     """Compute k0 and k_1..k_M: exactly for a tabulated profile, else by quadrature.
 
-    The adaptive quadrature's tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|).
-    The integrand of k_m oscillates m times across the slab, so the initial
-    panel count scales with m as well as with the profile's own sharpest
-    feature.
+    Every tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|); k0 comes from
+    adaptive quadrature. Each k_m is the composite Gauss-Legendre sum on
+    2*P_m panels over the slab, P_m = max(hint, m/2) so the first pass
+    resolves both the profile's sharpest feature and the m oscillations of
+    cos(2*m*pi*u). One FFT rule over all modes (_fft_modes) checks those
+    sums: a k_m farther than the tolerance from it is summed again on twice
+    the panels until it agrees.
 
     Raises:
-        QuadratureError: some coefficient integral did not converge.
+        QuadratureError: k0, the FFT rule or some k_m did not converge
+            within the evaluation cap.
     """
     if not (isinstance(truncation, int) and truncation >= 1):
         raise InvalidParameterError(f"truncation must be >= 1, got {truncation!r}")
     if isinstance(profile, TabulatedProfile):
         mean, modes = profile.exact_coefficients(truncation)
         return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
-    base_hint = profile.quadrature_panels_hint()
+    hint = profile.quadrature_panels_hint()
     mean = integrate_adaptive(
         profile._density,
         -HALF_WIDTH,
         HALF_WIDTH,
         abs_tol=COEFFICIENT_ABS_TOL,
         rel_tol=COEFFICIENT_ABS_TOL,
-        min_panels=base_hint,
+        min_panels=hint,
     )
     tol = COEFFICIENT_ABS_TOL * max(1.0, abs(mean))
+    check, check_panels = _fft_modes(profile, truncation, tol)
+
+    @lru_cache(maxsize=2)
+    def grid(panels):
+        x, half = panel_grid(-HALF_WIDTH, HALF_WIDTH, panels)
+        u = x.ravel()
+        return u, half, profile._density(u)
+
     modes = np.empty(truncation)
+    max_delta, refined = 0.0, 0
     for m in range(1, truncation + 1):
         w = 2.0 * math.pi * m
-
-        def integrand(u, _w=w):
-            return profile._density(u) * np.cos(_w * u)
-
-        modes[m - 1] = 2.0 * integrate_adaptive(
-            integrand,
-            -HALF_WIDTH,
-            HALF_WIDTH,
-            abs_tol=tol,
-            min_panels=max(base_hint, min_panels_for_oscillations(m)),
-        )
+        first = panels = 2 * max(hint, min_panels_for_oscillations(m))
+        value, delta, evaluations = check[m - 1], math.inf, 0
+        while not delta <= tol:
+            evaluations += panels * PANEL_ORDER
+            if evaluations > MAX_EVALUATIONS:
+                raise QuadratureError(
+                    f"coefficient k_{m} did not reach abs_tol={tol!r} against the FFT rule",
+                    best=float(value),
+                    last_delta=delta,
+                    evaluations=evaluations - panels * PANEL_ORDER,
+                )
+            u, half, density = grid(panels)
+            value = 2.0 * panel_sum(density * np.cos(w * u), half)
+            delta = abs(value - check[m - 1])
+            panels *= 2
+        modes[m - 1] = value
+        refined += evaluations > first * PANEL_ORDER
+        max_delta = max(max_delta, delta)
+    logger.debug(
+        "coefficients of %s: FFT check on %d panels over [0, 1/2], "
+        "max |direct - FFT| = %.3e, %d of %d modes refined",
+        profile.tag(), check_panels, max_delta, refined, truncation,
+    )
     return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
-

@@ -1,11 +1,14 @@
-"""Adaptive composite Gauss-Legendre quadrature.
+"""Composite Gauss-Legendre quadrature on equal panels.
 
-The coefficient integrals pair a smooth density profile with cos(2*m*pi*u),
-which oscillates m times across the slab. A fixed-order rule on a panel
-subdivision is refined by doubling the panel count until two successive
-estimates agree to the absolute tolerance; the caller supplies a minimum
-panel count so the first pass already resolves every oscillation (at least
-8 nodes per period) and sharp profile features.
+A fixed-order rule on a panel subdivision is refined by doubling the panel
+count until two successive estimates agree to the absolute tolerance; the
+caller supplies a minimum panel count so the first pass already resolves
+sharp profile features. The slab mass k0 is one such adaptive integral.
+The mode coefficients k_m pair the profile with cos(2*m*pi*u), which
+oscillates m times across the slab: `profiles.compute_coefficients` forms
+each one as a panel_sum on a panel_grid with at least 8 nodes per period,
+and checks it against an FFT rule over all modes instead of a second,
+coarser sum.
 """
 
 from __future__ import annotations
@@ -29,9 +32,25 @@ NODES_PER_PERIOD = 8
 
 
 @lru_cache(maxsize=8)
-def _gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+def gauss_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = np.polynomial.legendre.leggauss(order)
     return nodes, weights
+
+
+def panel_grid(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of `panels` equal Gauss-Legendre panels on [a, b], shape
+    (panels, PANEL_ORDER), and each panel's half-width, shape (panels,)."""
+    nodes, _ = gauss_rule(PANEL_ORDER)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * nodes[None, :], half
+
+
+def panel_sum(y: np.ndarray, half: np.ndarray) -> float:
+    """The composite rule's value from integrand samples y on a panel_grid."""
+    _, weights = gauss_rule(PANEL_ORDER)
+    return float(np.sum((y.reshape(half.size, PANEL_ORDER) @ weights) * half))
 
 
 def _composite_estimate(
@@ -40,14 +59,8 @@ def _composite_estimate(
     b: float,
     panels: int,
 ) -> float:
-    nodes, weights = _gauss_rule(PANEL_ORDER)
-    edges = np.linspace(a, b, panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])  # (panels,)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    # All evaluation points at once, shape (panels, order).
-    x = mid[:, None] + half[:, None] * nodes[None, :]
-    y = np.asarray(f(x.ravel()), dtype=float).reshape(panels, PANEL_ORDER)
-    return float(np.sum((y @ weights) * half))
+    x, half = panel_grid(a, b, panels)
+    return panel_sum(np.asarray(f(x.ravel()), dtype=float), half)
 
 
 def min_panels_for_oscillations(oscillations: int) -> int:

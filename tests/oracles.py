@@ -1,18 +1,31 @@
 """Independent references that the tests check the package against.
 
 Each reference is written from its own formula and shares no code with the
-package it checks: the wall-free Gaussian, the closed-form surface
-coefficients, the two-timescale fast/slow split, a per-mode series summed
-one mode at a time, the telegraph mode ODE integrated numerically, and the
-explicit finite-difference schemes marched one step at a time.
+package it checks: the wall-free Gaussian, the closed-form Gaussian and
+surface coefficients, the two-timescale fast/slow split, a per-mode series
+summed one mode at a time, the telegraph mode ODE integrated numerically,
+and the explicit finite-difference schemes marched one step at a time.
+The one exception is a separate adaptive integral per coefficient, which
+calls the package's `integrate_adaptive` (checked on its own in
+test_quadrature.py) once per mode.
 """
 
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 
-from slabdiff import DomainError, GaussianProfile, InvalidParameterError, SurfaceCoshProfile
+from slabdiff import (
+    DomainError,
+    GaussianProfile,
+    InvalidParameterError,
+    SpectralCoefficients,
+    SurfaceCoshProfile,
+)
+from slabdiff.core import HALF_WIDTH
+from slabdiff.profiles import COEFFICIENT_ABS_TOL
+from slabdiff.quadrature import integrate_adaptive, min_panels_for_oscillations
 from slabdiff.spectral import CRITICAL_DISC_TOL, check_wkb_eps
 
 # ---------------------------------------------------------------------------
@@ -67,6 +80,48 @@ def surface_cosh_mode_closed_form(profile: SurfaceCoshProfile, m: int) -> float:
     """Exact k_m of the surface profile: 2*A*s^2*(-1)^m / ((2*m*pi)^2 + s^2)."""
     s = profile.sharpness
     return 2.0 * profile.amplitude * s**2 * (-1.0) ** m / ((2.0 * math.pi * m) ** 2 + s**2)
+
+
+def gaussian_mode_closed_form(profile: GaussianProfile, m: int) -> float:
+    """Exact k_m of the Gaussian at 60 digits.
+
+    k_m = 2*A*exp(-(pi*m)^2/s) * Re erf(sqrt(s)/2 + i*pi*m/sqrt(s)).
+
+    Completing the square in 2 * integral of n0(u) * exp(2*i*m*pi*u) over
+    the slab leaves erf at the two complex walls; the real part's
+    cancellation for large m is why it runs in extended precision.
+    """
+    with mpmath.workdps(60):
+        s, amplitude = mpmath.mpf(profile.sharpness), mpmath.mpf(profile.amplitude)
+        root = mpmath.sqrt(s)
+        z = mpmath.mpc(root / 2, mpmath.pi * m / root)
+        return float(2 * amplitude * mpmath.exp(-((mpmath.pi * m) ** 2) / s)
+                     * mpmath.re(mpmath.erf(z)))
+
+
+def adaptive_coefficients(profile, truncation: int) -> SpectralCoefficients:
+    """k0 and k_1..k_M as one adaptive integral each, at the package's tolerance.
+
+    Integral m starts on max(hint, m/2) panels over the slab and doubles
+    until two successive composite sums agree to
+    COEFFICIENT_ABS_TOL * max(1, |k0|); no integral shares work with another.
+    """
+    hint = profile.quadrature_panels_hint()
+    mean = integrate_adaptive(profile._density, -HALF_WIDTH, HALF_WIDTH,
+                              abs_tol=COEFFICIENT_ABS_TOL, rel_tol=COEFFICIENT_ABS_TOL,
+                              min_panels=hint)
+    tol = COEFFICIENT_ABS_TOL * max(1.0, abs(mean))
+    modes = np.empty(truncation)
+    for m in range(1, truncation + 1):
+        w = 2.0 * math.pi * m
+
+        def integrand(u, _w=w):
+            return profile._density(u) * np.cos(_w * u)
+
+        modes[m - 1] = 2.0 * integrate_adaptive(
+            integrand, -HALF_WIDTH, HALF_WIDTH, abs_tol=tol,
+            min_panels=max(hint, min_panels_for_oscillations(m)))
+    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,13 @@
+import logging
 import math
 
 import numpy as np
 import pytest
-from oracles import surface_cosh_mode_closed_form
+from oracles import (
+    adaptive_coefficients,
+    gaussian_mode_closed_form,
+    surface_cosh_mode_closed_form,
+)
 
 from slabdiff import (
     CosineModeProfile,
@@ -10,14 +15,18 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
+    QuadratureError,
     SurfaceCoshProfile,
     TabulatedProfile,
     UniformProfile,
     compute_coefficients,
     evaluate_profile,
     parabolic_density,
+    profiles,
 )
-from slabdiff.quadrature import integrate_adaptive
+from slabdiff.cli import main
+from slabdiff.profiles import COEFFICIENT_ABS_TOL, _fft_modes
+from slabdiff.quadrature import PANEL_ORDER, integrate_adaptive
 
 # ---------------------------------------------------------------------------
 # evaluate_profile
@@ -224,6 +233,120 @@ def test_coefficients_scale_with_the_profile(profile, unit):
     assert c.mean == pytest.approx(scale * c_unit.mean, rel=1e-12)
     np.testing.assert_allclose(c.modes, scale * c_unit.modes, rtol=0,
                                atol=2e-12 * scale * c_unit.mean)
+
+
+@pytest.mark.parametrize("name", ["gaussian_coeffs", "surface_coeffs"])
+def test_preset_coefficients_match_the_adaptive_oracle_bit_for_bit(request, name):
+    """The FFT rule only checks the sums: preset outputs keep every bit."""
+    c = request.getfixturevalue(name)
+    profile = request.getfixturevalue(name.replace("coeffs", "profile"))
+    reference = adaptive_coefficients(profile, c.truncation)
+    assert c.mean == reference.mean
+    assert np.array_equal(c.modes, reference.modes)
+
+
+#: The sharpness range's ends, the other kinds and the scaled presets; the
+#: presets themselves are the bit-for-bit test above.
+ORACLE_GRID = {
+    "gaussian_1e-3": GaussianProfile(1e-3, 1.0),
+    "gaussian_1e6": GaussianProfile(1e6, 1.0),
+    "surface_1e-3": SurfaceCoshProfile(1e-3, 1.0),
+    "surface_1e4": SurfaceCoshProfile(1e4, 1.0),
+    "uniform": UniformProfile(1.0),
+    "cosine_mode_3": CosineModeProfile(3, 1.0, 0.5),
+    "cosine_mode_400": CosineModeProfile(400, 2.0, 1.0),
+    "gaussian_amplitude_1e5": GaussianProfile(100.0, 1e5),
+    "surface_amplitude_1e4": SurfaceCoshProfile(10.0, 1e4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GRID))
+def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
+    profile = ORACLE_GRID[name]
+    # Each oracle integral is independent of M, so M = 7 is a prefix of 500.
+    reference = adaptive_coefficients(profile, 500)
+    tol = COEFFICIENT_ABS_TOL * max(1.0, abs(reference.mean))
+    for truncation in (7, 500):
+        c = compute_coefficients(profile, truncation)
+        assert c.mean == reference.mean
+        np.testing.assert_allclose(c.modes, reference.modes[:truncation], rtol=0, atol=tol)
+
+
+@pytest.mark.parametrize("profile, truncation, closed_form", [
+    (SurfaceCoshProfile(10.0, 1.0), 500, surface_cosh_mode_closed_form),
+    (SurfaceCoshProfile(10.0, 1.0), 5000, surface_cosh_mode_closed_form),
+    (GaussianProfile(100.0, 1.0), 500, gaussian_mode_closed_form),
+    (GaussianProfile(1e4, 1.0), 500, gaussian_mode_closed_form),
+])
+def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
+    """The FFT rule alone is an order of magnitude inside the quadrature tolerance."""
+    modes, _ = _fft_modes(profile, truncation, COEFFICIENT_ABS_TOL)
+    exact = np.array([closed_form(profile, m) for m in range(1, truncation + 1)])
+    np.testing.assert_allclose(modes, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
+
+
+class CoarseHintGaussian(GaussianProfile):
+    """A Gaussian whose panel hint ignores its width: every first sum is unresolved."""
+
+    def quadrature_panels_hint(self) -> int:
+        return 2
+
+
+def check_quadrature_error(excinfo, cap):
+    err = excinfo.value
+    assert math.isfinite(err.best) and math.isfinite(err.last_delta)
+    assert err.last_delta > COEFFICIENT_ABS_TOL
+    assert 0 < err.evaluations <= cap
+
+
+def test_fft_rule_hits_the_cap(monkeypatch):
+    # From 2 panels over [0, 1/2] the FFT rule compares 2 vs 4 and 4 vs 8
+    # panels, and the cap stops it before 16.
+    cap = PANEL_ORDER * (2 + 4 + 8)
+    monkeypatch.setattr(profiles, "MAX_EVALUATIONS", cap)
+    with pytest.raises(QuadratureError, match="FFT coefficient rule") as excinfo:
+        compute_coefficients(CoarseHintGaussian(1e4, 1.0), 7)
+    check_quadrature_error(excinfo, cap)
+
+
+def test_mode_refinement_hits_the_cap(monkeypatch):
+    # The FFT rule converges under the normal cap; k_1's first sum, on 4
+    # panels, then misses it, and the lowered cap stops the doubling.
+    cap = PANEL_ORDER * 4
+    fft_modes = profiles._fft_modes
+
+    def fft_modes_then_lower_the_cap(*args):
+        result = fft_modes(*args)
+        monkeypatch.setattr(profiles, "MAX_EVALUATIONS", cap)
+        return result
+
+    monkeypatch.setattr(profiles, "_fft_modes", fft_modes_then_lower_the_cap)
+    with pytest.raises(QuadratureError, match="coefficient k_1 did not reach") as excinfo:
+        compute_coefficients(CoarseHintGaussian(1e4, 1.0), 7)
+    check_quadrature_error(excinfo, cap)
+
+
+def test_cli_coeffs_reports_quadrature_error(monkeypatch, tmp_path, capsys):
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text("[scenario]\nname = capped\neps = 0.13\nterms = 500\nu_points = 51\n"
+                   "v = 0.01\nmodels = parabolic\n\n"
+                   "[profile]\nkind = gaussian\nsharpness = 100\namplitude = 1\n")
+    monkeypatch.setattr(profiles, "MAX_EVALUATIONS", 4 * PANEL_ORDER)
+    assert main(["coeffs", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_coefficients_log_the_fft_check(caplog):
+    with caplog.at_level(logging.DEBUG, logger="slabdiff.profiles"):
+        compute_coefficients(GaussianProfile(100.0, 1.0), 7)
+        compute_coefficients(CoarseHintGaussian(1e4, 1.0), 7)
+    messages = [r.getMessage() for r in caplog.records]
+    assert len(messages) == 2
+    assert "FFT check on 20 panels" in messages[0]
+    assert "0 of 7 modes refined" in messages[0]
+    assert "7 of 7 modes refined" in messages[1]
 
 
 def test_coefficients_validation():
