@@ -4,6 +4,11 @@ Outputs are bit-exact: floats are rendered with repr (shortest round-trip
 decimal), lines end with LF, and every file embeds the scenario hash plus
 the truncation and grids actually used, so identical scenarios produce
 byte-identical CSVs.
+
+Curve files are written column by column: an axis that several files share
+(the grid, the time grid, the FD grid and its recorded times) is rendered
+once per run, a file's constant u or v once per file, and each density
+column once.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +47,6 @@ def resolve_out_dir(explicit: str | os.PathLike | None, s: Scenario) -> Path:
 
 
 def _write_text(path: Path, text: str) -> Path:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return path
@@ -50,8 +55,13 @@ def _write_text(path: Path, text: str) -> Path:
 def _csv_text(comments: list[tuple[str, str]], header: str, rows) -> str:
     lines = [f"# {key}: {value}" for key, value in comments]
     lines.append(header)
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(map(",".join, rows))
     return "\n".join(lines) + "\n"
+
+
+def _texts(values: np.ndarray) -> list[str]:
+    """format_float of every element, from one tolist()."""
+    return list(map(repr, values.tolist()))
 
 
 def _ordered_models(s: Scenario) -> list[str]:
@@ -91,17 +101,26 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         ("truncation", str(s.truncation)),
     ]
 
+    axes: dict[int, tuple[np.ndarray, list[str]]] = {}
+
+    def cells(x):
+        """A column's text: a scalar repeated, or each element of an axis
+        array, which several files share and so is rendered once per run."""
+        if np.ndim(x) == 0:
+            return repeat(format_float(x))
+        if id(x) not in axes:
+            axes[id(x)] = (x, _texts(x))  # holding x keeps its id unique
+        return axes[id(x)][1]
+
     def write_curves(stem: str, comments, title: str, x_name: str, curves):
         """Write (model, u, v, n) curves as <stem>.csv and <stem>.svg, per the outputs.
 
-        u and v broadcast against n; the chart plots n over x_name ("u" or "v").
+        u and v are each a scalar or an axis array as long as n; the chart
+        plots n over x_name ("u" or "v").
         """
-        curves = [(model, *np.broadcast_arrays(u, v, n)) for model, u, v, n in curves]
         if "csv" in s.outputs:
-            rows = (
-                [format_float(a), format_float(b), model, format_float(c)]
-                for model, u, v, n in curves
-                for a, b, c in zip(u, v, n)
+            rows = chain.from_iterable(
+                zip(cells(u), cells(v), repeat(model), _texts(n)) for model, u, v, n in curves
             )
             text = _csv_text(comments, "u,v,model,n", rows)
             written.append(_write_text(directory / f"{stem}.csv", text))
@@ -116,6 +135,12 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         cfg = s.fd_config()
         solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
         fd_slices = solver(s.profile, cfg)
+        fd_cells = fd_slices[0].grid.points
+        # Requested times that snap to one FD step repeat it; traces keep one.
+        recorded = np.array([sl.v for sl in fd_slices])
+        fd_keep = np.concatenate(([True], np.diff(recorded) > 0))
+        fd_times = TimeGrid(points=recorded[fd_keep])
+    directory.mkdir(parents=True, exist_ok=True)
 
     # Position of the wavefront launched from each wall, per snapshot time.
     wavefront = {}
@@ -162,7 +187,11 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             for m, table in zip(series_models, trace_tables)
         ]
         if "fd" in models:
-            traces.append(_fd_trace(fd_slices, u))
+            # The FD trace is taken at the cell nearest to u.
+            idx = int(np.argmin(np.abs(fd_cells - u)))
+            values = np.array([sl.values[idx] for sl in fd_slices])[fd_keep]
+            traces.append(TimeTrace(u=float(fd_cells[idx]), times=fd_times, values=values,
+                                    model_tag="fd"))
         traces_by_u[u] = traces
         comments = base_comments + [
             ("u", format_float(u)),
@@ -246,17 +275,3 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     written.append(_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n"))
     return written
 
-
-def _fd_trace(fd_slices: list[FieldSlice], u: float) -> TimeTrace:
-    """Trace at the cell nearest to u, assembled from recorded slices."""
-    cells = fd_slices[0].grid.points
-    idx = int(np.argmin(np.abs(cells - u)))
-    recorded = np.array([sl.v for sl in fd_slices])
-    values = np.array([sl.values[idx] for sl in fd_slices])
-    keep = np.concatenate(([True], np.diff(recorded) > 0))
-    return TimeTrace(
-        u=float(cells[idx]),
-        times=TimeGrid(points=recorded[keep]),
-        values=values[keep],
-        model_tag="fd",
-    )

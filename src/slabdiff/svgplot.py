@@ -1,12 +1,17 @@
 """Minimal deterministic SVG line charts.
 
-Convenience output only: simple polylines with axes, ticks and a legend.
-No golden files depend on these.
+Simple polylines with axes, ticks and a legend. The bytes are part of a
+run's output: every figure's SVGs must stay identical from run to run and
+across refactors, and tests/oracles.py keeps the per-point formatting that
+each polyline must match. A series' pixel coordinates are computed as whole
+arrays, in the same operations and order as for a single point, so each
+double is the one the per-point form gives.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -40,6 +45,11 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
+def _fixed2(values: np.ndarray) -> list[str]:
+    """Each value as "{:.2f}"."""
+    return list(map(format, values.tolist(), repeat(".2f")))
+
+
 def line_chart(title: str, xlabel: str, ylabel: str, series, metadata: dict | None = None) -> str:
     """Render labeled (x, y) series as an SVG document string.
 
@@ -56,10 +66,11 @@ def line_chart(title: str, xlabel: str, ylabel: str, series, metadata: dict | No
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
-    def px(x: float) -> float:
+    # px and py take a scalar or a whole array, with the same rounding.
+    def px(x):
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
-    def py(y: float) -> float:
+    def py(y):
         return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
@@ -108,9 +119,14 @@ def line_chart(title: str, xlabel: str, ylabel: str, series, metadata: dict | No
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{ylabel}</text>'
     )
+    x_row, x_text = None, []
     for i, (label, x, y) in enumerate(series):
         color = COLORS[i % len(COLORS)]
-        points = " ".join(f"{px(float(a)):.2f},{py(float(b)):.2f}" for a, b in zip(x, y))
+        # Arithmetic on Python floats never warns; on arrays it must not either.
+        with np.errstate(all="ignore"):
+            if x is not x_row:  # series that share their x array share its text
+                x_row, x_text = x, _fixed2(px(x))
+            points = " ".join(map(",".join, zip(x_text, _fixed2(py(y)))))
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

@@ -3,8 +3,11 @@
 Each reference is written from its own formula and shares no code with the
 package it checks: the wall-free Gaussian, the closed-form Gaussian and
 surface coefficients, the two-timescale fast/slow split, a per-mode series
-summed one mode at a time, the telegraph mode ODE integrated numerically,
-and the explicit finite-difference schemes marched one step at a time.
+summed one mode at a time, the underdamped telegraph modes summed in long
+double, the telegraph mode ODE integrated numerically, the explicit
+finite-difference schemes marched one step at a time, and the runner's CSV
+rows and chart polylines formatted one element at a time (with the chart's
+layout constants).
 The one exception is a separate adaptive integral per coefficient, which
 calls the package's `integrate_adaptive` (checked on its own in
 test_quadrature.py) once per mode.
@@ -27,6 +30,7 @@ from slabdiff.core import HALF_WIDTH
 from slabdiff.profiles import COEFFICIENT_ABS_TOL
 from slabdiff.quadrature import integrate_adaptive, min_panels_for_oscillations
 from slabdiff.spectral import CRITICAL_DISC_TOL, check_wkb_eps
+from slabdiff.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 # ---------------------------------------------------------------------------
 # Wall-free short-time Gaussian
@@ -200,6 +204,31 @@ def reference_density(model, c, eps, u, v):
     return c.mean + total
 
 
+def extended_underdamped_density(c, eps, u, v):
+    """The telegraph density at positions u (a list) and times v, summed in long double.
+
+    Every mode must be underdamped: k0 + sum_m k_m exp(-v/(2*eps))
+    (cos(w_m*v) + r_m*sin(w_m*v)) cos(2*m*pi*u), w_m = sqrt((4*m*pi)^2*eps - 1)/(2*eps)
+    and r_m = 1/(2*eps*w_m), with every phase and sum in np.longdouble.
+    Returns a (times x positions) array of np.longdouble.
+    """
+    ld = np.longdouble
+    pi = ld("3.14159265358979323846264338327950288")
+    m = np.arange(1, c.truncation + 1).astype(ld)
+    growth = (4 * pi * m) ** 2 * ld(eps) - 1
+    if not np.all(growth > 0):
+        raise InvalidParameterError("every mode must be underdamped")
+    omega = np.sqrt(growth) / (2 * ld(eps))
+    r = 1 / (2 * ld(eps) * omega)
+    k = c.modes.astype(ld)
+    out = np.empty((len(v), len(u)), dtype=ld)
+    for i, t in enumerate(np.asarray(v, dtype=ld)):
+        factor = k * np.exp(-t / (2 * ld(eps))) * (np.cos(omega * t) + r * np.sin(omega * t))
+        for j, x in enumerate(u):
+            out[i, j] = ld(c.mean) + np.sum(factor * np.cos(2 * pi * m * ld(x)))
+    return out
+
+
 def ode_telegraph_factor(eps: float, m: int, v: float) -> float:
     """V_m(v)/k_m by integrating eps*V'' + V' + (2*m*pi)^2*V = 0 numerically (DOP853)."""
     from scipy.integrate import solve_ivp
@@ -249,3 +278,54 @@ def step_telegraph(n0, cfg, steps):
     for _ in range(steps - 1):
         prev, cur = cur, cur + p_lap * mirror_laplacian(cur) + p_prev * (cur - prev)
     return cur
+
+
+# ---------------------------------------------------------------------------
+# Output formatting, one element at a time
+# ---------------------------------------------------------------------------
+# The runner renders whole columns and the chart whole pixel rows; these
+# references render each row and each point on its own, from Python floats.
+
+
+def csv_curve_rows(curves) -> str:
+    """The data rows of a curve CSV, one repr per field.
+
+    curves holds (model, u, v, n) with u and v broadcast against n.
+    """
+    rows = []
+    for model, u, v, n in curves:
+        for a, b, c in zip(*np.broadcast_arrays(u, v, n)):
+            rows.append(f"{float(a)!r},{float(b)!r},{model},{float(c)!r}\n")
+    return "".join(rows)
+
+
+def polyline_points(series) -> list[str]:
+    """The points attribute of each polyline a chart of (label, x, y) series draws.
+
+    The axis ranges are the data ranges, widened by max(1, |lo|, |hi|) on
+    each side when (nearly) zero wide, and the y range padded by 5%.
+    """
+
+    def widened(lo, hi):
+        if math.isclose(lo, hi, rel_tol=0, abs_tol=1e-300):
+            pad = max(1.0, abs(lo), abs(hi))
+            return lo - pad, hi + pad
+        return lo, hi
+
+    xs = np.concatenate([np.asarray(x, float) for _, x, _ in series])
+    ys = np.concatenate([np.asarray(y, float) for _, _, y in series])
+    x_lo, x_hi = widened(float(xs.min()), float(xs.max()))
+    y_lo, y_hi = widened(float(ys.min()), float(ys.max()))
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    points = []
+    for _, x, y in series:
+        pairs = []
+        for a, b in zip(np.asarray(x, float), np.asarray(y, float)):
+            px = MARGIN_LEFT + (float(a) - x_lo) / (x_hi - x_lo) * plot_w
+            py = MARGIN_TOP + (y_hi - float(b)) / (y_hi - y_lo) * plot_h
+            pairs.append(f"{px:.2f},{py:.2f}")
+        points.append(" ".join(pairs))
+    return points

@@ -219,17 +219,25 @@ def test_criterion_11_zero_initial_rate(gaussian_coeffs):
 
 
 def test_criterion_12_figure_run_is_deterministic(tmp_path):
-    outputs = []
-    for sub in ("a", "b"):
-        result = subprocess.run(
-            [sys.executable, "-m", "slabdiff", "figure", "1",
-             "--out-dir", str(tmp_path / sub)],
-            capture_output=True, text=True,
-        )
-        assert result.returncode == 0, result.stderr
-        outputs.append(sorted((tmp_path / sub).glob("*.csv")))
-    assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
-    assert outputs[0], "figure 1 must write CSV files"
-    for pa, pb in zip(*outputs):
-        assert pa.read_bytes() == pb.read_bytes()
-    report(12, f"two figure-1 runs produced {len(outputs[0])} byte-identical CSVs")
+    # Every kind of file each run writes: field or trace CSVs, charts,
+    # events and metadata.
+    kinds = {
+        "1": {"_field_", ".svg", "_run.json"},
+        "2": {"_trace_", ".svg", "_events.csv", "_run.json"},
+    }
+    for figure, expected in kinds.items():
+        outputs = []
+        for sub in ("a", "b"):
+            out = tmp_path / figure / sub
+            result = subprocess.run(
+                [sys.executable, "-m", "slabdiff", "figure", figure, "--out-dir", str(out)],
+                capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append(sorted(out.iterdir()))
+        names = [p.name for p in outputs[0]]
+        assert names == [p.name for p in outputs[1]]
+        assert all(any(kind in name for name in names) for kind in expected), names
+        for pa, pb in zip(*outputs):
+            assert pa.read_bytes() == pb.read_bytes(), pa.name
+        report(12, f"two figure-{figure} runs produced {len(names)} byte-identical files")

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 import numpy as np
 
+import oracles
 from slabdiff import (
     Scenario,
     UniformProfile,
@@ -16,7 +18,11 @@ from slabdiff import (
     run_scenario,
     scenario_hash,
 )
+from slabdiff import runner
 from slabdiff.cli import main
+from slabdiff.fd import fd_solve_telegraph
+from slabdiff.scenario import MODEL_ORDER
+from slabdiff.svgplot import line_chart
 
 #: Figure values recorded by bench/record_reference.py.
 FIGURE_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "presets.json"
@@ -462,3 +468,103 @@ def test_no_cli_command_imports_scipy(tmp_path):
     assert (tmp_path / "out" / "figure2_events.csv").exists()
     events = (tmp_path / "out" / "demo_events.csv").read_text()
     assert "\nfd,0.5,maximum," in events
+
+
+# ---------------------------------------------------------------------------
+# Column-wise output against the per-element oracle
+# ---------------------------------------------------------------------------
+
+#: Values whose repr or fixed-point text is easy to get wrong: signed zero,
+#: subnormals, both sides of repr's switches to exponent form, non-finite.
+EDGE_VALUES = np.array([
+    -0.0, 0.0, 5e-324, 1e-310, 9999999999999998.0, 1e16, 1e-5, 0.0001,
+    1.0 / 3.0, -2.5, 0.1, 2.0,
+])
+NON_FINITE = np.array([math.nan, math.inf, -math.inf])
+
+
+def polylines(svg: str) -> list[str]:
+    return re.findall(r'points="([^"]*)"', svg)
+
+
+@pytest.mark.parametrize("values", [EDGE_VALUES, np.concatenate((EDGE_VALUES, NON_FINITE))],
+                         ids=["finite", "non_finite"])
+def test_line_chart_polylines_match_the_per_point_oracle(values):
+    shared = np.linspace(-0.5, 0.5, values.size)
+    own = np.linspace(-0.45, 0.45, values.size)  # an FD curve on its own grid
+    series = [
+        ("parabolic", shared, values),
+        ("hyperbolic", shared, values[::-1]),
+        ("fd", own, np.roll(values, 3)),
+    ]
+    svg = line_chart("t", "u", "n", series)
+    assert polylines(svg) == oracles.polyline_points(series)
+    # Tiny and huge abscissae too: the x row is formatted from its own range.
+    series = [("a", EDGE_VALUES[2:4], values[:2]), ("b", EDGE_VALUES[4:6], values[2:4])]
+    assert polylines(line_chart("t", "v", "n", series)) == oracles.polyline_points(series)
+
+
+def test_line_chart_pixels_keep_the_per_point_rounding():
+    # Abscissae next to the ties of "{:.2f}" on a 0..560 axis, whose pixel
+    # is 64 + x/560*560: a pixel formula that rounds differently from the
+    # per-point one (say 64 + x*(560/560)) flips the last digit of hundreds.
+    ties = np.arange(0, 56000, 7) / 100 + 0.005
+    x = np.concatenate(([0.0], ties, [560.0]))
+    for xs in (x, x / 3):
+        series = [("a", xs, np.sin(xs)), ("b", xs, np.cos(xs))]
+        assert polylines(line_chart("t", "u", "n", series)) == oracles.polyline_points(series)
+
+
+def crafted_density(model, coefficients, eps, u, v):
+    """A (time x position) table of edge values in place of a series.
+
+    Finite only: a field slice or trace refuses NaN and inf before any file
+    is written, so only the chart sees them (the test above).
+    """
+    shape = np.broadcast_shapes(np.shape(u), np.shape(v))
+    return np.resize(np.roll(EDGE_VALUES, MODEL_ORDER.index(model)), shape)
+
+
+@pytest.mark.parametrize("times, models", [
+    ((0.0, 1e-5, 0.1), ("parabolic", "hyperbolic", "fd")),
+    ((5e-324, 1e-5, 1e16), ("parabolic", "wkb")),
+], ids=["with_fd", "extreme_times"])
+def test_run_scenario_curves_match_the_per_element_oracle(tmp_path, monkeypatch, times, models):
+    monkeypatch.setattr(runner, "family_density", crafted_density)
+    s = Scenario(
+        name="edge", eps=0.13, profile=GaussianProfile(100.0, 1.0), truncation=8,
+        u_points=11, v_list=times, trace_u=(-0.0, 5e-324, 0.5), models=models,
+        fd_nu=20, outputs=("csv", "svg"),
+    )
+    run_scenario(s, tmp_path)
+    grid, v = s.spatial_grid().points, np.array(times)
+    series = [m for m in models if m != "fd"]
+    fields = {m: crafted_density(m, None, s.eps, grid[None, :], v[:, None]) for m in series}
+    traces = {m: crafted_density(m, None, s.eps, np.array(s.trace_u)[None, :], v[:, None])
+              for m in series}
+    fd_slices = fd_solve_telegraph(s.profile, s.fd_config()) if "fd" in models else []
+
+    def check(stem, x_name, curves):
+        csv = (tmp_path / f"{stem}.csv").read_text()
+        assert csv.split("u,v,model,n\n", 1)[1] == oracles.csv_curve_rows(curves)
+        chart = [(m, u if x_name == "u" else t, n) for m, u, t, n in curves]
+        svg = (tmp_path / f"{stem}.svg").read_text()
+        assert polylines(svg) == oracles.polyline_points(chart)
+
+    for i, t in enumerate(times):
+        curves = [(m, grid, t, fields[m][i]) for m in series]
+        if fd_slices:
+            sl = fd_slices[i]
+            curves.append(("fd", sl.grid.points, sl.v, sl.values))
+        check(f"edge_field_{i}", "u", curves)
+    for j, u in enumerate(s.trace_u):
+        curves = [(m, u, v, traces[m][:, j]) for m in series]
+        if fd_slices:
+            # The cell nearest to u, at each distinct recorded time.
+            cells = fd_slices[0].grid.points
+            idx = int(np.argmin(np.abs(cells - u)))
+            recorded = [sl.v for sl in fd_slices]
+            keep = [k for k in range(len(recorded)) if k == 0 or recorded[k] > recorded[k - 1]]
+            curves.append(("fd", cells[idx], np.array(recorded)[keep],
+                           np.array([fd_slices[k].values[idx] for k in keep])))
+        check(f"edge_trace_{j}", "v", curves)
