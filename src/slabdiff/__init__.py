@@ -1,81 +1,59 @@
 """Slab diffusion with reflecting walls: parabolic, telegraph and WKB-type
 series solutions, a finite-difference cross-validation oracle, wavefront
-echo analysis, and a scenario-driven CLI."""
+echo analysis, and a scenario-driven CLI.
+
+The public names are exported lazily (PEP 562): `import slabdiff` loads no
+submodule, and each name, or each submodule such as `slabdiff.runner`,
+imports its home module on first access. So a command loads only the
+modules it runs: `slabdiff validate` and `coeffs` never load spectral, fd,
+analysis, runner or svgplot.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .core import Grid1D, TimeGrid
-from .errors import (
-    DomainError,
-    InvalidInputError,
-    InvalidParameterError,
-    QuadratureError,
-    ResonantModeError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    SlabDiffError,
-    StabilityError,
-)
-from .profiles import (
-    CosineModeProfile,
-    GaussianProfile,
-    InitialProfile,
-    SpectralCoefficients,
-    SurfaceCoshProfile,
-    TabulatedProfile,
-    UniformProfile,
-    compute_coefficients,
-    evaluate_profile,
-)
-from .spectral import (
-    FieldSlice,
-    TimeTrace,
-    field_slice,
-    hyperbolic_density,
-    parabolic_density,
-    time_trace,
-    wkb_density,
-)
-from .fd import FdConfig, cell_centers, fd_solve_heat, fd_solve_telegraph
-from .analysis import (
-    EchoLadder,
-    ErrorNorms,
-    ExtremumEvent,
-    classify_monotone,
-    detect_extrema,
-    error_norms,
-    predict_echo_ladder,
-)
-from .scenario import (
-    Scenario,
-    parse_scenario,
-    preset,
-    scenario_hash,
-    serialize_scenario,
-)
-from .runner import run_scenario
+#: Each public name, listed under the module that defines it.
+_EXPORTS = {
+    "core": ("Grid1D", "TimeGrid"),
+    "profiles": (
+        "InitialProfile", "GaussianProfile", "SurfaceCoshProfile", "UniformProfile",
+        "CosineModeProfile", "TabulatedProfile", "SpectralCoefficients",
+        "evaluate_profile", "compute_coefficients",
+    ),
+    "spectral": (
+        "FieldSlice", "TimeTrace", "parabolic_density", "hyperbolic_density",
+        "wkb_density", "field_slice", "time_trace",
+    ),
+    "fd": ("FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph"),
+    "analysis": (
+        "ExtremumEvent", "EchoLadder", "ErrorNorms", "predict_echo_ladder",
+        "detect_extrema", "classify_monotone", "error_norms",
+    ),
+    "scenario": ("Scenario", "parse_scenario", "serialize_scenario", "scenario_hash", "preset"),
+    "runner": ("run_scenario",),
+    "errors": (
+        "SlabDiffError", "InvalidParameterError", "DomainError", "QuadratureError",
+        "ResonantModeError", "StabilityError", "InvalidInputError", "ScenarioParseError",
+        "ScenarioValidationError",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "quadrature", "svgplot")
 
-__all__ = [
-    "__version__",
-    # core
-    "Grid1D", "TimeGrid",
-    # profiles
-    "InitialProfile", "GaussianProfile", "SurfaceCoshProfile", "UniformProfile",
-    "CosineModeProfile", "TabulatedProfile", "SpectralCoefficients",
-    "evaluate_profile", "compute_coefficients",
-    # spectral
-    "FieldSlice", "TimeTrace", "parabolic_density", "hyperbolic_density",
-    "wkb_density", "field_slice", "time_trace",
-    # fd
-    "FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph",
-    # analysis
-    "ExtremumEvent", "EchoLadder", "ErrorNorms", "predict_echo_ladder",
-    "detect_extrema", "classify_monotone", "error_norms",
-    # scenario / runner
-    "Scenario", "parse_scenario", "serialize_scenario", "scenario_hash",
-    "preset", "run_scenario",
-    # errors
-    "SlabDiffError", "InvalidParameterError", "DomainError", "QuadratureError",
-    "ResonantModeError", "StabilityError", "InvalidInputError", "ScenarioParseError",
-    "ScenarioValidationError",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

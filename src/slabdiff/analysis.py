@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import MIN_TRACE_SAMPLES
 from .errors import InvalidInputError, InvalidParameterError
 from .spectral import FieldSlice, TimeTrace
 
@@ -23,9 +24,6 @@ DEFAULT_V_CUTOFF = 1e-3
 
 #: Moving-average window used before extremum detection.
 SMOOTHING_WINDOW = 5
-
-#: Minimum number of samples a trace must have.
-MIN_TRACE_SAMPLES = 200
 
 #: Fraction of a smoothed trace's range that successive differences may
 #: oppose its overall direction by and still count as monotone.

@@ -18,7 +18,6 @@ from pathlib import Path
 
 from .errors import ScenarioParseError, ScenarioValidationError, SlabDiffError
 from .profiles import compute_coefficients
-from .runner import run_scenario
 from .scenario import Scenario, override, parse_scenario, preset, scenario_hash
 
 
@@ -60,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(path: Path) -> Scenario:
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioParseError(f"cannot read {path}: {exc}") from exc
     return parse_scenario(text)
 
@@ -76,13 +75,15 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "coeffs":
             s = override(_load_config(args.config), args.terms, args.eps)
             coeffs = compute_coefficients(s.profile, s.truncation)
-            print(f"# profile: {coeffs.profile_tag}")
-            print(f"# truncation: {coeffs.truncation}")
-            print(f"# tail: {coeffs.tail!r}")
-            print("m,k")
-            print(f"0,{coeffs.mean!r}")
-            for m in range(1, coeffs.truncation + 1):
-                print(f"{m},{float(coeffs.modes[m - 1])!r}")
+            lines = [
+                f"# profile: {coeffs.profile_tag}",
+                f"# truncation: {coeffs.truncation}",
+                f"# tail: {coeffs.tail!r}",
+                "m,k",
+                f"0,{coeffs.mean!r}",
+            ]
+            lines += [f"{m},{k!r}" for m, k in enumerate(coeffs.modes.tolist(), start=1)]
+            sys.stdout.write("\n".join(lines) + "\n")
             return 0
 
         if args.command == "figure":
@@ -90,6 +91,8 @@ def main(argv: list[str] | None = None) -> int:
         else:
             s = _load_config(args.config)
         s = override(s, args.terms, args.eps)
+        from .runner import run_scenario  # only run and figure load the solvers
+
         written = run_scenario(s, args.out_dir)
         for path in written:
             print(path)

@@ -1,21 +1,34 @@
-"""The dimensionless slab and its space and time grids.
+"""The dimensionless slab, its space and time grids, and the checks a
+scenario runs on its parameters before any compute.
 
 Lengths are measured in units of the slab thickness d and times in units of
 the diffusion time tau_D = d^2 / D, so the slab always occupies
 u in [-1/2, 1/2] and relaxation enters through the single number
 eps = tau_r / tau_D.
+
+The eps checks of the telegraph and two-timescale families and the fewest
+samples a trace needs for extrema detection live here, not in spectral and
+analysis, so that validating a scenario loads neither of those modules.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import DomainError, InvalidParameterError, ResonantModeError
 
 #: Half-width of the dimensionless slab.
 HALF_WIDTH = 0.5
+
+#: |1 - eps*(2*m*pi)^2| below this is a resonant two-timescale mode.
+RESONANCE_TOL = 1e-9
+
+#: Minimum number of samples a trace must have for extrema detection.
+MIN_TRACE_SAMPLES = 200
 
 #: The most float64 samples numpy builds into one array: it refuses an array
 #: of more than np.iinfo(np.intp).max bytes before allocating anything.
@@ -28,6 +41,46 @@ def slab_positions(u) -> np.ndarray:
     if np.any(u_arr < -HALF_WIDTH) or np.any(u_arr > HALF_WIDTH):
         raise DomainError(f"u must lie in [-1/2, 1/2], got {u!r}")
     return u_arr
+
+
+def check_telegraph_eps(eps: float):
+    """Raise InvalidParameterError unless eps >= sys.float_info.min.
+
+    The telegraph closed forms divide by 2*eps, and 1/(2*eps) overflows
+    for a subnormal eps.
+    """
+    if not (eps >= sys.float_info.min):
+        raise InvalidParameterError(
+            f"the telegraph model requires eps > 0 and not subnormal "
+            f"(>= {sys.float_info.min!r}), got {eps!r}"
+        )
+
+
+def _mode_ratios(eps: float, m):
+    """q_m = eps*(2*m*pi)^2 of the modes m."""
+    return eps * (2.0 * math.pi * m) ** 2
+
+
+def check_wkb_eps(eps: float, terms: int):
+    """Raise unless eps >= 0 and no mode m <= terms is resonant, in O(1).
+
+    q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
+    within RESONANCE_TOL of 1.
+
+    Raises:
+        InvalidParameterError: eps < 0 or NaN.
+        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
+            where the two-timescale closed form is singular.
+    """
+    if not (eps >= 0):
+        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
+    near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
+    if near > terms + 1:
+        return
+    m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
+    resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
+    if resonant.size:
+        raise ResonantModeError(int(m[resonant[0]]), eps)
 
 
 def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:

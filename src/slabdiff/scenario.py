@@ -29,11 +29,18 @@ import hashlib
 import math
 import re
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .analysis import MIN_TRACE_SAMPLES
-from .core import HALF_WIDTH, Grid1D, TimeGrid
+from .core import (
+    HALF_WIDTH,
+    MIN_TRACE_SAMPLES,
+    Grid1D,
+    TimeGrid,
+    check_telegraph_eps,
+    check_wkb_eps,
+)
 from .errors import (
     InvalidParameterError,
     ResonantModeError,
@@ -41,7 +48,6 @@ from .errors import (
     ScenarioValidationError,
     StabilityError,
 )
-from .fd import FdConfig, snapshot_steps
 from .profiles import (
     MAX_DENSITY,
     PROFILE_KINDS,
@@ -49,7 +55,9 @@ from .profiles import (
     InitialProfile,
     SurfaceCoshProfile,
 )
-from .spectral import check_telegraph_eps, check_wkb_eps
+
+if TYPE_CHECKING:
+    from .fd import FdConfig
 
 MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
@@ -157,6 +165,8 @@ class Scenario:
                 )
             # The FD trace keeps one sample per distinct step the times snap to.
             if "fd" in self.models:
+                from .fd import snapshot_steps
+
                 steps = len(set(snapshot_steps(fd_cfg)))
                 if steps < MIN_TRACE_SAMPLES:
                     raise ScenarioValidationError(
@@ -175,6 +185,8 @@ class Scenario:
 
     def fd_config(self) -> FdConfig:
         """The FD oracle's grid and step: [fd] dv if given, else the largest stable one."""
+        from .fd import FdConfig  # fd, and spectral with it, load only for FD runs
+
         times = self.time_grid()
         if self.fd_dv is None:
             return FdConfig.auto(self.fd_nu, self.eps, times)

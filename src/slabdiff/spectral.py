@@ -91,22 +91,26 @@ two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import HALF_WIDTH, Grid1D, TimeGrid, slab_positions
-from .errors import DomainError, InvalidParameterError, ResonantModeError
+from .core import (
+    HALF_WIDTH,
+    Grid1D,
+    TimeGrid,
+    _mode_ratios,
+    check_telegraph_eps,
+    check_wkb_eps,
+    slab_positions,
+)
+from .errors import DomainError, InvalidParameterError
 from .profiles import SpectralCoefficients
 
 #: Discriminant tolerance below which a mode is treated as critically damped;
 #: the overdamped formula divides by mu2 - mu1 which vanishes there.
 CRITICAL_DISC_TOL = 1e-12
-
-#: |1 - eps*(2*m*pi)^2| below this is a resonant two-timescale mode.
-RESONANCE_TOL = 1e-9
 
 #: The fewest modes per block of the series walk, and times per block of
 #: the anchor/offset split of a long time row. It bounds the (modes x points)
@@ -140,46 +144,6 @@ def _check_v(v):
     if np.any(v_arr < 0):
         raise DomainError(f"v must be >= 0, got {v!r}")
     return v_arr
-
-
-def check_telegraph_eps(eps: float):
-    """Raise InvalidParameterError unless eps >= sys.float_info.min.
-
-    The telegraph closed forms divide by 2*eps, and 1/(2*eps) overflows
-    for a subnormal eps.
-    """
-    if not (eps >= sys.float_info.min):
-        raise InvalidParameterError(
-            f"the telegraph model requires eps > 0 and not subnormal "
-            f"(>= {sys.float_info.min!r}), got {eps!r}"
-        )
-
-
-def _mode_ratios(eps: float, m):
-    """q_m = eps*(2*m*pi)^2 of the modes m."""
-    return eps * (2.0 * math.pi * m) ** 2
-
-
-def check_wkb_eps(eps: float, terms: int):
-    """Raise unless eps >= 0 and no mode m <= terms is resonant, in O(1).
-
-    q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
-    within RESONANCE_TOL of 1.
-
-    Raises:
-        InvalidParameterError: eps < 0 or NaN.
-        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
-            where the two-timescale closed form is singular.
-    """
-    if not (eps >= 0):
-        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
-    near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
-    if near > terms + 1:
-        return
-    m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
-    resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
-    if resonant.size:
-        raise ResonantModeError(int(m[resonant[0]]), eps)
 
 
 def _scalarize(value, *inputs) -> float | np.ndarray:

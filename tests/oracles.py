@@ -5,14 +5,15 @@ package it checks: the wall-free Gaussian, the closed-form Gaussian and
 surface coefficients, the two-timescale fast/slow split, a per-mode series
 summed one mode at a time, the underdamped telegraph modes summed in long
 double, the telegraph mode ODE integrated numerically, the explicit
-finite-difference schemes marched one step at a time, and the runner's CSV
+finite-difference schemes marched one step at a time, the runner's CSV
 rows and chart polylines formatted one element at a time (with the chart's
-layout constants).
+layout constants), and the `coeffs` table printed one line at a time.
 The one exception is a separate adaptive integral per coefficient, which
 calls the package's `integrate_adaptive` (checked on its own in
 test_quadrature.py) once per mode.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -283,8 +284,9 @@ def step_telegraph(n0, cfg, steps):
 # ---------------------------------------------------------------------------
 # Output formatting, one element at a time
 # ---------------------------------------------------------------------------
-# The runner renders whole columns and the chart whole pixel rows; these
-# references render each row and each point on its own, from Python floats.
+# The runner renders whole columns, the chart whole pixel rows and `coeffs`
+# its whole table in one write; these references render each row and each
+# point on its own, from Python floats.
 
 
 def csv_curve_rows(curves) -> str:
@@ -329,3 +331,16 @@ def polyline_points(series) -> list[str]:
             pairs.append(f"{px:.2f},{py:.2f}")
         points.append(" ".join(pairs))
     return points
+
+
+def coeffs_table(coeffs: SpectralCoefficients) -> str:
+    """The stdout of `slabdiff coeffs`, one print per line and one per mode."""
+    out = io.StringIO()
+    print(f"# profile: {coeffs.profile_tag}", file=out)
+    print(f"# truncation: {coeffs.truncation}", file=out)
+    print(f"# tail: {coeffs.tail!r}", file=out)
+    print("m,k", file=out)
+    print(f"0,{coeffs.mean!r}", file=out)
+    for m in range(1, coeffs.truncation + 1):
+        print(f"{m},{float(coeffs.modes[m - 1])!r}", file=out)
+    return out.getvalue()

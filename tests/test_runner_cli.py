@@ -14,9 +14,11 @@ from slabdiff import (
     Scenario,
     UniformProfile,
     GaussianProfile,
+    compute_coefficients,
     preset,
     run_scenario,
     scenario_hash,
+    serialize_scenario,
 )
 from slabdiff import runner
 from slabdiff.cli import main
@@ -271,12 +273,36 @@ def test_cli_coeffs_output(tmp_path, capsys):
     assert float(data[1].split(",")[1]) == pytest.approx(1.8120361115809098, rel=1e-10)
 
 
+@pytest.mark.parametrize("name", ["figure1", "figure3"])
+def test_cli_coeffs_match_the_per_line_oracle(tmp_path, capsys, name):
+    # both preset profiles at their 500 terms, written in one write
+    s = preset(name)
+    cfg = tmp_path / "preset.cfg"
+    cfg.write_text(serialize_scenario(s))
+    assert main(["coeffs", str(cfg)]) == 0
+    out = capsys.readouterr().out
+    assert s.truncation == 500 and len(out.splitlines()) == 505
+    assert out == oracles.coeffs_table(compute_coefficients(s.profile, s.truncation))
+
+
 def test_cli_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[scenario]\neps = nope\n")
     assert main(["run", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["validate", str(tmp_path / "missing.cfg")]) == 2
+
+
+@pytest.mark.parametrize("command", ["validate", "coeffs", "run"])
+def test_cli_config_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    # it raised an uncaught UnicodeDecodeError: a traceback and exit 1
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"[scenario]\nname = x\xff\n")
+    out = tmp_path / "out"
+    argv = [command, str(bad)] + (["--out-dir", str(out)] if command == "run" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+    assert not out.exists()
 
 
 #: Config errors that once passed validate or exited 1, each as edits of
@@ -425,22 +451,40 @@ def test_cli_figure_preset_as_subprocess(tmp_path):
     assert (tmp_path / "figure1_field_4.csv").exists()
 
 
-#: Installed before slabdiff is imported: any import of scipy raises.
-NO_SCIPY = """
+#: Run in a fresh interpreter. Before slabdiff is imported, a meta-path
+#: finder makes any import of scipy, or of a module in BLOCKED, raise. Each
+#: of COMMANDS then runs as `python -m slabdiff` runs it, and the last line
+#: printed is their exit codes.
+GUARDED_CLI = """
+import runpy
 import sys
 
-class NoScipy:
+class Blocker:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
+        if name == "scipy" or name.startswith("scipy.") or name in BLOCKED:
             raise ImportError(f"slabdiff imported {name}")
 
-sys.meta_path.insert(0, NoScipy())
-from slabdiff.cli import main
+sys.meta_path.insert(0, Blocker())
 
-codes = [main(args) for args in COMMANDS]
-assert not any(name.startswith("scipy") for name in sys.modules)
+def run(args):
+    sys.argv = ["slabdiff", *args]
+    try:
+        runpy.run_module("slabdiff", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        return exc.code
+
+codes = [run(args) for args in COMMANDS]
+loaded = [name for name in sys.modules if name.startswith("scipy") or name in BLOCKED]
+assert not loaded, loaded
 print(codes)
 """
+
+
+def guarded_exit_codes(commands, blocked=()) -> str:
+    code = f"COMMANDS = {commands!r}\nBLOCKED = {tuple(blocked)!r}\n" + GUARDED_CLI
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
 
 
 def test_no_cli_command_imports_scipy(tmp_path):
@@ -461,13 +505,30 @@ def test_no_cli_command_imports_scipy(tmp_path):
         ["figure", "2", "--terms", "64", "--out-dir", out],
         ["run", str(fd_events), "--out-dir", out],
     ]
-    code = f"COMMANDS = {commands!r}\n" + NO_SCIPY
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.strip().splitlines()[-1] == "[0, 0, 0, 0]"
+    assert guarded_exit_codes(commands) == "[0, 0, 0, 0]"
     assert (tmp_path / "out" / "figure2_events.csv").exists()
     events = (tmp_path / "out" / "demo_events.csv").read_text()
     assert "\nfd,0.5,maximum," in events
+
+
+#: The modules that only run and figure need: the solvers, the extrema
+#: detection and the writers.
+RUN_ONLY_MODULES = (
+    "slabdiff.spectral", "slabdiff.fd", "slabdiff.analysis", "slabdiff.runner", "slabdiff.svgplot",
+)
+
+
+@pytest.mark.parametrize("command", ["validate", "coeffs"])
+def test_validate_and_coeffs_load_no_solver_module(tmp_path, command):
+    # a config of the cli_cold benchmark's shape: all three series models,
+    # traces and events, so validation runs every model's checks
+    cfg = tmp_path / "traces.cfg"
+    cfg.write_text(
+        CONFIG_SMALL.replace("v = 0.01, 0.1", "v_range = 0, 1.2, 1201\ntrace_u = 0.5, 0")
+        .replace("parabolic, hyperbolic", "parabolic, hyperbolic, wkb")
+        .replace("amplitude = 1", "amplitude = 1\n[output]\nformats = csv, events")
+    )
+    assert guarded_exit_codes([[command, str(cfg)]], RUN_ONLY_MODULES) == "[0]"
 
 
 # ---------------------------------------------------------------------------
