@@ -21,7 +21,6 @@ and, for the closed-form kinds, the arguments of its provenance tag.
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -40,8 +39,6 @@ from .quadrature import (
     panel_grid,
     panel_sum,
 )
-
-logger = logging.getLogger(__name__)
 
 #: Quadrature tolerance of the coefficients, in units of max(1, |k0|): the
 #: rounding noise of a coefficient integral scales with the slab mass k0.
@@ -271,7 +268,9 @@ class TabulatedProfile(InitialProfile):
                 "values must be finite, and interpolating between them must not overflow"
             )
         if not np.allclose(direct, sym, rtol=0, atol=1e-12):
-            logger.info(
+            import logging  # here, so that validate does not load it
+
+            logging.getLogger(__name__).info(
                 "tabulated profile was not even; symmetrized by averaging "
                 "n0(u) and n0(-u) (max adjustment %.3e)",
                 float(np.max(np.abs(direct - sym))),
@@ -479,7 +478,9 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
         modes[m - 1] = value
         refined += evaluations > first * PANEL_ORDER
         max_delta = max(max_delta, delta)
-    logger.debug(
+    import logging  # here, so that validate does not load it
+
+    logging.getLogger(__name__).debug(
         "coefficients of %s: FFT check on %d panels over [0, 1/2], "
         "max |direct - FFT| = %.3e, %d of %d modes refined",
         profile.tag(), check_panels, max_delta, refined, truncation,

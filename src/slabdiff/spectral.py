@@ -51,38 +51,34 @@ block are built by angle addition from cos/sin(2*pi*m0*u) of the block's
 first mode and a shared table of cos/sin(2*pi*j*u).
 
 Telegraph contraction. The direct formula of an underdamped telegraph mode
-pays a cos and a sin per mode and sample, so on a long time row these
+pays a cos and a sin per mode and sample, so on a uniform time row these
 modes are instead contracted over the modes before time is expanded, at
-the N times where their shared decay is not 0. The N times are cut into
-blocks of S = max(BLOCK, isqrt(N)) samples; each time is its block's
-smallest time (the anchor a) plus an offset. The distinct offsets of a
-uniform row are S multiples of the step and their rounding variants, a few
-ulps of the time apart, so offsets merge into groups: an offset joins the
-group before it unless it lies more than tau = MERGE_PHASE/R past the
-group's smallest member, its representative d, and keeps the residual
-e = offset - d, exact, with 0 <= e <= tau. R is the top frequency omega or
-1/(2*eps), the larger. A uniform trace of 1201 times has 36 anchors and 34
-representatives (76 anchors and 105 distinct offsets in blocks of 16
-without merging). Each mode's factor at v = a + d, divided by the shared
-decay, is cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
+the N times where their shared decay is not 0. The N times are reshaped
+into blocks of S = max(BLOCK, isqrt(N)) samples: each time is its block's
+first time (the anchor a), plus the nominal offset d = s*h of its place s
+in the block, h the row's mean step, plus its residual e = (v - a) - d,
+exact. A uniform trace of 1201 times has 36 anchors and 34 offsets. Each
+mode's factor at v = a + d, divided by the shared decay, is
+cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
 P = cos(omega*d) + r*sin(omega*d), Q = r*cos(omega*d) - sin(omega*d) and
 r = 1/(2*eps*omega). With k_m*cos(2*m*pi*u) folded into the anchor side,
 one matrix product per block of modes, G[d, (a, j)] += sum_m
-B[m, d]*A[m, (a, j)], replaces the (modes x times) table. When some
-residual is not 0 the closed-form derivatives omega*Q and -omega*P are
-appended to B, so the same product also gives dG/dd, and each sample reads
-G + e*dG at its anchor and representative. The neglected second-order term
-of each mode is at most (R*tau)^2 = MERGE_PHASE^2 = 1e-16 of |k_m|. Rows
-whose residuals are all 0 (no offsets merge: dyadic steps, repeated
-patterns) form no derivative columns. The contraction is taken when the
-anchors Q and representatives D number at most half the N times and
-J*Q*W <= BLOCK*N, W = D, or 2*D with derivative columns, for J positions,
-where a table of fewer than BLOCK positions counts as one: a 1201-time
-table of up to 15 positions qualifies. A block of modes holds
-max(BLOCK, BLOCK*N/(Q*J + W)) modes, so peak memory does not grow with the
-truncation. Rows of few times, rows whose offsets do not repeat, rows
-holding a non-finite time and (u, v) pairs take the per-sample path, as do
-the overdamped and critical telegraph modes.
+B[m, d]*A[m, (a, j)], replaces the (modes x times) table. The closed-form
+derivatives omega*Q and -omega*P are appended to B, so the same product
+also gives dG/dd, and each sample reads G + e*dG at its anchor and offset,
+a reshape of G. A row is contracted only when every |e| is at most
+tau = RESIDUAL_PHASE/R, R the top frequency omega or 1/(2*eps), the larger:
+the neglected second-order term of each mode is then at most
+(R*tau)^2 = RESIDUAL_PHASE^2 = 1e-16 of |k_m|. It is also contracted only
+when the Q anchors and S offsets number at most half the N times and
+J*Q*2*S <= BLOCK*N for J positions, where a table of fewer than BLOCK
+positions counts as one: a 1201-time table of up to 15 positions
+qualifies. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + 2*S)) modes, so
+peak memory does not grow with the truncation. Rows of few times, rows
+that are not sorted and uniform to within tau (reversed, shuffled,
+irregular or patterned rows), rows holding a non-finite time and (u, v)
+pairs take the per-sample path, as do the overdamped and critical
+telegraph modes.
 
 The time factors are the same code on every path, and on every path the
 two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
@@ -113,15 +109,16 @@ from .profiles import SpectralCoefficients
 CRITICAL_DISC_TOL = 1e-12
 
 #: The fewest modes per block of the series walk, and times per block of
-#: the anchor/offset split of a long time row. It bounds the (modes x points)
-#: temporaries, so peak memory does not grow with the truncation.
+#: the anchor/offset split of a uniform time row. It bounds the
+#: (modes x points) temporaries, so peak memory does not grow with the
+#: truncation.
 BLOCK = 16
 
-#: In-block offsets within MERGE_PHASE/R of their group's first, R the
-#: fastest rate of the contracted modes, share one offset-table column; the
-#: first-order correction in the residual e <= MERGE_PHASE/R leaves out at
-#: most MERGE_PHASE**2 of each mode's weight.
-MERGE_PHASE = 1e-8
+#: The largest phase R*|e| of a residual e that the telegraph contraction
+#: accepts, R the fastest rate of the contracted modes: its first-order
+#: correction in e then leaves out at most RESIDUAL_PHASE**2 of each mode's
+#: weight.
+RESIDUAL_PHASE = 1e-8
 
 #: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
 #: the subnormal range that starts at x = -708.4) are taken as 0.
@@ -167,20 +164,17 @@ def _exp(x):
 # ---------------------------------------------------------------------------
 
 class _TimeSplit(NamedTuple):
-    """A time row cut into blocks, each time written as anchor + offset + residual.
+    """A uniform time row cut into blocks, each time written as anchor + offset + residual.
 
-    anchors (B,) holds the smallest time of each block. The distinct
-    in-block offsets v - anchor are merged into groups no wider than the
-    merge tolerance; offsets holds each group's smallest member, its
-    representative, inv (B, S) the group of every sample and residual
-    (B, S) the sample's offset minus its representative, so that
-    anchor + (representative + residual) is the time, bit for bit. The row
-    is padded to whole blocks with its last time.
+    anchors (Q,) holds the first time of each block of S times, offsets (S,)
+    the nominal in-block offsets s*h, h the row's mean step, and residual
+    (Q, S) each sample's (v - anchor) - s*h, so that offset + residual is
+    v - anchor, bit for bit. The row is padded to whole blocks with
+    residuals of 0.
     """
 
     anchors: np.ndarray
     offsets: np.ndarray
-    inv: np.ndarray
     residual: np.ndarray
 
 
@@ -188,47 +182,35 @@ def _split_times(v, positions: int = 1, tau: float = 0.0):
     """The anchor/offset split of the time row v, or None.
 
     The N times are cut into blocks of S = max(BLOCK, isqrt(N)), which
-    about minimizes the anchors plus the distinct offsets of a uniform row.
+    about minimizes the anchors plus the offsets. The anchor of a block is
+    its first time and the offsets are the S multiples s*h of the mean step
+    h = (v[-1] - v[0])/(N - 1), the same in every block. The residuals of
+    a split row are exact: v - anchor and s*h lie within a factor 2 of each
+    other (Sterbenz), or are both 0 at s = 0.
 
-    Offsets merge from the smallest, 0, up: an offset joins the group before
-    it unless it lies more than tau past that group's first member, which
-    is the group's representative. Every group but the first, {0, ...},
-    starts above tau, so a representative is at least half of each member
-    and member - representative is exact.
-
-    None, for the direct formula, unless the anchors Q and the
-    representatives D number at most half the N samples and the contracted
-    table of positions * Q * D values, twice that when some residual is not
-    0, is no larger than BLOCK * N. A row of fewer than BLOCK times never
-    qualifies, and a non-finite time takes the direct formula so that it
-    stays in its own sample.
+    None, for the per-sample path, unless h > 0, every |residual| is at
+    most tau, the anchors Q and the S offsets number at most half the N
+    samples and the contracted table of positions * Q * 2*S values is no
+    larger than BLOCK * N. So only a sorted row within tau of uniform is
+    split; a row of fewer than BLOCK times, or holding a non-finite time,
+    never is.
     """
     n = v.size
     if n < BLOCK or not np.all(np.isfinite(v)):
         return None
     span = max(BLOCK, math.isqrt(n))
-    blocks = np.pad(v, (0, -n % span), mode="edge").reshape(-1, span)
-    # The smallest time of a block is its anchor, so that no offset is
-    # negative and no decay factor exp(-rate*d) exceeds 1.
-    anchors = blocks.min(axis=1)
-    sample = blocks - anchors[:, None]
-    distinct, inv = np.unique(sample, return_inverse=True)
-    # Start a group at each gap wider than tau, then, while some group is
-    # wider than tau, at its first member more than tau past the group's
-    # first: for rounding variants of a few nominal offsets one pass.
-    first = np.diff(distinct, prepend=-np.inf) > tau
-    while True:
-        group = np.cumsum(first) - 1
-        far = distinct - distinct[first][group] > tau
-        if not far.any():
-            break
-        first |= far & ~np.r_[False, far[:-1]]
-    offsets, inv = distinct[first], group[inv].reshape(blocks.shape)
-    residual = sample - offsets[inv]
-    width = offsets.size * (2 if residual.any() else 1)
-    if len(blocks) + offsets.size > n / 2 or positions * len(blocks) * width > BLOCK * n:
+    count = -(-n // span)
+    step = (v[-1] - v[0]) / (n - 1)
+    if not step > 0 or count + span > n / 2 or positions * count * 2 * span > BLOCK * n:
         return None
-    return _TimeSplit(anchors, offsets, inv, residual)
+    blocks = np.pad(v, (0, count * span - n)).reshape(count, span)
+    offsets = step * np.arange(span)
+    residual = blocks - blocks[:, :1]
+    residual -= offsets
+    residual.flat[n:] = 0.0
+    if not np.all(np.abs(residual) <= tau):
+        return None
+    return _TimeSplit(blocks[:, 0], offsets, residual)
 
 
 def _fastest_rate(eps: float, terms: int) -> float:
@@ -324,22 +306,21 @@ def _mode_cosines(u, rows: int):
 def _contracted(coefficients, eps: float, split: _TimeSplit, lo: int, u):
     """sum_m k_m V_m(v)/exp(-v/(2*eps)) cos(2*m*pi*u) over the underdamped modes lo..M.
 
-    Returned as (B*S, J) rows over the split's padded row. With v = a + d + e
-    (anchor a, representative offset d, residual e),
+    Returned as (Q*S, J) rows over the split's padded row. With v = a + d + e
+    (anchor a, offset d, residual e),
     cos(omega*v) + r*sin(omega*v) = cos(omega*a)*P(d + e) + sin(omega*a)*Q(d + e),
     P = cos(omega*d) + r*sin(omega*d), Q = r*cos(omega*d) - sin(omega*d), and
     to first order P(d + e) = P(d) + e*omega*Q(d), Q(d + e) = Q(d) - e*omega*P(d).
     The anchor side, times k_m*cos(2*m*pi*u), is contracted with the offset
-    tables and, when some e is not 0, their derivatives over the modes of a
-    block, G[d, q, j] += sum_m A[m, q, j] * B[m, d], and each sample reads G
-    at its own representative plus e times the derivative rows: no
+    tables and their derivatives over the modes of a block,
+    G[d, q, j] += sum_m A[m, q, j] * B[m, d], and sample s of block q reads
+    G[s, q] plus its residual times the derivative row G[S + s, q]: no
     (modes x times) table is formed.
     """
     a, d = split.anchors[None, :], split.offsets[None, :]
-    slope = bool(split.residual.any())
-    g = np.zeros(((1 + slope) * d.size, a.size, u.size))
+    g = np.zeros((2 * d.size, a.size, u.size))
     # A block's anchor-side table is no larger than a direct block.
-    rows = max(BLOCK, BLOCK * split.inv.size // (a.size * u.size + len(g)))
+    rows = max(BLOCK, BLOCK * split.residual.size // (a.size * u.size + len(g)))
     cosines = _mode_cosines(u, rows)
     k = coefficients.modes
     for stop in range(coefficients.truncation, lo - 1, -rows):
@@ -350,16 +331,12 @@ def _contracted(coefficients, eps: float, split: _TimeSplit, lo: int, u):
         cos_d, sin_d = np.cos(omega * d), np.sin(omega * d)
         p_d, q_d = cos_d + r * sin_d, r * cos_d - sin_d
         b = np.concatenate((p_d, q_d))
-        if slope:
-            b = np.concatenate((b, np.concatenate((omega * q_d, -omega * p_d))), axis=1)
+        b = np.concatenate((b, np.concatenate((omega * q_d, -omega * p_d))), axis=1)
         anchor = np.stack((kb * np.cos(omega * a), kb * np.sin(omega * a)))
         table = (anchor[..., None] * cosines(start, len(m))[:, None, :]).reshape(-1, g[0].size)
         g += (b.T @ table).reshape(g.shape)
-    q = np.arange(a.size)[:, None]
-    values = g[split.inv, q]
-    if slope:
-        values += split.residual[..., None] * g[d.size + split.inv, q]
-    return values.reshape(-1, u.size)
+    values = g[: d.size] + split.residual.T[..., None] * g[d.size :]
+    return values.swapaxes(0, 1).reshape(-1, u.size)
 
 
 def _lattice(u):
@@ -393,7 +370,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     T_m is the family's time factor. An outer table (u of shape (1, Nu), v
     of shape (Nv, 1)) or a scalar u or v is summed by one real FFT on a
     lattice of positions, else by matrix products, with the underdamped
-    telegraph modes of a long time row contracted over the modes; any other
+    telegraph modes of a uniform time row contracted over the modes; any other
     broadcast is evaluated point by point.
     """
     terms = coefficients.truncation
@@ -516,15 +493,15 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 
     total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
-    # The underdamped telegraph modes of a long time row are contracted over
-    # the anchor/offset split of the times where their shared decay is not
-    # 0; all other modes are evaluated per sample. The direct telegraph
+    # The underdamped telegraph modes of a uniform time row are contracted
+    # over the anchor/offset split of the times where their shared decay is
+    # not 0; all other modes are evaluated per sample. The direct telegraph
     # formula pays a cos and a sin per mode and sample, so tables of fewer
     # than BLOCK positions are split as if they had one.
     if outer and model == "hyperbolic" and under <= terms:
         times = np.flatnonzero(shared)
         positions = 1 if u_flat.size < BLOCK else u_flat.size
-        split = _split_times(v_flat[times], positions, MERGE_PHASE / _fastest_rate(eps, terms))
+        split = _split_times(v_flat[times], positions, RESIDUAL_PHASE / _fastest_rate(eps, terms))
         if split is not None:
             values = _contracted(coefficients, eps, split, under, u_flat)[: times.size]
             total[times] += values * shared[times, None]

@@ -528,7 +528,9 @@ def test_validate_and_coeffs_load_no_solver_module(tmp_path, command):
         .replace("parabolic, hyperbolic", "parabolic, hyperbolic, wkb")
         .replace("amplitude = 1", "amplitude = 1\n[output]\nformats = csv, events")
     )
-    assert guarded_exit_codes([[command, str(cfg)]], RUN_ONLY_MODULES) == "[0]"
+    # validate makes no log record, so it does not load logging either
+    blocked = RUN_ONLY_MODULES + (("logging",) if command == "validate" else ())
+    assert guarded_exit_codes([[command, str(cfg)]], blocked) == "[0]"
 
 
 # ---------------------------------------------------------------------------

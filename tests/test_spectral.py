@@ -38,7 +38,7 @@ from slabdiff.spectral import (
     BLOCK,
     CRITICAL_DISC_TOL,
     EXP_FLOOR,
-    MERGE_PHASE,
+    RESIDUAL_PHASE,
     _fastest_rate,
     _lattice,
     _split_times,
@@ -517,10 +517,10 @@ REFERENCE_U = np.linspace(-0.5, 0.5, 41)
 TRACE_U = (0.0, 0.3, 0.5)
 SLICE_V = (0.0, 1e-4, 1e-2, 1.0)
 TRACE_V = np.linspace(0.0, 1.2, 61)
-# Time rows long enough for the telegraph family's anchor/offset split: the
-# presets' trace grid; an irregular grid of steps 1..3 / 1024, whose in-block
-# offsets repeat exactly; and a row that interleaves times of unit decay with
-# times of zero decay (at eps = 1e-4) inside every block.
+# Long time rows: the presets' trace grid, the one row that takes the
+# telegraph family's anchor/offset split; an irregular grid of steps
+# 1..3 / 1024; and a row that interleaves times of unit decay with times of
+# zero decay (at eps = 1e-4) inside every block.
 SPLIT_V = {
     "linspace": TimeGrid.linspace(0.0, 1.2, 1201).points,
     "irregular": TimeGrid.from_values(
@@ -530,40 +530,86 @@ SPLIT_V = {
 }
 
 
-def merge_tolerance(eps, terms):
-    return MERGE_PHASE / _fastest_rate(eps, terms)
+def residual_tolerance(eps, terms):
+    return RESIDUAL_PHASE / _fastest_rate(eps, terms)
 
 
-@pytest.mark.parametrize("name", sorted(SPLIT_V))
-def test_long_time_rows_take_the_split(name):
-    v = SPLIT_V[name]
-    tau = merge_tolerance(1e-4, 500)
-    split = _split_times(v, tau=tau)
-    assert split is not None
-    span = split.inv.shape[1]
-    assert split.anchors.size + split.offsets.size <= v.size / 2
-    # Each time is its anchor plus its representative plus its residual,
-    # bit for bit, and no residual exceeds the merge tolerance.
-    np.testing.assert_array_equal(
-        split.anchors[:, None] + (split.offsets[split.inv] + split.residual),
-        np.pad(v, (0, -v.size % span), mode="edge").reshape(-1, span),
-    )
-    assert np.all((split.residual >= 0) & (split.residual <= tau))
-    if name == "linspace":
-        # The rounding variants of the span nominal offsets merge.
-        assert split.offsets.size <= span == 34
-        assert split.residual.any()
+def spy_on_contracted(monkeypatch):
+    """The argument tuples of every _contracted call, as a list that fills in."""
+    calls = []
+    contracted = spectral._contracted
+
+    def spy(*args):
+        calls.append(args)
+        return contracted(*args)
+
+    monkeypatch.setattr(spectral, "_contracted", spy)
+    return calls
 
 
-def test_offsets_merge_into_groups_no_wider_than_tau():
-    # Offsets tau apart chain across 0..3*tau, wider than tau: the groups
-    # are {0, tau}, {2*tau, 3*tau} and {5*tau}, each led by its smallest.
-    tau = 2.0**-50
-    v = np.tile(np.array([0.0, 1.0, 2.0, 3.0, 5.0]) * tau, 8)
-    split = _split_times(v, tau=tau)
-    np.testing.assert_array_equal(split.offsets, np.array([0.0, 2.0, 5.0]) * tau)
-    assert split.residual.max() == tau
-    assert _split_times(v, tau=0.5 * tau).offsets.size == 5
+def test_long_time_rows_take_the_split():
+    # The presets' and eps_sweep's 1201-time row and every prefix that passes
+    # the size rule, which includes the live times of that row at any eps.
+    v = SPLIT_V["linspace"]
+    tau = residual_tolerance(1e-4, 500)
+    for n in range(38, v.size + 1):
+        split = _split_times(v[:n], tau=tau)
+        assert split is not None, n
+        span = max(BLOCK, math.isqrt(n))
+        assert split.offsets.size == span and split.anchors.size == -(-n // span)
+        np.testing.assert_array_equal(split.offsets, (v[n - 1] / (n - 1)) * np.arange(span))
+        # offset + residual is time - anchor, bit for bit, and here time - anchor
+        # is exact, so anchor + (offset + residual) is the time.
+        np.testing.assert_array_equal(split.anchors, v[:n:span])
+        resolved = split.anchors[:, None] + (split.offsets + split.residual)
+        np.testing.assert_array_equal(resolved.ravel()[:n], v[:n])
+        assert np.all(np.abs(split.residual) <= tau)
+        assert not split.residual.ravel()[n:].any()
+    assert _split_times(v[:37], tau=tau) is None  # 3 anchors + 16 offsets > 37/2
+
+
+@pytest.mark.parametrize("eps", np.geomspace(1e-4, 1.0, 9).tolist() + [EPS_REF])
+def test_preset_and_sweep_traces_are_contracted_with_span_offsets(
+    monkeypatch, gaussian_coeffs, surface_coeffs, eps
+):
+    # Every eps_sweep trace, and the figure2/4 traces, which the runner
+    # evaluates as one table of two positions at eps = 0.13, contract their
+    # live times, a prefix of the row, with S = max(BLOCK, isqrt(live))
+    # offsets.
+    calls = spy_on_contracted(monkeypatch)
+    v = SPLIT_V["linspace"]
+    live = np.count_nonzero((-0.5 / eps) * v > EXP_FLOOR)
+    span = max(BLOCK, math.isqrt(live))
+    for c in (gaussian_coeffs, surface_coeffs):
+        for u in ([0.0], [0.5], [0.5, 0.0]):
+            calls.clear()
+            hyperbolic_density(c, eps, np.array(u)[None, :], v[:, None])
+            (args,) = calls
+            split = args[2]
+            assert split.offsets.size == span and split.anchors.size == -(-live // span)
+
+
+def test_irregular_rows_take_the_per_sample_path(monkeypatch, surface_coeffs):
+    # Reversed, shuffled, dyadic-irregular and interleaved rows are not
+    # uniform, so they take the per-sample path and give its values.
+    calls = spy_on_contracted(monkeypatch)
+    v = SPLIT_V["linspace"]
+    rows = {
+        "reversed": v[::-1],
+        "shuffled": np.random.default_rng(10).permutation(v),
+        "irregular": SPLIT_V["irregular"],
+        "interleaved": SPLIT_V["interleaved"],
+    }
+    for eps in (1e-4, EPS_REF, 1.0):
+        tau = residual_tolerance(eps, surface_coeffs.truncation)
+        for name, row in rows.items():
+            assert _split_times(row, tau=tau) is None, name
+            for u in ([0.5], [0.5, 0.0]):
+                values = hyperbolic_density(surface_coeffs, eps, np.array(u)[None, :], row[:, None])
+                tol = contraction_tolerance("hyperbolic", surface_coeffs, eps, row)
+                assert_within(values, pointwise("hyperbolic", surface_coeffs, eps, u, row), tol,
+                              f"{name} {eps}")
+    assert not calls
 
 
 def test_short_or_unrepeating_time_rows_keep_the_direct_formula():
@@ -611,8 +657,8 @@ def test_blocked_evaluator_matches_per_mode_reference(request, profile, eps):
         pairs = density(REFERENCE_U, TRACE_V[:n_u])
         np.testing.assert_allclose(pairs, ref[n_v + np.arange(n_u), np.arange(n_u)],
                                    rtol=0, atol=tol)
-    # Long time rows: one position and tables of two and three positions
-    # are contracted over the modes on the anchor/offset split.
+    # Long time rows at one position and in tables of two and three
+    # positions; the uniform one is contracted over the modes.
     for v in SPLIT_V.values():
         for model, density in families.items():
             ref = reference_density(model, c, eps, np.array(TRACE_U)[None, :], v[:, None])
@@ -817,14 +863,7 @@ def test_contraction_matches_per_sample_evaluation(
 
 
 def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
-    calls = []
-    contracted = spectral._contracted
-
-    def spy(*args):
-        calls.append(args)
-        return contracted(*args)
-
-    monkeypatch.setattr(spectral, "_contracted", spy)
+    calls = spy_on_contracted(monkeypatch)
     v = SPLIT_V["linspace"]
     five = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
     # Only the underdamped telegraph modes are contracted; their direct
@@ -847,27 +886,33 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
             assert bool(calls) == (model in taken), (model, np.shape(u), times.shape)
 
 
+def jittered(v, tau, rng):
+    """v with each time but its last and the S-block anchors moved by up to tau.
+
+    S = max(BLOCK, isqrt(N)) as in the split, so every residual of the split
+    is the move, to within the rounding of the moved time.
+    """
+    move = rng.uniform(-tau, tau, v.size)
+    move[:: max(BLOCK, math.isqrt(v.size))] = 0.0
+    move[-1] = 0.0
+    return v + move
+
+
 @st.composite
 def residual_rows(draw, tau):
-    """Long rows whose offsets carry residuals next to the merge tolerance tau:
-    linspaces shifted up by a few ulps; a period-4 row of 0, tau, x and
-    x + tau (rounded), or of the next floats above tau and x + tau, so that
-    every block's anchor is 0 and its offsets are these times; and
-    linspaces reaching 100, whose rounding variants are wider than tau for
-    the fast families."""
-    kind = draw(st.sampled_from(["shifted", "at_tau", "above_tau", "to_100"]))
+    """Long rows whose split carries residuals up to the acceptance bound tau:
+    linspaces shifted up by a few ulps; linspaces jittered by up to 0.99*tau,
+    so that the first-order correction in the residual matters; and linspaces
+    reaching 100, whose rounding variants exceed tau for the fast families."""
+    kind = draw(st.sampled_from(["shifted", "jittered", "to_100"]))
     n = draw(st.integers(BLOCK, 2000))
-    if kind in ("shifted", "to_100"):
-        v = np.linspace(0.0, 100.0 if kind == "to_100" else draw(st.floats(1e-3, 2.0)), n)
-        if kind == "shifted":
-            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-            v += rng.integers(0, 4, n) * np.spacing(v)
-        return v
-    x = 2.0 ** draw(st.integers(1, 40)) * tau
-    pair = np.array([tau, x + tau])
-    if kind == "above_tau":
-        pair = np.nextafter(pair, math.inf)
-    return np.tile([0.0, pair[0], x, pair[1]], -(-n // 4))
+    v = np.linspace(0.0, 100.0 if kind == "to_100" else draw(st.floats(1e-3, 2.0)), n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "shifted":
+        v += rng.integers(0, 4, n) * np.spacing(v)
+    elif kind == "jittered":
+        v = jittered(v, 0.99 * tau, rng)
+    return v
 
 
 @settings(max_examples=30, deadline=None)
@@ -886,18 +931,40 @@ def test_residual_rows_match_per_sample_evaluation(
     modes = np.ones(terms) if flat else surface_coeffs.modes[:terms]
     c = SpectralCoefficients(mean=1.0, modes=modes)
     u = np.array(positions)[None, :]
-    # Only the underdamped telegraph modes are contracted and merged; the
-    # other families, and the two-timescale family at a subnormal eps, take
-    # the same rows per sample.
+    # Only the underdamped telegraph modes are contracted; the other
+    # families, and the two-timescale family at a subnormal eps, take the
+    # same rows per sample.
     contracted = spectral._discriminant(eps, terms) < -CRITICAL_DISC_TOL
     for model, e in [(model, eps) for model in FAMILIES] + [("wkb", 5e-324)]:
-        row = data.draw(residual_rows(merge_tolerance(eps, terms) if contracted else 0.0))
+        row = data.draw(residual_rows(residual_tolerance(eps, terms) if contracted else 0.0))
         try:
             tol = contraction_tolerance(model, c, e, row)
         except ResonantModeError:
             continue
         values = family_density(model, c, e, u, row[:, None])
         assert_within(values, pointwise(model, c, e, positions, row), tol, model)
+
+
+@pytest.mark.parametrize("eps", [1e-3, EPS_REF, 1.0])
+def test_rows_jittered_past_the_bound_take_the_per_sample_path(monkeypatch, eps):
+    # Every time is live at these eps. The 1201-time row jittered by up to
+    # 0.99 times the acceptance bound is contracted; jittered by 1.01 times
+    # it, at one time, it is not. Both give the per-sample values, with flat
+    # k_m = 1 so that the fastest modes, where the residual's phase is
+    # largest, weigh as much as any.
+    terms, positions = 500, [0.5, 0.0]
+    c = SpectralCoefficients(mean=1.0, modes=np.ones(terms))
+    tau = residual_tolerance(eps, terms)
+    v = jittered(SPLIT_V["linspace"], 0.99 * tau, np.random.default_rng(11))
+    past = SPLIT_V["linspace"].copy()
+    past[600] += 1.01 * tau
+    calls = spy_on_contracted(monkeypatch)
+    for row, taken in ((v, True), (past, False)):
+        calls.clear()
+        values = hyperbolic_density(c, eps, np.array(positions)[None, :], row[:, None])
+        assert bool(calls) == taken
+        tol = contraction_tolerance("hyperbolic", c, eps, row)
+        assert_within(values, pointwise("hyperbolic", c, eps, positions, row), tol)
 
 
 def test_residual_row_with_large_phases_stays_within_the_phase_term():
@@ -909,7 +976,7 @@ def test_residual_row_with_large_phases_stays_within_the_phase_term():
     v = np.linspace(0.0, 0.4794995165429114, 290)
     v += np.random.default_rng(3400277763).integers(0, 4, v.size) * np.spacing(v)
     c = SpectralCoefficients(mean=1.0, modes=np.ones(terms))
-    assert _split_times(v, len(positions), merge_tolerance(eps, terms)) is not None
+    assert _split_times(v, len(positions), residual_tolerance(eps, terms)) is not None
     contracted = family_density("hyperbolic", c, eps, np.array(positions)[None, :], v[:, None])
     per_sample = pointwise("hyperbolic", c, eps, positions, v)
     tol = contraction_tolerance("hyperbolic", c, eps, v)
@@ -943,21 +1010,19 @@ class CountingNumpy:
 
 
 def test_telegraph_trace_forms_trig_once_per_anchor_and_offset(monkeypatch, surface_coeffs):
-    # cos and sin are each formed once per contracted mode at every anchor
-    # and every representative, of which there are at most one per time of
-    # a block. 16-time blocks with unmerged offsets took 500 x (76 anchors +
-    # 105 distinct offsets).
+    # cos and sin are each formed once per contracted mode at each of the 36
+    # anchors and 34 offsets. 16-time blocks with one offset per distinct
+    # v - anchor took 500 x (76 anchors + 105 offsets).
     v = SPLIT_V["linspace"]
     terms = surface_coeffs.truncation
-    split = _split_times(v, 1, merge_tolerance(EPS_REF, terms))
-    span = split.inv.shape[1]
-    assert split.offsets.size <= span
+    split = _split_times(v, 1, residual_tolerance(EPS_REF, terms))
+    assert (split.anchors.size, split.offsets.size) == (36, 34)
     counting = CountingNumpy()
     monkeypatch.setattr(spectral, "np", counting)
     hyperbolic_density(surface_coeffs, EPS_REF, 0.5, v)
     formed = counting.formed
     # One more value per mode covers the cosines of the position itself.
-    bound = terms * (split.anchors.size + span + 1)
+    bound = terms * (split.anchors.size + split.offsets.size + 1)
     assert 0 < formed["cos"] <= bound and 0 < formed["sin"] <= bound, (formed, bound)
     assert bound < terms * (76 + 105)
 
