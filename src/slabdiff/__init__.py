@@ -39,7 +39,7 @@ _EXPORTS = {
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
-_SUBMODULES = (*_EXPORTS, "quadrature", "svgplot")
+_SUBMODULES = (*_EXPORTS, "svgplot")
 
 __all__ = ["__version__", *_HOME]
 

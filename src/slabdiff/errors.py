@@ -14,7 +14,7 @@ class DomainError(SlabDiffError, ValueError):
 
 
 class QuadratureError(SlabDiffError, RuntimeError):
-    """Adaptive quadrature failed to converge; carries diagnostics."""
+    """Coefficient quadrature cannot converge within its evaluation cap; carries diagnostics."""
 
     def __init__(self, message: str, *, best: float, last_delta: float, evaluations: int):
         super().__init__(

@@ -8,11 +8,12 @@ zero-flux eigenbasis {1, cos(2*m*pi*u)}:
     k_m = 2 * integral of n0(u) * cos(2*m*pi*u).
 
 A tabulated profile is piecewise linear, and its coefficients have an exact
-closed form. For the analytic kinds, k0 is an adaptive integral and each k_m
-a composite Gauss-Legendre sum fine enough for its m oscillations; one FFT
-rule over all modes checks every sum, and a sum that misses it is refined.
-The closed forms available for some kinds are independent references in
-the tests, not part of the package.
+closed form. For the analytic kinds, one composite Gauss-Legendre rule on
+equal panels gives every coefficient. One FFT pass of it over all modes
+(Dutt & Rokhlin 1993) gives k0 and checks each k_m, which is a direct sum
+on panels fine enough for its m oscillations; a sum that misses the FFT
+value is refined. The closed forms available for some kinds are
+independent references in the tests, not part of the package.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
@@ -30,15 +31,6 @@ import numpy as np
 
 from .core import HALF_WIDTH, Grid1D, slab_positions
 from .errors import InvalidParameterError, QuadratureError
-from .quadrature import (
-    MAX_EVALUATIONS,
-    PANEL_ORDER,
-    gauss_rule,
-    integrate_adaptive,
-    min_panels_for_oscillations,
-    panel_grid,
-    panel_sum,
-)
 
 #: Quadrature tolerance of the coefficients, in units of max(1, |k0|): the
 #: rounding noise of a coefficient integral scales with the slab mass k0.
@@ -48,6 +40,40 @@ COEFFICIENT_ABS_TOL = 1e-12
 #: multiply the density by mode counts, two-timescale weights and telegraph
 #: factors; this bound keeps every such product far inside the float range.
 MAX_DENSITY = 1e100
+
+#: Gauss-Legendre nodes per panel of the composite rule.
+PANEL_ORDER = 16
+
+#: Hard cap on the density evaluations of one rule: the FFT passes, or the
+#: direct sums of one mode.
+MAX_EVALUATIONS = 2**20
+
+
+@lru_cache(maxsize=1)
+def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the PANEL_ORDER-point Gauss-Legendre rule on [-1, 1]."""
+    return np.polynomial.legendre.leggauss(PANEL_ORDER)
+
+
+def _panel_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of `panels` equal panels on the slab, shape (panels, PANEL_ORDER),
+    and each panel's half-width, shape (panels,)."""
+    nodes, _ = _gauss_rule()
+    edges = np.linspace(-HALF_WIDTH, HALF_WIDTH, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * nodes[None, :], half
+
+
+def _panel_sum(y: np.ndarray, half: np.ndarray) -> float:
+    """The composite rule's value from integrand samples y on a _panel_grid."""
+    _, weights = _gauss_rule()
+    return float(np.sum((y.reshape(half.size, PANEL_ORDER) @ weights) * half))
+
+
+def _oscillation_panels(m: int) -> int:
+    """Panels on the slab that give cos(2*m*pi*u) 8 nodes per period, at least 2."""
+    return max(2, -(-m // 2))
 
 
 class InitialProfile:
@@ -219,7 +245,7 @@ class CosineModeProfile(InitialProfile):
         return self.offset + abs(self.amplitude)
 
     def quadrature_panels_hint(self) -> int:
-        return min_panels_for_oscillations(self.mode)
+        return _oscillation_panels(self.mode)
 
 
 #: Table nodes whose distances from the center differ by at most this many
@@ -361,29 +387,33 @@ def evaluate_profile(profile: InitialProfile, u):
     return out
 
 
-def _fft_modes(profile: InitialProfile, truncation: int, tol: float) -> tuple[np.ndarray, int]:
-    """k_1..k_M of the composite rule on [0, 1/2], by one FFT per node offset.
+def _fft_modes(
+    profile: InitialProfile, truncation: int, panels: int
+) -> tuple[np.ndarray, int, float]:
+    """k0..k_M of the composite rule on [0, 1/2], by one FFT per node offset.
 
-    The profile is even, so k_m = 4 * integral over [0, 1/2]. Panel p of P
-    has width h = 1/L, L = 2P, and its nodes are panel 0's shifted by p*h,
-    so with f_pj = n0(node) * weight,
+    The profile is even, so k0 = 2 and k_m = 4 times an integral over
+    [0, 1/2]. Panel p of P has width h = 1/L, L = 2P, and its nodes are
+    panel 0's shifted by p*h, so with f_pj = n0(node) * weight,
 
         k_m = 4 * Re sum_j F_j(m mod L) * exp(-i*a_m*u_0j),  a_m = 2*m*pi,
 
     where F_j is the length-L DFT of f_pj over the panels and u_0j are
     panel 0's nodes (Dutt & Rokhlin 1993, with only the 16 in-panel
-    offsets off the lattice). P starts at max(hint, ceil(M/4)), 8 nodes
-    per period of the last mode, and doubles until two passes agree to tol.
+    offsets off the lattice); k0 is 2 * the sum of bin 0. P starts at
+    `panels` and doubles until two passes agree in every
+    k0..k_M to COEFFICIENT_ABS_TOL * max(1, |k0|), k0 the finer pass's.
 
     Returns:
-        The finer pass's k_1..k_M and its panel count.
+        The finer pass's k0..k_M, its panel count and the tolerance it met.
 
     Raises:
         QuadratureError: the evaluation cap was hit before two passes agreed.
     """
-    m = np.arange(1, truncation + 1)
+    m = np.arange(truncation + 1)
     a = 2.0 * math.pi * m
-    nodes, weights = gauss_rule(PANEL_ORDER)
+    scale = np.where(m > 0, 4.0, 2.0)
+    nodes, weights = _gauss_rule()
 
     def estimate(panels):
         # Nominal widths and offsets, not a linspace's: a panel width that
@@ -393,11 +423,11 @@ def _fft_modes(profile: InitialProfile, truncation: int, tol: float) -> tuple[np
         u = (2.0 * half) * np.arange(panels)[:, None] + u0
         f = profile._density(u.ravel()).reshape(u.shape) * (half * weights)
         spectrum = np.fft.fft(f, n=2 * panels, axis=0)[m % (2 * panels)]
-        return 4.0 * np.sum(spectrum * np.exp(-1j * np.outer(a, u0)), axis=1).real
+        return scale * np.sum(spectrum * np.exp(-1j * np.outer(a, u0)), axis=1).real
 
-    panels = max(profile.quadrature_panels_hint(), -(-truncation // 4))
     evaluations = panels * PANEL_ORDER
     previous = estimate(panels)
+    tol = COEFFICIENT_ABS_TOL * max(1.0, abs(previous[0]))
     last_delta, worst = math.inf, 0
     while True:
         panels *= 2
@@ -410,28 +440,29 @@ def _fft_modes(profile: InitialProfile, truncation: int, tol: float) -> tuple[np
                 evaluations=evaluations - panels * PANEL_ORDER,
             )
         current = estimate(panels)
+        tol = COEFFICIENT_ABS_TOL * max(1.0, abs(current[0]))
         delta = np.abs(current - previous)
         worst = int(np.argmax(delta))
         last_delta = float(delta[worst])
         if last_delta <= tol:
-            return current, panels
+            return current, panels, tol
         previous = current
 
 
 def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCoefficients:
     """Compute k0 and k_1..k_M: exactly for a tabulated profile, else by quadrature.
 
-    Every tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|); k0 comes from
-    adaptive quadrature. Each k_m is the composite Gauss-Legendre sum on
-    2*P_m panels over the slab, P_m = max(hint, m/2) so the first pass
-    resolves both the profile's sharpest feature and the m oscillations of
-    cos(2*m*pi*u). One FFT rule over all modes (_fft_modes) checks those
-    sums: a k_m farther than the tolerance from it is summed again on twice
-    the panels until it agrees.
+    k0 comes from the FFT rule
+    (_fft_modes), and the tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|).
+    Each k_m is the composite Gauss-Legendre sum on 2*P_m panels over the
+    slab, P_m = max(hint, m/2) so the first pass resolves both the
+    profile's sharpest feature and the m oscillations of cos(2*m*pi*u).
+    The FFT rule checks those sums: a k_m farther than the tolerance from
+    it is summed again on twice the panels until it agrees.
 
     Raises:
-        QuadratureError: k0, the FFT rule or some k_m did not converge
-            within the evaluation cap.
+        QuadratureError: the FFT rule or some k_m did not converge within
+            the evaluation cap.
     """
     if not (isinstance(truncation, int) and truncation >= 1):
         raise InvalidParameterError(f"truncation must be >= 1, got {truncation!r}")
@@ -439,20 +470,11 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
         mean, modes = profile.exact_coefficients(truncation)
         return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
     hint = profile.quadrature_panels_hint()
-    mean = integrate_adaptive(
-        profile._density,
-        -HALF_WIDTH,
-        HALF_WIDTH,
-        abs_tol=COEFFICIENT_ABS_TOL,
-        rel_tol=COEFFICIENT_ABS_TOL,
-        min_panels=hint,
-    )
-    tol = COEFFICIENT_ABS_TOL * max(1.0, abs(mean))
-    check, check_panels = _fft_modes(profile, truncation, tol)
+    check, check_panels, tol = _fft_modes(profile, truncation, max(hint, -(-truncation // 4)))
 
     @lru_cache(maxsize=2)
     def grid(panels):
-        x, half = panel_grid(-HALF_WIDTH, HALF_WIDTH, panels)
+        x, half = _panel_grid(panels)
         u = x.ravel()
         return u, half, profile._density(u)
 
@@ -460,8 +482,8 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     max_delta, refined = 0.0, 0
     for m in range(1, truncation + 1):
         w = 2.0 * math.pi * m
-        first = panels = 2 * max(hint, min_panels_for_oscillations(m))
-        value, delta, evaluations = check[m - 1], math.inf, 0
+        first = panels = 2 * max(hint, _oscillation_panels(m))
+        value, delta, evaluations = check[m], math.inf, 0
         while not delta <= tol:
             evaluations += panels * PANEL_ORDER
             if evaluations > MAX_EVALUATIONS:
@@ -472,8 +494,8 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
                     evaluations=evaluations - panels * PANEL_ORDER,
                 )
             u, half, density = grid(panels)
-            value = 2.0 * panel_sum(density * np.cos(w * u), half)
-            delta = abs(value - check[m - 1])
+            value = 2.0 * _panel_sum(density * np.cos(w * u), half)
+            delta = abs(value - check[m])
             panels *= 2
         modes[m - 1] = value
         refined += evaluations > first * PANEL_ORDER
@@ -485,4 +507,4 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
         "max |direct - FFT| = %.3e, %d of %d modes refined",
         profile.tag(), check_panels, max_delta, refined, truncation,
     )
-    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
+    return SpectralCoefficients(mean=float(check[0]), modes=modes, profile_tag=profile.tag())

@@ -7,10 +7,12 @@ summed one mode at a time, the underdamped telegraph modes summed in long
 double, the telegraph mode ODE integrated numerically, the explicit
 finite-difference schemes marched one step at a time, the runner's CSV
 rows and chart polylines formatted one element at a time (with the chart's
-layout constants), and the `coeffs` table printed one line at a time.
-The one exception is a separate adaptive integral per coefficient, which
-calls the package's `integrate_adaptive` (checked on its own in
-test_quadrature.py) once per mode.
+layout constants), the `coeffs` table printed one line at a time, and an
+adaptive integral per coefficient (checked on its own in
+test_quadrature.py). That integral uses the 16-node composite
+Gauss-Legendre rule of the package's direct sums, with the same panel
+edges and summation order, so where it stops on the panel count of a
+direct sum the two agree bit for bit.
 """
 
 import io
@@ -21,15 +23,17 @@ import mpmath
 import numpy as np
 
 from slabdiff import (
+    CosineModeProfile,
     DomainError,
     GaussianProfile,
     InvalidParameterError,
+    QuadratureError,
     SpectralCoefficients,
     SurfaceCoshProfile,
+    UniformProfile,
 )
 from slabdiff.core import HALF_WIDTH
 from slabdiff.profiles import COEFFICIENT_ABS_TOL
-from slabdiff.quadrature import integrate_adaptive, min_panels_for_oscillations
 from slabdiff.spectral import CRITICAL_DISC_TOL, check_wkb_eps
 from slabdiff.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
@@ -104,6 +108,74 @@ def gaussian_mode_closed_form(profile: GaussianProfile, m: int) -> float:
                      * mpmath.re(mpmath.erf(z)))
 
 
+def mass_closed_form(profile) -> float:
+    """Exact k0, the slab integral of n0, of an analytic profile.
+
+    Gaussian: A*erf(sqrt(s)/2), at 60 digits; surface: A; uniform: the
+    level; single cosine mode: the offset, since the mode integrates to 0.
+    """
+    if isinstance(profile, GaussianProfile):
+        with mpmath.workdps(60):
+            return float(profile.amplitude * mpmath.erf(mpmath.sqrt(profile.sharpness) / 2))
+    if isinstance(profile, SurfaceCoshProfile):
+        return profile.amplitude
+    if isinstance(profile, UniformProfile):
+        return profile.level
+    if isinstance(profile, CosineModeProfile):
+        return profile.offset
+    raise InvalidParameterError(f"no closed-form mass for {profile.tag()}")
+
+
+#: Nodes per panel of the adaptive rule: the package's direct sums use the same.
+PANEL_ORDER = 16
+
+
+def oscillation_panels(m: int) -> int:
+    """Panels on the slab that give m full periods 8 nodes each, at least 2."""
+    return max(2, math.ceil(m * 8 / PANEL_ORDER))
+
+
+def composite_gauss_legendre(f, a: float, b: float, panels: int) -> float:
+    """The 16-node Gauss-Legendre rule on `panels` equal panels of [a, b]."""
+    nodes, weights = np.polynomial.legendre.leggauss(PANEL_ORDER)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    y = np.asarray(f((mid[:, None] + half[:, None] * nodes[None, :]).ravel()), dtype=float)
+    return float(np.sum((y.reshape(panels, PANEL_ORDER) @ weights) * half))
+
+
+def integrate_adaptive(f, a: float, b: float, abs_tol: float = 1e-12, min_panels: int = 2,
+                       max_evaluations: int = 2**20, rel_tol: float = 0.0) -> float:
+    """Integrate f over [a, b], doubling the panels until two sums agree.
+
+    f takes a 1D array. Starting on max(2, min_panels) panels, the count
+    doubles until two successive composite sums differ by at most
+    max(abs_tol, rel_tol * |finer sum|); the finer sum is returned.
+
+    Raises:
+        QuadratureError: the evaluation cap was hit before two sums agreed.
+    """
+    panels = max(2, min_panels)
+    evaluations = panels * PANEL_ORDER
+    previous = composite_gauss_legendre(f, a, b, panels)
+    last_delta = math.inf
+    while True:
+        panels *= 2
+        evaluations += panels * PANEL_ORDER
+        if evaluations > max_evaluations:
+            raise QuadratureError(
+                f"quadrature did not reach abs_tol={abs_tol!r} on [{a!r}, {b!r}]",
+                best=previous, last_delta=last_delta,
+                evaluations=evaluations - panels * PANEL_ORDER,
+            )
+        current = composite_gauss_legendre(f, a, b, panels)
+        last_delta = abs(current - previous)
+        if last_delta <= max(abs_tol, rel_tol * abs(current)):
+            return current
+        previous = current
+
+
 def adaptive_coefficients(profile, truncation: int) -> SpectralCoefficients:
     """k0 and k_1..k_M as one adaptive integral each, at the package's tolerance.
 
@@ -125,7 +197,7 @@ def adaptive_coefficients(profile, truncation: int) -> SpectralCoefficients:
 
         modes[m - 1] = 2.0 * integrate_adaptive(
             integrand, -HALF_WIDTH, HALF_WIDTH, abs_tol=tol,
-            min_panels=max(hint, min_panels_for_oscillations(m)))
+            min_panels=max(hint, oscillation_panels(m)))
     return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
 
 

@@ -94,7 +94,7 @@ def test_star_import_and_submodules_resolve():
     exec("from slabdiff import *", namespace)
     assert [name for name in PUBLIC_NAMES if name not in namespace] == []
     assert namespace["run_scenario"] is importlib.import_module("slabdiff.runner").run_scenario
-    for module in ("runner", "spectral", "svgplot", "quadrature"):
+    for module in ("runner", "spectral", "svgplot"):
         assert getattr(slabdiff, module) is importlib.import_module(f"slabdiff.{module}")
         assert module in dir(slabdiff)
 

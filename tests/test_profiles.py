@@ -6,6 +6,8 @@ import pytest
 from oracles import (
     adaptive_coefficients,
     gaussian_mode_closed_form,
+    integrate_adaptive,
+    mass_closed_form,
     surface_cosh_mode_closed_form,
 )
 
@@ -25,8 +27,7 @@ from slabdiff import (
     profiles,
 )
 from slabdiff.cli import main
-from slabdiff.profiles import COEFFICIENT_ABS_TOL, _fft_modes
-from slabdiff.quadrature import PANEL_ORDER, integrate_adaptive
+from slabdiff.profiles import COEFFICIENT_ABS_TOL, PANEL_ORDER, _fft_modes
 
 # ---------------------------------------------------------------------------
 # evaluate_profile
@@ -237,11 +238,15 @@ def test_coefficients_scale_with_the_profile(profile, unit):
 
 @pytest.mark.parametrize("name", ["gaussian_coeffs", "surface_coeffs"])
 def test_preset_coefficients_match_the_adaptive_oracle_bit_for_bit(request, name):
-    """The FFT rule only checks the sums: preset outputs keep every bit."""
+    """The FFT rule only checks the k_m sums: preset k_m keep every bit.
+
+    k0 comes from the FFT rule and is checked against its closed form.
+    """
     c = request.getfixturevalue(name)
     profile = request.getfixturevalue(name.replace("coeffs", "profile"))
     reference = adaptive_coefficients(profile, c.truncation)
-    assert c.mean == reference.mean
+    mass = mass_closed_form(profile)
+    assert abs(c.mean - mass) <= 1e-15 * abs(mass)
     assert np.array_equal(c.modes, reference.modes)
 
 
@@ -266,9 +271,10 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
     # Each oracle integral is independent of M, so M = 7 is a prefix of 500.
     reference = adaptive_coefficients(profile, 500)
     tol = COEFFICIENT_ABS_TOL * max(1.0, abs(reference.mean))
+    mass = mass_closed_form(profile)
     for truncation in (7, 500):
         c = compute_coefficients(profile, truncation)
-        assert c.mean == reference.mean
+        assert abs(c.mean - mass) <= COEFFICIENT_ABS_TOL * max(1.0, abs(mass))
         np.testing.assert_allclose(c.modes, reference.modes[:truncation], rtol=0, atol=tol)
 
 
@@ -280,9 +286,10 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
 ])
 def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
     """The FFT rule alone is an order of magnitude inside the quadrature tolerance."""
-    modes, _ = _fft_modes(profile, truncation, COEFFICIENT_ABS_TOL)
-    exact = np.array([closed_form(profile, m) for m in range(1, truncation + 1)])
-    np.testing.assert_allclose(modes, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
+    first = max(profile.quadrature_panels_hint(), -(-truncation // 4))
+    values, _, _ = _fft_modes(profile, truncation, first)
+    exact = [mass_closed_form(profile)] + [closed_form(profile, m) for m in range(1, truncation + 1)]
+    np.testing.assert_allclose(values, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
 
 
 class CoarseHintGaussian(GaussianProfile):

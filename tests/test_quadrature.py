@@ -1,13 +1,14 @@
+"""The adaptive Gauss-Legendre integrator of tests/oracles.py, which the
+coefficient references are built on."""
+
 import math
 
 import numpy as np
 import pytest
+from oracles import integrate_adaptive, oscillation_panels
 
 from slabdiff import QuadratureError
-from slabdiff.quadrature import (
-    integrate_adaptive,
-    min_panels_for_oscillations,
-)
+from slabdiff.profiles import _oscillation_panels
 
 
 def test_polynomial_is_exact():
@@ -21,7 +22,7 @@ def test_full_period_cosine_integrates_to_zero():
         lambda u: np.cos(2 * math.pi * m * u),
         -0.5,
         0.5,
-        min_panels=min_panels_for_oscillations(m),
+        min_panels=oscillation_panels(m),
     )
     assert abs(val) < 1e-13
 
@@ -33,17 +34,20 @@ def test_oscillatory_product_matches_orthogonality():
             lambda u: np.cos(2 * math.pi * m * u) * np.cos(2 * math.pi * k * u),
             -0.5,
             0.5,
-            min_panels=min_panels_for_oscillations(max(m, k)),
+            min_panels=oscillation_panels(max(m, k)),
         )
         assert val == pytest.approx(expected, abs=1e-13)
 
 
 def test_min_panels_scale_with_oscillations():
-    assert min_panels_for_oscillations(0) == 2
-    assert min_panels_for_oscillations(1) == 2
+    assert oscillation_panels(0) == 2
+    assert oscillation_panels(1) == 2
     # 8 nodes per period at 16 nodes per panel -> m/2 panels
-    assert min_panels_for_oscillations(100) == 50
-    assert min_panels_for_oscillations(500) == 250
+    assert oscillation_panels(100) == 50
+    assert oscillation_panels(500) == 250
+    # The package's direct sums start where the oracle's integrals do.
+    for m in range(1, 1002):
+        assert _oscillation_panels(m) == oscillation_panels(m), m
 
 
 def test_narrow_spike_is_refined_not_missed():
