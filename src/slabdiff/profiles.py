@@ -387,6 +387,34 @@ def evaluate_profile(profile: InitialProfile, u):
     return out
 
 
+def check_truncation(profile: InitialProfile, truncation: int) -> int:
+    """Raise unless the coefficient rules can reach `truncation` modes; evaluate nothing.
+
+    The FFT rule starts on max(hint, ceil(M/4)) panels over [0, 1/2] and
+    needs two passes, 3x those panels, to compare anything; k_M's direct sum
+    starts on 2*max(hint, ceil(M/2)) panels over the slab. Both give the last
+    mode 8 nodes per period. Under MAX_EVALUATIONS = 2**20 no profile
+    reaches M > 65536, and one whose hint exceeds 21845 panels (a cosine
+    mode above 43690) reaches no M.
+
+    Returns:
+        The FFT rule's first panel count.
+
+    Raises:
+        QuadratureError: either rule's first step exceeds MAX_EVALUATIONS.
+    """
+    hint = profile.quadrature_panels_hint()
+    fft, direct = max(hint, -(-truncation // 4)), 2 * max(hint, _oscillation_panels(truncation))
+    evaluations = PANEL_ORDER * max(3 * fft, direct)
+    if evaluations > MAX_EVALUATIONS:
+        raise QuadratureError(
+            f"terms={truncation} needs {evaluations} density evaluations before the "
+            f"coefficient quadrature can converge, above its cap of {MAX_EVALUATIONS}",
+            best=math.nan, last_delta=math.inf, evaluations=0,
+        )
+    return fft
+
+
 def _fft_modes(
     profile: InitialProfile, truncation: int, panels: int
 ) -> tuple[np.ndarray, int, float]:
@@ -401,7 +429,7 @@ def _fft_modes(
     where F_j is the length-L DFT of f_pj over the panels and u_0j are
     panel 0's nodes (Dutt & Rokhlin 1993, with only the 16 in-panel
     offsets off the lattice); k0 is 2 * the sum of bin 0. P starts at
-    `panels` and doubles until two passes agree in every
+    `panels` (check_truncation) and doubles until two passes agree in every
     k0..k_M to COEFFICIENT_ABS_TOL * max(1, |k0|), k0 the finer pass's.
 
     Returns:
@@ -452,7 +480,8 @@ def _fft_modes(
 def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCoefficients:
     """Compute k0 and k_1..k_M: exactly for a tabulated profile, else by quadrature.
 
-    k0 comes from the FFT rule
+    check_truncation refuses, before any evaluation, a truncation that the
+    rules cannot reach under the evaluation cap. k0 comes from the FFT rule
     (_fft_modes), and the tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|).
     Each k_m is the composite Gauss-Legendre sum on 2*P_m panels over the
     slab, P_m = max(hint, m/2) so the first pass resolves both the
@@ -461,16 +490,17 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     it is summed again on twice the panels until it agrees.
 
     Raises:
-        QuadratureError: the FFT rule or some k_m did not converge within
-            the evaluation cap.
+        QuadratureError: the truncation is out of reach, or the FFT rule or
+            some k_m did not converge within the evaluation cap.
     """
     if not (isinstance(truncation, int) and truncation >= 1):
         raise InvalidParameterError(f"truncation must be >= 1, got {truncation!r}")
+    fft_panels = check_truncation(profile, truncation)
     if isinstance(profile, TabulatedProfile):
         mean, modes = profile.exact_coefficients(truncation)
         return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
     hint = profile.quadrature_panels_hint()
-    check, check_panels, tol = _fft_modes(profile, truncation, max(hint, -(-truncation // 4)))
+    check, check_panels, tol = _fft_modes(profile, truncation, fft_panels)
 
     @lru_cache(maxsize=2)
     def grid(panels):

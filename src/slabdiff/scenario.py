@@ -43,6 +43,7 @@ from .core import (
 )
 from .errors import (
     InvalidParameterError,
+    QuadratureError,
     ResonantModeError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -54,6 +55,7 @@ from .profiles import (
     GaussianProfile,
     InitialProfile,
     SurfaceCoshProfile,
+    check_truncation,
 )
 
 if TYPE_CHECKING:
@@ -109,6 +111,10 @@ class Scenario:
             raise ScenarioValidationError(
                 f"[profile] peak density {peak!r} exceeds {MAX_DENSITY:g}"
             )
+        try:
+            check_truncation(self.profile, self.truncation)
+        except QuadratureError as exc:
+            raise ScenarioValidationError(str(exc)) from exc
         if not (self.u_points >= 2):
             raise ScenarioValidationError(f"u_points must be >= 2, got {self.u_points!r}")
         if (self.v_list is None) == (self.v_range is None):

@@ -1,0 +1,135 @@
+"""Mutation spot check: does each seeded fault fail the tests named for it?
+
+Each mutant changes one exact snippet of one source file. For each, the tree
+is copied to a temporary directory, the snippet replaced, and the named test
+files run with `pytest -x`; a failing run kills the mutant. The unmutated
+copy must pass the same test files first, or no verdict means anything.
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py EXP_FLOOR  # the named mutants only
+
+Prints one line per mutant (killed, survived or timeout, the seconds taken
+and the first failing test) and exits 1 if a mutant survives without a
+recorded reason for its equivalence, if a snippet no longer occurs exactly
+once, or if the unmutated tests fail. pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: Seconds one pytest run may take before its mutant counts as a timeout.
+TIMEOUT = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # path relative to the repository root
+    original: str  # must occur exactly once in the module
+    replacement: str
+    tests: tuple[str, ...]
+    equivalent: str | None = None  # why a survivor changes no behaviour
+
+
+MUTANTS = (
+    Mutant("EXP_FLOOR", "src/slabdiff/spectral.py",
+           "EXP_FLOOR = -708.0", "EXP_FLOOR = -60.0",
+           ("tests/test_spectral.py",)),
+    Mutant("COEFFICIENT_ABS_TOL", "src/slabdiff/profiles.py",
+           "COEFFICIENT_ABS_TOL = 1e-12", "COEFFICIENT_ABS_TOL = 1e-9",
+           ("tests/test_profiles.py",)),
+    Mutant("contraction_Q_sign", "src/slabdiff/spectral.py",
+           "p_d, q_d = cos_d + r * sin_d, r * cos_d - sin_d",
+           "p_d, q_d = cos_d + r * sin_d, r * cos_d + sin_d",
+           ("tests/test_spectral.py",)),
+    Mutant("RESIDUAL_PHASE", "src/slabdiff/spectral.py",
+           "RESIDUAL_PHASE = 1e-8", "RESIDUAL_PHASE = 1e-5",
+           ("tests/test_spectral.py",)),
+    Mutant("k0_bin0_factor", "src/slabdiff/profiles.py",
+           "scale = np.where(m > 0, 4.0, 2.0)", "scale = np.where(m > 0, 4.0, 4.0)",
+           ("tests/test_profiles.py",)),
+    # Without the first-pass check the FFT rule evaluates its first pass
+    # before its loop meets the cap, as it once did.
+    Mutant("cap_check_after_first_fft_pass", "src/slabdiff/profiles.py",
+           "    if evaluations > MAX_EVALUATIONS:\n        raise QuadratureError(\n"
+           '            f"terms=',
+           "    if False:\n        raise QuadratureError(\n"
+           '            f"terms=',
+           ("tests/test_profiles.py",)),
+)
+
+_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", "out", "results")
+
+
+def run_tests(tree: Path, tests: tuple[str, ...]) -> tuple[str, float, str]:
+    """Run pytest -x on `tests` in `tree`.
+
+    Returns "passed", "failed" or "timeout", the seconds taken, and the
+    first failing test's id ("" if none failed).
+    """
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-rf", "-p", "no:cacheprovider",
+               *tests]
+    start = time.perf_counter()
+    try:
+        result = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True,
+                                timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return "timeout", time.perf_counter() - start, ""
+    seconds = time.perf_counter() - start
+    if result.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited with code {result.returncode} on "
+                         f"{' '.join(tests)} in {tree}:\n{result.stdout}{result.stderr}")
+    failed = [line.split()[1] for line in result.stdout.splitlines()
+              if line.startswith("FAILED ")]
+    return ("passed" if result.returncode == 0 else "failed"), seconds, "".join(failed[:1])
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="slabdiff-mutants-") as scratch:
+        clean = Path(scratch) / "clean"
+        shutil.copytree(ROOT, clean, ignore=_IGNORE)
+        files = tuple(sorted({t for m in chosen for t in m.tests}))
+        status, seconds, failed = run_tests(clean, files)
+        print(f"{'unmutated':32s} {status:8s} {seconds:7.1f} s  {failed or ' '.join(files)}")
+        if status != "passed":
+            return 1
+        for mutant in chosen:
+            source = (clean / mutant.module).read_text()
+            if source.count(mutant.original) != 1:
+                print(f"{mutant.name:32s} stale: the snippet does not occur exactly once "
+                      f"in {mutant.module}")
+                bad += 1
+                continue
+            tree = Path(scratch) / mutant.name
+            shutil.copytree(clean, tree)
+            (tree / mutant.module).write_text(source.replace(mutant.original, mutant.replacement))
+            status, seconds, failed = run_tests(tree, mutant.tests)
+            verdict = {"failed": "killed", "passed": "survived"}.get(status, status)
+            note = f"by {failed}" if failed else ""
+            if verdict == "survived":
+                note = f"equivalent: {mutant.equivalent}" if mutant.equivalent else "NO REASON"
+                bad += mutant.equivalent is None
+            print(f"{mutant.name:32s} {verdict:8s} {seconds:7.1f} s  {note}".rstrip())
+            shutil.rmtree(tree)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -27,7 +27,7 @@ from slabdiff import (
     profiles,
 )
 from slabdiff.cli import main
-from slabdiff.profiles import COEFFICIENT_ABS_TOL, PANEL_ORDER, _fft_modes
+from slabdiff.profiles import COEFFICIENT_ABS_TOL, PANEL_ORDER, _fft_modes, check_truncation
 
 # ---------------------------------------------------------------------------
 # evaluate_profile
@@ -286,8 +286,7 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
 ])
 def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
     """The FFT rule alone is an order of magnitude inside the quadrature tolerance."""
-    first = max(profile.quadrature_panels_hint(), -(-truncation // 4))
-    values, _, _ = _fft_modes(profile, truncation, first)
+    values, _, _ = _fft_modes(profile, truncation, check_truncation(profile, truncation))
     exact = [mass_closed_form(profile)] + [closed_form(profile, m) for m in range(1, truncation + 1)]
     np.testing.assert_allclose(values, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
 
@@ -316,6 +315,16 @@ def test_fft_rule_hits_the_cap(monkeypatch):
     check_quadrature_error(excinfo, cap)
 
 
+def test_refined_sums_meet_the_tolerance_as_a_literal():
+    # On 16 panels k_1 and k_4 of this profile are 5.4e-10 and 7.5e-10 from
+    # the FFT rule, so a tolerance of 1e-9 would keep them unrefined.
+    profile = CoarseHintGaussian(1e4, 1.0)
+    c = compute_coefficients(profile, 7)
+    assert abs(c.mean - mass_closed_form(profile)) <= 1e-12
+    exact = [gaussian_mode_closed_form(profile, m) for m in range(1, 8)]
+    np.testing.assert_allclose(c.modes, exact, rtol=0, atol=1e-12)
+
+
 def test_mode_refinement_hits_the_cap(monkeypatch):
     # The FFT rule converges under the normal cap; k_1's first sum, on 4
     # panels, then misses it, and the lowered cap stops the doubling.
@@ -338,11 +347,52 @@ def test_cli_coeffs_reports_quadrature_error(monkeypatch, tmp_path, capsys):
     cfg.write_text("[scenario]\nname = capped\neps = 0.13\nterms = 500\nu_points = 51\n"
                    "v = 0.01\nmodels = parabolic\n\n"
                    "[profile]\nkind = gaussian\nsharpness = 100\namplitude = 1\n")
-    monkeypatch.setattr(profiles, "MAX_EVALUATIONS", 4 * PANEL_ORDER)
+    # Validation and the first-pass check see the real cap; the FFT rule then
+    # runs under one of 64 evaluations, which its second pass exceeds.
+    fft_modes = profiles._fft_modes
+
+    def fft_modes_under_a_lower_cap(*args):
+        monkeypatch.setattr(profiles, "MAX_EVALUATIONS", 4 * PANEL_ORDER)
+        return fft_modes(*args)
+
+    monkeypatch.setattr(profiles, "_fft_modes", fft_modes_under_a_lower_cap)
     assert main(["coeffs", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_out_of_reach_truncation_is_refused_before_any_evaluation(monkeypatch):
+    calls = []
+    density = GaussianProfile._density
+
+    def spy(self, u):
+        calls.append(np.size(u))
+        return density(self, u)
+
+    monkeypatch.setattr(GaussianProfile, "_density", spy)
+    profile = GaussianProfile(100.0, 1.0)
+    # Under a cap of 128 evaluations the FFT rule's first pass alone would
+    # take 16 * 1000 at M = 4000, and 16 * 10 (the panel hint) at M = 1.
+    monkeypatch.setattr(profiles, "MAX_EVALUATIONS", 128)
+    for truncation in (4000, 1):
+        with pytest.raises(QuadratureError, match=f"terms={truncation} needs") as excinfo:
+            compute_coefficients(profile, truncation)
+        assert excinfo.value.evaluations == 0
+        assert calls == []
+    # Under the real cap k_M's first direct sum takes 32 * max(hint, ceil(M/2))
+    # of its 2**20 evaluations: M = 65536 fits, M = 65537 does not.
+    monkeypatch.undo()
+    monkeypatch.setattr(GaussianProfile, "_density", spy)
+    assert check_truncation(profile, 65536) == 16384
+    with pytest.raises(QuadratureError, match="terms=65537 needs 1048608 density"):
+        compute_coefficients(profile, 65537)
+    # A hint of h panels costs the FFT rule 48 * h evaluations for its first
+    # two passes: h = 21845 (a cosine mode of 43690) fits, 21846 does not.
+    assert check_truncation(CosineModeProfile(43690, 1.0, 1.0), 7) == 21845
+    with pytest.raises(QuadratureError, match="terms=7 needs 1048608 density"):
+        check_truncation(CosineModeProfile(43691, 1.0, 1.0), 7)
+    assert calls == []
 
 
 def test_coefficients_log_the_fft_check(caplog):

@@ -333,6 +333,10 @@ CONFIG_ERRORS = {
                                 ("parabolic, hyperbolic", "parabolic")],
     "u_points_too_large": [("u_points = 51", "u_points = 100000000000000000000"),
                            ("parabolic, hyperbolic", "parabolic")],
+    # more modes, or a finer mode, than the coefficient quadrature reaches
+    "terms_out_of_reach": [("terms = 50", "terms = 65537")],
+    "cosine_mode_out_of_reach": [("kind = gaussian\nsharpness = 100\namplitude = 1",
+                                  "kind = cosine_mode\nmode = 43691\noffset = 1\namplitude = 1")],
 }
 
 
@@ -350,6 +354,23 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
+
+
+def test_cli_validate_accepts_terms_up_to_the_quadrature_cap(tmp_path, capsys):
+    # 65536 terms are the most the coefficient quadrature reaches; validate
+    # decides it without computing a coefficient.
+    cfg = tmp_path / "terms.cfg"
+    cfg.write_text(CONFIG_SMALL.replace("terms = 50", "terms = 65536"))
+    assert main(["validate", str(cfg)]) == 0
+    for argv in (["validate", str(tmp_path / "over.cfg")],
+                 ["coeffs", str(cfg), "--terms", "65537"]):
+        (tmp_path / "over.cfg").write_text(CONFIG_SMALL.replace("terms = 50", "terms = 65537"))
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: terms=65537 needs")
+        assert captured.err.count("\n") == 1
 
 
 def test_cli_runs_a_validated_huge_time(tmp_path, capsys):

@@ -15,6 +15,7 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
+    QuadratureError,
     ResonantModeError,
     Scenario,
     ScenarioParseError,
@@ -30,7 +31,7 @@ from slabdiff import (
 )
 from slabdiff.analysis import MIN_TRACE_SAMPLES
 from slabdiff.fd import snapshot_steps
-from slabdiff.profiles import MAX_DENSITY, PROFILE_KINDS
+from slabdiff.profiles import MAX_DENSITY, PROFILE_KINDS, check_truncation
 from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS, override
 from slabdiff.spectral import check_wkb_eps
 
@@ -331,7 +332,14 @@ def scenarios(draw):
     else:
         eps_values |= st.just(0.0)
     eps = draw(eps_values)
-    truncation = draw(st.integers(1, 10**6))
+    # 65536 terms are the most the coefficient quadrature reaches, and a
+    # cosine mode above 43690 leaves it none
+    profile = draw(profiles)
+    truncation = draw(st.integers(1, 2**16))
+    try:
+        check_truncation(profile, truncation)
+    except QuadratureError:
+        assume(False)
     if "wkb" in models:
         try:
             check_wkb_eps(eps, truncation)
@@ -355,7 +363,7 @@ def scenarios(draw):
     s = Scenario(
         name=draw(st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True)),
         eps=eps,
-        profile=draw(profiles),
+        profile=profile,
         truncation=truncation,
         u_points=draw(st.integers(2, 10**6)),
         trace_u=trace_u,

@@ -72,6 +72,20 @@ def test_parabolic_single_mode_decay():
     assert parabolic_density(c, 0.0, 0.1) == pytest.approx(1.0192963029110167, rel=1e-13)
 
 
+def test_decays_are_flushed_only_at_the_exp_floor():
+    """exp(x) is kept down to EXP_FLOOR = -708, the edge of the subnormals."""
+    assert EXP_FLOOR == -708.0
+    out = spectral._exp(np.array([-700.0, -707.9, -708.0, -708.1, math.nan]))
+    assert out[0] == math.exp(-700.0) and out[1] == math.exp(-707.9)
+    assert out[2] == 0.0 and out[3] == 0.0 and math.isnan(out[4])
+    # k_1 = 1 alone decays as exp(-(2 pi)^2 v) at u = 0.
+    one_mode = SpectralCoefficients(mean=0.0, modes=[1.0])
+    rate = (2.0 * math.pi) ** 2
+    for x, expected in ((700.0, math.exp(-700.0)), (707.9, math.exp(-707.9)), (708.1, 0.0)):
+        got = parabolic_density(one_mode, 0.0, x / rate)
+        assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
 def test_parabolic_reaches_equilibrium(gaussian_coeffs):
     # slowest mode factor exp(-4 pi^2 * 10) ~ 1e-172
     u = np.linspace(-0.5, 0.5, 11)
