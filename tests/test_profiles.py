@@ -287,7 +287,8 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
 def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
     """The FFT rule alone is an order of magnitude inside the quadrature tolerance."""
     values, _, _ = _fft_modes(profile, truncation, check_truncation(profile, truncation))
-    exact = [mass_closed_form(profile)] + [closed_form(profile, m) for m in range(1, truncation + 1)]
+    exact = [mass_closed_form(profile)]
+    exact += [closed_form(profile, m) for m in range(1, truncation + 1)]
     np.testing.assert_allclose(values, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
 
 
