@@ -54,31 +54,30 @@ Telegraph contraction. The direct formula of an underdamped telegraph mode
 pays a cos and a sin per mode and sample, so on a uniform time row these
 modes are instead contracted over the modes before time is expanded, at
 the N times where their shared decay is not 0. The N times are reshaped
-into blocks of S = max(BLOCK, isqrt(N)) samples: each time is its block's
-first time (the anchor a), plus the nominal offset d = s*h of its place s
-in the block, h the row's mean step, plus its residual e = (v - a) - d,
-exact. A uniform trace of 1201 times has 36 anchors and 34 offsets. Each
-mode's factor at v = a + d, divided by the shared decay, is
+into blocks of S = max(BLOCK, isqrt(N)) samples, and each time is
+evaluated at its nominal time: its block's first time (the anchor a) plus
+the offset d = s*h of its place s in the block, h the row's mean step. A
+uniform trace of 1201 times has 36 anchors and 34 offsets. Each mode's
+factor at v = a + d, divided by the shared decay, is
 cos(omega*a)*P(d) + sin(omega*a)*Q(d), with
 P = cos(omega*d) + r*sin(omega*d), Q = r*cos(omega*d) - sin(omega*d) and
 r = 1/(2*eps*omega). With k_m*cos(2*m*pi*u) folded into the anchor side,
 one matrix product per block of modes, G[d, (a, j)] += sum_m
-B[m, d]*A[m, (a, j)], replaces the (modes x times) table. The closed-form
-derivatives omega*Q and -omega*P are appended to B, so the same product
-also gives dG/dd, and each sample reads G + e*dG at its anchor and offset,
-a reshape of G. A row is contracted only when every |e| is at most
-tau = RESIDUAL_PHASE/R, R the top frequency omega or 1/(2*eps), the larger:
-the neglected second-order term of each mode is then at most
-(R*tau)^2 = RESIDUAL_PHASE^2 = 1e-16 of |k_m|. It is also contracted only
-when the Q anchors and S offsets number at most half the N times and
-J*Q*2*S <= BLOCK*N for J positions, where a table of fewer than BLOCK
-positions counts as one: a 1201-time table of up to 15 positions
-qualifies. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + 2*S)) modes, so
-peak memory does not grow with the truncation. Rows of few times, rows
-that are not sorted and uniform to within tau (reversed, shuffled,
-irregular or patterned rows), rows holding a non-finite time and (u, v)
-pairs take the per-sample path, as do the overdamped and critical
-telegraph modes.
+B[m, d]*A[m, (a, j)], replaces the (modes x times) table, and each sample
+reads G at its anchor and offset, a reshape of G. A row is contracted only
+when it is uniform to within its own rounding: every |(v - a) - s*h| is at
+most SPLIT_SPACINGS = 3 spacings of its last time, which a rounded uniform
+row meets (the derivation is in _split_times). Each sample's time then
+moves by at most that much, and its value by |dn/dv| times it. A row is
+also contracted only when the Q anchors and S offsets number at most half
+the N times and J*Q*S <= BLOCK*N/2 for J positions, where a table of fewer
+than BLOCK positions counts as one: a 1201-time table of up to 15
+positions qualifies. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + S))
+modes, so peak memory does not grow with the truncation. Rows of few
+times, rows that are not sorted and uniform to within their rounding
+(jittered, reversed, shuffled, irregular or patterned rows), rows holding
+a non-finite time and (u, v) pairs take the per-sample path, as do the
+overdamped and critical telegraph modes.
 
 The time factors are the same code on every path, and on every path the
 two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
@@ -88,7 +87,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -114,11 +112,10 @@ CRITICAL_DISC_TOL = 1e-12
 #: truncation.
 BLOCK = 16
 
-#: The largest phase R*|e| of a residual e that the telegraph contraction
-#: accepts, R the fastest rate of the contracted modes: its first-order
-#: correction in e then leaves out at most RESIDUAL_PHASE**2 of each mode's
-#: weight.
-RESIDUAL_PHASE = 1e-8
+#: The largest |(v - anchor) - s*h| of a time row that the telegraph
+#: contraction accepts, in spacings np.spacing(v[-1]) of the row's last
+#: time: the rounding of a rounded uniform row (see _split_times).
+SPLIT_SPACINGS = 3.0
 
 #: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
 #: the subnormal range that starts at x = -708.4) are taken as 0.
@@ -163,37 +160,33 @@ def _exp(x):
 # Series evaluator
 # ---------------------------------------------------------------------------
 
-class _TimeSplit(NamedTuple):
-    """A uniform time row cut into blocks, each time written as anchor + offset + residual.
-
-    anchors (Q,) holds the first time of each block of S times, offsets (S,)
-    the nominal in-block offsets s*h, h the row's mean step, and residual
-    (Q, S) each sample's (v - anchor) - s*h, so that offset + residual is
-    v - anchor, bit for bit. The row is padded to whole blocks with
-    residuals of 0.
-    """
-
-    anchors: np.ndarray
-    offsets: np.ndarray
-    residual: np.ndarray
-
-
-def _split_times(v, positions: int = 1, tau: float = 0.0):
-    """The anchor/offset split of the time row v, or None.
+def _split_times(v, positions: int = 1):
+    """The anchor/offset split of the time row v, (anchors, offsets), or None.
 
     The N times are cut into blocks of S = max(BLOCK, isqrt(N)), which
-    about minimizes the anchors plus the offsets. The anchor of a block is
-    its first time and the offsets are the S multiples s*h of the mean step
-    h = (v[-1] - v[0])/(N - 1), the same in every block. The residuals of
-    a split row are exact: v - anchor and s*h lie within a factor 2 of each
-    other (Sterbenz), or are both 0 at s = 0.
+    about minimizes the anchors plus the offsets. The anchors (Q,) are the
+    first time of each block and the offsets (S,) the S multiples s*h of
+    the mean step h = (v[-1] - v[0])/(N - 1), the same in every block; the
+    contraction evaluates each time at its nominal time anchor + s*h.
 
-    None, for the per-sample path, unless h > 0, every |residual| is at
-    most tau, the anchors Q and the S offsets number at most half the N
-    samples and the contracted table of positions * Q * 2*S values is no
-    larger than BLOCK * N. So only a sorted row within tau of uniform is
-    split; a row of fewer than BLOCK times, or holding a non-finite time,
-    never is.
+    None, for the per-sample path, unless h > 0, every |(v - anchor) - s*h|
+    is at most SPLIT_SPACINGS spacings U = np.spacing(v[-1]), the anchors Q
+    and the S offsets number at most half the N samples and the contracted
+    table of positions * Q * S values is no larger than BLOCK * N / 2. So
+    only a sorted row uniform to within its rounding is split; a row of
+    fewer than BLOCK times, or holding a non-finite time, never is.
+
+    The bound is the rounding of a rounded uniform row, each time within
+    U/2 of v[0] + j*eta for one exact step eta and all in [0, v[-1]]. The
+    time and its anchor carry U/2 each. s*h < v[-1]/2, as S <= N/2, so the
+    product rounds within U/4, and s < (N - 1)/2 scales the error of h, the
+    roundings of v[0], v[-1] and their difference over N - 1 and its own
+    2**-53*h, to under 3U/4 + U/2: 5U/2 in all. The computed residual is
+    that shift exactly (Sterbenz), except that v - v[0] in the first block
+    of a row with v[0] > 0 rounds within U/4, both ways: a rounded uniform
+    row computes within 11U/4, and an accepted row's times move by at most
+    SPLIT_SPACINGS*U + U/4. np.linspace rows and their prefixes, whose last
+    time is the stop, measured within 2U.
     """
     n = v.size
     if n < BLOCK or not np.all(np.isfinite(v)):
@@ -208,18 +201,9 @@ def _split_times(v, positions: int = 1, tau: float = 0.0):
     residual = blocks - blocks[:, :1]
     residual -= offsets
     residual.flat[n:] = 0.0
-    if not np.all(np.abs(residual) <= tau):
+    if not np.all(np.abs(residual) <= SPLIT_SPACINGS * np.spacing(v[-1])):
         return None
-    return _TimeSplit(blocks[:, 0], offsets, residual)
-
-
-def _fastest_rate(eps: float, terms: int) -> float:
-    """The largest rate R an offset table of telegraph modes up to `terms` sees.
-
-    The top frequency omega and 1/(2*eps), since r*sin(omega*d) with
-    r = 1/(2*eps*omega) grows at that rate near the critical modes.
-    """
-    return max(float(_frequency(eps, _discriminant(eps, terms))[0]), 0.5 / eps)
+    return blocks[:, 0], offsets
 
 
 def _discriminant(eps: float, m):
@@ -303,24 +287,21 @@ def _mode_cosines(u, rows: int):
     return block
 
 
-def _contracted(coefficients, eps: float, split: _TimeSplit, lo: int, u):
+def _contracted(coefficients, eps: float, split, lo: int, u):
     """sum_m k_m V_m(v)/exp(-v/(2*eps)) cos(2*m*pi*u) over the underdamped modes lo..M.
 
-    Returned as (Q*S, J) rows over the split's padded row. With v = a + d + e
-    (anchor a, offset d, residual e),
-    cos(omega*v) + r*sin(omega*v) = cos(omega*a)*P(d + e) + sin(omega*a)*Q(d + e),
-    P = cos(omega*d) + r*sin(omega*d), Q = r*cos(omega*d) - sin(omega*d), and
-    to first order P(d + e) = P(d) + e*omega*Q(d), Q(d + e) = Q(d) - e*omega*P(d).
+    Returned as (Q*S, J) rows over the split's padded row, at the nominal
+    times v = a + d (anchor a, offset d) of the split (anchors, offsets):
+    cos(omega*v) + r*sin(omega*v) = cos(omega*a)*P(d) + sin(omega*a)*Q(d),
+    P = cos(omega*d) + r*sin(omega*d) and Q = r*cos(omega*d) - sin(omega*d).
     The anchor side, times k_m*cos(2*m*pi*u), is contracted with the offset
-    tables and their derivatives over the modes of a block,
-    G[d, q, j] += sum_m A[m, q, j] * B[m, d], and sample s of block q reads
-    G[s, q] plus its residual times the derivative row G[S + s, q]: no
-    (modes x times) table is formed.
+    tables over the modes of a block, G[d, q, j] += sum_m A[m, q, j] * B[m, d],
+    and sample s of block q reads G[s, q]: no (modes x times) table is formed.
     """
-    a, d = split.anchors[None, :], split.offsets[None, :]
-    g = np.zeros((2 * d.size, a.size, u.size))
+    a, d = (x[None, :] for x in split)
+    g = np.zeros((d.size, a.size, u.size))
     # A block's anchor-side table is no larger than a direct block.
-    rows = max(BLOCK, BLOCK * split.residual.size // (a.size * u.size + len(g)))
+    rows = max(BLOCK, BLOCK * a.size * d.size // (a.size * u.size + d.size))
     cosines = _mode_cosines(u, rows)
     k = coefficients.modes
     for stop in range(coefficients.truncation, lo - 1, -rows):
@@ -331,12 +312,10 @@ def _contracted(coefficients, eps: float, split: _TimeSplit, lo: int, u):
         cos_d, sin_d = np.cos(omega * d), np.sin(omega * d)
         p_d, q_d = cos_d + r * sin_d, r * cos_d - sin_d
         b = np.concatenate((p_d, q_d))
-        b = np.concatenate((b, np.concatenate((omega * q_d, -omega * p_d))), axis=1)
         anchor = np.stack((kb * np.cos(omega * a), kb * np.sin(omega * a)))
         table = (anchor[..., None] * cosines(start, len(m))[:, None, :]).reshape(-1, g[0].size)
         g += (b.T @ table).reshape(g.shape)
-    values = g[: d.size] + split.residual.T[..., None] * g[d.size :]
-    return values.swapaxes(0, 1).reshape(-1, u.size)
+    return g.swapaxes(0, 1).reshape(-1, u.size)
 
 
 def _lattice(u):
@@ -501,7 +480,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     if outer and model == "hyperbolic" and under <= terms:
         times = np.flatnonzero(shared)
         positions = 1 if u_flat.size < BLOCK else u_flat.size
-        split = _split_times(v_flat[times], positions, RESIDUAL_PHASE / _fastest_rate(eps, terms))
+        split = _split_times(v_flat[times], positions)
         if split is not None:
             values = _contracted(coefficients, eps, split, under, u_flat)[: times.size]
             total[times] += values * shared[times, None]

@@ -51,9 +51,31 @@ MUTANTS = (
            "p_d, q_d = cos_d + r * sin_d, r * cos_d - sin_d",
            "p_d, q_d = cos_d + r * sin_d, r * cos_d + sin_d",
            ("tests/test_spectral.py",)),
-    Mutant("RESIDUAL_PHASE", "src/slabdiff/spectral.py",
-           "RESIDUAL_PHASE = 1e-8", "RESIDUAL_PHASE = 1e-5",
+    # A time row off uniform by far more than its rounding is contracted
+    # at nominal times that are not its own.
+    Mutant("SPLIT_SPACINGS_widened", "src/slabdiff/spectral.py",
+           "SPLIT_SPACINGS = 3.0", "SPLIT_SPACINGS = 3.0 * 2**20",
            ("tests/test_spectral.py",)),
+    Mutant("critical_factor_sign", "src/slabdiff/spectral.py",
+           "out[crit] = decay * (1.0 + v / (2.0 * eps))",
+           "out[crit] = decay * (1.0 - v / (2.0 * eps))",
+           ("tests/test_spectral.py",)),
+    Mutant("wkb_correction_sign", "src/slabdiff/spectral.py",
+           "                t -= gap", "                t += gap",
+           ("tests/test_spectral.py",)),
+    Mutant("angle_addition_sign", "src/slabdiff/spectral.py",
+           "return np.cos(base) * cos_j[:count] - np.sin(base) * sin_j[:count]",
+           "return np.cos(base) * cos_j[:count] + np.sin(base) * sin_j[:count]",
+           ("tests/test_spectral.py",)),
+    Mutant("equal_walls_kept", "src/slabdiff/analysis.py",
+           "while stack and stack[-1][1] <= h:", "while stack and stack[-1][1] < h:",
+           ("tests/test_analysis.py",)),
+    Mutant("nan_walls_counted", "src/slabdiff/analysis.py",
+           "        if h == h:", "        if True:",
+           ("tests/test_analysis.py",)),
+    Mutant("left_base_dropped", "src/slabdiff/analysis.py",
+           "np.maximum(low[0::3], low[1::3])", "low[1::3]",
+           ("tests/test_analysis.py",)),
     Mutant("k0_bin0_factor", "src/slabdiff/profiles.py",
            "scale = np.where(m > 0, 4.0, 2.0)", "scale = np.where(m > 0, 4.0, 4.0)",
            ("tests/test_profiles.py",)),

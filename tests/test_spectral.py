@@ -38,8 +38,6 @@ from slabdiff.spectral import (
     BLOCK,
     CRITICAL_DISC_TOL,
     EXP_FLOOR,
-    RESIDUAL_PHASE,
-    _fastest_rate,
     _lattice,
     _split_times,
     check_wkb_eps,
@@ -544,8 +542,9 @@ SPLIT_V = {
 }
 
 
-def residual_tolerance(eps, terms):
-    return RESIDUAL_PHASE / _fastest_rate(eps, terms)
+def split_bound(v):
+    """The split's bound on |(v - anchor) - s*h|: 3 spacings of the row's last time."""
+    return 3.0 * np.spacing(v[-1])
 
 
 def spy_on_contracted(monkeypatch):
@@ -564,22 +563,19 @@ def spy_on_contracted(monkeypatch):
 def test_long_time_rows_take_the_split():
     # The presets' and eps_sweep's 1201-time row and every prefix that passes
     # the size rule, which includes the live times of that row at any eps.
+    # Each time is within the split's bound of its nominal time anchor + s*h.
     v = SPLIT_V["linspace"]
-    tau = residual_tolerance(1e-4, 500)
     for n in range(38, v.size + 1):
-        split = _split_times(v[:n], tau=tau)
+        split = _split_times(v[:n])
         assert split is not None, n
+        anchors, offsets = split
         span = max(BLOCK, math.isqrt(n))
-        assert split.offsets.size == span and split.anchors.size == -(-n // span)
-        np.testing.assert_array_equal(split.offsets, (v[n - 1] / (n - 1)) * np.arange(span))
-        # offset + residual is time - anchor, bit for bit, and here time - anchor
-        # is exact, so anchor + (offset + residual) is the time.
-        np.testing.assert_array_equal(split.anchors, v[:n:span])
-        resolved = split.anchors[:, None] + (split.offsets + split.residual)
-        np.testing.assert_array_equal(resolved.ravel()[:n], v[:n])
-        assert np.all(np.abs(split.residual) <= tau)
-        assert not split.residual.ravel()[n:].any()
-    assert _split_times(v[:37], tau=tau) is None  # 3 anchors + 16 offsets > 37/2
+        assert offsets.size == span and anchors.size == -(-n // span)
+        np.testing.assert_array_equal(offsets, (v[n - 1] / (n - 1)) * np.arange(span))
+        np.testing.assert_array_equal(anchors, v[:n:span])
+        nominal = (anchors[:, None] + offsets).ravel()[:n]
+        assert np.all(np.abs(nominal - v[:n]) <= split_bound(v[:n])), n
+    assert _split_times(v[:37]) is None  # 3 anchors + 16 offsets > 37/2
 
 
 @pytest.mark.parametrize("eps", np.geomspace(1e-4, 1.0, 9).tolist() + [EPS_REF])
@@ -599,8 +595,8 @@ def test_preset_and_sweep_traces_are_contracted_with_span_offsets(
             calls.clear()
             hyperbolic_density(c, eps, np.array(u)[None, :], v[:, None])
             (args,) = calls
-            split = args[2]
-            assert split.offsets.size == span and split.anchors.size == -(-live // span)
+            anchors, offsets = args[2]
+            assert offsets.size == span and anchors.size == -(-live // span)
 
 
 def test_irregular_rows_take_the_per_sample_path(monkeypatch, surface_coeffs):
@@ -615,9 +611,8 @@ def test_irregular_rows_take_the_per_sample_path(monkeypatch, surface_coeffs):
         "interleaved": SPLIT_V["interleaved"],
     }
     for eps in (1e-4, EPS_REF, 1.0):
-        tau = residual_tolerance(eps, surface_coeffs.truncation)
         for name, row in rows.items():
-            assert _split_times(row, tau=tau) is None, name
+            assert _split_times(row) is None, name
             for u in ([0.5], [0.5, 0.0]):
                 values = hyperbolic_density(surface_coeffs, eps, np.array(u)[None, :], row[:, None])
                 tol = contraction_tolerance("hyperbolic", surface_coeffs, eps, row)
@@ -718,20 +713,34 @@ def contraction_tolerance(model, c, eps, v=None):
 
     1e-14 of k0 + sum|k_m|, plus sum|fast_m| for the two-timescale family,
     bounds the arithmetic of either sum. Given the row's times v, the
-    telegraph family adds a phase-rounding term per time, as a column.
+    telegraph family adds a phase-rounding term and a time-shift term per
+    time, as a column.
 
     Each underdamped mode's factor exp(-v/(2*eps))*(cos(w_m*v) + r_m*sin(w_m*v))
     turns on its phase, which the two paths round differently. The
     per-sample path rounds w_m*v once, to within 2**-53*w_m*v. The
-    contraction rounds w_m*a and w_m*d, a + d <= v, to within 2**-53*w_m*v
-    together. w_m is the same double on both paths. A phase error delta
-    moves the factor by at most exp(-v/(2*eps))*sqrt(1 + r_m**2)*delta, so
+    contraction rounds w_m*a and w_m*d, a + d within E (below) of v, to
+    within 2**-53*w_m*(v + E) together. w_m is the same double on both
+    paths. A phase error delta moves the factor by at most
+    exp(-v/(2*eps))*sqrt(1 + r_m**2)*delta, so
     the two may differ by
         2**-52 * v * exp(-v/(2*eps)) * sum_m |k_m| * w_m * sqrt(1 + r_m**2),
     each mode weighted by its decay, which the underdamped modes share.
     With flat k_m = 1 up to M = 462 at eps = 1, where w_M*v reaches 1.4e3 at
     v = 0.48 and 5.8e3 at v = 2, the term is 5.6e-11 and 1.1e-10, against
     4.6e-12 for the first one.
+
+    The contraction also evaluates each time at its nominal time
+    anchor + s*h, which the split lets lie E = 13/4 spacings of the row's
+    last time from it: the split's bound of 3 spacings on the computed
+    residual, plus the rounding of v - anchor in a first block that does
+    not start at 0 (_split_times). The shift moves each phase w_m*v by at
+    most w_m*E, so, by the same bound on the factor's change, the two
+    paths may differ by a further
+        E * exp(-v/(2*eps)) * sum_m |k_m| * w_m * sqrt(1 + r_m**2).
+    At flat k_m = 1 up to M = 500 and eps = 1, on the 1201-time row to
+    1.2, that is 5.7e-10 at v = 0 and 4.2e-10 at v = 0.6, where the phase
+    term is 7.8e-11.
     """
     scale = c.mean + np.sum(np.abs(c.modes))
     if model == "wkb":
@@ -744,10 +753,11 @@ def contraction_tolerance(model, c, eps, v=None):
     omega = np.sqrt(-disc[under]) / (2.0 * eps)
     weight = np.sum(np.abs(c.modes[under]) * omega * np.sqrt(1.0 + (0.5 / (eps * omega)) ** 2))
     v = np.asarray(v, dtype=float)[:, None]
+    shift = 3.25 * np.spacing(np.max(v[np.isfinite(v)], initial=0.0))
     with np.errstate(over="ignore", invalid="ignore"):
-        # v*exp(-v/(2*eps)) is 0 at an infinite time, where inf*0 gives NaN.
-        decayed = np.nan_to_num(v * np.exp(-v / (2.0 * eps)), nan=0.0)
-    return 1e-14 * scale + 2.0**-52 * decayed * weight
+        # The terms are 0 at an infinite time, where inf*0 gives NaN.
+        decayed = np.nan_to_num((2.0**-52 * v + shift) * np.exp(-v / (2.0 * eps)), nan=0.0)
+    return 1e-14 * scale + decayed * weight
 
 
 @pytest.mark.parametrize("offset", [-1e-6, 1e-6])
@@ -826,13 +836,19 @@ def test_unsorted_time_rows_give_the_sorted_values(surface_coeffs, eps):
 
 @st.composite
 def long_time_rows(draw):
-    """Rows of 16..2000 times: linspaces, dyadic irregular steps, and a
-    short pattern of small and large times repeated, whose large times have
-    zero telegraph decay at small eps."""
-    kind = draw(st.sampled_from(["linspace", "dyadic", "pattern"]))
+    """Rows of 16..2000 times: linspaces, linspaces shifted up by 0..3 ulps
+    per time, so that some pass the split's bound and some do not,
+    linspaces reaching 100, dyadic irregular steps, and a short pattern of
+    small and large times repeated, whose large times have zero telegraph
+    decay at small eps."""
+    kind = draw(st.sampled_from(["linspace", "shifted", "to_100", "dyadic", "pattern"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "linspace":
-        return np.linspace(0.0, draw(st.floats(1e-3, 2.0)), draw(st.integers(16, 2000)))
+    if kind in ("linspace", "shifted", "to_100"):
+        stop = 100.0 if kind == "to_100" else draw(st.floats(1e-3, 2.0))
+        v = np.linspace(0.0, stop, draw(st.integers(16, 2000)))
+        if kind == "shifted":
+            v += rng.integers(0, 4, v.size) * np.spacing(v)
+        return v
     if kind == "dyadic":
         steps = rng.integers(1, 5, draw(st.integers(16, 1000)))
         return draw(st.sampled_from([0.0, 0.25])) + np.cumsum(steps) * 2.0 ** -draw(
@@ -900,80 +916,31 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
             assert bool(calls) == (model in taken), (model, np.shape(u), times.shape)
 
 
-def jittered(v, tau, rng):
-    """v with each time but its last and the S-block anchors moved by up to tau.
-
-    S = max(BLOCK, isqrt(N)) as in the split, so every residual of the split
-    is the move, to within the rounding of the moved time.
-    """
-    move = rng.uniform(-tau, tau, v.size)
-    move[:: max(BLOCK, math.isqrt(v.size))] = 0.0
-    move[-1] = 0.0
-    return v + move
-
-
-@st.composite
-def residual_rows(draw, tau):
-    """Long rows whose split carries residuals up to the acceptance bound tau:
-    linspaces shifted up by a few ulps; linspaces jittered by up to 0.99*tau,
-    so that the first-order correction in the residual matters; and linspaces
-    reaching 100, whose rounding variants exceed tau for the fast families."""
-    kind = draw(st.sampled_from(["shifted", "jittered", "to_100"]))
-    n = draw(st.integers(BLOCK, 2000))
-    v = np.linspace(0.0, 100.0 if kind == "to_100" else draw(st.floats(1e-3, 2.0)), n)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "shifted":
-        v += rng.integers(0, 4, n) * np.spacing(v)
-    elif kind == "jittered":
-        v = jittered(v, 0.99 * tau, rng)
-    return v
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    data=st.data(),
-    eps=CONTRACTION_EPS,
-    positions=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3),
-    terms=st.integers(1, 500),
-    flat=st.booleans(),
-)
-def test_residual_rows_match_per_sample_evaluation(
-    surface_coeffs, data, eps, positions, terms, flat
-):
-    # k_m = 1 weights the fastest modes, where the neglected second-order
-    # term is largest, as much as the slow ones.
-    modes = np.ones(terms) if flat else surface_coeffs.modes[:terms]
-    c = SpectralCoefficients(mean=1.0, modes=modes)
-    u = np.array(positions)[None, :]
-    # Only the underdamped telegraph modes are contracted; the other
-    # families, and the two-timescale family at a subnormal eps, take the
-    # same rows per sample.
-    contracted = spectral._discriminant(eps, terms) < -CRITICAL_DISC_TOL
-    for model, e in [(model, eps) for model in FAMILIES] + [("wkb", 5e-324)]:
-        row = data.draw(residual_rows(residual_tolerance(eps, terms) if contracted else 0.0))
-        try:
-            tol = contraction_tolerance(model, c, e, row)
-        except ResonantModeError:
-            continue
-        values = family_density(model, c, e, u, row[:, None])
-        assert_within(values, pointwise(model, c, e, positions, row), tol, model)
-
-
 @pytest.mark.parametrize("eps", [1e-3, EPS_REF, 1.0])
-def test_rows_jittered_past_the_bound_take_the_per_sample_path(monkeypatch, eps):
-    # Every time is live at these eps. The 1201-time row jittered by up to
-    # 0.99 times the acceptance bound is contracted; jittered by 1.01 times
-    # it, at one time, it is not. Both give the per-sample values, with flat
-    # k_m = 1 so that the fastest modes, where the residual's phase is
-    # largest, weigh as much as any.
+def test_rows_moved_past_the_split_bound_take_the_per_sample_path(monkeypatch, eps):
+    # Every time is live at these eps. The 1201-time row with one time moved
+    # up to the last double within the split's bound of its nominal time is
+    # contracted; moved one double further, it is not. Both give the
+    # per-sample values, with flat k_m = 1 so that the fastest modes, whose
+    # phase the time shift moves most, weigh as much as any.
     terms, positions = 500, [0.5, 0.0]
     c = SpectralCoefficients(mean=1.0, modes=np.ones(terms))
-    tau = residual_tolerance(eps, terms)
-    v = jittered(SPLIT_V["linspace"], 0.99 * tau, np.random.default_rng(11))
-    past = SPLIT_V["linspace"].copy()
-    past[600] += 1.01 * tau
+    v = SPLIT_V["linspace"]
+    j, span = 600, max(BLOCK, math.isqrt(v.size))
+    anchors, offsets = _split_times(v)
+    anchor, offset = anchors[j // span], offsets[j % span]
+
+    def shift(t):
+        return abs((t - anchor) - offset)
+
+    inside = v.copy()
+    while shift(np.nextafter(inside[j], math.inf)) <= split_bound(v):
+        inside[j] = np.nextafter(inside[j], math.inf)
+    past = inside.copy()
+    past[j] = np.nextafter(inside[j], math.inf)
+    assert shift(inside[j]) <= split_bound(v) < shift(past[j])
     calls = spy_on_contracted(monkeypatch)
-    for row, taken in ((v, True), (past, False)):
+    for row, taken in ((inside, True), (past, False)):
         calls.clear()
         values = hyperbolic_density(c, eps, np.array(positions)[None, :], row[:, None])
         assert bool(calls) == taken
@@ -983,14 +950,14 @@ def test_rows_jittered_past_the_bound_take_the_per_sample_path(monkeypatch, eps)
 
 def test_residual_row_with_large_phases_stays_within_the_phase_term():
     # A case hypothesis found: eps = 1, flat k_m = 1 up to M = 462, and a
-    # 290-time row to 0.479..., shifted by a few ulps. w_M*v reaches 1.4e3;
-    # the contracted row differs from the per-sample one by up to 7.8e-12,
-    # 1.69 times the arithmetic term alone.
+    # contracted 290-time row to 0.479.... w_M*v reaches 1.4e3, so the
+    # rounding of the phases, and the shift of each time to its nominal
+    # time, separate the contracted row from the per-sample one by far
+    # more than the arithmetic term alone.
     eps, terms, positions = 1.0, 462, [0.0, 0.375]
     v = np.linspace(0.0, 0.4794995165429114, 290)
-    v += np.random.default_rng(3400277763).integers(0, 4, v.size) * np.spacing(v)
     c = SpectralCoefficients(mean=1.0, modes=np.ones(terms))
-    assert _split_times(v, len(positions), residual_tolerance(eps, terms)) is not None
+    assert _split_times(v, len(positions)) is not None
     contracted = family_density("hyperbolic", c, eps, np.array(positions)[None, :], v[:, None])
     per_sample = pointwise("hyperbolic", c, eps, positions, v)
     tol = contraction_tolerance("hyperbolic", c, eps, v)
@@ -999,7 +966,8 @@ def test_residual_row_with_large_phases_stays_within_the_phase_term():
         return  # no wider float to tell the two errors apart
     # Against an extended-precision sum, the contraction's own error exceeds
     # the per-sample error by less than the tolerance: the gap is phase
-    # rounding, which both paths make, not a fault of the contraction.
+    # rounding, which both paths make, and the time shift, not a fault of
+    # the contraction.
     exact = extended_underdamped_density(c, eps, positions, v)
     excess = np.abs(contracted - exact).max(axis=1) - np.abs(per_sample - exact).max(axis=1)
     assert np.all(excess <= tol[:, 0])
@@ -1029,14 +997,14 @@ def test_telegraph_trace_forms_trig_once_per_anchor_and_offset(monkeypatch, surf
     # v - anchor took 500 x (76 anchors + 105 offsets).
     v = SPLIT_V["linspace"]
     terms = surface_coeffs.truncation
-    split = _split_times(v, 1, residual_tolerance(EPS_REF, terms))
-    assert (split.anchors.size, split.offsets.size) == (36, 34)
+    anchors, offsets = _split_times(v)
+    assert (anchors.size, offsets.size) == (36, 34)
     counting = CountingNumpy()
     monkeypatch.setattr(spectral, "np", counting)
     hyperbolic_density(surface_coeffs, EPS_REF, 0.5, v)
     formed = counting.formed
     # One more value per mode covers the cosines of the position itself.
-    bound = terms * (split.anchors.size + split.offsets.size + 1)
+    bound = terms * (anchors.size + offsets.size + 1)
     assert 0 < formed["cos"] <= bound and 0 < formed["sin"] <= bound, (formed, bound)
     assert bound < terms * (76 + 105)
 
