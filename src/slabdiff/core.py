@@ -24,6 +24,9 @@ from .errors import DomainError, InvalidParameterError, ResonantModeError
 #: Half-width of the dimensionless slab.
 HALF_WIDTH = 0.5
 
+#: The series families, in the order a run writes them.
+SPECTRAL_MODELS = ("parabolic", "hyperbolic", "wkb")
+
 #: |1 - eps*(2*m*pi)^2| below this is a resonant two-timescale mode.
 RESONANCE_TOL = 1e-9
 

@@ -30,9 +30,11 @@ class ResonantModeError(SlabDiffError, ValueError):
     """The two-timescale closed form is singular for some mode index."""
 
     def __init__(self, mode: int, eps: float):
+        from .core import RESONANCE_TOL  # core imports this module
+
         super().__init__(
             f"mode m={mode} is resonant for eps={eps!r}: "
-            f"|1 - eps*(2*m*pi)^2| < 1e-9, the closed-form coefficients blow up"
+            f"|1 - eps*(2*m*pi)^2| < {RESONANCE_TOL!r}, the closed-form coefficients blow up"
         )
         self.mode = mode
         self.eps = eps

@@ -36,6 +36,7 @@ import numpy as np
 from .core import (
     HALF_WIDTH,
     MIN_TRACE_SAMPLES,
+    SPECTRAL_MODELS,
     Grid1D,
     TimeGrid,
     check_telegraph_eps,
@@ -61,7 +62,7 @@ from .profiles import (
 if TYPE_CHECKING:
     from .fd import FdConfig
 
-MODEL_ORDER = ("parabolic", "hyperbolic", "wkb", "fd")
+MODEL_ORDER = (*SPECTRAL_MODELS, "fd")
 OUTPUT_KINDS = ("csv", "svg", "events")
 
 DEFAULT_TRUNCATION = 500

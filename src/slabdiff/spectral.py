@@ -44,11 +44,12 @@ gate's slices take this path; every index is an integer, so no phase is
 rounded. Each fold row receives its modes highest first, however the
 modes are blocked.
 
-Per sample. Everything else is evaluated per sample, each block's time
-factors contracted with its cosine rows over the mode axis (one matrix
-product when u and v form an outer table). The cosines cos(2*m*pi*u) of a
-block are built by angle addition from cos/sin(2*pi*m0*u) of the block's
-first mode and a shared table of cos/sin(2*pi*j*u).
+Per sample. Everything else is evaluated per sample: each block's time
+factors are contracted over the mode axis with its cosines
+cos((2*pi*m)*u), one matrix product when u and v form an outer table.
+Every table of BLOCK or more positions that the package builds is a
+lattice, so this path serves traces of a few positions, (u, v) pairs and
+off-lattice tables.
 
 Telegraph contraction. The direct formula of an underdamped telegraph mode
 pays a cos and a sin per mode and sample, so on a uniform time row these
@@ -70,14 +71,13 @@ most SPLIT_SPACINGS = 3 spacings of its last time, which a rounded uniform
 row meets (the derivation is in _split_times). Each sample's time then
 moves by at most that much, and its value by |dn/dv| times it. A row is
 also contracted only when the Q anchors and S offsets number at most half
-the N times and J*Q*S <= BLOCK*N/2 for J positions, where a table of fewer
-than BLOCK positions counts as one: a 1201-time table of up to 15
-positions qualifies. A block of modes holds max(BLOCK, BLOCK*N/(Q*J + S))
-modes, so peak memory does not grow with the truncation. Rows of few
-times, rows that are not sorted and uniform to within their rounding
-(jittered, reversed, shuffled, irregular or patterned rows), rows holding
-a non-finite time and (u, v) pairs take the per-sample path, as do the
-overdamped and critical telegraph modes.
+the N times, and only in a table of fewer than BLOCK positions. A block of
+modes holds max(BLOCK, BLOCK*N/(Q*J + S)) modes for J positions, so peak
+memory does not grow with the truncation. Rows of few times, rows that are
+not sorted and uniform to within their rounding (jittered, reversed,
+shuffled, irregular or patterned rows), rows holding a non-finite time,
+tables of BLOCK or more positions and (u, v) pairs take the per-sample
+path, as do the overdamped and critical telegraph modes.
 
 The time factors are the same code on every path, and on every path the
 two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
@@ -92,6 +92,7 @@ import numpy as np
 
 from .core import (
     HALF_WIDTH,
+    SPECTRAL_MODELS,
     Grid1D,
     TimeGrid,
     _mode_ratios,
@@ -120,8 +121,6 @@ SPLIT_SPACINGS = 3.0
 #: Decay factors exp(x) with x <= EXP_FLOOR (below 3.3e-308, at the edge of
 #: the subnormal range that starts at x = -708.4) are taken as 0.
 EXP_FLOOR = -708.0
-
-SPECTRAL_MODELS = ("parabolic", "hyperbolic", "wkb")
 
 # glibc's malloc hands the free memory at the top of its heap back to the
 # system once it exceeds a trim threshold: 128 KiB at start, raised to twice
@@ -160,7 +159,7 @@ def _exp(x):
 # Series evaluator
 # ---------------------------------------------------------------------------
 
-def _split_times(v, positions: int = 1):
+def _split_times(v):
     """The anchor/offset split of the time row v, (anchors, offsets), or None.
 
     The N times are cut into blocks of S = max(BLOCK, isqrt(N)), which
@@ -170,11 +169,10 @@ def _split_times(v, positions: int = 1):
     contraction evaluates each time at its nominal time anchor + s*h.
 
     None, for the per-sample path, unless h > 0, every |(v - anchor) - s*h|
-    is at most SPLIT_SPACINGS spacings U = np.spacing(v[-1]), the anchors Q
-    and the S offsets number at most half the N samples and the contracted
-    table of positions * Q * S values is no larger than BLOCK * N / 2. So
-    only a sorted row uniform to within its rounding is split; a row of
-    fewer than BLOCK times, or holding a non-finite time, never is.
+    is at most SPLIT_SPACINGS spacings U = np.spacing(v[-1]) and the anchors
+    Q and the S offsets number at most half the N samples. So only a sorted
+    row uniform to within its rounding is split; a row of fewer than BLOCK
+    times, or holding a non-finite time, never is.
 
     The bound is the rounding of a rounded uniform row, each time within
     U/2 of v[0] + j*eta for one exact step eta and all in [0, v[-1]]. The
@@ -194,7 +192,7 @@ def _split_times(v, positions: int = 1):
     span = max(BLOCK, math.isqrt(n))
     count = -(-n // span)
     step = (v[-1] - v[0]) / (n - 1)
-    if not step > 0 or count + span > n / 2 or positions * count * 2 * span > BLOCK * n:
+    if not step > 0 or count + span > n / 2:
         return None
     blocks = np.pad(v, (0, count * span - n)).reshape(count, span)
     offsets = step * np.arange(span)
@@ -271,22 +269,6 @@ def _telegraph_factor(eps: float, m, v, decay):
     return out
 
 
-def _mode_cosines(u, rows: int):
-    """A function of (first, count) giving cos(2*pi*m*u), (count, J), m = first..first+count-1.
-
-    count <= rows. Built by angle addition from cos/sin(2*pi*first*u) and a
-    table of cos/sin(2*pi*j*u), j < rows.
-    """
-    angle = (2.0 * np.pi * np.arange(rows, dtype=float))[:, None] * u
-    cos_j, sin_j = np.cos(angle), np.sin(angle)
-
-    def block(first: int, count: int):
-        base = (2.0 * math.pi * first) * u
-        return np.cos(base) * cos_j[:count] - np.sin(base) * sin_j[:count]
-
-    return block
-
-
 def _contracted(coefficients, eps: float, split, lo: int, u):
     """sum_m k_m V_m(v)/exp(-v/(2*eps)) cos(2*m*pi*u) over the underdamped modes lo..M.
 
@@ -297,12 +279,13 @@ def _contracted(coefficients, eps: float, split, lo: int, u):
     The anchor side, times k_m*cos(2*m*pi*u), is contracted with the offset
     tables over the modes of a block, G[d, q, j] += sum_m A[m, q, j] * B[m, d],
     and sample s of block q reads G[s, q]: no (modes x times) table is formed.
+    u holds the J < BLOCK positions, and each block forms their cosines
+    cos((2*pi*m)*u) directly.
     """
     a, d = (x[None, :] for x in split)
     g = np.zeros((d.size, a.size, u.size))
     # A block's anchor-side table is no larger than a direct block.
     rows = max(BLOCK, BLOCK * a.size * d.size // (a.size * u.size + d.size))
-    cosines = _mode_cosines(u, rows)
     k = coefficients.modes
     for stop in range(coefficients.truncation, lo - 1, -rows):
         start = max(lo, stop - rows + 1)
@@ -313,7 +296,8 @@ def _contracted(coefficients, eps: float, split, lo: int, u):
         p_d, q_d = cos_d + r * sin_d, r * cos_d - sin_d
         b = np.concatenate((p_d, q_d))
         anchor = np.stack((kb * np.cos(omega * a), kb * np.sin(omega * a)))
-        table = (anchor[..., None] * cosines(start, len(m))[:, None, :]).reshape(-1, g[0].size)
+        cosines = np.cos((2.0 * np.pi * m) * u)
+        table = (anchor[..., None] * cosines[:, None, :]).reshape(-1, g[0].size)
         g += (b.T @ table).reshape(g.shape)
     return g.swapaxes(0, 1).reshape(-1, u.size)
 
@@ -349,8 +333,9 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     T_m is the family's time factor. An outer table (u of shape (1, Nu), v
     of shape (Nv, 1)) or a scalar u or v is summed by one real FFT on a
     lattice of positions, else by matrix products, with the underdamped
-    telegraph modes of a uniform time row contracted over the modes; any other
-    broadcast is evaluated point by point.
+    telegraph modes of a uniform time row at fewer than BLOCK positions
+    contracted over the modes; any other broadcast is evaluated point by
+    point. An empty broadcast gives an empty array.
     """
     terms = coefficients.truncation
     if model == "hyperbolic":
@@ -362,6 +347,8 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     u_arr = slab_positions(u)
     v_arr = _check_v(v)
     shape = np.broadcast_shapes(u_arr.shape, v_arr.shape)
+    if 0 in shape:
+        return np.zeros(shape)
     outer = u_arr.size == 1 or v_arr.size == 1 or (
         u_arr.shape == (1, u_arr.size) and v_arr.shape == (v_arr.size, 1)
     )
@@ -472,28 +459,25 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 
     total = np.zeros((v_flat.size, u_flat.size) if outer else u_flat.size)
-    # The underdamped telegraph modes of a uniform time row are contracted
-    # over the anchor/offset split of the times where their shared decay is
-    # not 0; all other modes are evaluated per sample. The direct telegraph
-    # formula pays a cos and a sin per mode and sample, so tables of fewer
-    # than BLOCK positions are split as if they had one.
-    if outer and model == "hyperbolic" and under <= terms:
+    # The underdamped telegraph modes of a uniform time row, in a table of
+    # fewer than BLOCK positions, are contracted over the anchor/offset split
+    # of the times where their shared decay is not 0; all other modes are
+    # evaluated per sample.
+    if outer and model == "hyperbolic" and under <= terms and u_flat.size < BLOCK:
         times = np.flatnonzero(shared)
-        positions = 1 if u_flat.size < BLOCK else u_flat.size
-        split = _split_times(v_flat[times], positions)
+        split = _split_times(v_flat[times])
         if split is not None:
             values = _contracted(coefficients, eps, split, under, u_flat)[: times.size]
             total[times] += values * shared[times, None]
             del walks[0]
-    # A block's cosines, (count, positions), are no larger than its terms;
-    # the table holds as many rows as the largest block.
+    # Blocks shrink as positions grow: a block's cosines, (count, positions),
+    # hold at most max(BLOCK*positions, BLOCK*times) values.
     size = BLOCK * v_flat.size // u_flat.size
-    modes = sum(last - low + 1 for low, last in walks)
-    cosines = _mode_cosines(u_flat, max(BLOCK, min(32 * BLOCK, size, modes)))
 
     def contract(first: int, index, t, row):
-        c = cosines(first, len(t))
-        s = t.T @ c if outer else np.einsum("jn,jn->n", t, c[:, index])
+        m = np.arange(first, first + len(t), dtype=float)[:, None]
+        c = np.cos((2.0 * np.pi * m) * (u_flat if outer else u_flat[index]))
+        s = t.T @ c if outer else np.einsum("jn,jn->n", t, c)
         total[index] += s if row is None else (row[:, None] if outer else row) * s
 
     for low, last in walks:

@@ -63,9 +63,16 @@ MUTANTS = (
     Mutant("wkb_correction_sign", "src/slabdiff/spectral.py",
            "                t -= gap", "                t += gap",
            ("tests/test_spectral.py",)),
-    Mutant("angle_addition_sign", "src/slabdiff/spectral.py",
-           "return np.cos(base) * cos_j[:count] - np.sin(base) * sin_j[:count]",
-           "return np.cos(base) * cos_j[:count] + np.sin(base) * sin_j[:count]",
+    Mutant("per_sample_cosine_half_angle", "src/slabdiff/spectral.py",
+           "np.cos((2.0 * np.pi * m) * (u_flat", "np.cos((np.pi * m) * (u_flat",
+           ("tests/test_spectral.py",)),
+    Mutant("contracted_cosine_mode_shift", "src/slabdiff/spectral.py",
+           "cosines = np.cos((2.0 * np.pi * m) * u)",
+           "cosines = np.cos((2.0 * np.pi * (m + 1)) * u)",
+           ("tests/test_spectral.py",)),
+    # A table of BLOCK positions is contracted, though it is no lattice.
+    Mutant("contraction_positions_bound", "src/slabdiff/spectral.py",
+           "and u_flat.size < BLOCK:", "and u_flat.size <= BLOCK:",
            ("tests/test_spectral.py",)),
     Mutant("equal_walls_kept", "src/slabdiff/analysis.py",
            "while stack and stack[-1][1] <= h:", "while stack and stack[-1][1] < h:",

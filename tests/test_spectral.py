@@ -789,6 +789,22 @@ HUGE_V = np.array([1e6, 1e300, 1.7e308, math.inf])
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", FAMILIES)
+def test_empty_positions_give_an_empty_result(gaussian_coeffs, model):
+    # As an empty time array does: the broadcast shape, with no element.
+    cases = [
+        (np.array([]), 0.1),
+        (np.empty((1, 0)), np.ones((3, 1))),
+        (np.empty((1, 0)), SPLIT_V["linspace"][:, None]),
+    ]
+    for u, v in cases:
+        values = family_density(model, gaussian_coeffs, EPS_REF, u, v)
+        assert isinstance(values, np.ndarray)
+        assert values.shape == np.broadcast_shapes(np.shape(u), np.shape(v))
+        assert values.dtype == float
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("eps", [1e-4, EPS_REF])
 def test_huge_times_give_the_mean(surface_coeffs, eps):
     # No mode is evaluated at a time where its slowest decay is 0, so no
@@ -896,6 +912,10 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
     calls = spy_on_contracted(monkeypatch)
     v = SPLIT_V["linspace"]
     five = np.array([1e-4, 1e-3, 1e-2, 1e-1, 1.0])
+    # 1024 times split into Q = S = 32, so Q*S = N exactly; 12001 times
+    # into Q = 111 anchors of S = 109 offsets.
+    exact = np.linspace(0.0, 1.2, 1024)[:, None]
+    long = np.linspace(0.0, 1.2, 12001)[:, None]
     # Only the underdamped telegraph modes are contracted; their direct
     # formula pays a cos and a sin per mode and sample, so tables of up to
     # BLOCK - 1 positions are contracted.
@@ -905,6 +925,10 @@ def test_long_rows_of_few_positions_are_contracted(monkeypatch, surface_coeffs):
         (np.array([[0.5, 0.0, 0.3]]), v[:, None], ("hyperbolic",)),
         (np.linspace(0.0, 0.3, BLOCK - 1)[None, :], v[:, None], ("hyperbolic",)),
         (np.linspace(0.0, 0.3, BLOCK)[None, :], v[:, None], ()),
+        (np.linspace(0.0, 0.3, BLOCK - 1)[None, :], exact, ("hyperbolic",)),
+        (np.linspace(0.0, 0.3, BLOCK)[None, :], exact, ()),
+        (np.linspace(0.0, 0.3, 8)[None, :], long, ("hyperbolic",)),
+        (np.linspace(0.0, 0.3, BLOCK - 1)[None, :], long, ("hyperbolic",)),
         (np.array([[0.5, 0.0]]), five[:, None], ()),
         (np.array([[0.5, 0.0, 0.3]]), five[:, None], ()),
         (REFERENCE_U[None, :], five[:, None], ()),
@@ -957,7 +981,7 @@ def test_residual_row_with_large_phases_stays_within_the_phase_term():
     eps, terms, positions = 1.0, 462, [0.0, 0.375]
     v = np.linspace(0.0, 0.4794995165429114, 290)
     c = SpectralCoefficients(mean=1.0, modes=np.ones(terms))
-    assert _split_times(v, len(positions)) is not None
+    assert _split_times(v) is not None
     contracted = family_density("hyperbolic", c, eps, np.array(positions)[None, :], v[:, None])
     per_sample = pointwise("hyperbolic", c, eps, positions, v)
     tol = contraction_tolerance("hyperbolic", c, eps, v)
@@ -1025,8 +1049,8 @@ def test_telegraph_times_whose_shared_decay_is_0_form_no_trig(monkeypatch, surfa
         monkeypatch.setattr(spectral, "np", counting)
         hyperbolic_density(surface_coeffs, eps, u, v[:, None])
         monkeypatch.undo()
-        # Two more values per mode and position cover the positions' cosines.
-        bound = terms * (live + 2 * positions)
+        # One more value per mode and position covers the positions' cosines.
+        bound = terms * (live + positions)
         assert counting.formed["cos"] <= bound and counting.formed["sin"] <= bound, (
             counting.formed, bound)
         assert bound < terms * v.size / 2
