@@ -12,7 +12,7 @@ closed form. For the analytic kinds, one composite Gauss-Legendre rule on
 equal panels gives every coefficient. One FFT pass of it over all modes
 (Dutt & Rokhlin 1993) gives k0 and checks each k_m, which is a direct sum
 on panels fine enough for its m oscillations; a sum that misses the FFT
-value is refined. The closed forms available for some kinds are
+value is replaced by it. The closed forms available for some kinds are
 independent references in the tests, not part of the package.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
@@ -23,6 +23,7 @@ and, for the closed-form kinds, the arguments of its provenance tag.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -44,8 +45,8 @@ MAX_DENSITY = 1e100
 #: Gauss-Legendre nodes per panel of the composite rule.
 PANEL_ORDER = 16
 
-#: Hard cap on the density evaluations of one rule: the FFT passes, or the
-#: direct sums of one mode.
+#: Hard cap on the density evaluations of one rule: the FFT passes, or one
+#: mode's direct sum, which is replaced by the FFT value, not refined.
 MAX_EVALUATIONS = 2**20
 
 
@@ -387,32 +388,39 @@ def evaluate_profile(profile: InitialProfile, u):
     return out
 
 
-def check_truncation(profile: InitialProfile, truncation: int) -> int:
-    """Raise unless the coefficient rules can reach `truncation` modes; evaluate nothing.
+def check_truncation(profile: InitialProfile, truncation) -> tuple[int, int]:
+    """Raise unless `truncation` is a mode count the coefficient rules reach; evaluate nothing.
 
-    The FFT rule starts on max(hint, ceil(M/4)) panels over [0, 1/2] and
-    needs two passes, 3x those panels, to compare anything; k_M's direct sum
-    starts on 2*max(hint, ceil(M/2)) panels over the slab. Both give the last
-    mode 8 nodes per period. Under MAX_EVALUATIONS = 2**20 no profile
-    reaches M > 65536, and one whose hint exceeds 21845 panels (a cosine
-    mode above 43690) reaches no M.
+    A mode count is an integer >= 1, numpy integers included; a float is
+    refused, even a whole one. The FFT rule starts on max(hint, ceil(M/4))
+    panels over [0, 1/2] and needs two passes, 3x those panels, to compare
+    anything; k_M's direct sum takes 2*max(hint, ceil(M/2)) panels over the
+    slab. Both give the last mode 8 nodes per period. Under MAX_EVALUATIONS
+    = 2**20 no profile reaches M > 65536, and one whose hint exceeds 21845
+    panels (a cosine mode above 43690) reaches no M.
 
     Returns:
-        The FFT rule's first panel count.
+        The mode count as an int, and the FFT rule's first panel count.
 
     Raises:
-        QuadratureError: either rule's first step exceeds MAX_EVALUATIONS.
+        InvalidParameterError: the truncation is no integer, is below 1, or
+            either rule's first step exceeds MAX_EVALUATIONS.
     """
+    try:
+        terms = operator.index(truncation)
+    except TypeError:
+        raise InvalidParameterError(f"terms must be an integer, got {truncation!r}") from None
+    if terms < 1:
+        raise InvalidParameterError(f"terms must be >= 1, got {terms}")
     hint = profile.quadrature_panels_hint()
-    fft, direct = max(hint, -(-truncation // 4)), 2 * max(hint, _oscillation_panels(truncation))
+    fft, direct = max(hint, -(-terms // 4)), 2 * max(hint, _oscillation_panels(terms))
     evaluations = PANEL_ORDER * max(3 * fft, direct)
     if evaluations > MAX_EVALUATIONS:
-        raise QuadratureError(
-            f"terms={truncation} needs {evaluations} density evaluations before the "
-            f"coefficient quadrature can converge, above its cap of {MAX_EVALUATIONS}",
-            best=math.nan, last_delta=math.inf, evaluations=0,
+        raise InvalidParameterError(
+            f"terms={terms} needs {evaluations} density evaluations before the "
+            f"coefficient quadrature can converge, above its cap of {MAX_EVALUATIONS}"
         )
-    return fft
+    return terms, fft
 
 
 def _fft_modes(
@@ -480,61 +488,48 @@ def _fft_modes(
 def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCoefficients:
     """Compute k0 and k_1..k_M: exactly for a tabulated profile, else by quadrature.
 
-    check_truncation refuses, before any evaluation, a truncation that the
-    rules cannot reach under the evaluation cap. k0 comes from the FFT rule
-    (_fft_modes), and the tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|).
-    Each k_m is the composite Gauss-Legendre sum on 2*P_m panels over the
-    slab, P_m = max(hint, m/2) so the first pass resolves both the
-    profile's sharpest feature and the m oscillations of cos(2*m*pi*u).
-    The FFT rule checks those sums: a k_m farther than the tolerance from
-    it is summed again on twice the panels until it agrees.
+    check_truncation refuses, before any evaluation, a truncation that is no
+    mode count or that the rules cannot reach under the evaluation cap. k0
+    comes from the FFT rule (_fft_modes), and the tolerance is
+    COEFFICIENT_ABS_TOL * max(1, |k0|). Each k_m is the composite
+    Gauss-Legendre sum on 2*P_m panels over the slab, P_m = max(hint, m/2),
+    which resolves both the profile's sharpest feature and the m
+    oscillations of cos(2*m*pi*u). The FFT rule checks those sums: a k_m
+    farther than the tolerance from it is replaced by the FFT value.
 
     Raises:
-        QuadratureError: the truncation is out of reach, or the FFT rule or
-            some k_m did not converge within the evaluation cap.
+        InvalidParameterError: the truncation is no mode count or is out of reach.
+        QuadratureError: the FFT rule did not converge within the evaluation cap.
     """
-    if not (isinstance(truncation, int) and truncation >= 1):
-        raise InvalidParameterError(f"truncation must be >= 1, got {truncation!r}")
-    fft_panels = check_truncation(profile, truncation)
+    truncation, fft_panels = check_truncation(profile, truncation)
     if isinstance(profile, TabulatedProfile):
         mean, modes = profile.exact_coefficients(truncation)
         return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
     hint = profile.quadrature_panels_hint()
     check, check_panels, tol = _fft_modes(profile, truncation, fft_panels)
 
-    @lru_cache(maxsize=2)
+    @lru_cache(maxsize=1)  # the panel count never falls with m
     def grid(panels):
         x, half = _panel_grid(panels)
         u = x.ravel()
         return u, half, profile._density(u)
 
-    modes = np.empty(truncation)
-    max_delta, refined = 0.0, 0
+    modes = check[1:].copy()
+    max_delta, kept = 0.0, 0
     for m in range(1, truncation + 1):
         w = 2.0 * math.pi * m
-        first = panels = 2 * max(hint, _oscillation_panels(m))
-        value, delta, evaluations = check[m], math.inf, 0
-        while not delta <= tol:
-            evaluations += panels * PANEL_ORDER
-            if evaluations > MAX_EVALUATIONS:
-                raise QuadratureError(
-                    f"coefficient k_{m} did not reach abs_tol={tol!r} against the FFT rule",
-                    best=float(value),
-                    last_delta=delta,
-                    evaluations=evaluations - panels * PANEL_ORDER,
-                )
-            u, half, density = grid(panels)
-            value = 2.0 * _panel_sum(density * np.cos(w * u), half)
-            delta = abs(value - check[m])
-            panels *= 2
-        modes[m - 1] = value
-        refined += evaluations > first * PANEL_ORDER
+        u, half, density = grid(2 * max(hint, _oscillation_panels(m)))
+        value = 2.0 * _panel_sum(density * np.cos(w * u), half)
+        delta = abs(value - check[m])
+        if delta <= tol:
+            modes[m - 1] = value
+            kept += 1
         max_delta = max(max_delta, delta)
     import logging  # here, so that validate does not load it
 
     logging.getLogger(__name__).debug(
         "coefficients of %s: FFT check on %d panels over [0, 1/2], "
-        "max |direct - FFT| = %.3e, %d of %d modes refined",
-        profile.tag(), check_panels, max_delta, refined, truncation,
+        "max |direct - FFT| = %.3e, %d of %d direct sums kept",
+        profile.tag(), check_panels, max_delta, kept, truncation,
     )
     return SpectralCoefficients(mean=float(check[0]), modes=modes, profile_tag=profile.tag())

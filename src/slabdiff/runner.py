@@ -175,7 +175,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
 
     # Trace files, one per requested position. Each family is evaluated once,
     # as a (time x position) table.
-    traces_by_u: dict[float, list[TimeTrace]] = {}
+    traces_by_u: list[list[TimeTrace]] = []  # per position in trace_u
     u_row = np.array(s.trace_u, dtype=float)[None, :]
     trace_tables = [
         family_density(m, coeffs, s.eps, u_row, times.points[:, None])
@@ -192,7 +192,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             values = np.array([sl.values[idx] for sl in fd_slices])[fd_keep]
             traces.append(TimeTrace(u=float(fd_cells[idx]), times=fd_times, values=values,
                                     model_tag="fd"))
-        traces_by_u[u] = traces
+        traces_by_u.append(traces)
         comments = base_comments + [
             ("u", format_float(u)),
             ("time_points", str(len(times))),
@@ -206,9 +206,9 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     if "events" in s.outputs:
         rows = []
         threshold = PROMINENCE_FRACTION * coeffs.mean
-        for u in s.trace_u:
+        for u, traces in zip(s.trace_u, traces_by_u):
             ladder = _ladder_for(s, u)
-            for tr in traces_by_u[u]:
+            for tr in traces:
                 for event in detect_extrema(
                     tr, DEFAULT_V_CUTOFF, prominence_threshold=threshold
                 ):

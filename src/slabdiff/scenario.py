@@ -44,7 +44,6 @@ from .core import (
 )
 from .errors import (
     InvalidParameterError,
-    QuadratureError,
     ResonantModeError,
     ScenarioParseError,
     ScenarioValidationError,
@@ -105,17 +104,16 @@ class Scenario:
             )
         if not (0 <= self.eps < math.inf):
             raise ScenarioValidationError(f"eps must be finite and >= 0, got {self.eps!r}")
-        if not (self.truncation >= 1):
-            raise ScenarioValidationError(f"terms must be >= 1, got {self.truncation!r}")
         peak = self.profile.peak()
         if not (peak <= MAX_DENSITY):
             raise ScenarioValidationError(
                 f"[profile] peak density {peak!r} exceeds {MAX_DENSITY:g}"
             )
         try:
-            check_truncation(self.profile, self.truncation)
-        except QuadratureError as exc:
+            terms, _ = check_truncation(self.profile, self.truncation)
+        except InvalidParameterError as exc:
             raise ScenarioValidationError(str(exc)) from exc
+        object.__setattr__(self, "truncation", terms)  # a numpy integer is stored as an int
         if not (self.u_points >= 2):
             raise ScenarioValidationError(f"u_points must be >= 2, got {self.u_points!r}")
         if (self.v_list is None) == (self.v_range is None):
@@ -147,6 +145,8 @@ class Scenario:
         for u in self.trace_u:
             if not (-HALF_WIDTH <= u <= HALF_WIDTH):
                 raise ScenarioValidationError(f"trace_u must lie in [-1/2, 1/2], got {u!r}")
+        if len(set(self.trace_u)) != len(self.trace_u):
+            raise ScenarioValidationError("trace_u must be unique")
         if not (self.fd_nu >= 3):
             raise ScenarioValidationError(f"fd nu must be >= 3, got {self.fd_nu!r}")
         if self.fd_dv is not None and not (0 < self.fd_dv < math.inf):

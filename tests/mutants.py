@@ -89,10 +89,14 @@ MUTANTS = (
     # Without the first-pass check the FFT rule evaluates its first pass
     # before its loop meets the cap, as it once did.
     Mutant("cap_check_after_first_fft_pass", "src/slabdiff/profiles.py",
-           "    if evaluations > MAX_EVALUATIONS:\n        raise QuadratureError(\n"
+           "    if evaluations > MAX_EVALUATIONS:\n        raise InvalidParameterError(\n"
            '            f"terms=',
-           "    if False:\n        raise QuadratureError(\n"
+           "    if False:\n        raise InvalidParameterError(\n"
            '            f"terms=',
+           ("tests/test_profiles.py",)),
+    # Every first direct sum is returned, however far from the FFT value.
+    Mutant("direct_sum_always_kept", "src/slabdiff/profiles.py",
+           "        if delta <= tol:\n", "        if True:\n",
            ("tests/test_profiles.py",)),
 )
 

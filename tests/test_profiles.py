@@ -278,6 +278,11 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
         np.testing.assert_allclose(c.modes, reference.modes[:truncation], rtol=0, atol=tol)
 
 
+def fft_values(profile, truncation):
+    """k0..k_M of the FFT rule alone, as compute_coefficients starts it."""
+    return _fft_modes(profile, truncation, check_truncation(profile, truncation)[1])[0]
+
+
 @pytest.mark.parametrize("profile, truncation, closed_form", [
     (SurfaceCoshProfile(10.0, 1.0), 500, surface_cosh_mode_closed_form),
     (SurfaceCoshProfile(10.0, 1.0), 5000, surface_cosh_mode_closed_form),
@@ -286,7 +291,7 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
 ])
 def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
     """The FFT rule alone is an order of magnitude inside the quadrature tolerance."""
-    values, _, _ = _fft_modes(profile, truncation, check_truncation(profile, truncation))
+    values = fft_values(profile, truncation)
     exact = [mass_closed_form(profile)]
     exact += [closed_form(profile, m) for m in range(1, truncation + 1)]
     np.testing.assert_allclose(values, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
@@ -295,15 +300,17 @@ def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
 class CoarseHintGaussian(GaussianProfile):
     """A Gaussian whose panel hint ignores its width: every first sum is unresolved."""
 
+    hint = 2
+
     def quadrature_panels_hint(self) -> int:
-        return 2
+        return self.hint
 
 
-def check_quadrature_error(excinfo, cap):
-    err = excinfo.value
-    assert math.isfinite(err.best) and math.isfinite(err.last_delta)
-    assert err.last_delta > COEFFICIENT_ABS_TOL
-    assert 0 < err.evaluations <= cap
+class EightPanelGaussian(CoarseHintGaussian):
+    """At sharpness 1e4, k_1..k_7's first sums, on 16 panels, are 5.4e-10 to
+    1.3e-9 from the FFT rule: a tolerance of 1e-9 would keep k_1..k_5."""
+
+    hint = 8
 
 
 def test_fft_rule_hits_the_cap(monkeypatch):
@@ -313,34 +320,38 @@ def test_fft_rule_hits_the_cap(monkeypatch):
     monkeypatch.setattr(profiles, "MAX_EVALUATIONS", cap)
     with pytest.raises(QuadratureError, match="FFT coefficient rule") as excinfo:
         compute_coefficients(CoarseHintGaussian(1e4, 1.0), 7)
-    check_quadrature_error(excinfo, cap)
+    err = excinfo.value
+    assert math.isfinite(err.best) and math.isfinite(err.last_delta)
+    assert err.last_delta > COEFFICIENT_ABS_TOL
+    assert 0 < err.evaluations <= cap
 
 
-def test_refined_sums_meet_the_tolerance_as_a_literal():
-    # On 16 panels k_1 and k_4 of this profile are 5.4e-10 and 7.5e-10 from
-    # the FFT rule, so a tolerance of 1e-9 would keep them unrefined.
-    profile = CoarseHintGaussian(1e4, 1.0)
+@pytest.mark.parametrize("cls", [CoarseHintGaussian, EightPanelGaussian])
+def test_sums_that_miss_the_tolerance_take_the_fft_values(cls):
+    profile = cls(1e4, 1.0)
     c = compute_coefficients(profile, 7)
+    assert np.array_equal(c.modes, fft_values(profile, 7)[1:])
     assert abs(c.mean - mass_closed_form(profile)) <= 1e-12
     exact = [gaussian_mode_closed_form(profile, m) for m in range(1, 8)]
     np.testing.assert_allclose(c.modes, exact, rtol=0, atol=1e-12)
 
 
-def test_mode_refinement_hits_the_cap(monkeypatch):
+def test_missed_sums_need_no_evaluations_after_the_fft_rule(monkeypatch):
     # The FFT rule converges under the normal cap; k_1's first sum, on 4
-    # panels, then misses it, and the lowered cap stops the doubling.
-    cap = PANEL_ORDER * 4
+    # panels, then misses it. A cap of 4 panels from then on leaves room
+    # for that first sum and nothing more.
     fft_modes = profiles._fft_modes
 
     def fft_modes_then_lower_the_cap(*args):
         result = fft_modes(*args)
-        monkeypatch.setattr(profiles, "MAX_EVALUATIONS", cap)
+        monkeypatch.setattr(profiles, "MAX_EVALUATIONS", PANEL_ORDER * 4)
         return result
 
     monkeypatch.setattr(profiles, "_fft_modes", fft_modes_then_lower_the_cap)
-    with pytest.raises(QuadratureError, match="coefficient k_1 did not reach") as excinfo:
-        compute_coefficients(CoarseHintGaussian(1e4, 1.0), 7)
-    check_quadrature_error(excinfo, cap)
+    profile = CoarseHintGaussian(1e4, 1.0)
+    c = compute_coefficients(profile, 7)
+    monkeypatch.undo()
+    assert np.array_equal(c.modes, fft_values(profile, 7)[1:])
 
 
 def test_cli_coeffs_reports_quadrature_error(monkeypatch, tmp_path, capsys):
@@ -377,21 +388,20 @@ def test_out_of_reach_truncation_is_refused_before_any_evaluation(monkeypatch):
     # take 16 * 1000 at M = 4000, and 16 * 10 (the panel hint) at M = 1.
     monkeypatch.setattr(profiles, "MAX_EVALUATIONS", 128)
     for truncation in (4000, 1):
-        with pytest.raises(QuadratureError, match=f"terms={truncation} needs") as excinfo:
+        with pytest.raises(InvalidParameterError, match=f"terms={truncation} needs"):
             compute_coefficients(profile, truncation)
-        assert excinfo.value.evaluations == 0
         assert calls == []
     # Under the real cap k_M's first direct sum takes 32 * max(hint, ceil(M/2))
     # of its 2**20 evaluations: M = 65536 fits, M = 65537 does not.
     monkeypatch.undo()
     monkeypatch.setattr(GaussianProfile, "_density", spy)
-    assert check_truncation(profile, 65536) == 16384
-    with pytest.raises(QuadratureError, match="terms=65537 needs 1048608 density"):
+    assert check_truncation(profile, 65536) == (65536, 16384)
+    with pytest.raises(InvalidParameterError, match="terms=65537 needs 1048608 density"):
         compute_coefficients(profile, 65537)
     # A hint of h panels costs the FFT rule 48 * h evaluations for its first
     # two passes: h = 21845 (a cosine mode of 43690) fits, 21846 does not.
-    assert check_truncation(CosineModeProfile(43690, 1.0, 1.0), 7) == 21845
-    with pytest.raises(QuadratureError, match="terms=7 needs 1048608 density"):
+    assert check_truncation(CosineModeProfile(43690, 1.0, 1.0), 7) == (7, 21845)
+    with pytest.raises(InvalidParameterError, match="terms=7 needs 1048608 density"):
         check_truncation(CosineModeProfile(43691, 1.0, 1.0), 7)
     assert calls == []
 
@@ -403,13 +413,18 @@ def test_coefficients_log_the_fft_check(caplog):
     messages = [r.getMessage() for r in caplog.records]
     assert len(messages) == 2
     assert "FFT check on 20 panels" in messages[0]
-    assert "0 of 7 modes refined" in messages[0]
-    assert "7 of 7 modes refined" in messages[1]
+    assert "7 of 7 direct sums kept" in messages[0]
+    assert "0 of 7 direct sums kept" in messages[1]
 
 
 def test_coefficients_validation():
-    with pytest.raises(InvalidParameterError):
-        compute_coefficients(UniformProfile(1.0), 0)
+    profile = GaussianProfile(100.0, 1.0)
+    for truncation in (0, -3, 7.0, np.float64(7.0), "7", None):
+        with pytest.raises(InvalidParameterError, match="terms must be"):
+            compute_coefficients(profile, truncation)
+    # numpy integers are mode counts, and give the same coefficients
+    c, c_numpy = compute_coefficients(profile, 7), compute_coefficients(profile, np.int64(7))
+    assert c_numpy.truncation == 7 and np.array_equal(c_numpy.modes, c.modes)
 
 
 # ---------------------------------------------------------------------------

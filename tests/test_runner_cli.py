@@ -337,6 +337,8 @@ CONFIG_ERRORS = {
     "terms_out_of_reach": [("terms = 50", "terms = 65537")],
     "cosine_mode_out_of_reach": [("kind = gaussian\nsharpness = 100\namplitude = 1",
                                   "kind = cosine_mode\nmode = 43691\noffset = 1\namplitude = 1")],
+    # each event row of a repeated position was written twice
+    "trace_u_repeated": [("v = 0.01, 0.1", "v_range = 0, 1, 200\ntrace_u = 0.5, 0.5")],
 }
 
 
@@ -371,6 +373,9 @@ def test_cli_validate_accepts_terms_up_to_the_quadrature_cap(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.startswith("error: terms=65537 needs")
         assert captured.err.count("\n") == 1
+        assert "best=" not in captured.err
+    assert main(["coeffs", str(cfg), "--terms", "0"]) == 2
+    assert capsys.readouterr().err == "error: terms must be >= 1, got 0\n"
 
 
 def test_cli_runs_a_validated_huge_time(tmp_path, capsys):

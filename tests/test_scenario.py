@@ -15,7 +15,6 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
-    QuadratureError,
     ResonantModeError,
     Scenario,
     ScenarioParseError,
@@ -160,6 +159,25 @@ def test_model_and_output_validation():
     with pytest.raises(ScenarioValidationError, match="trace_u must lie"):
         Scenario(name="x", eps=0.1, profile=UniformProfile(1.0),
                  models=("parabolic",), v_list=(0.1,), trace_u=(0.7,))
+    # a repeated position wrote each of its events twice; -0.0 is 0.0
+    for trace_u in [(0.5, 0.5), (0.0, 0.25, -0.0)]:
+        with pytest.raises(ScenarioValidationError, match="trace_u must be unique"):
+            Scenario(name="x", eps=0.1, profile=UniformProfile(1.0),
+                     models=("parabolic",), v_list=(0.1,), trace_u=trace_u)
+
+
+def test_terms_are_integers_numpy_ones_included(tmp_path):
+    # np.int64 validated, then compute_coefficients refused it in run
+    s = Scenario(name="np", eps=0.13, profile=GaussianProfile(100.0, 1.0),
+                 truncation=np.int64(50), v_list=(0.1,))
+    assert type(s.truncation) is int and s.truncation == 50
+    assert s == replace(s, truncation=50)
+    run_scenario(s, tmp_path)
+    # 50.0 validated too; 0 never did
+    for terms, message in [(50.0, "terms must be an integer, got 50.0"),
+                           (0, "terms must be >= 1, got 0")]:
+        with pytest.raises(ScenarioValidationError, match=message):
+            replace(s, truncation=terms)
 
 
 @pytest.mark.parametrize("name", ["figure1", "figure2", "figure3", "figure4"])
@@ -338,14 +356,15 @@ def scenarios(draw):
     truncation = draw(st.integers(1, 2**16))
     try:
         check_truncation(profile, truncation)
-    except QuadratureError:
+    except InvalidParameterError:
         assume(False)
     if "wkb" in models:
         try:
             check_wkb_eps(eps, truncation)
         except ResonantModeError:
             assume(False)
-    trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=3)))
+    trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=3,
+                                  unique=True)))
     times = {}
     if trace_u and draw(st.booleans()):
         start = draw(finite(min_value=0.0, max_value=5.0))
