@@ -229,8 +229,14 @@ class CosineModeProfile(InitialProfile):
     kind = "cosine_mode"
 
     def __post_init__(self):
-        if not (isinstance(self.mode, int) and self.mode >= 1):
+        # numpy integers are modes, stored as int; a float is refused, even a whole one
+        try:
+            mode = operator.index(self.mode)
+        except TypeError:
+            raise InvalidParameterError(f"mode must be an integer, got {self.mode!r}") from None
+        if mode < 1:
             raise InvalidParameterError(f"mode must be a positive integer, got {self.mode!r}")
+        object.__setattr__(self, "mode", mode)
         if not (0 <= self.offset < math.inf):
             raise InvalidParameterError(f"offset must be finite and >= 0, got {self.offset!r}")
         if not (self.offset >= abs(self.amplitude)):

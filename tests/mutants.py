@@ -98,6 +98,19 @@ MUTANTS = (
     Mutant("direct_sum_always_kept", "src/slabdiff/profiles.py",
            "        if delta <= tol:\n", "        if True:\n",
            ("tests/test_profiles.py",)),
+    # Each snapshot applies the powers that j, not j - 1, selects.
+    Mutant("telegraph_bits_of_j", "src/slabdiff/fd.py",
+           "if (j - 1) >> b & 1:", "if j >> b & 1:",
+           ("tests/test_fd.py",)),
+    # The power table stops one square short when the largest j - 1 is 2^k.
+    Mutant("power_table_bound", "src/slabdiff/fd.py",
+           "while (1 << len(powers)) <= max(steps) - 1:",
+           "while (1 << len(powers)) < max(steps) - 1:",
+           ("tests/test_fd.py",)),
+    # Heat modes with 1 + x <= 0 take one step too few.
+    Mutant("heat_rough_power", "src/slabdiff/fd.py",
+           "np.power(factor, j) - 1.0", "np.power(factor, j - 1) - 1.0",
+           ("tests/test_fd.py",)),
 )
 
 _IGNORE = shutil.ignore_patterns(

@@ -167,6 +167,43 @@ def test_telegraph_matches_hyperbolic_series(gaussian_profile, gaussian_coeffs):
         assert np.max(np.abs(sl.values - ref)) < 1e-3
 
 
+def fd_errors(profile, coeffs, eps, nu, snap):
+    """FD minus the series, each slice compared at its own recorded time."""
+    cfg = FdConfig.auto(nu, eps, snap)
+    solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
+    out = []
+    for sl in solver(profile, cfg):
+        if eps == 0.0:
+            ref = parabolic_density(coeffs, sl.grid.points, sl.v)
+        else:
+            ref = hyperbolic_density(coeffs, eps, sl.grid.points, sl.v)
+        out.append(sl.values - ref)
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.0, EPS_REF])
+def test_observed_order_is_two_on_smooth_data(gaussian_profile, gaussian_coeffs, eps):
+    # du shrinks 3x per step (dv with it, through FdConfig.auto); measured
+    # orders lie in 1.999 to 2.000
+    snap = times(0.01, 0.1)
+    errors = [fd_errors(gaussian_profile, gaussian_coeffs, eps, nu, snap) for nu in (400, 1200, 3600)]
+    for k in range(len(snap.points)):
+        linf = [float(np.max(np.abs(e[k]))) for e in errors]
+        for coarse, fine in zip(linf, linf[1:]):
+            assert math.log(coarse / fine) / math.log(3.0) == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize("eps", [0.0, EPS_REF])
+def test_richardson_extrapolation_meets_the_series(gaussian_profile, gaussian_coeffs, eps):
+    # cell 3i + 1 of 1200 cells is cell i of 400; removing the h^2 term
+    # leaves at most 6.0e-8 (telegraph at v = 0.1)
+    snap = times(0.01, 0.1)
+    e400 = fd_errors(gaussian_profile, gaussian_coeffs, eps, 400, snap)
+    e1200 = fd_errors(gaussian_profile, gaussian_coeffs, eps, 1200, snap)
+    for coarse, fine in zip(e400, e1200):
+        assert np.max(np.abs((9.0 * fine[1::3] - coarse) / 8.0)) < 1e-6
+
+
 def test_heat_grid_convergence_is_second_order():
     # halve du (dv rescales with du^2 through the stability rule): the
     # error against the exact single-mode decay must drop by >= 3x.
@@ -216,6 +253,34 @@ def test_heat_at_the_stability_bound_matches_stepping():
     dv = 0.5 / nu**2
     cfg = FdConfig(nu=nu, dv=dv, eps=0.0, snapshot_times=times(dv, 0.01, 0.1))
     assert_matches_stepping(GaussianProfile(100.0, 1.0), cfg)
+
+
+SHARED_STEPS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 127, 128, 129, 4095, 4096, 4097)
+
+
+@pytest.mark.parametrize("nu", [3, 16, 17, 400])
+@pytest.mark.parametrize("eps", [0.0, 1e-6, EPS_REF, 3.0])
+def test_each_snapshot_equals_its_time_solved_alone(nu, eps):
+    # One solve squares the step matrix for the bits of its largest j - 1
+    # and every snapshot reads that table; alone, j = 2^k + 1 needs the
+    # table's top power. eps = 1e-6 gives p_prev < 0.
+    prof = GaussianProfile(100.0, 1.0)
+    dv = FdConfig.auto(nu, eps, times(1.0)).dv
+    solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
+    snap = TimeGrid.from_values([j * dv for j in SHARED_STEPS])
+    slices = solver(prof, FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=snap))
+    assert [sl.v for sl in slices] == [j * dv for j in SHARED_STEPS]
+    n0 = np.asarray(evaluate_profile(prof, cell_centers(nu)), dtype=float)
+    np.testing.assert_array_equal(slices[0].values, n0)
+    for j, sl in zip(SHARED_STEPS[1:], slices[1:]):
+        (alone,) = solver(prof, FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=times(j * dv)))
+        assert alone.v == sl.v
+        np.testing.assert_array_equal(sl.values, alone.values, err_msg=f"j = {j}")
+    points = slices[0].grid.points
+    np.testing.assert_array_equal(points, cell_centers(nu))
+    assert all(sl.grid is slices[0].grid for sl in slices)
+    with pytest.raises(ValueError, match="read-only"):
+        points[0] = 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])

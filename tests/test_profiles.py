@@ -99,6 +99,15 @@ def test_profile_parameter_validation():
         CosineModeProfile(mode=1, offset=0.4, amplitude=0.5)
 
 
+def test_cosine_mode_accepts_numpy_integers_and_refuses_floats():
+    p = CosineModeProfile(np.int64(3), 1.0, 0.5)
+    assert p == CosineModeProfile(3, 1.0, 0.5)
+    assert type(p.mode) is int
+    for mode in (3.0, np.float64(3.0), "3", np.int64(0)):
+        with pytest.raises(InvalidParameterError, match="mode"):
+            CosineModeProfile(mode, 1.0, 0.5)
+
+
 def test_tabulated_profile_symmetrized_and_interpolated():
     grid = Grid1D(points=np.array([-0.5, -0.1, 0.2, 0.5]))
     values = np.array([1.0, 0.5, 0.3, 2.0])
