@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_TRACE_SAMPLES
+from .core import MIN_TRACE_SAMPLES, check_eps
 from .errors import InvalidInputError, InvalidParameterError
 from .spectral import FieldSlice, TimeTrace
 
@@ -79,8 +79,7 @@ def predict_echo_ladder(source: str, u: float, eps: float) -> EchoLadder:
     * surface source observed at the wall: v2, 2*v2, 3*v2, ...
     * surface source observed at the center: v1, 3*v1, 5*v1, ...
     """
-    if not (eps > 0):
-        raise InvalidParameterError(f"eps must be > 0, got {eps!r}")
+    check_eps(eps, math.ulp(0.0))  # any finite eps > 0 has a ladder
     if source not in ("center", "surface"):
         raise InvalidParameterError(f"source must be 'center' or 'surface', got {source!r}")
     if u not in (0.0, 0.5):

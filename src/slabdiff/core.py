@@ -6,14 +6,24 @@ the diffusion time tau_D = d^2 / D, so the slab always occupies
 u in [-1/2, 1/2] and relaxation enters through the single number
 eps = tau_r / tau_D.
 
-The eps checks of the telegraph and two-timescale families and the fewest
-samples a trace needs for extrema detection live here, not in spectral and
-analysis, so that validating a scenario loads neither of those modules.
+Every parameter rule has one owner here, and every other module calls it:
+
+* check_count owns the rule for a count (series terms, a cosine mode, grid
+  and time samples, FD cells): an integer, numpy integers included and
+  floats refused, even whole ones, at or above a lower bound;
+* check_eps owns the rule for eps: finite and at or above a lower bound.
+  check_telegraph_eps (eps >= the smallest normal float) and check_wkb_eps
+  (eps >= 0, and no resonant mode) are built on it.
+
+These rules, the fewest samples a trace needs for extrema detection and the
+fewest FD cells live here, not in spectral, analysis and fd, so that
+validating a scenario loads none of those modules.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -33,6 +43,9 @@ RESONANCE_TOL = 1e-9
 #: Minimum number of samples a trace must have for extrema detection.
 MIN_TRACE_SAMPLES = 200
 
+#: The fewest cells of the FD oracle.
+MIN_FD_CELLS = 3
+
 #: The most float64 samples numpy builds into one array: it refuses an array
 #: of more than np.iinfo(np.intp).max bytes before allocating anything.
 MAX_SAMPLES = np.iinfo(np.intp).max // 8
@@ -46,17 +59,33 @@ def slab_positions(u) -> np.ndarray:
     return u_arr
 
 
+def check_count(value, name: str, minimum: int) -> int:
+    """value as an int; raise InvalidParameterError unless it is an integer >= minimum.
+
+    numpy integers are counts; a float is refused, even a whole one.
+    """
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise InvalidParameterError(f"{name} must be >= {minimum}, got {count}")
+    return count
+
+
+def check_eps(eps: float, minimum: float):
+    """Raise InvalidParameterError unless minimum <= eps < inf (NaN is refused)."""
+    if not (minimum <= eps < math.inf):
+        raise InvalidParameterError(f"eps must be finite and >= {minimum!r}, got {eps!r}")
+
+
 def check_telegraph_eps(eps: float):
-    """Raise InvalidParameterError unless eps >= sys.float_info.min.
+    """Raise InvalidParameterError unless sys.float_info.min <= eps < inf.
 
     The telegraph closed forms divide by 2*eps, and 1/(2*eps) overflows
     for a subnormal eps.
     """
-    if not (eps >= sys.float_info.min):
-        raise InvalidParameterError(
-            f"the telegraph model requires eps > 0 and not subnormal "
-            f"(>= {sys.float_info.min!r}), got {eps!r}"
-        )
+    check_eps(eps, sys.float_info.min)
 
 
 def _mode_ratios(eps: float, m):
@@ -65,18 +94,17 @@ def _mode_ratios(eps: float, m):
 
 
 def check_wkb_eps(eps: float, terms: int):
-    """Raise unless eps >= 0 and no mode m <= terms is resonant, in O(1).
+    """Raise unless 0 <= eps < inf and no mode m <= terms is resonant, in O(1).
 
     q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
     within RESONANCE_TOL of 1.
 
     Raises:
-        InvalidParameterError: eps < 0 or NaN.
+        InvalidParameterError: eps < 0, infinite or NaN.
         ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
             where the two-timescale closed form is singular.
     """
-    if not (eps >= 0):
-        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
+    check_eps(eps, 0.0)
     near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
     if near > terms + 1:
         return
@@ -88,8 +116,7 @@ def check_wkb_eps(eps: float, terms: int):
 
 def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
     """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES."""
-    if count < 2:
-        raise InvalidParameterError(f"need at least 2 {name}, got {count}")
+    count = check_count(count, name, 2)
     if count > MAX_SAMPLES:
         raise InvalidParameterError(
             f"{count} {name} exceed the {MAX_SAMPLES} floats one array can hold")
@@ -144,7 +171,7 @@ class Grid1D(_Points):
     @classmethod
     def uniform_grid(cls, n_points: int) -> "Grid1D":
         """Uniform grid of n_points including both walls."""
-        return cls(points=_linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "grid points"))
+        return cls(points=_linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "u points"))
 
 
 @dataclass(frozen=True, eq=False)

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import Grid1D, TimeGrid
+from .core import MIN_FD_CELLS, Grid1D, TimeGrid, check_count, check_eps
 from .errors import InvalidParameterError, StabilityError
 from .profiles import InitialProfile, evaluate_profile
 from .spectral import FieldSlice
@@ -70,11 +70,15 @@ def cell_centers(nu: int) -> np.ndarray:
 class FdConfig:
     """Grid, step and output plan for one explicit run.
 
+    core.check_count owns the rule for nu, and core.check_eps the one for
+    eps; this class owns the step's stability bounds and its step cap.
+
     Attributes:
-        nu: number of spatial cells (du = 1/nu).
+        nu: number of spatial cells (du = 1/nu), an integer >= MIN_FD_CELLS;
+            a numpy integer is stored as an int.
         dv: time step; must satisfy the stability bound of the selected
             equation (eps == 0 selects heat, eps > 0 telegraph).
-        eps: relaxation ratio of the telegraph equation, >= 0.
+        eps: relaxation ratio of the telegraph equation, finite and >= 0.
         snapshot_times: times at which slices are recorded (snapped to the
             nearest step boundary).
     """
@@ -85,12 +89,10 @@ class FdConfig:
     snapshot_times: TimeGrid
 
     def __post_init__(self):
-        if not (isinstance(self.nu, int) and self.nu >= 3):
-            raise InvalidParameterError(f"nu must be an integer >= 3, got {self.nu!r}")
+        object.__setattr__(self, "nu", check_count(self.nu, "nu", MIN_FD_CELLS))
+        check_eps(self.eps, 0.0)
         if not (self.dv > 0):
             raise InvalidParameterError(f"dv must be > 0, got {self.dv!r}")
-        if not (self.eps >= 0):
-            raise InvalidParameterError(f"eps must be >= 0, got {self.eps!r}")
         if not (self.v_end > 0):
             raise InvalidParameterError(f"v_end must be > 0, got {self.v_end!r}")
         du = self.du
@@ -256,9 +258,9 @@ def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlic
     the centered three-level update is used. Returns one slice per
     requested snapshot time, tagged "fd".
     """
-    if not (cfg.eps > 0):
+    if cfg.eps == 0.0:
         raise InvalidParameterError(
-            f"fd_solve_telegraph requires eps > 0, got eps={cfg.eps!r}"
+            "fd_solve_telegraph requires a telegraph-mode config (eps > 0), got eps=0.0"
         )
     eps, dv, du = cfg.eps, cfg.dv, cfg.du
     # Coefficients of the centered three-level scheme in increment form,

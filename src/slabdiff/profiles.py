@@ -18,19 +18,22 @@ independent references in the tests, not part of the package.
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
 and, for the closed-form kinds, the arguments of its provenance tag.
+
+core.check_count owns the rule for a count, here the series terms and a
+cosine profile's mode; check_truncation owns only the reach of the
+coefficient rules under MAX_EVALUATIONS.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
-from .core import HALF_WIDTH, Grid1D, slab_positions
+from .core import HALF_WIDTH, Grid1D, check_count, slab_positions
 from .errors import InvalidParameterError, QuadratureError
 
 #: Quadrature tolerance of the coefficients, in units of max(1, |k0|): the
@@ -219,7 +222,8 @@ class UniformProfile(InitialProfile):
 class CosineModeProfile(InitialProfile):
     """Single eigenmode on a constant background: offset + amplitude*cos(2*m*pi*u).
 
-    offset >= |amplitude| keeps the density non-negative everywhere.
+    mode is a count >= 1 (core.check_count), stored as an int. offset >=
+    |amplitude| keeps the density non-negative everywhere.
     """
 
     mode: int
@@ -229,14 +233,7 @@ class CosineModeProfile(InitialProfile):
     kind = "cosine_mode"
 
     def __post_init__(self):
-        # numpy integers are modes, stored as int; a float is refused, even a whole one
-        try:
-            mode = operator.index(self.mode)
-        except TypeError:
-            raise InvalidParameterError(f"mode must be an integer, got {self.mode!r}") from None
-        if mode < 1:
-            raise InvalidParameterError(f"mode must be a positive integer, got {self.mode!r}")
-        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "mode", check_count(self.mode, "mode", 1))
         if not (0 <= self.offset < math.inf):
             raise InvalidParameterError(f"offset must be finite and >= 0, got {self.offset!r}")
         if not (self.offset >= abs(self.amplitude)):
@@ -254,6 +251,11 @@ class CosineModeProfile(InitialProfile):
     def quadrature_panels_hint(self) -> int:
         return _oscillation_panels(self.mode)
 
+
+#: Bytes of one (modes x segments) float array that
+#: TabulatedProfile.exact_coefficients forms per block of modes; its peak
+#: memory is a few such arrays, whatever the truncation.
+TABULATED_BLOCK_BYTES = 4 * 2**20
 
 #: Table nodes whose distances from the center differ by at most this many
 #: ulps of the half-width are stored as one node; a linspace node and its
@@ -330,16 +332,22 @@ class TabulatedProfile(InitialProfile):
         sum -(2/a^2) * sum_i jump_i(n0') cos(a*u_i). Summed segment by
         segment (rise dn_j, width h_j, midpoint c_j) that is
         -(2/a) * sum_j dn_j sin(a*c_j) sinc(m*h_j), which never divides by
-        a width, however close two nodes are.
+        a width, however close two nodes are. It is summed in blocks of
+        modes of TABULATED_BLOCK_BYTES each, so memory does not grow with
+        the truncation.
         """
         knots = np.union1d(self.grid.points, [-HALF_WIDTH, HALF_WIDTH])
         n0 = self._density(knots)
         rise, width = np.diff(n0), np.diff(knots)
         mid = 0.5 * (knots[1:] + knots[:-1])
         mean = float(np.sum(0.5 * (n0[1:] + n0[:-1]) * width))
-        m = np.arange(1, truncation + 1, dtype=float)[:, None]
-        a = 2.0 * math.pi * m
-        modes = (-2.0 / a[:, 0]) * ((np.sin(a * mid) * np.sinc(m * width)) @ rise)
+        rows = max(1, TABULATED_BLOCK_BYTES // (8 * mid.size))
+        modes = np.empty(truncation)
+        for first in range(0, truncation, rows):
+            m = np.arange(first + 1, min(first + rows, truncation) + 1, dtype=float)[:, None]
+            a = 2.0 * math.pi * m
+            modes[first:first + rows] = (
+                (-2.0 / a[:, 0]) * ((np.sin(a * mid) * np.sinc(m * width)) @ rise))
         return mean, modes
 
     def __eq__(self, other) -> bool:
@@ -397,12 +405,13 @@ def evaluate_profile(profile: InitialProfile, u):
 def check_truncation(profile: InitialProfile, truncation) -> tuple[int, int]:
     """Raise unless `truncation` is a mode count the coefficient rules reach; evaluate nothing.
 
-    A mode count is an integer >= 1, numpy integers included; a float is
-    refused, even a whole one. The FFT rule starts on max(hint, ceil(M/4))
-    panels over [0, 1/2] and needs two passes, 3x those panels, to compare
-    anything; k_M's direct sum takes 2*max(hint, ceil(M/2)) panels over the
-    slab. Both give the last mode 8 nodes per period. Under MAX_EVALUATIONS
-    = 2**20 no profile reaches M > 65536, and one whose hint exceeds 21845
+    A mode count is an integer >= 1, numpy integers included, and a float is
+    refused, even a whole one: core.check_count owns that rule. The FFT rule
+    starts on max(hint, ceil(M/4)) panels over [0, 1/2] and needs two
+    passes, 3x those panels, to compare anything; k_M's direct sum takes
+    2*max(hint, ceil(M/2)) panels over the slab. Both give the last mode 8
+    nodes per period. Under MAX_EVALUATIONS = 2**20 no profile reaches
+    M > 65536, and one whose hint exceeds 21845
     panels (a cosine mode above 43690) reaches no M.
 
     Returns:
@@ -412,12 +421,7 @@ def check_truncation(profile: InitialProfile, truncation) -> tuple[int, int]:
         InvalidParameterError: the truncation is no integer, is below 1, or
             either rule's first step exceeds MAX_EVALUATIONS.
     """
-    try:
-        terms = operator.index(truncation)
-    except TypeError:
-        raise InvalidParameterError(f"terms must be an integer, got {truncation!r}") from None
-    if terms < 1:
-        raise InvalidParameterError(f"terms must be >= 1, got {terms}")
+    terms = check_count(truncation, "terms", 1)
     hint = profile.quadrature_panels_hint()
     fft, direct = max(hint, -(-terms // 4)), 2 * max(hint, _oscillation_panels(terms))
     evaluations = PANEL_ORDER * max(3 * fft, direct)

@@ -21,6 +21,14 @@ Unknown sections or keys and non-finite numbers are hard errors, reported
 with their line number. serialize_scenario produces a canonical document
 that parses back to an equal Scenario, and its hash is embedded in every
 output file.
+
+Scenario owns the cross-field invariants only. Each parameter rule has one
+owner, which Scenario calls and whose error it reports as a
+ScenarioValidationError: core.check_eps (eps finite and >= 0, and the
+stricter bounds of check_telegraph_eps and check_wkb_eps), core.check_count
+through check_truncation (terms), the grids (u_points and the v_range count)
+and FdConfig (nu, and the step). Every count is stored as an int, so a
+numpy integer serializes as one.
 """
 
 from __future__ import annotations
@@ -35,10 +43,13 @@ import numpy as np
 
 from .core import (
     HALF_WIDTH,
+    MIN_FD_CELLS,
     MIN_TRACE_SAMPLES,
     SPECTRAL_MODELS,
     Grid1D,
     TimeGrid,
+    check_count,
+    check_eps,
     check_telegraph_eps,
     check_wkb_eps,
 )
@@ -102,20 +113,11 @@ class Scenario:
                 f"name must be non-empty and use only letters, digits, '_', '.' "
                 f"and '-', got {self.name!r}"
             )
-        if not (0 <= self.eps < math.inf):
-            raise ScenarioValidationError(f"eps must be finite and >= 0, got {self.eps!r}")
         peak = self.profile.peak()
         if not (peak <= MAX_DENSITY):
             raise ScenarioValidationError(
                 f"[profile] peak density {peak!r} exceeds {MAX_DENSITY:g}"
             )
-        try:
-            terms, _ = check_truncation(self.profile, self.truncation)
-        except InvalidParameterError as exc:
-            raise ScenarioValidationError(str(exc)) from exc
-        object.__setattr__(self, "truncation", terms)  # a numpy integer is stored as an int
-        if not (self.u_points >= 2):
-            raise ScenarioValidationError(f"u_points must be >= 2, got {self.u_points!r}")
         if (self.v_list is None) == (self.v_range is None):
             raise ScenarioValidationError("exactly one of v or v_range must be given")
         if self.v_range is not None and not self.trace_u:
@@ -127,16 +129,6 @@ class Scenario:
                 raise ScenarioValidationError(f"unknown model {m!r}")
         if len(set(self.models)) != len(self.models):
             raise ScenarioValidationError("models must be unique")
-        if "hyperbolic" in self.models:
-            try:
-                check_telegraph_eps(self.eps)
-            except InvalidParameterError as exc:
-                raise ScenarioValidationError(f"hyperbolic: {exc}") from exc
-        if "wkb" in self.models:
-            try:
-                check_wkb_eps(self.eps, self.truncation)
-            except ResonantModeError as exc:
-                raise ScenarioValidationError(f"wkb: {exc}") from exc
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ScenarioValidationError(f"unknown output kind {kind!r}")
@@ -147,22 +139,37 @@ class Scenario:
                 raise ScenarioValidationError(f"trace_u must lie in [-1/2, 1/2], got {u!r}")
         if len(set(self.trace_u)) != len(self.trace_u):
             raise ScenarioValidationError("trace_u must be unique")
-        if not (self.fd_nu >= 3):
-            raise ScenarioValidationError(f"fd nu must be >= 3, got {self.fd_nu!r}")
         if self.fd_dv is not None and not (0 < self.fd_dv < math.inf):
             raise ScenarioValidationError(f"fd dv must be finite and > 0, got {self.fd_dv!r}")
+        # The owners of the eps and count rules (core and check_truncation);
+        # the grids also check the times and refuse a size numpy cannot build.
         try:
-            # Constructing the grids validates ordering/positivity of the times
-            # and refuses a grid size numpy cannot build.
-            times = self.time_grid()
-            self.spatial_grid()
+            check_eps(self.eps, 0.0)
+            terms, _ = check_truncation(self.profile, self.truncation)
+            times, grid = self.time_grid(), self.spatial_grid()
         except InvalidParameterError as exc:
             raise ScenarioValidationError(str(exc)) from exc
-        if "fd" in self.models:
+        # The counts are stored as ints, so a numpy integer serializes as one.
+        object.__setattr__(self, "truncation", terms)
+        object.__setattr__(self, "u_points", len(grid))
+        if self.v_range is not None:
+            object.__setattr__(self, "v_range", (*self.v_range[:2], len(times)))
+        if "hyperbolic" in self.models:
             try:
+                check_telegraph_eps(self.eps)
+            except InvalidParameterError as exc:
+                raise ScenarioValidationError(f"hyperbolic: {exc}") from exc
+        if "wkb" in self.models:
+            try:
+                check_wkb_eps(self.eps, self.truncation)
+            except ResonantModeError as exc:
+                raise ScenarioValidationError(f"wkb: {exc}") from exc
+        try:
+            object.__setattr__(self, "fd_nu", check_count(self.fd_nu, "nu", MIN_FD_CELLS))
+            if "fd" in self.models:
                 fd_cfg = self.fd_config()  # checks the step's stability and the step count
-            except (InvalidParameterError, StabilityError) as exc:
-                raise ScenarioValidationError(f"[fd] {exc}") from exc
+        except (InvalidParameterError, StabilityError) as exc:
+            raise ScenarioValidationError(f"[fd] {exc}") from exc
         if "events" in self.outputs:
             if not self.trace_u:
                 raise ScenarioValidationError("events output requires trace_u")
@@ -185,7 +192,7 @@ class Scenario:
         if self.v_list is not None:
             return TimeGrid.from_values(self.v_list)
         start, stop, count = self.v_range
-        return TimeGrid.linspace(start, stop, int(count))
+        return TimeGrid.linspace(start, stop, count)
 
     def spatial_grid(self) -> Grid1D:
         return Grid1D.uniform_grid(self.u_points)

@@ -98,6 +98,18 @@ MUTANTS = (
     Mutant("direct_sum_always_kept", "src/slabdiff/profiles.py",
            "        if delta <= tol:\n", "        if True:\n",
            ("tests/test_profiles.py",)),
+    # A count one below its lower bound passes, as 0 terms or 2 FD cells.
+    Mutant("count_lower_bound", "src/slabdiff/core.py",
+           "    if count < minimum:", "    if count < minimum - 1:",
+           ("tests/test_core.py",)),
+    # An infinite eps reaches the series, the FD oracle and the echo ladder.
+    Mutant("eps_finite_bound_dropped", "src/slabdiff/core.py",
+           "if not (minimum <= eps < math.inf):", "if not (minimum <= eps):",
+           ("tests/test_core.py",)),
+    # The tabulated coefficients form one (modes x segments) block, as before.
+    Mutant("tabulated_block_bytes", "src/slabdiff/profiles.py",
+           "TABULATED_BLOCK_BYTES = 4 * 2**20", "TABULATED_BLOCK_BYTES = 4 * 2**30",
+           ("tests/test_profiles.py",)),
     # Each snapshot applies the powers that j, not j - 1, selects.
     Mutant("telegraph_bits_of_j", "src/slabdiff/fd.py",
            "if (j - 1) >> b & 1:", "if j >> b & 1:",

@@ -1,10 +1,24 @@
 import importlib
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import slabdiff
-from slabdiff import Grid1D, InvalidParameterError, TimeGrid
+from slabdiff import (
+    FdConfig,
+    GaussianProfile,
+    Grid1D,
+    InvalidParameterError,
+    ScenarioValidationError,
+    TimeGrid,
+    compute_coefficients,
+    hyperbolic_density,
+    predict_echo_ladder,
+    preset,
+    wkb_density,
+)
 from slabdiff.core import MAX_SAMPLES
 
 
@@ -44,6 +58,62 @@ def test_grids_refuse_a_size_numpy_cannot_build(count):
         Grid1D.uniform_grid(count)
     with pytest.raises(InvalidParameterError):
         TimeGrid.linspace(0.0, 1.0, count)
+
+
+def _coefficients():
+    return compute_coefficients(GaussianProfile(100.0, 1.0), 50)
+
+
+def _fd_figure2(nu):
+    return replace(preset("figure2"), fd_nu=nu, models=("parabolic", "fd"))
+
+
+#: Counts and eps that each entry point once let through, or refused only
+#: with a bare TypeError or ZeroDivisionError, or computed with: the call,
+#: the error it raises and its message. A count is an integer, numpy
+#: integers included, and a float is refused even when whole; eps is finite.
+REFUSALS = {
+    "scenario_float_u_points": (lambda: replace(preset("figure2"), u_points=51.0),
+                                ScenarioValidationError, "u points must be an integer, got 51.0"),
+    "float_time_count": (lambda: TimeGrid.linspace(0.0, 1.0, 2.5),
+                         InvalidParameterError, "time points must be an integer, got 2.5"),
+    "float_grid_count": (lambda: Grid1D.uniform_grid(2.5),
+                         InvalidParameterError, "u points must be an integer, got 2.5"),
+    # a numpy integer is a count, held to the bound like an int
+    "scenario_numpy_fd_nu": (lambda: _fd_figure2(np.int64(2)),
+                             ScenarioValidationError, r"^\[fd\] nu must be >= 3, got 2$"),
+    "fd_config_numpy_nu": (lambda: FdConfig.auto(np.int64(2), 0.13, TimeGrid.from_values([0.1])),
+                           InvalidParameterError, "^nu must be >= 3, got 2$"),
+    # without fd the canonical document of fd_nu = 64.5 did not parse
+    "scenario_float_fd_nu": (lambda: replace(preset("figure2"), fd_nu=64.5),
+                             ScenarioValidationError, r"\[fd\] nu must be an integer, got 64.5"),
+    "scenario_float_v_range_count": (
+        lambda: replace(preset("figure2"), v_range=(0.0, 1.2, 1201.7)),
+        ScenarioValidationError, "time points must be an integer, got 1201.7"),
+    "hyperbolic_infinite_eps": (lambda: hyperbolic_density(_coefficients(), math.inf, 0.5, 0.1),
+                                InvalidParameterError, "eps must be finite"),
+    "wkb_infinite_eps": (lambda: wkb_density(_coefficients(), math.inf, 0.5, 0.1),
+                         InvalidParameterError, "eps must be finite"),
+    "fd_config_infinite_eps": (
+        lambda: FdConfig(nu=400, dv=1e-6, eps=math.inf, snapshot_times=TimeGrid.from_values([0.1])),
+        InvalidParameterError, "eps must be finite"),
+    "ladder_infinite_eps": (lambda: predict_echo_ladder("center", 0.5, math.inf),
+                            InvalidParameterError, "eps must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSALS))
+def test_counts_and_eps_are_refused_by_their_one_rule(name):
+    call, error, message = REFUSALS[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_numpy_integer_fd_cells_are_counts():
+    s = _fd_figure2(np.int64(64))
+    assert type(s.fd_nu) is int and s == _fd_figure2(64)
+    cfg = FdConfig.auto(np.int64(64), 0.13, s.time_grid())
+    assert type(cfg.nu) is int and cfg == s.fd_config()
 
 
 def test_every_public_name_resolves():

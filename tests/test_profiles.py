@@ -1,5 +1,6 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -470,6 +471,39 @@ def test_tabulated_coefficients_are_exact(name):
     assert c.mean == pytest.approx(segment_reference(p, 0) / 2.0, abs=1e-14)
     for m in (1, 2, 17, 250, 500):
         assert c.modes[m - 1] == pytest.approx(segment_reference(p, m), abs=1e-14)
+
+
+FINE_U = np.linspace(-0.5, 0.5, 1001)
+FINE_TABLE = TabulatedProfile(grid=Grid1D(points=FINE_U), values=np.exp(-100.0 * FINE_U**2))
+
+
+def test_tabulated_mode_blocks_join_without_a_shift(monkeypatch):
+    # Blocks of 7 modes over the 1000 segments: every mode of five blocks,
+    # the last one short, against its own segment sum.
+    monkeypatch.setattr(profiles, "TABULATED_BLOCK_BYTES", 8 * 1000 * 7)
+    knots = np.union1d(FINE_TABLE.grid.points, [-0.5, 0.5])
+    rise, width = np.diff(evaluate_profile(FINE_TABLE, knots)), np.diff(knots)
+    mid = 0.5 * (knots[1:] + knots[:-1])
+    assert mid.size == 1000
+    _, modes = FINE_TABLE.exact_coefficients(33)
+    assert modes.size == 33
+    for m in range(1, 34):
+        a = 2.0 * math.pi * m
+        segments = rise * np.sin(a * mid) * np.sinc(m * width)
+        assert modes[m - 1] == pytest.approx(-2.0 / a * math.fsum(segments), rel=0, abs=1e-15)
+
+
+def test_tabulated_coefficients_take_bounded_memory():
+    # One (modes x segments) array at M = 8192 and 1000 segments is 63 MiB,
+    # and forming the whole sum at once peaked at 313 MiB (tracemalloc sees
+    # numpy's buffers).
+    tracemalloc.start()
+    try:
+        compute_coefficients(FINE_TABLE, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_tabulated_constant_has_no_modes():

@@ -338,9 +338,16 @@ profiles = st.one_of(
 )
 
 
+def count(low, high):
+    """A count in [low, high] as an int or a numpy integer; Scenario stores either as an int."""
+    return st.builds(lambda n, kind: kind(n), st.integers(low, high),
+                     st.sampled_from([int, np.int64]))
+
+
 @st.composite
 def scenarios(draw):
-    """Any valid Scenario: every field drawn, all five profile kinds."""
+    """Any valid Scenario: every field drawn, all five profile kinds, the counts
+    drawn as ints or numpy integers."""
     models = tuple(draw(st.lists(st.sampled_from(MODEL_ORDER), min_size=1, unique=True)))
     # eps >= 1e-6 keeps the FD step count under its cap
     eps_values = finite(min_value=1e-6 if "fd" in models else 0.0, max_value=10.0,
@@ -353,7 +360,7 @@ def scenarios(draw):
     # 65536 terms are the most the coefficient quadrature reaches, and a
     # cosine mode above 43690 leaves it none
     profile = draw(profiles)
-    truncation = draw(st.integers(1, 2**16))
+    truncation = draw(count(1, 2**16))
     try:
         check_truncation(profile, truncation)
     except InvalidParameterError:
@@ -369,7 +376,7 @@ def scenarios(draw):
     if trace_u and draw(st.booleans()):
         start = draw(finite(min_value=0.0, max_value=5.0))
         stop = start + draw(finite(min_value=1e-3, max_value=5.0))
-        times["v_range"] = (start, stop, draw(st.integers(2, 2000)))
+        times["v_range"] = (start, stop, draw(count(2, 2000)))
         samples = times["v_range"][2]
     else:
         times["v_list"] = tuple(sorted(draw(st.lists(
@@ -384,10 +391,10 @@ def scenarios(draw):
         eps=eps,
         profile=profile,
         truncation=truncation,
-        u_points=draw(st.integers(2, 10**6)),
+        u_points=draw(count(2, 10**6)),
         trace_u=trace_u,
         models=models,
-        fd_nu=draw(st.integers(3, 256)),
+        fd_nu=draw(count(3, 256)),
         outputs=tuple(k for k in outputs if k != "events") or ("csv",),
         out_dir=draw(st.none() | st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
         **times,
@@ -408,6 +415,8 @@ def scenarios(draw):
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_serialize_parse_round_trip(s):
+    stored = [s.truncation, s.u_points, s.fd_nu] + ([s.v_range[2]] if s.v_range else [])
+    assert all(type(n) is int for n in stored)
     text = serialize_scenario(s)
     back = parse_scenario(text)
     assert back == s
