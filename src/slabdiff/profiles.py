@@ -12,8 +12,10 @@ closed form. For the analytic kinds, one composite Gauss-Legendre rule on
 equal panels gives every coefficient. One FFT pass of it over all modes
 (Dutt & Rokhlin 1993) gives k0 and checks each k_m, which is a direct sum
 on panels fine enough for its m oscillations; a sum that misses the FFT
-value is replaced by it. The closed forms available for some kinds are
-independent references in the tests, not part of the package.
+value is replaced by it. A mode whose FFT value is within the tolerance of
+zero, as the tail of a smooth profile, takes that value with no direct sum.
+The closed forms available for some kinds are independent references in
+the tests, not part of the package.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
@@ -505,7 +507,10 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     Gauss-Legendre sum on 2*P_m panels over the slab, P_m = max(hint, m/2),
     which resolves both the profile's sharpest feature and the m
     oscillations of cos(2*m*pi*u). The FFT rule checks those sums: a k_m
-    farther than the tolerance from it is replaced by the FFT value.
+    farther than the tolerance from it is replaced by the FFT value. A mode
+    at the tolerance floor, whose FFT value is at most the tolerance in
+    magnitude, takes the FFT value without a direct sum, so a smooth
+    profile pays direct sums only for the modes above the tolerance.
 
     Raises:
         InvalidParameterError: the truncation is no mode count or is out of reach.
@@ -525,8 +530,11 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
         return u, half, profile._density(u)
 
     modes = check[1:].copy()
-    max_delta, kept = 0.0, 0
+    max_delta, kept, floor = 0.0, 0, 0
     for m in range(1, truncation + 1):
+        if abs(check[m]) <= tol:
+            floor += 1
+            continue
         w = 2.0 * math.pi * m
         u, half, density = grid(2 * max(hint, _oscillation_panels(m)))
         value = 2.0 * _panel_sum(density * np.cos(w * u), half)
@@ -539,7 +547,8 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
 
     logging.getLogger(__name__).debug(
         "coefficients of %s: FFT check on %d panels over [0, 1/2], "
-        "max |direct - FFT| = %.3e, %d of %d direct sums kept",
-        profile.tag(), check_panels, max_delta, kept, truncation,
+        "max |direct - FFT| = %.3e, %d of %d direct sums kept, "
+        "%d modes at the floor took the FFT value",
+        profile.tag(), check_panels, max_delta, kept, truncation, floor,
     )
     return SpectralCoefficients(mean=float(check[0]), modes=modes, profile_tag=profile.tag())

@@ -248,12 +248,11 @@ def _parse_names(raw: str, line: int, key: str) -> tuple[str, ...]:
 
 
 def _parse_v_range(raw: str, line: int, key: str) -> tuple[float, float, int]:
-    parts = _parse_floats(raw, line, key)
+    parts = _split_list(raw)
     if len(parts) != 3:
         raise ScenarioParseError("v_range must be start, stop, count", line)
-    if parts[2] != int(parts[2]):
-        raise ScenarioParseError("v_range count must be an integer", line)
-    return (parts[0], parts[1], int(parts[2]))
+    start, stop = (_parse_float(item, line, key) for item in parts[:2])
+    return (start, stop, _parse_int(parts[2], line, f"{key} count"))
 
 
 def format_float(x) -> str:

@@ -98,6 +98,14 @@ MUTANTS = (
     Mutant("direct_sum_always_kept", "src/slabdiff/profiles.py",
            "        if delta <= tol:\n", "        if True:\n",
            ("tests/test_profiles.py",)),
+    # Every mode takes its direct sum, the tail of a smooth profile included.
+    Mutant("floor_never_skips", "src/slabdiff/profiles.py",
+           "        if abs(check[m]) <= tol:\n", "        if False:\n",
+           ("tests/test_profiles.py",)),
+    # Modes up to 1e3 times the tolerance take the FFT value with no direct sum.
+    Mutant("floor_widened", "src/slabdiff/profiles.py",
+           "if abs(check[m]) <= tol:", "if abs(check[m]) <= 1e3 * tol:",
+           ("tests/test_profiles.py",)),
     # A count one below its lower bound passes, as 0 terms or 2 FD cells.
     Mutant("count_lower_bound", "src/slabdiff/core.py",
            "    if count < minimum:", "    if count < minimum - 1:",

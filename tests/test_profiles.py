@@ -246,18 +246,35 @@ def test_coefficients_scale_with_the_profile(profile, unit):
                                atol=2e-12 * scale * c_unit.mean)
 
 
-@pytest.mark.parametrize("name", ["gaussian_coeffs", "surface_coeffs"])
-def test_preset_coefficients_match_the_adaptive_oracle_bit_for_bit(request, name):
-    """The FFT rule only checks the k_m sums: preset k_m keep every bit.
+def fft_values(profile, truncation):
+    """k0..k_M of the FFT rule alone, as compute_coefficients starts it."""
+    return _fft_modes(profile, truncation, check_truncation(profile, truncation)[1])[0]
 
-    k0 comes from the FFT rule and is checked against its closed form.
+
+def floor_mask(profile, truncation):
+    """k_1..k_M whose FFT value is within the tolerance of zero."""
+    values = fft_values(profile, truncation)
+    return np.abs(values[1:]) <= COEFFICIENT_ABS_TOL * max(1.0, abs(values[0]))
+
+
+@pytest.mark.parametrize("name", ["gaussian_coeffs", "surface_coeffs"])
+def test_preset_coefficients_above_the_floor_match_the_adaptive_oracle_bit_for_bit(
+        request, name):
+    """The FFT rule only checks the k_m sums above the tolerance floor: those
+    keep every bit, and the modes at the floor are the FFT values.
+
+    k0 comes from the FFT rule and is checked against its closed form. The
+    Gaussian's k_24..k_500 are at the floor; no surface mode is.
     """
     c = request.getfixturevalue(name)
     profile = request.getfixturevalue(name.replace("coeffs", "profile"))
     reference = adaptive_coefficients(profile, c.truncation)
     mass = mass_closed_form(profile)
     assert abs(c.mean - mass) <= 1e-15 * abs(mass)
-    assert np.array_equal(c.modes, reference.modes)
+    floor = floor_mask(profile, c.truncation)
+    assert np.count_nonzero(floor) == {"gaussian_coeffs": 477, "surface_coeffs": 0}[name]
+    assert np.array_equal(c.modes[~floor], reference.modes[~floor])
+    assert np.array_equal(c.modes[floor], fft_values(profile, c.truncation)[1:][floor])
 
 
 #: The sharpness range's ends, the other kinds and the scaled presets; the
@@ -288,11 +305,6 @@ def test_coefficients_within_tolerance_of_the_adaptive_oracle(name):
         np.testing.assert_allclose(c.modes, reference.modes[:truncation], rtol=0, atol=tol)
 
 
-def fft_values(profile, truncation):
-    """k0..k_M of the FFT rule alone, as compute_coefficients starts it."""
-    return _fft_modes(profile, truncation, check_truncation(profile, truncation)[1])[0]
-
-
 @pytest.mark.parametrize("profile, truncation, closed_form", [
     (SurfaceCoshProfile(10.0, 1.0), 500, surface_cosh_mode_closed_form),
     (SurfaceCoshProfile(10.0, 1.0), 5000, surface_cosh_mode_closed_form),
@@ -305,6 +317,47 @@ def test_fft_rule_matches_closed_forms(profile, truncation, closed_form):
     exact = [mass_closed_form(profile)]
     exact += [closed_form(profile, m) for m in range(1, truncation + 1)]
     np.testing.assert_allclose(values, exact, rtol=0, atol=1e-14 * max(1.0, profile.amplitude))
+
+
+@pytest.mark.parametrize("sharpness, first, bound", [(100.0, 24, 1e-14), (1e4, 170, 1e-13)])
+def test_floor_modes_are_the_fft_values_and_closer_to_the_closed_form(sharpness, first, bound):
+    """At the floor the FFT values are returned, not the direct sums.
+
+    Measured against the closed form: the floor modes' errors sum, as at
+    u = 0 where every cosine is 1, to -2.6e-15 (sharpness 100) and -3.2e-14
+    (1e4), each mode within 1.3e-15. The direct sums they replace summed to
+    -5.2e-13 and -3.6e-13, with a worst mode of 3.9e-15.
+    """
+    profile = GaussianProfile(sharpness, 1.0)
+    c = compute_coefficients(profile, 500)
+    floor = floor_mask(profile, 500)
+    assert np.array_equal(np.flatnonzero(floor) + 1, np.arange(first, 501))
+    exact = np.array([gaussian_mode_closed_form(profile, m) for m in range(first, 501)])
+    error = c.modes[floor] - exact
+    assert abs(np.sum(error)) <= bound
+    assert np.max(np.abs(error)) <= 2e-15
+
+
+def test_floor_modes_cost_no_direct_sums(monkeypatch, caplog):
+    """At terms = 20000 the Gaussian's density is evaluated by the FFT passes
+    and the direct sums of k_1..k_23 alone: on 20, 22 and 24 panels over the
+    slab, 16 nodes each."""
+    profile = GaussianProfile(100.0, 1.0)
+    calls = []
+    density = GaussianProfile._density
+
+    def spy(self, u):
+        calls.append(np.size(u))
+        return density(self, u)
+
+    monkeypatch.setattr(GaussianProfile, "_density", spy)
+    fft_values(profile, 20000)
+    fft_passes, calls[:] = list(calls), []
+    with caplog.at_level(logging.DEBUG, logger="slabdiff.profiles"):
+        compute_coefficients(profile, 20000)
+    assert calls == fft_passes + [PANEL_ORDER * panels for panels in (20, 22, 24)]
+    (message,) = [r.getMessage() for r in caplog.records]
+    assert "23 of 20000 direct sums kept, 19977 modes at the floor" in message
 
 
 class CoarseHintGaussian(GaussianProfile):

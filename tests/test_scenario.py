@@ -548,6 +548,15 @@ def test_non_finite_numbers_rejected_with_line(old, new, line, key):
         parse_scenario(MINIMAL.replace(old, new))
 
 
+@pytest.mark.parametrize("count", ["1201.0", "1e3"])
+def test_v_range_count_must_be_an_integer_with_line(count):
+    # A count is an integer in the document, as terms is: no float, even a whole one.
+    doc = MINIMAL.replace("v = 0.01", f"v_range = 0, 1.2, {count}\ntrace_u = 0.5")
+    with pytest.raises(ScenarioParseError,
+                       match=rf"line 4: v_range count must be an integer, got '{count}'"):
+        parse_scenario(doc)
+
+
 def test_non_finite_fd_step_rejected_with_line():
     with pytest.raises(ScenarioParseError, match=r"line 13: dv must be finite"):
         parse_scenario(MINIMAL + "\n[fd]\ndv = inf\n")
