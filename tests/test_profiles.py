@@ -258,8 +258,7 @@ def floor_mask(profile, truncation):
 
 
 @pytest.mark.parametrize("name", ["gaussian_coeffs", "surface_coeffs"])
-def test_preset_coefficients_above_the_floor_match_the_adaptive_oracle_bit_for_bit(
-        request, name):
+def test_preset_coefficients_match_the_adaptive_oracle_bit_for_bit(request, name):
     """The FFT rule only checks the k_m sums above the tolerance floor: those
     keep every bit, and the modes at the floor are the FFT values.
 
