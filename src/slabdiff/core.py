@@ -111,16 +111,25 @@ def check_wkb_eps(eps: float, terms: int):
     m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
     resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
     if resonant.size:
-        raise ResonantModeError(int(m[resonant[0]]), eps)
+        raise ResonantModeError(
+            f"mode m={int(m[resonant[0]])} is resonant for eps={eps!r}: "
+            f"|1 - eps*(2*m*pi)^2| < {RESONANCE_TOL!r}, the closed-form coefficients blow up"
+        )
 
 
 def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
-    """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES."""
+    """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES.
+
+    A count numpy refuses, or cannot allocate, raises InvalidParameterError.
+    """
     count = check_count(count, name, 2)
     if count > MAX_SAMPLES:
         raise InvalidParameterError(
             f"{count} {name} exceed the {MAX_SAMPLES} floats one array can hold")
-    return np.linspace(start, stop, count)
+    try:
+        return np.linspace(start, stop, count)
+    except MemoryError as exc:
+        raise InvalidParameterError(f"{count} {name} do not fit in memory: {exc}") from exc
 
 
 def _as_float_array(values, name: str) -> np.ndarray:

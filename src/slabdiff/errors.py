@@ -29,16 +29,6 @@ class QuadratureError(SlabDiffError, RuntimeError):
 class ResonantModeError(SlabDiffError, ValueError):
     """The two-timescale closed form is singular for some mode index."""
 
-    def __init__(self, mode: int, eps: float):
-        from .core import RESONANCE_TOL  # core imports this module
-
-        super().__init__(
-            f"mode m={mode} is resonant for eps={eps!r}: "
-            f"|1 - eps*(2*m*pi)^2| < {RESONANCE_TOL!r}, the closed-form coefficients blow up"
-        )
-        self.mode = mode
-        self.eps = eps
-
 
 class StabilityError(SlabDiffError, ValueError):
     """An explicit finite-difference configuration violates its stability bound."""

@@ -105,7 +105,7 @@ class FdConfig:
                 )
         else:
             wave_bound = math.sqrt(self.eps) * du
-            diff_bound = 0.45 * du * du
+            diff_bound = SAFETY * 0.5 * du * du
             if self.dv > wave_bound * slack:
                 raise StabilityError(
                     f"telegraph mode requires dv <= sqrt(eps)*du = {wave_bound!r}, "
@@ -135,10 +135,9 @@ class FdConfig:
     def auto(cls, nu: int, eps: float, snapshot_times: TimeGrid) -> "FdConfig":
         """Pick the largest stable dv (with the SAFETY factor) for the grid."""
         du = 1.0 / nu
-        if eps == 0.0:
-            dv = SAFETY * 0.5 * du * du
-        else:
-            dv = min(SAFETY * math.sqrt(eps) * du, 0.45 * du * du)
+        dv = SAFETY * 0.5 * du * du
+        if eps > 0.0:
+            dv = min(SAFETY * math.sqrt(eps) * du, dv)
         return cls(nu=nu, dv=dv, eps=eps, snapshot_times=snapshot_times)
 
 
@@ -217,7 +216,6 @@ def _solve(profile: InitialProfile, cfg: FdConfig, steps: list[int], delta) -> l
             grid=grid,
             v=j * cfg.dv,
             values=n0 + _idct(delta(j) * c0),
-            model_tag="fd",
         )
         for j in steps
     ]
@@ -227,8 +225,8 @@ def fd_solve_heat(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
     """Forward-Euler solution of dn/dv = d2n/du2 with zero-flux walls.
 
     Each step multiplies mode k by 1 - r*lambda_k (r = dv/du^2). Returns
-    one slice per requested snapshot time, tagged "fd", with the snapped
-    time recorded in each slice.
+    one slice per requested snapshot time, with the snapped time recorded
+    in each slice.
     """
     if cfg.eps != 0.0:
         raise InvalidParameterError(
@@ -256,7 +254,7 @@ def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlic
 
     The zero initial rate is built into the special first step; afterwards
     the centered three-level update is used. Returns one slice per
-    requested snapshot time, tagged "fd".
+    requested snapshot time.
     """
     if cfg.eps == 0.0:
         raise InvalidParameterError(

@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_V_CUTOFF, EchoLadder, detect_extrema, predict_echo_ladder
-from .core import TimeGrid
+from .core import SPECTRAL_MODELS, TimeGrid
 from .fd import fd_solve_heat, fd_solve_telegraph
 from .profiles import compute_coefficients
-from .scenario import MODEL_ORDER, Scenario, format_float, scenario_hash
-from .spectral import SPECTRAL_MODELS, FieldSlice, TimeTrace, family_density
+from .scenario import Scenario, format_float, scenario_hash
+from .spectral import FieldSlice, TimeTrace, family_density
 from .svgplot import line_chart
 
 #: Fraction of the slab mass used as the default extremum prominence.
@@ -64,10 +64,6 @@ def _texts(values: np.ndarray) -> list[str]:
     return list(map(repr, values.tolist()))
 
 
-def _ordered_models(s: Scenario) -> list[str]:
-    return [m for m in MODEL_ORDER if m in s.models]
-
-
 def _ladder_for(s: Scenario, u: float) -> EchoLadder | None:
     source = s.profile.echo_source
     # Both walls (u = +-0.5) see the same ladder: the echo sources are even.
@@ -90,8 +86,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     coeffs = compute_coefficients(s.profile, s.truncation)
     grid = s.spatial_grid()
     times = s.time_grid()
-    models = _ordered_models(s)
-    series_models = [m for m in models if m in SPECTRAL_MODELS]
+    series_models = [m for m in s.models if m in SPECTRAL_MODELS]
     written: list[Path] = []
 
     base_comments = [
@@ -131,7 +126,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
 
     # Finite-difference results are computed once for all requested times.
     fd_slices: list[FieldSlice] = []
-    if "fd" in models:
+    if "fd" in s.models:
         cfg = s.fd_config()
         solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
         fd_slices = solver(s.profile, cfg)
@@ -156,12 +151,11 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             for m in series_models
         ]
         for index, v in enumerate(s.v_list):
-            slices = [
-                FieldSlice(grid=grid, v=float(v), values=table[index], model_tag=m)
-                for m, table in zip(series_models, field_tables)
+            curves = [
+                (m, grid.points, v, table[index]) for m, table in zip(series_models, field_tables)
             ]
-            if "fd" in models:
-                slices.append(fd_slices[index])
+            if "fd" in s.models:
+                curves.append(("fd", fd_cells, fd_slices[index].v, fd_slices[index].values))
             comments = base_comments + [
                 ("u_points", str(s.u_points)),
                 ("v_requested", format_float(v)),
@@ -170,12 +164,12 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                 comments.append(("wavefront_u1", format_float(wavefront[v])))
             write_curves(
                 f"{s.name}_field_{index}", comments, f"{s.name}: density at v = {format_float(v)}",
-                "u", [(sl.model_tag, sl.grid.points, sl.v, sl.values) for sl in slices],
+                "u", curves,
             )
 
     # Trace files, one per requested position. Each family is evaluated once,
     # as a (time x position) table.
-    traces_by_u: list[list[TimeTrace]] = []  # per position in trace_u
+    traces_by_u: list[list[tuple[str, TimeTrace]]] = []  # per position in trace_u
     u_row = np.array(s.trace_u, dtype=float)[None, :]
     trace_tables = [
         family_density(m, coeffs, s.eps, u_row, times.points[:, None])
@@ -183,15 +177,14 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     ] if s.trace_u else []
     for j, u in enumerate(s.trace_u):
         traces = [
-            TimeTrace(u=float(u), times=times, values=table[:, j], model_tag=m)
+            (m, TimeTrace(u=float(u), times=times, values=table[:, j]))
             for m, table in zip(series_models, trace_tables)
         ]
-        if "fd" in models:
+        if "fd" in s.models:
             # The FD trace is taken at the cell nearest to u.
             idx = int(np.argmin(np.abs(fd_cells - u)))
             values = np.array([sl.values[idx] for sl in fd_slices])[fd_keep]
-            traces.append(TimeTrace(u=float(fd_cells[idx]), times=fd_times, values=values,
-                                    model_tag="fd"))
+            traces.append(("fd", TimeTrace(u=float(fd_cells[idx]), times=fd_times, values=values)))
         traces_by_u.append(traces)
         comments = base_comments + [
             ("u", format_float(u)),
@@ -199,7 +192,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         ]
         write_curves(
             f"{s.name}_trace_{j}", comments, f"{s.name}: density at u = {format_float(u)}",
-            "v", [(tr.model_tag, tr.u, tr.times.points, tr.values) for tr in traces],
+            "v", [(m, tr.u, tr.times.points, tr.values) for m, tr in traces],
         )
 
     # Extrema events over all traces.
@@ -208,7 +201,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         threshold = PROMINENCE_FRACTION * coeffs.mean
         for u, traces in zip(s.trace_u, traces_by_u):
             ladder = _ladder_for(s, u)
-            for tr in traces:
+            for model, tr in traces:
                 for event in detect_extrema(
                     tr, DEFAULT_V_CUTOFF, prominence_threshold=threshold
                 ):
@@ -220,7 +213,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                         rel_error = format_float(abs(event.v - p) / p)
                     rows.append(
                         [
-                            tr.model_tag,
+                            model,
                             format_float(u),
                             event.kind,
                             format_float(event.v),
@@ -257,7 +250,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         "coefficient_tail": coeffs.tail,
         "equilibrium_density": coeffs.mean,
         "u_points": s.u_points,
-        "models": list(models),
+        "models": list(s.models),
         "outputs": list(s.outputs),
         "requested_times": [float(v) for v in times.points],
         "trace_u": list(s.trace_u),
@@ -265,7 +258,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     }
     if wavefront:
         meta["wavefront_u1"] = {format_float(v): u1 for v, u1 in wavefront.items()}
-    if "fd" in models:
+    if "fd" in s.models:
         meta["fd"] = {
             "nu": s.fd_nu,
             "dv": cfg.dv,

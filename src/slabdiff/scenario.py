@@ -83,6 +83,18 @@ DEFAULT_FD_CELLS = 400
 _NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
+def _in_order(names, order: tuple[str, ...], noun: str) -> tuple[str, ...]:
+    """The names as a set, in `order`: refuse an empty list, an unknown name and a repeat."""
+    if not names:
+        raise ScenarioValidationError(f"at least one {noun} is required")
+    for name in names:
+        if name not in order:
+            raise ScenarioValidationError(f"unknown {noun} {name!r}")
+    if len(set(names)) != len(names):
+        raise ScenarioValidationError(f"{noun}s must be unique")
+    return tuple(name for name in order if name in names)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified run: problem, discretization and outputs.
@@ -90,7 +102,9 @@ class Scenario:
     Exactly one of v_list (field snapshot times) or v_range (dense trace
     time grid as start/stop/count) must be given. Field slice files are
     written for v_list times; traces are sampled on whichever grid is
-    present, at each position in trace_u.
+    present, at each position in trace_u. models and outputs are sets: each
+    is stored in MODEL_ORDER or OUTPUT_KINDS order, so every spelling of one
+    run serializes, hashes and writes alike.
     """
 
     name: str
@@ -122,18 +136,8 @@ class Scenario:
             raise ScenarioValidationError("exactly one of v or v_range must be given")
         if self.v_range is not None and not self.trace_u:
             raise ScenarioValidationError("v_range is only useful with trace_u")
-        if not self.models:
-            raise ScenarioValidationError("at least one model is required")
-        for m in self.models:
-            if m not in MODEL_ORDER:
-                raise ScenarioValidationError(f"unknown model {m!r}")
-        if len(set(self.models)) != len(self.models):
-            raise ScenarioValidationError("models must be unique")
-        for kind in self.outputs:
-            if kind not in OUTPUT_KINDS:
-                raise ScenarioValidationError(f"unknown output kind {kind!r}")
-        if not self.outputs:
-            raise ScenarioValidationError("at least one output kind is required")
+        object.__setattr__(self, "models", _in_order(self.models, MODEL_ORDER, "model"))
+        object.__setattr__(self, "outputs", _in_order(self.outputs, OUTPUT_KINDS, "output kind"))
         for u in self.trace_u:
             if not (-HALF_WIDTH <= u <= HALF_WIDTH):
                 raise ScenarioValidationError(f"trace_u must lie in [-1/2, 1/2], got {u!r}")

@@ -92,7 +92,6 @@ import numpy as np
 
 from .core import (
     HALF_WIDTH,
-    SPECTRAL_MODELS,
     Grid1D,
     TimeGrid,
     _mode_ratios,
@@ -555,7 +554,6 @@ class FieldSlice:
     grid: Grid1D
     v: float
     values: np.ndarray
-    model_tag: str
 
     def __post_init__(self):
         _check_samples(self, len(self.grid), f"grid of {len(self.grid)} points")
@@ -568,7 +566,6 @@ class TimeTrace:
     u: float
     times: TimeGrid
     values: np.ndarray
-    model_tag: str
 
     def __post_init__(self):
         _check_samples(self, len(self.times), f"{len(self.times)} times")
@@ -583,7 +580,7 @@ def field_slice(
 ) -> FieldSlice:
     """Sample one spectral family over a grid at time v."""
     values = family_density(model, coefficients, eps, grid.points, v)
-    return FieldSlice(grid=grid, v=float(v), values=values, model_tag=model)
+    return FieldSlice(grid=grid, v=float(v), values=values)
 
 
 def time_trace(
@@ -595,4 +592,4 @@ def time_trace(
 ) -> TimeTrace:
     """Sample one spectral family over a time grid at position u."""
     values = family_density(model, coefficients, eps, u, times.points)
-    return TimeTrace(u=float(u), times=times, values=values, model_tag=model)
+    return TimeTrace(u=float(u), times=times, values=values)

@@ -131,6 +131,15 @@ MUTANTS = (
     Mutant("heat_rough_power", "src/slabdiff/fd.py",
            "np.power(factor, j) - 1.0", "np.power(factor, j - 1) - 1.0",
            ("tests/test_fd.py",)),
+    # The auto step is the heat bound itself, with no safety margin: at
+    # eps = 0 it sits on the bound, and above it breaks the diffusive bound.
+    Mutant("diffusive_step_unsafe", "src/slabdiff/fd.py",
+           "dv = SAFETY * 0.5 * du * du", "dv = 0.5 * du * du",
+           ("tests/test_fd.py",)),
+    # models and formats keep the config's spelling, so one run has two hashes.
+    Mutant("names_keep_user_order", "src/slabdiff/scenario.py",
+           "return tuple(name for name in order if name in names)", "return tuple(names)",
+           ("tests/test_scenario.py",)),
 )
 
 _IGNORE = shutil.ignore_patterns(

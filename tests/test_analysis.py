@@ -28,7 +28,7 @@ V1 = 0.5 * math.sqrt(EPS_REF)
 def make_trace(values, v_max=1.0, u=0.0):
     values = np.asarray(values, dtype=float)
     tg = TimeGrid.linspace(0.0, v_max, values.size)
-    return TimeTrace(u=u, times=tg, values=values, model_tag="parabolic")
+    return TimeTrace(u=u, times=tg, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +235,9 @@ def test_classify_monotone_directions():
 # ---------------------------------------------------------------------------
 
 
-def _slice(values, v=0.5, n=101, tag="parabolic"):
+def _slice(values, v=0.5, n=101):
     grid = Grid1D.uniform_grid(n)
-    return FieldSlice(grid=grid, v=v, values=np.asarray(values, float), model_tag=tag)
+    return FieldSlice(grid=grid, v=v, values=np.asarray(values, float))
 
 
 def test_error_norms_identical():
@@ -249,14 +249,14 @@ def test_error_norms_identical():
 def test_error_norms_constant_offset():
     base = np.linspace(1, 2, 101)
     a = _slice(base)
-    b = _slice(base + 1e-3, tag="hyperbolic")
+    b = _slice(base + 1e-3)
     norms = error_norms(a, b)
     assert norms.l_inf == pytest.approx(1e-3, rel=1e-12)
 
 
 def test_error_norms_requires_matching_slices():
     a = _slice(np.ones(101))
-    b = FieldSlice(grid=Grid1D.uniform_grid(51), v=0.5, values=np.ones(51), model_tag="fd")
+    b = FieldSlice(grid=Grid1D.uniform_grid(51), v=0.5, values=np.ones(51))
     with pytest.raises(InvalidInputError):
         error_norms(a, b)
     c = _slice(np.ones(101), v=0.5 + 1e-6)

@@ -50,10 +50,11 @@ def test_time_grid_rejects_bad_points():
     assert tg.points[0] == 0.0
 
 
-@pytest.mark.parametrize("count", [1, MAX_SAMPLES + 1, 2**63 - 1, 10**20])
+@pytest.mark.parametrize("count", [1, 10**17, MAX_SAMPLES + 1, 2**63 - 1, 10**20])
 def test_grids_refuse_a_size_numpy_cannot_build(count):
-    # numpy raises ValueError at 10**20 and IndexError at 2**63 - 1; none of
-    # these counts allocates anything.
+    # numpy raises ValueError at 10**20 and IndexError at 2**63 - 1, and
+    # MemoryError at 10**17: its 8e17 bytes exceed any address space, so
+    # the allocation fails at once. None of these counts allocates anything.
     with pytest.raises(InvalidParameterError):
         Grid1D.uniform_grid(count)
     with pytest.raises(InvalidParameterError):

@@ -233,6 +233,47 @@ def test_run_twice_is_byte_identical(tmp_path):
         assert path.read_bytes() == (b / path.name).read_bytes()
 
 
+#: A run with every model and every output kind; models and formats listed
+#: in MODEL_ORDER and OUTPUT_KINDS order.
+CONFIG_ALL = """
+[scenario]
+name = every
+eps = 0.13
+terms = 50
+v_range = 0, 0.2, 201
+trace_u = 0.5, 0
+models = parabolic, hyperbolic, wkb, fd
+
+[profile]
+kind = gaussian
+sharpness = 100
+amplitude = 1
+
+[fd]
+nu = 64
+
+[output]
+formats = csv, svg, events
+"""
+
+
+def test_models_and_formats_in_any_order_write_the_same_files(tmp_path, capsys):
+    # the runner wrote the canonical order, but the hash and run.json's
+    # outputs kept the config's spelling
+    reordered = CONFIG_ALL.replace(
+        "models = parabolic, hyperbolic, wkb, fd", "models = fd, wkb, parabolic, hyperbolic"
+    ).replace("formats = csv, svg, events", "formats = events, csv, svg")
+    trees = []
+    for name, text in (("canonical", CONFIG_ALL), ("reordered", reordered)):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out-dir", str(tmp_path / name)]) == 0
+        trees.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+    assert len(trees[0]) == 6 and trees[0] == trees[1]
+    meta = json.loads(trees[0]["every_run.json"])
+    assert meta["models"] == list(MODEL_ORDER) and meta["outputs"] == ["csv", "svg", "events"]
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -334,6 +375,13 @@ CONFIG_ERRORS = {
                                 ("parabolic, hyperbolic", "parabolic")],
     "u_points_too_large": [("u_points = 51", "u_points = 100000000000000000000"),
                            ("parabolic, hyperbolic", "parabolic")],
+    # grids numpy cannot allocate: 8e17 bytes exceed any address space
+    "v_range_count_beyond_memory": [("v = 0.01, 0.1",
+                                     "v_range = 0, 1, 100000000000000000\ntrace_u = 0.5"),
+                                    ("parabolic, hyperbolic", "parabolic")],
+    "u_points_beyond_memory": [("u_points = 51", "u_points = 100000000000000000"),
+                               ("parabolic, hyperbolic", "parabolic")],
+    "formats_repeated": [("amplitude = 1", "amplitude = 1\n[output]\nformats = csv, csv, svg")],
     # more modes, or a finer mode, than the coefficient quadrature reaches
     "terms_out_of_reach": [("terms = 50", "terms = 65537")],
     "cosine_mode_out_of_reach": [("kind = gaussian\nsharpness = 100\namplitude = 1",
@@ -355,7 +403,8 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
     out = tmp_path / "out" / "sub"
     argv = [command, str(cfg)] + (["--out-dir", str(out)] if command == "run" else [])
     assert main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
 
 

@@ -166,6 +166,19 @@ def test_model_and_output_validation():
                      models=("parabolic",), v_list=(0.1,), trace_u=trace_u)
 
 
+def test_models_and_outputs_are_sets_stored_in_canonical_order():
+    # a reordered list serialized and hashed apart from the canonical one,
+    # and a repeated output kind validated
+    s = Scenario(name="x", eps=0.1, profile=UniformProfile(1.0), v_list=(0.1,),
+                 models=("fd", "wkb", "parabolic"), outputs=("svg", "csv"))
+    assert s.models == ("parabolic", "wkb", "fd") and s.outputs == ("csv", "svg")
+    canonical = replace(s, models=("parabolic", "wkb", "fd"), outputs=("csv", "svg"))
+    assert serialize_scenario(s) == serialize_scenario(canonical)
+    assert scenario_hash(s) == scenario_hash(canonical)
+    with pytest.raises(ScenarioValidationError, match="^output kinds must be unique$"):
+        replace(s, outputs=("csv", "csv", "svg"))
+
+
 def test_terms_are_integers_numpy_ones_included(tmp_path):
     # np.int64 validated, then compute_coefficients refused it in run
     s = Scenario(name="np", eps=0.13, profile=GaussianProfile(100.0, 1.0),
