@@ -27,8 +27,8 @@ _EXPORTS = {
     ),
     "fd": ("FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph"),
     "analysis": (
-        "ExtremumEvent", "EchoLadder", "ErrorNorms", "predict_echo_ladder",
-        "detect_extrema", "classify_monotone", "error_norms",
+        "ExtremumEvent", "ErrorNorms", "nearest_arrival", "detect_extrema",
+        "classify_monotone", "error_norms",
     ),
     "scenario": ("Scenario", "parse_scenario", "serialize_scenario", "scenario_hash", "preset"),
     "runner": ("run_scenario",),

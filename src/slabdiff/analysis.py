@@ -2,9 +2,9 @@
 
 With a finite wavefront speed c = 1/sqrt(eps), density pulses bounce
 between the walls and show up as non-monotonic structure in time traces.
-The expected arrival times form a ladder built from v1 = 0.5/c (wall to
-center) and v2 = 1/c (wall to wall); detected extrema are compared against
-that ladder.
+The walls act as mirrors, so a pulse launched at x_s reaches u at the
+times |u - x_s - k|/c for every integer k (method of images); detected
+maxima are compared against the nearest of those arrivals.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MIN_TRACE_SAMPLES, check_eps
+from .core import HALF_WIDTH, MIN_TRACE_SAMPLES, check_eps
 from .errors import InvalidInputError, InvalidParameterError
 from .spectral import FieldSlice, TimeTrace
 
@@ -44,48 +44,38 @@ class ExtremumEvent:
     prominence: float
 
 
-@dataclass(frozen=True)
-class EchoLadder:
-    """Successive predicted arrival times of the reflected density wave.
+def nearest_arrival(source: float, u: float, eps: float, v: float) -> float:
+    """Echo arrival time at u nearest to v, the earlier one on a tie.
 
-    The k-th arrival (k >= 1) is unit * (2k - 1) on an odd ladder and
-    unit * k otherwise. The ladder is unbounded and never materialized: for
-    small eps its rungs are far denser than any time grid.
+    The walls are mirrors, so a feature launched at t = 0 from source (0 or
+    1/2) has images at source + k for every integer k, and its echoes reach
+    u at |u - source - k| * sqrt(eps) (method of images). With gap =
+    |u - source|, in [0, 1], those distances are gap + n and 1 - gap + n for
+    n >= 0; distance 0, the source itself, is no echo. O(1) in any eps: the
+    arrivals are never listed.
     """
+    check_eps(eps, math.ulp(0.0))  # any finite eps > 0 has arrivals
+    if source not in (0.0, HALF_WIDTH):
+        raise InvalidParameterError(f"source must be 0 or 1/2, got {source!r}")
+    if not -HALF_WIDTH <= u <= HALF_WIDTH:
+        raise InvalidParameterError(f"u must lie in [-1/2, 1/2], got {u!r}")
+    root = math.sqrt(eps)
+    crossings = v / root  # v in slab crossings
+    if not 0 <= crossings < math.inf:
+        raise InvalidInputError(f"v/sqrt(eps) must be finite and >= 0, got v={v!r}, eps={eps!r}")
+    gap = abs(u - source)
+    times = []
+    for offset in (gap or 1.0, 1.0 - gap or 1.0):
+        # Arrival n is at or below v, or (by rounding, or below the first
+        # arrival) the nearest one above it; either way n or n + 1 is nearest.
+        n = max(0, math.floor(crossings - offset))
+        times += [(offset + n) * root, (offset + n + 1) * root]
+    return min(times, key=lambda t: (abs(t - v), t))
 
-    unit: float
-    odd: bool
 
-    def time(self, k: int) -> float:
-        """The k-th arrival time, k >= 1."""
-        return self.unit * (2.0 * k - 1.0 if self.odd else float(k))
-
-    def nearest(self, v: float) -> float:
-        """Ladder time closest to v, the earlier one on a tie."""
-        # Rung k is at or below v, or (by rounding, or below the first rung)
-        # the nearest one above it; either way rung k or k + 1 is nearest.
-        k = max(1, math.floor((v / self.unit + 1.0) / 2.0 if self.odd else v / self.unit))
-        return min(self.time(k), self.time(k + 1), key=lambda t: abs(t - v))
-
-
-def predict_echo_ladder(source: str, u: float, eps: float) -> EchoLadder:
-    """Arrival-time ladder of a source observed at position u (0 or 0.5).
-
-    With v1 = 0.5*sqrt(eps) and v2 = sqrt(eps):
-
-    * center source observed at the wall (u = 0.5): v1, 3*v1, 5*v1, ...
-      (first arrival plus round trips of a full slab width);
-    * center source observed at the center (u = 0): v2, 2*v2, ...
-    * surface source observed at the wall: v2, 2*v2, 3*v2, ...
-    * surface source observed at the center: v1, 3*v1, 5*v1, ...
-    """
-    check_eps(eps, math.ulp(0.0))  # any finite eps > 0 has a ladder
-    if source not in ("center", "surface"):
-        raise InvalidParameterError(f"source must be 'center' or 'surface', got {source!r}")
-    if u not in (0.0, 0.5):
-        raise InvalidParameterError(f"u must be 0 or 0.5, got {u!r}")
-    odd = (source == "center") == (u == 0.5)
-    return EchoLadder(unit=0.5 * math.sqrt(eps) if odd else math.sqrt(eps), odd=odd)
+def _check_cutoff(v_min_cutoff: float) -> None:
+    if not 0 <= v_min_cutoff < math.inf:
+        raise InvalidInputError(f"v_min_cutoff must be finite and >= 0, got {v_min_cutoff!r}")
 
 
 def _smoothed(trace: TimeTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -167,8 +157,9 @@ def detect_extrema(
     endpoints are never reported. Events come back sorted by time.
     The conventional threshold is a small fraction (1e-3) of the slab mass.
     """
-    if v_min_cutoff < 0:
-        raise InvalidInputError(f"v_min_cutoff must be >= 0, got {v_min_cutoff!r}")
+    _check_cutoff(v_min_cutoff)
+    if not prominence_threshold >= 0:
+        raise InvalidInputError(f"prominence_threshold must be >= 0, got {prominence_threshold!r}")
     times, values = _smoothed(trace)
     events: list[ExtremumEvent] = []
     for sign, kind in ((1.0, "maximum"), (-1.0, "minimum")):
@@ -193,6 +184,7 @@ def classify_monotone(trace: TimeTrace, v_min_cutoff: float = DEFAULT_V_CUTOFF) 
     MONOTONE_SLACK * (range of the smoothed trace) before the trace counts
     as non-monotone.
     """
+    _check_cutoff(v_min_cutoff)
     times, values = _smoothed(trace)
     keep = times >= v_min_cutoff
     values = values[keep]

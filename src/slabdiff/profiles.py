@@ -86,8 +86,8 @@ class InitialProfile:
     """Base class for even, non-negative initial distributions.
 
     Subclasses set `kind`, the name of the profile in a scenario config,
-    and `echo_source`, the wavefront echo ladder the profile launches
-    ("center", "surface" or None).
+    and `echo_source`, the position (0 or 1/2) from which the profile
+    launches wavefront echoes, or None where it has no single source.
     """
 
     kind = ""
@@ -146,7 +146,7 @@ class GaussianProfile(_SharpProfile):
     """
 
     kind = "gaussian"
-    echo_source = "center"
+    echo_source = 0.0
     sharpness_limit = 1e6
 
     def _norm(self) -> float:
@@ -176,7 +176,7 @@ class SurfaceCoshProfile(_SharpProfile):
     """
 
     kind = "surface_cosh"
-    echo_source = "surface"
+    echo_source = 0.5
     sharpness_limit = 1e4
 
     def _density(self, u):

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_V_CUTOFF, EchoLadder, detect_extrema, predict_echo_ladder
+from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival
 from .core import SPECTRAL_MODELS, TimeGrid
 from .fd import fd_solve_heat, fd_solve_telegraph
 from .profiles import compute_coefficients
@@ -62,15 +62,6 @@ def _csv_text(comments: list[tuple[str, str]], header: str, rows) -> str:
 def _texts(values: np.ndarray) -> list[str]:
     """format_float of every element, from one tolist()."""
     return list(map(repr, values.tolist()))
-
-
-def _ladder_for(s: Scenario, u: float) -> EchoLadder | None:
-    source = s.profile.echo_source
-    # Both walls (u = +-0.5) see the same ladder: the echo sources are even.
-    u = abs(u)
-    if source is None or not (s.eps > 0) or u not in (0.0, 0.5):
-        return None
-    return predict_echo_ladder(source, u, s.eps)
 
 
 def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[Path]:
@@ -199,16 +190,16 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     if "events" in s.outputs:
         rows = []
         threshold = PROMINENCE_FRACTION * coeffs.mean
+        source = s.profile.echo_source if s.eps > 0 else None
         for u, traces in zip(s.trace_u, traces_by_u):
-            ladder = _ladder_for(s, u)
             for model, tr in traces:
                 for event in detect_extrema(
                     tr, DEFAULT_V_CUTOFF, prominence_threshold=threshold
                 ):
                     predicted = ""
                     rel_error = ""
-                    if ladder is not None and event.kind == "maximum":
-                        p = ladder.nearest(event.v)
+                    if source is not None and event.kind == "maximum":
+                        p = nearest_arrival(source, u, s.eps, event.v)
                         predicted = format_float(p)
                         rel_error = format_float(abs(event.v - p) / p)
                     rows.append(

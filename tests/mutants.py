@@ -136,6 +136,22 @@ MUTANTS = (
     Mutant("diffusive_step_unsafe", "src/slabdiff/fd.py",
            "dv = SAFETY * 0.5 * du * du", "dv = 0.5 * du * du",
            ("tests/test_fd.py",)),
+    # The source's own image, at distance 0, counts: a surface source seen at
+    # the wall "arrives" at t = 0.
+    Mutant("zero_image_kept", "src/slabdiff/analysis.py",
+           "for offset in (gap or 1.0, 1.0 - gap or 1.0):",
+           "for offset in (gap, 1.0 - gap):",
+           ("tests/test_analysis.py",)),
+    # A v halfway between two arrivals takes the later one.
+    Mutant("tie_takes_later", "src/slabdiff/analysis.py",
+           "key=lambda t: (abs(t - v), t)", "key=lambda t: (abs(t - v), -t)",
+           ("tests/test_analysis.py",)),
+    # Only the images on u's side of the source count. On the axis and at the
+    # walls the two families coincide, so only an off-axis position shows it.
+    Mutant("near_side_image_only", "src/slabdiff/analysis.py",
+           "for offset in (gap or 1.0, 1.0 - gap or 1.0):",
+           "for offset in (gap or 1.0,):",
+           ("tests/test_analysis.py",)),
     # models and formats keep the config's spelling, so one run has two hashes.
     Mutant("names_keep_user_order", "src/slabdiff/scenario.py",
            "return tuple(name for name in order if name in names)", "return tuple(names)",

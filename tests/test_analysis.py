@@ -10,12 +10,14 @@ from slabdiff import (
     Grid1D,
     InvalidInputError,
     InvalidParameterError,
+    SurfaceCoshProfile,
     TimeGrid,
     TimeTrace,
     classify_monotone,
+    compute_coefficients,
     detect_extrema,
     error_norms,
-    predict_echo_ladder,
+    nearest_arrival,
     preset,
     time_trace,
 )
@@ -32,75 +34,113 @@ def make_trace(values, v_max=1.0, u=0.0):
 
 
 # ---------------------------------------------------------------------------
-# echo ladder
+# echo arrivals
 # ---------------------------------------------------------------------------
 
+CENTER, SURFACE = 0.0, 0.5  # the echo sources of the Gaussian and surface profiles
 
-def rungs(ladder, count):
-    return [ladder.time(k) for k in range(1, count + 1)]
+
+def arrivals_near(source, u, eps, vs):
+    return [nearest_arrival(source, u, eps, v) for v in vs]
 
 
 def test_ladder_center_source_at_wall():
-    ladder = predict_echo_ladder("center", 0.5, EPS_REF)
     np.testing.assert_allclose(
-        rungs(ladder, 3),
+        arrivals_near(CENTER, 0.5, EPS_REF, [0.0, 0.5, 0.9]),
         [0.18027756377319948, 0.5408326913195984, 0.9013878188659974],
         rtol=1e-14,
     )
 
 
 def test_ladder_center_source_at_center():
-    ladder = predict_echo_ladder("center", 0.0, EPS_REF)
     np.testing.assert_allclose(
-        rungs(ladder, 2), [0.36055512754639896, 0.7211102550927979], rtol=1e-14
+        arrivals_near(CENTER, 0.0, EPS_REF, [0.0, 0.7]),
+        [0.36055512754639896, 0.7211102550927979],
+        rtol=1e-14,
     )
 
 
 def test_ladder_surface_source():
-    at_wall = predict_echo_ladder("surface", 0.5, EPS_REF)
     np.testing.assert_allclose(
-        rungs(at_wall, 3), math.sqrt(EPS_REF) * np.arange(1, 4), rtol=1e-14
+        arrivals_near(SURFACE, 0.5, EPS_REF, [0.0, 0.7, 1.1]),
+        math.sqrt(EPS_REF) * np.arange(1, 4),
+        rtol=1e-14,
     )
-    at_center = predict_echo_ladder("surface", 0.0, EPS_REF)
-    np.testing.assert_allclose(rungs(at_center, 3), V1 * np.array([1, 3, 5]), rtol=1e-14)
+    np.testing.assert_allclose(
+        arrivals_near(SURFACE, 0.0, EPS_REF, [0.0, 0.5, 0.9]),
+        V1 * np.array([1, 3, 5]),
+        rtol=1e-14,
+    )
 
 
 def test_ladder_unit_eps():
-    assert predict_echo_ladder("center", 0.5, 1.0).time(1) == pytest.approx(0.5, rel=1e-15)
+    assert nearest_arrival(CENTER, 0.5, 1.0, 0.0) == pytest.approx(0.5, rel=1e-15)
 
 
 def test_ladder_scales_with_sqrt_eps():
-    a = rungs(predict_echo_ladder("center", 0.5, 0.07), 5)
-    b = rungs(predict_echo_ladder("center", 0.5, 0.14), 5)
-    np.testing.assert_allclose(b, math.sqrt(2.0) * np.array(a), rtol=1e-14)
+    vs = np.linspace(0.0, 2.0, 41) + 0.01
+    for u in (0.5, 0.25):
+        a = arrivals_near(CENTER, u, 0.07, vs)
+        b = arrivals_near(CENTER, u, 0.14, math.sqrt(2.0) * vs)
+        np.testing.assert_allclose(b, math.sqrt(2.0) * np.array(a), rtol=1e-14)
 
 
 def test_ladder_validation():
+    with pytest.raises(InvalidParameterError, match="source must be 0 or 1/2"):
+        nearest_arrival(0.3, 0.5, EPS_REF, 0.1)
+    with pytest.raises(InvalidParameterError, match=r"u must lie in \[-1/2, 1/2\]"):
+        nearest_arrival(CENTER, 0.6, EPS_REF, 0.1)
     with pytest.raises(InvalidParameterError):
-        predict_echo_ladder("edge", 0.5, EPS_REF)
-    with pytest.raises(InvalidParameterError):
-        predict_echo_ladder("center", 0.3, EPS_REF)
-    with pytest.raises(InvalidParameterError):
-        predict_echo_ladder("center", 0.5, 0.0)
-    assert predict_echo_ladder("center", 0.5, EPS_REF).nearest(0.55) == pytest.approx(
-        3 * V1, rel=1e-14
-    )
+        nearest_arrival(CENTER, 0.5, 0.0, 0.1)
+    for v, eps in [(-0.1, EPS_REF), (math.inf, EPS_REF), (math.nan, EPS_REF), (1e150, 5e-324)]:
+        with pytest.raises(InvalidInputError, match=r"v/sqrt\(eps\) must be finite and >= 0"):
+            nearest_arrival(CENTER, 0.5, eps, v)
+    assert nearest_arrival(CENTER, 0.5, EPS_REF, 0.55) == pytest.approx(3 * V1, rel=1e-14)
 
 
-@pytest.mark.parametrize("source, u", [("center", 0.5), ("center", 0.0), ("surface", 0.5)])
-def test_ladder_nearest_matches_the_listed_rungs(source, u):
+LISTED = {
+    # the arrivals are (2k - 1) * sqrt(eps)/2 where source and u are half a
+    # slab apart, k * sqrt(eps) otherwise: the source itself never arrives
+    "center-0.5": (CENTER, 0.5, True),
+    "center-0.0": (CENTER, 0.0, False),
+    "center--0.0": (CENTER, -0.0, False),
+    "surface-0.5": (SURFACE, 0.5, False),
+    "surface-0.0": (SURFACE, 0.0, True),
+    "surface--0.5": (SURFACE, -0.5, False),
+    "center--0.5": (CENTER, -0.5, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LISTED))
+def test_ladder_nearest_matches_the_listed_rungs(case):
     # the closed form picks what a scan of the listed rungs picks, ties included
-    ladder = predict_echo_ladder(source, u, EPS_REF)
-    times = np.array(rungs(ladder, 12))
+    source, u, odd = LISTED[case]
+    k = np.arange(1, 13)
+    times = (2 * k - 1) * (0.5 * math.sqrt(EPS_REF)) if odd else k * math.sqrt(EPS_REF)
     midpoints = 0.5 * (times[:-1] + times[1:])
     for v in np.concatenate([np.linspace(0.0, 2.0, 2001), times, midpoints]):
-        assert ladder.nearest(v) == times[np.argmin(np.abs(times - v))]
+        assert nearest_arrival(source, u, EPS_REF, v) == times[np.argmin(np.abs(times - v))]
 
 
 def test_ladder_of_a_tiny_eps_is_not_materialized():
-    # rungs 2.2e-162 apart: 4.5e160 of them below v = 0.1
-    ladder = predict_echo_ladder("center", 0.5, 5e-324)
-    assert ladder.nearest(0.1) == pytest.approx(0.1, rel=1e-12)
+    # arrivals 2.2e-162 apart: 4.5e160 of them below v = 0.1
+    assert nearest_arrival(CENTER, 0.5, 5e-324, 0.1) == pytest.approx(0.1, rel=1e-12)
+
+
+def test_arrivals_off_the_axis_match_hyperbolic_maxima():
+    # The surface source reaches u = 0.25 from its near wall after sqrt(eps)/4
+    # and from its far wall after 3*sqrt(eps)/4; every maximum of the telegraph
+    # trace between the axis and the wall is one of these echoes.
+    coeffs = compute_coefficients(SurfaceCoshProfile(10.0, 1.0), 2000)
+    times = TimeGrid.linspace(0.0, 1.2, 12001)
+    maxima = 0
+    for u in (0.1, 0.25, 0.4):
+        trace = time_trace("hyperbolic", coeffs, EPS_REF, u, times)
+        for e in detect_extrema(trace, prominence_threshold=1e-3 * coeffs.mean):
+            if e.kind == "maximum":
+                maxima += 1
+                assert abs(e.v - nearest_arrival(SURFACE, u, EPS_REF, e.v)) <= 1e-3, (u, e.v)
+    assert maxima >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +159,26 @@ def test_short_trace_rejected():
     with pytest.raises(InvalidInputError):
         detect_extrema(make_trace(np.ones(500)), v_min_cutoff=-1.0,
                        prominence_threshold=1e-6)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda t: detect_extrema(t, math.nan, prominence_threshold=1e-6), "v_min_cutoff"),
+    (lambda t: detect_extrema(t, math.inf, prominence_threshold=1e-6), "v_min_cutoff"),
+    (lambda t: detect_extrema(t, -1.0, prominence_threshold=1e-6), "v_min_cutoff"),
+    (lambda t: classify_monotone(t, -1.0), "v_min_cutoff"),
+    (lambda t: classify_monotone(t, math.nan), "v_min_cutoff"),
+    (lambda t: classify_monotone(t, math.inf), "v_min_cutoff"),
+    (lambda t: detect_extrema(t, prominence_threshold=math.nan), "prominence_threshold"),
+    (lambda t: detect_extrema(t, prominence_threshold=-1e-6), "prominence_threshold"),
+], ids=["extrema-nan-cutoff", "extrema-inf-cutoff", "extrema-negative-cutoff",
+        "monotone-negative-cutoff", "monotone-nan-cutoff", "monotone-inf-cutoff",
+        "nan-prominence", "negative-prominence"])
+def test_extrema_inputs_are_refused_by_one_rule(call, message):
+    # a zero threshold stays allowed: a zero-mass profile gives one
+    trace = make_trace(np.cos(np.linspace(0.0, 8.0, 500)))
+    with pytest.raises(InvalidInputError, match=message):
+        call(trace)
+    assert detect_extrema(trace, 0.0, prominence_threshold=0.0)
 
 
 def test_damped_oscillation_extrema_positions():

@@ -15,7 +15,7 @@ from slabdiff import (
     TimeGrid,
     compute_coefficients,
     hyperbolic_density,
-    predict_echo_ladder,
+    nearest_arrival,
     preset,
     wkb_density,
 )
@@ -98,7 +98,7 @@ REFUSALS = {
     "fd_config_infinite_eps": (
         lambda: FdConfig(nu=400, dv=1e-6, eps=math.inf, snapshot_times=TimeGrid.from_values([0.1])),
         InvalidParameterError, "eps must be finite"),
-    "ladder_infinite_eps": (lambda: predict_echo_ladder("center", 0.5, math.inf),
+    "ladder_infinite_eps": (lambda: nearest_arrival(0.0, 0.5, math.inf, 0.1),
                             InvalidParameterError, "eps must be finite"),
 }
 
@@ -136,8 +136,8 @@ PUBLIC_NAMES = [
     "FieldSlice", "TimeTrace", "parabolic_density", "hyperbolic_density",
     "wkb_density", "field_slice", "time_trace",
     "FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph",
-    "ExtremumEvent", "EchoLadder", "ErrorNorms", "predict_echo_ladder",
-    "detect_extrema", "classify_monotone", "error_norms",
+    "ExtremumEvent", "ErrorNorms", "nearest_arrival", "detect_extrema",
+    "classify_monotone", "error_norms",
     "Scenario", "parse_scenario", "serialize_scenario", "scenario_hash",
     "preset", "run_scenario",
     "SlabDiffError", "InvalidParameterError", "DomainError", "QuadratureError",

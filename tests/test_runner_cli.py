@@ -14,6 +14,7 @@ from slabdiff import (
     Scenario,
     UniformProfile,
     GaussianProfile,
+    SurfaceCoshProfile,
     compute_coefficients,
     preset,
     run_scenario,
@@ -165,6 +166,31 @@ def test_both_walls_get_the_echo_ladder(tmp_path):
     assert by_wall["0.5"], "expected detected echoes"
     assert all(r[5] for r in by_wall["0.5"] if r[1] == "maximum")
     assert by_wall["-0.5"] == by_wall["0.5"]
+
+
+def test_every_trace_position_gets_predicted_arrivals(tmp_path):
+    s = Scenario(
+        name="offaxis", eps=0.13, profile=SurfaceCoshProfile(10.0, 1.0),
+        truncation=64, v_range=(0.0, 1.2, 601), trace_u=(0.5, -0.5, 0.25),
+        models=("hyperbolic",), outputs=("events",),
+    )
+    run_scenario(s, tmp_path)
+    _, _, rows = read_csv(tmp_path / "offaxis_events.csv")
+    off_axis = [r for r in rows if r[1] == "0.25" and r[2] == "maximum"]
+    assert len(off_axis) == 7 and all(r[6] and r[7] for r in off_axis)
+    # the near wall's echo arrives after sqrt(eps)/4, the far wall's after 3*sqrt(eps)/4
+    assert [r[6] for r in off_axis[:2]] == ["0.09013878188659974", "0.2704163456597992"]
+    # both walls see the arrivals k * sqrt(eps): kind, v, predicted_v, rel_error
+    wall = [
+        ("minimum", "0.20400000000000001", "", ""),
+        ("maximum", "0.362", "0.36055512754639896", "0.004007355167664602"),
+        ("minimum", "0.596", "", ""),
+        ("maximum", "0.722", "0.7211102550927979", "0.0012338541865384541"),
+        ("minimum", "0.974", "", ""),
+        ("maximum", "1.082", "1.0816653826391969", "0.0003093538594965075"),
+    ]
+    for u in ("0.5", "-0.5"):
+        assert [(r[2], r[3], r[6], r[7]) for r in rows if r[1] == u] == wall
 
 
 def test_fd_rows_use_recorded_times(tmp_path):
