@@ -3,8 +3,9 @@
 With a finite wavefront speed c = 1/sqrt(eps), density pulses bounce
 between the walls and show up as non-monotonic structure in time traces.
 The walls act as mirrors, so a pulse launched at x_s reaches u at the
-times |u - x_s - k|/c for every integer k (method of images); detected
-maxima are compared against the nearest of those arrivals.
+times |u - x_s - k|/c for every integer k (method of images); maxima
+detected on a trace's samples are compared against the nearest of those
+arrivals.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from .spectral import FieldSlice, TimeTrace
 #: profiles; extrema before this default cutoff are not reported.
 DEFAULT_V_CUTOFF = 1e-3
 
-#: Moving-average window used before extremum detection.
-SMOOTHING_WINDOW = 5
-
-#: Fraction of a smoothed trace's range that successive differences may
+#: Fraction of a trace's range that successive differences may
 #: oppose its overall direction by and still count as monotone.
 MONOTONE_SLACK = 1e-3
 
@@ -36,12 +34,18 @@ NON_MONOTONE = "non_monotone"
 
 @dataclass(frozen=True)
 class ExtremumEvent:
-    """One detected interior extremum of a smoothed time trace."""
+    """One detected interior extremum of a time trace: a sample and its density."""
 
     v: float
     kind: str  # "maximum" | "minimum"
     value: float
     prominence: float
+
+
+def _check_source(source: float, eps: float) -> None:
+    check_eps(eps, math.ulp(0.0))  # any finite eps > 0 has arrivals
+    if source not in (0.0, HALF_WIDTH):
+        raise InvalidParameterError(f"source must be 0 or 1/2, got {source!r}")
 
 
 def nearest_arrival(source: float, u: float, eps: float, v: float) -> float:
@@ -54,9 +58,7 @@ def nearest_arrival(source: float, u: float, eps: float, v: float) -> float:
     n >= 0; distance 0, the source itself, is no echo. O(1) in any eps: the
     arrivals are never listed.
     """
-    check_eps(eps, math.ulp(0.0))  # any finite eps > 0 has arrivals
-    if source not in (0.0, HALF_WIDTH):
-        raise InvalidParameterError(f"source must be 0 or 1/2, got {source!r}")
+    _check_source(source, eps)
     if not -HALF_WIDTH <= u <= HALF_WIDTH:
         raise InvalidParameterError(f"u must lie in [-1/2, 1/2], got {u!r}")
     root = math.sqrt(eps)
@@ -73,21 +75,30 @@ def nearest_arrival(source: float, u: float, eps: float, v: float) -> float:
     return min(times, key=lambda t: (abs(t - v), t))
 
 
-def _check_cutoff(v_min_cutoff: float) -> None:
+def wavefront_position(source: float, eps: float, v: float) -> float:
+    """|u| in [0, 1/2] that the front launched at v = 0 from source (0 or 1/2) reaches at v.
+
+    The front moves at 1/sqrt(eps) and the walls mirror it, so it sits at the
+    image point y = source + v/sqrt(eps) folded into the slab, |y - round(y)|,
+    and nearest_arrival(source, u1, eps, v) is v for v > 0. The fold is taken
+    on the exact remainder of v by sqrt(eps), so a v whose v/sqrt(eps)
+    overflows has a position too.
+    """
+    _check_source(source, eps)
+    if not 0 <= v < math.inf:
+        raise InvalidInputError(f"v must be finite and >= 0, got {v!r}")
+    root = math.sqrt(eps)
+    share = math.fmod(v, root) / root  # of the current slab crossing
+    return abs(source - min(share, 1.0 - share))
+
+
+def _check_trace(trace: TimeTrace, v_min_cutoff: float) -> None:
     if not 0 <= v_min_cutoff < math.inf:
         raise InvalidInputError(f"v_min_cutoff must be finite and >= 0, got {v_min_cutoff!r}")
-
-
-def _smoothed(trace: TimeTrace) -> tuple[np.ndarray, np.ndarray]:
     if len(trace.times) < MIN_TRACE_SAMPLES:
         raise InvalidInputError(
             f"trace has {len(trace.times)} samples, need >= {MIN_TRACE_SAMPLES}"
         )
-    kernel = np.full(SMOOTHING_WINDOW, 1.0 / SMOOTHING_WINDOW)
-    values = np.convolve(trace.values, kernel, mode="valid")
-    half = SMOOTHING_WINDOW // 2
-    times = trace.times.points[half:-half]
-    return times, values
 
 
 def _higher_walls(position: list[int], height: list[float], none: int) -> list[int]:
@@ -150,44 +161,35 @@ def detect_extrema(
     *,
     prominence_threshold: float,
 ) -> list[ExtremumEvent]:
-    """Interior extrema of the smoothed trace at v >= v_min_cutoff.
+    """Interior extrema of the trace's samples at v >= v_min_cutoff.
 
-    The trace is smoothed with a 5-point moving average, then maxima and
-    minima with prominence >= prominence_threshold are collected; trace
-    endpoints are never reported. Events come back sorted by time.
-    The conventional threshold is a small fraction (1e-3) of the slab mass.
+    Maxima and minima of the samples with prominence >= prominence_threshold
+    are collected; trace endpoints are never reported. Events come back
+    sorted by time. The conventional threshold is a small fraction (1e-3)
+    of the slab mass.
     """
-    _check_cutoff(v_min_cutoff)
+    _check_trace(trace, v_min_cutoff)
     if not prominence_threshold >= 0:
         raise InvalidInputError(f"prominence_threshold must be >= 0, got {prominence_threshold!r}")
-    times, values = _smoothed(trace)
+    times, values = trace.times.points, trace.values
     events: list[ExtremumEvent] = []
     for sign, kind in ((1.0, "maximum"), (-1.0, "minimum")):
         for i, prom in zip(*_peaks(sign * values, prominence_threshold)):
             if times[i] >= v_min_cutoff:
-                events.append(
-                    ExtremumEvent(
-                        v=float(times[i]),
-                        kind=kind,
-                        value=float(values[i]),
-                        prominence=float(prom),
-                    )
-                )
+                events.append(ExtremumEvent(float(times[i]), kind, float(values[i]), float(prom)))
     events.sort(key=lambda e: e.v)
     return events
 
 
 def classify_monotone(trace: TimeTrace, v_min_cutoff: float = DEFAULT_V_CUTOFF) -> str:
-    """Classify a smoothed trace as monotone or not for v >= v_min_cutoff.
+    """Classify a trace's samples as monotone or not for v >= v_min_cutoff.
 
     Successive differences may oppose the overall direction by at most
-    MONOTONE_SLACK * (range of the smoothed trace) before the trace counts
-    as non-monotone.
+    MONOTONE_SLACK * (range of the samples) before the trace counts as
+    non-monotone.
     """
-    _check_cutoff(v_min_cutoff)
-    times, values = _smoothed(trace)
-    keep = times >= v_min_cutoff
-    values = values[keep]
+    _check_trace(trace, v_min_cutoff)
+    values = trace.values[trace.times.points >= v_min_cutoff]
     if values.size < 2:
         raise InvalidInputError("no samples at or above v_min_cutoff")
     diffs = np.diff(values)

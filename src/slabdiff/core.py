@@ -13,7 +13,8 @@ Every parameter rule has one owner here, and every other module calls it:
   floats refused, even whole ones, at or above a lower bound;
 * check_eps owns the rule for eps: finite and at or above a lower bound.
   check_telegraph_eps (eps >= the smallest normal float) and check_wkb_eps
-  (eps >= 0, and no resonant mode) are built on it.
+  (eps >= 0, and no resonant mode) are built on it, and both refuse an eps
+  whose product with the last mode's squared wavenumber is not finite.
 
 These rules, the fewest samples a trace needs for extrema detection and the
 fewest FD cells live here, not in spectral, analysis and fd, so that
@@ -79,13 +80,22 @@ def check_eps(eps: float, minimum: float):
         raise InvalidParameterError(f"eps must be finite and >= {minimum!r}, got {eps!r}")
 
 
-def check_telegraph_eps(eps: float):
-    """Raise InvalidParameterError unless sys.float_info.min <= eps < inf.
+def _check_last_mode(product: float, eps: float, terms: int):
+    if not math.isfinite(product):
+        raise InvalidParameterError(
+            f"eps={eps!r} is too large for {terms} terms: the last mode's rate overflows"
+        )
 
-    The telegraph closed forms divide by 2*eps, and 1/(2*eps) overflows
-    for a subnormal eps.
+
+def check_telegraph_eps(eps: float, terms: int):
+    """Raise InvalidParameterError unless eps >= sys.float_info.min and (4*M*pi)^2*eps < inf.
+
+    M = terms is the last mode. The telegraph closed forms divide by 2*eps,
+    and 1/(2*eps) overflows for a subnormal eps; the last mode's
+    discriminant 1 - (4*M*pi)^2*eps overflows for a huge one.
     """
     check_eps(eps, sys.float_info.min)
+    _check_last_mode((4.0 * math.pi * terms) ** 2 * eps, eps, terms)
 
 
 def _mode_ratios(eps: float, m):
@@ -94,17 +104,18 @@ def _mode_ratios(eps: float, m):
 
 
 def check_wkb_eps(eps: float, terms: int):
-    """Raise unless 0 <= eps < inf and no mode m <= terms is resonant, in O(1).
+    """Raise unless eps >= 0, q_M < inf for M = terms and no mode m <= M is resonant, in O(1).
 
     q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
     within RESONANCE_TOL of 1.
 
     Raises:
-        InvalidParameterError: eps < 0, infinite or NaN.
+        InvalidParameterError: eps < 0, infinite or NaN, or q_M overflows.
         ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
             where the two-timescale closed form is singular.
     """
     check_eps(eps, 0.0)
+    _check_last_mode(_mode_ratios(eps, terms), eps, terms)
     near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
     if near > terms + 1:
         return

@@ -14,7 +14,6 @@ column once.
 from __future__ import annotations
 
 import json
-import math
 import os
 from itertools import chain, repeat
 from pathlib import Path
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival
+from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival, wavefront_position
 from .core import SPECTRAL_MODELS, TimeGrid
 from .fd import fd_solve_heat, fd_solve_telegraph
 from .profiles import compute_coefficients
@@ -128,10 +127,12 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         fd_times = TimeGrid(points=recorded[fd_keep])
     directory.mkdir(parents=True, exist_ok=True)
 
-    # Position of the wavefront launched from each wall, per snapshot time.
+    # Position of the wavefront launched from the profile's echo source, per
+    # snapshot time; none for a profile with no single source.
+    source = s.profile.echo_source if s.eps > 0 else None
     wavefront = {}
-    if s.eps > 0 and s.v_list is not None:
-        wavefront = {v: 0.5 - v / math.sqrt(s.eps) for v in s.v_list}
+    if source is not None and s.v_list is not None:
+        wavefront = {v: wavefront_position(source, s.eps, v) for v in s.v_list}
 
     # Field files, one per requested snapshot time. Each family is evaluated
     # once, as a (time x grid) table.
@@ -190,7 +191,6 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     if "events" in s.outputs:
         rows = []
         threshold = PROMINENCE_FRACTION * coeffs.mean
-        source = s.profile.echo_source if s.eps > 0 else None
         for u, traces in zip(s.trace_u, traces_by_u):
             for model, tr in traces:
                 for event in detect_extrema(

@@ -160,13 +160,13 @@ class Scenario:
             object.__setattr__(self, "v_range", (*self.v_range[:2], len(times)))
         if "hyperbolic" in self.models:
             try:
-                check_telegraph_eps(self.eps)
+                check_telegraph_eps(self.eps, self.truncation)
             except InvalidParameterError as exc:
                 raise ScenarioValidationError(f"hyperbolic: {exc}") from exc
         if "wkb" in self.models:
             try:
                 check_wkb_eps(self.eps, self.truncation)
-            except ResonantModeError as exc:
+            except (InvalidParameterError, ResonantModeError) as exc:
                 raise ScenarioValidationError(f"wkb: {exc}") from exc
         try:
             object.__setattr__(self, "fd_nu", check_count(self.fd_nu, "nu", MIN_FD_CELLS))

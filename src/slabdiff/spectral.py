@@ -338,7 +338,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     """
     terms = coefficients.truncation
     if model == "hyperbolic":
-        check_telegraph_eps(eps)
+        check_telegraph_eps(eps, terms)
     elif model == "wkb":
         check_wkb_eps(eps, terms)
     # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.

@@ -152,6 +152,22 @@ MUTANTS = (
            "for offset in (gap or 1.0, 1.0 - gap or 1.0):",
            "for offset in (gap or 1.0,):",
            ("tests/test_analysis.py",)),
+    # Extrema are found after a 5-sample moving average, as they once were:
+    # on a coarse grid it delays them and hides the surface wall echo.
+    Mutant("smoothing_restored", "src/slabdiff/analysis.py",
+           "times, values = trace.times.points, trace.values",
+           "times, values = trace.times.points[2:-2], "
+           "np.convolve(trace.values, np.full(5, 0.2), mode='valid')",
+           ("tests/test_analysis.py",)),
+    # A huge eps whose last telegraph mode overflows validates, and run
+    # writes NaN.
+    Mutant("scenario_telegraph_first_mode_only", "src/slabdiff/scenario.py",
+           "check_telegraph_eps(self.eps, self.truncation)", "check_telegraph_eps(self.eps, 1)",
+           ("tests/test_scenario.py",)),
+    # No family refuses an eps whose last mode overflows.
+    Mutant("last_mode_overflow_allowed", "src/slabdiff/core.py",
+           "    if not math.isfinite(product):", "    if False:",
+           ("tests/test_core.py",)),
     # models and formats keep the config's spelling, so one run has two hashes.
     Mutant("names_keep_user_order", "src/slabdiff/scenario.py",
            "return tuple(name for name in order if name in names)", "return tuple(names)",

@@ -21,7 +21,7 @@ from slabdiff import (
     preset,
     time_trace,
 )
-from slabdiff.analysis import _peaks, _smoothed
+from slabdiff.analysis import _peaks, wavefront_position
 
 EPS_REF = 0.13
 V1 = 0.5 * math.sqrt(EPS_REF)
@@ -143,9 +143,51 @@ def test_arrivals_off_the_axis_match_hyperbolic_maxima():
     assert maxima >= 10
 
 
+def test_wavefront_position_is_where_the_front_arrives():
+    # u1 lies in the slab for any v, and the nearest echo arrival there is v
+    for source in (CENTER, SURFACE):
+        for eps in (EPS_REF, 0.01, 1.0):
+            for v in np.linspace(1e-4, 3.0, 301):
+                u1 = wavefront_position(source, eps, v)
+                assert 0.0 <= u1 <= 0.5
+                assert nearest_arrival(source, u1, eps, v) == pytest.approx(v, rel=1e-12)
+    # the Gaussian's front leaves the center, the surface profile's the walls
+    assert wavefront_position(CENTER, 0.04, 0.02) == pytest.approx(0.1, rel=1e-14)
+    assert wavefront_position(SURFACE, 0.04, 0.02) == pytest.approx(0.4, rel=1e-14)
+    with pytest.raises(InvalidParameterError, match="source must be 0 or 1/2"):
+        wavefront_position(0.3, EPS_REF, 0.1)
+    for v in (-0.1, math.inf, math.nan):
+        with pytest.raises(InvalidInputError, match="v must be finite and >= 0"):
+            wavefront_position(CENTER, EPS_REF, v)
+    # a v whose v/sqrt(eps) overflows still has a position in the slab
+    assert 0.0 <= wavefront_position(SURFACE, EPS_REF, 1e308) <= 0.5
+
+
 # ---------------------------------------------------------------------------
 # extrema detection
 # ---------------------------------------------------------------------------
+
+
+def test_events_do_not_depend_on_the_time_grid(gaussian_coeffs, surface_coeffs):
+    # Extrema are found on the samples themselves, so a tenfold finer grid
+    # finds the same events, each within one coarse step. An average over a
+    # fixed count of samples spans ten times more of v on the coarse grid:
+    # it delays the events there, and at eps = 0.01 hides the surface
+    # profile's wall echo at v = sqrt(eps).
+    coarse, fine = TimeGrid.linspace(0.0, 1.2, 1201), TimeGrid.linspace(0.0, 1.2, 12001)
+    for coeffs in (gaussian_coeffs, surface_coeffs):
+        for eps in (0.13, 0.05, 0.01):
+            for u in (0.0, 0.25, 0.5):
+                for family in ("parabolic", "hyperbolic", "wkb"):
+                    a, b = (
+                        detect_extrema(time_trace(family, coeffs, eps, u, times),
+                                       prominence_threshold=1e-3 * coeffs.mean)
+                        for times in (coarse, fine)
+                    )
+                    case = (coeffs.profile_tag, eps, u, family)
+                    assert [e.kind for e in a] == [e.kind for e in b], case
+                    assert all(abs(x.v - y.v) <= 1e-3 for x, y in zip(a, b)), case
+
 
 
 def test_constant_trace_has_no_extrema():
@@ -246,7 +288,7 @@ def test_peaks_match_scipy_on_preset_traces(name, gaussian_coeffs, surface_coeff
     coeffs = {"figure2": gaussian_coeffs, "figure4": surface_coeffs}[name]
     for model in s.models:
         for u in s.trace_u:
-            _, values = _smoothed(time_trace(model, coeffs, s.eps, u, s.time_grid()))
+            values = time_trace(model, coeffs, s.eps, u, s.time_grid()).values
             for threshold in (0.0, 1e-3 * coeffs.mean):
                 assert_peaks_match_scipy(values, threshold)
 
@@ -257,7 +299,7 @@ def test_peaks_match_scipy_across_eps(eps, gaussian_coeffs, surface_coeffs):
     for coeffs in (gaussian_coeffs, surface_coeffs):
         for family in ("parabolic", "hyperbolic", "wkb"):
             for u in (0.0, 0.5):
-                _, values = _smoothed(time_trace(family, coeffs, eps, u, times))
+                values = time_trace(family, coeffs, eps, u, times).values
                 assert_peaks_match_scipy(values, 1e-3 * coeffs.mean)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +109,20 @@ def test_counts_and_eps_are_refused_by_their_one_rule(name):
     call, error, message = REFUSALS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("family", ["hyperbolic", "wkb"])
+def test_eps_is_refused_where_the_last_mode_overflows(family):
+    # The telegraph discriminant 1 - (4*M*pi)^2*eps and the two-timescale
+    # ratio q_M = eps*(2*M*pi)^2 overflowed, and the series wrote NaN.
+    coeffs = _coefficients()
+    wavenumber = {"hyperbolic": 4.0, "wkb": 2.0}[family] * math.pi
+    bound = sys.float_info.max / (wavenumber * coeffs.truncation) ** 2
+    density = {"hyperbolic": hyperbolic_density, "wkb": wkb_density}[family]
+    u, v = np.linspace(-0.5, 0.5, 11)[None, :], np.array([[0.0], [0.1], [1.0], [1e300]])
+    assert np.isfinite(density(coeffs, bound * (1 - 1e-9), u, v)).all()
+    with pytest.raises(InvalidParameterError, match="too large for 50 terms"):
+        density(coeffs, bound * (1 + 1e-9), u, v)
 
 
 def test_numpy_integer_fd_cells_are_counts():

@@ -580,6 +580,19 @@ def test_scenario_requires_finite_eps():
         Scenario(name="x", eps=math.inf, profile=UniformProfile(1.0), v_list=(0.1,))
 
 
+@pytest.mark.parametrize("model", ["hyperbolic", "wkb"])
+def test_scenario_refuses_an_eps_whose_last_mode_overflows(model):
+    # eps = 1e305 validated, and run wrote NaN for every row of the family
+    wavenumber = {"hyperbolic": 4.0, "wkb": 2.0}[model] * math.pi
+    bound = sys.float_info.max / (wavenumber * 500) ** 2
+    base = Scenario(name="x", eps=0.13, profile=UniformProfile(1.0), truncation=500,
+                    v_list=(0.1,), models=("parabolic", model))
+    assert replace(base, eps=bound * (1 - 1e-9)).eps == bound * (1 - 1e-9)
+    for eps in (bound * (1 + 1e-9), 1e305):
+        with pytest.raises(ScenarioValidationError, match=f"^{model}: eps=.* too large for 500"):
+            replace(base, eps=eps)
+
+
 @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "my run", "", "a\\b"])
 def test_scenario_name_must_be_a_file_prefix(name):
     with pytest.raises(ScenarioValidationError, match="name must"):
