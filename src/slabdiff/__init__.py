@@ -5,8 +5,8 @@ echo analysis, and a scenario-driven CLI.
 The public names are exported lazily (PEP 562): `import slabdiff` loads no
 submodule, and each name, or each submodule such as `slabdiff.runner`,
 imports its home module on first access. So a command loads only the
-modules it runs: `slabdiff validate` and `coeffs` never load spectral, fd,
-analysis, runner or svgplot.
+modules it runs: `slabdiff validate` and `coeffs` never load spectral,
+analysis, runner or svgplot, and load fd only for a config with FD.
 """
 
 from importlib import import_module
@@ -15,15 +15,15 @@ __version__ = "0.1.0"
 
 #: Each public name, listed under the module that defines it.
 _EXPORTS = {
-    "core": ("Grid1D", "TimeGrid"),
+    "core": ("Grid1D", "TimeGrid", "FieldSlice", "TimeTrace"),
     "profiles": (
         "InitialProfile", "GaussianProfile", "SurfaceCoshProfile", "UniformProfile",
         "CosineModeProfile", "TabulatedProfile", "SpectralCoefficients",
         "evaluate_profile", "compute_coefficients",
     ),
     "spectral": (
-        "FieldSlice", "TimeTrace", "parabolic_density", "hyperbolic_density",
-        "wkb_density", "field_slice", "time_trace",
+        "parabolic_density", "hyperbolic_density", "wkb_density", "field_slice",
+        "time_trace",
     ),
     "fd": ("FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph"),
     "analysis": (

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HALF_WIDTH, MIN_TRACE_SAMPLES, check_eps
+from .core import HALF_WIDTH, MIN_TRACE_SAMPLES, FieldSlice, TimeTrace, check_eps
 from .errors import InvalidInputError, InvalidParameterError
-from .spectral import FieldSlice, TimeTrace
 
 #: Early times are dominated by series-truncation ringing of sharp
 #: profiles; extrema before this default cutoff are not reported.

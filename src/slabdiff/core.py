@@ -14,11 +14,15 @@ Every parameter rule has one owner here, and every other module calls it:
 * check_eps owns the rule for eps: finite and at or above a lower bound.
   check_telegraph_eps (eps >= the smallest normal float) and check_wkb_eps
   (eps >= 0, and no resonant mode) are built on it, and both refuse an eps
-  whose product with the last mode's squared wavenumber is not finite.
+  whose product with the last mode's squared wavenumber is not finite;
+* check_family_eps owns the map from a series family to its eps rule, and
+  both the series evaluator and Scenario call it.
 
 These rules, the fewest samples a trace needs for extrema detection and the
 fewest FD cells live here, not in spectral, analysis and fd, so that
-validating a scenario loads none of those modules.
+validating a scenario loads none of those modules. The sampled results,
+FieldSlice and TimeTrace, live here next to the grids they sample, so that
+the FD oracle and the analysis import no series code.
 """
 
 from __future__ import annotations
@@ -128,6 +132,18 @@ def check_wkb_eps(eps: float, terms: int):
         )
 
 
+def check_family_eps(model: str, eps: float, terms: int):
+    """Raise InvalidParameterError unless eps suits the series family `model` at `terms` modes.
+
+    The telegraph family takes check_telegraph_eps, the two-timescale family
+    check_wkb_eps, and the parabolic family ignores eps.
+    """
+    if model == "hyperbolic":
+        check_telegraph_eps(eps, terms)
+    elif model == "wkb":
+        check_wkb_eps(eps, terms)
+
+
 def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
     """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES.
 
@@ -215,3 +231,37 @@ class TimeGrid(_Points):
     @classmethod
     def linspace(cls, start: float, stop: float, count: int) -> "TimeGrid":
         return cls(points=_linspace(start, stop, count, "time points"))
+
+
+def _check_samples(sampled, count: int, axis: str):
+    """Store sampled.values as a finite float array of `count` samples along `axis`."""
+    vals = np.asarray(sampled.values, dtype=float)
+    object.__setattr__(sampled, "values", vals)
+    if vals.shape != (count,):
+        raise InvalidParameterError(f"values shape {vals.shape} does not match {axis}")
+    if not np.all(np.isfinite(vals)):
+        raise InvalidParameterError("values must be finite")
+
+
+@dataclass(frozen=True)
+class FieldSlice:
+    """Density sampled over a spatial grid at one time."""
+
+    grid: Grid1D
+    v: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        _check_samples(self, len(self.grid), f"grid of {len(self.grid)} points")
+
+
+@dataclass(frozen=True)
+class TimeTrace:
+    """Density sampled over time at one spatial point."""
+
+    u: float
+    times: TimeGrid
+    values: np.ndarray
+
+    def __post_init__(self):
+        _check_samples(self, len(self.times), f"{len(self.times)} times")

@@ -26,11 +26,11 @@ class QuadratureError(SlabDiffError, RuntimeError):
         self.evaluations = evaluations
 
 
-class ResonantModeError(SlabDiffError, ValueError):
+class ResonantModeError(InvalidParameterError):
     """The two-timescale closed form is singular for some mode index."""
 
 
-class StabilityError(SlabDiffError, ValueError):
+class StabilityError(InvalidParameterError):
     """An explicit finite-difference configuration violates its stability bound."""
 
 

@@ -1,9 +1,11 @@
 """Explicit finite-difference oracles for the heat and telegraph equations.
 
 These solvers share no code with the spectral families and exist to
-cross-validate them. Both use a cell-centered uniform grid with mirror
-ghost cells, which makes the zero-flux walls exact and lets the discrete
-mass telescope to a conserved quantity.
+cross-validate them: fd imports no series code, and its slices are
+core.FieldSlice, the sampled result the series also return. Both use a
+cell-centered uniform grid with mirror ghost cells, which makes the
+zero-flux walls exact and lets the discrete mass telescope to a conserved
+quantity.
 
 Heat (eps = 0), forward Euler:        stable for dv <= 0.5*du^2
 Telegraph (eps > 0), three-level:     stable for dv <= sqrt(eps)*du,
@@ -48,10 +50,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import MIN_FD_CELLS, Grid1D, TimeGrid, check_count, check_eps
+from .core import MIN_FD_CELLS, FieldSlice, Grid1D, TimeGrid, check_count, check_eps
 from .errors import InvalidParameterError, StabilityError
 from .profiles import InitialProfile, evaluate_profile
-from .spectral import FieldSlice
 
 #: Safety factor applied to the stability bounds when choosing a step.
 SAFETY = 0.9

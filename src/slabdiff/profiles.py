@@ -117,6 +117,8 @@ class _SharpProfile(InitialProfile):
     Sharpness beyond a subclass's `sharpness_limit` is numerically
     delta-like: a 500-term cosine series cannot represent it without
     ringing, so construction is refused and a TabulatedProfile suggested.
+    Subclasses declare no field, so they inherit this dataclass undecorated
+    and cost no dataclass build of their own at import.
     """
 
     sharpness: float
@@ -137,7 +139,6 @@ class _SharpProfile(InitialProfile):
             )
 
 
-@dataclass(frozen=True)
 class GaussianProfile(_SharpProfile):
     """Mass concentrated at the slab center.
 
@@ -166,7 +167,6 @@ class GaussianProfile(_SharpProfile):
         return max(2, math.ceil(math.sqrt(self.sharpness)))
 
 
-@dataclass(frozen=True)
 class SurfaceCoshProfile(_SharpProfile):
     """Mass localized near both walls.
 

@@ -22,11 +22,11 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival, wavefront_position
-from .core import SPECTRAL_MODELS, TimeGrid
+from .core import SPECTRAL_MODELS, FieldSlice, TimeGrid, TimeTrace
 from .fd import fd_solve_heat, fd_solve_telegraph
 from .profiles import compute_coefficients
 from .scenario import Scenario, format_float, scenario_hash
-from .spectral import FieldSlice, TimeTrace, family_density
+from .spectral import family_density
 from .svgplot import line_chart
 
 #: Fraction of the slab mass used as the default extremum prominence.

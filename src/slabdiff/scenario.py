@@ -22,13 +22,14 @@ with their line number. serialize_scenario produces a canonical document
 that parses back to an equal Scenario, and its hash is embedded in every
 output file.
 
-Scenario owns the cross-field invariants only. Each parameter rule has one
-owner, which Scenario calls and whose error it reports as a
-ScenarioValidationError: core.check_eps (eps finite and >= 0, and the
-stricter bounds of check_telegraph_eps and check_wkb_eps), core.check_count
-through check_truncation (terms), the grids (u_points and the v_range count)
-and FdConfig (nu, and the step). Every count is stored as an int, so a
-numpy integer serializes as one.
+Scenario owns the cross-field invariants only, such as a cosine mode no
+higher than the series terms. Each parameter rule has one owner, which
+Scenario calls and whose InvalidParameterError it reports, in one place, as
+a ScenarioValidationError: core.check_eps (eps finite and >= 0),
+core.check_family_eps (each series family's stricter eps bound),
+core.check_count through check_truncation (terms), the grids (u_points and
+the v_range count) and FdConfig (nu, and the step). Every count is stored as
+an int, so a numpy integer serializes as one.
 """
 
 from __future__ import annotations
@@ -50,16 +51,9 @@ from .core import (
     TimeGrid,
     check_count,
     check_eps,
-    check_telegraph_eps,
-    check_wkb_eps,
+    check_family_eps,
 )
-from .errors import (
-    InvalidParameterError,
-    ResonantModeError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    StabilityError,
-)
+from .errors import InvalidParameterError, ScenarioParseError, ScenarioValidationError
 from .profiles import (
     MAX_DENSITY,
     PROFILE_KINDS,
@@ -145,35 +139,36 @@ class Scenario:
             raise ScenarioValidationError("trace_u must be unique")
         if self.fd_dv is not None and not (0 < self.fd_dv < math.inf):
             raise ScenarioValidationError(f"fd dv must be finite and > 0, got {self.fd_dv!r}")
-        # The owners of the eps and count rules (core and check_truncation);
-        # the grids also check the times and refuse a size numpy cannot build.
+        # Each parameter rule's owner refuses with an InvalidParameterError
+        # (ResonantModeError and StabilityError included), reported under the
+        # prefix of what it checks: eps and the counts (core and
+        # check_truncation), the grids, which also refuse a size numpy cannot
+        # build, each model's eps rule (core.check_family_eps) and the FD step.
+        prefix = ""
         try:
             check_eps(self.eps, 0.0)
             terms, _ = check_truncation(self.profile, self.truncation)
             times, grid = self.time_grid(), self.spatial_grid()
+            for model in self.models:
+                prefix = f"{model}: "
+                check_family_eps(model, self.eps, terms)
+            prefix = "[fd] "
+            object.__setattr__(self, "fd_nu", check_count(self.fd_nu, "nu", MIN_FD_CELLS))
+            if "fd" in self.models:
+                fd_cfg = self.fd_config()  # checks the step's stability and the step count
         except InvalidParameterError as exc:
-            raise ScenarioValidationError(str(exc)) from exc
+            raise ScenarioValidationError(f"{prefix}{exc}") from exc
         # The counts are stored as ints, so a numpy integer serializes as one.
         object.__setattr__(self, "truncation", terms)
         object.__setattr__(self, "u_points", len(grid))
         if self.v_range is not None:
             object.__setattr__(self, "v_range", (*self.v_range[:2], len(times)))
-        if "hyperbolic" in self.models:
-            try:
-                check_telegraph_eps(self.eps, self.truncation)
-            except InvalidParameterError as exc:
-                raise ScenarioValidationError(f"hyperbolic: {exc}") from exc
-        if "wkb" in self.models:
-            try:
-                check_wkb_eps(self.eps, self.truncation)
-            except (InvalidParameterError, ResonantModeError) as exc:
-                raise ScenarioValidationError(f"wkb: {exc}") from exc
-        try:
-            object.__setattr__(self, "fd_nu", check_count(self.fd_nu, "nu", MIN_FD_CELLS))
-            if "fd" in self.models:
-                fd_cfg = self.fd_config()  # checks the step's stability and the step count
-        except (InvalidParameterError, StabilityError) as exc:
-            raise ScenarioValidationError(f"[fd] {exc}") from exc
+        mode = getattr(self.profile, "mode", 0)
+        if mode > terms and any(model in SPECTRAL_MODELS for model in self.models):
+            raise ScenarioValidationError(
+                f"[profile] cosine mode {mode} lies above terms = {terms}: the series "
+                f"would drop it and run a flat profile; raise terms to at least {mode}"
+            )
         if "events" in self.outputs:
             if not self.trace_u:
                 raise ScenarioValidationError("events output requires trace_u")
@@ -203,7 +198,7 @@ class Scenario:
 
     def fd_config(self) -> FdConfig:
         """The FD oracle's grid and step: [fd] dv if given, else the largest stable one."""
-        from .fd import FdConfig  # fd, and spectral with it, load only for FD runs
+        from .fd import FdConfig  # fd loads only for a scenario with FD
 
         times = self.time_grid()
         if self.fd_dv is None:

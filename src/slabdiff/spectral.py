@@ -86,17 +86,17 @@ two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     HALF_WIDTH,
+    FieldSlice,
     Grid1D,
     TimeGrid,
+    TimeTrace,
     _mode_ratios,
-    check_telegraph_eps,
-    check_wkb_eps,
+    check_family_eps,
     slab_positions,
 )
 from .errors import DomainError, InvalidParameterError
@@ -337,10 +337,7 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     point. An empty broadcast gives an empty array.
     """
     terms = coefficients.truncation
-    if model == "hyperbolic":
-        check_telegraph_eps(eps, terms)
-    elif model == "wkb":
-        check_wkb_eps(eps, terms)
+    check_family_eps(model, eps, terms)
     # exp(-v/eps) is never formed for eps = 0, where the fast weights vanish.
     two_scale = model == "wkb" and eps > 0
     u_arr = slab_positions(u)
@@ -531,44 +528,6 @@ def family_density(model: str, coefficients: SpectralCoefficients, eps: float, u
     if model == "wkb":
         return wkb_density(coefficients, eps, u, v)
     raise InvalidParameterError(f"unknown spectral model {model!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sampled results
-# ---------------------------------------------------------------------------
-
-def _check_samples(sampled, count: int, axis: str):
-    """Store sampled.values as a finite float array of `count` samples along `axis`."""
-    vals = np.asarray(sampled.values, dtype=float)
-    object.__setattr__(sampled, "values", vals)
-    if vals.shape != (count,):
-        raise InvalidParameterError(f"values shape {vals.shape} does not match {axis}")
-    if not np.all(np.isfinite(vals)):
-        raise InvalidParameterError("values must be finite")
-
-
-@dataclass(frozen=True)
-class FieldSlice:
-    """Density sampled over a spatial grid at one time."""
-
-    grid: Grid1D
-    v: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_samples(self, len(self.grid), f"grid of {len(self.grid)} points")
-
-
-@dataclass(frozen=True)
-class TimeTrace:
-    """Density sampled over time at one spatial point."""
-
-    u: float
-    times: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        _check_samples(self, len(self.times), f"{len(self.times)} times")
 
 
 def field_slice(

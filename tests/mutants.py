@@ -161,9 +161,17 @@ MUTANTS = (
            ("tests/test_analysis.py",)),
     # A huge eps whose last telegraph mode overflows validates, and run
     # writes NaN.
-    Mutant("scenario_telegraph_first_mode_only", "src/slabdiff/scenario.py",
-           "check_telegraph_eps(self.eps, self.truncation)", "check_telegraph_eps(self.eps, 1)",
+    Mutant("scenario_telegraph_first_mode_only", "src/slabdiff/core.py",
+           "check_telegraph_eps(eps, terms)", "check_telegraph_eps(eps, 1)",
            ("tests/test_scenario.py",)),
+    # The family-rule owner has no rule for wkb: a resonant eps validates.
+    Mutant("family_rule_skips_wkb", "src/slabdiff/core.py",
+           '    elif model == "wkb":', "    elif False:",
+           ("tests/test_scenario.py",)),
+    # A cosine mode above terms validates, and run writes the flat profile k0.
+    Mutant("cosine_mode_above_terms_allowed", "src/slabdiff/scenario.py",
+           "if mode > terms and", "if mode > 10**9 and",
+           ("tests/test_runner_cli.py",)),
     # No family refuses an eps whose last mode overflows.
     Mutant("last_mode_overflow_allowed", "src/slabdiff/core.py",
            "    if not math.isfinite(product):", "    if False:",

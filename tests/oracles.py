@@ -32,9 +32,9 @@ from slabdiff import (
     SurfaceCoshProfile,
     UniformProfile,
 )
-from slabdiff.core import HALF_WIDTH
+from slabdiff.core import HALF_WIDTH, check_wkb_eps
 from slabdiff.profiles import COEFFICIENT_ABS_TOL
-from slabdiff.spectral import CRITICAL_DISC_TOL, check_wkb_eps
+from slabdiff.spectral import CRITICAL_DISC_TOL
 from slabdiff.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
+    ResonantModeError,
     ScenarioValidationError,
+    StabilityError,
     TimeGrid,
     compute_coefficients,
     hyperbolic_density,
@@ -20,7 +22,7 @@ from slabdiff import (
     preset,
     wkb_density,
 )
-from slabdiff.core import MAX_SAMPLES
+from slabdiff.core import MAX_SAMPLES, check_family_eps
 
 
 def test_uniform_grid_covers_slab():
@@ -125,6 +127,26 @@ def test_eps_is_refused_where_the_last_mode_overflows(family):
         density(coeffs, bound * (1 + 1e-9), u, v)
 
 
+def test_check_family_eps_maps_each_family_to_its_rule():
+    resonant = 1.0 / (2.0 * math.pi) ** 2  # eps*(2*m*pi)^2 = 1 for m = 1
+    for eps in (0.0, resonant, 1e305):
+        check_family_eps("parabolic", eps, 50)  # the parabolic family ignores eps
+    check_family_eps("hyperbolic", resonant, 50)
+    check_family_eps("wkb", 0.0, 50)
+    with pytest.raises(InvalidParameterError, match=">= 2.2250738585072014e-308"):
+        check_family_eps("hyperbolic", 0.0, 50)
+    with pytest.raises(InvalidParameterError, match="too large for 50 terms"):
+        check_family_eps("hyperbolic", 1e305, 50)
+    with pytest.raises(ResonantModeError, match="m=1"):
+        check_family_eps("wkb", resonant, 50)
+
+
+def test_every_owner_refusal_is_an_invalid_parameter_error():
+    # so that Scenario reports each one through a single except clause
+    assert issubclass(ResonantModeError, InvalidParameterError)
+    assert issubclass(StabilityError, InvalidParameterError)
+
+
 def test_numpy_integer_fd_cells_are_counts():
     s = _fd_figure2(np.int64(64))
     assert type(s.fd_nu) is int and s == _fd_figure2(64)
@@ -144,11 +166,11 @@ def test_every_public_name_resolves():
 #: every one of them.
 PUBLIC_NAMES = [
     "__version__",
-    "Grid1D", "TimeGrid",
+    "Grid1D", "TimeGrid", "FieldSlice", "TimeTrace",
     "InitialProfile", "GaussianProfile", "SurfaceCoshProfile", "UniformProfile",
     "CosineModeProfile", "TabulatedProfile", "SpectralCoefficients",
     "evaluate_profile", "compute_coefficients",
-    "FieldSlice", "TimeTrace", "parabolic_density", "hyperbolic_density",
+    "parabolic_density", "hyperbolic_density",
     "wkb_density", "field_slice", "time_trace",
     "FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph",
     "ExtremumEvent", "ErrorNorms", "nearest_arrival", "detect_extrema",

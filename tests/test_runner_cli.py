@@ -418,7 +418,12 @@ CONFIG_ERRORS = {
     # more modes, or a finer mode, than the coefficient quadrature reaches
     "terms_out_of_reach": [("terms = 50", "terms = 65537")],
     "cosine_mode_out_of_reach": [("kind = gaussian\nsharpness = 100\namplitude = 1",
-                                  "kind = cosine_mode\nmode = 43691\noffset = 1\namplitude = 1")],
+                                  "kind = cosine_mode\nmode = 43691\noffset = 1\namplitude = 1"),
+                                 ("terms = 50", "terms = 43691")],
+    # a mode above terms validated, and run wrote the flat profile k0 in its place
+    "cosine_mode_above_terms": [("kind = gaussian\nsharpness = 100\namplitude = 1",
+                                 "kind = cosine_mode\nmode = 60\noffset = 1\namplitude = 1"),
+                                ("v = 0.01, 0.1", "v = 0, 0.01")],
     # the last mode's rate overflowed, and run wrote NaN for the family
     "eps_overflows_hyperbolic": [("eps = 0.13", "eps = 1e305")],
     "eps_overflows_wkb": [("eps = 0.13", "eps = 1e305"), ("parabolic, hyperbolic", "wkb")],
@@ -442,6 +447,31 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["bad.cfg"]
+
+
+#: The error line of a few CONFIG_ERRORS cases, as their rules' owners word it.
+ERROR_LINES = {
+    "wkb_resonant": "error: wkb: mode m=1 is resonant for eps=0.025330295910584444: "
+                    "|1 - eps*(2*m*pi)^2| < 1e-09, the closed-form coefficients blow up",
+    "fd_step_unstable": "error: [fd] telegraph mode requires dv <= sqrt(eps)*du = "
+                        "0.005633673867912484, got dv=0.01",
+    "cosine_mode_above_terms": "error: [profile] cosine mode 60 lies above terms = 50: the "
+                               "series would drop it and run a flat profile; raise terms to "
+                               "at least 60",
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_LINES))
+def test_cli_config_error_lines(tmp_path, capsys, case):
+    # ResonantModeError and StabilityError reach the CLI as the owners' lines,
+    # under the prefix of the part they check
+    text = CONFIG_SMALL
+    for old, new in CONFIG_ERRORS[case]:
+        text = text.replace(old, new)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["validate", str(cfg)]) == 2
+    assert capsys.readouterr().err == ERROR_LINES[case] + "\n"
 
 
 def test_cli_validate_accepts_terms_up_to_the_quadrature_cap(tmp_path, capsys):
@@ -633,16 +663,32 @@ RUN_ONLY_MODULES = (
 @pytest.mark.parametrize("command", ["validate", "coeffs"])
 def test_validate_and_coeffs_load_no_solver_module(tmp_path, command):
     # a config of the cli_cold benchmark's shape: all three series models,
-    # traces and events, so validation runs every model's checks
-    cfg = tmp_path / "traces.cfg"
-    cfg.write_text(
-        CONFIG_SMALL.replace("v = 0.01, 0.1", "v_range = 0, 1.2, 1201\ntrace_u = 0.5, 0")
-        .replace("parabolic, hyperbolic", "parabolic, hyperbolic, wkb")
-        .replace("amplitude = 1", "amplitude = 1\n[output]\nformats = csv, events")
-    )
-    # validate makes no log record, so it does not load logging either
-    blocked = RUN_ONLY_MODULES + (("logging",) if command == "validate" else ())
-    assert guarded_exit_codes([[command, str(cfg)]], blocked) == "[0]"
+    # traces and events, so validation runs every model's checks; and one
+    # with FD, whose step validation loads fd but no series code
+    for models in ("parabolic, hyperbolic, wkb", "parabolic, hyperbolic, fd"):
+        cfg = tmp_path / "traces.cfg"
+        cfg.write_text(
+            CONFIG_SMALL.replace("v = 0.01, 0.1", "v_range = 0, 1.2, 1201\ntrace_u = 0.5, 0")
+            .replace("parabolic, hyperbolic", models)
+            .replace("amplitude = 1", "amplitude = 1\n[fd]\nnu = 64\n"
+                                      "[output]\nformats = csv, events")
+        )
+        blocked = tuple(m for m in RUN_ONLY_MODULES if m != "slabdiff.fd" or "fd" not in models)
+        # validate makes no log record, so it does not load logging either
+        blocked += ("logging",) if command == "validate" else ()
+        assert guarded_exit_codes([[command, str(cfg)]], blocked) == "[0]", models
+
+
+def test_fd_and_analysis_load_no_series_code():
+    # the FD oracle shares no code with the series it checks, and the
+    # analysis reads sampled results, which live in core
+    code = ("import sys\nimport slabdiff.fd, slabdiff.analysis\n"
+            "print(*sorted(name for name in sys.modules if name.startswith('slabdiff.')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == [
+        "slabdiff.analysis", "slabdiff.core", "slabdiff.errors", "slabdiff.fd", "slabdiff.profiles",
+    ]
 
 
 # ---------------------------------------------------------------------------

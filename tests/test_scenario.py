@@ -29,10 +29,10 @@ from slabdiff import (
     serialize_scenario,
 )
 from slabdiff.analysis import MIN_TRACE_SAMPLES
+from slabdiff.core import check_wkb_eps
 from slabdiff.fd import snapshot_steps
 from slabdiff.profiles import MAX_DENSITY, PROFILE_KINDS, check_truncation
 from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS, override
-from slabdiff.spectral import check_wkb_eps
 
 MINIMAL = """
 [scenario]
@@ -383,6 +383,9 @@ def scenarios(draw):
             check_wkb_eps(eps, truncation)
         except ResonantModeError:
             assume(False)
+    # a series family needs a cosine mode at or below terms
+    if models != ("fd",):
+        assume(getattr(profile, "mode", 0) <= truncation)
     trace_u = tuple(draw(st.lists(finite(min_value=-0.5, max_value=0.5), max_size=3,
                                   unique=True)))
     times = {}
@@ -630,6 +633,19 @@ def test_resonant_wkb_is_rejected_at_validation():
         override(s, eps=9.0 * eps)
     # without wkb the same eps is not checked
     replace(s, truncation=3, models=("parabolic",))
+
+
+def test_cosine_mode_above_terms_is_refused_with_a_series_model():
+    # mode 60 at 50 terms validated, and run wrote the flat profile k0
+    base = Scenario(name="x", eps=0.13, profile=CosineModeProfile(60, 1.0, 1.0),
+                    truncation=60, v_list=(0.01,), models=("parabolic",))
+    for models in (("parabolic",), ("hyperbolic",), ("wkb",), ("parabolic", "fd")):
+        replace(base, models=models)  # mode == terms
+        with pytest.raises(ScenarioValidationError,
+                           match=r"^\[profile\] cosine mode 60 lies above terms = 50"):
+            replace(base, truncation=50, models=models)
+    # the FD oracle alone has no truncation
+    assert replace(base, truncation=50, models=("fd",)).truncation == 50
 
 
 def test_fd_config_is_checked_at_validation():

@@ -32,7 +32,7 @@ from slabdiff import (
     wkb_density,
 )
 from slabdiff import spectral
-from slabdiff.core import TimeGrid
+from slabdiff.core import TimeGrid, check_wkb_eps
 from slabdiff.fd import cell_centers
 from slabdiff.spectral import (
     BLOCK,
@@ -40,7 +40,6 @@ from slabdiff.spectral import (
     EXP_FLOOR,
     _lattice,
     _split_times,
-    check_wkb_eps,
     family_density,
 )
 
