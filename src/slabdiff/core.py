@@ -23,6 +23,10 @@ fewest FD cells live here, not in spectral, analysis and fd, so that
 validating a scenario loads none of those modules. The sampled results,
 FieldSlice and TimeTrace, live here next to the grids they sample, so that
 the FD oracle and the analysis import no series code.
+
+The space grid Grid1D and the time grid TimeGrid are one checked axis,
+_Points: a non-empty, finite, strictly increasing 1-D array inside the
+class's bounds, [-1/2, 1/2] for positions and [0, inf) for times.
 """
 
 from __future__ import annotations
@@ -159,19 +163,31 @@ def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
         raise InvalidParameterError(f"{count} {name} do not fit in memory: {exc}") from exc
 
 
-def _as_float_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidParameterError(f"{name} must be a non-empty 1D array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParameterError(f"{name} must be finite")
-    return arr
-
-
+@dataclass(frozen=True, eq=False)
 class _Points:
-    """Ordered sample points; two grids of one type are equal when their points are."""
+    """Ordered sample points; two grids of one type are equal when their points are.
+
+    points must be a non-empty 1-D finite array, strictly increasing and
+    inside [low, high]. Each subclass sets those bounds, their text span and
+    the noun its refusals name. A subclass declares no field, so it
+    inherits this dataclass undecorated and costs no dataclass build at import.
+    """
 
     points: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.points, dtype=float)
+        object.__setattr__(self, "points", arr)
+        if arr.ndim != 1 or arr.size == 0:
+            raise InvalidParameterError(f"{self.noun} must be a non-empty 1D array")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidParameterError(f"{self.noun} must be finite")
+        if arr.size > 1 and not np.all(np.diff(arr) > 0):
+            raise InvalidParameterError(f"{self.noun} must be strictly increasing")
+        if arr[0] < self.low or arr[-1] > self.high:
+            raise InvalidParameterError(
+                f"{self.noun} must lie in {self.span}, got range [{arr[0]!r}, {arr[-1]!r}]"
+            )
 
     def __len__(self) -> int:
         return self.points.size
@@ -184,25 +200,11 @@ class _Points:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class Grid1D(_Points):
-    """Ordered spatial sample points inside the slab.
+    """Ordered spatial sample points inside the slab [-1/2, 1/2]."""
 
-    points must be strictly increasing and contained in [-1/2, 1/2].
-    """
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_array(self.points, "grid points")
-        object.__setattr__(self, "points", arr)
-        if arr.size > 1 and not np.all(np.diff(arr) > 0):
-            raise InvalidParameterError("grid points must be strictly increasing")
-        if arr[0] < -HALF_WIDTH or arr[-1] > HALF_WIDTH:
-            raise InvalidParameterError(
-                f"grid points must lie in [-1/2, 1/2], got range "
-                f"[{arr[0]!r}, {arr[-1]!r}]"
-            )
+    noun = "grid points"
+    low, high, span = -HALF_WIDTH, HALF_WIDTH, "[-1/2, 1/2]"
 
     @classmethod
     def uniform_grid(cls, n_points: int) -> "Grid1D":
@@ -210,23 +212,15 @@ class Grid1D(_Points):
         return cls(points=_linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "u points"))
 
 
-@dataclass(frozen=True, eq=False)
 class TimeGrid(_Points):
     """Ordered sample times v >= 0 (in units of the diffusion time)."""
 
-    points: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_float_array(self.points, "time points")
-        object.__setattr__(self, "points", arr)
-        if arr[0] < 0:
-            raise InvalidParameterError(f"times must be >= 0, got {arr[0]!r}")
-        if arr.size > 1 and not np.all(np.diff(arr) > 0):
-            raise InvalidParameterError("times must be strictly increasing")
+    noun = "time points"
+    low, high, span = 0.0, math.inf, "[0, inf)"
 
     @classmethod
     def from_values(cls, values) -> "TimeGrid":
-        return cls(points=np.asarray(values, dtype=float))
+        return cls(points=values)
 
     @classmethod
     def linspace(cls, start: float, stop: float, count: int) -> "TimeGrid":

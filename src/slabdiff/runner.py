@@ -5,6 +5,11 @@ decimal), lines end with LF, and every file embeds the scenario hash plus
 the truncation and grids actually used, so identical scenarios produce
 byte-identical CSVs.
 
+Every model, the FD oracle included, is evaluated once into a (time x
+position) table: a field file is row i of each model's fields table, and a
+trace file column j of each model's traces table. A trace's extrema events
+are found in the same pass that writes its file.
+
 Curve files are written column by column: an axis that several files share
 (the grid, the time grid, the FD grid and its recorded times) is rendered
 once per run, a file's constant u or v once per file, and each density
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival, wavefront_position
-from .core import SPECTRAL_MODELS, FieldSlice, TimeGrid, TimeTrace
+from .core import SPECTRAL_MODELS, TimeGrid, TimeTrace
 from .fd import fd_solve_heat, fd_solve_telegraph
 from .profiles import compute_coefficients
 from .scenario import Scenario, format_float, scenario_hash
@@ -114,17 +119,33 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             chart = line_chart(title, x_name, "n", series, metadata=dict(base_comments))
             written.append(_write_text(directory / f"{stem}.svg", chart))
 
-    # Finite-difference results are computed once for all requested times.
-    fd_slices: list[FieldSlice] = []
+    # Each model's density as one (time x position) table, in entries
+    # (model, positions, times, table): a field file reads row i of every
+    # fields entry, a trace file column j of every traces entry.
+    fields, traces = [], []
+    v_list, u_trace = np.array(s.v_list or (), dtype=float), np.array(s.trace_u, dtype=float)
+    for m in series_models:
+        if s.v_list is not None:
+            table = family_density(m, coeffs, s.eps, grid.points[None, :], v_list[:, None])
+            fields.append((m, grid.points, v_list, table))
+        if s.trace_u:
+            table = family_density(m, coeffs, s.eps, u_trace[None, :], times.points[:, None])
+            traces.append((m, u_trace, times, table))
     if "fd" in s.models:
+        # The FD oracle is solved once for all requested times. Its fields
+        # keep every recorded step; its traces take the cell nearest to each
+        # position, at each distinct recorded time.
         cfg = s.fd_config()
         solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
-        fd_slices = solver(s.profile, cfg)
-        fd_cells = fd_slices[0].grid.points
-        # Requested times that snap to one FD step repeat it; traces keep one.
-        recorded = np.array([sl.v for sl in fd_slices])
-        fd_keep = np.concatenate(([True], np.diff(recorded) > 0))
-        fd_times = TimeGrid(points=recorded[fd_keep])
+        slices = solver(s.profile, cfg)
+        fd_cells = slices[0].grid.points
+        recorded = np.array([sl.v for sl in slices])
+        table = np.stack([sl.values for sl in slices])
+        fields.append(("fd", fd_cells, recorded, table))
+        keep = np.concatenate(([True], np.diff(recorded) > 0))
+        nearest = np.abs(fd_cells[None, :] - u_trace[:, None]).argmin(axis=1)
+        traces.append(("fd", fd_cells[nearest], TimeGrid(points=recorded[keep]),
+                       table[:, nearest][keep]))
     directory.mkdir(parents=True, exist_ok=True)
 
     # Position of the wavefront launched from the profile's echo source, per
@@ -134,101 +155,57 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     if source is not None and s.v_list is not None:
         wavefront = {v: wavefront_position(source, s.eps, v) for v in s.v_list}
 
-    # Field files, one per requested snapshot time. Each family is evaluated
-    # once, as a (time x grid) table.
-    if s.v_list is not None:
-        v_column = np.array(s.v_list, dtype=float)[:, None]
-        field_tables = [
-            family_density(m, coeffs, s.eps, grid.points[None, :], v_column)
-            for m in series_models
+    # Field files, one per requested snapshot time.
+    for i, v in enumerate(s.v_list or ()):
+        comments = base_comments + [
+            ("u_points", str(s.u_points)),
+            ("v_requested", format_float(v)),
         ]
-        for index, v in enumerate(s.v_list):
-            curves = [
-                (m, grid.points, v, table[index]) for m, table in zip(series_models, field_tables)
-            ]
-            if "fd" in s.models:
-                curves.append(("fd", fd_cells, fd_slices[index].v, fd_slices[index].values))
-            comments = base_comments + [
-                ("u_points", str(s.u_points)),
-                ("v_requested", format_float(v)),
-            ]
-            if wavefront:
-                comments.append(("wavefront_u1", format_float(wavefront[v])))
-            write_curves(
-                f"{s.name}_field_{index}", comments, f"{s.name}: density at v = {format_float(v)}",
-                "u", curves,
-            )
+        if wavefront:
+            comments.append(("wavefront_u1", format_float(wavefront[v])))
+        write_curves(
+            f"{s.name}_field_{i}", comments, f"{s.name}: density at v = {format_float(v)}",
+            "u", [(m, u, t[i], table[i]) for m, u, t, table in fields],
+        )
 
-    # Trace files, one per requested position. Each family is evaluated once,
-    # as a (time x position) table.
-    traces_by_u: list[list[tuple[str, TimeTrace]]] = []  # per position in trace_u
-    u_row = np.array(s.trace_u, dtype=float)[None, :]
-    trace_tables = [
-        family_density(m, coeffs, s.eps, u_row, times.points[:, None])
-        for m in series_models
-    ] if s.trace_u else []
+    # Trace files, one per requested position, and their extrema events.
+    threshold = PROMINENCE_FRACTION * coeffs.mean
+    rows = []
     for j, u in enumerate(s.trace_u):
-        traces = [
-            (m, TimeTrace(u=float(u), times=times, values=table[:, j]))
-            for m, table in zip(series_models, trace_tables)
+        curves = [
+            (m, TimeTrace(u=float(at[j]), times=t, values=table[:, j]))
+            for m, at, t, table in traces
         ]
-        if "fd" in s.models:
-            # The FD trace is taken at the cell nearest to u.
-            idx = int(np.argmin(np.abs(fd_cells - u)))
-            values = np.array([sl.values[idx] for sl in fd_slices])[fd_keep]
-            traces.append(("fd", TimeTrace(u=float(fd_cells[idx]), times=fd_times, values=values)))
-        traces_by_u.append(traces)
         comments = base_comments + [
             ("u", format_float(u)),
             ("time_points", str(len(times))),
         ]
         write_curves(
             f"{s.name}_trace_{j}", comments, f"{s.name}: density at u = {format_float(u)}",
-            "v", [(m, tr.u, tr.times.points, tr.values) for m, tr in traces],
+            "v", [(m, tr.u, tr.times.points, tr.values) for m, tr in curves],
         )
-
-    # Extrema events over all traces.
+        if "events" not in s.outputs:
+            continue
+        for m, tr in curves:
+            for event in detect_extrema(tr, DEFAULT_V_CUTOFF, prominence_threshold=threshold):
+                predicted = rel_error = ""
+                if source is not None and event.kind == "maximum":
+                    p = nearest_arrival(source, u, s.eps, event.v)
+                    predicted = format_float(p)
+                    rel_error = format_float(abs(event.v - p) / p)
+                rows.append([
+                    m, format_float(u), event.kind, format_float(event.v),
+                    format_float(event.value), format_float(event.prominence),
+                    predicted, rel_error,
+                ])
     if "events" in s.outputs:
-        rows = []
-        threshold = PROMINENCE_FRACTION * coeffs.mean
-        for u, traces in zip(s.trace_u, traces_by_u):
-            for model, tr in traces:
-                for event in detect_extrema(
-                    tr, DEFAULT_V_CUTOFF, prominence_threshold=threshold
-                ):
-                    predicted = ""
-                    rel_error = ""
-                    if source is not None and event.kind == "maximum":
-                        p = nearest_arrival(source, u, s.eps, event.v)
-                        predicted = format_float(p)
-                        rel_error = format_float(abs(event.v - p) / p)
-                    rows.append(
-                        [
-                            model,
-                            format_float(u),
-                            event.kind,
-                            format_float(event.v),
-                            format_float(event.value),
-                            format_float(event.prominence),
-                            predicted,
-                            rel_error,
-                        ]
-                    )
         comments = base_comments + [
             ("v_min_cutoff", format_float(DEFAULT_V_CUTOFF)),
             ("prominence_threshold", format_float(threshold)),
         ]
+        header = "model,u,kind,v,value,prominence,predicted_v,rel_error"
         path = directory / f"{s.name}_events.csv"
-        written.append(
-            _write_text(
-                path,
-                _csv_text(
-                    comments,
-                    "model,u,kind,v,value,prominence,predicted_v,rel_error",
-                    rows,
-                ),
-            )
-        )
+        written.append(_write_text(path, _csv_text(comments, header, rows)))
 
     # Run metadata.
     meta = {
@@ -253,7 +230,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         meta["fd"] = {
             "nu": s.fd_nu,
             "dv": cfg.dv,
-            "recorded_times": [sl.v for sl in fd_slices],
+            "recorded_times": recorded.tolist(),
         }
     path = directory / f"{s.name}_run.json"
     written.append(_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n"))

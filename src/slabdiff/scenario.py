@@ -96,9 +96,10 @@ class Scenario:
     Exactly one of v_list (field snapshot times) or v_range (dense trace
     time grid as start/stop/count) must be given. Field slice files are
     written for v_list times; traces are sampled on whichever grid is
-    present, at each position in trace_u. models and outputs are sets: each
-    is stored in MODEL_ORDER or OUTPUT_KINDS order, so every spelling of one
-    run serializes, hashes and writes alike.
+    present, at each position in trace_u. v_list and trace_u are stored as
+    tuples of floats, whether given as a tuple, a list or an array. models
+    and outputs are sets: each is stored in MODEL_ORDER or OUTPUT_KINDS
+    order. So every spelling of one run serializes, hashes and writes alike.
     """
 
     name: str
@@ -126,6 +127,9 @@ class Scenario:
             raise ScenarioValidationError(
                 f"[profile] peak density {peak!r} exceeds {MAX_DENSITY:g}"
             )
+        # trace_u, and v_list below, are stored as tuples of floats, so an array
+        # or a list spelling serializes, hashes and compares as the tuple does.
+        object.__setattr__(self, "trace_u", tuple(map(float, self.trace_u)))
         if (self.v_list is None) == (self.v_range is None):
             raise ScenarioValidationError("exactly one of v or v_range must be given")
         if self.v_range is not None and not self.trace_u:
@@ -158,11 +162,14 @@ class Scenario:
                 fd_cfg = self.fd_config()  # checks the step's stability and the step count
         except InvalidParameterError as exc:
             raise ScenarioValidationError(f"{prefix}{exc}") from exc
-        # The counts are stored as ints, so a numpy integer serializes as one.
+        # The counts are stored as ints, so a numpy integer serializes as one,
+        # and v_list as the floats of its validated grid.
         object.__setattr__(self, "truncation", terms)
         object.__setattr__(self, "u_points", len(grid))
         if self.v_range is not None:
             object.__setattr__(self, "v_range", (*self.v_range[:2], len(times)))
+        else:
+            object.__setattr__(self, "v_list", tuple(times.points.tolist()))
         mode = getattr(self.profile, "mode", 0)
         if mode > terms and any(model in SPECTRAL_MODELS for model in self.models):
             raise ScenarioValidationError(

@@ -180,6 +180,24 @@ MUTANTS = (
     Mutant("names_keep_user_order", "src/slabdiff/scenario.py",
            "return tuple(name for name in order if name in names)", "return tuple(names)",
            ("tests/test_scenario.py",)),
+    # FD trace times keep the steps that several requested times snap to,
+    # so a trace's times repeat, which a TimeGrid refuses.
+    Mutant("fd_trace_keeps_repeated_steps", "src/slabdiff/runner.py",
+           "np.diff(recorded) > 0", "np.diff(recorded) >= 0",
+           ("tests/test_runner_cli.py",)),
+    # Each FD trace is taken at the cell farthest from its position.
+    Mutant("fd_trace_farthest_cell", "src/slabdiff/runner.py",
+           ".argmin(axis=1)", ".argmax(axis=1)",
+           ("tests/test_runner_cli.py",)),
+    # A grid outside the slab, or a negative time, is accepted.
+    Mutant("axis_range_unchecked", "src/slabdiff/core.py",
+           "        if arr[0] < self.low or arr[-1] > self.high:", "        if False:",
+           ("tests/test_core.py",)),
+    # The two-timescale slow weight is 1 + q, not 1/(1 - q): the h - w gap
+    # leaves its leading term by 3.3q, where the model stays within 1.4q.
+    Mutant("wkb_fast_without_amplitude", "src/slabdiff/spectral.py",
+           "-q / (1.0 - q) * k", "-q * k",
+           ("tests/test_spectral.py",)),
 )
 
 _IGNORE = shutil.ignore_patterns(

@@ -1,7 +1,7 @@
 import importlib
 import math
 import sys
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -51,6 +51,59 @@ def test_time_grid_rejects_bad_points():
     tg = TimeGrid.linspace(0.0, 1.0, 11)
     assert len(tg) == 11
     assert tg.points[0] == 0.0
+
+
+@pytest.mark.parametrize("cls", [Grid1D, TimeGrid])
+def test_grids_share_one_dataclass_and_declare_no_field(cls):
+    # One build, in core._Points, serves both grids; each sets its bounds.
+    assert "__dataclass_fields__" not in vars(cls)
+    g = cls(points=[0.0, 0.25])
+    assert [f.name for f in fields(g)] == ["points"]
+    assert repr(g) == f"{cls.__name__}(points=array([0.  , 0.25]))"
+    changed = replace(g, points=[0.0, 0.5])
+    assert type(changed) is cls and changed == cls(points=np.array([0.0, 0.5])) != g
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(g)
+    with pytest.raises(FrozenInstanceError):
+        g.points = np.array([0.0])
+
+
+def test_grids_of_two_types_are_not_equal():
+    points = np.array([0.0, 0.25])
+    assert Grid1D(points) != TimeGrid(points)
+    assert Grid1D(points) == Grid1D(points.copy())
+
+
+#: Each refusal of the one axis check, naming its class's noun. Grid1D's
+#: lines are as they were before the two grids shared the check.
+AXIS_REFUSALS = [
+    (Grid1D, [[0.0, 0.1]], "grid points must be a non-empty 1D array"),
+    (Grid1D, [], "grid points must be a non-empty 1D array"),
+    (Grid1D, [0.0, math.nan], "grid points must be finite"),
+    (Grid1D, [0.0, 0.0, 0.1], "grid points must be strictly increasing"),
+    (Grid1D, [-0.6, 0.0],
+     "grid points must lie in [-1/2, 1/2], got range [np.float64(-0.6), np.float64(0.0)]"),
+    (Grid1D, [0.0, 0.7],
+     "grid points must lie in [-1/2, 1/2], got range [np.float64(0.0), np.float64(0.7)]"),
+    (TimeGrid, [[0.0, 0.1]], "time points must be a non-empty 1D array"),
+    (TimeGrid, [0.1, math.inf], "time points must be finite"),
+    (TimeGrid, [0.2, 0.1], "time points must be strictly increasing"),
+    (TimeGrid, [0.1, 0.1], "time points must be strictly increasing"),
+    (TimeGrid, [-5e-324, 0.2],
+     "time points must lie in [0, inf), got range [np.float64(-5e-324), np.float64(0.2)]"),
+]
+
+
+@pytest.mark.parametrize("cls, points, message", AXIS_REFUSALS)
+def test_axis_refusals_name_their_class(cls, points, message):
+    with pytest.raises(InvalidParameterError) as refused:
+        cls(points=np.array(points))
+    assert str(refused.value) == message
+
+
+def test_axes_accept_their_whole_range():
+    assert len(Grid1D(points=[-0.5, 0.5])) == 2
+    assert len(TimeGrid(points=[0.0, 5e-324, 1e308])) == 3
 
 
 @pytest.mark.parametrize("count", [1, 10**17, MAX_SAMPLES + 1, 2**63 - 1, 10**20])

@@ -748,8 +748,10 @@ def crafted_density(model, coefficients, eps, u, v):
 
 @pytest.mark.parametrize("times, models", [
     ((0.0, 1e-5, 0.1), ("parabolic", "hyperbolic", "fd")),
+    # three times that snap to FD step 0: fields keep each, traces one
+    ((0.0, 1e-9, 2e-9, 0.01), ("hyperbolic", "fd")),
     ((5e-324, 1e-5, 1e16), ("parabolic", "wkb")),
-], ids=["with_fd", "extreme_times"])
+], ids=["with_fd", "fd_snapped_steps", "extreme_times"])
 def test_run_scenario_curves_match_the_per_element_oracle(tmp_path, monkeypatch, times, models):
     monkeypatch.setattr(runner, "family_density", crafted_density)
     s = Scenario(

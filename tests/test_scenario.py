@@ -179,6 +179,35 @@ def test_models_and_outputs_are_sets_stored_in_canonical_order():
         replace(s, outputs=("csv", "csv", "svg"))
 
 
+def test_times_and_positions_in_any_spelling_are_one_scenario(tmp_path):
+    # An array v_list or trace_u validated, then serialize_scenario raised a
+    # bare ValueError; a list ran, but was unhashable and did not round-trip.
+    spellings = [
+        dict(v_list=np.array([0.01, 0.1]), trace_u=np.array([0.5, 0.0])),
+        dict(v_list=[0.01, 0.1], trace_u=[np.float64(0.5), 0]),
+        dict(v_list=(0.01, 0.1), trace_u=(0.5, 0.0)),
+    ]
+    scenarios = [
+        Scenario(name="spelt", eps=0.13, profile=GaussianProfile(100.0, 1.0), truncation=16,
+                 u_points=11, models=("parabolic", "fd"), fd_nu=16, outputs=("csv", "svg"),
+                 **times)
+        for times in spellings
+    ]
+    runs = []
+    for i, s in enumerate(scenarios):
+        assert s.v_list == (0.01, 0.1) and s.trace_u == (0.5, 0.0)
+        assert all(type(x) is float for x in s.v_list + s.trace_u)
+        assert parse_scenario(serialize_scenario(s)) == s == scenarios[0]
+        assert hash(s) == hash(scenarios[0])
+        assert scenario_hash(s) == scenario_hash(scenarios[0])
+        written = run_scenario(s, tmp_path / str(i))
+        runs.append({path.name: path.read_bytes() for path in written})
+    assert runs[0] == runs[1] == runs[2]
+    # the times are stored from their validated grid, which refuses a scalar
+    with pytest.raises(ScenarioValidationError, match="time points must be a non-empty 1D"):
+        replace(scenarios[0], v_list=0.01)
+
+
 def test_terms_are_integers_numpy_ones_included(tmp_path):
     # np.int64 validated, then compute_coefficients refused it in run
     s = Scenario(name="np", eps=0.13, profile=GaussianProfile(100.0, 1.0),

@@ -19,12 +19,14 @@ from oracles import (
 )
 
 from slabdiff import (
+    CosineModeProfile,
     DomainError,
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
     ResonantModeError,
     SpectralCoefficients,
+    compute_coefficients,
     field_slice,
     hyperbolic_density,
     parabolic_density,
@@ -436,6 +438,35 @@ def test_wkb_approaches_hyperbolic_as_eps_shrinks(gaussian_coeffs):
         gaps.append(gap)
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 1e-3
+
+
+#: a^2*v at which the gaps between the families are checked, a = 2*m*pi.
+GAP_X = np.linspace(0.5, 4.0, 36)
+
+
+@pytest.mark.parametrize("eps", [1e-4, 1e-5])
+@pytest.mark.parametrize("m", [1, 2])
+def test_family_gaps_match_their_leading_terms(m, eps):
+    # Mode m of the telegraph equation obeys eps*T'' + T' + a^2*T = 0 with
+    # T(0) = 1, T'(0) = 0. With q = eps*a^2, its slow root is
+    # -a^2*(1 + q) + O(q^2) and its slow amplitude 1 + q + O(q^2), and by
+    # a^2*v = 0.5 its fast part, below e^(-0.5/q), is gone. The parabolic
+    # mode is e^(-a^2*v); the two-timescale mode keeps the telegraph's slow
+    # amplitude 1/(1 - q) but the parabolic rate. So, to first order in q:
+    #   h - p = k*q*(1 - a^2*v)*e^(-a^2*v)   and   h - w = -k*a^2*v*q*e^(-a^2*v).
+    coeffs = compute_coefficients(CosineModeProfile(m, 1.0, 1.0), 8)
+    a2, k = (2.0 * math.pi * m) ** 2, coeffs.modes[m - 1]
+    q = eps * a2
+    u, x = np.array([[0.0, 0.5]]), GAP_X[:, None]  # cos(a*u) = 1 and (-1)^m
+    v = x / a2
+    lead = k * np.cos(2.0 * math.pi * m * u) * q * np.exp(-x)
+    h = hyperbolic_density(coeffs, eps, u, v)
+    h_w = (h - wkb_density(coeffs, eps, u, v)) / (-x * lead)
+    assert np.abs(h_w - 1.0).max() <= 2.0 * q
+    # The h - p leading term vanishes at a^2*v = 1, where its ratio is not defined.
+    away = np.abs(GAP_X - 1.0) >= 0.25
+    h_p = (h - parabolic_density(coeffs, u, v))[away] / ((1.0 - x) * lead)[away]
+    assert np.abs(h_p - 1.0).max() <= 5.0 * q
 
 
 # ---------------------------------------------------------------------------
