@@ -26,7 +26,13 @@ the FD oracle and the analysis import no series code.
 
 The space grid Grid1D and the time grid TimeGrid are one checked axis,
 _Points: a non-empty, finite, strictly increasing 1-D array inside the
-class's bounds, [-1/2, 1/2] for positions and [0, inf) for times.
+class's bounds, [-1/2, 1/2] for positions and [0, inf) for times, of at
+most MAX_SAMPLES points when it is a linspace. Each grid can also be
+checked without being built, with the refusal its build would raise:
+Grid1D.uniform_count and TimeGrid.linspace_count decide a linspace from its
+(start, stop, count) in O(1), and TimeGrid.checked_values checks a list of
+times as Python floats. So validating a scenario loads no numpy: this
+module imports it only inside the functions that make arrays.
 """
 
 from __future__ import annotations
@@ -35,10 +41,12 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, InvalidParameterError, ResonantModeError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Half-width of the dimensionless slab.
 HALF_WIDTH = 0.5
@@ -55,13 +63,16 @@ MIN_TRACE_SAMPLES = 200
 #: The fewest cells of the FD oracle.
 MIN_FD_CELLS = 3
 
-#: The most float64 samples numpy builds into one array: it refuses an array
-#: of more than np.iinfo(np.intp).max bytes before allocating anything.
-MAX_SAMPLES = np.iinfo(np.intp).max // 8
+#: The most samples of one linspace axis: 2**27 float64 take 1 GiB. A count
+#: above it is refused before anything is allocated, whether the axis is
+#: built or only checked.
+MAX_SAMPLES = 2**27
 
 
 def slab_positions(u) -> np.ndarray:
     """u (scalar or array) as a float array; every value must lie in [-1/2, 1/2]."""
+    import numpy as np
+
     u_arr = np.asarray(u, dtype=float)
     if np.any(u_arr < -HALF_WIDTH) or np.any(u_arr > HALF_WIDTH):
         raise DomainError(f"u must lie in [-1/2, 1/2], got {u!r}")
@@ -127,13 +138,12 @@ def check_wkb_eps(eps: float, terms: int):
     near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
     if near > terms + 1:
         return
-    m = np.arange(max(1, near - 1), min(terms, near + 2) + 1, dtype=float)
-    resonant = np.flatnonzero(np.abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL)
-    if resonant.size:
-        raise ResonantModeError(
-            f"mode m={int(m[resonant[0]])} is resonant for eps={eps!r}: "
-            f"|1 - eps*(2*m*pi)^2| < {RESONANCE_TOL!r}, the closed-form coefficients blow up"
-        )
+    for m in range(max(1, near - 1), min(terms, near + 2) + 1):
+        if abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL:
+            raise ResonantModeError(
+                f"mode m={m} is resonant for eps={eps!r}: "
+                f"|1 - eps*(2*m*pi)^2| < {RESONANCE_TOL!r}, the closed-form coefficients blow up"
+            )
 
 
 def check_family_eps(model: str, eps: float, terms: int):
@@ -148,19 +158,69 @@ def check_family_eps(model: str, eps: float, terms: int):
         check_wkb_eps(eps, terms)
 
 
-def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
-    """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES.
-
-    A count numpy refuses, or cannot allocate, raises InvalidParameterError.
-    """
+def _check_axis_count(count, name: str) -> int:
+    """count as an int; raise InvalidParameterError unless 2 <= count <= MAX_SAMPLES."""
     count = check_count(count, name, 2)
     if count > MAX_SAMPLES:
         raise InvalidParameterError(
-            f"{count} {name} exceed the {MAX_SAMPLES} floats one array can hold")
+            f"{count} {name} exceed the cap of {MAX_SAMPLES} samples per axis")
+    return count
+
+
+def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
+    """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES.
+
+    A count out of that range, or one that cannot be allocated, raises
+    InvalidParameterError.
+    """
+    import numpy as np
+
+    count = _check_axis_count(count, name)
     try:
         return np.linspace(start, stop, count)
     except MemoryError as exc:
         raise InvalidParameterError(f"{count} {name} do not fit in memory: {exc}") from exc
+
+
+def _plain_number(x) -> bool:
+    """x is a float, or an int that a float holds exactly, so numpy and float() read it alike."""
+    return type(x) is float or (type(x) is int and abs(x) <= 2**53)
+
+
+def _float_rank(x: float) -> int:
+    """x's place among the float64 values: consecutive floats have consecutive ranks."""
+    import struct
+
+    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
+    return bits if x >= 0 else -bits
+
+
+#: A linspace whose step, less its own rounding, exceeds this many ulps of
+#: its larger end strictly increases (see _linspace_increases).
+STEP_ULPS = 16
+
+
+def _linspace_increases(start: float, stop: float, count: int) -> bool | None:
+    """Whether np.linspace(start, stop, count) strictly increases, or None if O(1) cannot tell.
+
+    start, stop and stop - start are finite. Sample i < count - 1 is
+    fl(fl(i*step) + start), step = fl(stop - start) / (count - 1), and the
+    last is stop: a non-decreasing sequence from start. Each sample lies
+    within 3 ulps U of max(|start|, |stop|), plus count half-ulps of the
+    step, of start + i*(stop - start)/(count - 1). So a step above
+    STEP_ULPS*U plus count ulps of itself keeps every pair apart, and a
+    count above the number of floats in [start, stop] makes two samples
+    equal, or one exceed stop. Between the two, a step within a few ulps,
+    the grid must be built to tell.
+    """
+    if not stop > start:
+        return False
+    step = (stop - start) / (count - 1)
+    if step - count * math.ulp(step) > STEP_ULPS * math.ulp(max(abs(start), abs(stop))):
+        return True
+    if count > _float_rank(stop) - _float_rank(start) + 1:
+        return False
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,18 +236,68 @@ class _Points:
     points: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         arr = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", arr)
         if arr.ndim != 1 or arr.size == 0:
-            raise InvalidParameterError(f"{self.noun} must be a non-empty 1D array")
+            self._refuse("a non-empty 1D array")
         if not np.all(np.isfinite(arr)):
-            raise InvalidParameterError(f"{self.noun} must be finite")
+            self._refuse("finite")
         if arr.size > 1 and not np.all(np.diff(arr) > 0):
-            raise InvalidParameterError(f"{self.noun} must be strictly increasing")
-        if arr[0] < self.low or arr[-1] > self.high:
+            self._refuse("strictly increasing")
+        self._check_range(float(arr[0]), float(arr[-1]))
+
+    @classmethod
+    def _refuse(cls, rule: str):
+        raise InvalidParameterError(f"{cls.noun} must be {rule}")
+
+    @classmethod
+    def _check_range(cls, first: float, last: float):
+        if first < cls.low or last > cls.high:
             raise InvalidParameterError(
-                f"{self.noun} must lie in {self.span}, got range [{arr[0]!r}, {arr[-1]!r}]"
+                f"{cls.noun} must lie in {cls.span}, got range [{first!r}, {last!r}]"
             )
+
+    @classmethod
+    def checked_values(cls, values) -> tuple[float, ...]:
+        """The points of cls(points=values) as floats, refused as that build would refuse them.
+
+        A tuple or list of Python numbers is checked as floats, without
+        numpy; any other spelling builds the grid.
+        """
+        if not (isinstance(values, (tuple, list)) and all(map(_plain_number, values))):
+            return tuple(cls(points=values).points.tolist())
+        points = tuple(map(float, values))
+        if not points:
+            cls._refuse("a non-empty 1D array")
+        if not all(map(math.isfinite, points)):
+            cls._refuse("finite")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            cls._refuse("strictly increasing")
+        cls._check_range(points[0], points[-1])
+        return points
+
+    @classmethod
+    def _linspace_count(cls, start, stop, count, name: str) -> int:
+        """len(cls(points=_linspace(start, stop, count, name))), refused as that build would be.
+
+        Decided in O(1), without numpy, for Python-number ends wherever
+        _linspace_increases can tell; else the grid is built.
+        """
+        count = _check_axis_count(count, name)
+        if _plain_number(start) and _plain_number(stop):
+            start, stop = float(start), float(stop)
+            if not math.isfinite(stop - start):
+                # an end is not finite, or the step overflows and sample 0 is start + 0 * inf
+                cls._refuse("finite")
+            increases = _linspace_increases(start, stop, count)
+            if increases is not None:
+                if not increases:
+                    cls._refuse("strictly increasing")
+                cls._check_range(start, stop)
+                return count
+        return len(cls(points=_linspace(start, stop, count, name)))
 
     def __len__(self) -> int:
         return self.points.size
@@ -196,7 +306,7 @@ class _Points:
         if type(other) is not type(self):
             return NotImplemented
         return self.points.shape == other.points.shape and bool(
-            np.all(self.points == other.points)
+            (self.points == other.points).all()
         )
 
 
@@ -210,6 +320,11 @@ class Grid1D(_Points):
     def uniform_grid(cls, n_points: int) -> "Grid1D":
         """Uniform grid of n_points including both walls."""
         return cls(points=_linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "u points"))
+
+    @classmethod
+    def uniform_count(cls, n_points: int) -> int:
+        """len(uniform_grid(n_points)), refused as it would be, without building it."""
+        return cls._linspace_count(-HALF_WIDTH, HALF_WIDTH, n_points, "u points")
 
 
 class TimeGrid(_Points):
@@ -226,9 +341,16 @@ class TimeGrid(_Points):
     def linspace(cls, start: float, stop: float, count: int) -> "TimeGrid":
         return cls(points=_linspace(start, stop, count, "time points"))
 
+    @classmethod
+    def linspace_count(cls, start: float, stop: float, count: int) -> int:
+        """len(linspace(start, stop, count)), refused as it would be, mostly without building it."""
+        return cls._linspace_count(start, stop, count, "time points")
+
 
 def _check_samples(sampled, count: int, axis: str):
     """Store sampled.values as a finite float array of `count` samples along `axis`."""
+    import numpy as np
+
     vals = np.asarray(sampled.values, dtype=float)
     object.__setattr__(sampled, "values", vals)
     if vals.shape != (count,):

@@ -24,6 +24,11 @@ and, for the closed-form kinds, the arguments of its provenance tag.
 core.check_count owns the rule for a count, here the series terms and a
 cosine profile's mode; check_truncation owns only the reach of the
 coefficient rules under MAX_EVALUATIONS.
+
+numpy is imported only inside the functions that make arrays, so that
+validating a scenario loads it only for a tabulated profile, whose table is
+an array: every other profile's checks and peak() are plain float
+arithmetic.
 """
 
 from __future__ import annotations
@@ -32,11 +37,13 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import HALF_WIDTH, Grid1D, check_count, slab_positions
 from .errors import InvalidParameterError, QuadratureError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Quadrature tolerance of the coefficients, in units of max(1, |k0|): the
 #: rounding noise of a coefficient integral scales with the slab mass k0.
@@ -58,12 +65,16 @@ MAX_EVALUATIONS = 2**20
 @lru_cache(maxsize=1)
 def _gauss_rule() -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the PANEL_ORDER-point Gauss-Legendre rule on [-1, 1]."""
+    import numpy as np
+
     return np.polynomial.legendre.leggauss(PANEL_ORDER)
 
 
 def _panel_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes of `panels` equal panels on the slab, shape (panels, PANEL_ORDER),
     and each panel's half-width, shape (panels,)."""
+    import numpy as np
+
     nodes, _ = _gauss_rule()
     edges = np.linspace(-HALF_WIDTH, HALF_WIDTH, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -73,6 +84,8 @@ def _panel_grid(panels: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _panel_sum(y: np.ndarray, half: np.ndarray) -> float:
     """The composite rule's value from integrand samples y on a _panel_grid."""
+    import numpy as np
+
     _, weights = _gauss_rule()
     return float(np.sum((y.reshape(half.size, PANEL_ORDER) @ weights) * half))
 
@@ -158,6 +171,8 @@ class GaussianProfile(_SharpProfile):
         return math.sqrt(self.sharpness) / math.sqrt(math.pi)
 
     def _density(self, u):
+        import numpy as np
+
         return self.amplitude * self._norm() * np.exp(-self.sharpness * u**2)
 
     def peak(self) -> float:
@@ -180,13 +195,19 @@ class SurfaceCoshProfile(_SharpProfile):
     sharpness_limit = 1e4
 
     def _density(self, u):
+        import numpy as np
+
         s = self.sharpness
         # cosh(s*u)/sinh(s/2) computed via exponentials relative to the wall
         # to stay finite for large s: cosh(s*u) ~ exp(s*|u|)/2 overflows at
         # s ~ 1400 if formed directly.
-        scale = 0.5 * self.amplitude * s
         au = np.abs(u)
-        num = np.exp(s * (au - HALF_WIDTH)) + np.exp(-s * (au + HALF_WIDTH))
+        return self._scaled(np.exp(s * (au - HALF_WIDTH)) + np.exp(-s * (au + HALF_WIDTH)))
+
+    def _scaled(self, num):
+        """The density whose numerator exp(s*(|u| - 1/2)) + exp(-s*(|u| + 1/2)) is num."""
+        s = self.sharpness
+        scale = 0.5 * self.amplitude * s
         den = -math.expm1(-s)  # 1 - exp(-s), which rounds to 0 for s < 1.1e-16
         if scale < sys.float_info.min:
             # The product underflows (a subnormal s, or a small amplitude);
@@ -195,7 +216,7 @@ class SurfaceCoshProfile(_SharpProfile):
         return scale * num / den
 
     def peak(self) -> float:
-        return float(self._density(np.array(HALF_WIDTH)))
+        return self._scaled(1.0 + math.exp(-self.sharpness))  # at the walls, |u| = 1/2
 
     def quadrature_panels_hint(self) -> int:
         return max(2, math.ceil(self.sharpness / 8.0))
@@ -214,6 +235,8 @@ class UniformProfile(InitialProfile):
             raise InvalidParameterError(f"level must be finite and >= 0, got {self.level!r}")
 
     def _density(self, u):
+        import numpy as np
+
         return np.full_like(np.asarray(u, dtype=float), self.level)
 
     def peak(self) -> float:
@@ -245,6 +268,8 @@ class CosineModeProfile(InitialProfile):
             )
 
     def _density(self, u):
+        import numpy as np
+
         return self.offset + self.amplitude * np.cos(2.0 * math.pi * self.mode * u)
 
     def peak(self) -> float:
@@ -283,6 +308,8 @@ class TabulatedProfile(InitialProfile):
     kind = "tabulated"
 
     def __post_init__(self):
+        import numpy as np
+
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size != len(self.grid):
             raise InvalidParameterError(
@@ -319,11 +346,13 @@ class TabulatedProfile(InitialProfile):
         return f"tabulated(n={len(self.grid)})"
 
     def _density(self, u):
+        import numpy as np
+
         pts = self.grid.points
         return 0.5 * (np.interp(u, pts, self.values) + np.interp(-u, pts, self.values))
 
     def peak(self) -> float:
-        return float(np.max(self.values))
+        return float(self.values.max())
 
     def exact_coefficients(self, truncation: int) -> tuple[float, np.ndarray]:
         """k0 and k_1..k_M of the interpolant, in closed form.
@@ -338,6 +367,8 @@ class TabulatedProfile(InitialProfile):
         modes of TABULATED_BLOCK_BYTES each, so memory does not grow with
         the truncation.
         """
+        import numpy as np
+
         knots = np.union1d(self.grid.points, [-HALF_WIDTH, HALF_WIDTH])
         n0 = self._density(knots)
         rise, width = np.diff(n0), np.diff(knots)
@@ -355,7 +386,7 @@ class TabulatedProfile(InitialProfile):
     def __eq__(self, other) -> bool:
         if not isinstance(other, TabulatedProfile):
             return NotImplemented
-        return self.grid == other.grid and bool(np.all(self.values == other.values))
+        return self.grid == other.grid and bool((self.values == other.values).all())
 
 
 #: The profile classes by the `kind` that names them in a scenario config.
@@ -382,6 +413,8 @@ class SpectralCoefficients:
     profile_tag: str = ""
 
     def __post_init__(self):
+        import numpy as np
+
         object.__setattr__(self, "modes", np.asarray(self.modes, dtype=float))
 
     @property
@@ -397,6 +430,8 @@ class SpectralCoefficients:
 
 def evaluate_profile(profile: InitialProfile, u):
     """Evaluate n0 at u (scalar or array); u must lie in [-1/2, 1/2]."""
+    import numpy as np
+
     u_arr = slab_positions(u)
     out = profile._density(u_arr)
     if np.isscalar(u) or u_arr.ndim == 0:
@@ -458,6 +493,8 @@ def _fft_modes(
     Raises:
         QuadratureError: the evaluation cap was hit before two passes agreed.
     """
+    import numpy as np
+
     m = np.arange(truncation + 1)
     a = 2.0 * math.pi * m
     scale = np.where(m > 0, 4.0, 2.0)
@@ -520,6 +557,8 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     if isinstance(profile, TabulatedProfile):
         mean, modes = profile.exact_coefficients(truncation)
         return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
+    import numpy as np
+
     hint = profile.quadrature_panels_hint()
     check, check_panels, tol = _fft_modes(profile, truncation, fft_panels)
 

@@ -27,9 +27,14 @@ higher than the series terms. Each parameter rule has one owner, which
 Scenario calls and whose InvalidParameterError it reports, in one place, as
 a ScenarioValidationError: core.check_eps (eps finite and >= 0),
 core.check_family_eps (each series family's stricter eps bound),
-core.check_count through check_truncation (terms), the grids (u_points and
-the v_range count) and FdConfig (nu, and the step). Every count is stored as
-an int, so a numpy integer serializes as one.
+core.check_count through check_truncation (terms), the grids (u_points, the
+v_range triple and v_list) and FdConfig (nu, and the step). Every count is
+stored as an int, so a numpy integer serializes as one.
+
+Validation checks the grids without building them (Grid1D.uniform_count,
+TimeGrid.linspace_count and TimeGrid.checked_values), so that a scenario
+with neither FD nor a tabulated profile loads no numpy: this module never
+imports it, and run builds the grids through time_grid and spatial_grid.
 """
 
 from __future__ import annotations
@@ -39,8 +44,6 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .core import (
     HALF_WIDTH,
@@ -146,13 +149,20 @@ class Scenario:
         # Each parameter rule's owner refuses with an InvalidParameterError
         # (ResonantModeError and StabilityError included), reported under the
         # prefix of what it checks: eps and the counts (core and
-        # check_truncation), the grids, which also refuse a size numpy cannot
-        # build, each model's eps rule (core.check_family_eps) and the FD step.
+        # check_truncation), the grids, checked without being built and
+        # capped at MAX_SAMPLES, each model's eps rule (core.check_family_eps)
+        # and the FD step.
         prefix = ""
         try:
             check_eps(self.eps, 0.0)
             terms, _ = check_truncation(self.profile, self.truncation)
-            times, grid = self.time_grid(), self.spatial_grid()
+            if self.v_range is not None:
+                start, stop, count = self.v_range
+                samples = TimeGrid.linspace_count(start, stop, count)
+            else:
+                v_list = TimeGrid.checked_values(self.v_list)
+                samples = len(v_list)
+            u_points = Grid1D.uniform_count(self.u_points)
             for model in self.models:
                 prefix = f"{model}: "
                 check_family_eps(model, self.eps, terms)
@@ -165,11 +175,11 @@ class Scenario:
         # The counts are stored as ints, so a numpy integer serializes as one,
         # and v_list as the floats of its validated grid.
         object.__setattr__(self, "truncation", terms)
-        object.__setattr__(self, "u_points", len(grid))
+        object.__setattr__(self, "u_points", u_points)
         if self.v_range is not None:
-            object.__setattr__(self, "v_range", (*self.v_range[:2], len(times)))
+            object.__setattr__(self, "v_range", (start, stop, samples))
         else:
-            object.__setattr__(self, "v_list", tuple(times.points.tolist()))
+            object.__setattr__(self, "v_list", v_list)
         mode = getattr(self.profile, "mode", 0)
         if mode > terms and any(model in SPECTRAL_MODELS for model in self.models):
             raise ScenarioValidationError(
@@ -179,7 +189,7 @@ class Scenario:
         if "events" in self.outputs:
             if not self.trace_u:
                 raise ScenarioValidationError("events output requires trace_u")
-            if len(times) < MIN_TRACE_SAMPLES:
+            if samples < MIN_TRACE_SAMPLES:
                 raise ScenarioValidationError(
                     f"events output requires a time grid of >= {MIN_TRACE_SAMPLES} samples"
                 )
@@ -279,13 +289,10 @@ _FIELD_CODECS = {
     "float": (_parse_float, format_float),
     "int": (_parse_int, str),
     "Grid1D": (
-        lambda raw, line, key: Grid1D(points=np.asarray(_parse_floats(raw, line, key))),
+        lambda raw, line, key: Grid1D(points=_parse_floats(raw, line, key)),
         lambda grid: _format_floats(grid.points),
     ),
-    "np.ndarray": (
-        lambda raw, line, key: np.asarray(_parse_floats(raw, line, key)),
-        _format_floats,
-    ),
+    "np.ndarray": (_parse_floats, _format_floats),
 }
 
 

@@ -191,7 +191,30 @@ MUTANTS = (
            ("tests/test_runner_cli.py",)),
     # A grid outside the slab, or a negative time, is accepted.
     Mutant("axis_range_unchecked", "src/slabdiff/core.py",
-           "        if arr[0] < self.low or arr[-1] > self.high:", "        if False:",
+           "        if first < cls.low or last > cls.high:", "        if False:",
+           ("tests/test_core.py",)),
+    # One sample above the cap is accepted, checked or built.
+    Mutant("sample_cap_off_by_one", "src/slabdiff/core.py",
+           "    if count > MAX_SAMPLES:", "    if count > MAX_SAMPLES + 1:",
+           ("tests/test_core.py",)),
+    # A step within a few ulps is taken as strictly increasing, not built: a
+    # span across a power of two validates, and its grid repeats a time in run.
+    Mutant("linspace_never_builds", "src/slabdiff/core.py",
+           "        return False\n    return None", "        return False\n    return True",
+           ("tests/test_core.py",)),
+    # Scenario takes u_points as given: 10**17 and 51.0 validate, and run
+    # fails or refuses them.
+    Mutant("scenario_u_points_unchecked", "src/slabdiff/scenario.py",
+           "u_points = Grid1D.uniform_count(self.u_points)", "u_points = self.u_points",
+           ("tests/test_runner_cli.py",)),
+    # The surface peak drops the far wall's image exp(-s), which is about 1
+    # for a small sharpness: the peak is half the density at the walls.
+    Mutant("surface_peak_near_wall_only", "src/slabdiff/profiles.py",
+           "self._scaled(1.0 + math.exp(-self.sharpness))", "self._scaled(1.0)",
+           ("tests/test_profiles.py",)),
+    # A list of times out of order validates without numpy, and run refuses it.
+    Mutant("v_list_order_unchecked", "src/slabdiff/core.py",
+           "        if any(b <= a for a, b in zip(points, points[1:])):", "        if False:",
            ("tests/test_core.py",)),
     # The two-timescale slow weight is 1 + q, not 1/(1 - q): the h - w gap
     # leaves its leading term by 3.3q, where the model stays within 1.4q.

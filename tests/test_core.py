@@ -5,6 +5,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slabdiff
 from slabdiff import (
@@ -22,6 +24,7 @@ from slabdiff import (
     preset,
     wkb_density,
 )
+from slabdiff import core
 from slabdiff.core import MAX_SAMPLES, check_family_eps
 
 
@@ -74,23 +77,20 @@ def test_grids_of_two_types_are_not_equal():
     assert Grid1D(points) == Grid1D(points.copy())
 
 
-#: Each refusal of the one axis check, naming its class's noun. Grid1D's
-#: lines are as they were before the two grids shared the check.
+#: Each refusal of the one axis check, naming its class's noun. A range
+#: refusal prints its ends as floats, with no numpy repr.
 AXIS_REFUSALS = [
     (Grid1D, [[0.0, 0.1]], "grid points must be a non-empty 1D array"),
     (Grid1D, [], "grid points must be a non-empty 1D array"),
     (Grid1D, [0.0, math.nan], "grid points must be finite"),
     (Grid1D, [0.0, 0.0, 0.1], "grid points must be strictly increasing"),
-    (Grid1D, [-0.6, 0.0],
-     "grid points must lie in [-1/2, 1/2], got range [np.float64(-0.6), np.float64(0.0)]"),
-    (Grid1D, [0.0, 0.7],
-     "grid points must lie in [-1/2, 1/2], got range [np.float64(0.0), np.float64(0.7)]"),
+    (Grid1D, [-0.6, 0.0], "grid points must lie in [-1/2, 1/2], got range [-0.6, 0.0]"),
+    (Grid1D, [0.0, 0.7], "grid points must lie in [-1/2, 1/2], got range [0.0, 0.7]"),
     (TimeGrid, [[0.0, 0.1]], "time points must be a non-empty 1D array"),
     (TimeGrid, [0.1, math.inf], "time points must be finite"),
     (TimeGrid, [0.2, 0.1], "time points must be strictly increasing"),
     (TimeGrid, [0.1, 0.1], "time points must be strictly increasing"),
-    (TimeGrid, [-5e-324, 0.2],
-     "time points must lie in [0, inf), got range [np.float64(-5e-324), np.float64(0.2)]"),
+    (TimeGrid, [-5e-324, 0.2], "time points must lie in [0, inf), got range [-5e-324, 0.2]"),
 ]
 
 
@@ -106,11 +106,132 @@ def test_axes_accept_their_whole_range():
     assert len(TimeGrid(points=[0.0, 5e-324, 1e308])) == 3
 
 
-@pytest.mark.parametrize("count", [1, 10**17, MAX_SAMPLES + 1, 2**63 - 1, 10**20])
+def verdict(call):
+    """("ok", the result) or the type and message of what call() raised."""
+    try:
+        return "ok", call()
+    except Exception as exc:  # the two paths must raise alike, whatever they raise
+        return type(exc).__name__, str(exc)
+
+
+def forbid_builds(monkeypatch):
+    def build(*args):
+        raise AssertionError(f"built a grid for {args}")
+
+    monkeypatch.setattr(core, "_linspace", build)
+    monkeypatch.setattr(core._Points, "__post_init__", build)
+
+
+#: A span across 2**20, whose ulp doubles there: at 240 samples the step,
+#: 0.94 ulps above 2**20, repeats a time, but [start, stop] holds 251
+#: floats. Only the built grid can tell.
+ACROSS_POWER = (2.0**20 - 50 * 2.0**-33, 2.0**20 + 200 * 2.0**-32, 240)
+
+
+def test_typical_spans_are_decided_without_building(monkeypatch):
+    forbid_builds(monkeypatch)
+    assert TimeGrid.linspace_count(0.0, 1.2, 1201) == 1201
+    assert TimeGrid.linspace_count(0, 1, 10**7) == 10**7
+    assert Grid1D.uniform_count(1001) == 1001
+    with pytest.raises(InvalidParameterError, match="^time points must be strictly increasing$"):
+        TimeGrid.linspace_count(1e6, 1e6 + 1e-9, 1201)
+    assert TimeGrid.checked_values([0.01, 0.1]) == (0.01, 0.1)
+
+
+def test_the_sample_cap_is_decided_without_allocating(monkeypatch):
+    # 2**27 samples are accepted and 2**27 + 1 refused, on both axes, and
+    # the check builds no grid. The build path refuses the same count before
+    # numpy allocates; it runs last, so that a cap off by one fails the
+    # check first instead of allocating 1 GiB.
+    assert MAX_SAMPLES == 2**27
+    refusal = "^{} {} points exceed the cap of 134217728 samples per axis$"
+    with monkeypatch.context() as patched:
+        forbid_builds(patched)
+        assert TimeGrid.linspace_count(0.0, 1.2, MAX_SAMPLES) == MAX_SAMPLES
+        assert Grid1D.uniform_count(MAX_SAMPLES) == MAX_SAMPLES
+        with pytest.raises(InvalidParameterError, match=refusal.format(MAX_SAMPLES + 1, "time")):
+            TimeGrid.linspace_count(0.0, 1.2, MAX_SAMPLES + 1)
+        with pytest.raises(InvalidParameterError, match=refusal.format(MAX_SAMPLES + 1, "u")):
+            Grid1D.uniform_count(MAX_SAMPLES + 1)
+    with pytest.raises(InvalidParameterError, match=refusal.format(MAX_SAMPLES + 1, "time")):
+        TimeGrid.linspace(0.0, 1.2, MAX_SAMPLES + 1)
+    with pytest.raises(InvalidParameterError, match=refusal.format(MAX_SAMPLES + 1, "u")):
+        Grid1D.uniform_grid(MAX_SAMPLES + 1)
+
+
+def near(x: float):
+    """Floats within 50 ulps of x."""
+    return st.integers(-50, 50).map(lambda k: x + k * math.ulp(x))
+
+
+#: Ends of any kind: non-finite, overflowing, negative, ints beyond 2**53.
+ENDS = (st.floats() | st.floats(-2.0, 2.0) | st.integers(-10**6, 10**6)
+        | st.integers(-2**60, 2**60))
+
+
+@st.composite
+def linspaces(draw):
+    """(start, stop, count): any ends, or a step of -1..40 ulps of a stop near
+    0, 1.2, 1e6 or 2**20, where the step alone cannot decide."""
+    count = draw(st.integers(2, 300) | st.integers(2, 10**5))
+    if draw(st.booleans()):
+        return draw(ENDS), draw(ENDS), count
+    stop = draw(st.sampled_from([5e-324, 1e-300, 1.2, 1e6, 2.0**20]).flatmap(near))
+    start = stop - draw(st.floats(-1.0, 40.0)) * (count - 1) * math.ulp(stop)
+    return start, stop, count
+
+
+@settings(max_examples=400, deadline=None)
+@given(linspaces())
+@example((1e6, 1e6 + 1e-9, 1201))
+@example(ACROSS_POWER)
+@example((1e6, 1e6 + 100 * math.ulp(1e6), 50))
+def test_linspace_counts_give_the_built_grids_verdict(triple):
+    start, stop, count = triple
+    checked = verdict(lambda: TimeGrid.linspace_count(start, stop, count))
+    with np.errstate(all="ignore"):  # numpy warns of an inf step, or of i*step past the range
+        built = verdict(lambda: len(TimeGrid.linspace(start, stop, count)))
+    assert checked == built
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(-2, 10**5) | st.sampled_from([2.5, 51.0, np.int64(7), "7", None]))
+def test_uniform_counts_give_the_built_grids_verdict(n):
+    assert verdict(lambda: Grid1D.uniform_count(n)) == verdict(lambda: len(Grid1D.uniform_grid(n)))
+
+
+#: The spellings of a v_list a caller can pass to Scenario.
+SPELLINGS = {
+    "tuple": tuple,
+    "list": list,
+    "array": np.array,
+    "scalar": lambda v: v[0] if v else 0.5,
+    "string": lambda v: ", ".join(map(repr, v)),
+    "2-D list": lambda v: [v],
+    "(n, 1) array": lambda v: np.array(v, dtype=float).reshape(-1, 1),
+}
+TIMES = st.lists(ENDS | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1]), max_size=6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TIMES, st.sampled_from(sorted(SPELLINGS)))
+@example([-0.1, 0.05], "tuple")
+@example([0.2, 0.1], "list")
+@example([0.1, 0.1], "tuple")
+@example([0, 2**53 + 1], "list")
+def test_checked_values_give_the_built_grids_verdict(times, spelling):
+    values = SPELLINGS[spelling](times)
+    built = verdict(lambda: tuple(TimeGrid.from_values(values).points.tolist()))
+    # repr tells -0.0 from 0.0
+    assert repr(verdict(lambda: TimeGrid.checked_values(values))) == repr(built)
+
+
+@pytest.mark.parametrize("count", [1, 10**17, MAX_SAMPLES + 1, 2**60, 2**63 - 1, 10**20])
 def test_grids_refuse_a_size_numpy_cannot_build(count):
-    # numpy raises ValueError at 10**20 and IndexError at 2**63 - 1, and
-    # MemoryError at 10**17: its 8e17 bytes exceed any address space, so
-    # the allocation fails at once. None of these counts allocates anything.
+    # The sample cap refuses each count above it before numpy sees it: numpy
+    # itself raised MemoryError at 10**17, IndexError at 2**63 - 1 and
+    # ValueError at 10**20, and 2**60 was one above the old cap,
+    # np.iinfo(np.intp).max // 8. None of these counts allocates anything.
     with pytest.raises(InvalidParameterError):
         Grid1D.uniform_grid(count)
     with pytest.raises(InvalidParameterError):

@@ -232,6 +232,17 @@ def test_tail_diagnostic_reported(gaussian_coeffs, surface_coeffs):
     )
 
 
+@pytest.mark.parametrize("sharpness", [5e-324, 1e-300, 1e-16, 1e-3, 1.0, 10.0, 700.0, 1e4])
+@pytest.mark.parametrize("amplitude", [1e-300, 1.0, 1e99])
+def test_surface_peak_is_the_density_at_the_walls(sharpness, amplitude):
+    # peak() takes math.exp and the density numpy's exp, whose roundings
+    # differ by a few ulps.
+    p = SurfaceCoshProfile(sharpness=sharpness, amplitude=amplitude)
+    assert type(p.peak()) is float
+    assert p.peak() == pytest.approx(evaluate_profile(p, 0.5), rel=1e-15, abs=0)
+    assert evaluate_profile(p, np.linspace(-0.5, 0.5, 101)).max() <= p.peak() * (1 + 1e-15)
+
+
 @pytest.mark.parametrize("profile, unit", [
     (UniformProfile(level=1e4), UniformProfile(level=1.0)),
     (GaussianProfile(sharpness=100.0, amplitude=1e5), GaussianProfile(100.0, 1.0)),

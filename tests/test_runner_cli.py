@@ -402,18 +402,22 @@ CONFIG_ERRORS = {
                                ("parabolic, hyperbolic", "fd"),
                                ("amplitude = 1", "amplitude = 1\n[fd]\nnu = 3\n"
                                                  "[output]\nformats = csv, events")],
-    # grids of more samples than numpy builds into one array
+    # grids of more samples than numpy builds into one array, and grids
+    # numpy could not allocate (8e17 bytes): all above the sample cap
     "v_range_count_too_large": [("v = 0.01, 0.1",
                                  "v_range = 0, 1, 100000000000000000000\ntrace_u = 0.5"),
                                 ("parabolic, hyperbolic", "parabolic")],
     "u_points_too_large": [("u_points = 51", "u_points = 100000000000000000000"),
                            ("parabolic, hyperbolic", "parabolic")],
-    # grids numpy cannot allocate: 8e17 bytes exceed any address space
     "v_range_count_beyond_memory": [("v = 0.01, 0.1",
                                      "v_range = 0, 1, 100000000000000000\ntrace_u = 0.5"),
                                     ("parabolic, hyperbolic", "parabolic")],
     "u_points_beyond_memory": [("u_points = 51", "u_points = 100000000000000000"),
                                ("parabolic, hyperbolic", "parabolic")],
+    # the range refusal printed its ends as np.float64(...)
+    "v_negative": [("v = 0.01, 0.1", "v = -0.1, 0.05")],
+    "tabulated_grid_outside_slab": [("kind = gaussian\nsharpness = 100\namplitude = 1",
+                                     "kind = tabulated\ngrid = -0.6, 0\nvalues = 1, 1")],
     "formats_repeated": [("amplitude = 1", "amplitude = 1\n[output]\nformats = csv, csv, svg")],
     # more modes, or a finer mode, than the coefficient quadrature reaches
     "terms_out_of_reach": [("terms = 50", "terms = 65537")],
@@ -458,6 +462,11 @@ ERROR_LINES = {
     "cosine_mode_above_terms": "error: [profile] cosine mode 60 lies above terms = 50: the "
                                "series would drop it and run a flat profile; raise terms to "
                                "at least 60",
+    "v_negative": "error: time points must lie in [0, inf), got range [-0.1, 0.05]",
+    "tabulated_grid_outside_slab": "error: [profile] grid points must lie in [-1/2, 1/2], got "
+                                   "range [-0.6, 0.0]",
+    "u_points_beyond_memory": "error: 100000000000000000 u points exceed the cap of 134217728 "
+                              "samples per axis",
 }
 
 
@@ -660,23 +669,49 @@ RUN_ONLY_MODULES = (
 )
 
 
+#: The [profile] section of each kind that holds no array.
+PROFILE_SECTIONS = {
+    "gaussian": "kind = gaussian\nsharpness = 100\namplitude = 1",
+    "surface_cosh": "kind = surface_cosh\nsharpness = 10\namplitude = 1",
+    "uniform": "kind = uniform\nlevel = 1",
+    "cosine_mode": "kind = cosine_mode\nmode = 3\noffset = 1\namplitude = 1",
+}
+
+
 @pytest.mark.parametrize("command", ["validate", "coeffs"])
 def test_validate_and_coeffs_load_no_solver_module(tmp_path, command):
-    # a config of the cli_cold benchmark's shape: all three series models,
-    # traces and events, so validation runs every model's checks; and one
-    # with FD, whose step validation loads fd but no series code
-    for models in ("parabolic, hyperbolic, wkb", "parabolic, hyperbolic, fd"):
-        cfg = tmp_path / "traces.cfg"
+    # Configs of the cli_cold benchmark's shape: all three series models,
+    # traces and events, so validation runs every model's checks, on a v
+    # list and on a v_range, for each profile kind that holds no array.
+    # validate checks the grids without building them, so it loads no
+    # numpy. A tabulated profile holds a numpy grid, and FD step validation
+    # loads fd, which needs numpy but no series code: both still validate.
+    def config(name, profile, times, models="parabolic, hyperbolic, wkb", formats="csv, events"):
+        cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(
-            CONFIG_SMALL.replace("v = 0.01, 0.1", "v_range = 0, 1.2, 1201\ntrace_u = 0.5, 0")
+            CONFIG_SMALL.replace("v = 0.01, 0.1", f"{times}\ntrace_u = 0.5, 0")
             .replace("parabolic, hyperbolic", models)
-            .replace("amplitude = 1", "amplitude = 1\n[fd]\nnu = 64\n"
-                                      "[output]\nformats = csv, events")
+            .replace("kind = gaussian\nsharpness = 100\namplitude = 1",
+                     f"{profile}\n[fd]\nnu = 64\n[output]\nformats = {formats}")
         )
-        blocked = tuple(m for m in RUN_ONLY_MODULES if m != "slabdiff.fd" or "fd" not in models)
-        # validate makes no log record, so it does not load logging either
-        blocked += ("logging",) if command == "validate" else ()
-        assert guarded_exit_codes([[command, str(cfg)]], blocked) == "[0]", models
+        return [command, str(cfg)]
+
+    trace = "v_range = 0, 1.2, 1201"
+    no_arrays = [config(f"{kind}_range", section, trace)
+                 for kind, section in PROFILE_SECTIONS.items()]
+    # events need 200 times, so the v list configs write csv only
+    no_arrays += [config(f"{kind}_list", section, "v = 0.01, 0.1", formats="csv")
+                  for kind, section in PROFILE_SECTIONS.items()]
+    tabulated = config("tabulated", "kind = tabulated\ngrid = -0.5, 0, 0.5\nvalues = 2, 1, 2",
+                       trace)
+    fd = config("fd", PROFILE_SECTIONS["gaussian"], trace, models="parabolic, hyperbolic, fd")
+    # validate makes no log record, so it does not load logging either
+    quiet = ("logging",) if command == "validate" else ()
+    no_numpy = ("logging", "numpy") if command == "validate" else ()
+    assert guarded_exit_codes(no_arrays, RUN_ONLY_MODULES + no_numpy) == str([0] * 8)
+    assert guarded_exit_codes([tabulated], RUN_ONLY_MODULES + quiet) == "[0]"
+    no_series = tuple(m for m in RUN_ONLY_MODULES if m != "slabdiff.fd")
+    assert guarded_exit_codes([fd], no_series + quiet) == "[0]"
 
 
 def test_fd_and_analysis_load_no_series_code():

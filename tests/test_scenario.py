@@ -1,6 +1,7 @@
 import math
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -649,6 +650,24 @@ def test_time_grid_errors_become_validation_errors():
     assert isinstance(info.value.__cause__, InvalidParameterError)
     with pytest.raises(ScenarioValidationError, match="finite"):
         Scenario(name="x", eps=0.1, profile=UniformProfile(1.0), v_list=(math.nan,))
+    # checked as floats or built as an array, one line with no numpy repr
+    for v_list in ((-0.1, 0.05), np.array([-0.1, 0.05])):
+        with pytest.raises(ScenarioValidationError) as refused:
+            Scenario(name="x", eps=0.1, profile=UniformProfile(1.0), v_list=v_list)
+        assert str(refused.value) == "time points must lie in [0, inf), got range [-0.1, 0.05]"
+
+
+def test_a_long_time_grid_validates_without_being_built():
+    # 10**7 times took 195 MiB to validate, building the grid only to count
+    # it; run builds it.
+    tracemalloc.start()
+    try:
+        s = replace(preset("figure2"), v_range=(0.0, 1.2, 10**7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.v_range == (0.0, 1.2, 10**7) and peak < 2**20
+    assert replace(s, v_range=(0.0, 1.2, 1201)) == preset("figure2")
 
 
 def test_resonant_wkb_is_rejected_at_validation():
