@@ -201,7 +201,8 @@ class Scenario:
                 if steps < MIN_TRACE_SAMPLES:
                     raise ScenarioValidationError(
                         f"[fd] events output requires >= {MIN_TRACE_SAMPLES} distinct "
-                        f"FD steps, but the times snap to {steps}; lower dv or raise nu"
+                        f"FD steps, but the times snap to {steps} at dv = {fd_cfg.dv:.7g}; "
+                        f"set a smaller [fd] dv or raise nu"
                     )
 
     def time_grid(self) -> TimeGrid:
@@ -214,7 +215,7 @@ class Scenario:
         return Grid1D.uniform_grid(self.u_points)
 
     def fd_config(self) -> FdConfig:
-        """The FD oracle's grid and step: [fd] dv if given, else the largest stable one."""
+        """The FD oracle's grid and step: [fd] dv if given, else FdConfig.auto's."""
         from .fd import FdConfig  # fd loads only for a scenario with FD
 
         times = self.time_grid()

@@ -131,10 +131,14 @@ MUTANTS = (
     Mutant("heat_rough_power", "src/slabdiff/fd.py",
            "np.power(factor, j) - 1.0", "np.power(factor, j - 1) - 1.0",
            ("tests/test_fd.py",)),
-    # The auto step is the heat bound itself, with no safety margin: at
-    # eps = 0 it sits on the bound, and above it breaks the diffusive bound.
+    # The auto heat step is the heat bound itself, with no safety margin.
     Mutant("diffusive_step_unsafe", "src/slabdiff/fd.py",
-           "dv = SAFETY * 0.5 * du * du", "dv = 0.5 * du * du",
+           "else SAFETY * 0.5 * du * du", "else 0.5 * du * du",
+           ("tests/test_fd.py",)),
+    # The telegraph step is 0.9 of the wave bound: the scheme disperses the
+    # front, and the FD wall echoes leave the series'.
+    Mutant("telegraph_courant_0_9", "src/slabdiff/fd.py",
+           "dv = math.sqrt(eps) * du if", "dv = 0.9 * math.sqrt(eps) * du if",
            ("tests/test_fd.py",)),
     # The source's own image, at distance 0, counts: a surface source seen at
     # the wall "arrives" at t = 0.

@@ -3,8 +3,8 @@
 Each test exercises one gate criterion at its pinned tolerance and prints a
 PASS line on success (run with -s to see them alongside the pytest dots).
 The finite-difference cross-validations (nu=2000, the exact result of
-~9e6 explicit steps, evaluated in DCT mode space) are computed once via
-module-scoped fixtures.
+~9e6 explicit heat steps and ~5.5e3 telegraph steps, evaluated in DCT mode
+space) are computed once via module-scoped fixtures.
 """
 
 import math

@@ -11,14 +11,19 @@ from slabdiff import (
     InvalidParameterError,
     StabilityError,
     TimeGrid,
+    TimeTrace,
     UniformProfile,
     cell_centers,
+    detect_extrema,
     evaluate_profile,
     fd_solve_heat,
     fd_solve_telegraph,
     hyperbolic_density,
     parabolic_density,
+    time_trace,
 )
+from slabdiff.analysis import DEFAULT_V_CUTOFF
+from slabdiff.runner import PROMINENCE_FRACTION
 
 EPS_REF = 0.13
 
@@ -44,14 +49,32 @@ def test_heat_stability_bound_enforced():
 
 
 def test_telegraph_stability_bounds_enforced():
-    # wave bound: dv <= sqrt(eps)*du; pick eps large enough that the wave
-    # bound is the binding one, then violate it.
+    # the wave bound dv <= sqrt(eps)*du is the only telegraph bound: the
+    # step at it is accepted, one just above it is refused
     du = 1.0 / 10
-    with pytest.raises(StabilityError, match="sqrt"):
-        FdConfig(nu=10, dv=1.1 * math.sqrt(4e-4) * du, eps=4e-4, snapshot_times=times(1.0))
-    # diffusive-term bound: dv <= 0.45*du^2
-    with pytest.raises(StabilityError, match="0.45"):
-        FdConfig(nu=10, dv=0.46 * du * du, eps=0.5, snapshot_times=times(1.0))
+    for eps in (4e-4, 0.5):
+        wave = math.sqrt(eps) * du
+        assert FdConfig(nu=10, dv=wave, eps=eps, snapshot_times=times(1.0)).dv == wave
+        with pytest.raises(StabilityError, match="sqrt"):
+            FdConfig(nu=10, dv=wave * (1 + 1e-9), eps=eps, snapshot_times=times(1.0))
+    # a step above the heat scheme's 0.45*du^2 is stable for the telegraph
+    FdConfig(nu=10, dv=0.46 * du * du, eps=0.5, snapshot_times=times(1.0))
+
+
+@pytest.mark.parametrize("nu", [3, 16, 400, 100_000])
+@pytest.mark.parametrize("eps", [1e-6, 1e-4, 0.01, EPS_REF, 3.0])
+def test_every_telegraph_mode_is_stable_at_courant_one(nu, eps):
+    # each step maps mode k through [[1 + a, p], [a, p]]; at dv = sqrt(eps)*du
+    # both roots of every mode k >= 1 lie strictly inside the unit circle,
+    # for p_prev < 0 (dv > 2*eps) too. Mode 0, the mass, keeps the root 1.
+    du = 1.0 / nu
+    dv = math.sqrt(eps) * du
+    lam = 4.0 * np.sin(np.pi * np.arange(1, nu) / (2.0 * nu)) ** 2
+    a = -(dv * dv / (du * du)) * lam / (eps + 0.5 * dv)
+    p = np.full(nu - 1, (eps - 0.5 * dv) / (eps + 0.5 * dv))
+    step = np.stack([np.stack([1.0 + a, p], -1), np.stack([a, p], -1)], -2)
+    radius = np.max(np.abs(np.linalg.eigvals(step)), axis=-1)
+    assert np.all(radius < 1.0)
 
 
 def test_config_parameter_validation():
@@ -114,6 +137,17 @@ def test_heat_single_mode_decay_nu400():
     assert abs(sl.values[i0] - exact) < 2e-3
 
 
+def test_heat_auto_step_damps_the_grid_scale_mode():
+    # cos(2 pi 8 u) on 17 cells is DCT mode 16, the highest. The heat
+    # equation has damped it by exp(-197) after 50 auto steps; the scheme's
+    # factor 1 - 0.45*lambda_16 = -0.785 leaves 5.6e-6 of it. At the bound
+    # itself, r = 0.5, the factor is -0.983 and 0.43 of it would be left.
+    prof = CosineModeProfile(mode=8, offset=1.0, amplitude=1.0)
+    dv = FdConfig.auto(17, 0.0, times(1.0)).dv
+    (sl,) = fd_solve_heat(prof, FdConfig(nu=17, dv=dv, eps=0.0, snapshot_times=times(50 * dv)))
+    assert np.max(np.abs(sl.values - 1.0)) < 1e-5
+
+
 def test_mass_conserved_every_step():
     # snapshots at 100 consecutive step boundaries expose per-step drift
     prof = GaussianProfile(100.0, 1.0)
@@ -166,6 +200,38 @@ def test_telegraph_matches_hyperbolic_series(gaussian_profile, gaussian_coeffs):
         assert np.max(np.abs(sl.values - ref)) < 1e-3
 
 
+@pytest.mark.parametrize("nu", [100, 400])
+@pytest.mark.parametrize("profile", ["gaussian", "surface"])
+def test_telegraph_echoes_match_the_series(request, profile, nu):
+    # The wall echoes, as the runner finds them, on the preset times: FD
+    # traces at the cells nearest u = 0 and 1/2 give the series' event kinds
+    # at times within one FD step. Below Courant number 1 the scheme
+    # disperses the front: at 0.9 three of these eight traces fail, and at
+    # 0.45*du^2 six do, the surface profile at nu = 100 with 52 and 44 events.
+    prof = request.getfixturevalue(f"{profile}_profile")
+    coeffs = request.getfixturevalue(f"{profile}_coeffs")
+    threshold = PROMINENCE_FRACTION * coeffs.mean
+    cfg = FdConfig.auto(nu, EPS_REF, TimeGrid.linspace(0.0, 1.2, 1201))
+    slices = fd_solve_telegraph(prof, cfg)
+    recorded = np.array([sl.v for sl in slices])
+    keep = np.concatenate(([True], np.diff(recorded) > 0))
+    fd_times = TimeGrid(points=recorded[keep])
+    cells = slices[0].grid.points
+    for u in (0.0, 0.5):
+        i = int(np.argmin(np.abs(cells - u)))
+        fd_trace = TimeTrace(u=float(cells[i]), times=fd_times,
+                             values=np.array([sl.values[i] for sl in slices])[keep])
+        series = time_trace("hyperbolic", coeffs, EPS_REF, cells[i], fd_times)
+        fd_events, series_events = (
+            detect_extrema(tr, DEFAULT_V_CUTOFF, prominence_threshold=threshold)
+            for tr in (fd_trace, series)
+        )
+        assert len(series_events) >= 5
+        assert [e.kind for e in fd_events] == [e.kind for e in series_events], u
+        for fd_event, series_event in zip(fd_events, series_events):
+            assert abs(fd_event.v - series_event.v) <= cfg.dv * (1 + 1e-9), (u, fd_event)
+
+
 def fd_errors(profile, coeffs, eps, nu, snap):
     """FD minus the series, each slice compared at its own recorded time."""
     cfg = FdConfig.auto(nu, eps, snap)
@@ -183,7 +249,7 @@ def fd_errors(profile, coeffs, eps, nu, snap):
 @pytest.mark.parametrize("eps", [0.0, EPS_REF])
 def test_observed_order_is_two_on_smooth_data(gaussian_profile, gaussian_coeffs, eps):
     # du shrinks 3x per step (dv with it, through FdConfig.auto); measured
-    # orders lie in 1.999 to 2.000
+    # orders lie in 1.992 to 2.000
     snap = times(0.01, 0.1)
     errors = [fd_errors(gaussian_profile, gaussian_coeffs, eps, nu, snap) for nu in (400, 1200, 3600)]
     for k in range(len(snap.points)):
@@ -195,7 +261,7 @@ def test_observed_order_is_two_on_smooth_data(gaussian_profile, gaussian_coeffs,
 @pytest.mark.parametrize("eps", [0.0, EPS_REF])
 def test_richardson_extrapolation_meets_the_series(gaussian_profile, gaussian_coeffs, eps):
     # cell 3i + 1 of 1200 cells is cell i of 400; removing the h^2 term
-    # leaves at most 6.0e-8 (telegraph at v = 0.1)
+    # leaves at most 2.2e-9 (telegraph at v = 0.01)
     snap = times(0.01, 0.1)
     e400 = fd_errors(gaussian_profile, gaussian_coeffs, eps, 400, snap)
     e1200 = fd_errors(gaussian_profile, gaussian_coeffs, eps, 1200, snap)
@@ -239,9 +305,12 @@ def assert_matches_stepping(prof, cfg, atol=1e-10):
 @pytest.mark.parametrize("nu", [16, 40, 128])
 @pytest.mark.parametrize("eps", [0.0, 1e-6, 1e-4, EPS_REF, 3.0])
 def test_mode_space_solution_matches_stepping(nu, eps):
-    # eps = 1e-6 and 1e-4 give dv > 2*eps, so p_prev < 0 in the telegraph scheme
+    # eps = 1e-6 and 1e-4 give dv > 2*eps, so p_prev < 0 in the telegraph scheme.
+    # Steps 0, 1 and those nearest v = 0.02 and 0.2, kept increasing where a
+    # coarse dv snaps them to fewer steps.
     dv = FdConfig.auto(nu, eps, times(0.2)).dv
-    cfg = FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=times(0.0, dv, 0.02, 0.2))
+    steps = (0, 1, max(2, round(0.02 / dv)), max(3, round(0.2 / dv)))
+    cfg = FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=times(*(j * dv for j in steps)))
     assert_matches_stepping(GaussianProfile(100.0, 1.0), cfg)
 
 
@@ -284,10 +353,12 @@ def test_each_snapshot_equals_its_time_solved_alone(nu, eps):
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])
 def test_telegraph_long_run_stays_finite_and_conservative(eps):
-    # nu = 400 to v = 2: 7.1e5 steps at eps = 1e-4 (diffusive bound) and
-    # 8.9e5 at eps = 1e-6 (wave bound, p_prev < 0)
+    # nu = 400 to v = 2 at 0.45*du^2 or the wave bound, whichever is smaller:
+    # 7.1e5 steps at eps = 1e-4 and 8.0e5 at eps = 1e-6 (p_prev < 0)
     prof = GaussianProfile(100.0, 1.0)
-    cfg = FdConfig.auto(400, eps, times(2.0))
+    du = 1.0 / 400
+    cfg = FdConfig(nu=400, dv=min(0.45 * du * du, math.sqrt(eps) * du), eps=eps,
+                   snapshot_times=times(2.0))
     assert round(2.0 / cfg.dv) > 700_000
     m0 = discrete_mass(evaluate_profile(prof, cell_centers(400)), cfg.du)
     sl = fd_solve_telegraph(prof, cfg)[0]

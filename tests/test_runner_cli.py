@@ -283,7 +283,7 @@ sharpness = 100
 amplitude = 1
 
 [fd]
-nu = 64
+nu = 400
 
 [output]
 formats = csv, svg, events
@@ -459,6 +459,9 @@ ERROR_LINES = {
                     "|1 - eps*(2*m*pi)^2| < 1e-09, the closed-form coefficients blow up",
     "fd_step_unstable": "error: [fd] telegraph mode requires dv <= sqrt(eps)*du = "
                         "0.005633673867912484, got dv=0.01",
+    "fd_events_coarse_steps": "error: [fd] events output requires >= 200 distinct FD steps, "
+                              "but the times snap to 21 at dv = 0.05; set a smaller [fd] dv "
+                              "or raise nu",
     "cosine_mode_above_terms": "error: [profile] cosine mode 60 lies above terms = 50: the "
                                "series would drop it and run a flat profile; raise terms to "
                                "at least 60",
@@ -647,7 +650,7 @@ def test_no_cli_command_imports_scipy(tmp_path):
     fd_events.write_text(
         CONFIG_SMALL.replace("v = 0.01, 0.1", "v_range = 0, 1, 200\ntrace_u = 0, 0.5")
         .replace("parabolic, hyperbolic", "parabolic, fd")
-        .replace("amplitude = 1", "amplitude = 1\n[fd]\nnu = 16\n[output]\nformats = csv, events")
+        .replace("amplitude = 1", "amplitude = 1\n[fd]\nnu = 100\n[output]\nformats = csv, events")
     )
     out = str(tmp_path / "out")
     commands = [
