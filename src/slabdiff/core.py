@@ -26,13 +26,15 @@ the FD oracle and the analysis import no series code.
 
 The space grid Grid1D and the time grid TimeGrid are one checked axis,
 _Points: a non-empty, finite, strictly increasing 1-D array inside the
-class's bounds, [-1/2, 1/2] for positions and [0, inf) for times, of at
-most MAX_SAMPLES points when it is a linspace. Each grid can also be
-checked without being built, with the refusal its build would raise:
-Grid1D.uniform_count and TimeGrid.linspace_count decide a linspace from its
-(start, stop, count) in O(1), and TimeGrid.checked_values checks a list of
-times as Python floats. So validating a scenario loads no numpy: this
-module imports it only inside the functions that make arrays.
+class's bounds, [-1/2, 1/2] for positions and [0, inf) for times. A
+linspace axis has one rule, which its build and its check both run first:
+at most MAX_SAMPLES points, ends of magnitude at most MAX_END and a step of
+at least MIN_STEP of the larger end, so that O(1) arithmetic decides it.
+Grid1D.uniform_count and TimeGrid.linspace_count run that rule alone, and
+TimeGrid.checked_values checks a list of times as Python floats; float()
+reads every end and time, and what it cannot read is refused. So
+validating a scenario loads no numpy: this module imports it only inside
+the functions that make arrays.
 """
 
 from __future__ import annotations
@@ -68,6 +70,15 @@ MIN_FD_CELLS = 3
 #: built or only checked.
 MAX_SAMPLES = 2**27
 
+#: The least step of a linspace axis, as a fraction of its largest end:
+#: no physics needs a finer one, and every step at or above it strictly
+#: increases, which O(1) arithmetic decides without building the grid.
+MIN_STEP = 1e-9
+
+#: The largest |end| of a linspace axis: its span, each i*step and each
+#: sample then stay finite (at max/2, np.linspace(-max/2, max/2, 4) overflows).
+MAX_END = sys.float_info.max / 4
+
 
 def slab_positions(u) -> np.ndarray:
     """u (scalar or array) as a float array; every value must lie in [-1/2, 1/2]."""
@@ -94,8 +105,12 @@ def check_count(value, name: str, minimum: int) -> int:
 
 
 def check_eps(eps: float, minimum: float):
-    """Raise InvalidParameterError unless minimum <= eps < inf (NaN is refused)."""
-    if not (minimum <= eps < math.inf):
+    """Raise InvalidParameterError unless minimum <= eps < inf (NaN and non-numbers are refused)."""
+    try:
+        valid = math.isfinite(eps) and eps >= minimum
+    except (TypeError, OverflowError):  # a string, None, an array or an int beyond floats
+        valid = False
+    if not valid:
         raise InvalidParameterError(f"eps must be finite and >= {minimum!r}, got {eps!r}")
 
 
@@ -158,69 +173,18 @@ def check_family_eps(model: str, eps: float, terms: int):
         check_wkb_eps(eps, terms)
 
 
-def _check_axis_count(count, name: str) -> int:
-    """count as an int; raise InvalidParameterError unless 2 <= count <= MAX_SAMPLES."""
-    count = check_count(count, name, 2)
-    if count > MAX_SAMPLES:
-        raise InvalidParameterError(
-            f"{count} {name} exceed the cap of {MAX_SAMPLES} samples per axis")
-    return count
+def as_floats(values) -> tuple[float, ...] | None:
+    """values as a tuple of floats, float() reading each; None unless values is a 1-D sequence.
 
-
-def _linspace(start: float, stop: float, count: int, name: str) -> np.ndarray:
-    """count evenly spaced samples of [start, stop]; 2 <= count <= MAX_SAMPLES.
-
-    A count out of that range, or one that cannot be allocated, raises
-    InvalidParameterError.
+    A bare string, a scalar, a nested sequence, an array of ndim other than
+    1 and an entry float() cannot read make no such sequence.
     """
-    import numpy as np
-
-    count = _check_axis_count(count, name)
+    if isinstance(values, (str, bytes)) or getattr(values, "ndim", 1) != 1:
+        return None
     try:
-        return np.linspace(start, stop, count)
-    except MemoryError as exc:
-        raise InvalidParameterError(f"{count} {name} do not fit in memory: {exc}") from exc
-
-
-def _plain_number(x) -> bool:
-    """x is a float, or an int that a float holds exactly, so numpy and float() read it alike."""
-    return type(x) is float or (type(x) is int and abs(x) <= 2**53)
-
-
-def _float_rank(x: float) -> int:
-    """x's place among the float64 values: consecutive floats have consecutive ranks."""
-    import struct
-
-    bits = struct.unpack("<q", struct.pack("<d", abs(x)))[0]
-    return bits if x >= 0 else -bits
-
-
-#: A linspace whose step, less its own rounding, exceeds this many ulps of
-#: its larger end strictly increases (see _linspace_increases).
-STEP_ULPS = 16
-
-
-def _linspace_increases(start: float, stop: float, count: int) -> bool | None:
-    """Whether np.linspace(start, stop, count) strictly increases, or None if O(1) cannot tell.
-
-    start, stop and stop - start are finite. Sample i < count - 1 is
-    fl(fl(i*step) + start), step = fl(stop - start) / (count - 1), and the
-    last is stop: a non-decreasing sequence from start. Each sample lies
-    within 3 ulps U of max(|start|, |stop|), plus count half-ulps of the
-    step, of start + i*(stop - start)/(count - 1). So a step above
-    STEP_ULPS*U plus count ulps of itself keeps every pair apart, and a
-    count above the number of floats in [start, stop] makes two samples
-    equal, or one exceed stop. Between the two, a step within a few ulps,
-    the grid must be built to tell.
-    """
-    if not stop > start:
-        return False
-    step = (stop - start) / (count - 1)
-    if step - count * math.ulp(step) > STEP_ULPS * math.ulp(max(abs(start), abs(stop))):
-        return True
-    if count > _float_rank(stop) - _float_rank(start) + 1:
-        return False
-    return None
+        return tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +202,10 @@ class _Points:
     def __post_init__(self):
         import numpy as np
 
-        arr = np.asarray(self.points, dtype=float)
+        try:
+            arr = np.asarray(self.points, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            self._refuse("a non-empty 1D array")
         object.__setattr__(self, "points", arr)
         if arr.ndim != 1 or arr.size == 0:
             self._refuse("a non-empty 1D array")
@@ -261,14 +228,8 @@ class _Points:
 
     @classmethod
     def checked_values(cls, values) -> tuple[float, ...]:
-        """The points of cls(points=values) as floats, refused as that build would refuse them.
-
-        A tuple or list of Python numbers is checked as floats, without
-        numpy; any other spelling builds the grid.
-        """
-        if not (isinstance(values, (tuple, list)) and all(map(_plain_number, values))):
-            return tuple(cls(points=values).points.tolist())
-        points = tuple(map(float, values))
+        """The points of cls(points=values) as floats, refused as that build would refuse them."""
+        points = as_floats(values)
         if not points:
             cls._refuse("a non-empty 1D array")
         if not all(map(math.isfinite, points)):
@@ -279,25 +240,59 @@ class _Points:
         return points
 
     @classmethod
-    def _linspace_count(cls, start, stop, count, name: str) -> int:
-        """len(cls(points=_linspace(start, stop, count, name))), refused as that build would be.
+    def _linspace_axis(cls, start, stop, count, name: str) -> tuple[float, float, int]:
+        """start and stop as floats and count as an int, refused unless they make a valid grid.
 
-        Decided in O(1), without numpy, for Python-number ends wherever
-        _linspace_increases can tell; else the grid is built.
+        O(1) and without numpy: float() must read both ends, |start| and
+        |stop| must be at most MAX_END, start < stop inside the class's
+        bounds, 2 <= count <= MAX_SAMPLES, and the step
+        (stop - start)/(count - 1) a normal float of at least MIN_STEP*E,
+        E = max(|start|, |stop|).
+
+        Then np.linspace(start, stop, count) strictly increases. Its sample
+        i < count - 1 is fl(fl(i*step) + start), and its last is stop: each
+        lies within 3 ulps U of E, plus count half-ulps of the step, of
+        start + i*(stop - start)/(count - 1), so a step above 16*U plus
+        count ulps of itself keeps every pair apart. As ulp(x) <= 2**-52 *
+        max(x, the smallest normal float), a normal step has count*ulp(step)
+        <= 2**-25 * step and 16*U <= 3.6e-15 * max(E, step) <= 3.6e-6 * step,
+        so it clears that bound by a factor of about 2.7e5. The end bound keeps
+        stop - start <= max/2, so i*step and start + i*step stay finite. A
+        range from 0 is refused only below a stop of 3e-300, where no step of
+        it is a normal float.
         """
-        count = _check_axis_count(count, name)
-        if _plain_number(start) and _plain_number(stop):
-            start, stop = float(start), float(stop)
-            if not math.isfinite(stop - start):
-                # an end is not finite, or the step overflows and sample 0 is start + 0 * inf
-                cls._refuse("finite")
-            increases = _linspace_increases(start, stop, count)
-            if increases is not None:
-                if not increases:
-                    cls._refuse("strictly increasing")
-                cls._check_range(start, stop)
-                return count
-        return len(cls(points=_linspace(start, stop, count, name)))
+        count = check_count(count, name, 2)
+        if count > MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"{count} {name} exceed the cap of {MAX_SAMPLES} samples per axis")
+        ends = as_floats((start, stop)) or (math.nan,)
+        if not all(abs(end) <= MAX_END for end in ends):
+            cls._refuse(f"finite numbers of magnitude at most {MAX_END!r}, got ends "
+                        f"{start!r} and {stop!r}")
+        start, stop = ends
+        if not stop > start:
+            cls._refuse("strictly increasing")
+        cls._check_range(start, stop)
+        step = (stop - start) / (count - 1)
+        if not step >= max(MIN_STEP * max(abs(start), abs(stop)), sys.float_info.min):
+            cls._refuse(f"spaced by a normal float of at least {MIN_STEP:g} of their largest "
+                        f"magnitude, got a step of {step!r}")
+        return start, stop, count
+
+    @classmethod
+    def _linspace(cls, start, stop, count, name: str):
+        """cls(points=np.linspace(start, stop, count)), refused by _linspace_axis first.
+
+        A count that cannot be allocated raises InvalidParameterError.
+        """
+        import numpy as np
+
+        start, stop, count = cls._linspace_axis(start, stop, count, name)
+        try:
+            points = np.linspace(start, stop, count)
+        except MemoryError as exc:
+            raise InvalidParameterError(f"{count} {name} do not fit in memory: {exc}") from exc
+        return cls(points=points)
 
     def __len__(self) -> int:
         return self.points.size
@@ -319,12 +314,12 @@ class Grid1D(_Points):
     @classmethod
     def uniform_grid(cls, n_points: int) -> "Grid1D":
         """Uniform grid of n_points including both walls."""
-        return cls(points=_linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "u points"))
+        return cls._linspace(-HALF_WIDTH, HALF_WIDTH, n_points, "u points")
 
     @classmethod
     def uniform_count(cls, n_points: int) -> int:
         """len(uniform_grid(n_points)), refused as it would be, without building it."""
-        return cls._linspace_count(-HALF_WIDTH, HALF_WIDTH, n_points, "u points")
+        return cls._linspace_axis(-HALF_WIDTH, HALF_WIDTH, n_points, "u points")[2]
 
 
 class TimeGrid(_Points):
@@ -339,12 +334,12 @@ class TimeGrid(_Points):
 
     @classmethod
     def linspace(cls, start: float, stop: float, count: int) -> "TimeGrid":
-        return cls(points=_linspace(start, stop, count, "time points"))
+        return cls._linspace(start, stop, count, "time points")
 
     @classmethod
     def linspace_count(cls, start: float, stop: float, count: int) -> int:
-        """len(linspace(start, stop, count)), refused as it would be, mostly without building it."""
-        return cls._linspace_count(start, stop, count, "time points")
+        """len(linspace(start, stop, count)), refused as it would be, without building it."""
+        return cls._linspace_axis(start, stop, count, "time points")[2]
 
 
 def _check_samples(sampled, count: int, axis: str):

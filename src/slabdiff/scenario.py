@@ -35,6 +35,10 @@ Validation checks the grids without building them (Grid1D.uniform_count,
 TimeGrid.linspace_count and TimeGrid.checked_values), so that a scenario
 with neither FD nor a tabulated profile loads no numpy: this module never
 imports it, and run builds the grids through time_grid and spatial_grid.
+float() reads the v_range ends and each entry of v_list and trace_u, and a
+field of the wrong type (a string eps, a bare string of models, a v_range
+of two entries) is refused too: the Python API raises no error but
+ScenarioValidationError.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
@@ -52,6 +57,7 @@ from .core import (
     SPECTRAL_MODELS,
     Grid1D,
     TimeGrid,
+    as_floats,
     check_count,
     check_eps,
     check_family_eps,
@@ -81,11 +87,18 @@ _NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 def _in_order(names, order: tuple[str, ...], noun: str) -> tuple[str, ...]:
-    """The names as a set, in `order`: refuse an empty list, an unknown name and a repeat."""
+    """The names as a set, in `order`.
+
+    Refuses a bare string or a non-iterable, an empty list, an entry that is
+    not a name in `order`, and a repeat.
+    """
+    if isinstance(names, str) or not isinstance(names, Iterable):
+        raise ScenarioValidationError(f"{noun}s must be a sequence of names, got {names!r}")
+    names = tuple(names)
     if not names:
         raise ScenarioValidationError(f"at least one {noun} is required")
     for name in names:
-        if name not in order:
+        if not isinstance(name, str) or name not in order:
             raise ScenarioValidationError(f"unknown {noun} {name!r}")
     if len(set(names)) != len(names):
         raise ScenarioValidationError(f"{noun}s must be unique")
@@ -100,9 +113,10 @@ class Scenario:
     time grid as start/stop/count) must be given. Field slice files are
     written for v_list times; traces are sampled on whichever grid is
     present, at each position in trace_u. v_list and trace_u are stored as
-    tuples of floats, whether given as a tuple, a list or an array. models
-    and outputs are sets: each is stored in MODEL_ORDER or OUTPUT_KINDS
-    order. So every spelling of one run serializes, hashes and writes alike.
+    tuples of floats, whether given as a tuple, a list or an array, and the
+    v_range ends as floats. models and outputs are sets: each is stored in
+    MODEL_ORDER or OUTPUT_KINDS order. So every spelling of one run
+    serializes, hashes and writes alike.
     """
 
     name: str
@@ -120,19 +134,27 @@ class Scenario:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if not _NAME.fullmatch(self.name):
+        if not (isinstance(self.name, str) and _NAME.fullmatch(self.name)):
             raise ScenarioValidationError(
                 f"name must be non-empty and use only letters, digits, '_', '.' "
                 f"and '-', got {self.name!r}"
             )
+        if not isinstance(self.profile, InitialProfile):
+            raise ScenarioValidationError(
+                f"profile must be an InitialProfile, got {self.profile!r}")
         peak = self.profile.peak()
         if not (peak <= MAX_DENSITY):
             raise ScenarioValidationError(
                 f"[profile] peak density {peak!r} exceeds {MAX_DENSITY:g}"
             )
-        # trace_u, and v_list below, are stored as tuples of floats, so an array
-        # or a list spelling serializes, hashes and compares as the tuple does.
-        object.__setattr__(self, "trace_u", tuple(map(float, self.trace_u)))
+        # trace_u, and v_list and the v_range ends below, are stored as floats
+        # that float() reads, so an array or a list spelling serializes, hashes
+        # and compares as the tuple does.
+        trace_u = as_floats(self.trace_u)
+        if trace_u is None:
+            raise ScenarioValidationError(
+                f"trace_u must be a 1D sequence of numbers, got {self.trace_u!r}")
+        object.__setattr__(self, "trace_u", trace_u)
         if (self.v_list is None) == (self.v_range is None):
             raise ScenarioValidationError("exactly one of v or v_range must be given")
         if self.v_range is not None and not self.trace_u:
@@ -144,7 +166,11 @@ class Scenario:
                 raise ScenarioValidationError(f"trace_u must lie in [-1/2, 1/2], got {u!r}")
         if len(set(self.trace_u)) != len(self.trace_u):
             raise ScenarioValidationError("trace_u must be unique")
-        if self.fd_dv is not None and not (0 < self.fd_dv < math.inf):
+        try:
+            dv_valid = self.fd_dv is None or (math.isfinite(self.fd_dv) and self.fd_dv > 0)
+        except (TypeError, OverflowError):  # a string, an array or an int beyond floats
+            dv_valid = False
+        if not dv_valid:
             raise ScenarioValidationError(f"fd dv must be finite and > 0, got {self.fd_dv!r}")
         # Each parameter rule's owner refuses with an InvalidParameterError
         # (ResonantModeError and StabilityError included), reported under the
@@ -157,11 +183,16 @@ class Scenario:
             check_eps(self.eps, 0.0)
             terms, _ = check_truncation(self.profile, self.truncation)
             if self.v_range is not None:
-                start, stop, count = self.v_range
+                try:
+                    start, stop, count = self.v_range
+                except (TypeError, ValueError):
+                    raise ScenarioValidationError(
+                        f"v_range must be (start, stop, count), got {self.v_range!r}") from None
                 samples = TimeGrid.linspace_count(start, stop, count)
+                object.__setattr__(self, "v_range", (float(start), float(stop), samples))
             else:
-                v_list = TimeGrid.checked_values(self.v_list)
-                samples = len(v_list)
+                object.__setattr__(self, "v_list", TimeGrid.checked_values(self.v_list))
+                samples = len(self.v_list)
             u_points = Grid1D.uniform_count(self.u_points)
             for model in self.models:
                 prefix = f"{model}: "
@@ -172,14 +203,9 @@ class Scenario:
                 fd_cfg = self.fd_config()  # checks the step's stability and the step count
         except InvalidParameterError as exc:
             raise ScenarioValidationError(f"{prefix}{exc}") from exc
-        # The counts are stored as ints, so a numpy integer serializes as one,
-        # and v_list as the floats of its validated grid.
+        # The counts are stored as ints, so a numpy integer serializes as one.
         object.__setattr__(self, "truncation", terms)
         object.__setattr__(self, "u_points", u_points)
-        if self.v_range is not None:
-            object.__setattr__(self, "v_range", (start, stop, samples))
-        else:
-            object.__setattr__(self, "v_list", v_list)
         mode = getattr(self.profile, "mode", 0)
         if mode > terms and any(model in SPECTRAL_MODELS for model in self.models):
             raise ScenarioValidationError(

@@ -112,7 +112,7 @@ MUTANTS = (
            ("tests/test_core.py",)),
     # An infinite eps reaches the series, the FD oracle and the echo ladder.
     Mutant("eps_finite_bound_dropped", "src/slabdiff/core.py",
-           "if not (minimum <= eps < math.inf):", "if not (minimum <= eps):",
+           "valid = math.isfinite(eps) and eps >= minimum", "valid = eps >= minimum",
            ("tests/test_core.py",)),
     # The tabulated coefficients form one (modes x segments) block, as before.
     Mutant("tabulated_block_bytes", "src/slabdiff/profiles.py",
@@ -180,6 +180,12 @@ MUTANTS = (
     Mutant("last_mode_overflow_allowed", "src/slabdiff/core.py",
            "    if not math.isfinite(product):", "    if False:",
            ("tests/test_core.py",)),
+    # A bare string of models is read letter by letter: "parabolic" is refused
+    # as the unknown model 'p', not as a string.
+    Mutant("bare_string_names_split", "src/slabdiff/scenario.py",
+           "if isinstance(names, str) or not isinstance(names, Iterable):",
+           "if not isinstance(names, Iterable):",
+           ("tests/test_scenario.py",)),
     # models and formats keep the config's spelling, so one run has two hashes.
     Mutant("names_keep_user_order", "src/slabdiff/scenario.py",
            "return tuple(name for name in order if name in names)", "return tuple(names)",
@@ -201,10 +207,22 @@ MUTANTS = (
     Mutant("sample_cap_off_by_one", "src/slabdiff/core.py",
            "    if count > MAX_SAMPLES:", "    if count > MAX_SAMPLES + 1:",
            ("tests/test_core.py",)),
-    # A step within a few ulps is taken as strictly increasing, not built: a
-    # span across a power of two validates, and its grid repeats a time in run.
-    Mutant("linspace_never_builds", "src/slabdiff/core.py",
-           "        return False\n    return None", "        return False\n    return True",
+    # Any positive step is taken as strictly increasing: a span across a power
+    # of two validates, and its grid repeats a time in run.
+    Mutant("step_bound_dropped", "src/slabdiff/core.py",
+           "if not step >= max(MIN_STEP * max(abs(start), abs(stop)), sys.float_info.min):",
+           "if not step > 0:",
+           ("tests/test_core.py",)),
+    # Ends up to the largest float validate, and np.linspace(0, max, 85)
+    # overflows in run.
+    Mutant("end_bound_widened", "src/slabdiff/core.py",
+           "MAX_END = sys.float_info.max / 4", "MAX_END = sys.float_info.max",
+           ("tests/test_core.py",)),
+    # A time or an end that float() cannot read escapes as a bare ValueError
+    # or TypeError, not as the axis's refusal.
+    Mutant("float_conversion_unguarded", "src/slabdiff/core.py",
+           "    except (TypeError, ValueError, OverflowError):\n        return None",
+           "    except OverflowError:\n        return None",
            ("tests/test_core.py",)),
     # Scenario takes u_points as given: 10**17 and 51.0 validate, and run
     # fails or refuses them.

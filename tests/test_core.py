@@ -25,7 +25,7 @@ from slabdiff import (
     wkb_density,
 )
 from slabdiff import core
-from slabdiff.core import MAX_SAMPLES, check_family_eps
+from slabdiff.core import MAX_END, MAX_SAMPLES, MIN_STEP, check_family_eps
 
 
 def test_uniform_grid_covers_slab():
@@ -91,6 +91,7 @@ AXIS_REFUSALS = [
     (TimeGrid, [0.2, 0.1], "time points must be strictly increasing"),
     (TimeGrid, [0.1, 0.1], "time points must be strictly increasing"),
     (TimeGrid, [-5e-324, 0.2], "time points must lie in [0, inf), got range [-5e-324, 0.2]"),
+    (TimeGrid, ["abc", 0.1], "time points must be a non-empty 1D array"),
 ]
 
 
@@ -118,14 +119,19 @@ def forbid_builds(monkeypatch):
     def build(*args):
         raise AssertionError(f"built a grid for {args}")
 
-    monkeypatch.setattr(core, "_linspace", build)
+    monkeypatch.setattr(core._Points, "_linspace", build)
     monkeypatch.setattr(core._Points, "__post_init__", build)
+    monkeypatch.setattr(np, "linspace", build)
 
 
 #: A span across 2**20, whose ulp doubles there: at 240 samples the step,
-#: 0.94 ulps above 2**20, repeats a time, but [start, stop] holds 251
-#: floats. Only the built grid can tell.
+#: 0.94 ulps above 2**20, repeats a time. The step bound refuses it; without
+#: that bound it validates and its grid is refused.
 ACROSS_POWER = (2.0**20 - 50 * 2.0**-33, 2.0**20 + 200 * 2.0**-32, 240)
+
+STEP_REFUSAL = ("time points must be spaced by a normal float of at least 1e-09 of their "
+                "largest magnitude, got a step of {}")
+END_REFUSAL = f"time points must be finite numbers of magnitude at most {MAX_END!r}, got ends {{}}"
 
 
 def test_typical_spans_are_decided_without_building(monkeypatch):
@@ -133,9 +139,60 @@ def test_typical_spans_are_decided_without_building(monkeypatch):
     assert TimeGrid.linspace_count(0.0, 1.2, 1201) == 1201
     assert TimeGrid.linspace_count(0, 1, 10**7) == 10**7
     assert Grid1D.uniform_count(1001) == 1001
-    with pytest.raises(InvalidParameterError, match="^time points must be strictly increasing$"):
+    with pytest.raises(InvalidParameterError) as refused:
         TimeGrid.linspace_count(1e6, 1e6 + 1e-9, 1201)
+    assert str(refused.value) == STEP_REFUSAL.format((1e6 + 1e-9 - 1e6) / 1200)
     assert TimeGrid.checked_values([0.01, 0.1]) == (0.01, 0.1)
+
+
+#: Ranges the one linspace rule refuses, checked or built, with the line it
+#: refuses them with: no step below 1e-9 of the larger end or below the
+#: smallest normal float, no end above MAX_END = max/4 in magnitude, and
+#: ends that float() cannot read.
+LINSPACE_REFUSALS = [
+    ((1e6, 1e6 + 1e-4, 1201), STEP_REFUSAL.format((1e6 + 1e-4 - 1e6) / 1200)),
+    (ACROSS_POWER, STEP_REFUSAL.format((ACROSS_POWER[1] - ACROSS_POWER[0]) / 239)),
+    ((0.0, 1e-300, MAX_SAMPLES), STEP_REFUSAL.format(1e-300 / (MAX_SAMPLES - 1))),
+    ((0.0, sys.float_info.max, 201), END_REFUSAL.format(f"0.0 and {sys.float_info.max!r}")),
+    ((0.0, 2 * MAX_END, 201), END_REFUSAL.format(f"0.0 and {2 * MAX_END!r}")),
+    ((0.0, math.nan, 201), END_REFUSAL.format("0.0 and nan")),
+    ((0.0, "abc", 300), END_REFUSAL.format("0.0 and 'abc'")),
+    ((None, 1.0, 300), END_REFUSAL.format("None and 1.0")),
+    (([0.0], 1.0, 300), END_REFUSAL.format("[0.0] and 1.0")),
+    ((0.0, 10**400, 300), END_REFUSAL.format(f"0.0 and {10**400!r}")),
+    ((0.5, 0.5, 2), "time points must be strictly increasing"),
+    ((-0.1, 1.0, 2), "time points must lie in [0, inf), got range [-0.1, 1.0]"),
+]
+
+
+@pytest.mark.parametrize("triple, message", LINSPACE_REFUSALS)
+def test_linspace_rule_refuses_checked_and_built_alike(triple, message):
+    for call in (TimeGrid.linspace_count, TimeGrid.linspace):
+        with pytest.raises(InvalidParameterError) as refused:
+            call(*triple)
+        assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("stop, count", [(1.2, 2), (1e6, 1201), (2.0**20, 240), (MAX_END, 85)])
+def test_the_step_bound_is_exact(stop, count):
+    # The least span that meets the bound is accepted, and builds a strictly
+    # increasing grid; one ulp of the stop less is refused.
+    ulps = math.ceil(MIN_STEP * stop * (count - 1) / math.ulp(stop))
+    while (ulps - 1) * math.ulp(stop) / (count - 1) >= MIN_STEP * stop:
+        ulps -= 1
+    while ulps * math.ulp(stop) / (count - 1) < MIN_STEP * stop:
+        ulps += 1
+    start = stop - ulps * math.ulp(stop)
+    assert np.all(np.diff(TimeGrid.linspace(start, stop, count).points) > 0)
+    assert TimeGrid.linspace_count(start, stop, count) == count
+    with pytest.raises(InvalidParameterError, match="^time points must be spaced by a normal"):
+        TimeGrid.linspace_count(start + math.ulp(stop), stop, count)
+
+
+def test_ranges_from_0_are_accepted_down_to_a_normal_step():
+    assert TimeGrid.linspace_count(0.0, 1.2, MAX_SAMPLES) == MAX_SAMPLES
+    assert TimeGrid.linspace_count(0.0, 3e-300, MAX_SAMPLES) == MAX_SAMPLES
+    assert TimeGrid.linspace_count(0.0, MAX_END, MAX_SAMPLES) == MAX_SAMPLES
 
 
 def test_the_sample_cap_is_decided_without_allocating(monkeypatch):
@@ -171,14 +228,15 @@ ENDS = (st.floats() | st.floats(-2.0, 2.0) | st.integers(-10**6, 10**6)
 
 @st.composite
 def linspaces(draw):
-    """(start, stop, count): any ends, or a step of -1..40 ulps of a stop near
-    0, 1.2, 1e6 or 2**20, where the step alone cannot decide."""
+    """(start, stop, count): any ends, or a span within 50 ulps of its stop of
+    the span at the step bound, MIN_STEP*stop*(count - 1), for a stop near
+    1.2, 1e6, 2**20 or MAX_END: steps on both sides of the bound."""
     count = draw(st.integers(2, 300) | st.integers(2, 10**5))
     if draw(st.booleans()):
         return draw(ENDS), draw(ENDS), count
-    stop = draw(st.sampled_from([5e-324, 1e-300, 1.2, 1e6, 2.0**20]).flatmap(near))
-    start = stop - draw(st.floats(-1.0, 40.0)) * (count - 1) * math.ulp(stop)
-    return start, stop, count
+    stop = draw(st.sampled_from([1.2, 1e6, 2.0**20, MAX_END]).flatmap(near))
+    ulps = round(MIN_STEP * stop * (count - 1) / math.ulp(stop)) + draw(st.integers(-50, 50))
+    return stop - ulps * math.ulp(stop), stop, count
 
 
 @settings(max_examples=400, deadline=None)
@@ -186,11 +244,15 @@ def linspaces(draw):
 @example((1e6, 1e6 + 1e-9, 1201))
 @example(ACROSS_POWER)
 @example((1e6, 1e6 + 100 * math.ulp(1e6), 50))
+@example((0.0, sys.float_info.max, 85))
+@example((0.0, 5e-324, 3))
 def test_linspace_counts_give_the_built_grids_verdict(triple):
+    # Both run the one rule first, so they refuse alike; a range it accepts
+    # builds a strictly increasing grid, and np.linspace warns of no overflow
+    # (tier-1 fails on a RuntimeWarning).
     start, stop, count = triple
     checked = verdict(lambda: TimeGrid.linspace_count(start, stop, count))
-    with np.errstate(all="ignore"):  # numpy warns of an inf step, or of i*step past the range
-        built = verdict(lambda: len(TimeGrid.linspace(start, stop, count)))
+    built = verdict(lambda: len(TimeGrid.linspace(start, stop, count)))
     assert checked == built
 
 
@@ -208,9 +270,10 @@ SPELLINGS = {
     "scalar": lambda v: v[0] if v else 0.5,
     "string": lambda v: ", ".join(map(repr, v)),
     "2-D list": lambda v: [v],
-    "(n, 1) array": lambda v: np.array(v, dtype=float).reshape(-1, 1),
+    "(n, 1) array": lambda v: np.array(v).reshape(-1, 1),
 }
-TIMES = st.lists(ENDS | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1]), max_size=6)
+TIMES = st.lists(ENDS | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 0.1, "abc", "0.2"]),
+                 max_size=6)
 
 
 @settings(max_examples=400, deadline=None)

@@ -608,6 +608,119 @@ def test_non_finite_fd_step_rejected_with_line():
         parse_scenario(MINIMAL + "\n[fd]\ndv = inf\n")
 
 
+#: Python-API values that are no value of their field, or of any field:
+#: strings, numpy scalars, nested lists, (n, 1) arrays, None, ints beyond the
+#: floats, and sequences of two to four numbers or strings, such as a
+#: v_range of two or four entries.
+ODD_VALUES = st.one_of(
+    st.none(),
+    st.sampled_from(["abc", "", "0.5", "1e-3", "nan", "parabolic", "csv", "1201",
+                     10**400, -10**400, np.float64(math.inf), np.int64(1201), np.float64(0.5)]),
+    st.text(max_size=3),
+    st.floats(),
+    st.integers(-2**70, 2**70),
+    st.floats().map(np.float64),
+    st.lists(st.lists(st.floats(0.0, 1.2), max_size=2), max_size=3),
+    st.lists(st.floats(0.0, 1.2), max_size=3).map(lambda v: np.array(v).reshape(-1, 1)),
+    st.lists(st.floats(0.0, 1.2) | st.integers(0, 2000) | st.text(max_size=2),
+             min_size=2, max_size=4).map(tuple),
+)
+API_FIELDS = ["name", "eps", "profile", "truncation", "u_points", "v_list", "v_range",
+              "trace_u", "models", "fd_nu", "fd_dv", "outputs"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(API_FIELDS), ODD_VALUES, st.sampled_from(["figure1", "figure2"]))
+def test_python_api_spellings_raise_only_validation_errors(field, value, name):
+    # A string eps or fd dv, a str or int name, a scalar trace_u and a
+    # two-entry v_range raised TypeError or ValueError, and models="parabolic"
+    # was read letter by letter.
+    base = preset({"v_list": "figure1", "v_range": "figure2"}.get(field, name))
+    try:
+        s = replace(base, **{field: value})
+    except ScenarioValidationError:
+        return
+    text = serialize_scenario(s)  # what is accepted is written as a document that reads back
+    assert serialize_scenario(parse_scenario(text)) == text
+
+
+#: Python-API values that once raised TypeError or ValueError, or were split
+#: letter by letter, with the ScenarioValidationError each raises now.
+WRONG_TYPES = [
+    ("figure1", "eps", "0.1", "eps must be finite and >= 0.0, got '0.1'"),
+    ("figure1", "eps", None, "eps must be finite and >= 0.0, got None"),
+    ("figure1", "fd_dv", "x", "fd dv must be finite and > 0, got 'x'"),
+    ("figure2", "trace_u", "abc", "trace_u must be a 1D sequence of numbers, got 'abc'"),
+    ("figure2", "trace_u", 0.5, "trace_u must be a 1D sequence of numbers, got 0.5"),
+    ("figure1", "name", 5, "name must be non-empty and use only letters, digits, '_', '.' "
+                           "and '-', got 5"),
+    ("figure1", "outputs", 5, "output kinds must be a sequence of names, got 5"),
+    ("figure1", "models", "parabolic", "models must be a sequence of names, got 'parabolic'"),
+    ("figure1", "profile", None, "profile must be an InitialProfile, got None"),
+    ("figure2", "v_range", (0.0, 1.2), "v_range must be (start, stop, count), got (0.0, 1.2)"),
+    ("figure1", "v_list", "abc", "time points must be a non-empty 1D array"),
+    ("figure2", "v_range", (0.0, "abc", 300), "time points must be finite numbers of magnitude "
+                                              f"at most {sys.float_info.max / 4!r}, got ends "
+                                              "0.0 and 'abc'"),
+]
+
+
+@pytest.mark.parametrize("name, field, value, message", WRONG_TYPES)
+def test_wrong_types_are_refused_by_their_field(name, field, value, message):
+    with pytest.raises(ScenarioValidationError) as refused:
+        replace(preset(name), **{field: value})
+    assert str(refused.value) == message
+
+
+@st.composite
+def kept_spellings(draw):
+    """(field, value, canonical): a spelling the Python API accepted before
+    each field refused wrong types, and the tuple spelling of the same value."""
+    field = draw(st.sampled_from(["v_list", "v_range", "trace_u", "models", "outputs", "eps"]))
+    if field == "v_list":
+        times = sorted(draw(st.lists(st.integers(0, 10) | finite(min_value=0.0, max_value=10.0),
+                                     min_size=1, max_size=5, unique_by=float)))
+        canonical = tuple(map(float, times))
+        value = draw(st.sampled_from([tuple, list, np.array,
+                                      lambda v: tuple(map(np.float64, v))]))(times)
+    elif field == "v_range":
+        start = draw(st.integers(0, 2) | finite(min_value=0.0, max_value=2.0))
+        stop = start + draw(st.integers(1, 3) | finite(min_value=1e-3, max_value=3.0))
+        count = draw(st.integers(200, 3000))
+        canonical = (float(start), float(stop), count)
+        value = draw(st.sampled_from([
+            (start, stop, count), [start, stop, count],
+            (np.float64(start), np.float64(stop), np.int64(count)),
+        ]))
+    elif field == "trace_u":
+        positions = draw(st.lists(st.sampled_from([-0.5, 0, 0.25, 0.5]) | finite(-0.5, 0.5),
+                                  min_size=1, max_size=3, unique_by=float))
+        canonical = tuple(map(float, positions))
+        value = draw(st.sampled_from([tuple, list, np.array]))(positions)
+    elif field in ("models", "outputs"):
+        names = ("parabolic", "hyperbolic") if field == "models" else ("csv", "svg", "events")
+        canonical = names
+        value = draw(st.sampled_from([list, set, np.array, lambda v: tuple(reversed(v))]))(names)
+    else:
+        canonical, value = 0.13, draw(st.sampled_from([np.float64(0.13), 0.13]))
+    return field, value, canonical
+
+
+@settings(max_examples=300, deadline=None)
+@given(kept_spellings())
+def test_accepted_spellings_keep_their_stored_value_and_hash(spelling):
+    field, value, canonical = spelling
+    base = preset("figure1" if field == "v_list" else "figure2")
+    s, t = replace(base, **{field: value}), replace(base, **{field: canonical})
+    assert getattr(s, field) == getattr(t, field) == canonical
+    assert s == t and scenario_hash(s) == scenario_hash(t)
+    stored = getattr(s, field)
+    if field == "v_range":
+        assert [type(x) for x in stored] == [float, float, int]
+    elif field in ("v_list", "trace_u"):
+        assert all(type(x) is float for x in stored)
+
+
 def test_scenario_requires_finite_eps():
     with pytest.raises(ScenarioValidationError, match="eps must be finite"):
         Scenario(name="x", eps=math.inf, profile=UniformProfile(1.0), v_list=(0.1,))
