@@ -17,6 +17,13 @@ zero, as the tail of a smooth profile, takes that value with no direct sum.
 The closed forms available for some kinds are independent references in
 the tests, not part of the package.
 
+The coefficients depend on the profile and the truncation alone, not on
+eps, so the quadrature runs once per process for each (profile,
+truncation), in a cache of 8 entries whose modes arrays are read-only. A
+tabulated profile is not cached: its closed form needs no quadrature, and
+its table is an unhashable array. Every call still returns a new
+SpectralCoefficients, tagged with the caller's own profile.
+
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
 and, for the closed-form kinds, the arguments of its provenance tag.
@@ -538,16 +545,17 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     """Compute k0 and k_1..k_M: exactly for a tabulated profile, else by quadrature.
 
     check_truncation refuses, before any evaluation, a truncation that is no
-    mode count or that the rules cannot reach under the evaluation cap. k0
-    comes from the FFT rule (_fft_modes), and the tolerance is
-    COEFFICIENT_ABS_TOL * max(1, |k0|). Each k_m is the composite
-    Gauss-Legendre sum on 2*P_m panels over the slab, P_m = max(hint, m/2),
-    which resolves both the profile's sharpest feature and the m
-    oscillations of cos(2*m*pi*u). The FFT rule checks those sums: a k_m
-    farther than the tolerance from it is replaced by the FFT value. A mode
-    at the tolerance floor, whose FFT value is at most the tolerance in
-    magnitude, takes the FFT value without a direct sum, so a smooth
-    profile pays direct sums only for the modes above the tolerance.
+    mode count or that the rules cannot reach under the evaluation cap. A
+    tabulated profile takes its closed form (exact_coefficients) on every
+    call. Every other profile takes the quadrature (_quadrature), which is
+    computed once per process for each (profile, truncation): profiles
+    that compare equal compute equal coefficients, so they share one entry,
+    and its modes array is read-only, since every caller is handed it. A
+    profile with a field that is no int or float, such as a numpy float32,
+    compares equal to the float of its value but computes other numbers,
+    so it takes the quadrature uncached. Each call returns a new
+    SpectralCoefficients whose tag is this profile's own: equal profiles
+    may be spelt apart, as sharpness=100 and sharpness=100.0.
 
     Raises:
         InvalidParameterError: the truncation is no mode count or is out of reach.
@@ -556,7 +564,31 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     truncation, fft_panels = check_truncation(profile, truncation)
     if isinstance(profile, TabulatedProfile):
         mean, modes = profile.exact_coefficients(truncation)
-        return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
+    else:
+        cacheable = all(isinstance(getattr(profile, f.name), (int, float))
+                        for f in fields(profile))
+        quadrature = _quadrature if cacheable else _quadrature.__wrapped__
+        mean, modes = quadrature(profile, truncation, fft_panels)
+    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
+
+
+@lru_cache(maxsize=8)
+def _quadrature(
+    profile: InitialProfile, truncation: int, fft_panels: int
+) -> tuple[float, np.ndarray]:
+    """k0 and k_1..k_M by quadrature, k_1..k_M read-only; 8 entries of at most 512 KB.
+
+    k0 comes from the FFT rule (_fft_modes), which starts on `fft_panels`,
+    and the tolerance is COEFFICIENT_ABS_TOL * max(1, |k0|). Each k_m is the
+    composite Gauss-Legendre sum on 2*P_m panels over the slab, P_m =
+    max(hint, m/2), which resolves both the profile's sharpest feature and
+    the m oscillations of cos(2*m*pi*u). The FFT rule checks those sums: a
+    k_m farther than the tolerance from it is replaced by the FFT value. A
+    mode at the tolerance floor, whose FFT value is at most the tolerance
+    in magnitude, takes the FFT value without a direct sum, so a smooth
+    profile pays direct sums only for the modes above the tolerance. A
+    QuadratureError is raised, not cached.
+    """
     import numpy as np
 
     hint = profile.quadrature_panels_hint()
@@ -582,6 +614,7 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
             modes[m - 1] = value
             kept += 1
         max_delta = max(max_delta, delta)
+    modes.flags.writeable = False
     import logging  # here, so that validate does not load it
 
     logging.getLogger(__name__).debug(
@@ -590,4 +623,4 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
         "%d modes at the floor took the FFT value",
         profile.tag(), check_panels, max_delta, kept, truncation, floor,
     )
-    return SpectralCoefficients(mean=float(check[0]), modes=modes, profile_tag=profile.tag())
+    return float(check[0]), modes

@@ -35,16 +35,18 @@ Validation checks the grids without building them (Grid1D.uniform_count,
 TimeGrid.linspace_count and TimeGrid.checked_values), so that a scenario
 with neither FD nor a tabulated profile loads no numpy: this module never
 imports it, and run builds the grids through time_grid and spatial_grid.
-float() reads the v_range ends and each entry of v_list and trace_u, and a
-field of the wrong type (a string eps, a bare string of models, a v_range
-of two entries) is refused too: the Python API raises no error but
-ScenarioValidationError.
+float() reads eps, the [fd] dv, the v_range ends and each entry of v_list
+and trace_u, and os.fspath() the output dir, so each is stored as the value
+its document line reads back. A field of the wrong type (a string eps, a
+bare string of models, a v_range of two entries, an int out_dir) is refused
+too: the Python API raises no error but ScenarioValidationError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
@@ -105,6 +107,26 @@ def _in_order(names, order: tuple[str, ...], noun: str) -> tuple[str, ...]:
     return tuple(name for name in order if name in names)
 
 
+def _checked_out_dir(out_dir) -> str:
+    """out_dir as the str that an [output] dir line reads back.
+
+    A str or an os.PathLike whose path is a str, on one line, with no
+    surrounding whitespace, which the parser strips, and no NUL, which no
+    file name holds.
+    """
+    try:
+        path = os.fspath(out_dir)
+    except TypeError:  # neither a str, bytes nor an os.PathLike
+        path = None
+    if (not isinstance(path, str) or path != path.strip() or len(path.splitlines()) > 1
+            or "\0" in path):
+        raise ScenarioValidationError(
+            f"output dir must be a path of one line, with no surrounding whitespace "
+            f"and no NUL, got {out_dir!r}"
+        )
+    return path
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A fully specified run: problem, discretization and outputs.
@@ -113,9 +135,10 @@ class Scenario:
     time grid as start/stop/count) must be given. Field slice files are
     written for v_list times; traces are sampled on whichever grid is
     present, at each position in trace_u. v_list and trace_u are stored as
-    tuples of floats, whether given as a tuple, a list or an array, and the
-    v_range ends as floats. models and outputs are sets: each is stored in
-    MODEL_ORDER or OUTPUT_KINDS order. So every spelling of one run
+    tuples of floats, whether given as a tuple, a list or an array, and eps,
+    fd_dv and the v_range ends as floats. out_dir is stored as a str, whether
+    given as one or as an os.PathLike. models and outputs are sets: each is
+    stored in MODEL_ORDER or OUTPUT_KINDS order. So every spelling of one run
     serializes, hashes and writes alike.
     """
 
@@ -172,6 +195,10 @@ class Scenario:
             dv_valid = False
         if not dv_valid:
             raise ScenarioValidationError(f"fd dv must be finite and > 0, got {self.fd_dv!r}")
+        if self.fd_dv is not None:
+            object.__setattr__(self, "fd_dv", float(self.fd_dv))
+        if self.out_dir is not None:
+            object.__setattr__(self, "out_dir", _checked_out_dir(self.out_dir))
         # Each parameter rule's owner refuses with an InvalidParameterError
         # (ResonantModeError and StabilityError included), reported under the
         # prefix of what it checks: eps and the counts (core and
@@ -181,6 +208,7 @@ class Scenario:
         prefix = ""
         try:
             check_eps(self.eps, 0.0)
+            object.__setattr__(self, "eps", float(self.eps))
             terms, _ = check_truncation(self.profile, self.truncation)
             if self.v_range is not None:
                 try:

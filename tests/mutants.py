@@ -106,6 +106,28 @@ MUTANTS = (
     Mutant("floor_widened", "src/slabdiff/profiles.py",
            "if abs(check[m]) <= tol:", "if abs(check[m]) <= 1e3 * tol:",
            ("tests/test_profiles.py",)),
+    # The tag is cached with the coefficients, as the whole SpectralCoefficients
+    # would be: an equal profile spelt otherwise gets the first spelling's tag.
+    Mutant("coefficient_cache_keeps_tag", "src/slabdiff/profiles.py",
+           "        mean, modes = quadrature(profile, truncation, fft_panels)\n"
+           "    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())\n"
+           "\n\n@lru_cache(maxsize=8)\n",
+           "        mean, modes = quadrature(profile, truncation, fft_panels)\n"
+           "        return SpectralCoefficients(mean=mean, modes=modes,\n"
+           "                                    profile_tag=_tag(profile, truncation))\n"
+           "    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())\n"
+           "\n\n@lru_cache(maxsize=8)\ndef _tag(profile, truncation):\n"
+           "    return profile.tag()\n"
+           "\n\n@lru_cache(maxsize=8)\n",
+           ("tests/test_profiles.py",)),
+    # Every caller is handed one writable array: a write changes later calls.
+    Mutant("cached_modes_writable", "src/slabdiff/profiles.py",
+           "    modes.flags.writeable = False\n", "",
+           ("tests/test_profiles.py",)),
+    # A float32 field shares the entry of the float that it equals.
+    Mutant("cache_any_field_type", "src/slabdiff/profiles.py",
+           "isinstance(getattr(profile, f.name), (int, float))", "True",
+           ("tests/test_profiles.py",)),
     # A count one below its lower bound passes, as 0 terms or 2 FD cells.
     Mutant("count_lower_bound", "src/slabdiff/core.py",
            "    if count < minimum:", "    if count < minimum - 1:",
@@ -229,6 +251,20 @@ MUTANTS = (
     Mutant("scenario_u_points_unchecked", "src/slabdiff/scenario.py",
            "u_points = Grid1D.uniform_count(self.u_points)", "u_points = self.u_points",
            ("tests/test_runner_cli.py",)),
+    # eps, [fd] dv and out_dir are stored as given: an int beyond 2**53 or a
+    # path object is written as another value than it holds.
+    Mutant("eps_stored_as_given", "src/slabdiff/scenario.py",
+           'object.__setattr__(self, "eps", float(self.eps))',
+           'object.__setattr__(self, "eps", self.eps)',
+           ("tests/test_scenario.py",)),
+    Mutant("fd_dv_stored_as_given", "src/slabdiff/scenario.py",
+           'object.__setattr__(self, "fd_dv", float(self.fd_dv))',
+           'object.__setattr__(self, "fd_dv", self.fd_dv)',
+           ("tests/test_scenario.py",)),
+    Mutant("out_dir_stored_as_given", "src/slabdiff/scenario.py",
+           'object.__setattr__(self, "out_dir", _checked_out_dir(self.out_dir))',
+           '_checked_out_dir(self.out_dir)',
+           ("tests/test_scenario.py",)),
     # The surface peak drops the far wall's image exp(-s), which is about 1
     # for a small sharpness: the peak is half the density at the walls.
     Mutant("surface_peak_near_wall_only", "src/slabdiff/profiles.py",

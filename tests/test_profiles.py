@@ -30,6 +30,20 @@ from slabdiff import (
 from slabdiff.cli import main
 from slabdiff.profiles import COEFFICIENT_ABS_TOL, PANEL_ORDER, _fft_modes, check_truncation
 
+@pytest.fixture
+def fresh_coefficients():
+    """An empty coefficient cache before and after the test.
+
+    For a test that patches profiles internals or counts density
+    evaluations or log lines: an entry that an earlier test filled would
+    answer it without running the quadrature.
+    """
+    profiles._quadrature.cache_clear()
+    yield
+    profiles._quadrature.cache_clear()
+
+
+
 # ---------------------------------------------------------------------------
 # evaluate_profile
 # ---------------------------------------------------------------------------
@@ -348,6 +362,7 @@ def test_floor_modes_are_the_fft_values_and_closer_to_the_closed_form(sharpness,
     assert np.max(np.abs(error)) <= 2e-15
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_floor_modes_cost_no_direct_sums(monkeypatch, caplog):
     """At terms = 20000 the Gaussian's density is evaluated by the FFT passes
     and the direct sums of k_1..k_23 alone: on 20, 22 and 24 panels over the
@@ -386,6 +401,7 @@ class EightPanelGaussian(CoarseHintGaussian):
     hint = 8
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_fft_rule_hits_the_cap(monkeypatch):
     # From 2 panels over [0, 1/2] the FFT rule compares 2 vs 4 and 4 vs 8
     # panels, and the cap stops it before 16.
@@ -409,6 +425,7 @@ def test_sums_that_miss_the_tolerance_take_the_fft_values(cls):
     np.testing.assert_allclose(c.modes, exact, rtol=0, atol=1e-12)
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_missed_sums_need_no_evaluations_after_the_fft_rule(monkeypatch):
     # The FFT rule converges under the normal cap; k_1's first sum, on 4
     # panels, then misses it. A cap of 4 panels from then on leaves room
@@ -427,6 +444,7 @@ def test_missed_sums_need_no_evaluations_after_the_fft_rule(monkeypatch):
     assert np.array_equal(c.modes, fft_values(profile, 7)[1:])
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_cli_coeffs_reports_quadrature_error(monkeypatch, tmp_path, capsys):
     cfg = tmp_path / "preset.cfg"
     cfg.write_text("[scenario]\nname = capped\neps = 0.13\nterms = 500\nu_points = 51\n"
@@ -447,6 +465,7 @@ def test_cli_coeffs_reports_quadrature_error(monkeypatch, tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_out_of_reach_truncation_is_refused_before_any_evaluation(monkeypatch):
     calls = []
     density = GaussianProfile._density
@@ -479,6 +498,7 @@ def test_out_of_reach_truncation_is_refused_before_any_evaluation(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_coefficients_log_the_fft_check(caplog):
     with caplog.at_level(logging.DEBUG, logger="slabdiff.profiles"):
         compute_coefficients(GaussianProfile(100.0, 1.0), 7)
@@ -488,6 +508,82 @@ def test_coefficients_log_the_fft_check(caplog):
     assert "FFT check on 20 panels" in messages[0]
     assert "7 of 7 direct sums kept" in messages[0]
     assert "0 of 7 direct sums kept" in messages[1]
+
+
+#: One profile in three spellings that compare and hash equal, with each tag.
+SPELLINGS = {
+    "int": (GaussianProfile(100, 1), "gaussian(sharpness=100,amplitude=1)"),
+    "float": (GaussianProfile(100.0, 1.0), "gaussian(sharpness=100.0,amplitude=1.0)"),
+    "numpy": (GaussianProfile(np.float64(100.0), 1.0),
+              "gaussian(sharpness=np.float64(100.0),amplitude=1.0)"),
+}
+
+
+@pytest.mark.usefixtures("fresh_coefficients")
+@pytest.mark.parametrize("order", [("int", "float", "numpy"), ("numpy", "float", "int")])
+def test_equal_profiles_share_one_entry_and_keep_their_own_tags(order):
+    # The tag goes into run.json and the coeffs header: a cached tag would
+    # make those bytes depend on which spelling ran first.
+    first = compute_coefficients(SPELLINGS[order[0]][0], 7)
+    for name in order:
+        profile, tag = SPELLINGS[name]
+        c = compute_coefficients(profile, 7)
+        assert c.profile_tag == profile.tag() == tag
+        assert c.mean == first.mean and np.array_equal(c.modes, first.modes)
+    assert profiles._quadrature.cache_info().currsize == 1
+
+
+@pytest.mark.usefixtures("fresh_coefficients")
+def test_a_float32_field_computes_its_own_coefficients():
+    # np.float32(100) == 100.0 and hashes alike, but sharpness / pi rounds to
+    # float32, so its numbers are not the float profile's.
+    double = compute_coefficients(GaussianProfile(100.0, 1.0), 7)
+    single = compute_coefficients(GaussianProfile(np.float32(100.0), 1.0), 7)
+    assert single.mean != double.mean
+    profiles._quadrature.cache_clear()
+    alone = compute_coefficients(GaussianProfile(np.float32(100.0), 1.0), 7)
+    assert single.mean == alone.mean and np.array_equal(single.modes, alone.modes)
+
+
+@pytest.mark.usefixtures("fresh_coefficients")
+def test_a_second_call_evaluates_no_density(monkeypatch):
+    calls = []
+    density = SurfaceCoshProfile._density
+
+    def spy(self, u):
+        calls.append(np.size(u))
+        return density(self, u)
+
+    monkeypatch.setattr(SurfaceCoshProfile, "_density", spy)
+    first = compute_coefficients(SurfaceCoshProfile(10.0, 1.0), 50)
+    assert calls
+    calls.clear()
+    second = compute_coefficients(SurfaceCoshProfile(10.0, 1.0), 50)
+    assert calls == []
+    assert second is not first
+    assert second.mean == first.mean and np.array_equal(second.modes, first.modes)
+
+
+@pytest.mark.usefixtures("fresh_coefficients")
+def test_each_truncation_is_its_own_entry():
+    profile = GaussianProfile(100.0, 1.0)
+    c7, c8 = compute_coefficients(profile, 7), compute_coefficients(profile, 8)
+    assert (c7.truncation, c8.truncation) == (7, 8)
+    assert profiles._quadrature.cache_info().currsize == 2
+    assert compute_coefficients(profile, 7).truncation == 7
+
+
+@pytest.mark.usefixtures("fresh_coefficients")
+def test_cached_modes_are_read_only():
+    # Every caller is handed the one cached array.
+    profile = GaussianProfile(100.0, 1.0)
+    c = compute_coefficients(profile, 7)
+    original = c.modes.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        c.modes[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        c.modes *= 2.0
+    assert np.array_equal(compute_coefficients(profile, 7).modes, original)
 
 
 def test_coefficients_validation():
@@ -540,6 +636,7 @@ FINE_U = np.linspace(-0.5, 0.5, 1001)
 FINE_TABLE = TabulatedProfile(grid=Grid1D(points=FINE_U), values=np.exp(-100.0 * FINE_U**2))
 
 
+@pytest.mark.usefixtures("fresh_coefficients")
 def test_tabulated_mode_blocks_join_without_a_shift(monkeypatch):
     # Blocks of 7 modes over the 1000 segments: every mode of five blocks,
     # the last one short, against its own segment sum.

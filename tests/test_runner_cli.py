@@ -25,7 +25,7 @@ from slabdiff import (
 from slabdiff import runner
 from slabdiff.cli import main
 from slabdiff.fd import fd_solve_telegraph
-from slabdiff.scenario import MODEL_ORDER
+from slabdiff.scenario import MODEL_ORDER, override
 from slabdiff.svgplot import line_chart
 
 #: Figure values recorded by bench/record_reference.py.
@@ -603,6 +603,22 @@ def test_cli_figure_preset_as_subprocess(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "figure1_field_4.csv").exists()
+
+
+def test_figure3_after_an_eps_sweep_matches_a_fresh_process(tmp_path):
+    # The coefficients of an earlier run on the same profile come from the
+    # per-process cache: the files must not show it.
+    run_scenario(override(preset("figure3"), eps=0.05), tmp_path / "other")
+    warm = run_scenario(preset("figure3"), tmp_path / "warm")
+    result = subprocess.run(
+        [sys.executable, "-m", "slabdiff", "figure", "3", "--out-dir", str(tmp_path / "cold")],
+        capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    cold = sorted((tmp_path / "cold").iterdir())
+    assert [path.name for path in cold] == sorted(path.name for path in warm)
+    for path in cold:
+        assert path.read_bytes() == (tmp_path / "warm" / path.name).read_bytes(), path.name
 
 
 #: Run in a fresh interpreter. Before slabdiff is imported, a meta-path
