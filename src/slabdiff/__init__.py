@@ -34,8 +34,7 @@ _EXPORTS = {
     "runner": ("run_scenario",),
     "errors": (
         "SlabDiffError", "InvalidParameterError", "DomainError", "QuadratureError",
-        "ResonantModeError", "StabilityError", "InvalidInputError", "ScenarioParseError",
-        "ScenarioValidationError",
+        "StabilityError", "InvalidInputError", "ScenarioParseError", "ScenarioValidationError",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

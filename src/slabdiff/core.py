@@ -11,12 +11,13 @@ Every parameter rule has one owner here, and every other module calls it:
 * check_count owns the rule for a count (series terms, a cosine mode, grid
   and time samples, FD cells): an integer, numpy integers included and
   floats refused, even whole ones, at or above a lower bound;
-* check_eps owns the rule for eps: finite and at or above a lower bound.
-  check_telegraph_eps (eps >= the smallest normal float) and check_wkb_eps
-  (eps >= 0, and no resonant mode) are built on it, and both refuse an eps
-  whose product with the last mode's squared wavenumber is not finite;
-* check_family_eps owns the map from a series family to its eps rule, and
-  both the series evaluator and Scenario call it.
+* check_eps owns the rule for eps: finite and at or above a lower bound;
+* check_family_eps owns each series family's eps rule, one line of
+  EPS_RULES built on check_eps: the telegraph family needs eps >= the
+  smallest normal float, the two-timescale family eps >= 0, and both refuse
+  an eps whose product with the last mode's squared wavenumber is not
+  finite; the parabolic family ignores eps. Both the series evaluator and
+  Scenario call it.
 
 These rules, the fewest samples a trace needs for extrema detection and the
 fewest FD cells live here, not in spectral, analysis and fd, so that
@@ -45,7 +46,7 @@ import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, InvalidParameterError, ResonantModeError
+from .errors import DomainError, InvalidParameterError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -55,9 +56,6 @@ HALF_WIDTH = 0.5
 
 #: The series families, in the order a run writes them.
 SPECTRAL_MODELS = ("parabolic", "hyperbolic", "wkb")
-
-#: |1 - eps*(2*m*pi)^2| below this is a resonant two-timescale mode.
-RESONANCE_TOL = 1e-9
 
 #: Minimum number of samples a trace must have for extrema detection.
 MIN_TRACE_SAMPLES = 200
@@ -114,63 +112,26 @@ def check_eps(eps: float, minimum: float):
         raise InvalidParameterError(f"eps must be finite and >= {minimum!r}, got {eps!r}")
 
 
-def _check_last_mode(product: float, eps: float, terms: int):
-    if not math.isfinite(product):
-        raise InvalidParameterError(
-            f"eps={eps!r} is too large for {terms} terms: the last mode's rate overflows"
-        )
-
-
-def check_telegraph_eps(eps: float, terms: int):
-    """Raise InvalidParameterError unless eps >= sys.float_info.min and (4*M*pi)^2*eps < inf.
-
-    M = terms is the last mode. The telegraph closed forms divide by 2*eps,
-    and 1/(2*eps) overflows for a subnormal eps; the last mode's
-    discriminant 1 - (4*M*pi)^2*eps overflows for a huge one.
-    """
-    check_eps(eps, sys.float_info.min)
-    _check_last_mode((4.0 * math.pi * terms) ** 2 * eps, eps, terms)
-
-
-def _mode_ratios(eps: float, m):
-    """q_m = eps*(2*m*pi)^2 of the modes m."""
-    return eps * (2.0 * math.pi * m) ** 2
-
-
-def check_wkb_eps(eps: float, terms: int):
-    """Raise unless eps >= 0, q_M < inf for M = terms and no mode m <= M is resonant, in O(1).
-
-    q_m rises with m, so only the modes next to 1/(2*pi*sqrt(eps)) can come
-    within RESONANCE_TOL of 1.
-
-    Raises:
-        InvalidParameterError: eps < 0, infinite or NaN, or q_M overflows.
-        ResonantModeError: |1 - q_m| < RESONANCE_TOL for some m <= terms,
-            where the two-timescale closed form is singular.
-    """
-    check_eps(eps, 0.0)
-    _check_last_mode(_mode_ratios(eps, terms), eps, terms)
-    near = math.floor(1.0 / (2.0 * math.pi * math.sqrt(eps))) if eps > 0 else math.inf
-    if near > terms + 1:
-        return
-    for m in range(max(1, near - 1), min(terms, near + 2) + 1):
-        if abs(1.0 - _mode_ratios(eps, m)) < RESONANCE_TOL:
-            raise ResonantModeError(
-                f"mode m={m} is resonant for eps={eps!r}: "
-                f"|1 - eps*(2*m*pi)^2| < {RESONANCE_TOL!r}, the closed-form coefficients blow up"
-            )
+#: Each family's eps rule: its least eps, and the factor w of its last
+#: mode's rate, (w*M)^2*eps at M = terms, which must be finite. The
+#: telegraph closed forms divide by 2*eps, which a subnormal eps overflows,
+#: and its discriminant is 1 - (4*M*pi)^2*eps; the two-timescale ratio is
+#: q_M = eps*(2*M*pi)^2. The parabolic family ignores eps.
+EPS_RULES = {"hyperbolic": (sys.float_info.min, 4.0 * math.pi), "wkb": (0.0, 2.0 * math.pi)}
 
 
 def check_family_eps(model: str, eps: float, terms: int):
     """Raise InvalidParameterError unless eps suits the series family `model` at `terms` modes.
 
-    The telegraph family takes check_telegraph_eps, the two-timescale family
-    check_wkb_eps, and the parabolic family ignores eps.
+    eps must be at least the family's least eps in EPS_RULES, and its
+    product with the squared wavenumber of the last mode M = terms finite.
     """
-    if model == "hyperbolic":
-        check_telegraph_eps(eps, terms)
-    elif model == "wkb":
-        check_wkb_eps(eps, terms)
+    if model in EPS_RULES:
+        minimum, wavenumber = EPS_RULES[model]
+        check_eps(eps, minimum)
+        if not math.isfinite((wavenumber * terms) ** 2 * eps):
+            raise InvalidParameterError(f"eps={eps!r} is too large for {terms} terms: "
+                                        "the last mode's rate overflows")
 
 
 def as_floats(values) -> tuple[float, ...] | None:

@@ -26,10 +26,6 @@ class QuadratureError(SlabDiffError, RuntimeError):
         self.evaluations = evaluations
 
 
-class ResonantModeError(InvalidParameterError):
-    """The two-timescale closed form is singular for some mode index."""
-
-
 class StabilityError(InvalidParameterError):
     """An explicit finite-difference configuration violates its stability bound."""
 

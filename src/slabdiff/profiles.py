@@ -26,7 +26,9 @@ SpectralCoefficients, tagged with the caller's own profile.
 
 Each profile class is a frozen dataclass whose `kind` names it in the
 scenario `[profile]` section; its dataclass fields are that section's keys
-and, for the closed-form kinds, the arguments of its provenance tag.
+and, for the closed-form kinds, the arguments of its provenance tag. Each
+float field is stored as a float, so every spelling of a value, such as
+100, 100.0 and np.float32(100.0), is one profile with one tag.
 
 core.check_count owns the rule for a count, here the series terms and a
 cosine profile's mode; check_truncation owns only the reach of the
@@ -118,6 +120,19 @@ class InitialProfile:
         args = ",".join(f"{f.name}={getattr(self, f.name)!r}" for f in fields(self))
         return f"{self.kind}({args})"
 
+    def _store_floats(self):
+        """Store float() of each float field; called after the checks, which refuse a string.
+
+        So 100, 100.0 and np.float32(100.0) make one profile: equal, with
+        one hash, one tag and one set of coefficients.
+        """
+        for f in fields(self):
+            if f.type == "float":
+                try:
+                    object.__setattr__(self, f.name, float(getattr(self, f.name)))
+                except OverflowError:  # an int beyond the floats
+                    raise InvalidParameterError(f"{f.name} must be finite") from None
+
     def _density(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -157,6 +172,7 @@ class _SharpProfile(InitialProfile):
                 "a truncated cosine series cannot represent it faithfully, "
                 "use a TabulatedProfile instead"
             )
+        self._store_floats()
 
 
 class GaussianProfile(_SharpProfile):
@@ -240,6 +256,7 @@ class UniformProfile(InitialProfile):
     def __post_init__(self):
         if not (0 <= self.level < math.inf):
             raise InvalidParameterError(f"level must be finite and >= 0, got {self.level!r}")
+        self._store_floats()
 
     def _density(self, u):
         import numpy as np
@@ -273,6 +290,7 @@ class CosineModeProfile(InitialProfile):
                 f"offset must be >= |amplitude| to keep the density non-negative, "
                 f"got offset={self.offset!r}, amplitude={self.amplitude!r}"
             )
+        self._store_floats()
 
     def _density(self, u):
         import numpy as np
@@ -548,14 +566,12 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     mode count or that the rules cannot reach under the evaluation cap. A
     tabulated profile takes its closed form (exact_coefficients) on every
     call. Every other profile takes the quadrature (_quadrature), which is
-    computed once per process for each (profile, truncation): profiles
-    that compare equal compute equal coefficients, so they share one entry,
-    and its modes array is read-only, since every caller is handed it. A
-    profile with a field that is no int or float, such as a numpy float32,
-    compares equal to the float of its value but computes other numbers,
-    so it takes the quadrature uncached. Each call returns a new
+    computed once per process for each (profile, truncation): a profile
+    stores its fields as floats, so profiles that compare equal compute
+    equal coefficients and share one entry, and its modes array is
+    read-only, since every caller is handed it. Each call returns a new
     SpectralCoefficients whose tag is this profile's own: equal profiles
-    may be spelt apart, as sharpness=100 and sharpness=100.0.
+    may still be spelt apart, as amplitude=0.0 and amplitude=-0.0.
 
     Raises:
         InvalidParameterError: the truncation is no mode count or is out of reach.
@@ -565,10 +581,7 @@ def compute_coefficients(profile: InitialProfile, truncation: int) -> SpectralCo
     if isinstance(profile, TabulatedProfile):
         mean, modes = profile.exact_coefficients(truncation)
     else:
-        cacheable = all(isinstance(getattr(profile, f.name), (int, float))
-                        for f in fields(profile))
-        quadrature = _quadrature if cacheable else _quadrature.__wrapped__
-        mean, modes = quadrature(profile, truncation, fft_panels)
+        mean, modes = _quadrature(profile, truncation, fft_panels)
     return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())
 
 

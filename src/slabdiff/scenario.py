@@ -200,11 +200,10 @@ class Scenario:
         if self.out_dir is not None:
             object.__setattr__(self, "out_dir", _checked_out_dir(self.out_dir))
         # Each parameter rule's owner refuses with an InvalidParameterError
-        # (ResonantModeError and StabilityError included), reported under the
-        # prefix of what it checks: eps and the counts (core and
-        # check_truncation), the grids, checked without being built and
-        # capped at MAX_SAMPLES, each model's eps rule (core.check_family_eps)
-        # and the FD step.
+        # (StabilityError included), reported under the prefix of what it
+        # checks: eps and the counts (core and check_truncation), the grids,
+        # checked without being built and capped at MAX_SAMPLES, each model's
+        # eps rule (core.check_family_eps) and the FD step.
         prefix = ""
         try:
             check_eps(self.eps, 0.0)

@@ -7,7 +7,15 @@ Three families share the cosine-series coefficients of the initial profile:
   eps*V'' + V' + (2*m*pi)^2 * V = 0 with V(0)=k_m, V'(0)=0, evaluated through
   real closed forms per damping class so the result is real by construction;
 * two-timescale (WKB-type): a fast boundary-layer decay exp(-v/eps)
-  superposed on the parabolic relaxation.
+  superposed on the parabolic relaxation. With a = 2*m*pi and
+  q_m = eps*a^2, mode m's factor is (exp(-a^2*v) - q_m*exp(-v/eps))/(1 - q_m),
+  split into a slow and a fast part, except for the modes with
+  |1 - q_m| < 1/2. The split cancels there, and divides by 0 at q_m = 1,
+  where the mode has no singularity, so those modes, which lie around
+  m = 1/(2*pi*sqrt(eps)), take the equal phi form
+  exp(-a^2*v) + a^2*v*exp(-min(a^2, 1/eps)*v)*phi(|a^2 - 1/eps|*v),
+  phi(x) = -expm1(-x)/x (Hochbruck & Ostermann, "Exponential
+  integrators", Acta Numerica 19, 2010). So every eps >= 0 is evaluated.
 
 The families differ only in each mode's time factor T_m, and one blocked
 evaluator sums all three. It walks the modes in blocks, highest block
@@ -20,14 +28,16 @@ telegraph mode its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))). The
 underdamped telegraph modes are walked apart from the lower ones, so none
 is evaluated where the shared decay is 0, and at a huge or infinite time
 no mode is evaluated at all: the density there is k0. Where the slow decay
-of a two-timescale mode is 0 it still adds fast_m*exp(-v/eps), as one
-rank-one term per block, (sum_m fast_m*cos(2*m*pi*u))*exp(-v/eps). A
-block holds max(BLOCK, min(32*BLOCK, size/L)) modes, L the live times of
-its first mode and size BLOCK times the times per position, or BLOCK*P on
-a lattice: its terms never exceed max(BLOCK*L, size) values, so peak
-memory does not grow with the truncation, and the high modes, live at few
-times, take few blocks (a 1201-time trace at M = 500 takes 3). Two paths
-share the walk, chosen from the input alone.
+of a two-timescale mode is 0 it still adds fast_m*exp(-v/eps),
+fast_m = k_m*a^2/(a^2 - 1/eps) (0 where a^2 = 1/eps exactly, as both
+decays are then flushed at once), as one rank-one term per block,
+(sum_m fast_m*cos(2*m*pi*u))*exp(-v/eps). A block holds
+max(BLOCK, min(32*BLOCK, size/L)) modes, L the live times of its first
+mode and size BLOCK times the times per position, or BLOCK*P on a
+lattice: its terms never exceed max(BLOCK*L, size) values, so peak memory
+does not grow with the truncation, and the high modes, live at few times,
+take few blocks (a 1201-time trace at M = 500 takes 3). Two paths share
+the walk, chosen from the input alone.
 
 Fold and FFT. When the positions of an outer table (positions x times)
 are J >= BLOCK points q_j/P of one uniform lattice, cos(2*m*pi*q_j/P)
@@ -95,7 +105,6 @@ from .core import (
     Grid1D,
     TimeGrid,
     TimeTrace,
-    _mode_ratios,
     check_family_eps,
     slab_positions,
 )
@@ -360,6 +369,11 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     if model == "hyperbolic" or two_scale:
         with np.errstate(over="ignore"):
             shared = _exp((-1.0 / (2.0 * eps)) * v_flat if model == "hyperbolic" else -v_flat / eps)
+    # The two-timescale modes near[0]..near[1], whose ratio
+    # q_m = eps*(2*m*pi)^2 = (m/star)^2 lies within 1/2 of 1, take the phi
+    # form (_wkb_near). They number about star/2, and are found in O(1).
+    star = 0.5 / (math.pi * math.sqrt(eps)) if two_scale else 0.0
+    near = (max(1, math.ceil(star * 0.5**0.5)), min(terms, math.floor(star * 1.5**0.5)))
 
     k = coefficients.modes
 
@@ -377,10 +391,12 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         mode: t holds k_m T_m(v) there, (count, times), and row is None. At
         the other times a two-timescale mode still adds fast_m*exp(-v/eps):
         t then holds the fast weights, (count, 1), and row exp(-v/eps) at
-        those times. A block holds max(BLOCK, min(32*BLOCK, size/L)) modes,
-        L the live times of its first mode, so its terms never exceed
-        max(BLOCK*L, size) values and peak memory does not grow with the
-        truncation, while the high modes, live at few times, take few blocks.
+        those times. fast_m = k_m*a^2/(a^2 - 1/eps), a = 2*m*pi, or 0 where
+        a^2 = 1/eps exactly, since both decays are then flushed at once. A
+        block holds max(BLOCK, min(32*BLOCK, size/L)) modes, L the live
+        times of its first mode, so its terms never exceed max(BLOCK*L, size)
+        values and peak memory does not grow with the truncation, while the
+        high modes, live at few times, take few blocks.
 
         Formed in place where it can: each block-sized temporary is fresh
         memory from the allocator, and its page faults cost as much as the
@@ -396,8 +412,10 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
             kb = k[first - 1 : stop, None]
             mask = live(first)
             index = slice(None) if mask.all() else np.flatnonzero(mask)
+            a2 = (2.0 * np.pi * m) ** 2
             if two_scale:
-                fast = _wkb_fast(eps, m, kb)
+                fast = np.divide(kb * a2, a2 - 1.0 / eps, out=np.zeros_like(a2),
+                                 where=a2 != 1.0 / eps)
                 dead = np.flatnonzero(~mask & (shared != 0))
                 if dead.size:
                     add(first, dead, fast, shared[dead])
@@ -407,13 +425,19 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
             if model == "hyperbolic":
                 t = _telegraph_factor(eps, m, v_row, shared[None, index])
             else:
-                t = _exp(-((2.0 * np.pi * m) ** 2) * v_row)
+                t = _exp(-a2 * v_row)
             if two_scale:
+                # The block's rows lo..hi - 1 are modes near q = 1: phi form.
+                lo, hi = max(first, near[0]) - first, min(stop, near[1]) - first + 1
+                if lo < hi:
+                    rows = _wkb_near(eps, a2[lo:hi], v_row, t[lo:hi], shared[None, index])
                 # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
                 gap = t - shared[None, index]
                 gap *= fast
                 t *= kb
                 t -= gap
+                if lo < hi:
+                    np.multiply(rows, kb[lo:hi], out=t[lo:hi])
             else:
                 t *= kb
             add(first, index, t, None)
@@ -499,19 +523,38 @@ def hyperbolic_density(coefficients: SpectralCoefficients, eps: float, u, v):
 # Two-timescale (WKB-type) family
 # ---------------------------------------------------------------------------
 
-def _wkb_fast(eps: float, m, k):
-    """Fast weights -q_m/(1 - q_m)*k_m of the modes m with coefficients k."""
-    q = _mode_ratios(eps, m)
-    return -q / (1.0 - q) * k
+def _wkb_near(eps: float, a2, v, slow, fast):
+    """T_m/k_m of the two-timescale modes of rates a2 = (2*m*pi)^2 at times v, in the phi form.
+
+    slow = exp(-a2*v) and fast = exp(-v/eps). With q = eps*a2 and r = 1/eps,
+        (slow - q*fast)/(1 - q) = slow + a2*v*exp(-min(a2, r)*v)*phi(|a2 - r|*v),
+    phi(x) = -expm1(-x)/x and phi(0) = 1. No difference of the two decays
+    is formed, so the factor keeps its digits at and near q = 1, where the
+    fast/slow split cancels (Hochbruck & Ostermann, Acta Numerica 19, 2010).
+
+    With g = |a2 - r|, a2*v*phi(g*v) = -expm1(-g*v)*a2/g, one product per
+    sample. Where a2 = r exactly, g is taken as 2**-60*a2, far below any
+    nonzero |a2 - r| (at least 2**-53*a2); there that product is a2*v to
+    within 2**-61*a2*v of its value, which is phi(0) = 1.
+    """
+    gap = np.maximum(np.abs(a2 - 1.0 / eps), 2.0**-60 * a2)
+    term = np.expm1(-gap * v)
+    term *= -a2 / gap
+    term *= np.where(a2 <= 1.0 / eps, slow, fast)
+    term += slow
+    return term
 
 
 def wkb_density(coefficients: SpectralCoefficients, eps: float, u, v):
-    """Density of the two-timescale approximation at (u, v).
+    """Density of the two-timescale approximation at (u, v), eps >= 0.
 
     Each mode contributes k_m*e_s - fast_m*(e_s - e_f) with
-    e_s = exp(-(2*m*pi)^2 v) and e_f = exp(-v/eps), which equals k_m at
-    v = 0. For eps = 0 the fast weights vanish, e_f is never formed and the
-    result coincides with parabolic_density exactly.
+    e_s = exp(-(2*m*pi)^2 v), e_f = exp(-v/eps) and
+    fast_m = -q_m/(1 - q_m)*k_m, q_m = eps*(2*m*pi)^2, which equals k_m at
+    v = 0. A mode with |1 - q_m| < 1/2 takes the same factor in the phi
+    form (_wkb_near), which has no singularity at q_m = 1. For eps = 0 the
+    fast weights vanish, e_f is never formed and the result coincides with
+    parabolic_density exactly.
     """
     return _series("wkb", coefficients, eps, u, v)
 

@@ -109,10 +109,10 @@ MUTANTS = (
     # The tag is cached with the coefficients, as the whole SpectralCoefficients
     # would be: an equal profile spelt otherwise gets the first spelling's tag.
     Mutant("coefficient_cache_keeps_tag", "src/slabdiff/profiles.py",
-           "        mean, modes = quadrature(profile, truncation, fft_panels)\n"
+           "        mean, modes = _quadrature(profile, truncation, fft_panels)\n"
            "    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())\n"
            "\n\n@lru_cache(maxsize=8)\n",
-           "        mean, modes = quadrature(profile, truncation, fft_panels)\n"
+           "        mean, modes = _quadrature(profile, truncation, fft_panels)\n"
            "        return SpectralCoefficients(mean=mean, modes=modes,\n"
            "                                    profile_tag=_tag(profile, truncation))\n"
            "    return SpectralCoefficients(mean=mean, modes=modes, profile_tag=profile.tag())\n"
@@ -124,9 +124,11 @@ MUTANTS = (
     Mutant("cached_modes_writable", "src/slabdiff/profiles.py",
            "    modes.flags.writeable = False\n", "",
            ("tests/test_profiles.py",)),
-    # A float32 field shares the entry of the float that it equals.
+    # Profile fields are stored as given: a float32 field shares the cache
+    # entry of the float that it equals, though it computes other numbers.
     Mutant("cache_any_field_type", "src/slabdiff/profiles.py",
-           "isinstance(getattr(profile, f.name), (int, float))", "True",
+           "object.__setattr__(self, f.name, float(getattr(self, f.name)))",
+           "object.__setattr__(self, f.name, getattr(self, f.name))",
            ("tests/test_profiles.py",)),
     # A count one below its lower bound passes, as 0 terms or 2 FD cells.
     Mutant("count_lower_bound", "src/slabdiff/core.py",
@@ -185,22 +187,21 @@ MUTANTS = (
            "times, values = trace.times.points[2:-2], "
            "np.convolve(trace.values, np.full(5, 0.2), mode='valid')",
            ("tests/test_analysis.py",)),
-    # A huge eps whose last telegraph mode overflows validates, and run
-    # writes NaN.
+    # A huge eps whose last mode overflows validates, and run writes NaN.
     Mutant("scenario_telegraph_first_mode_only", "src/slabdiff/core.py",
-           "check_telegraph_eps(eps, terms)", "check_telegraph_eps(eps, 1)",
+           "(wavenumber * terms) ** 2 * eps", "wavenumber ** 2 * eps",
            ("tests/test_scenario.py",)),
-    # The family-rule owner has no rule for wkb: a resonant eps validates.
+    # The two-timescale family has no least eps: a negative eps is evaluated.
     Mutant("family_rule_skips_wkb", "src/slabdiff/core.py",
-           '    elif model == "wkb":', "    elif False:",
-           ("tests/test_scenario.py",)),
+           '"wkb": (0.0, 2.0 * math.pi)', '"wkb": (-math.inf, 2.0 * math.pi)',
+           ("tests/test_core.py",)),
     # A cosine mode above terms validates, and run writes the flat profile k0.
     Mutant("cosine_mode_above_terms_allowed", "src/slabdiff/scenario.py",
            "if mode > terms and", "if mode > 10**9 and",
            ("tests/test_runner_cli.py",)),
     # No family refuses an eps whose last mode overflows.
     Mutant("last_mode_overflow_allowed", "src/slabdiff/core.py",
-           "    if not math.isfinite(product):", "    if False:",
+           "        if not math.isfinite((wavenumber * terms) ** 2 * eps):", "        if False:",
            ("tests/test_core.py",)),
     # A bare string of models is read letter by letter: "parabolic" is refused
     # as the unknown model 'p', not as a string.
@@ -277,7 +278,28 @@ MUTANTS = (
     # The two-timescale slow weight is 1 + q, not 1/(1 - q): the h - w gap
     # leaves its leading term by 3.3q, where the model stays within 1.4q.
     Mutant("wkb_fast_without_amplitude", "src/slabdiff/spectral.py",
-           "-q / (1.0 - q) * k", "-q * k",
+           "fast = np.divide(kb * a2, a2 - 1.0 / eps, out=np.zeros_like(a2),\n"
+           "                                 where=a2 != 1.0 / eps)",
+           "fast = -kb * a2 * eps",
+           ("tests/test_spectral.py",)),
+    # The modes near q = 1 keep the fast/slow split, which loses up to 8
+    # digits at q - 1 = 2e-9 and divides by 0 at q = 1.
+    Mutant("wkb_near_band_never_taken", "src/slabdiff/spectral.py",
+           "near = (max(1, math.ceil(star * 0.5**0.5)), min(terms, math.floor(star * 1.5**0.5)))",
+           "near = (1, 0)",
+           ("tests/test_spectral.py",)),
+    # phi(0) is not 1: at q = 1 the gap is taken as a^2/2, not 2**-60*a^2, so
+    # a mode's a^2*v*exp(-a^2*v) part shrinks by phi(a^2*v/2).
+    Mutant("wkb_phi_at_zero", "src/slabdiff/spectral.py",
+           "2.0**-60 * a2", "2.0**-1 * a2",
+           ("tests/test_spectral.py",)),
+    # The phi form's decay is exp(-a^2*v) for q > 1 too, not exp(-v/eps).
+    Mutant("wkb_phi_decay_always_slow", "src/slabdiff/spectral.py",
+           "np.where(a2 <= 1.0 / eps, slow, fast)", "slow",
+           ("tests/test_spectral.py",)),
+    # The fast weight at a^2 = 1/eps exactly divides by 0.
+    Mutant("wkb_fast_weight_at_exact_resonance", "src/slabdiff/spectral.py",
+           "where=a2 != 1.0 / eps)", "where=True)",
            ("tests/test_spectral.py",)),
 )
 

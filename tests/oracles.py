@@ -2,7 +2,8 @@
 
 Each reference is written from its own formula and shares no code with the
 package it checks: the wall-free Gaussian, the closed-form Gaussian and
-surface coefficients, the two-timescale fast/slow split, a per-mode series
+surface coefficients, the two-timescale fast/slow split and each
+two-timescale mode in mpmath at 60 digits, a per-mode series
 summed one mode at a time, the underdamped telegraph modes summed in long
 double, the telegraph mode ODE integrated numerically, the explicit
 finite-difference schemes marched one step at a time, the runner's CSV
@@ -32,7 +33,7 @@ from slabdiff import (
     SurfaceCoshProfile,
     UniformProfile,
 )
-from slabdiff.core import HALF_WIDTH, check_wkb_eps
+from slabdiff.core import HALF_WIDTH
 from slabdiff.profiles import COEFFICIENT_ABS_TOL
 from slabdiff.spectral import CRITICAL_DISC_TOL
 from slabdiff.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
@@ -219,13 +220,34 @@ def wkb_coefficients(coefficients, eps: float) -> WkbCoefficients:
         fast_m = -q_m / (1 - q_m) * k_m
         slow_m = k_m / (1 - q_m)
 
-    Refuses, as the package does, an eps at which some retained mode is
-    resonant (ResonantModeError) or a negative eps (InvalidParameterError).
+    Refuses a negative eps (InvalidParameterError). The split is singular at
+    q_m = 1 and cancels near it, so it serves as a reference only where
+    every |1 - q_m| is large; wkb_mode_factor serves everywhere.
     """
-    check_wkb_eps(eps, coefficients.truncation)
+    if not eps >= 0:
+        raise InvalidParameterError(f"eps must be >= 0, got {eps!r}")
     k = coefficients.modes
     q = eps * (2.0 * math.pi * np.arange(1, k.size + 1)) ** 2
     return WkbCoefficients(fast=-q / (1.0 - q) * k, slow=k / (1.0 - q))
+
+
+def wkb_mode_factor(eps: float, m: int, v: float) -> float:
+    """T_m(v)/k_m of two-timescale mode m, the fast/slow split in mpmath at 60 digits.
+
+    (exp(-a^2*v) - q*exp(-v/eps))/(1 - q), a = 2*m*pi and q = eps*a^2, with
+    eps and v the given doubles. A double eps never makes q exactly 1 at 60
+    digits, and at |1 - q| >= 1e-40 the split keeps 20 digits; the limit
+    exp(-a^2*v)*(1 + a^2*v) covers q = 1. At eps = 0 the mode is parabolic.
+    """
+    with mpmath.workdps(60):
+        a2, v = (2 * mpmath.pi * m) ** 2, mpmath.mpf(v)
+        slow = mpmath.exp(-a2 * v)
+        if eps == 0:
+            return float(slow)
+        q = mpmath.mpf(eps) * a2
+        if q == 1:
+            return float(slow * (1 + a2 * v))
+        return float((slow - q * mpmath.exp(-v / mpmath.mpf(eps))) / (1 - q))
 
 
 # ---------------------------------------------------------------------------
@@ -258,18 +280,23 @@ def reference_density(model, c, eps, u, v):
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if model == "wkb":
-        w = wkb_coefficients(c, eps)
         fast_factor = np.exp(-v / eps) if eps > 0 else np.zeros_like(v)
     total = np.zeros(np.broadcast_shapes(u.shape, v.shape))
     comp = np.zeros_like(total)
     for m in range(c.truncation, 0, -1):
         slow = np.exp(-((2.0 * math.pi * m) ** 2) * v)
+        q = eps * (2.0 * math.pi * m) ** 2
         if model == "parabolic":
             amplitude = c.modes[m - 1] * slow
         elif model == "hyperbolic":
             amplitude = c.modes[m - 1] * reference_telegraph_factor(eps, m, v)
+        elif abs(1.0 - q) < 0.5:
+            # The split cancels near q = 1: take the mode in mpmath.
+            factor = np.vectorize(lambda t: wkb_mode_factor(eps, m, t))(v)
+            amplitude = c.modes[m - 1] * factor
         else:
-            amplitude = w.fast[m - 1] * fast_factor + w.slow[m - 1] * slow
+            k = c.modes[m - 1]
+            amplitude = -q / (1.0 - q) * k * fast_factor + k / (1.0 - q) * slow
         y = amplitude * np.cos(2.0 * math.pi * m * u) - comp
         t = total + y
         comp = (t - total) - y

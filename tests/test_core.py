@@ -14,7 +14,6 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
-    ResonantModeError,
     ScenarioValidationError,
     StabilityError,
     TimeGrid,
@@ -366,21 +365,22 @@ def test_eps_is_refused_where_the_last_mode_overflows(family):
 
 def test_check_family_eps_maps_each_family_to_its_rule():
     resonant = 1.0 / (2.0 * math.pi) ** 2  # eps*(2*m*pi)^2 = 1 for m = 1
-    for eps in (0.0, resonant, 1e305):
+    for eps in (-1.0, 0.0, resonant, 1e305):
         check_family_eps("parabolic", eps, 50)  # the parabolic family ignores eps
+    for eps in (5e-324, 0.0, resonant):  # no two-timescale mode is singular
+        check_family_eps("wkb", eps, 50)
     check_family_eps("hyperbolic", resonant, 50)
-    check_family_eps("wkb", 0.0, 50)
     with pytest.raises(InvalidParameterError, match=">= 2.2250738585072014e-308"):
         check_family_eps("hyperbolic", 0.0, 50)
-    with pytest.raises(InvalidParameterError, match="too large for 50 terms"):
-        check_family_eps("hyperbolic", 1e305, 50)
-    with pytest.raises(ResonantModeError, match="m=1"):
-        check_family_eps("wkb", resonant, 50)
+    with pytest.raises(InvalidParameterError, match=">= 0.0, got -1e-300"):
+        check_family_eps("wkb", -1e-300, 50)
+    for family in ("hyperbolic", "wkb"):
+        with pytest.raises(InvalidParameterError, match="too large for 50 terms"):
+            check_family_eps(family, 1e305, 50)
 
 
 def test_every_owner_refusal_is_an_invalid_parameter_error():
     # so that Scenario reports each one through a single except clause
-    assert issubclass(ResonantModeError, InvalidParameterError)
     assert issubclass(StabilityError, InvalidParameterError)
 
 
@@ -415,8 +415,7 @@ PUBLIC_NAMES = [
     "Scenario", "parse_scenario", "serialize_scenario", "scenario_hash",
     "preset", "run_scenario",
     "SlabDiffError", "InvalidParameterError", "DomainError", "QuadratureError",
-    "ResonantModeError", "StabilityError", "InvalidInputError", "ScenarioParseError",
-    "ScenarioValidationError",
+    "StabilityError", "InvalidInputError", "ScenarioParseError", "ScenarioValidationError",
 ]
 
 

@@ -1,6 +1,7 @@
 import logging
 import math
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from slabdiff import (
     compute_coefficients,
     evaluate_profile,
     parabolic_density,
+    preset,
     profiles,
+    scenario_hash,
 )
 from slabdiff.cli import main
 from slabdiff.profiles import COEFFICIENT_ABS_TOL, PANEL_ORDER, _fft_modes, check_truncation
@@ -510,39 +513,59 @@ def test_coefficients_log_the_fft_check(caplog):
     assert "0 of 7 direct sums kept" in messages[1]
 
 
-#: One profile in three spellings that compare and hash equal, with each tag.
+#: One profile in four spellings that compare and hash equal: each field is
+#: stored as a float, so all four have one tag.
 SPELLINGS = {
-    "int": (GaussianProfile(100, 1), "gaussian(sharpness=100,amplitude=1)"),
-    "float": (GaussianProfile(100.0, 1.0), "gaussian(sharpness=100.0,amplitude=1.0)"),
-    "numpy": (GaussianProfile(np.float64(100.0), 1.0),
-              "gaussian(sharpness=np.float64(100.0),amplitude=1.0)"),
+    "int": GaussianProfile(100, 1),
+    "float": GaussianProfile(100.0, 1.0),
+    "numpy": GaussianProfile(np.float64(100.0), 1.0),
+    "float32": GaussianProfile(np.float32(100.0), np.float32(1.0)),
 }
 
 
 @pytest.mark.usefixtures("fresh_coefficients")
-@pytest.mark.parametrize("order", [("int", "float", "numpy"), ("numpy", "float", "int")])
-def test_equal_profiles_share_one_entry_and_keep_their_own_tags(order):
-    # The tag goes into run.json and the coeffs header: a cached tag would
-    # make those bytes depend on which spelling ran first.
-    first = compute_coefficients(SPELLINGS[order[0]][0], 7)
+@pytest.mark.parametrize("order", [("int", "float", "numpy", "float32"),
+                                   ("float32", "numpy", "float", "int")])
+def test_equal_profiles_share_one_entry_and_one_tag(order):
+    # A float32 field computed sharpness/pi in float32, 1.1e-8 away, under
+    # the hash of the float profile.
+    first = compute_coefficients(SPELLINGS[order[0]], 7)
     for name in order:
-        profile, tag = SPELLINGS[name]
+        profile = SPELLINGS[name]
+        assert profile == SPELLINGS["float"] and hash(profile) == hash(SPELLINGS["float"])
+        assert all(type(getattr(profile, f)) is float for f in ("sharpness", "amplitude"))
         c = compute_coefficients(profile, 7)
-        assert c.profile_tag == profile.tag() == tag
+        assert c.profile_tag == "gaussian(sharpness=100.0,amplitude=1.0)"
         assert c.mean == first.mean and np.array_equal(c.modes, first.modes)
     assert profiles._quadrature.cache_info().currsize == 1
 
 
 @pytest.mark.usefixtures("fresh_coefficients")
-def test_a_float32_field_computes_its_own_coefficients():
-    # np.float32(100) == 100.0 and hashes alike, but sharpness / pi rounds to
-    # float32, so its numbers are not the float profile's.
-    double = compute_coefficients(GaussianProfile(100.0, 1.0), 7)
-    single = compute_coefficients(GaussianProfile(np.float32(100.0), 1.0), 7)
-    assert single.mean != double.mean
-    profiles._quadrature.cache_clear()
-    alone = compute_coefficients(GaussianProfile(np.float32(100.0), 1.0), 7)
-    assert single.mean == alone.mean and np.array_equal(single.modes, alone.modes)
+@pytest.mark.parametrize("order", [(0.0, -0.0), (-0.0, 0.0)])
+def test_equal_profiles_share_one_entry_and_keep_their_own_tags(order):
+    # amplitude 0.0 and -0.0 compare equal and compute equal coefficients,
+    # but their tags differ. The tag goes into run.json and the coeffs
+    # header: a cached tag would make those bytes depend on which ran first.
+    first = compute_coefficients(CosineModeProfile(2, 1.0, order[0]), 7)
+    for amplitude in order:
+        c = compute_coefficients(CosineModeProfile(2, 1.0, amplitude), 7)
+        assert c.profile_tag == f"cosine_mode(mode=2,offset=1.0,amplitude={amplitude!r})"
+        assert c.mean == first.mean and np.array_equal(c.modes, first.modes)
+    assert profiles._quadrature.cache_info().currsize == 1
+
+
+def test_float_fields_are_stored_as_floats():
+    # under -W error, a float32 peak against MAX_DENSITY warned of an overflow
+    s = replace(preset("figure1"), profile=SPELLINGS["float32"])
+    assert s == preset("figure1") and scenario_hash(s) == scenario_hash(preset("figure1"))
+    for profile in (UniformProfile(np.int64(2)), CosineModeProfile(np.int64(3), 2, np.float32(1))):
+        assert all(type(getattr(profile, f.name)) is (int if f.name == "mode" else float)
+                   for f in fields(profile))
+    for build in (lambda: UniformProfile("1"), lambda: GaussianProfile(100.0, "1")):
+        with pytest.raises(TypeError):
+            build()
+    with pytest.raises(InvalidParameterError, match="level must be finite"):
+        UniformProfile(10**400)
 
 
 @pytest.mark.usefixtures("fresh_coefficients")

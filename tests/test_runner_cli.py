@@ -391,9 +391,6 @@ CONFIG_ERRORS = {
     "fd_step_unstable": [("hyperbolic", "fd"),
                          ("amplitude = 1", "amplitude = 1\n[fd]\nnu = 64\ndv = 0.01")],
     "fd_at_time_zero": [("v = 0.01, 0.1", "v = 0"), ("hyperbolic", "fd")],
-    # eps*(2 pi m)^2 = 1 for m = 1: the fast/slow split is singular
-    "wkb_resonant": [("eps = 0.13", f"eps = {1.0 / (2.0 * math.pi) ** 2!r}"),
-                     ("parabolic, hyperbolic", "wkb")],
     "eps_subnormal_hyperbolic": [("eps = 0.13", "eps = 1e-310")],
     "peak_density_too_large": [("amplitude = 1", "amplitude = 1e299")],
     # nu = 3 gives dv = 0.05, so the 200 times snap to 21 distinct FD steps
@@ -455,8 +452,6 @@ def test_cli_config_errors_exit_2(tmp_path, capsys, case, command):
 
 #: The error line of a few CONFIG_ERRORS cases, as their rules' owners word it.
 ERROR_LINES = {
-    "wkb_resonant": "error: wkb: mode m=1 is resonant for eps=0.025330295910584444: "
-                    "|1 - eps*(2*m*pi)^2| < 1e-09, the closed-form coefficients blow up",
     "fd_step_unstable": "error: [fd] telegraph mode requires dv <= sqrt(eps)*du = "
                         "0.005633673867912484, got dv=0.01",
     "fd_events_coarse_steps": "error: [fd] events output requires >= 200 distinct FD steps, "
@@ -475,7 +470,7 @@ ERROR_LINES = {
 
 @pytest.mark.parametrize("case", sorted(ERROR_LINES))
 def test_cli_config_error_lines(tmp_path, capsys, case):
-    # ResonantModeError and StabilityError reach the CLI as the owners' lines,
+    # StabilityError and the other owners' refusals reach the CLI as their lines,
     # under the prefix of the part they check
     text = CONFIG_SMALL
     for old, new in CONFIG_ERRORS[case]:
@@ -484,6 +479,45 @@ def test_cli_config_error_lines(tmp_path, capsys, case):
     cfg.write_text(text)
     assert main(["validate", str(cfg)]) == 2
     assert capsys.readouterr().err == ERROR_LINES[case] + "\n"
+
+
+#: eps*(2*m*pi)^2 = 1 for m = 1. Validate and run exited 2 there, since the
+#: fast/slow split is singular; the mode is not.
+RESONANT_EPS = 1.0 / (2.0 * math.pi) ** 2
+
+
+def _resonant_config(tmp_path):
+    cfg = tmp_path / "resonant.cfg"
+    cfg.write_text(CONFIG_SMALL.replace("eps = 0.13", f"eps = {RESONANT_EPS!r}")
+                   .replace("parabolic, hyperbolic", "wkb"))
+    return cfg
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_cli_runs_a_resonant_two_timescale_eps(tmp_path, capsys, command):
+    cfg = _resonant_config(tmp_path)
+    out = tmp_path / "out"
+    argv = [command, str(cfg)] + (["--out-dir", str(out)] if command == "run" else [])
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    if command == "run":
+        for i in range(2):
+            _, header, rows = read_csv(out / f"demo_field_{i}.csv")
+            assert header == ["u", "v", "model", "n"] and {row[2] for row in rows} == {"wkb"}
+            values = np.array([(row[0], row[1], row[3]) for row in rows], dtype=float)
+            assert np.all(np.isfinite(values))
+
+
+def test_cli_resonant_two_timescale_eps_matches_the_reference(tmp_path):
+    # run writes the per-mode mpmath reference at the resonant eps
+    assert main(["run", str(_resonant_config(tmp_path)), "--out-dir", str(tmp_path / "out")]) == 0
+    coeffs = compute_coefficients(GaussianProfile(100.0, 1.0), 50)
+    tol = 1e-14 * (coeffs.mean + np.sum(np.abs(coeffs.modes)))
+    for i, v in enumerate((0.01, 0.1)):
+        _, _, rows = read_csv(tmp_path / "out" / f"demo_field_{i}.csv")
+        u, n = np.array([(row[0], row[3]) for row in rows], dtype=float).T
+        expected = oracles.reference_density("wkb", coeffs, RESONANT_EPS, u, v)
+        np.testing.assert_allclose(n, expected, rtol=0, atol=tol)
 
 
 def test_cli_validate_accepts_terms_up_to_the_quadrature_cap(tmp_path, capsys):

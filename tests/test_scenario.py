@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from oracles import wkb_mode_factor
 
 from slabdiff import (
     CosineModeProfile,
@@ -17,13 +18,13 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
-    ResonantModeError,
     Scenario,
     ScenarioParseError,
     ScenarioValidationError,
     SurfaceCoshProfile,
     TabulatedProfile,
     UniformProfile,
+    compute_coefficients,
     parse_scenario,
     preset,
     run_scenario,
@@ -31,7 +32,6 @@ from slabdiff import (
     serialize_scenario,
 )
 from slabdiff.analysis import MIN_TRACE_SAMPLES
-from slabdiff.core import check_wkb_eps
 from slabdiff.fd import snapshot_steps
 from slabdiff.profiles import MAX_DENSITY, PROFILE_KINDS, check_truncation
 from slabdiff.scenario import MODEL_ORDER, OUTPUT_KINDS, override
@@ -409,11 +409,6 @@ def scenarios(draw):
         check_truncation(profile, truncation)
     except InvalidParameterError:
         assume(False)
-    if "wkb" in models:
-        try:
-            check_wkb_eps(eps, truncation)
-        except ResonantModeError:
-            assume(False)
     # a series family needs a cosine mode at or below terms
     if models != ("fd",):
         assume(getattr(profile, "mode", 0) <= truncation)
@@ -798,17 +793,23 @@ def test_a_long_time_grid_validates_without_being_built():
     assert replace(s, v_range=(0.0, 1.2, 1201)) == preset("figure2")
 
 
-def test_resonant_wkb_is_rejected_at_validation():
-    eps = 1.0 / (6.0 * math.pi) ** 2  # eps*(2*m*pi)^2 = 1 for m = 3
-    s = Scenario(name="x", eps=eps, profile=UniformProfile(1.0), truncation=2,
-                 v_list=(0.1,), models=("parabolic", "wkb"))
-    with pytest.raises(ScenarioValidationError, match="m=3") as info:
-        override(s, truncation=3)
-    assert isinstance(info.value.__cause__, ResonantModeError)
-    with pytest.raises(ScenarioValidationError, match="m=1"):
-        override(s, eps=9.0 * eps)
-    # without wkb the same eps is not checked
-    replace(s, truncation=3, models=("parabolic",))
+def test_resonant_wkb_validates_and_runs(tmp_path):
+    # eps*(2*m*pi)^2 = 1 for m = 3 was refused: the fast/slow split is
+    # singular there, but the mode is not. The run writes the series of the
+    # modes' factors in mpmath at 60 digits, to within 1e-15.
+    eps = 1.0 / (6.0 * math.pi) ** 2
+    s = Scenario(name="x", eps=eps, profile=CosineModeProfile(3, 1.0, 1.0), truncation=3,
+                 v_list=(0.0, 0.01, 0.1), u_points=5, models=("wkb",))
+    run_scenario(s, tmp_path)
+    coeffs = compute_coefficients(s.profile, 3)
+    for i, v in enumerate(s.v_list):
+        rows = [line.split(",") for line in
+                (tmp_path / f"x_field_{i}.csv").read_text().splitlines()[7:]]
+        u, n = np.array([(row[0], row[3]) for row in rows], dtype=float).T
+        expected = coeffs.mean + sum(
+            k * wkb_mode_factor(eps, m, v) * np.cos(2.0 * np.pi * m * u)
+            for m, k in enumerate(coeffs.modes, start=1))
+        np.testing.assert_allclose(n, expected, rtol=0, atol=1e-15)
 
 
 def test_cosine_mode_above_terms_is_refused_with_a_series_model():

@@ -16,6 +16,7 @@ from oracles import (
     ode_telegraph_factor,
     reference_density,
     wkb_coefficients,
+    wkb_mode_factor,
 )
 
 from slabdiff import (
@@ -24,7 +25,6 @@ from slabdiff import (
     GaussianProfile,
     Grid1D,
     InvalidParameterError,
-    ResonantModeError,
     SpectralCoefficients,
     compute_coefficients,
     field_slice,
@@ -34,7 +34,7 @@ from slabdiff import (
     wkb_density,
 )
 from slabdiff import spectral
-from slabdiff.core import TimeGrid, check_wkb_eps
+from slabdiff.core import TimeGrid
 from slabdiff.fd import cell_centers
 from slabdiff.spectral import (
     BLOCK,
@@ -379,17 +379,52 @@ def test_wkb_weights_half_resonance():
     assert w.slow[0] == pytest.approx(1.4, rel=1e-13)
 
 
-def test_wkb_resonant_mode_is_an_error(gaussian_coeffs):
-    m = 3
-    eps = 1.0 / (2 * math.pi * m) ** 2
-    with pytest.raises(ResonantModeError, match="m=3"):
-        check_wkb_eps(eps, gaussian_coeffs.truncation)
-    with pytest.raises(ResonantModeError, match="m=3"):
-        wkb_density(gaussian_coeffs, eps, 0.0, 0.1)
+def test_wkb_resonant_mode_runs_and_matches_the_reference(gaussian_coeffs):
+    # eps*(2*m*pi)^2 = 1 for m = 3, where the fast/slow split divides by 0;
+    # the mode's factor has no singularity there.
+    c = gaussian_coeffs
+    eps = 1.0 / (2 * math.pi * 3) ** 2
+    tol = 1e-14 * (c.mean + np.sum(np.abs(c.modes)))
+    u, v = np.linspace(-0.5, 0.5, 11), np.array([0.0, 1e-3, 1e-2, 0.1, 1.0])
+    ref = reference_density("wkb", c, eps, u[None, :], v[:, None])
+    np.testing.assert_allclose(wkb_density(c, eps, u[None, :], v[:, None]), ref, rtol=0, atol=tol)
+    for u_j, column in zip(u, ref.T):
+        np.testing.assert_allclose(wkb_density(c, eps, u_j, v), column, rtol=0, atol=tol)
     with pytest.raises(InvalidParameterError):
-        check_wkb_eps(-0.1, gaussian_coeffs.truncation)
-    with pytest.raises(InvalidParameterError):
-        wkb_density(gaussian_coeffs, -0.1, 0.0, 0.1)
+        wkb_density(c, -0.1, 0.0, 0.1)
+
+
+#: q - 1 of the mode m that a cosine_mode profile puts all its mass in.
+RESONANCE_OFFSETS = [0.0, 2e-9, -2e-9, 1e-6, -1e-6, 1e-3, -1e-3]
+
+
+@pytest.mark.parametrize("offset", RESONANCE_OFFSETS)
+@pytest.mark.parametrize("m", [1, 2])
+def test_wkb_near_a_resonance_matches_mpmath(m, offset):
+    # Within 1e-15*max(1, |k0|) of the mode's factor in mpmath at 60 digits,
+    # per sample and on a lattice of positions. The fast/slow split, whose
+    # weights are about k_m/(q - 1), lost up to 8 digits at q - 1 = 2e-9.
+    c = compute_coefficients(CosineModeProfile(m, 1.0, 1.0), 8)
+    eps = (1.0 + offset) / (2.0 * math.pi * m) ** 2
+    v = np.array([0.0, 1e-3, 1e-2, 0.1, 1.0])
+    # Multiples of 1/16, which the fold takes exactly as its lattice points.
+    lattice = np.linspace(-0.5, 0.5, 17)
+    assert _lattice(lattice) is not None
+    factors = np.array([[wkb_mode_factor(eps, j, t) for j in range(1, 9)] for t in v])
+
+    def reference(u):
+        cosines = np.cos(2.0 * np.pi * np.arange(1, 9)[:, None] * np.atleast_1d(u)[None, :])
+        return c.mean + (factors * c.modes) @ cosines
+
+    tol = 1e-15 * max(1.0, abs(c.mean))
+    pair = np.array([[0.0, 0.5]])
+    np.testing.assert_allclose(wkb_density(c, eps, pair, v[:, None]), reference(pair[0]),
+                               rtol=0, atol=tol)
+    for u in (0.0, 0.5):
+        np.testing.assert_allclose(wkb_density(c, eps, u, v), reference(u)[:, 0],
+                                   rtol=0, atol=tol)
+    np.testing.assert_allclose(wkb_density(c, eps, lattice[None, :], v[:, None]),
+                               reference(lattice), rtol=0, atol=tol)
 
 
 @pytest.mark.filterwarnings("error")  # exp(-v/eps) must not be formed at eps = 0
@@ -413,7 +448,7 @@ def test_wkb_subnormal_eps_is_parabolic_without_warnings(gaussian_coeffs):
         )
 
 
-@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+@pytest.mark.parametrize("offset", [-1e-6, 0.0, 1e-6])
 @pytest.mark.parametrize("m", [1, 2])
 def test_wkb_initial_state_near_a_resonance(gaussian_coeffs, surface_coeffs, m, offset):
     # Near eps = 1/(2 m pi)^2 the fast and slow weights of mode m are large
@@ -679,8 +714,7 @@ def test_blocked_evaluator_matches_per_mode_reference(request, profile, eps):
         "parabolic": lambda u, v: parabolic_density(c, u, v),
         "hyperbolic": lambda u, v: hyperbolic_density(c, eps, u, v),
     }
-    if eps != EPS_CRITICAL_M3:
-        families["wkb"] = lambda u, v: wkb_density(c, eps, u, v)
+    families["wkb"] = lambda u, v: wkb_density(c, eps, u, v)
     u_all = np.concatenate([REFERENCE_U, TRACE_U])
     v_all = np.concatenate([SLICE_V, TRACE_V])
     n_u, n_v = len(REFERENCE_U), len(SLICE_V)
@@ -741,8 +775,9 @@ def assert_within(actual, desired, tol, err_msg=""):
 def contraction_tolerance(model, c, eps, v=None):
     """The largest gap allowed between a contracted and a per-sample evaluation.
 
-    1e-14 of k0 + sum|k_m|, plus sum|fast_m| for the two-timescale family,
-    bounds the arithmetic of either sum. Given the row's times v, the
+    1e-14 of k0 + sum|k_m|, plus sum|fast_m| over the two-timescale modes
+    with |1 - q_m| >= 1/2, which keep the fast/slow split, bounds the
+    arithmetic of either sum. Given the row's times v, the
     telegraph family adds a phase-rounding term and a time-shift term per
     time, as a column.
 
@@ -774,7 +809,9 @@ def contraction_tolerance(model, c, eps, v=None):
     """
     scale = c.mean + np.sum(np.abs(c.modes))
     if model == "wkb":
-        scale += np.sum(np.abs(wkb_coefficients(c, eps).fast))
+        q = eps * (2.0 * np.pi * np.arange(1, c.truncation + 1)) ** 2
+        far = np.abs(1.0 - q) >= 0.5
+        scale += np.sum(np.abs(q[far] / (1.0 - q[far]) * c.modes[far]))
     if model != "hyperbolic" or v is None:
         return 1e-14 * scale
     m = np.arange(1, c.truncation + 1)
@@ -790,7 +827,7 @@ def contraction_tolerance(model, c, eps, v=None):
     return 1e-14 * scale + decayed * weight
 
 
-@pytest.mark.parametrize("offset", [-1e-6, 1e-6])
+@pytest.mark.parametrize("offset", [-1e-6, 0.0, 1e-6])
 @pytest.mark.parametrize("m", [1, 2])
 def test_wkb_long_rows_near_a_resonance(gaussian_coeffs, surface_coeffs, m, offset):
     # The fast and slow weights of mode m are about 1e5 times k_m; the
@@ -907,6 +944,7 @@ def long_time_rows(draw):
 CONTRACTION_EPS = st.one_of(
     st.sampled_from([
         EPS_CRITICAL_M3,
+        1.0 / (2 * math.pi) ** 2,  # resonant two-timescale mode 1
         1.0 / (2 * math.pi) ** 2 - 1e-6,  # near-resonant two-timescale mode 1
         1.0 / (4 * math.pi) ** 2 + 1e-6,  # near-resonant two-timescale mode 2
     ]),
@@ -928,10 +966,7 @@ def test_contraction_matches_per_sample_evaluation(
     full = surface_coeffs if surface else gaussian_coeffs
     c = SpectralCoefficients(mean=full.mean, modes=full.modes[:terms])
     for model in FAMILIES:
-        try:
-            tol = contraction_tolerance(model, c, eps, row)
-        except ResonantModeError:
-            continue
+        tol = contraction_tolerance(model, c, eps, row)
         u = positions[0] if len(positions) == 1 else np.array(positions)[None, :]
         values = family_density(model, c, eps, u, row if np.ndim(u) == 0 else row[:, None])
         expected = pointwise(model, c, eps, positions, row)
@@ -1182,8 +1217,6 @@ def test_lattice_tables_match_per_mode_reference(request, profile, eps):
     edges = np.cumsum([0] + [u.size for u in LATTICE_GRIDS.values()])
     v = np.array(SLICE_V)
     for model in FAMILIES:
-        if model == "wkb" and eps == EPS_CRITICAL_M3:
-            continue  # wkb mode 6 is resonant there
         ref = reference_density(model, c, eps, u_all[None, :], v[:, None])
         for (name, u), lo, hi in zip(LATTICE_GRIDS.items(), edges, edges[1:]):
             assert _lattice(u) is not None, name
@@ -1217,10 +1250,7 @@ def test_lattice_fold_matches_per_sample_evaluation(u, times, eps, terms):
     c = decaying_coefficients(terms)
     v = np.array(times)
     for model in FAMILIES:
-        try:
-            tol = contraction_tolerance(model, c, eps)
-        except ResonantModeError:
-            continue
+        tol = contraction_tolerance(model, c, eps)
         values = family_density(model, c, eps, u[None, :], v[:, None])
         np.testing.assert_allclose(values, pointwise(model, c, eps, u, v), rtol=0, atol=tol)
 
