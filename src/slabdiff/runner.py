@@ -14,6 +14,10 @@ Curve files are written column by column: an axis that several files share
 (the grid, the time grid, the FD grid and its recorded times) is rendered
 once per run, a file's constant u or v once per file, and each density
 column once.
+
+run.json's time lists (requested_times, and the FD's recorded_times) are
+laid out from those same texts, not by json's indented encoder, which is
+pure Python: json writes a float as repr does, so the bytes are json's own.
 """
 
 from __future__ import annotations
@@ -66,6 +70,22 @@ def _csv_text(comments: list[tuple[str, str]], header: str, rows) -> str:
 def _texts(values: np.ndarray) -> list[str]:
     """format_float of every element, from one tolist()."""
     return list(map(repr, values.tolist()))
+
+
+def _json_text(meta: dict, float_lists: dict[str, tuple[list[str], int]]) -> str:
+    """json.dumps(meta, sort_keys=True, indent=2) plus a newline, where the
+    string "\0<name>" stands for the list of floats whose texts (repr, as json
+    writes a float) and nesting depth are float_lists[name].
+
+    json's indented encoder is pure Python, so a long list is laid out here
+    as it would lay it out, from texts the run has already made.
+    """
+    text = json.dumps(meta, sort_keys=True, indent=2)
+    for name, (texts, depth) in float_lists.items():
+        pad = "\n" + "  " * depth
+        items = f"[{pad}  " + f",{pad}  ".join(texts) + f"{pad}]" if texts else "[]"
+        text = text.replace(json.dumps("\0" + name), items, 1)
+    return text + "\n"
 
 
 def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[Path]:
@@ -220,19 +240,22 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         "u_points": s.u_points,
         "models": list(s.models),
         "outputs": list(s.outputs),
-        "requested_times": [float(v) for v in times.points],
+        "requested_times": "\0requested_times",
         "trace_u": list(s.trace_u),
         "files": sorted(p.name for p in written),
     }
     if wavefront:
         meta["wavefront_u1"] = {format_float(v): u1 for v, u1 in wavefront.items()}
+    # The time lists reuse the texts of the CSV time columns.
+    float_lists = {"requested_times": (cells(times.points), 1)}
     if "fd" in s.models:
         meta["fd"] = {
             "nu": s.fd_nu,
             "dv": cfg.dv,
-            "recorded_times": recorded.tolist(),
+            "recorded_times": "\0recorded_times",
         }
+        float_lists["recorded_times"] = (cells(recorded), 2)
     path = directory / f"{s.name}_run.json"
-    written.append(_write_text(path, json.dumps(meta, sort_keys=True, indent=2) + "\n"))
+    written.append(_write_text(path, _json_text(meta, float_lists)))
     return written
 

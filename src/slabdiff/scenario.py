@@ -162,6 +162,11 @@ class Scenario:
                 f"name must be non-empty and use only letters, digits, '_', '.' "
                 f"and '-', got {self.name!r}"
             )
+        if "--" in self.name:
+            raise ScenarioValidationError(
+                f"name must not hold '--', which the XML comment of an SVG chart "
+                f"cannot hold, got {self.name!r}"
+            )
         if not isinstance(self.profile, InitialProfile):
             raise ScenarioValidationError(
                 f"profile must be an InitialProfile, got {self.profile!r}")

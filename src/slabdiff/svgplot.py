@@ -6,12 +6,23 @@ across refactors, and tests/oracles.py keeps the per-point formatting that
 each polyline must match. A series' pixel coordinates are computed as whole
 arrays, in the same operations and order as for a single point, so each
 double is the one the per-point form gives.
+
+A polyline's points text, the pairs f"{px:.2f},{py:.2f}", is formed in a
+fixed number of numpy calls per chart, not one format call per coordinate.
+The series that share an x array form one (series x points) block. Each
+coordinate becomes k = rint(100*|x|) as int64, and its sign, integer
+digits, point, two fraction digits and separator become cells of a uint8
+matrix, read from digit lookup tables. A cell the text does not use holds
+0, so a series' text is its row's bytes with the 0 bytes deleted, decoded
+once. A coordinate keeps format's own text when it is non-finite, when
+|x| >= 1e6, or when 100*|x| lies within 1e-6 of a rounding tie, where rint
+of the rounded product might not round as format's exact decimal does.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import groupby
 
 import numpy as np
 
@@ -45,9 +56,80 @@ def _fmt(x: float) -> str:
     return f"{x:.4g}"
 
 
-def _fixed2(values: np.ndarray) -> list[str]:
-    """Each value as "{:.2f}"."""
-    return list(map(format, values.tolist(), repeat(".2f")))
+# Fixed-point text. A value with |x| < EXACT_BELOW rounds to an integer
+# k = round(100*|x|) <= 10**8, whose integer part ip = k // 100 has at most 7
+# digits. So "{:.2f}" and a separator fit 12 one-byte cells, held as three
+# 4-cell words, each read from a lookup table:
+#     [sign, ip at 10**6..10**4] [ip at 10**3..10**0] [".", 2 fraction digits, separator]
+# A cell that the text does not use holds 0, and deleting the 0 bytes leaves
+# the text.
+EXACT_BELOW = 1e6
+TIE_BAND = 1e-6
+
+
+def _words(cells) -> np.ndarray:
+    """Rows of 4 one-byte cells, each as one uint32 word."""
+    return np.ascontiguousarray(cells, np.uint8).view(np.uint32).ravel()
+
+
+def _digits(places: int, lead: int) -> np.ndarray:
+    """Row n: the ASCII digits of n at the places 10**(places-1)..1, for n below
+    10**places, with 0 in the cells above its leading digit, except those
+    below place `lead`."""
+    digits = np.indices((10,) * places, dtype=np.uint8).reshape(places, -1).T + ord("0")
+    p = 10 ** np.arange(places - 1, -1, -1)
+    return digits * ((np.arange(10**places)[:, None] >= p) | (p < lead))
+
+
+# HEAD[hi + 1000 * negative]: the sign and ip's digits from hi = ip // 10**4.
+HEAD = _words(np.column_stack((np.repeat([0, ord("-")], 1000),
+                               np.tile(_digits(3, lead=1), (2, 1)))))
+# BODY[lo + 10**4 * (hi > 0)]: ip's last 4 digits, lo = ip % 10**4, with
+# its leading zeros blank only when hi is 0.
+BODY = _words(np.concatenate((_digits(4, lead=10), _digits(4, lead=10_000))))
+# TAIL[f] | separator: the point and the fraction digits f = k % 100.
+TAIL = _words(np.column_stack((np.full(100, ord(".")), _digits(2, lead=100), np.zeros(100))))
+
+
+def _fixed2_words(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
+    """Each value's "{:.2f}" text and then sep, as a (..., 3) array of words;
+    and where that text is exact.
+
+    It is exact where the value is finite, |x| < EXACT_BELOW and 100*|x| is
+    more than TIE_BAND from a half-integer. The product 100*|x| is then off
+    its exact value by under 1e-8, so it rounds to the k that format's
+    correctly rounded decimal gives. Elsewhere the words hold 0.00.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # 100 * 1e307, inf - inf
+        scaled = np.abs(values) * 100.0
+        exact = (np.abs(scaled - np.floor(scaled) - 0.5) > TIE_BAND) & (scaled < 100 * EXACT_BELOW)
+    k = np.where(exact, np.rint(scaled), 0.0).astype(np.int64)
+    ip, fraction = np.divmod(k, 100)
+    hi, lo = np.divmod(ip, 10_000)
+    # The sign goes by the sign bit: "-0.00" for -0.0 and -0.001, as format writes it.
+    head = HEAD[hi + 1000 * np.signbit(values)]
+    tail = TAIL[fraction] | _words([[0, 0, 0, ord(sep)]])
+    return np.stack((head, BODY[lo + 10_000 * (hi > 0)], tail), axis=-1), exact
+
+
+def _points(x: np.ndarray, y: np.ndarray) -> list[str]:
+    """The points text of each row of y, a (series x points) array, against
+    x: its pairs f"{x:.2f},{y:.2f}", joined by spaces."""
+    x_words, x_exact = _fixed2_words(x, ",")
+    y_words, y_exact = _fixed2_words(y, " ")
+    words = np.concatenate((np.broadcast_to(x_words, y_words.shape), y_words), axis=-1)
+    texts = []
+    for row in range(len(y)):
+        # A row's text is its bytes with the unused 0 cells deleted.
+        points = words[row].tobytes().translate(None, b"\0").decode("ascii")[:-1]
+        inexact = np.flatnonzero(~(x_exact & y_exact[row]))
+        if inexact.size:  # near a rounding tie, huge or non-finite: format's own text
+            pairs = points.split(" ")
+            for j in inexact.tolist():
+                pairs[j] = f"{float(x[j]):.2f},{float(y[row, j]):.2f}"
+            points = " ".join(pairs)
+        texts.append(points)
+    return texts
 
 
 def line_chart(title: str, xlabel: str, ylabel: str, series, metadata: dict | None = None) -> str:
@@ -119,14 +201,17 @@ def line_chart(title: str, xlabel: str, ylabel: str, series, metadata: dict | No
         f'font-family="sans-serif" font-size="12" '
         f'transform="rotate(-90 16 {MARGIN_TOP + plot_h / 2:.1f})">{ylabel}</text>'
     )
-    x_row, x_text = None, []
-    for i, (label, x, y) in enumerate(series):
-        color = COLORS[i % len(COLORS)]
+    polylines = []
+    # Series that share their x array (and length) form one (series x points)
+    # block, whose x words are formed once.
+    for (_, n), block in groupby(series, key=lambda s: (id(s[1]), min(s[1].size, s[2].size))):
+        block = list(block)
         # Arithmetic on Python floats never warns; on arrays it must not either.
         with np.errstate(all="ignore"):
-            if x is not x_row:  # series that share their x array share its text
-                x_row, x_text = x, _fixed2(px(x))
-            points = " ".join(map(",".join, zip(x_text, _fixed2(py(y)))))
+            x_px, y_px = px(block[0][1][:n]), py(np.stack([y[:n] for _, _, y in block]))
+        polylines += zip([label for label, _, _ in block], _points(x_px, y_px))
+    for i, (label, points) in enumerate(polylines):
+        color = COLORS[i % len(COLORS)]
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>'
         )

@@ -301,6 +301,29 @@ MUTANTS = (
     Mutant("wkb_fast_weight_at_exact_resonance", "src/slabdiff/spectral.py",
            "where=a2 != 1.0 / eps)", "where=True)",
            ("tests/test_spectral.py",)),
+    # A name holding "--" runs, and every SVG chart's XML comment is malformed.
+    Mutant("name_double_hyphen_allowed", "src/slabdiff/scenario.py",
+           'if "--" in self.name:', "if False:",
+           ("tests/test_runner_cli.py",)),
+    # The chart's ".2f" text: 100*|x| near a half-integer is rounded by rint,
+    # not by format's correctly rounded decimal.
+    Mutant("fixed2_tie_guard_dropped", "src/slabdiff/svgplot.py",
+           "exact = (np.abs(scaled - np.floor(scaled) - 0.5) > TIE_BAND) & (scaled < ",
+           "exact = (scaled < ",
+           ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
+    # A negative value is written without its sign.
+    Mutant("fixed2_sign_cell_unused", "src/slabdiff/svgplot.py",
+           "HEAD[hi + 1000 * np.signbit(values)]", "HEAD[hi]",
+           ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
+    # The last 4 integer digits keep their leading zeros from 2*10**4 up, not
+    # 10**4: 10234.56 is written 1234.56.
+    Mutant("fixed2_leading_digit_threshold", "src/slabdiff/svgplot.py",
+           "BODY[lo + 10_000 * (hi > 0)]", "BODY[lo + 10_000 * (hi > 1)]",
+           ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
+    # The units digit of a value below 1 is blank: 0.5 is written .50.
+    Mutant("fixed2_units_digit_blank", "src/slabdiff/svgplot.py",
+           "_digits(4, lead=10)", "_digits(4, lead=1)",
+           ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
 )
 
 _IGNORE = shutil.ignore_patterns(

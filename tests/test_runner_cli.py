@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 import oracles
 from slabdiff import (
     Scenario,
+    ScenarioValidationError,
     UniformProfile,
     GaussianProfile,
     SurfaceCoshProfile,
@@ -240,6 +242,59 @@ def test_svg_only_writes_no_field_or_trace_csv(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
+@pytest.mark.parametrize("name", ["a-b", "-a", "a-", "a.-_b", "-", "a--b", "--a", "a---"])
+def test_every_svg_a_run_writes_is_well_formed_xml(tmp_path, name):
+    # An XML comment may not hold "--", and each chart embeds the name in
+    # one: such a name is refused, and every other chart parses.
+    try:
+        s = Scenario(
+            name=name, eps=0.13, profile=GaussianProfile(100.0, 1.0),
+            truncation=16, u_points=21, v_list=(0.01, 0.1), trace_u=(0.0, 0.5),
+            models=("parabolic", "hyperbolic"), outputs=("svg",),
+        )
+    except ScenarioValidationError as refused:
+        assert "--" in name and str(refused).startswith("name must not hold '--'")
+        return
+    charts = [p for p in run_scenario(s, tmp_path) if p.suffix == ".svg"]
+    assert len(charts) == 4
+    for chart in charts:
+        root = ET.parse(chart).getroot()
+        assert root.tag == "{http://www.w3.org/2000/svg}svg"
+        assert len(root.findall("{http://www.w3.org/2000/svg}polyline")) == 2
+
+
+def run_json_cases():
+    gaussian = GaussianProfile(100.0, 1.0)
+    yield from (pytest.param(preset(f"figure{n}"), id=f"figure{n}") for n in range(1, 5))
+    yield pytest.param(Scenario(
+        name="fd", eps=0.13, profile=gaussian, truncation=16, u_points=21,
+        v_list=(0.0, 1e-6, 0.05), trace_u=(0.5, -0.0), models=("hyperbolic", "fd"), fd_nu=64,
+        outputs=("csv", "svg"),
+    ), id="fd")
+    yield pytest.param(Scenario(
+        name="no_trace", eps=0.0, profile=gaussian, truncation=16, u_points=21,
+        v_list=(0.01, 0.1), models=("parabolic",),
+    ), id="no_trace")
+    yield pytest.param(Scenario(
+        name="no_csv", eps=0.13, profile=gaussian, truncation=16, v_range=(0.0, 0.3, 301),
+        trace_u=(0.5,), models=("hyperbolic",), outputs=("svg", "events"),
+    ), id="no_csv")
+
+
+@pytest.mark.parametrize("s", run_json_cases())
+def test_run_json_is_the_indented_json_of_its_values(tmp_path, s):
+    # The time lists are laid out from their CSV texts, not by json: the
+    # bytes must be json's own, and the values the times of the run.
+    run_scenario(s, tmp_path)
+    text = (tmp_path / f"{s.name}_run.json").read_text()
+    meta = json.loads(text)
+    assert text == json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    assert meta["requested_times"] == s.time_grid().points.tolist()
+    if "fd" in s.models:
+        recorded = [sl.v for sl in fd_solve_telegraph(s.profile, s.fd_config())]
+        assert meta["fd"]["recorded_times"] == recorded
+
+
 def test_one_sample_trace_charts(tmp_path):
     s = Scenario(
         name="dot", eps=0.13, profile=GaussianProfile(100.0, 1.0),
@@ -430,6 +485,8 @@ CONFIG_ERRORS = {
     "eps_overflows_wkb": [("eps = 0.13", "eps = 1e305"), ("parabolic, hyperbolic", "wkb")],
     # each event row of a repeated position was written twice
     "trace_u_repeated": [("v = 0.01, 0.1", "v_range = 0, 1, 200\ntrace_u = 0.5, 0.5")],
+    # an XML comment may not hold "--": every SVG chart of the run was malformed
+    "name_holds_double_hyphen": [("name = demo", "name = a--b")],
 }
 
 
@@ -465,6 +522,8 @@ ERROR_LINES = {
                                    "range [-0.6, 0.0]",
     "u_points_beyond_memory": "error: 100000000000000000 u points exceed the cap of 134217728 "
                               "samples per axis",
+    "name_holds_double_hyphen": "error: name must not hold '--', which the XML comment of an "
+                                "SVG chart cannot hold, got 'a--b'",
 }
 
 

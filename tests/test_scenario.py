@@ -429,7 +429,8 @@ def scenarios(draw):
         samples = len(times["v_list"])
     outputs = tuple(draw(st.lists(st.sampled_from(OUTPUT_KINDS), min_size=1, unique=True)))
     s = Scenario(
-        name=draw(st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True)),
+        name=draw(st.from_regex(r"[A-Za-z0-9_.-]+", fullmatch=True).filter(
+            lambda name: "--" not in name)),
         eps=eps,
         profile=profile,
         truncation=truncation,
