@@ -4,27 +4,38 @@ Three families share the cosine-series coefficients of the initial profile:
 
 * parabolic: each mode decays as exp(-(2*m*pi)^2 * v);
 * hyperbolic (telegraph): each mode solves
-  eps*V'' + V' + (2*m*pi)^2 * V = 0 with V(0)=k_m, V'(0)=0, evaluated through
-  real closed forms per damping class so the result is real by construction;
+  eps*V'' + V' + (2*m*pi)^2 * V = 0 with V(0)=k_m, V'(0)=0. A mode with
+  disc = 1 - (4*m*pi)^2*eps < 0 is underdamped: it decays as
+  exp(-v/(2*eps)) and oscillates, through its real cos/sin form. A mode
+  with disc >= 0 has two real roots;
 * two-timescale (WKB-type): a fast boundary-layer decay exp(-v/eps)
   superposed on the parabolic relaxation. With a = 2*m*pi and
   q_m = eps*a^2, mode m's factor is (exp(-a^2*v) - q_m*exp(-v/eps))/(1 - q_m),
   split into a slow and a fast part, except for the modes with
-  |1 - q_m| < 1/2. The split cancels there, and divides by 0 at q_m = 1,
-  where the mode has no singularity, so those modes, which lie around
-  m = 1/(2*pi*sqrt(eps)), take the equal phi form
-  exp(-a^2*v) + a^2*v*exp(-min(a^2, 1/eps)*v)*phi(|a^2 - 1/eps|*v),
-  phi(x) = -expm1(-x)/x (Hochbruck & Ostermann, "Exponential
-  integrators", Acta Numerica 19, 2010). So every eps >= 0 is evaluated.
+  |1 - q_m| < 1/2, which lie around m = 1/(2*pi*sqrt(eps)). The split
+  cancels there, and divides by 0 at q_m = 1, where the mode has no
+  singularity.
+
+Two real roots. A mode of either family with real roots lam2 <= lam1 <= 0,
+(-1 -+ sqrt(disc))/(2*eps) for the telegraph family and -max(a^2, 1/eps),
+-min(a^2, 1/eps) for the two-timescale family, has the factor
+T = (lam2*exp(lam1*v) - lam1*exp(lam2*v))/(lam2 - lam1), T(0) = 1 and
+T'(0) = 0. With g = lam1 - lam2 >= 0 it is
+    T = exp(lam1*v)*(1 - lam1*v*phi(g*v)),  phi(x) = -expm1(-x)/x,
+every term nonnegative: no difference of two decays is formed, and g = 0,
+critical damping or q_m = 1, is phi(0) = 1 (Hochbruck & Ostermann,
+"Exponential integrators", Acta Numerica 19, 2010). Every telegraph mode
+with disc >= 0 and every two-timescale mode with |1 - q_m| < 1/2 takes
+this form, so every eps >= 0 is evaluated.
 
 The families differ only in each mode's time factor T_m, and one blocked
 evaluator sums all three. It walks the modes in blocks, highest block
 first, and evaluates a block only at its live times: those where the
 slowest decay exp(-rate*v) of its modes, its first mode's, is not flushed
 to 0 at EXP_FLOOR. The rate is (2*m*pi)^2 for the parabolic modes and the
-slow part of the two-timescale modes, 1/(2*eps) for the underdamped and
-critical telegraph modes, whose decay is shared, and for an overdamped
-telegraph mode its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))). The
+slow part of the two-timescale modes, 1/(2*eps) for the underdamped
+telegraph modes, whose decay is shared, and for a telegraph mode with
+disc >= 0 its slow rate -lam1 = (4*m*pi)^2/(2*(1 + sqrt(disc))). The
 underdamped telegraph modes are walked apart from the lower ones, so none
 is evaluated where the shared decay is 0, and at a huge or infinite time
 no mode is evaluated at all: the density there is k0. Where the slow decay
@@ -87,7 +98,7 @@ memory does not grow with the truncation. Rows of few times, rows that are
 not sorted and uniform to within their rounding (jittered, reversed,
 shuffled, irregular or patterned rows), rows holding a non-finite time,
 tables of BLOCK or more positions and (u, v) pairs take the per-sample
-path, as do the overdamped and critical telegraph modes.
+path, as do the telegraph modes with disc >= 0.
 
 The time factors are the same code on every path, and on every path the
 two-timescale family at eps = 0 is the parabolic evaluation, bit for bit.
@@ -110,10 +121,6 @@ from .core import (
 )
 from .errors import DomainError, InvalidParameterError
 from .profiles import SpectralCoefficients
-
-#: Discriminant tolerance below which a mode is treated as critically damped;
-#: the overdamped formula divides by mu2 - mu1 which vanishes there.
-CRITICAL_DISC_TOL = 1e-12
 
 #: The fewest modes per block of the series walk, and times per block of
 #: the anchor/offset split of a uniform time row. It bounds the
@@ -228,52 +235,66 @@ def _slow_rate(model: str, eps: float, m: int) -> float:
 
     (2*m*pi)^2 for the parabolic family and the slow part of the
     two-timescale family; for the telegraph family 1/(2*eps), the shared
-    decay of the underdamped and critical modes, or, for an overdamped
-    mode m, its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))), which rises with
-    m to 1/(2*eps) at the critical mode.
+    decay of the underdamped modes (disc < 0), or, for a mode m with
+    disc >= 0, its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))), which rises
+    with m to 1/(2*eps) at disc = 0.
     """
     if model != "hyperbolic":
         return (2.0 * math.pi * m) ** 2
     disc = _discriminant(eps, m)
-    if disc > CRITICAL_DISC_TOL:
+    if disc >= 0:
         # The product form of (1 - sqrt(disc))/(2*eps), which cancels to 0
         # for small eps.
         return (4.0 * math.pi * m) ** 2 / (2.0 * (1.0 + math.sqrt(disc)))
     return 0.5 / eps
 
 
+def _two_root(slow, gap, v, decay):
+    """The time factor of modes with real roots slow = lam1 <= 0 and lam1 - gap.
+
+    T = exp(lam1*v)*(1 - lam1*v*phi(gap*v)), phi(x) = -expm1(-x)/x, which
+    is (lam2*exp(lam1*v) - lam1*exp(lam2*v))/(lam2 - lam1) with T(0) = 1 and
+    T'(0) = 0. decay = exp(lam1*v) is passed in, since the two-timescale
+    walk already holds it. lam1*v*phi(gap*v) = lam1*expm1(-gap*v)/gap takes
+    one product per sample and no difference of decays. Where gap is 0 it is taken as
+    2**-60*|lam1|, far below any nonzero gap of either family (about
+    2**-53*|lam1| at least); there phi(gap*v) is phi(0) = 1 to within
+    2**-61*|lam1|*v.
+    """
+    gap = np.maximum(gap, 2.0**-60 * -slow)
+    term = np.expm1(-gap * v)
+    term *= slow / gap
+    term += 1.0
+    term *= decay
+    return term
+
+
 def _telegraph_factor(eps: float, m, v, decay):
     """V_m(v)/k_m of the telegraph modes in column m at the times in v.
 
     m has shape (R, 1); v and decay = exp(-v/(2*eps)) are one row (1, N),
-    shared by every mode. The damping class of each mode follows from the
-    sign of 1 - (4*m*pi)^2*eps: overdamped (two real decay exponents
-    mu2 < mu1 < 0), critical, or underdamped (decay 1/(2*eps), angular
-    frequency omega).
+    shared by every mode. A mode with disc = 1 - (4*m*pi)^2*eps >= 0 has
+    real roots and takes _two_root; one with disc < 0 is underdamped, with
+    decay 1/(2*eps) and angular frequency omega.
     """
     disc = _discriminant(eps, m)
     out = np.empty((len(m), v.shape[1]))
-    over = disc[:, 0] > CRITICAL_DISC_TOL
-    under = disc[:, 0] < -CRITICAL_DISC_TOL
-    crit = ~(over | under)
-    if over.any():
-        sq = np.sqrt(disc[over])
-        # 1 - sq cancels for small eps; the rate is formed from the
-        # equivalent product form instead.
-        mu1 = -((4.0 * np.pi * m[over]) ** 2) / (2.0 * (1.0 + sq))
-        mu2 = -(1.0 + sq) / (2.0 * eps)
-        out[over] = (mu2 * _exp(mu1 * v) - mu1 * _exp(mu2 * v)) / (mu2 - mu1)
-    if under.any():
-        omega, r = _frequency(eps, disc[under])
+    real = disc[:, 0] >= 0
+    if real.any():
+        sq = np.sqrt(disc[real])
+        # lam1 = (sq - 1)/(2*eps) cancels for small eps; it is formed from
+        # the equivalent product form instead. lam1 - lam2 = sq/eps.
+        slow = -((4.0 * np.pi * m[real]) ** 2) / (2.0 * (1.0 + sq))
+        out[real] = _two_root(slow, sq / eps, v, _exp(slow * v))
+    if not real.all():
+        omega, r = _frequency(eps, disc[~real])
         phase = omega * v
         # decay*(cos(phase) + r*sin(phase)), formed in place.
         wave = np.sin(phase)
         wave *= r
         wave += np.cos(phase, out=phase)
         wave *= decay
-        out[under] = wave
-    if crit.any():
-        out[crit] = decay * (1.0 + v / (2.0 * eps))
+        out[~real] = wave
     return out
 
 
@@ -370,8 +391,8 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         with np.errstate(over="ignore"):
             shared = _exp((-1.0 / (2.0 * eps)) * v_flat if model == "hyperbolic" else -v_flat / eps)
     # The two-timescale modes near[0]..near[1], whose ratio
-    # q_m = eps*(2*m*pi)^2 = (m/star)^2 lies within 1/2 of 1, take the phi
-    # form (_wkb_near). They number about star/2, and are found in O(1).
+    # q_m = eps*(2*m*pi)^2 = (m/star)^2 lies within 1/2 of 1, take the
+    # two-root form. They number about star/2, and are found in O(1).
     star = 0.5 / (math.pi * math.sqrt(eps)) if two_scale else 0.0
     near = (max(1, math.ceil(star * 0.5**0.5)), min(terms, math.floor(star * 1.5**0.5)))
 
@@ -427,10 +448,14 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
             else:
                 t = _exp(-a2 * v_row)
             if two_scale:
-                # The block's rows lo..hi - 1 are modes near q = 1: phi form.
+                # The block's rows lo..hi - 1 are modes near q = 1, of roots
+                # -a^2 and -1/eps: two-root form, on the decay of the slower.
                 lo, hi = max(first, near[0]) - first, min(stop, near[1]) - first + 1
                 if lo < hi:
-                    rows = _wkb_near(eps, a2[lo:hi], v_row, t[lo:hi], shared[None, index])
+                    a2_near = a2[lo:hi]
+                    decay = np.where(a2_near <= 1.0 / eps, t[lo:hi], shared[None, index])
+                    rows = _two_root(-np.minimum(a2_near, 1.0 / eps),
+                                     np.abs(a2_near - 1.0 / eps), v_row, decay)
                 # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
                 gap = t - shared[None, index]
                 gap *= fast
@@ -448,10 +473,10 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     # no underdamped mode is evaluated where the shared decay is 0.
     under = 1
     if model == "hyperbolic":
-        # Found in O(1): mode 1/(4*pi*sqrt(eps)) - 1 and those below it are
-        # overdamped.
+        # Found in O(1): mode 1/(4*pi*sqrt(eps)) - 1 and those below it have
+        # disc > 0.
         under = min(terms + 1, max(1, math.floor(0.25 / (math.pi * math.sqrt(eps))) - 1))
-        while under <= terms and _discriminant(eps, under) >= -CRITICAL_DISC_TOL:
+        while under <= terms and _discriminant(eps, under) >= 0:
             under += 1
     walks = [(under, terms), (1, under - 1)]
 
@@ -523,38 +548,16 @@ def hyperbolic_density(coefficients: SpectralCoefficients, eps: float, u, v):
 # Two-timescale (WKB-type) family
 # ---------------------------------------------------------------------------
 
-def _wkb_near(eps: float, a2, v, slow, fast):
-    """T_m/k_m of the two-timescale modes of rates a2 = (2*m*pi)^2 at times v, in the phi form.
-
-    slow = exp(-a2*v) and fast = exp(-v/eps). With q = eps*a2 and r = 1/eps,
-        (slow - q*fast)/(1 - q) = slow + a2*v*exp(-min(a2, r)*v)*phi(|a2 - r|*v),
-    phi(x) = -expm1(-x)/x and phi(0) = 1. No difference of the two decays
-    is formed, so the factor keeps its digits at and near q = 1, where the
-    fast/slow split cancels (Hochbruck & Ostermann, Acta Numerica 19, 2010).
-
-    With g = |a2 - r|, a2*v*phi(g*v) = -expm1(-g*v)*a2/g, one product per
-    sample. Where a2 = r exactly, g is taken as 2**-60*a2, far below any
-    nonzero |a2 - r| (at least 2**-53*a2); there that product is a2*v to
-    within 2**-61*a2*v of its value, which is phi(0) = 1.
-    """
-    gap = np.maximum(np.abs(a2 - 1.0 / eps), 2.0**-60 * a2)
-    term = np.expm1(-gap * v)
-    term *= -a2 / gap
-    term *= np.where(a2 <= 1.0 / eps, slow, fast)
-    term += slow
-    return term
-
-
 def wkb_density(coefficients: SpectralCoefficients, eps: float, u, v):
     """Density of the two-timescale approximation at (u, v), eps >= 0.
 
     Each mode contributes k_m*e_s - fast_m*(e_s - e_f) with
     e_s = exp(-(2*m*pi)^2 v), e_f = exp(-v/eps) and
     fast_m = -q_m/(1 - q_m)*k_m, q_m = eps*(2*m*pi)^2, which equals k_m at
-    v = 0. A mode with |1 - q_m| < 1/2 takes the same factor in the phi
-    form (_wkb_near), which has no singularity at q_m = 1. For eps = 0 the
-    fast weights vanish, e_f is never formed and the result coincides with
-    parabolic_density exactly.
+    v = 0. A mode with |1 - q_m| < 1/2 takes the same factor in the
+    two-root form of roots -a^2 and -1/eps (_two_root), which has no
+    singularity at q_m = 1. For eps = 0 the fast weights vanish, e_f is
+    never formed and the result coincides with parabolic_density exactly.
     """
     return _series("wkb", coefficients, eps, u, v)
 

@@ -22,6 +22,7 @@ of the rounded product might not round as format's exact decimal does.
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import groupby
 
 import numpy as np
@@ -81,14 +82,21 @@ def _digits(places: int, lead: int) -> np.ndarray:
     return digits * ((np.arange(10**places)[:, None] >= p) | (p < lead))
 
 
-# HEAD[hi + 1000 * negative]: the sign and ip's digits from hi = ip // 10**4.
-HEAD = _words(np.column_stack((np.repeat([0, ord("-")], 1000),
-                               np.tile(_digits(3, lead=1), (2, 1)))))
-# BODY[lo + 10**4 * (hi > 0)]: ip's last 4 digits, lo = ip % 10**4, with
-# its leading zeros blank only when hi is 0.
-BODY = _words(np.concatenate((_digits(4, lead=10), _digits(4, lead=10_000))))
-# TAIL[f] | separator: the point and the fraction digits f = k % 100.
-TAIL = _words(np.column_stack((np.full(100, ord(".")), _digits(2, lead=100), np.zeros(100))))
+@cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The digit lookup tables (heads, bodies, tails), built on first use.
+
+    They take about 90 KB, which a process that draws no chart never needs.
+    heads[hi + 1000 * negative]: the sign and ip's digits from
+    hi = ip // 10**4. bodies[lo + 10**4 * (hi > 0)]: ip's last 4 digits,
+    lo = ip % 10**4, with its leading zeros blank only when hi is 0.
+    tails[f] | separator: the point and the fraction digits f = k % 100.
+    """
+    heads = _words(np.column_stack((np.repeat([0, ord("-")], 1000),
+                                    np.tile(_digits(3, lead=1), (2, 1)))))
+    bodies = _words(np.concatenate((_digits(4, lead=10), _digits(4, lead=10_000))))
+    tails = _words(np.column_stack((np.full(100, ord(".")), _digits(2, lead=100), np.zeros(100))))
+    return heads, bodies, tails
 
 
 def _fixed2_words(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]:
@@ -106,10 +114,11 @@ def _fixed2_words(values: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray]
     k = np.where(exact, np.rint(scaled), 0.0).astype(np.int64)
     ip, fraction = np.divmod(k, 100)
     hi, lo = np.divmod(ip, 10_000)
+    heads, bodies, tails = _tables()
     # The sign goes by the sign bit: "-0.00" for -0.0 and -0.001, as format writes it.
-    head = HEAD[hi + 1000 * np.signbit(values)]
-    tail = TAIL[fraction] | _words([[0, 0, 0, ord(sep)]])
-    return np.stack((head, BODY[lo + 10_000 * (hi > 0)], tail), axis=-1), exact
+    head = heads[hi + 1000 * np.signbit(values)]
+    tail = tails[fraction] | _words([[0, 0, 0, ord(sep)]])
+    return np.stack((head, bodies[lo + 10_000 * (hi > 0)], tail), axis=-1), exact
 
 
 def _points(x: np.ndarray, y: np.ndarray) -> list[str]:

@@ -56,9 +56,20 @@ MUTANTS = (
     Mutant("SPLIT_SPACINGS_widened", "src/slabdiff/spectral.py",
            "SPLIT_SPACINGS = 3.0", "SPLIT_SPACINGS = 3.0 * 2**20",
            ("tests/test_spectral.py",)),
-    Mutant("critical_factor_sign", "src/slabdiff/spectral.py",
-           "out[crit] = decay * (1.0 + v / (2.0 * eps))",
-           "out[crit] = decay * (1.0 - v / (2.0 * eps))",
+    # The two-root factor is exp(lam1*v)*(1 + lam1*v*phi): its correction
+    # term is subtracted, not added.
+    Mutant("two_root_slow_sign", "src/slabdiff/spectral.py",
+           "term *= slow / gap", "term *= -slow / gap",
+           ("tests/test_spectral.py",)),
+    # A gap of exactly 0, a telegraph mode at disc == 0 or a two-timescale
+    # mode at a^2 == 1/eps, divides 0 by 0.
+    Mutant("two_root_floor_dropped", "src/slabdiff/spectral.py",
+           "gap = np.maximum(gap, 2.0**-60 * -slow)", "gap = gap",
+           ("tests/test_spectral.py",)),
+    # A telegraph mode at disc == 0 is taken as underdamped, of frequency 0
+    # and r = 1/0.
+    Mutant("real_root_class_strict", "src/slabdiff/spectral.py",
+           "real = disc[:, 0] >= 0", "real = disc[:, 0] > 0",
            ("tests/test_spectral.py",)),
     Mutant("wkb_correction_sign", "src/slabdiff/spectral.py",
            "                t -= gap", "                t += gap",
@@ -288,14 +299,16 @@ MUTANTS = (
            "near = (max(1, math.ceil(star * 0.5**0.5)), min(terms, math.floor(star * 1.5**0.5)))",
            "near = (1, 0)",
            ("tests/test_spectral.py",)),
-    # phi(0) is not 1: at q = 1 the gap is taken as a^2/2, not 2**-60*a^2, so
-    # a mode's a^2*v*exp(-a^2*v) part shrinks by phi(a^2*v/2).
+    # phi(0) is not 1: at a gap of 0 (q = 1, or disc = 0) the gap is taken as
+    # |lam1|/2, not 2**-60*|lam1|, so a mode's lam1*v*exp(lam1*v) part
+    # shrinks by phi(|lam1|*v/2).
     Mutant("wkb_phi_at_zero", "src/slabdiff/spectral.py",
-           "2.0**-60 * a2", "2.0**-1 * a2",
+           "2.0**-60 * -slow", "2.0**-1 * -slow",
            ("tests/test_spectral.py",)),
-    # The phi form's decay is exp(-a^2*v) for q > 1 too, not exp(-v/eps).
+    # The two-root decay of a two-timescale mode near q = 1 is exp(-a^2*v)
+    # for q > 1 too, not exp(-v/eps) of the slower root.
     Mutant("wkb_phi_decay_always_slow", "src/slabdiff/spectral.py",
-           "np.where(a2 <= 1.0 / eps, slow, fast)", "slow",
+           "np.where(a2_near <= 1.0 / eps, t[lo:hi], shared[None, index])", "t[lo:hi]",
            ("tests/test_spectral.py",)),
     # The fast weight at a^2 = 1/eps exactly divides by 0.
     Mutant("wkb_fast_weight_at_exact_resonance", "src/slabdiff/spectral.py",
@@ -313,12 +326,12 @@ MUTANTS = (
            ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
     # A negative value is written without its sign.
     Mutant("fixed2_sign_cell_unused", "src/slabdiff/svgplot.py",
-           "HEAD[hi + 1000 * np.signbit(values)]", "HEAD[hi]",
+           "heads[hi + 1000 * np.signbit(values)]", "heads[hi]",
            ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
     # The last 4 integer digits keep their leading zeros from 2*10**4 up, not
     # 10**4: 10234.56 is written 1234.56.
     Mutant("fixed2_leading_digit_threshold", "src/slabdiff/svgplot.py",
-           "BODY[lo + 10_000 * (hi > 0)]", "BODY[lo + 10_000 * (hi > 1)]",
+           "bodies[lo + 10_000 * (hi > 0)]", "bodies[lo + 10_000 * (hi > 1)]",
            ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
     # The units digit of a value below 1 is blank: 0.5 is written .50.
     Mutant("fixed2_units_digit_blank", "src/slabdiff/svgplot.py",

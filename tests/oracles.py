@@ -2,14 +2,14 @@
 
 Each reference is written from its own formula and shares no code with the
 package it checks: the wall-free Gaussian, the closed-form Gaussian and
-surface coefficients, the two-timescale fast/slow split and each
-two-timescale mode in mpmath at 60 digits, a per-mode series
-summed one mode at a time, the underdamped telegraph modes summed in long
-double, the telegraph mode ODE integrated numerically, the explicit
-finite-difference schemes marched one step at a time, the runner's CSV
-rows and chart polylines formatted one element at a time (with the chart's
-layout constants), the `coeffs` table printed one line at a time, and an
-adaptive integral per coefficient (checked on its own in
+surface coefficients, the two-timescale fast/slow split, each
+two-timescale mode and each telegraph mode with real roots in mpmath at
+60 digits, a per-mode series summed one mode at a time, the underdamped
+telegraph modes summed in long double, the telegraph mode ODE integrated
+numerically, the explicit finite-difference schemes marched one step at a
+time, the runner's CSV rows and chart polylines formatted one element at a
+time (with the chart's layout constants), the `coeffs` table printed one
+line at a time, and an adaptive integral per coefficient (checked on its own in
 test_quadrature.py). That integral uses the 16-node composite
 Gauss-Legendre rule of the package's direct sums, with the same panel
 edges and summation order, so where it stops on the panel count of a
@@ -35,7 +35,6 @@ from slabdiff import (
 )
 from slabdiff.core import HALF_WIDTH
 from slabdiff.profiles import COEFFICIENT_ABS_TOL
-from slabdiff.spectral import CRITICAL_DISC_TOL
 from slabdiff.svgplot import HEIGHT, MARGIN_BOTTOM, MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, WIDTH
 
 # ---------------------------------------------------------------------------
@@ -255,24 +254,35 @@ def wkb_mode_factor(eps: float, m: int, v: float) -> float:
 # ---------------------------------------------------------------------------
 # The reference sums one mode at a time, highest m first, with compensated
 # (Kahan) summation, and evaluates each telegraph mode through the closed
-# form of its own damping class.
+# form of its own damping class: in mpmath where its roots are real.
 
 
 def reference_telegraph_factor(eps, m, v):
-    """V_m(v)/k_m of telegraph mode m: eps*V'' + V' + (2*m*pi)^2*V = 0, V(0) = 1, V'(0) = 0."""
-    disc = 1.0 - (4.0 * math.pi * m) ** 2 * eps
-    sigma = -1.0 / (2.0 * eps)
-    if disc > CRITICAL_DISC_TOL:
-        sq = math.sqrt(disc)
-        mu1 = -((4.0 * math.pi * m) ** 2) / (2.0 * (1.0 + sq))
-        mu2 = -(1.0 + sq) / (2.0 * eps)
-        return (mu2 * np.exp(mu1 * v) - mu1 * np.exp(mu2 * v)) / (mu2 - mu1)
-    if disc < -CRITICAL_DISC_TOL:
-        omega = math.sqrt(-disc) / (2.0 * eps)
-        return np.exp(sigma * v) * (
-            np.cos(omega * v) + (1.0 / (2.0 * eps * omega)) * np.sin(omega * v)
-        )
-    return np.exp(sigma * v) * (1.0 - sigma * v)
+    """V_m(v)/k_m of telegraph mode m: eps*V'' + V' + (2*m*pi)^2*V = 0, V(0) = 1, V'(0) = 0.
+
+    The discriminant disc = 1 - (4*m*pi)^2*eps is formed in mpmath at 60
+    digits from the double eps. A mode with disc >= 0 is evaluated there
+    too, as exp(-x)*(cosh(s*x) + sinh(s*x)/s), s = sqrt(disc) and
+    x = v/(2*eps), or its limit exp(-x)*(1 + x) at disc = 0; it takes each
+    v one at a time. A mode with disc < 0 takes the real cos/sin form in
+    doubles, from the rounded disc.
+    """
+    with mpmath.workdps(60):
+        disc = 1 - (4 * mpmath.pi * m) ** 2 * mpmath.mpf(eps)
+        if disc >= 0:
+            s = mpmath.sqrt(disc)
+
+            def factor(t):
+                x = mpmath.mpf(t) / (2 * mpmath.mpf(eps))
+                if s == 0:
+                    return float(mpmath.exp(-x) * (1 + x))
+                return float(mpmath.exp(-x) * (mpmath.cosh(s * x) + mpmath.sinh(s * x) / s))
+
+            return np.vectorize(factor, otypes=[float])(v)
+    omega = math.sqrt(-float(disc)) / (2.0 * eps)
+    return np.exp(-v / (2.0 * eps)) * (
+        np.cos(omega * v) + (1.0 / (2.0 * eps * omega)) * np.sin(omega * v)
+    )
 
 
 def reference_density(model, c, eps, u, v):

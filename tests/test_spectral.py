@@ -15,6 +15,7 @@ from oracles import (
     free_space_reference,
     ode_telegraph_factor,
     reference_density,
+    reference_telegraph_factor,
     wkb_coefficients,
     wkb_mode_factor,
 )
@@ -38,7 +39,6 @@ from slabdiff.core import TimeGrid
 from slabdiff.fd import cell_centers
 from slabdiff.spectral import (
     BLOCK,
-    CRITICAL_DISC_TOL,
     EXP_FLOOR,
     _lattice,
     _split_times,
@@ -425,6 +425,55 @@ def test_wkb_near_a_resonance_matches_mpmath(m, offset):
                                    rtol=0, atol=tol)
     np.testing.assert_allclose(wkb_density(c, eps, lattice[None, :], v[:, None]),
                                reference(lattice), rtol=0, atol=tol)
+
+
+#: disc = 1 - (4*m*pi)^2*eps of a telegraph mode m, or q - 1 of a
+#: two-timescale mode m: the distance from the mode's double root.
+DOUBLE_ROOT_OFFSETS = [0.0] + [s * 10.0**-k for k in (12, 11, 10, 8, 6, 4) for s in (1, -1)]
+DOUBLE_ROOT_V = np.array([0.0, 1e-3, 5e-3, 0.01, 0.02, 0.05, 0.1, 1.0])
+
+
+def near_double_root(model, m, offset):
+    """eps at which mode m of the family lies offset from its double root.
+
+    disc = offset for the telegraph family and q - 1 = offset for the
+    two-timescale family. At offset 0 eps is the double nearest 1/rate at
+    which the package's own arithmetic meets the root exactly: disc == 0,
+    or (2*m*pi)^2 == 1/eps, so the gap of the two roots is 0.
+    """
+    if model == "hyperbolic":
+        eps = (1.0 - offset) / (4.0 * math.pi * m) ** 2
+        exact = lambda e: spectral._discriminant(e, float(m)) == 0.0
+    else:
+        eps = (1.0 + offset) / (2.0 * math.pi * m) ** 2
+        exact = lambda e: (2.0 * np.pi * float(m)) ** 2 == 1.0 / e
+    if offset:
+        return eps
+    bits = np.array([eps]).view(np.int64)
+    for k in sorted(range(-32, 33), key=abs):
+        candidate = float((bits + k).view(np.float64)[0])
+        if exact(candidate):
+            return candidate
+    raise AssertionError(f"no eps within 32 ulps meets the {model} root of mode {m}")
+
+
+@pytest.mark.parametrize("offset", DOUBLE_ROOT_OFFSETS)
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("model", ["hyperbolic", "wkb"])
+def test_modes_near_a_double_root_match_mpmath(model, m, offset):
+    # The bare factor T_m (k0 = 0, k_m = 1) through the production series,
+    # within 1e-15 of mpmath at 60 digits, at and around critical damping
+    # of a telegraph mode and q = 1 of a two-timescale mode. The overdamped
+    # telegraph form (mu2*exp(mu1*v) - mu1*exp(mu2*v))/(mu2 - mu1) cancels
+    # there: it was off by up to 1.8e-11 at disc = 1e-11.
+    eps = near_double_root(model, m, offset)
+    if model == "hyperbolic":
+        expected = reference_telegraph_factor(eps, m, DOUBLE_ROOT_V)
+    else:
+        expected = [wkb_mode_factor(eps, m, t) for t in DOUBLE_ROOT_V]
+    unit = SpectralCoefficients(mean=0.0, modes=np.eye(1, m, m - 1)[0])
+    np.testing.assert_allclose(family_density(model, unit, eps, 0.0, DOUBLE_ROOT_V), expected,
+                               rtol=0, atol=1e-15)
 
 
 @pytest.mark.filterwarnings("error")  # exp(-v/eps) must not be formed at eps = 0
@@ -816,7 +865,7 @@ def contraction_tolerance(model, c, eps, v=None):
         return 1e-14 * scale
     m = np.arange(1, c.truncation + 1)
     disc = spectral._discriminant(eps, m)
-    under = disc < -CRITICAL_DISC_TOL
+    under = disc < 0
     omega = np.sqrt(-disc[under]) / (2.0 * eps)
     weight = np.sum(np.abs(c.modes[under]) * omega * np.sqrt(1.0 + (0.5 / (eps * omega)) ** 2))
     v = np.asarray(v, dtype=float)[:, None]
