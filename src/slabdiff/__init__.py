@@ -25,7 +25,7 @@ _EXPORTS = {
         "parabolic_density", "hyperbolic_density", "wkb_density", "field_slice",
         "time_trace",
     ),
-    "fd": ("FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph"),
+    "fd": ("FdConfig", "cell_centers", "fd_solve", "fd_solve_heat", "fd_solve_telegraph"),
     "analysis": (
         "ExtremumEvent", "ErrorNorms", "nearest_arrival", "detect_extrema",
         "classify_monotone", "error_norms",

@@ -1,8 +1,13 @@
 """Explicit finite-difference oracles for the heat and telegraph equations.
 
 These solvers share no code with the spectral families and exist to
-cross-validate them: fd imports no series code, and its slices are
-core.FieldSlice, the sampled result the series also return. Both use a
+cross-validate them: fd imports no series code. One call, fd_solve(profile,
+cfg), returns (recorded times, cells, table): row i of the (snapshots x
+cells) table is the solution at recorded time i. The config picks the
+equation, heat at eps == 0 and telegraph above. fd_solve_heat and
+fd_solve_telegraph give the same rows as core.FieldSlice views, one per
+snapshot, and refuse a config of the other equation; they are kept for
+callers of that form, such as the benchmark. Both equations use a
 cell-centered uniform grid with mirror ghost cells, which makes the
 zero-flux walls exact and lets the discrete mass telescope to a conserved
 quantity.
@@ -14,7 +19,7 @@ Telegraph (eps > 0), three-level:     stable for dv <= sqrt(eps)*du,
 
 Telegraph stability, per mode. With a = -(dv^2/du^2)*lambda_k/(eps + dv/2)
 and p = (eps - dv/2)/(eps + dv/2), each step maps mode k through the matrix
-[[1 + a, p], [a, p]] (see fd_solve_telegraph). Its determinant is p, and
+[[1 + a, p], [a, p]] (see _telegraph_delta). Its determinant is p, and
 |p| < 1 for every eps > 0 and dv > 0. So its roots lie strictly inside the
 unit circle iff -2*(1 + p) < a < 0 (Jury's test), that is, iff
 dv^2*lambda_k < 4*eps*du^2. The Laplacian eigenvalues lambda_k =
@@ -49,8 +54,9 @@ which reaches v = 0.05 at eps = 0.05; 8 MB at nu = 10^4 and MAX_STEPS).
 Each snapshot then costs at most log2(j) vector products (telegraph), or
 one expm1 of the log1p table plus a power of the modes with 1 + x <= 0
 (heat), and one inverse DCT. The Laplacian eigenvalues and the cell-centre
-grid are cached per nu and read-only: every slice of a solve, and of later
-solves on as many cells, shares one Grid1D.
+grid are cached per nu and read-only: every solve on as many cells returns
+the same cells array, and every slice the same Grid1D. The table is written
+row by row into one preallocated array, so a solve holds its solution once.
 
 Requested snapshot times are snapped to the nearest step boundary; the
 actually recorded time j*dv is reported so comparisons use matching times.
@@ -209,36 +215,11 @@ def snapshot_steps(cfg: FdConfig) -> list[int]:
     return [int(round(t / cfg.dv)) for t in cfg.snapshot_times.points]
 
 
-def _solve(profile: InitialProfile, cfg: FdConfig, steps: list[int], delta) -> list[FieldSlice]:
-    """One slice per snapshot step j in steps: n0 + idct(delta(j) * dct(n0)).
+def _heat_delta(cfg: FdConfig):
+    """delta(j), the per-mode change after j forward-Euler steps of dn/dv = d2n/du2.
 
-    delta(j) is the per-mode change after j steps. It is exactly 0 for
-    k = 0, so the discrete mass does not drift and uniform data stays fixed.
+    Each step multiplies mode k by 1 - r*lambda_k (r = dv/du^2).
     """
-    grid = _cell_grid(cfg.nu)
-    n0 = np.asarray(evaluate_profile(profile, grid.points), dtype=float)
-    c0 = _dct(n0)
-    return [
-        FieldSlice(
-            grid=grid,
-            v=j * cfg.dv,
-            values=n0 + _idct(delta(j) * c0),
-        )
-        for j in steps
-    ]
-
-
-def fd_solve_heat(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
-    """Forward-Euler solution of dn/dv = d2n/du2 with zero-flux walls.
-
-    Each step multiplies mode k by 1 - r*lambda_k (r = dv/du^2). Returns
-    one slice per requested snapshot time, with the snapped time recorded
-    in each slice.
-    """
-    if cfg.eps != 0.0:
-        raise InvalidParameterError(
-            f"fd_solve_heat requires a heat-mode config (eps == 0), got eps={cfg.eps!r}"
-        )
     x = -(cfg.dv / cfg.du**2) * _laplacian_eigenvalues(cfg.nu)
     # log1p keeps slow modes accurate; high modes can have 1 + x <= 0,
     # where the plain power is used instead.
@@ -253,20 +234,16 @@ def fd_solve_heat(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
         out[rough] = np.power(factor, j) - 1.0
         return out
 
-    return _solve(profile, cfg, snapshot_steps(cfg), delta)
+    return delta
 
 
-def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
-    """Three-level explicit solution of eps*d2n/dv2 + dn/dv = d2n/du2.
+def _telegraph_delta(cfg: FdConfig, steps: list[int]):
+    """delta(j), the per-mode change after j <= max(steps) three-level steps.
 
-    The zero initial rate is built into the special first step; afterwards
-    the centered three-level update is used. Returns one slice per
-    requested snapshot time.
+    The scheme is that of eps*d2n/dv2 + dn/dv = d2n/du2. The zero initial
+    rate is built into the special first step; afterwards the centered
+    three-level update is used.
     """
-    if cfg.eps == 0.0:
-        raise InvalidParameterError(
-            "fd_solve_telegraph requires a telegraph-mode config (eps > 0), got eps=0.0"
-        )
     eps, dv, du = cfg.eps, cfg.dv, cfg.du
     # Coefficients of the centered three-level scheme in increment form,
     # new = cur + p_lap*Lap(cur) + p_prev*(cur - prev).
@@ -281,7 +258,6 @@ def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlic
     # (dv > 2*eps), where closed forms through the matrix roots break down.
     d1 = -(dv * dv / (2.0 * eps)) / (du * du) * lam
     a = -p_lap * lam
-    steps = snapshot_steps(cfg)
     # powers[b] = M^(2^b), squared once per solve for the bits of the
     # largest j - 1; every snapshot applies the powers its own j - 1 selects.
     powers = [(1.0 + a, p_prev, a, p_prev)]
@@ -303,4 +279,47 @@ def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlic
                 value, incr = m00 * value + m01 * incr, m10 * value + m11 * incr
         return value - 1.0
 
-    return _solve(profile, cfg, steps, delta)
+    return delta
+
+
+def fd_solve(profile: InitialProfile, cfg: FdConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The FD solution at every snapshot time, as (recorded times, cells, table).
+
+    The config picks the equation: heat at eps == 0, telegraph above. Row i
+    of the (snapshots x cells) table is the solution after j steps, j the
+    snapshot's step, and the recorded times are j*dv. The cells are the
+    shared, read-only cell_centers(nu). Each row is n0 + idct(delta(j) *
+    dct(n0)), where delta(j), the per-mode change after j steps, is exactly
+    0 for k = 0: the discrete mass does not drift and uniform data stays
+    fixed.
+    """
+    steps = snapshot_steps(cfg)
+    delta = _heat_delta(cfg) if cfg.eps == 0.0 else _telegraph_delta(cfg, steps)
+    cells = _cell_grid(cfg.nu).points
+    n0 = np.asarray(evaluate_profile(profile, cells), dtype=float)
+    c0 = _dct(n0)
+    table = np.empty((len(steps), cfg.nu))
+    for i, j in enumerate(steps):
+        np.add(n0, _idct(delta(j) * c0), out=table[i])
+    return np.array(steps) * cfg.dv, cells, table
+
+
+def _slices(profile: InitialProfile, cfg: FdConfig, equation: str) -> list[FieldSlice]:
+    """fd_solve's rows as FieldSlices on the shared cell grid, for a config of `equation`."""
+    if (cfg.eps == 0.0) != (equation == "heat"):
+        raise InvalidParameterError(
+            f"fd_solve_{equation} requires a {equation}-mode config, got eps={cfg.eps!r}"
+        )
+    recorded, _, table = fd_solve(profile, cfg)
+    grid = _cell_grid(cfg.nu)
+    return [FieldSlice(grid=grid, v=v, values=row) for v, row in zip(recorded.tolist(), table)]
+
+
+def fd_solve_heat(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
+    """fd_solve of a heat config (eps == 0), one FieldSlice per snapshot."""
+    return _slices(profile, cfg, "heat")
+
+
+def fd_solve_telegraph(profile: InitialProfile, cfg: FdConfig) -> list[FieldSlice]:
+    """fd_solve of a telegraph config (eps > 0), one FieldSlice per snapshot."""
+    return _slices(profile, cfg, "telegraph")

@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival, wavefront_position
 from .core import SPECTRAL_MODELS, TimeGrid, TimeTrace
-from .fd import fd_solve_heat, fd_solve_telegraph
+from .fd import fd_solve
 from .profiles import compute_coefficients
 from .scenario import Scenario, format_float, scenario_hash
 from .spectral import family_density
@@ -156,11 +156,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         # keep every recorded step; its traces take the cell nearest to each
         # position, at each distinct recorded time.
         cfg = s.fd_config()
-        solver = fd_solve_heat if s.eps == 0.0 else fd_solve_telegraph
-        slices = solver(s.profile, cfg)
-        fd_cells = slices[0].grid.points
-        recorded = np.array([sl.v for sl in slices])
-        table = np.stack([sl.values for sl in slices])
+        recorded, fd_cells, table = fd_solve(s.profile, cfg)
         fields.append(("fd", fd_cells, recorded, table))
         keep = np.concatenate(([True], np.diff(recorded) > 0))
         nearest = np.abs(fd_cells[None, :] - u_trace[:, None]).argmin(axis=1)

@@ -16,6 +16,13 @@ Three families share the cosine-series coefficients of the initial profile:
   cancels there, and divides by 0 at q_m = 1, where the mode has no
   singularity.
 
+The two-timescale family is the exact series solution of
+    eps*n_vv + n_v = n_uu + eps*n_uuv,  zero-flux walls, n_v(0) = 0:
+mode m's factor has the roots -a^2 and -1/eps, and T_m'(0) = 0. That is
+the balance n_v = -q_u with the flux law q + eps*q_v = -(n_u + eps*n_uv),
+of Jeffreys type, with equal relaxation and retardation times (D. D.
+Joseph and L. Preziosi, "Heat waves", Rev. Mod. Phys. 61, 1989).
+
 Two real roots. A mode of either family with real roots lam2 <= lam1 <= 0,
 (-1 -+ sqrt(disc))/(2*eps) for the telegraph family and -max(a^2, 1/eps),
 -min(a^2, 1/eps) for the two-timescale family, has the factor
@@ -220,8 +227,14 @@ def _split_times(v):
 
 
 def _discriminant(eps: float, m):
-    """1 - (4*m*pi)^2*eps: > 0 overdamped, < 0 underdamped telegraph mode m."""
-    return 1.0 - (4.0 * np.pi * m) ** 2 * eps
+    """1 - (4*m*pi)^2*eps: > 0 overdamped, < 0 underdamped telegraph mode m.
+
+    Squared as x*x, which numpy's x**2 of an array is and Python's float
+    power is not, for some m by 1 ulp: a scalar m is then classed as its
+    row of a block is.
+    """
+    x = 4.0 * np.pi * m
+    return 1.0 - x * x * eps
 
 
 def _frequency(eps: float, disc):
@@ -275,27 +288,25 @@ def _telegraph_factor(eps: float, m, v, decay):
     m has shape (R, 1); v and decay = exp(-v/(2*eps)) are one row (1, N),
     shared by every mode. A mode with disc = 1 - (4*m*pi)^2*eps >= 0 has
     real roots and takes _two_root; one with disc < 0 is underdamped, with
-    decay 1/(2*eps) and angular frequency omega.
+    decay 1/(2*eps) and angular frequency omega. _series walks the modes
+    with disc >= 0 apart from the underdamped ones, so every mode of m is
+    of the class of its first.
     """
     disc = _discriminant(eps, m)
-    out = np.empty((len(m), v.shape[1]))
-    real = disc[:, 0] >= 0
-    if real.any():
-        sq = np.sqrt(disc[real])
+    if disc[0, 0] >= 0:
+        sq = np.sqrt(disc)
         # lam1 = (sq - 1)/(2*eps) cancels for small eps; it is formed from
         # the equivalent product form instead. lam1 - lam2 = sq/eps.
-        slow = -((4.0 * np.pi * m[real]) ** 2) / (2.0 * (1.0 + sq))
-        out[real] = _two_root(slow, sq / eps, v, _exp(slow * v))
-    if not real.all():
-        omega, r = _frequency(eps, disc[~real])
-        phase = omega * v
-        # decay*(cos(phase) + r*sin(phase)), formed in place.
-        wave = np.sin(phase)
-        wave *= r
-        wave += np.cos(phase, out=phase)
-        wave *= decay
-        out[~real] = wave
-    return out
+        slow = -((4.0 * np.pi * m) ** 2) / (2.0 * (1.0 + sq))
+        return _two_root(slow, sq / eps, v, _exp(slow * v))
+    omega, r = _frequency(eps, disc)
+    phase = omega * v
+    # decay*(cos(phase) + r*sin(phase)), formed in place.
+    wave = np.sin(phase)
+    wave *= r
+    wave += np.cos(phase, out=phase)
+    wave *= decay
+    return wave
 
 
 def _contracted(coefficients, eps: float, split, lo: int, u):

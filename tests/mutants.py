@@ -66,10 +66,16 @@ MUTANTS = (
     Mutant("two_root_floor_dropped", "src/slabdiff/spectral.py",
            "gap = np.maximum(gap, 2.0**-60 * -slow)", "gap = gap",
            ("tests/test_spectral.py",)),
-    # A telegraph mode at disc == 0 is taken as underdamped, of frequency 0
-    # and r = 1/0.
+    # A block of telegraph modes whose first has disc == 0 is taken as
+    # underdamped, of frequency 0 and r = 1/0.
     Mutant("real_root_class_strict", "src/slabdiff/spectral.py",
-           "real = disc[:, 0] >= 0", "real = disc[:, 0] > 0",
+           "if disc[0, 0] >= 0:", "if disc[0, 0] > 0:",
+           ("tests/test_spectral.py",)),
+    # A scalar mode's disc comes from Python's float power, 1 ulp off x*x
+    # for some m: the first underdamped mode of the walk can open a block
+    # that classes it as real, and the rest of the block is NaN.
+    Mutant("disc_python_power", "src/slabdiff/spectral.py",
+           "return 1.0 - x * x * eps", "return 1.0 - x**2 * eps",
            ("tests/test_spectral.py",)),
     Mutant("wkb_correction_sign", "src/slabdiff/spectral.py",
            "                t -= gap", "                t += gap",
@@ -156,6 +162,20 @@ MUTANTS = (
     # Each snapshot applies the powers that j, not j - 1, selects.
     Mutant("telegraph_bits_of_j", "src/slabdiff/fd.py",
            "if (j - 1) >> b & 1:", "if j >> b & 1:",
+           ("tests/test_fd.py",)),
+    # Snapshot i is written to row i - 1: every row holds the next
+    # snapshot, and the last row the initial data.
+    Mutant("fd_solve_row_shifted", "src/slabdiff/fd.py",
+           "out=table[i])", "out=table[i - 1])",
+           ("tests/test_fd.py",)),
+    # The recorded times are the requested ones, not the steps they snap to.
+    Mutant("fd_recorded_times_requested", "src/slabdiff/fd.py",
+           "return np.array(steps) * cfg.dv, cells, table",
+           "return cfg.snapshot_times.points, cells, table",
+           ("tests/test_fd.py",)),
+    # A small eps is solved as heat: the equation is not chosen by eps == 0.
+    Mutant("fd_equation_by_small_eps", "src/slabdiff/fd.py",
+           "_heat_delta(cfg) if cfg.eps == 0.0 else", "_heat_delta(cfg) if cfg.eps < 1e-4 else",
            ("tests/test_fd.py",)),
     # The power table stops one square short when the largest j - 1 is 2^k.
     Mutant("power_table_bound", "src/slabdiff/fd.py",

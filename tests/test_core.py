@@ -409,7 +409,7 @@ PUBLIC_NAMES = [
     "evaluate_profile", "compute_coefficients",
     "parabolic_density", "hyperbolic_density",
     "wkb_density", "field_slice", "time_trace",
-    "FdConfig", "cell_centers", "fd_solve_heat", "fd_solve_telegraph",
+    "FdConfig", "cell_centers", "fd_solve", "fd_solve_heat", "fd_solve_telegraph",
     "ExtremumEvent", "ErrorNorms", "nearest_arrival", "detect_extrema",
     "classify_monotone", "error_norms",
     "Scenario", "parse_scenario", "serialize_scenario", "scenario_hash",

@@ -16,6 +16,7 @@ from slabdiff import (
     cell_centers,
     detect_extrema,
     evaluate_profile,
+    fd_solve,
     fd_solve_heat,
     fd_solve_telegraph,
     hyperbolic_density,
@@ -88,6 +89,22 @@ def test_config_parameter_validation():
         FdConfig(nu=100, dv=1e-9, eps=0.0, snapshot_times=times(1.0))
 
 
+def test_slice_shims_are_fd_solve_rows():
+    # fd_solve_heat and fd_solve_telegraph give fd_solve's rows as
+    # FieldSlices on one shared grid; they are two functions, not aliases.
+    assert fd_solve_heat is not fd_solve_telegraph
+    prof = GaussianProfile(100.0, 1.0)
+    for shim, eps in ((fd_solve_heat, 0.0), (fd_solve_telegraph, EPS_REF)):
+        cfg = FdConfig.auto(64, eps, times(0.0, 0.001, 0.01))
+        recorded, cells, table = fd_solve(prof, cfg)
+        slices = shim(prof, cfg)
+        assert [sl.v for sl in slices] == recorded.tolist()
+        assert all(type(sl.v) is float for sl in slices)
+        for sl, row in zip(slices, table):
+            assert sl.grid.points is cells
+            np.testing.assert_array_equal(sl.values, row)
+
+
 def test_solver_mode_guards():
     cfg_heat = FdConfig.auto(50, 0.0, times(0.01))
     cfg_tel = FdConfig.auto(50, EPS_REF, times(0.01))
@@ -155,9 +172,7 @@ def test_mass_conserved_every_step():
         dv = FdConfig.auto(128, eps, times(1.0)).dv
         snap = TimeGrid.from_values(np.arange(1, 101) * dv)
         cfg = FdConfig(nu=128, dv=dv, eps=eps, snapshot_times=snap)
-        solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
-        slices = solver(prof, cfg)
-        masses = [discrete_mass(sl.values, cfg.du) for sl in slices]
+        masses = [discrete_mass(row, cfg.du) for row in fd_solve(prof, cfg)[2]]
         m0 = discrete_mass(evaluate_profile(prof, cell_centers(128)), cfg.du)
         steps = np.abs(np.diff([m0] + masses)) / m0
         assert np.max(steps) < 1e-10
@@ -174,11 +189,9 @@ def test_mass_drift_over_long_run_stays_small():
 def test_even_data_stays_even():
     prof = GaussianProfile(100.0, 1.0)
     for eps in (0.0, EPS_REF):
-        cfg = FdConfig.auto(200, eps, times(0.05))
-        solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
-        sl = solver(prof, cfg)[0]
-        asym = np.max(np.abs(sl.values - sl.values[::-1]))
-        assert asym < 1e-12 * np.max(sl.values)
+        (row,) = fd_solve(prof, FdConfig.auto(200, eps, times(0.05)))[2]
+        asym = np.max(np.abs(row - row[::-1]))
+        assert asym < 1e-12 * np.max(row)
 
 
 # ---------------------------------------------------------------------------
@@ -234,15 +247,14 @@ def test_telegraph_echoes_match_the_series(request, profile, nu):
 
 def fd_errors(profile, coeffs, eps, nu, snap):
     """FD minus the series, each slice compared at its own recorded time."""
-    cfg = FdConfig.auto(nu, eps, snap)
-    solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
+    recorded, cells, table = fd_solve(profile, FdConfig.auto(nu, eps, snap))
     out = []
-    for sl in solver(profile, cfg):
+    for v, row in zip(recorded, table):
         if eps == 0.0:
-            ref = parabolic_density(coeffs, sl.grid.points, sl.v)
+            ref = parabolic_density(coeffs, cells, v)
         else:
-            ref = hyperbolic_density(coeffs, eps, sl.grid.points, sl.v)
-        out.append(sl.values - ref)
+            ref = hyperbolic_density(coeffs, eps, cells, v)
+        out.append(row - ref)
     return out
 
 
@@ -292,14 +304,13 @@ def test_heat_grid_convergence_is_second_order():
 
 
 def assert_matches_stepping(prof, cfg, atol=1e-10):
-    solver, stepper = (
-        (fd_solve_heat, step_heat) if cfg.eps == 0.0 else (fd_solve_telegraph, step_telegraph)
-    )
+    stepper = step_heat if cfg.eps == 0.0 else step_telegraph
     n0 = np.asarray(evaluate_profile(prof, cell_centers(cfg.nu)), dtype=float)
-    for sl, requested in zip(solver(prof, cfg), cfg.snapshot_times.points):
+    recorded, _, table = fd_solve(prof, cfg)
+    for v, row, requested in zip(recorded, table, cfg.snapshot_times.points):
         steps = round(requested / cfg.dv)
-        assert sl.v == steps * cfg.dv
-        np.testing.assert_allclose(sl.values, stepper(n0, cfg, steps), rtol=0, atol=atol)
+        assert v == steps * cfg.dv
+        np.testing.assert_allclose(row, stepper(n0, cfg, steps), rtol=0, atol=atol)
 
 
 @pytest.mark.parametrize("nu", [16, 40, 128])
@@ -334,21 +345,20 @@ def test_each_snapshot_equals_its_time_solved_alone(nu, eps):
     # table's top power. eps = 1e-6 gives p_prev < 0.
     prof = GaussianProfile(100.0, 1.0)
     dv = FdConfig.auto(nu, eps, times(1.0)).dv
-    solver = fd_solve_heat if eps == 0.0 else fd_solve_telegraph
     snap = TimeGrid.from_values([j * dv for j in SHARED_STEPS])
-    slices = solver(prof, FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=snap))
-    assert [sl.v for sl in slices] == [j * dv for j in SHARED_STEPS]
+    recorded, cells, table = fd_solve(prof, FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=snap))
+    assert recorded.tolist() == [j * dv for j in SHARED_STEPS]
+    assert table.shape == (len(SHARED_STEPS), nu)
     n0 = np.asarray(evaluate_profile(prof, cell_centers(nu)), dtype=float)
-    np.testing.assert_array_equal(slices[0].values, n0)
-    for j, sl in zip(SHARED_STEPS[1:], slices[1:]):
-        (alone,) = solver(prof, FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=times(j * dv)))
-        assert alone.v == sl.v
-        np.testing.assert_array_equal(sl.values, alone.values, err_msg=f"j = {j}")
-    points = slices[0].grid.points
-    np.testing.assert_array_equal(points, cell_centers(nu))
-    assert all(sl.grid is slices[0].grid for sl in slices)
+    np.testing.assert_array_equal(table[0], n0)
+    for j, v, row in zip(SHARED_STEPS[1:], recorded[1:], table[1:]):
+        alone = fd_solve(prof, FdConfig(nu=nu, dv=dv, eps=eps, snapshot_times=times(j * dv)))
+        assert alone[0].tolist() == [v]
+        assert alone[1] is cells
+        np.testing.assert_array_equal(row, alone[2][0], err_msg=f"j = {j}")
+    np.testing.assert_array_equal(cells, cell_centers(nu))
     with pytest.raises(ValueError, match="read-only"):
-        points[0] = 0.0
+        cells[0] = 0.0
 
 
 @pytest.mark.parametrize("eps", [1e-4, 1e-6])

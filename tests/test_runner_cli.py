@@ -3,6 +3,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 from pathlib import Path
@@ -26,7 +27,7 @@ from slabdiff import (
 )
 from slabdiff import runner
 from slabdiff.cli import main
-from slabdiff.fd import fd_solve_telegraph
+from slabdiff.fd import fd_solve
 from slabdiff.scenario import MODEL_ORDER, override
 from slabdiff.svgplot import line_chart
 
@@ -291,8 +292,27 @@ def test_run_json_is_the_indented_json_of_its_values(tmp_path, s):
     assert text == json.dumps(meta, sort_keys=True, indent=2) + "\n"
     assert meta["requested_times"] == s.time_grid().points.tolist()
     if "fd" in s.models:
-        recorded = [sl.v for sl in fd_solve_telegraph(s.profile, s.fd_config())]
-        assert meta["fd"]["recorded_times"] == recorded
+        recorded = fd_solve(s.profile, s.fd_config())[0]
+        assert meta["fd"]["recorded_times"] == recorded.tolist()
+
+
+def test_an_fd_run_holds_its_table_once(tmp_path):
+    # 2,001 recorded times of 400 cells: a 6.1 MiB table. The runner reads
+    # fd_solve's table as it is; stacking a list of slices into a second
+    # copy peaked at 13.25 MiB. A warm-up run fills every cache first.
+    s = Scenario(
+        name="fdonly", eps=0.13, profile=GaussianProfile(100.0, 1.0), truncation=50,
+        v_range=(0.0, 0.2, 2001), trace_u=(0.5, 0.0), models=("fd",), fd_nu=400,
+        outputs=("csv",),
+    )
+    run_scenario(s, tmp_path)
+    tracemalloc.start()
+    try:
+        run_scenario(s, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (2001 * 400 * 8)
 
 
 def test_one_sample_trace_charts(tmp_path):
@@ -912,7 +932,8 @@ def test_run_scenario_curves_match_the_per_element_oracle(tmp_path, monkeypatch,
     fields = {m: crafted_density(m, None, s.eps, grid[None, :], v[:, None]) for m in series}
     traces = {m: crafted_density(m, None, s.eps, np.array(s.trace_u)[None, :], v[:, None])
               for m in series}
-    fd_slices = fd_solve_telegraph(s.profile, s.fd_config()) if "fd" in models else []
+    if "fd" in models:
+        recorded, cells, table = fd_solve(s.profile, s.fd_config())
 
     def check(stem, x_name, curves):
         csv = (tmp_path / f"{stem}.csv").read_text()
@@ -923,18 +944,14 @@ def test_run_scenario_curves_match_the_per_element_oracle(tmp_path, monkeypatch,
 
     for i, t in enumerate(times):
         curves = [(m, grid, t, fields[m][i]) for m in series]
-        if fd_slices:
-            sl = fd_slices[i]
-            curves.append(("fd", sl.grid.points, sl.v, sl.values))
+        if "fd" in models:
+            curves.append(("fd", cells, recorded[i], table[i]))
         check(f"edge_field_{i}", "u", curves)
     for j, u in enumerate(s.trace_u):
         curves = [(m, u, v, traces[m][:, j]) for m in series]
-        if fd_slices:
+        if "fd" in models:
             # The cell nearest to u, at each distinct recorded time.
-            cells = fd_slices[0].grid.points
             idx = int(np.argmin(np.abs(cells - u)))
-            recorded = [sl.v for sl in fd_slices]
             keep = [k for k in range(len(recorded)) if k == 0 or recorded[k] > recorded[k - 1]]
-            curves.append(("fd", cells[idx], np.array(recorded)[keep],
-                           np.array([fd_slices[k].values[idx] for k in keep])))
+            curves.append(("fd", cells[idx], recorded[keep], table[keep, idx]))
         check(f"edge_trace_{j}", "v", curves)

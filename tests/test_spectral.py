@@ -151,6 +151,28 @@ def test_mode_classification_critical():
         )
 
 
+def test_first_underdamped_mode_is_classed_as_its_block_classes_it():
+    # At this eps, (4*pi*2207)^2 is 1 ulp apart in Python's float power and
+    # in np.square, so disc of mode 2207 reads -2.2e-16 in the one and 0 in
+    # the other. The search for the first underdamped mode and the block
+    # that evaluates it must class the mode alike: the walk then holds no
+    # block that mixes the two classes.
+    eps, m = 1.3000965494200523e-09, 2207
+    assert (4.0 * math.pi * m) ** 2 != float(np.square(4.0 * math.pi * m))
+    assert spectral._discriminant(eps, m) == 0.0
+    assert spectral._discriminant(eps, np.array([[float(m)]]))[0, 0] == 0.0
+    modes = np.zeros(m + 8)
+    modes[m - 1] = modes[m + 7] = 1.0
+    v = np.array([0.0, 1e-9, 5e-9, 2e-8])
+    values = hyperbolic_density(SpectralCoefficients(mean=0.0, modes=modes), eps, 0.0, v)
+    # Mode 2207 is critically damped, mode 2215 underdamped.
+    x = v / (2.0 * eps)
+    disc = 1.0 - (4.0 * math.pi * (m + 8)) ** 2 * eps
+    omega = math.sqrt(-disc) / (2.0 * eps)
+    expected = np.exp(-x) * (1.0 + x + np.cos(omega * v) + np.sin(omega * v) / (2.0 * eps * omega))
+    np.testing.assert_allclose(values, expected, rtol=1e-12, atol=0)
+
+
 def test_mode_classification_overdamped_limit():
     # Overdamped: no oscillation, and the slow exponent mu1 tends to the
     # parabolic rate -(2 pi)^2, so V decays like exp(mu1 v) once the fast
@@ -355,6 +377,49 @@ def test_hyperbolic_collapses_to_parabolic(gaussian_coeffs):
 # ---------------------------------------------------------------------------
 # two-timescale (WKB-type) family
 # ---------------------------------------------------------------------------
+
+
+def equation_terms(density, c, eps, u, v, hu, hv):
+    """eps*n_vv, n_v, n_uu and eps*n_uuv of a family at (u, v), by central differences."""
+    n = density(c, eps, u + np.array([-hu, 0.0, hu])[:, None], v + np.array([-hv, 0.0, hv]))
+    n_uu = (n[2] - 2.0 * n[1] + n[0]) / hu**2
+    return np.array([
+        eps * (n[1, 2] - 2.0 * n[1, 1] + n[1, 0]) / hv**2,
+        (n[1, 2] - n[1, 0]) / (2.0 * hv),
+        n_uu[1],
+        eps * (n_uu[2] - n_uu[0]) / (2.0 * hv),
+    ])
+
+
+@pytest.mark.parametrize("eps", [0.13, 0.01, 1.0 / (2.0 * math.pi) ** 2, 1e-3])
+@pytest.mark.parametrize("m", [1, 2, 5])
+def test_wkb_solves_the_jeffreys_equation(m, eps):
+    # The family is the series solution of eps*n_vv + n_v = n_uu + eps*n_uuv
+    # with n_v(0) = 0. The residual, over the largest of the four terms, is
+    # at most 6.9e-6 on these cases (difference rounding and truncation at
+    # steps of 3e-3 of 1/a and of v); the telegraph family's, which lacks
+    # eps*n_uuv, is at least 7.2e-3. These cases cover q = eps*a^2 far
+    # from 1, near it (m = 5, eps = 1e-3) and at it (m = 1, eps = 1/(2*pi)^2).
+    # The parabolic family solves the equation too, with n_v(0) = -a^2*n(0).
+    modes = np.zeros(m)
+    modes[-1] = 1.0
+    c = SpectralCoefficients(mean=0.0, modes=modes)
+    a2 = (2.0 * math.pi * m) ** 2
+    signs = np.array([1.0, 1.0, -1.0, -1.0])
+    for u in (0.1, 0.23, 0.37):
+        for x in (0.2, 1.0, 3.0):
+            v = x / max(a2, 1.0 / eps)
+            residual = {}
+            for density in (wkb_density, hyperbolic_density):
+                terms = equation_terms(density, c, eps, u, v, 3e-3 / math.sqrt(a2), 3e-3 * v)
+                residual[density] = abs(signs @ terms) / np.max(np.abs(terms))
+            assert residual[wkb_density] < 1e-4, (u, v, residual)
+            assert residual[hyperbolic_density] > 3e-3, (u, v, residual)
+    # The initial rate, by a one-sided second-order difference: at most
+    # 6.6e-7 of the parabolic rate a^2*n(0) on these cases.
+    h = 1e-3 * min(eps, 1.0 / a2)
+    n = wkb_density(c, eps, 0.1, np.array([0.0, h, 2.0 * h]))
+    assert abs((-3.0 * n[0] + 4.0 * n[1] - n[2]) / (2.0 * h)) < 1e-5 * a2 * abs(n[0])
 
 
 def test_wkb_weights_identities(gaussian_coeffs):
