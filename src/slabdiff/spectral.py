@@ -11,7 +11,7 @@ Three families share the cosine-series coefficients of the initial profile:
 * two-timescale (WKB-type): a fast boundary-layer decay exp(-v/eps)
   superposed on the parabolic relaxation. With a = 2*m*pi and
   q_m = eps*a^2, mode m's factor is (exp(-a^2*v) - q_m*exp(-v/eps))/(1 - q_m),
-  split into a slow and a fast part, except for the modes with
+  split into a slow and a fast part, except in the band of modes with
   |1 - q_m| < 1/2, which lie around m = 1/(2*pi*sqrt(eps)). The split
   cancels there, and divides by 0 at q_m = 1, where the mode has no
   singularity.
@@ -36,19 +36,24 @@ with disc >= 0 and every two-timescale mode with |1 - q_m| < 1/2 takes
 this form, so every eps >= 0 is evaluated.
 
 The families differ only in each mode's time factor T_m, and one blocked
-evaluator sums all three. It walks the modes in blocks, highest block
-first, and evaluates a block only at its live times: those where the
-slowest decay exp(-rate*v) of its modes, its first mode's, is not flushed
-to 0 at EXP_FLOOR. The rate is (2*m*pi)^2 for the parabolic modes and the
-slow part of the two-timescale modes, 1/(2*eps) for the underdamped
-telegraph modes, whose decay is shared, and for a telegraph mode with
-disc >= 0 its slow rate -lam1 = (4*m*pi)^2/(2*(1 + sqrt(disc))). The
-underdamped telegraph modes are walked apart from the lower ones, so none
-is evaluated where the shared decay is 0, and at a huge or infinite time
-no mode is evaluated at all: the density there is k0. Where the slow decay
-of a two-timescale mode is 0 it still adds fast_m*exp(-v/eps),
-fast_m = k_m*a^2/(a^2 - 1/eps) (0 where a^2 = 1/eps exactly, as both
-decays are then flushed at once), as one rank-one term per block,
+evaluator sums all three. It walks ranges of modes, highest first, and
+each range holds modes of one class, its kind, which gives the time
+factor of its modes and the rate of their slowest decay exp(-rate*v):
+* telegraph: wave for the underdamped modes under..M, of the shared rate
+  1/(2*eps), and two_root for the modes 1..under - 1 with disc >= 0, of
+  rate -lam1 = (4*m*pi)^2/(2*(1 + sqrt(disc)));
+* two-timescale: split above and below the band |1 - q_m| < 1/2, of the
+  slow part's rate a^2, and two_root for the band, of rate
+  -lam1 = min(a^2, 1/eps);
+* parabolic, and the two-timescale family at eps = 0: exp, of rate a^2.
+The rate rises with m within a range. Each range is cut into blocks, and
+a block is evaluated only at its live times: those where the decay of its
+first mode, the slowest, is not flushed to 0 at EXP_FLOOR. So no block
+is evaluated where every decay of its modes is 0, and at a huge or
+infinite time no mode is evaluated at all: the density there is k0. Only
+a split mode lives on after its slow decay is 0, where its fast part still
+adds fast_m*exp(-v/eps), fast_m = k_m*a^2/(a^2 - 1/eps) (a^2 != 1/eps, as
+|1 - q_m| >= 1/2): one rank-one term per split block,
 (sum_m fast_m*cos(2*m*pi*u))*exp(-v/eps). A block holds
 max(BLOCK, min(32*BLOCK, size/L)) modes, L the live times of its first
 mode and size BLOCK times the times per position, or BLOCK*P on a
@@ -227,11 +232,11 @@ def _split_times(v):
 
 
 def _discriminant(eps: float, m):
-    """1 - (4*m*pi)^2*eps: > 0 overdamped, < 0 underdamped telegraph mode m.
+    """1 - (4*m*pi)^2*eps: >= 0 two real roots, < 0 underdamped telegraph mode m.
 
     Squared as x*x, which numpy's x**2 of an array is and Python's float
-    power is not, for some m by 1 ulp: a scalar m is then classed as its
-    row of a block is.
+    power is not, for some m by 1 ulp: the search for the first underdamped
+    mode classes a scalar m as its row of a block is classed.
     """
     x = 4.0 * np.pi * m
     return 1.0 - x * x * eps
@@ -243,63 +248,52 @@ def _frequency(eps: float, disc):
     return omega, 1.0 / (2.0 * eps * omega)
 
 
-def _slow_rate(model: str, eps: float, m: int) -> float:
-    """The slowest decay rate of the time factors of the modes m and up.
+def _roots(model: str, eps: float, m):
+    """(lam1, g) of the two-root modes m, a scalar or a column: roots lam1 and lam1 - g.
 
-    (2*m*pi)^2 for the parabolic family and the slow part of the
-    two-timescale family; for the telegraph family 1/(2*eps), the shared
-    decay of the underdamped modes (disc < 0), or, for a mode m with
-    disc >= 0, its slow rate (4*m*pi)^2/(2*(1 + sqrt(disc))), which rises
-    with m to 1/(2*eps) at disc = 0.
+    For the telegraph family (disc >= 0) lam1 = (sqrt(disc) - 1)/(2*eps),
+    formed as -(4*m*pi)^2/(2*(1 + sqrt(disc))), since the difference
+    cancels to 0 for small eps, and g = sqrt(disc)/eps. For the
+    two-timescale family lam1 = -min(a^2, 1/eps) and g = |a^2 - 1/eps|,
+    a = 2*m*pi. Squared as x*x, like _discriminant. -lam1 rises with m in
+    both, so a block's first mode decays the slowest.
     """
-    if model != "hyperbolic":
-        return (2.0 * math.pi * m) ** 2
-    disc = _discriminant(eps, m)
-    if disc >= 0:
-        # The product form of (1 - sqrt(disc))/(2*eps), which cancels to 0
-        # for small eps.
-        return (4.0 * math.pi * m) ** 2 / (2.0 * (1.0 + math.sqrt(disc)))
-    return 0.5 / eps
+    if model == "hyperbolic":
+        sq = np.sqrt(_discriminant(eps, m))
+        x = 4.0 * np.pi * m
+        return -(x * x) / (2.0 * (1.0 + sq)), sq / eps
+    a = 2.0 * np.pi * m
+    return -np.minimum(a * a, 1.0 / eps), np.abs(a * a - 1.0 / eps)
 
 
-def _two_root(slow, gap, v, decay):
+def _two_root(slow, gap, v):
     """The time factor of modes with real roots slow = lam1 <= 0 and lam1 - gap.
 
     T = exp(lam1*v)*(1 - lam1*v*phi(gap*v)), phi(x) = -expm1(-x)/x, which
     is (lam2*exp(lam1*v) - lam1*exp(lam2*v))/(lam2 - lam1) with T(0) = 1 and
-    T'(0) = 0. decay = exp(lam1*v) is passed in, since the two-timescale
-    walk already holds it. lam1*v*phi(gap*v) = lam1*expm1(-gap*v)/gap takes
-    one product per sample and no difference of decays. Where gap is 0 it is taken as
+    T'(0) = 0. lam1*v*phi(gap*v) = lam1*expm1(-gap*v)/gap takes one product
+    per sample and no difference of decays. Where gap is 0 it is taken as
     2**-60*|lam1|, far below any nonzero gap of either family (about
     2**-53*|lam1| at least); there phi(gap*v) is phi(0) = 1 to within
-    2**-61*|lam1|*v.
+    2**-61*|lam1|*v. T is 0 where exp(lam1*v) is flushed.
     """
     gap = np.maximum(gap, 2.0**-60 * -slow)
     term = np.expm1(-gap * v)
     term *= slow / gap
     term += 1.0
-    term *= decay
+    term *= _exp(slow * v)
     return term
 
 
-def _telegraph_factor(eps: float, m, v, decay):
-    """V_m(v)/k_m of the telegraph modes in column m at the times in v.
+def _underdamped(eps: float, m, v, decay):
+    """V_m(v)/k_m of the underdamped telegraph modes in column m at the times in v.
 
-    m has shape (R, 1); v and decay = exp(-v/(2*eps)) are one row (1, N),
-    shared by every mode. A mode with disc = 1 - (4*m*pi)^2*eps >= 0 has
-    real roots and takes _two_root; one with disc < 0 is underdamped, with
-    decay 1/(2*eps) and angular frequency omega. _series walks the modes
-    with disc >= 0 apart from the underdamped ones, so every mode of m is
-    of the class of its first.
+    m has shape (R, 1), every mode with disc < 0; v and decay =
+    exp(-v/(2*eps)) are one row (1, N), shared by every mode, which
+    oscillates at its angular frequency omega: decay*(cos(omega*v) +
+    r*sin(omega*v)), r = 1/(2*eps*omega).
     """
-    disc = _discriminant(eps, m)
-    if disc[0, 0] >= 0:
-        sq = np.sqrt(disc)
-        # lam1 = (sq - 1)/(2*eps) cancels for small eps; it is formed from
-        # the equivalent product form instead. lam1 - lam2 = sq/eps.
-        slow = -((4.0 * np.pi * m) ** 2) / (2.0 * (1.0 + sq))
-        return _two_root(slow, sq / eps, v, _exp(slow * v))
-    omega, r = _frequency(eps, disc)
+    omega, r = _frequency(eps, _discriminant(eps, m))
     phase = omega * v
     # decay*(cos(phase) + r*sin(phase)), formed in place.
     wave = np.sin(phase)
@@ -401,34 +395,49 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
     if model == "hyperbolic" or two_scale:
         with np.errstate(over="ignore"):
             shared = _exp((-1.0 / (2.0 * eps)) * v_flat if model == "hyperbolic" else -v_flat / eps)
-    # The two-timescale modes near[0]..near[1], whose ratio
-    # q_m = eps*(2*m*pi)^2 = (m/star)^2 lies within 1/2 of 1, take the
-    # two-root form. They number about star/2, and are found in O(1).
-    star = 0.5 / (math.pi * math.sqrt(eps)) if two_scale else 0.0
-    near = (max(1, math.ceil(star * 0.5**0.5)), min(terms, math.floor(star * 1.5**0.5)))
+
+    # The walk: ranges (low, last, kind) of modes, highest first, each of one
+    # class. Each range takes its time factor and its live rate from its kind.
+    if model == "hyperbolic":
+        # The telegraph modes under..M are underdamped and share the decay
+        # exp(-v/(2*eps)). The discriminant falls with m, so the modes with
+        # real roots are the lowest ones. Found in O(1): mode
+        # 1/(4*pi*sqrt(eps)) - 1 and those below it have disc > 0.
+        under = min(terms + 1, max(1, math.floor(0.25 / (math.pi * math.sqrt(eps))) - 1))
+        while under <= terms and _discriminant(eps, under) >= 0:
+            under += 1
+        walks = [(under, terms, "wave"), (1, under - 1, "two_root")]
+    elif two_scale:
+        # The modes whose ratio q_m = eps*(2*m*pi)^2 = (m/star)^2 lies within
+        # 1/2 of 1, about star/2 of them, take the two-root form; the modes
+        # above and below them the fast/slow split.
+        star = 0.5 / (math.pi * math.sqrt(eps))
+        low = max(1, math.ceil(star * 0.5**0.5))
+        high = min(terms, math.floor(star * 1.5**0.5))
+        walks = [(high + 1, terms, "split"), (low, high, "two_root"),
+                 (1, min(terms, low - 1), "split")]
+    else:
+        walks = [(1, terms, "exp")]
 
     k = coefficients.modes
 
-    def live(first: int):
-        """Where exp(-rate*v), rate the slowest of the modes first and up, is not flushed.
-
-        NaN times stay live, so that NaN stays in its own sample.
-        """
-        return ~(v_flat >= -EXP_FLOOR / _slow_rate(model, eps, first))
-
-    def walk(low: int, last: int, size: int, add):
+    def walk(low: int, last: int, kind: str, size: int, add):
         """Hand the blocks of modes low..last, highest first, to add(first, index, t, row).
 
-        A block is evaluated only at the live times v[index] of its first
-        mode: t holds k_m T_m(v) there, (count, times), and row is None. At
-        the other times a two-timescale mode still adds fast_m*exp(-v/eps):
-        t then holds the fast weights, (count, 1), and row exp(-v/eps) at
-        those times. fast_m = k_m*a^2/(a^2 - 1/eps), a = 2*m*pi, or 0 where
-        a^2 = 1/eps exactly, since both decays are then flushed at once. A
-        block holds max(BLOCK, min(32*BLOCK, size/L)) modes, L the live
-        times of its first mode, so its terms never exceed max(BLOCK*L, size)
-        values and peak memory does not grow with the truncation, while the
-        high modes, live at few times, take few blocks.
+        The modes are of one kind, which gives their time factor and their
+        decay rate: 1/(2*eps) for wave, -lam1 for two_root and
+        a^2 = (2*m*pi)^2 for split and exp. A block is evaluated only at its
+        live times v[index], where exp(-rate*v) of its first mode, its
+        slowest decay, is not flushed (a NaN time stays live, so that NaN
+        stays in its own sample): t holds k_m T_m(v) there, (count, times),
+        and row is None. At the other times a split mode still adds
+        fast_m*exp(-v/eps): t then holds the fast weights, (count, 1), and
+        row exp(-v/eps) at those times. fast_m = k_m*a^2/(a^2 - 1/eps)
+        divides by no 0, since |1 - q_m| >= 1/2. A block holds
+        max(BLOCK, min(32*BLOCK, size/L)) modes, L its live times, so its
+        terms never exceed max(BLOCK*L, size) values and peak memory does
+        not grow with the truncation, while the high modes, live at few
+        times, take few blocks.
 
         Formed in place where it can: each block-sized temporary is fresh
         memory from the allocator, and its page faults cost as much as the
@@ -436,60 +445,40 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         """
         blocks = []
         while low <= last:
-            count = max(BLOCK, min(32 * BLOCK, size // max(1, np.count_nonzero(live(low)))))
-            blocks.append((low, min(last, low + count - 1)))
+            rate = (0.5 / eps if kind == "wave" else -_roots(model, eps, low)[0]
+                    if kind == "two_root" else (2.0 * math.pi * low) ** 2)
+            mask = ~(v_flat >= -EXP_FLOOR / rate)
+            count = max(BLOCK, min(32 * BLOCK, size // max(1, np.count_nonzero(mask))))
+            blocks.append((low, min(last, low + count - 1), mask))
             low += count
-        for first, stop in reversed(blocks):
+        for first, stop, mask in reversed(blocks):
             m = np.arange(first, stop + 1, dtype=float)[:, None]
             kb = k[first - 1 : stop, None]
-            mask = live(first)
             index = slice(None) if mask.all() else np.flatnonzero(mask)
             a2 = (2.0 * np.pi * m) ** 2
-            if two_scale:
-                fast = np.divide(kb * a2, a2 - 1.0 / eps, out=np.zeros_like(a2),
-                                 where=a2 != 1.0 / eps)
+            if kind == "split":
+                fast = kb * a2 / (a2 - 1.0 / eps)
                 dead = np.flatnonzero(~mask & (shared != 0))
                 if dead.size:
                     add(first, dead, fast, shared[dead])
             v_row = v_flat[None, index]
             if not v_row.size:
                 continue
-            if model == "hyperbolic":
-                t = _telegraph_factor(eps, m, v_row, shared[None, index])
+            if kind == "wave":
+                t = _underdamped(eps, m, v_row, shared[None, index])
+            elif kind == "two_root":
+                t = _two_root(*_roots(model, eps, m), v_row)
             else:
                 t = _exp(-a2 * v_row)
-            if two_scale:
-                # The block's rows lo..hi - 1 are modes near q = 1, of roots
-                # -a^2 and -1/eps: two-root form, on the decay of the slower.
-                lo, hi = max(first, near[0]) - first, min(stop, near[1]) - first + 1
-                if lo < hi:
-                    a2_near = a2[lo:hi]
-                    decay = np.where(a2_near <= 1.0 / eps, t[lo:hi], shared[None, index])
-                    rows = _two_root(-np.minimum(a2_near, 1.0 / eps),
-                                     np.abs(a2_near - 1.0 / eps), v_row, decay)
+            if kind == "split":
                 # k_m*e_s - fast_m*(e_s - e_f) is k_m exactly at v = 0.
                 gap = t - shared[None, index]
                 gap *= fast
                 t *= kb
                 t -= gap
-                if lo < hi:
-                    np.multiply(rows, kb[lo:hi], out=t[lo:hi])
             else:
                 t *= kb
             add(first, index, t, None)
-
-    # The telegraph modes under..M are underdamped and share the decay
-    # exp(-v/(2*eps)). The discriminant falls with m, so the other modes are
-    # the lowest ones; they decay more slowly and are walked apart, so that
-    # no underdamped mode is evaluated where the shared decay is 0.
-    under = 1
-    if model == "hyperbolic":
-        # Found in O(1): mode 1/(4*pi*sqrt(eps)) - 1 and those below it have
-        # disc > 0.
-        under = min(terms + 1, max(1, math.floor(0.25 / (math.pi * math.sqrt(eps))) - 1))
-        while under <= terms and _discriminant(eps, under) >= 0:
-            under += 1
-    walks = [(under, terms), (1, under - 1)]
 
     lattice = _lattice(u_flat) if outer else None
     if lattice is not None:
@@ -509,8 +498,8 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
                 fold[low % period : top % period + 1, index] += part if row is None else part * row
                 top = low - 1
 
-        for low, last in walks:
-            walk(low, last, BLOCK * period, fold_in)
+        for low, last, kind in walks:
+            walk(low, last, kind, BLOCK * period, fold_in)
         total = np.fft.rfft(fold, axis=0).real[bins].T
         return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 
@@ -536,8 +525,8 @@ def _series(model: str, coefficients: SpectralCoefficients, eps: float, u, v):
         s = t.T @ c if outer else np.einsum("jn,jn->n", t, c)
         total[index] += s if row is None else (row[:, None] if outer else row) * s
 
-    for low, last in walks:
-        walk(low, last, size, contract)
+    for low, last, kind in walks:
+        walk(low, last, kind, size, contract)
     return _scalarize((coefficients.mean + total).reshape(shape), u, v)
 
 

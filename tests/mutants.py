@@ -66,10 +66,19 @@ MUTANTS = (
     Mutant("two_root_floor_dropped", "src/slabdiff/spectral.py",
            "gap = np.maximum(gap, 2.0**-60 * -slow)", "gap = gap",
            ("tests/test_spectral.py",)),
-    # A block of telegraph modes whose first has disc == 0 is taken as
-    # underdamped, of frequency 0 and r = 1/0.
+    # A telegraph mode with disc == 0 is walked as underdamped, of frequency
+    # 0 and r = 1/0.
     Mutant("real_root_class_strict", "src/slabdiff/spectral.py",
-           "if disc[0, 0] >= 0:", "if disc[0, 0] > 0:",
+           "_discriminant(eps, under) >= 0:", "_discriminant(eps, under) > 0:",
+           ("tests/test_spectral.py",)),
+    # The two-root factor decays as its faster root, exp((lam1 - gap)*v).
+    Mutant("two_root_decay_of_faster_root", "src/slabdiff/spectral.py",
+           "term *= _exp(slow * v)", "term *= _exp((slow - gap) * v)",
+           ("tests/test_spectral.py",)),
+    # A two-root block's live window is a quarter of its slower root's: it
+    # drops times where that decay is not flushed.
+    Mutant("two_root_live_rate", "src/slabdiff/spectral.py",
+           "-_roots(model, eps, low)[0]", "-4.0 * _roots(model, eps, low)[0]",
            ("tests/test_spectral.py",)),
     # A scalar mode's disc comes from Python's float power, 1 ulp off x*x
     # for some m: the first underdamped mode of the walk can open a block
@@ -309,30 +318,26 @@ MUTANTS = (
     # The two-timescale slow weight is 1 + q, not 1/(1 - q): the h - w gap
     # leaves its leading term by 3.3q, where the model stays within 1.4q.
     Mutant("wkb_fast_without_amplitude", "src/slabdiff/spectral.py",
-           "fast = np.divide(kb * a2, a2 - 1.0 / eps, out=np.zeros_like(a2),\n"
-           "                                 where=a2 != 1.0 / eps)",
-           "fast = -kb * a2 * eps",
+           "fast = kb * a2 / (a2 - 1.0 / eps)", "fast = -kb * a2 * eps",
            ("tests/test_spectral.py",)),
     # The modes near q = 1 keep the fast/slow split, which loses up to 8
     # digits at q - 1 = 2e-9 and divides by 0 at q = 1.
     Mutant("wkb_near_band_never_taken", "src/slabdiff/spectral.py",
-           "near = (max(1, math.ceil(star * 0.5**0.5)), min(terms, math.floor(star * 1.5**0.5)))",
-           "near = (1, 0)",
+           "high = min(terms, math.floor(star * 1.5**0.5))", "high = low - 1",
+           ("tests/test_spectral.py",)),
+    # The band's lowest mode is also walked by the split modes below it.
+    Mutant("wkb_band_low_edge_overlaps", "src/slabdiff/spectral.py",
+           '(1, min(terms, low - 1), "split")', '(1, min(terms, low), "split")',
+           ("tests/test_spectral.py",)),
+    # The mode just above the band is walked by no range.
+    Mutant("wkb_band_high_edge_gap", "src/slabdiff/spectral.py",
+           '(high + 1, terms, "split")', '(high + 2, terms, "split")',
            ("tests/test_spectral.py",)),
     # phi(0) is not 1: at a gap of 0 (q = 1, or disc = 0) the gap is taken as
     # |lam1|/2, not 2**-60*|lam1|, so a mode's lam1*v*exp(lam1*v) part
     # shrinks by phi(|lam1|*v/2).
     Mutant("wkb_phi_at_zero", "src/slabdiff/spectral.py",
            "2.0**-60 * -slow", "2.0**-1 * -slow",
-           ("tests/test_spectral.py",)),
-    # The two-root decay of a two-timescale mode near q = 1 is exp(-a^2*v)
-    # for q > 1 too, not exp(-v/eps) of the slower root.
-    Mutant("wkb_phi_decay_always_slow", "src/slabdiff/spectral.py",
-           "np.where(a2_near <= 1.0 / eps, t[lo:hi], shared[None, index])", "t[lo:hi]",
-           ("tests/test_spectral.py",)),
-    # The fast weight at a^2 = 1/eps exactly divides by 0.
-    Mutant("wkb_fast_weight_at_exact_resonance", "src/slabdiff/spectral.py",
-           "where=a2 != 1.0 / eps)", "where=True)",
            ("tests/test_spectral.py",)),
     # A name holding "--" runs, and every SVG chart's XML comment is malformed.
     Mutant("name_double_hyphen_allowed", "src/slabdiff/scenario.py",

@@ -966,6 +966,29 @@ def test_wkb_zero_eps_long_rows_equal_parabolic_exactly(gaussian_coeffs):
         )
 
 
+def test_two_root_blocks_take_only_their_own_live_times(monkeypatch, gaussian_coeffs):
+    # At eps = 1e-4 the two-timescale modes with |1 - q_m| < 1/2 are 12..19,
+    # one block of the walk. Its slower root, -a^2 of mode 12 (q = 0.57),
+    # is flushed from v = 708/a^2 = 0.1245 on: the block is evaluated at the
+    # 125 times before it, on the per-sample path (a trace) and on the fold
+    # (a 1001-point field table), and at no time where its own decay is 0.
+    calls = []
+    two_root = spectral._two_root
+
+    def spy(slow, gap, v, *rest):
+        calls.append((slow.flat[0], v.ravel().copy()))
+        return two_root(slow, gap, v, *rest)
+
+    monkeypatch.setattr(spectral, "_two_root", spy)
+    eps = 1e-4
+    v = np.linspace(0.0, 1.2, 1201)
+    wkb_density(gaussian_coeffs, eps, 0.5, v)
+    wkb_density(gaussian_coeffs, eps, Grid1D.uniform_grid(1001).points[None, :], v[:200, None])
+    for slow, times in calls:
+        np.testing.assert_array_equal(times, v[slow * v > EXP_FLOOR])
+    assert [(slow, times.size) for slow, times in calls] == [(-((24.0 * math.pi) ** 2), 125)] * 2
+
+
 HUGE_V = np.array([1e6, 1e300, 1.7e308, math.inf])
 
 
