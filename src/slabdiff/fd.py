@@ -47,10 +47,13 @@ inverse are each one real FFT of the even-odd reordered vector (J. Makhoul,
 1980), so numpy is the only dependency.
 
 Cost of one solve: one forward DCT of the initial data, and per-mode tables
-built once. The telegraph table holds the powers M^(2^b) of each mode's 2x2
-step matrix for the bits of the largest j - 1: log2(j_max) squarings, kept
-as log2(j_max) * 4 * nu doubles (about 90 KB at nu = 400 and j_max = 89,
-which reaches v = 0.05 at eps = 0.05; 8 MB at nu = 10^4 and MAX_STEPS).
+built once. The data and its DCT are cached per (profile, nu), read-only,
+so the heat and telegraph solves of one profile share them; a tabulated
+profile, whose table is unhashable, is not cached. The telegraph table
+holds the powers M^(2^b) of each mode's 2x2 step matrix for the bits of
+the largest j - 1: log2(j_max) squarings, kept as log2(j_max) * 4 * nu
+doubles (about 90 KB at nu = 400 and j_max = 89, which reaches v = 0.05
+at eps = 0.05; 8 MB at nu = 10^4 and MAX_STEPS).
 Each snapshot then costs at most log2(j) vector products (telegraph), or
 one expm1 of the log1p table plus a power of the modes with 1 + x <= 0
 (heat), and one inverse DCT. The Laplacian eigenvalues and the cell-centre
@@ -72,7 +75,7 @@ import numpy as np
 
 from .core import MIN_FD_CELLS, FieldSlice, Grid1D, TimeGrid, check_count, check_eps
 from .errors import InvalidParameterError, StabilityError
-from .profiles import InitialProfile, evaluate_profile
+from .profiles import InitialProfile, TabulatedProfile, evaluate_profile
 
 #: Safety factor applied to the heat bound when choosing a heat step.
 SAFETY = 0.9
@@ -210,6 +213,20 @@ def _idct(c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spectrum(profile: InitialProfile, nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n0, c0): the profile on the nu cell centres and its DCT, both read-only."""
+    n0 = np.asarray(evaluate_profile(profile, _cell_grid(nu).points), dtype=float)
+    c0 = _dct(n0)
+    n0.flags.writeable = c0.flags.writeable = False
+    return n0, c0
+
+
+#: _spectrum once per process for each (profile, nu), in 8 entries: the heat
+#: and telegraph solves of one profile share it. A tabulated profile holds an
+#: unhashable table and is not cached.
+_cached_spectrum = lru_cache(maxsize=8)(_spectrum)
+
+
 def snapshot_steps(cfg: FdConfig) -> list[int]:
     """Step index j of each snapshot time: the nearest step boundary j*dv."""
     return [int(round(t / cfg.dv)) for t in cfg.snapshot_times.points]
@@ -296,8 +313,8 @@ def fd_solve(profile: InitialProfile, cfg: FdConfig) -> tuple[np.ndarray, np.nda
     steps = snapshot_steps(cfg)
     delta = _heat_delta(cfg) if cfg.eps == 0.0 else _telegraph_delta(cfg, steps)
     cells = _cell_grid(cfg.nu).points
-    n0 = np.asarray(evaluate_profile(profile, cells), dtype=float)
-    c0 = _dct(n0)
+    spectrum = _spectrum if isinstance(profile, TabulatedProfile) else _cached_spectrum
+    n0, c0 = spectrum(profile, cfg.nu)
     table = np.empty((len(steps), cfg.nu))
     for i, j in enumerate(steps):
         np.add(n0, _idct(delta(j) * c0), out=table[i])

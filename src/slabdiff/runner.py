@@ -1,19 +1,24 @@
 """Scenario execution and artifact writing.
 
-Outputs are bit-exact: floats are rendered with repr (shortest round-trip
-decimal), lines end with LF, and every file embeds the scenario hash plus
-the truncation and grids actually used, so identical scenarios produce
-byte-identical CSVs.
+Outputs are bit-exact: floats are written as repr writes them (the
+shortest round-trip decimal), lines end with LF, and every file embeds the
+scenario hash plus the truncation and grids actually used, so identical
+scenarios produce byte-identical CSVs.
 
 Every model, the FD oracle included, is evaluated once into a (time x
 position) table: a field file is row i of each model's fields table, and a
 trace file column j of each model's traces table. A trace's extrema events
 are found in the same pass that writes its file.
 
-Curve files are written column by column: an axis that several files share
-(the grid, the time grid, the FD grid and its recorded times) is rendered
-once per run, a file's constant u or v once per file, and each density
-column once.
+Curve files are written column by column. The texts of every float array
+the files write, the axes (the grid, the time grid, the FD grid and its
+recorded times) and each density column, are rendered together by
+numtext.joined, which forms repr's text for whole arrays in numpy, before
+any file is written: one joined text, from which each file splits its
+columns. Runs of more than TEXT_BATCH values render in batches of that
+size, in the order the files read them, so the text held at once stays
+bounded. An axis that several files share is split once per run, and a
+file's constant u or v is formatted once per file by repr.
 
 run.json's time lists (requested_times, and the FD's recorded_times) are
 laid out from those same texts, not by json's indented encoder, which is
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, numtext
 from .analysis import DEFAULT_V_CUTOFF, detect_extrema, nearest_arrival, wavefront_position
 from .core import SPECTRAL_MODELS, TimeGrid, TimeTrace
 from .fd import fd_solve
@@ -40,6 +45,10 @@ from .svgplot import line_chart
 
 #: Fraction of the slab mass used as the default extremum prominence.
 PROMINENCE_FRACTION = 1e-3
+
+#: Values whose texts are rendered in one pass: with the joined text and its
+#: offsets, about 40 bytes each.
+TEXT_BATCH = 1 << 18
 
 
 def resolve_out_dir(explicit: str | os.PathLike | None, s: Scenario) -> Path:
@@ -67,9 +76,38 @@ def _csv_text(comments: list[tuple[str, str]], header: str, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _texts(values: np.ndarray) -> list[str]:
-    """format_float of every element, from one tolist()."""
-    return list(map(repr, values.tolist()))
+def _texts(arrays: list[np.ndarray]):
+    """texts(x): repr of each element of x, one of `arrays`, as a list of str.
+
+    The arrays, listed in the order the run reads them, are rendered by
+    numtext.joined in batches of consecutive arrays of at most TEXT_BATCH
+    values (or one larger array), each batch when one of its arrays is first
+    read. A batch's text replaces the one before, and each array's texts are
+    split from it when read.
+    """
+    batches, size = [], 0
+    for x in {id(x): x for x in arrays}.values():
+        if not batches or size and size + x.size > TEXT_BATCH:
+            batches.append([])
+            size = 0
+        batches[-1].append(x)
+        size += x.size
+    batch_of = {id(x): batch for batch in batches for x in batch}
+    current, text, spans = None, "", {}
+
+    def texts(x: np.ndarray) -> list[str]:
+        nonlocal current, text, spans
+        if batch_of[id(x)] is not current:
+            current = batch_of[id(x)]
+            text, ends = numtext.joined(np.concatenate(current))
+            # Each array's texts run from the end of the one before to its own last end.
+            stops = np.cumsum([y.size for y in current])
+            bounds = np.concatenate(([0], ends))[np.concatenate(([0], stops))].tolist()
+            spans = {id(y): span for y, span in zip(current, zip(bounds, bounds[1:]))}
+        start, stop = spans[id(x)]
+        return text[start:stop].split("\n")[:-1]
+
+    return texts
 
 
 def _json_text(meta: dict, float_lists: dict[str, tuple[list[str], int]]) -> str:
@@ -111,17 +149,6 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         ("truncation", str(s.truncation)),
     ]
 
-    axes: dict[int, tuple[np.ndarray, list[str]]] = {}
-
-    def cells(x):
-        """A column's text: a scalar repeated, or each element of an axis
-        array, which several files share and so is rendered once per run."""
-        if np.ndim(x) == 0:
-            return repeat(format_float(x))
-        if id(x) not in axes:
-            axes[id(x)] = (x, _texts(x))  # holding x keeps its id unique
-        return axes[id(x)][1]
-
     def write_curves(stem: str, comments, title: str, x_name: str, curves):
         """Write (model, u, v, n) curves as <stem>.csv and <stem>.svg, per the outputs.
 
@@ -130,7 +157,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         """
         if "csv" in s.outputs:
             rows = chain.from_iterable(
-                zip(cells(u), cells(v), repeat(model), _texts(n)) for model, u, v, n in curves
+                zip(cells(u), cells(v), repeat(model), texts(n)) for model, u, v, n in curves
             )
             text = _csv_text(comments, "u,v,model,n", rows)
             written.append(_write_text(directory / f"{stem}.csv", text))
@@ -164,6 +191,30 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                        table[:, nearest][keep]))
     directory.mkdir(parents=True, exist_ok=True)
 
+    # Every file's curves (model, u, v, n), built before any is written, so
+    # that the texts of all their arrays are rendered together.
+    field_curves = [[(m, u, t[i], table[i]) for m, u, t, table in fields]
+                    for i in range(len(s.v_list or ()))]
+    trace_curves = [[(m, TimeTrace(u=float(at[j]), times=t, values=table[:, j]))
+                     for m, at, t, table in traces] for j in range(len(s.trace_u))]
+    arrays = []
+    if "csv" in s.outputs:
+        arrays += [x for curves in field_curves for _, u, _, n in curves for x in (u, n)]
+        arrays += [x for curves in trace_curves for _, tr in curves
+                   for x in (tr.times.points, tr.values)]
+    arrays += [times.points] + ([recorded] if "fd" in s.models else [])
+    texts = _texts(arrays)
+    axes: dict[int, list[str]] = {}
+
+    def cells(x):
+        """A column's text: a scalar repeated, or each element of an axis
+        array, which several files share and so is split once per run."""
+        if np.ndim(x) == 0:
+            return repeat(format_float(x))
+        if id(x) not in axes:
+            axes[id(x)] = texts(x)
+        return axes[id(x)]
+
     # Position of the wavefront launched from the profile's echo source, per
     # snapshot time; none for a profile with no single source.
     source = s.profile.echo_source if s.eps > 0 else None
@@ -181,17 +232,13 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             comments.append(("wavefront_u1", format_float(wavefront[v])))
         write_curves(
             f"{s.name}_field_{i}", comments, f"{s.name}: density at v = {format_float(v)}",
-            "u", [(m, u, t[i], table[i]) for m, u, t, table in fields],
+            "u", field_curves[i],
         )
 
     # Trace files, one per requested position, and their extrema events.
     threshold = PROMINENCE_FRACTION * coeffs.mean
     rows = []
-    for j, u in enumerate(s.trace_u):
-        curves = [
-            (m, TimeTrace(u=float(at[j]), times=t, values=table[:, j]))
-            for m, at, t, table in traces
-        ]
+    for j, (u, curves) in enumerate(zip(s.trace_u, trace_curves)):
         comments = base_comments + [
             ("u", format_float(u)),
             ("time_points", str(len(times))),

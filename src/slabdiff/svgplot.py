@@ -27,6 +27,8 @@ from itertools import groupby
 
 import numpy as np
 
+from .numtext import _digits, _words
+
 WIDTH, HEIGHT = 640, 420
 MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 64, 16, 32, 44
 COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -66,20 +68,6 @@ def _fmt(x: float) -> str:
 # the text.
 EXACT_BELOW = 1e6
 TIE_BAND = 1e-6
-
-
-def _words(cells) -> np.ndarray:
-    """Rows of 4 one-byte cells, each as one uint32 word."""
-    return np.ascontiguousarray(cells, np.uint8).view(np.uint32).ravel()
-
-
-def _digits(places: int, lead: int) -> np.ndarray:
-    """Row n: the ASCII digits of n at the places 10**(places-1)..1, for n below
-    10**places, with 0 in the cells above its leading digit, except those
-    below place `lead`."""
-    digits = np.indices((10,) * places, dtype=np.uint8).reshape(places, -1).T + ord("0")
-    p = 10 ** np.arange(places - 1, -1, -1)
-    return digits * ((np.arange(10**places)[:, None] >= p) | (p < lead))
 
 
 @cache

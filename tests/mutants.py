@@ -177,6 +177,17 @@ MUTANTS = (
     Mutant("fd_solve_row_shifted", "src/slabdiff/fd.py",
            "out=table[i])", "out=table[i - 1])",
            ("tests/test_fd.py",)),
+    # The initial spectrum is cached per profile alone: a solve on another
+    # nu reads the first nu's data.
+    Mutant("fd_spectrum_key_without_nu", "src/slabdiff/fd.py",
+           "_cached_spectrum = lru_cache(maxsize=8)(_spectrum)",
+           "_cached_spectrum = lambda profile, nu, held={}: "
+           "held.setdefault(profile, _spectrum(profile, nu))",
+           ("tests/test_fd.py",)),
+    # Every solve is handed one writable initial spectrum.
+    Mutant("fd_spectrum_writable", "src/slabdiff/fd.py",
+           "    n0.flags.writeable = c0.flags.writeable = False\n", "",
+           ("tests/test_fd.py",)),
     # The recorded times are the requested ones, not the steps they snap to.
     Mutant("fd_recorded_times_requested", "src/slabdiff/fd.py",
            "return np.array(steps) * cfg.dv, cells, table",
@@ -362,6 +373,36 @@ MUTANTS = (
     Mutant("fixed2_units_digit_blank", "src/slabdiff/svgplot.py",
            "_digits(4, lead=10)", "_digits(4, lead=1)",
            ("tests/test_svgplot.py", "tests/test_runner_cli.py")),
+    # numtext's g is floor(10**-k * 2**-r) + 1 for every k, the reference
+    # table, not the exact value at the 55 k where that is an integer.
+    Mutant("numtext_g_floor_plus_one", "src/slabdiff/numtext.py",
+           "g.append(-(-num // den))", "g.append(num // den + 1)",
+           ("tests/test_numtext.py",),
+           equivalent="r_o' drops the low 64 bits of g0*cp; at an exact product they are "
+                      "0 or 2**63, and the extra cp < 2**59 carries nothing out of them, "
+                      "so no decimal changes (checked on 12M doubles)"),
+    # A tie between s and s + 1 goes to the odd one.
+    Mutant("numtext_tie_to_odd", "src/slabdiff/numtext.py",
+           "(vb == mid) & (s & 1 == 1)", "(vb == mid) & (s & 1 == 0)",
+           ("tests/test_numtext.py",)),
+    # Exponent notation starts at decpt -5, not -4: 1e-05 is written 0.00001.
+    Mutant("numtext_exponent_edge_moved", "src/slabdiff/numtext.py",
+           "EXPONENT_BELOW = -4", "EXPONENT_BELOW = -5",
+           ("tests/test_numtext.py",)),
+    # The kernel claims up to 1e17, where repr writes 1e+16 and the layout
+    # has no row.
+    Mutant("numtext_claim_raised", "src/slabdiff/numtext.py",
+           "CLAIM_LOW, CLAIM_HIGH = 1e-99, 1e16", "CLAIM_LOW, CLAIM_HIGH = 1e-99, 1e17",
+           ("tests/test_numtext.py",)),
+    # A power of two takes the regular interval, whose lower half is as wide
+    # as its upper half, though the doubles below it lie twice as close.
+    Mutant("numtext_irregular_spacing_ignored", "src/slabdiff/numtext.py",
+           "    c += irregular\n", "",
+           ("tests/test_numtext.py",)),
+    # The 64-bit product drops the carry from its low 32 x 32-bit part.
+    Mutant("numtext_mulhi_low_carry", "src/slabdiff/numtext.py",
+           "mid = ((a_lo * b_lo) >> 32) + ", "mid = ",
+           ("tests/test_numtext.py",)),
 )
 
 _IGNORE = shutil.ignore_patterns(

@@ -8,8 +8,10 @@ from slabdiff import (
     CosineModeProfile,
     FdConfig,
     GaussianProfile,
+    Grid1D,
     InvalidParameterError,
     StabilityError,
+    TabulatedProfile,
     TimeGrid,
     TimeTrace,
     UniformProfile,
@@ -23,6 +25,7 @@ from slabdiff import (
     parabolic_density,
     time_trace,
 )
+from slabdiff import fd
 from slabdiff.analysis import DEFAULT_V_CUTOFF
 from slabdiff.runner import PROMINENCE_FRACTION
 
@@ -103,6 +106,34 @@ def test_slice_shims_are_fd_solve_rows():
         for sl, row in zip(slices, table):
             assert sl.grid.points is cells
             np.testing.assert_array_equal(sl.values, row)
+
+
+def test_heat_and_telegraph_solves_share_one_initial_spectrum(monkeypatch):
+    # The profile is evaluated on the cells, and its DCT taken, once per
+    # (profile, nu): a heat and a telegraph solve of one profile share them,
+    # read-only. A tabulated profile, which is unhashable, is evaluated anew.
+    calls = []
+
+    def spy(profile, u):
+        calls.append(profile)
+        return evaluate_profile(profile, u)
+
+    monkeypatch.setattr(fd, "evaluate_profile", spy)
+    prof = GaussianProfile(137.0, 1.0)  # no other test solves this profile
+    heat = fd_solve(prof, FdConfig.auto(64, 0.0, times(0.01)))[2]
+    telegraph = fd_solve(prof, FdConfig.auto(64, EPS_REF, times(0.01)))[2]
+    assert calls == [prof]
+    n0, c0 = fd._cached_spectrum(prof, 64)
+    assert not n0.flags.writeable and not c0.flags.writeable
+    assert fd_solve(prof, FdConfig.auto(32, 0.0, times(0.01)))[2].shape == (1, 32)
+    assert calls == [prof, prof]
+    # Each solve still writes its own table.
+    assert heat.flags.writeable and telegraph.flags.writeable
+    table = TabulatedProfile(grid=Grid1D(points=np.array([-0.5, 0.0, 0.5])),
+                             values=np.array([2.0, 1.0, 2.0]))
+    for eps in (0.0, EPS_REF):
+        fd_solve(table, FdConfig.auto(64, eps, times(0.01)))
+    assert calls == [prof, prof, table, table]
 
 
 def test_solver_mode_guards():

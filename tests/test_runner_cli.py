@@ -327,6 +327,22 @@ def test_one_sample_trace_charts(tmp_path):
     assert "polyline" in (tmp_path / "dot_trace_0.svg").read_text()
 
 
+@pytest.mark.parametrize("batch", [1, 100, 1201])
+def test_texts_rendered_in_batches_write_the_same_bytes(tmp_path, monkeypatch, batch):
+    # A run of more than TEXT_BATCH values renders its texts in batches, in
+    # the order the files read them: every file is as one pass writes it.
+    # An array larger than a batch is rendered alone.
+    s = replace(preset("figure2"), truncation=16, models=("parabolic", "hyperbolic", "fd"),
+                fd_nu=64)
+    run_scenario(s, tmp_path / "one")
+    monkeypatch.setattr(runner, "TEXT_BATCH", batch)
+    run_scenario(s, tmp_path / "batched")
+    names = sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "batched").iterdir())
+    for name in names:
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "batched" / name).read_bytes()
+
+
 def test_run_twice_is_byte_identical(tmp_path):
     s = Scenario(
         name="det", eps=0.13, profile=GaussianProfile(100.0, 1.0),
@@ -798,6 +814,7 @@ def test_no_cli_command_imports_scipy(tmp_path):
 #: detection and the writers.
 RUN_ONLY_MODULES = (
     "slabdiff.spectral", "slabdiff.fd", "slabdiff.analysis", "slabdiff.runner", "slabdiff.svgplot",
+    "slabdiff.numtext",
 )
 
 
