@@ -1,9 +1,11 @@
 """Number-to-text for whole float64 arrays: repr's exact texts, in numpy.
 
-joined(values) returns repr(float(x)) + "\\n" of every element, as one str,
-and the end offset of each element's text in it. repr prints the shortest
-decimal that reads back as the same double, and of several such, the one
-closest to it (ties to an even last digit). Here that decimal is found by
+cells(values) returns an (N, WIDTH) uint8 matrix whose row i holds the
+ASCII of repr(float(values[i])), then 0 cells, then the separator "\\n" in
+its last cell: the text of rows, in order, is their bytes with the 0 cells
+deleted, one bytes.translate. repr prints the shortest decimal that reads
+back as the same double, and of several such, the one closest to it (ties
+to an even last digit). Here that decimal is found by
 Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020), as
 in its reference implementation (DoubleToDecimal), on uint64 lanes:
 
@@ -29,13 +31,16 @@ value's 17 digits (left-aligned, zero-padded) come from 4-digit word tables
 as cells of a uint8 row, beside the cells of its exponent and of the
 constant characters. Every (decpt, number of digits, sign) has one row of
 a layout table, which lists the source cell of each text cell, a cell that
-holds 0 where the text is shorter. So a block's text is its gathered cells
-with the 0 bytes deleted, decoded once.
+holds 0 where the text is shorter. So a block's rows are its gathered cells,
+written into the matrix GATHER rows at a time.
 
 The kernel claims +-0.0 and the finite x with 1e-99 <= |x| < 1e16: there
 the exponent has two digits and is negative. Every other value (non-finite,
-subnormal, tiny or huge) takes repr's own text. Values are rendered in
-blocks of BLOCK, to bound the temporaries (about 190 bytes per value).
+subnormal, tiny or huge) takes repr's own text, written into the start of
+its row, whose layout holds only the separator: the longest such text,
+-2.2250738585072014e-308, has 24 characters, one fewer than WIDTH. Values
+are rendered in blocks of BLOCK, to bound the temporaries (about 190 bytes
+per value).
 """
 
 from __future__ import annotations
@@ -61,8 +66,9 @@ MASK32, MASK63 = np.uint64(0xFFFF_FFFF), np.uint64((1 << 63) - 1)
 # digits), the two exponent digits, then the constant characters.
 DIGIT, TENS, UNITS, POINT, E, MINUS, ZERO, SEP, BLANK = 3, 20, 21, 22, 23, 24, 25, 26, 27
 SOURCE_CELLS = 28
-#: Text cells per value: the longest text (-0.000 and 17 digits) and "\n".
-WIDTH = 24
+#: Text cells per value: the longest text repr writes (24 characters, as
+#: -2.2250738585072014e-308) and the separator "\n".
+WIDTH = 25
 
 
 def _words(cells) -> np.ndarray:
@@ -106,7 +112,6 @@ class _Tables(NamedTuple):
     trailing_zeros: np.ndarray  # of w < 10**4 as 4 digits; 4 for w = 0
     exponent: np.ndarray  # per |e| <= 99, the word (tens, units, ".", "e")
     layout: np.ndarray  # per key, the source cell of each text cell
-    length: np.ndarray  # per key, the text's length with its "\n"
     offsets: np.ndarray  # SOURCE_CELLS * row, for the rows of a block
 
 
@@ -126,7 +131,7 @@ def _tables() -> _Tables:
     exponent = np.column_stack((_digits(2, lead=100), np.full((100, 2), [ord("."), ord("e")])))
     keys = [(decpt, n, negative) for decpt in range(EXPONENT_BELOW, 17)
             for n in range(1, 18) for negative in (False, True)]
-    # The last row, for a lane outside the claim, holds only the "\n".
+    # The last row, for a lane outside the claim, holds only the separator.
     rows = [_layout(*key) for key in keys] + [[BLANK] * (WIDTH - 1) + [SEP]]
     layout = np.array(rows, dtype=np.intp)
     return _Tables(
@@ -135,7 +140,6 @@ def _tables() -> _Tables:
         trailing_zeros=trailing_zeros,
         exponent=_words(exponent),
         layout=layout,
-        length=(layout != BLANK).sum(axis=1),
         offsets=SOURCE_CELLS * np.arange(BLOCK)[:, None],
     )
 
@@ -190,9 +194,8 @@ def _decimal(bits: np.ndarray, tables: _Tables) -> tuple[np.ndarray, np.ndarray]
     return np.where(upin != wpin, sp10 + wpin * np.uint64(10), s), k
 
 
-def _block(x: np.ndarray) -> tuple[list[bytes], np.ndarray]:
-    """joined's bytes, in pieces, and text lengths, for one block of float64
-    values."""
+def _block(x: np.ndarray, out: np.ndarray) -> None:
+    """Write the text cells of one block of float64 values into out's rows."""
     tables = _tables()
     magnitude = np.abs(x)
     zero = magnitude == 0
@@ -222,38 +225,25 @@ def _block(x: np.ndarray) -> tuple[list[bytes], np.ndarray]:
     key = np.where(claimed, key + np.signbit(x), len(tables.layout) - 1)
     del magnitude, d, k, short, left, high, low, rest, w0, w1, w2, w3, w4, blank, decpt, n
     # Each text cell gathered from its source cell, GATHER rows at a time.
-    cells = source.view(np.uint8).ravel()
-    pieces = []
+    flat = source.view(np.uint8).ravel()
     for row in range(0, len(x), GATHER):
         index = np.take(tables.layout, key[row:row + GATHER], axis=0)
         index += tables.offsets[row:row + len(index)]
-        pieces.append(np.take(cells, index, mode="clip").tobytes().translate(None, b"\0"))
-    lengths = tables.length[key]
-    misses = np.flatnonzero(~claimed).tolist()
-    if misses:
-        # A missed lane's text is only its "\n": put repr's text before it.
-        text = b"".join(pieces)
-        ends = np.cumsum(lengths).tolist()
-        written = [repr(float(x[i])).encode("ascii") for i in misses]
-        pieces, start = [], 0
-        for i, own in zip(misses, written):
-            pieces += [text[start:ends[i] - 1], own]
-            start = ends[i] - 1
-        pieces.append(text[start:])
-        lengths[misses] += [len(own) for own in written]
-    return pieces, lengths
+        np.take(flat, index, out=out[row:row + len(index)], mode="clip")
+    for i in np.flatnonzero(~claimed).tolist():
+        # A missed lane's row holds only its separator: repr's text goes before it.
+        own = repr(float(x[i])).encode("ascii")
+        out[i, :len(own)] = np.frombuffer(own, np.uint8)
 
 
 _CONSTANTS = np.array([ord("-"), ord("0"), ord("\n"), 0], np.uint8).view(np.uint32)
 
 
-def joined(values: np.ndarray) -> tuple[str, np.ndarray]:
-    """repr(float(x)) + "\\n" of every element of a 1-d float array, as one
-    str; and the end offset of each element's text (its "\\n" included)."""
+def cells(values: np.ndarray) -> np.ndarray:
+    """The (N, WIDTH) uint8 text cells of a 1-d float array of N values: row
+    i holds repr(float(values[i])), then 0 cells, then "\\n" in its last cell."""
     values = np.ascontiguousarray(values, dtype=np.float64)
-    pieces, lengths = [], [np.zeros(0, np.int64)]
+    out = np.empty((len(values), WIDTH), np.uint8)
     for i in range(0, len(values), BLOCK):
-        block_pieces, block_lengths = _block(values[i:i + BLOCK])
-        pieces += block_pieces
-        lengths.append(block_lengths)
-    return b"".join(pieces).decode("ascii"), np.cumsum(np.concatenate(lengths))
+        _block(values[i:i + BLOCK], out[i:i + BLOCK])
+    return out

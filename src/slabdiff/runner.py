@@ -10,26 +10,29 @@ position) table: a field file is row i of each model's fields table, and a
 trace file column j of each model's traces table. A trace's extrema events
 are found in the same pass that writes its file.
 
-Curve files are written column by column. The texts of every float array
-the files write, the axes (the grid, the time grid, the FD grid and its
-recorded times) and each density column, are rendered together by
-numtext.joined, which forms repr's text for whole arrays in numpy, before
-any file is written: one joined text, from which each file splits its
-columns. Runs of more than TEXT_BATCH values render in batches of that
-size, in the order the files read them, so the text held at once stays
-bounded. An axis that several files share is split once per run, and a
-file's constant u or v is formatted once per file by repr.
+Curve files are written as bytes, column by column. The texts of every
+float array the files write, the axes (the grid, the time grid, the FD grid
+and its recorded times) and each density column, are rendered together by
+numtext.cells, which forms repr's text for whole arrays in numpy, before
+any file is written: one matrix of text cells, a row per value, of which
+each array's rows are a view. Runs of more than TEXT_BATCH values render
+in batches of that size, in the order the files read them, so the cells
+held at once stay bounded. An axis that several files share is copied once
+per run, with "," as its rows' separator. A curve's rows are its columns'
+cells side by side: the axis, the broadcast bytes of its constant u or v
+(formatted once per curve by repr) and of its model, and its densities;
+its text is those cells with the 0 cells deleted, by one bytes.translate.
 
 run.json's time lists (requested_times, and the FD's recorded_times) are
-laid out from those same texts, not by json's indented encoder, which is
-pure Python: json writes a float as repr does, so the bytes are json's own.
+laid out from the time axes' cells, decoded once per run, not by json's
+indented encoder, which is pure Python: json writes a float as repr does,
+so the bytes are json's own. Every file is written as bytes by one writer.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,8 +49,8 @@ from .svgplot import line_chart
 #: Fraction of the slab mass used as the default extremum prominence.
 PROMINENCE_FRACTION = 1e-3
 
-#: Values whose texts are rendered in one pass: with the joined text and its
-#: offsets, about 40 bytes each.
+#: Values whose texts are rendered in one pass: numtext.WIDTH (25) bytes of
+#: text cells each.
 TEXT_BATCH = 1 << 18
 
 
@@ -63,27 +66,34 @@ def resolve_out_dir(explicit: str | os.PathLike | None, s: Scenario) -> Path:
     return Path("out")
 
 
-def _write_text(path: Path, text: str) -> Path:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write(path: Path, data: bytes) -> Path:
+    with open(path, "wb") as fh:
+        fh.write(data)
     return path
 
 
-def _csv_text(comments: list[tuple[str, str]], header: str, rows) -> str:
-    lines = [f"# {key}: {value}" for key, value in comments]
-    lines.append(header)
-    lines.extend(map(",".join, rows))
-    return "\n".join(lines) + "\n"
+def _csv_head(comments: list[tuple[str, str]], header: str) -> str:
+    return "".join(f"# {key}: {value}\n" for key, value in comments) + header + "\n"
 
 
-def _texts(arrays: list[np.ndarray]):
-    """texts(x): repr of each element of x, one of `arrays`, as a list of str.
+def _constant(text: str, size: int) -> np.ndarray:
+    """size rows of the ASCII cells of text, as a broadcast view."""
+    return np.broadcast_to(np.frombuffer(text.encode("ascii"), np.uint8), (size, len(text)))
+
+
+def _text(cells: np.ndarray) -> bytes:
+    """The text of rows of text cells: each row's, ended by its separator."""
+    return cells.tobytes().translate(None, b"\0")
+
+
+def _rows(arrays: list[np.ndarray]):
+    """rows(x): numtext.cells of x, one of `arrays`, as a view of its batch's
+    matrix.
 
     The arrays, listed in the order the run reads them, are rendered by
-    numtext.joined in batches of consecutive arrays of at most TEXT_BATCH
+    numtext.cells in batches of consecutive arrays of at most TEXT_BATCH
     values (or one larger array), each batch when one of its arrays is first
-    read. A batch's text replaces the one before, and each array's texts are
-    split from it when read.
+    read. A batch's matrix replaces the one before.
     """
     batches, size = [], 0
     for x in {id(x): x for x in arrays}.values():
@@ -93,27 +103,24 @@ def _texts(arrays: list[np.ndarray]):
         batches[-1].append(x)
         size += x.size
     batch_of = {id(x): batch for batch in batches for x in batch}
-    current, text, spans = None, "", {}
+    current, views = None, {}
 
-    def texts(x: np.ndarray) -> list[str]:
-        nonlocal current, text, spans
+    def rows(x: np.ndarray) -> np.ndarray:
+        nonlocal current, views
         if batch_of[id(x)] is not current:
             current = batch_of[id(x)]
-            text, ends = numtext.joined(np.concatenate(current))
-            # Each array's texts run from the end of the one before to its own last end.
-            stops = np.cumsum([y.size for y in current])
-            bounds = np.concatenate(([0], ends))[np.concatenate(([0], stops))].tolist()
-            spans = {id(y): span for y, span in zip(current, zip(bounds, bounds[1:]))}
-        start, stop = spans[id(x)]
-        return text[start:stop].split("\n")[:-1]
+            matrix = numtext.cells(np.concatenate(current))
+            views = dict(zip(map(id, current),
+                             np.split(matrix, np.cumsum([y.size for y in current[:-1]]))))
+        return views[id(x)]
 
-    return texts
+    return rows
 
 
-def _json_text(meta: dict, float_lists: dict[str, tuple[list[str], int]]) -> str:
+def _json_text(meta: dict, float_lists: dict[str, tuple[str, int]]) -> str:
     """json.dumps(meta, sort_keys=True, indent=2) plus a newline, where the
     string "\0<name>" stands for the list of floats whose texts (repr, as json
-    writes a float) and nesting depth are float_lists[name].
+    writes a float), each ended by ",", and nesting depth are float_lists[name].
 
     json's indented encoder is pure Python, so a long list is laid out here
     as it would lay it out, from texts the run has already made.
@@ -121,7 +128,8 @@ def _json_text(meta: dict, float_lists: dict[str, tuple[list[str], int]]) -> str
     text = json.dumps(meta, sort_keys=True, indent=2)
     for name, (texts, depth) in float_lists.items():
         pad = "\n" + "  " * depth
-        items = f"[{pad}  " + f",{pad}  ".join(texts) + f"{pad}]" if texts else "[]"
+        items = texts[:-1].replace(",", f",{pad}  ")
+        items = f"[{pad}  {items}{pad}]" if texts else "[]"
         text = text.replace(json.dumps("\0" + name), items, 1)
     return text + "\n"
 
@@ -156,15 +164,17 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         plots n over x_name ("u" or "v").
         """
         if "csv" in s.outputs:
-            rows = chain.from_iterable(
-                zip(cells(u), cells(v), repeat(model), texts(n)) for model, u, v, n in curves
-            )
-            text = _csv_text(comments, "u,v,model,n", rows)
-            written.append(_write_text(directory / f"{stem}.csv", text))
+            data = [_csv_head(comments, "u,v,model,n").encode("utf-8")]
+            for model, u, v, n in curves:
+                columns = [axis(x) if np.ndim(x) else _constant(f"{format_float(x)},", n.size)
+                           for x in (u, v)]
+                columns += [_constant(f"{model},", n.size), rows(n)]
+                data.append(_text(np.concatenate(columns, axis=1)))
+            written.append(_write(directory / f"{stem}.csv", b"".join(data)))
         if "svg" in s.outputs:
             series = [(model, u if x_name == "u" else v, n) for model, u, v, n in curves]
             chart = line_chart(title, x_name, "n", series, metadata=dict(base_comments))
-            written.append(_write_text(directory / f"{stem}.svg", chart))
+            written.append(_write(directory / f"{stem}.svg", chart.encode("utf-8")))
 
     # Each model's density as one (time x position) table, in entries
     # (model, positions, times, table): a field file reads row i of every
@@ -203,16 +213,15 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         arrays += [x for curves in trace_curves for _, tr in curves
                    for x in (tr.times.points, tr.values)]
     arrays += [times.points] + ([recorded] if "fd" in s.models else [])
-    texts = _texts(arrays)
-    axes: dict[int, list[str]] = {}
+    rows = _rows(arrays)
+    axes: dict[int, np.ndarray] = {}
 
-    def cells(x):
-        """A column's text: a scalar repeated, or each element of an axis
-        array, which several files share and so is split once per run."""
-        if np.ndim(x) == 0:
-            return repeat(format_float(x))
+    def axis(x: np.ndarray) -> np.ndarray:
+        """x's rows, each ended by ",": an axis array, which several files
+        share, is copied from its cells once per run."""
         if id(x) not in axes:
-            axes[id(x)] = texts(x)
+            axes[id(x)] = rows(x).copy()
+            axes[id(x)][:, -1] = ord(",")
         return axes[id(x)]
 
     # Position of the wavefront launched from the profile's echo source, per
@@ -237,7 +246,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
 
     # Trace files, one per requested position, and their extrema events.
     threshold = PROMINENCE_FRACTION * coeffs.mean
-    rows = []
+    events = []
     for j, (u, curves) in enumerate(zip(s.trace_u, trace_curves)):
         comments = base_comments + [
             ("u", format_float(u)),
@@ -256,7 +265,7 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
                     p = nearest_arrival(source, u, s.eps, event.v)
                     predicted = format_float(p)
                     rel_error = format_float(abs(event.v - p) / p)
-                rows.append([
+                events.append([
                     m, format_float(u), event.kind, format_float(event.v),
                     format_float(event.value), format_float(event.prominence),
                     predicted, rel_error,
@@ -267,8 +276,8 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
             ("prominence_threshold", format_float(threshold)),
         ]
         header = "model,u,kind,v,value,prominence,predicted_v,rel_error"
-        path = directory / f"{s.name}_events.csv"
-        written.append(_write_text(path, _csv_text(comments, header, rows)))
+        text = _csv_head(comments, header) + "".join(",".join(row) + "\n" for row in events)
+        written.append(_write(directory / f"{s.name}_events.csv", text.encode("utf-8")))
 
     # Run metadata.
     meta = {
@@ -289,16 +298,16 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
     }
     if wavefront:
         meta["wavefront_u1"] = {format_float(v): u1 for v, u1 in wavefront.items()}
-    # The time lists reuse the texts of the CSV time columns.
-    float_lists = {"requested_times": (cells(times.points), 1)}
+    # The time lists are the text of the time axes, as the CSV files write them.
+    float_lists = {"requested_times": (_text(axis(times.points)).decode("ascii"), 1)}
     if "fd" in s.models:
         meta["fd"] = {
             "nu": s.fd_nu,
             "dv": cfg.dv,
             "recorded_times": "\0recorded_times",
         }
-        float_lists["recorded_times"] = (cells(recorded), 2)
+        float_lists["recorded_times"] = (_text(axis(recorded)).decode("ascii"), 2)
     path = directory / f"{s.name}_run.json"
-    written.append(_write_text(path, _json_text(meta, float_lists)))
+    written.append(_write(path, _json_text(meta, float_lists).encode("utf-8")))
     return written
 

@@ -403,6 +403,20 @@ MUTANTS = (
     Mutant("numtext_mulhi_low_carry", "src/slabdiff/numtext.py",
            "mid = ((a_lo * b_lo) >> 32) + ", "mid = ",
            ("tests/test_numtext.py",)),
+    # A row of 24 cells: repr's 24-character texts, written by repr outside
+    # the claim, overrun their separator.
+    Mutant("numtext_width_24", "src/slabdiff/numtext.py",
+           "WIDTH = 25", "WIDTH = 24",
+           ("tests/test_numtext.py",)),
+    # A missed value's repr is written at the end of its row, over its separator.
+    Mutant("numtext_missed_over_separator", "src/slabdiff/numtext.py",
+           "out[i, :len(own)] = ", "out[i, -len(own):] = ",
+           ("tests/test_numtext.py",)),
+    # An axis column keeps "\n" as its rows' separator: each CSV row breaks
+    # after its u or v.
+    Mutant("runner_axis_keeps_newline", "src/slabdiff/runner.py",
+           'axes[id(x)][:, -1] = ord(",")', 'axes[id(x)][:, -1] = ord("\\n")',
+           ("tests/test_runner_cli.py",)),
 )
 
 _IGNORE = shutil.ignore_patterns(

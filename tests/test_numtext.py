@@ -10,19 +10,28 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from slabdiff import numtext, preset, run_scenario, runner
-from slabdiff.numtext import CLAIM_HIGH, CLAIM_LOW
+from slabdiff.numtext import CLAIM_HIGH, CLAIM_LOW, WIDTH
+
+
+def text(rows: np.ndarray) -> str:
+    """The rows' bytes with the 0 cells deleted."""
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def assert_reprs(values) -> None:
-    """joined(values) is repr of each value and "\\n", with each text's end offset."""
+    """Row i of cells(values) is repr of value i, then 0 cells, then "\\n" in
+    its last cell, the row's only "\\n"."""
     values = np.asarray(values, dtype=np.float64)
-    text, ends = numtext.joined(values)
+    rows = numtext.cells(values)
+    assert rows.dtype == np.uint8 and rows.shape == (len(values), WIDTH)
+    assert (rows[:, -1] == ord("\n")).all()
+    assert not (rows[:, :-1] == ord("\n")).any()
+    # The text cells come first: no cell after a 0 cell holds text.
+    assert not (np.diff((rows[:, :-1] != 0).astype(np.int8), axis=1) > 0).any()
     reprs = [repr(x) for x in values.tolist()]
-    got = text.split("\n")[:-1]
+    got = text(rows).split("\n")[:-1]
     wrong = [(r, g) for r, g in zip(reprs, got) if r != g]
     assert not wrong and len(got) == len(reprs), wrong[:10]
-    assert text == "".join(r + "\n" for r in reprs)
-    np.testing.assert_array_equal(ends, np.cumsum([len(r) + 1 for r in reprs]))
 
 
 def neighbours(values) -> np.ndarray:
@@ -42,6 +51,21 @@ any_double = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf,
                      CLAIM_LOW, CLAIM_HIGH, float(np.nextafter(CLAIM_HIGH, 0.0))]),
 )
+
+
+def test_the_longest_texts_outside_the_claim_fit_their_rows():
+    # repr's longest texts have 24 characters, one cell fewer than a row;
+    # every value outside the claim is written by repr into its own row.
+    longest = [-2.2250738585072014e-308, -1.7976931348623157e+308]
+    assert {len(repr(x)) for x in longest} == {WIDTH - 1}
+    outside = longest + [-1e-300, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                         -2.225073858507201e-308, 1e-310, -1.2345678901234567e-300,
+                         1e16, -1.2345678901234567e+300]
+    values = np.array(outside * 3 + [1.5, -0.0])
+    rng = np.random.default_rng(308)
+    values = np.concatenate((values, rng.permutation(values)))
+    assert_reprs(values)
+    assert_reprs(neighbours(longest))
 
 
 @settings(max_examples=300, deadline=None)
@@ -76,7 +100,7 @@ def test_ties_between_two_shortest_decimals_go_to_the_even_one():
     # kernel's claim) is exactly 10**3 times a 16-digit decimal.
     ties = [1113178120592002.25, 3092535278770144256.0, 0.5, 2.5, 1e15 + 0.5, 1e15 + 1.5]
     assert_reprs(neighbours(ties))
-    assert numtext.joined(np.array([1113178120592002.25]))[0] == "1113178120592002.2\n"
+    assert text(numtext.cells(np.array([1113178120592002.25]))) == "1113178120592002.2\n"
 
 
 def significant_digits(text: str) -> int:
@@ -107,13 +131,13 @@ def test_a_seeded_sweep_of_the_claimed_range():
 @pytest.mark.parametrize("name", ["figure1", "figure2", "figure3", "figure4"])
 def test_every_value_a_figure_writes(tmp_path, monkeypatch, name):
     # Every array the runner renders, checked against repr value by value.
-    rendered, joined = [], numtext.joined
+    rendered, cells = [], numtext.cells
 
     def spy(values):
         rendered.append(np.array(values))
-        return joined(values)
+        return cells(values)
 
-    monkeypatch.setattr(runner.numtext, "joined", spy)
+    monkeypatch.setattr(runner.numtext, "cells", spy)
     run_scenario(preset(name), tmp_path)
     monkeypatch.undo()
     assert sum(v.size for v in rendered) > 1000
