@@ -415,7 +415,39 @@ MUTANTS = (
     # An axis column keeps "\n" as its rows' separator: each CSV row breaks
     # after its u or v.
     Mutant("runner_axis_keeps_newline", "src/slabdiff/runner.py",
-           'axes[id(x)][:, -1] = ord(",")', 'axes[id(x)][:, -1] = ord("\\n")',
+           'numtext.WIDTH - 1] = ord(",")', 'numtext.WIDTH - 1] = ord("\\n")',
+           ("tests/test_runner_cli.py",)),
+    # The separator is set where a field file's u axis ends, also in a trace
+    # file: there it lands inside the v axis, after the constant u column.
+    Mutant("runner_axis_separator_at_field_column", "src/slabdiff/runner.py",
+           'rows[:, uv[0].shape[1] * (x_name == "v") + numtext.WIDTH - 1]',
+           "rows[:, numtext.WIDTH - 1]",
+           ("tests/test_runner_cli.py",)),
+    # An FD trace's constant u column holds the requested position, not the
+    # cell whose values it writes.
+    Mutant("runner_fd_trace_u_requested", "src/slabdiff/runner.py",
+           "[(m, at[j], t.points, table[:, j])", "[(m, u, t.points, table[:, j])",
+           ("tests/test_runner_cli.py",)),
+    # An FD field's constant v column holds the requested time, not the
+    # recorded step whose values it writes.
+    Mutant("runner_fd_field_v_requested", "src/slabdiff/runner.py",
+           "[(m, u, t[i], table[i])", "[(m, u, v, table[i])",
+           ("tests/test_runner_cli.py",)),
+    # The batch bound is never met: every array renders in one batch, whose
+    # cells are held until the run's last file. The bytes do not change.
+    Mutant("runner_batch_bound_ignored", "src/slabdiff/runner.py",
+           "if size and size + x.size > TEXT_BATCH:",
+           "if size and size + x.size > TEXT_BATCH * len(arrays):",
+           ("tests/test_runner_cli.py",)),
+    # A batch is not dropped when the next one starts: each render holds
+    # every earlier batch's arrays again.
+    Mutant("runner_batch_kept_alive", "src/slabdiff/runner.py",
+           "                batch, reads, size = {}, [], 0",
+           "                reads = []",
+           ("tests/test_runner_cli.py",)),
+    # A table with NaN is written: the finiteness rule is skipped.
+    Mutant("runner_finite_check_skipped", "src/slabdiff/runner.py",
+           "        if not np.isfinite(table).all():", "        if False:",
            ("tests/test_runner_cli.py",)),
 )
 

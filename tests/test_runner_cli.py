@@ -14,6 +14,7 @@ import numpy as np
 
 import oracles
 from slabdiff import (
+    InvalidParameterError,
     Scenario,
     ScenarioValidationError,
     UniformProfile,
@@ -25,7 +26,7 @@ from slabdiff import (
     scenario_hash,
     serialize_scenario,
 )
-from slabdiff import runner
+from slabdiff import numtext, runner
 from slabdiff.cli import main
 from slabdiff.fd import fd_solve
 from slabdiff.scenario import MODEL_ORDER, override
@@ -315,6 +316,42 @@ def test_an_fd_run_holds_its_table_once(tmp_path):
     assert peak <= 1.25 * (2001 * 400 * 8)
 
 
+@pytest.mark.parametrize("model", ["hyperbolic", "fd"])
+@pytest.mark.parametrize("files", [
+    dict(v_list=(0.01, 0.05, 0.1)),
+    dict(v_range=(0.0, 0.1, 101), trace_u=(0.5, 0.0)),
+], ids=["fields", "traces"])
+def test_a_density_table_with_nan_stops_the_run_before_any_file(tmp_path, monkeypatch,
+                                                                 model, files):
+    # One finiteness rule for every table. A NaN in a field table was written
+    # to its CSV, and one in a trace table stopped the run after its
+    # directory was made.
+    def with_nan(table):
+        table = np.array(table)
+        table[len(table) // 2] = np.nan
+        return table
+
+    density, solve = runner.family_density, runner.fd_solve
+
+    def density_with_nan(m, *args):
+        table = density(m, *args)
+        return with_nan(table) if m == model else table
+
+    def solve_with_nan(profile, cfg):
+        recorded, cells, table = solve(profile, cfg)
+        return recorded, cells, with_nan(table) if model == "fd" else table
+
+    monkeypatch.setattr(runner, "family_density", density_with_nan)
+    monkeypatch.setattr(runner, "fd_solve", solve_with_nan)
+    s = Scenario(
+        name="nan", eps=0.13, profile=GaussianProfile(100.0, 1.0), truncation=16, u_points=21,
+        models=("parabolic", "hyperbolic", "fd"), fd_nu=32, outputs=("csv", "svg"), **files,
+    )
+    with pytest.raises(InvalidParameterError, match=f"the {model} densities are not all finite"):
+        run_scenario(s, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
+
+
 def test_one_sample_trace_charts(tmp_path):
     s = Scenario(
         name="dot", eps=0.13, profile=GaussianProfile(100.0, 1.0),
@@ -331,12 +368,25 @@ def test_one_sample_trace_charts(tmp_path):
 def test_texts_rendered_in_batches_write_the_same_bytes(tmp_path, monkeypatch, batch):
     # A run of more than TEXT_BATCH values renders its texts in batches, in
     # the order the files read them: every file is as one pass writes it.
-    # An array larger than a batch is rendered alone.
+    # Only an array larger than a batch is rendered alone in a larger
+    # numtext.cells call. Each array here is as long as the time axis, the FD
+    # run's recorded times or its distinct recorded times.
     s = replace(preset("figure2"), truncation=16, models=("parabolic", "hyperbolic", "fd"),
                 fd_nu=64)
     run_scenario(s, tmp_path / "one")
+    recorded = fd_solve(s.profile, s.fd_config())[0]
+    lengths = {len(s.time_grid()), len(recorded), len(np.unique(recorded))}
+    calls, cells = [], numtext.cells
+
+    def spy(values):
+        calls.append(len(values))
+        return cells(values)
+
     monkeypatch.setattr(runner, "TEXT_BATCH", batch)
+    monkeypatch.setattr(runner.numtext, "cells", spy)
     run_scenario(s, tmp_path / "batched")
+    assert len(calls) > 1
+    assert all(size <= batch or size in lengths for size in calls), (calls, lengths)
     names = sorted(p.name for p in (tmp_path / "one").iterdir())
     assert names == sorted(p.name for p in (tmp_path / "batched").iterdir())
     for name in names:
@@ -923,7 +973,7 @@ def test_line_chart_pixels_keep_the_per_point_rounding():
 def crafted_density(model, coefficients, eps, u, v):
     """A (time x position) table of edge values in place of a series.
 
-    Finite only: a field slice or trace refuses NaN and inf before any file
+    Finite only: a run refuses a table that holds NaN or inf before any file
     is written, so only the chart sees them (the test above).
     """
     shape = np.broadcast_shapes(np.shape(u), np.shape(v))
