@@ -16,22 +16,22 @@ run.json.
 
 Curve files are written as bytes, column by column. The texts of every
 float array the plan's CSVs read, the axes (the grid, the time grid, the FD
-grid and its recorded times) and each density column, then of run.json's
-time axes, are rendered by numtext.cells, which forms repr's text for whole
-arrays in numpy: a matrix of text cells, a row per value, of which each
-array's rows are a view. Consecutive arrays render together, in batches of
-at most TEXT_BATCH values read in plan order, and each batch is dropped when
-the next is rendered, so the cells held at once stay bounded. A curve's
-rows are its columns' cells side by side: the axis, the broadcast bytes of
-its constant u or v (formatted once per curve by repr) and of its model,
-and its densities. In that fresh matrix the axis's separator cells are set
-to ",", and its text is the cells with the 0 cells deleted, by one
-bytes.translate.
+grid and its recorded times) and each density column, are rendered by
+numtext.cells, which forms repr's text for whole arrays in numpy: a matrix
+of text cells, a row per value, of which each array's rows are a view.
+Consecutive arrays render together, in batches of at most TEXT_BATCH values
+read in plan order, and each batch is dropped when the next is rendered, so
+the cells held at once stay bounded. A curve's rows are its columns' cells
+side by side: the axis, the broadcast bytes of its constant u or v
+(formatted once per curve by repr) and of its model, and its densities. In
+that fresh matrix the axis's separator cells are set to ",", and its text
+is the cells with the 0 cells deleted, by one bytes.translate.
 
-run.json's time lists (requested_times, and the FD's recorded_times) are
-laid out from the time axes' rows, not by json's indented encoder, which is
-pure Python: json writes a float as repr does, so the bytes are json's own.
-Every file is written as bytes by one writer.
+run.json is `json.dumps` of its values. It records the time request as the
+scenario states it (v_list, or the v_range triple), not the time axis, which
+the trace files hold. A trace file states its time points, and in a run with
+FD its FD curve's rows, fewer where requested times snap to one step. Every
+file is written as bytes by one writer.
 """
 
 from __future__ import annotations
@@ -119,23 +119,6 @@ def _views(batch: dict[int, tuple[int, np.ndarray]], reads: list[np.ndarray]) ->
     return [matrix[batch[id(x)][0]:][:x.size] for x in reads]
 
 
-def _json_text(meta: dict, float_lists: dict[str, tuple[str, int]]) -> str:
-    """json.dumps(meta, sort_keys=True, indent=2) plus a newline, where the
-    string "\0<name>" stands for the list of floats whose texts (repr, as json
-    writes a float), each ended by "\n", and nesting depth are float_lists[name].
-
-    json's indented encoder is pure Python, so a long list is laid out here
-    as it would lay it out, from texts the run has already made.
-    """
-    text = json.dumps(meta, sort_keys=True, indent=2)
-    for name, (texts, depth) in float_lists.items():
-        pad = "\n" + "  " * depth
-        items = texts[:-1].replace("\n", f",{pad}  ")
-        items = f"[{pad}  {items}{pad}]" if texts else "[]"
-        text = text.replace(json.dumps("\0" + name), items, 1)
-    return text + "\n"
-
-
 def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[Path]:
     """Execute a scenario and write its artifact set.
 
@@ -191,8 +174,12 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         wavefront = {v: wavefront_position(source, s.eps, v) for v in s.v_list}
 
     # The plan: one (stem, comments, title, x axis, curves) entry per field
-    # file, then per trace file, each curve (model, u, v, n).
+    # file, then per trace file, each curve (model, u, v, n). A trace file
+    # states its curves' row counts: the time points, and the FD curve's,
+    # which holds each recorded step once.
     plan = []
+    counts = [("time_points", str(len(times)))]
+    counts += [("fd_time_points", str(len(t))) for m, _, t, _ in traces if m == "fd"]
     for i, v in enumerate(s.v_list or ()):
         comments = base_comments + [("u_points", str(s.u_points)), ("v_requested", format_float(v))]
         if wavefront:
@@ -200,15 +187,13 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         plan.append((f"{s.name}_field_{i}", comments, f"{s.name}: density at v = {format_float(v)}",
                      "u", [(m, u, t[i], table[i]) for m, u, t, table in fields]))
     for j, u in enumerate(s.trace_u):
-        comments = base_comments + [("u", format_float(u)), ("time_points", str(len(times)))]
+        comments = base_comments + [("u", format_float(u))] + counts
         plan.append((f"{s.name}_trace_{j}", comments, f"{s.name}: density at u = {format_float(u)}",
                      "v", [(m, at[j], t.points, table[:, j]) for m, at, t, table in traces]))
 
     # One writer. The CSVs read their curves' axes and densities, in plan
-    # order, and run.json the time axes.
-    arrays = [x for *_, curves in plan for _, *xs in curves for x in xs if np.ndim(x)]
-    arrays = arrays if "csv" in s.outputs else []
-    texts = _cells(arrays + [times.points] + ([recorded] if "fd" in s.models else []))
+    # order; with no CSV, no text is rendered.
+    texts = _cells([x for *_, curves in plan for _, *xs in curves for x in xs if np.ndim(x)])
     directory.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for stem, comments, title, x_name, curves in plan:
@@ -263,21 +248,14 @@ def run_scenario(s: Scenario, out_dir: str | os.PathLike | None = None) -> list[
         "u_points": s.u_points,
         "models": list(s.models),
         "outputs": list(s.outputs),
-        "requested_times": "\0requested_times",
+        ("v_list" if s.v_list else "v_range"): list(s.v_list or s.v_range),
         "trace_u": list(s.trace_u),
         "files": sorted(p.name for p in written),
     }
     if wavefront:
         meta["wavefront_u1"] = {format_float(v): u1 for v, u1 in wavefront.items()}
-    # The time lists are the text of the time axes, as the CSV files write them.
-    float_lists = {"requested_times": (_text(next(texts)).decode("ascii"), 1)}
     if "fd" in s.models:
-        meta["fd"] = {
-            "nu": s.fd_nu,
-            "dv": cfg.dv,
-            "recorded_times": "\0recorded_times",
-        }
-        float_lists["recorded_times"] = (_text(next(texts)).decode("ascii"), 2)
-    path = directory / f"{s.name}_run.json"
-    written.append(_write(path, _json_text(meta, float_lists).encode("utf-8")))
+        meta["fd"] = {"nu": s.fd_nu, "dv": cfg.dv, "recorded_times": recorded.tolist()}
+    text = json.dumps(meta, sort_keys=True, indent=2) + "\n"
+    written.append(_write(directory / f"{s.name}_run.json", text.encode("utf-8")))
     return written

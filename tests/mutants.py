@@ -449,6 +449,14 @@ MUTANTS = (
     Mutant("runner_finite_check_skipped", "src/slabdiff/runner.py",
            "        if not np.isfinite(table).all():", "        if False:",
            ("tests/test_runner_cli.py",)),
+    # run.json records a v_list run's times under v_range.
+    Mutant("runner_time_request_key", "src/slabdiff/runner.py",
+           '("v_list" if s.v_list else "v_range")', '"v_range"',
+           ("tests/test_runner_cli.py",)),
+    # A trace file gives its FD curve the requested time count, not its rows.
+    Mutant("runner_fd_time_points_requested", "src/slabdiff/runner.py",
+           '("fd_time_points", str(len(t)))', '("fd_time_points", str(len(times)))',
+           ("tests/test_runner_cli.py",)),
 )
 
 _IGNORE = shutil.ignore_patterns(

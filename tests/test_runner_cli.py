@@ -285,16 +285,47 @@ def run_json_cases():
 
 @pytest.mark.parametrize("s", run_json_cases())
 def test_run_json_is_the_indented_json_of_its_values(tmp_path, s):
-    # The time lists are laid out from their CSV texts, not by json: the
-    # bytes must be json's own, and the values the times of the run.
+    # The bytes are json's own. run.json records the time request under its
+    # scenario field, and the trace files hold the time axis: each series
+    # curve's v column is every point of the time grid.
     run_scenario(s, tmp_path)
     text = (tmp_path / f"{s.name}_run.json").read_text()
     meta = json.loads(text)
     assert text == json.dumps(meta, sort_keys=True, indent=2) + "\n"
-    assert meta["requested_times"] == s.time_grid().points.tolist()
+    field = "v_list" if s.v_list is not None else "v_range"
+    assert {"v_list", "v_range"} & meta.keys() == {field}
+    assert meta[field] == list(getattr(s, field))
+    traces = sorted(tmp_path.glob(f"{s.name}_trace_*.csv"))
+    assert len(traces) == len(s.trace_u) * ("csv" in s.outputs)
+    for path in traces:
+        _, _, rows = read_csv(path)
+        for m in (m for m in s.models if m != "fd"):
+            assert [float(r[1]) for r in rows if r[2] == m] == s.time_grid().points.tolist()
     if "fd" in s.models:
         recorded = fd_solve(s.profile, s.fd_config())[0]
         assert meta["fd"]["recorded_times"] == recorded.tolist()
+
+
+def test_a_trace_file_states_the_rows_of_its_fd_curve(tmp_path):
+    # 0 and 1e-6 snap to one FD step, which an FD trace holds once: 3 FD rows
+    # against 4 time points. A run without FD writes no fd_time_points line.
+    s = Scenario(
+        name="fdfield", eps=0.13, profile=GaussianProfile(100.0, 1.0), truncation=50,
+        u_points=51, v_list=(0.0, 1e-6, 0.05, 0.1), trace_u=(0.5, 0.0),
+        models=("parabolic", "hyperbolic", "fd"), fd_nu=64,
+    )
+    run_scenario(s, tmp_path / "fd")
+    run_scenario(replace(s, models=("parabolic", "hyperbolic")), tmp_path / "series")
+    for j in range(2):
+        comments, _, rows = read_csv(tmp_path / "fd" / f"fdfield_trace_{j}.csv")
+        assert list(comments)[-2:] == ["time_points", "fd_time_points"]
+        assert comments["time_points"] == "4"
+        assert comments["fd_time_points"] == "3"
+        assert sum(r[2] == "fd" for r in rows) == 3
+        assert sum(r[2] == "hyperbolic" for r in rows) == 4
+        comments, _, _ = read_csv(tmp_path / "series" / f"fdfield_trace_{j}.csv")
+        assert list(comments)[-1] == "time_points"
+        assert "fd_time_points" not in comments
 
 
 def test_an_fd_run_holds_its_table_once(tmp_path):
@@ -369,13 +400,13 @@ def test_texts_rendered_in_batches_write_the_same_bytes(tmp_path, monkeypatch, b
     # A run of more than TEXT_BATCH values renders its texts in batches, in
     # the order the files read them: every file is as one pass writes it.
     # Only an array larger than a batch is rendered alone in a larger
-    # numtext.cells call. Each array here is as long as the time axis, the FD
-    # run's recorded times or its distinct recorded times.
+    # numtext.cells call. Each array here is as long as the time axis or the
+    # FD run's distinct recorded times.
     s = replace(preset("figure2"), truncation=16, models=("parabolic", "hyperbolic", "fd"),
                 fd_nu=64)
     run_scenario(s, tmp_path / "one")
     recorded = fd_solve(s.profile, s.fd_config())[0]
-    lengths = {len(s.time_grid()), len(recorded), len(np.unique(recorded))}
+    lengths = {len(s.time_grid()), len(np.unique(recorded))}
     calls, cells = [], numtext.cells
 
     def spy(values):

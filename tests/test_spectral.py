@@ -618,6 +618,26 @@ def test_family_gaps_match_their_leading_terms(m, eps):
     assert np.abs(h_p - 1.0).max() <= 5.0 * q
 
 
+@pytest.mark.parametrize("profile", ["gaussian", "surface"])
+def test_family_gaps_on_the_presets_are_of_order_eps(gaussian_coeffs, surface_coeffs, profile):
+    # On each preset profile, max|h - p| and max|h - w| over the slab and
+    # v in [0.05, 1] halve with eps: observed orders 1.02-1.07 as eps halves
+    # from 2.5e-3 to 6.25e-4. The two-timescale gap is about twice the
+    # parabolic one: measured 1.99-2.02.
+    coeffs = gaussian_coeffs if profile == "gaussian" else surface_coeffs
+    u, v = np.linspace(-0.5, 0.5, 201)[None, :], np.linspace(0.05, 1.0, 96)[:, None]
+    gaps = []
+    for eps in (2.5e-3, 1.25e-3, 6.25e-4):
+        h = hyperbolic_density(coeffs, eps, u, v)
+        gaps.append([np.abs(h - parabolic_density(coeffs, u, v)).max(),
+                     np.abs(h - wkb_density(coeffs, eps, u, v)).max()])
+    gaps = np.array(gaps)
+    orders = np.log2(gaps[:-1] / gaps[1:])
+    assert np.abs(orders - 1.0).max() <= 0.1, orders
+    ratio = gaps[:, 1] / gaps[:, 0]
+    assert ((1.9 <= ratio) & (ratio <= 2.1)).all(), ratio
+
+
 # ---------------------------------------------------------------------------
 # wall-free reference
 # ---------------------------------------------------------------------------
